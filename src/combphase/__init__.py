@@ -44,6 +44,7 @@ from .estimation import (
     RefineTrace,
     ScanResult,
     crlb,
+    estimator_study,
     fisher_matrix,
     iterative_refine,
     ml_estimate,
@@ -51,7 +52,6 @@ from .estimation import (
     optimize_reference_phase,
     refined_offset_uncertainty,
     sample_record,
-    scan_to_csv,
     sensitivity_scan,
 )
 from .noise import (
@@ -93,7 +93,6 @@ from .raman import (
     effective_qubit_unitary,
     integrate_lambda,
     phase_map,
-    phase_map_to_csv,
     visibility_budget,
 )
 from .scenarios import (

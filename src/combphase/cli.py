@@ -1,14 +1,10 @@
 """Command-line front-end.
 
-Each subcommand runs a bundled scenario (or an explicit config file passed
-via ``--scenario``) and writes deterministic artifacts plus a manifest:
+``run`` executes one scenario, bundled (by name) or from a config file (by
+path), and writes deterministic artifacts plus a manifest:
 
-    combphase pulse                    # carrier-resolved vs rotating-wave
-    combphase protocol                 # closed-form train checks
-    combphase raman                    # three-level phase map
-    combphase estimate                 # ML estimator vs the Cramer-Rao bound
-    combphase scan                     # sensitivity scaling + extrapolation
-    combphase refine                   # iterative offset lock
+    combphase run rwa_validity --out out/rwa
+    combphase run my_config.yaml --seed 3 --format json
     combphase list [--tag T] [--json]  # bundled scenario catalogue
 
 Exit codes: 0 success, 2 config/schema violation, 3 numeric failure,
@@ -33,27 +29,6 @@ EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
 EXIT_WRAP = 4
 
-_DEFAULT_SCENARIO = {
-    "pulse": "rwa_validity",
-    "protocol": "closed_forms",
-    "raman": "raman_three_level",
-    "estimate": "crlb_saturation",
-    "scan": "table1_scaling",
-    "refine": "refine_fiber",
-}
-
-
-def _add_common(sp: argparse.ArgumentParser, default_scenario: str) -> None:
-    sp.add_argument(
-        "--scenario",
-        default=default_scenario,
-        help=f"bundled scenario name or config file path (default: {default_scenario})",
-    )
-    sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sp.add_argument("--out", default=".", help="output directory (default: cwd)")
-    sp.add_argument("--threads", type=int, default=1, help="worker threads for seed sweeps")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -61,9 +36,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Frequency-comb pulse-train interferometry simulator and estimator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, scen in _DEFAULT_SCENARIO.items():
-        sp = sub.add_parser(cmd, help=f"run the {scen} scenario family")
-        _add_common(sp, scen)
+    rp = sub.add_parser("run", help="run a bundled scenario or a config file")
+    rp.add_argument("scenario", metavar="NAME|PATH", help="bundled scenario name or config file path")
+    rp.add_argument("--seed", type=int, default=None, help="override the config seed")
+    rp.add_argument("--out", default=".", help="output directory (default: cwd)")
+    rp.add_argument("--threads", type=int, default=1, help="worker threads for seed sweeps")
+    rp.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     lp = sub.add_parser("list", help="list bundled scenarios")
     lp.add_argument("--tag", default=None, help="only scenarios carrying this tag")
     lp.add_argument("--json", action="store_true", help="machine-readable output")

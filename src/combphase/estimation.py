@@ -7,9 +7,8 @@ binomial arms as independent samples of known parametric distributions.
 """
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
@@ -297,7 +296,6 @@ def optimize_reference_phase(
 ) -> float:
     """Reference phase maximizing the dphi Fisher information (grid + refine)."""
     xis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    from dataclasses import replace
 
     def probe(xi):
         m = ramsey_model(replace(spec, reference_phase=float(np.mod(xi, 2.0 * np.pi))))
@@ -323,6 +321,45 @@ def optimize_reference_phase(
     if -res.fun > best_i * (1.0 + 1e-9):
         best_xi = res.x
     return float(np.mod(best_xi, 2.0 * np.pi))
+
+
+# --- seed-sweep estimator study -------------------------------------------
+
+
+def _seed_map(fn, seeds, threads: int = 1) -> list:
+    """Order-preserving map over seeds, on ``threads`` worker threads."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(fn, seeds))
+    return [fn(s) for s in seeds]
+
+
+def estimator_study(
+    spec: ProtocolSpec,
+    dphi: float,
+    m_shots: int,
+    seeds,
+    threads: int = 1,
+) -> tuple[np.ndarray, float]:
+    """Fixed-theta ML estimates of ``dphi`` over simulated experiments.
+
+    The reference phase is chosen for maximal dphi information at the true
+    point, then each seed draws one record of ``m_shots`` per arm and is fit
+    with theta held at ``spec.theta``.  Returns the estimates in seed order
+    and the CRLB variance of dphi for one experiment.  ``threads`` spreads
+    the fits over worker threads without changing the results.
+    """
+    theta = spec.theta
+    xi = optimize_reference_phase(spec, theta, dphi, grid=64)
+    model = ramsey_model(replace(spec, reference_phase=xi))
+
+    def one(seed):
+        rec = sample_record(model, theta, dphi, m_shots, seed)
+        return ml_estimate(rec, model, (theta, 0.0), fix_theta=True).dphi_hat
+
+    estimates = np.array(_seed_map(one, seeds, threads), dtype=float)
+    variance = crlb(fisher_matrix(model, theta, dphi, m_shots)).variances[1]
+    return estimates, float(variance)
 
 
 # --- sensitivity scaling scans -------------------------------------------
@@ -373,47 +410,25 @@ def sensitivity_scan(
     n_values = list(n_values)
     if n_delay_values is None:
         n_delay_values = [0] * len(n_values)
+    if len(n_values) < 3:
+        raise ValueError("a scaling scan needs at least three train sizes for its slope error")
+    if len(n_delay_values) != len(n_values):
+        raise ValueError("n_delay_values must match n_values in length")
     points = []
     for i, (n, nd) in enumerate(zip(n_values, n_delay_values)):
         spec = ProtocolSpec(kind, n, nd, 0.0, theta)
         chi = max(spec.enhancement, 1.0)
-        dphi_true = target_fringe / chi
-        xi = optimize_reference_phase(spec, theta, dphi_true, grid=64)
-        from dataclasses import replace
-
-        model = ramsey_model(replace(spec, reference_phase=xi))
-        estimates = np.empty(n_seeds)
-        for s in range(n_seeds):
-            rec = sample_record(model, theta, dphi_true, m_shots, seed=seed + 1000 * i + s)
-            est = ml_estimate(rec, model, (theta, 0.0), fix_theta=True)
-            estimates[s] = est.dphi_hat
+        estimates, variance = estimator_study(
+            spec, target_fringe / chi, m_shots, range(seed + 1000 * i, seed + 1000 * i + n_seeds)
+        )
         sigma = float(np.std(estimates, ddof=1))
-        bound = crlb(fisher_matrix(model, theta, dphi_true, m_shots))
-        crlb_sigma = float(np.sqrt(bound.variances[1]))
+        crlb_sigma = float(np.sqrt(variance))
         points.append(ScanPoint(n, nd, m_shots, sigma, crlb_sigma, sigma / crlb_sigma))
     result = ScanResult(kind, points, 0.0, 0.0)
     x = np.log(result.enhancement_values())
     y = np.log([p.sigma_dphi for p in points])
     coef, cov = np.polyfit(x, y, 1, cov=True)
     return ScanResult(kind, points, float(coef[0]), float(np.sqrt(cov[0, 0])))
-
-
-def scan_to_csv(result: ScanResult, csv_path, json_path=None) -> None:
-    """CSV columns: N, N_d, M, sigma_dphi, crlb, ratio; slope in sidecar JSON."""
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["N", "N_d", "M", "sigma_dphi", "crlb", "ratio"])
-        for p in result.points:
-            w.writerow(
-                [p.n, p.n_delay, p.m_shots, repr(p.sigma_dphi), repr(p.crlb_sigma), repr(p.ratio)]
-            )
-    if json_path is not None:
-        with open(json_path, "w") as fh:
-            json.dump(
-                {"kind": result.kind, "slope": result.slope, "slope_stderr": result.slope_stderr},
-                fh,
-                indent=2,
-            )
 
 
 def offset_resolution(rep_rate: float, n: int, n_delay: int = 1) -> float:

@@ -10,7 +10,6 @@ the map is exactly the identity.
 """
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -212,24 +211,6 @@ def phase_map(
         max_curve_deviation=float(np.max(np.abs(phi_s - grid))),
         monotone=monotone,
     )
-
-
-def phase_map_to_csv(result: PhaseMapResult, path_or_file) -> None:
-    """Columns: phi_l, phi_s, dphi_s_dphi_l."""
-    close = False
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        fh = open(path_or_file, "w", newline="")
-        close = True
-    else:
-        fh = path_or_file
-    try:
-        w = csv.writer(fh)
-        w.writerow(["phi_l", "phi_s", "dphi_s_dphi_l"])
-        for row in zip(result.phi_l, result.phi_s, result.dphi_s):
-            w.writerow([repr(float(x)) for x in row])
-    finally:
-        if close:
-            fh.close()
 
 
 def measured_phase_step(dphi: float, carrier_freq: float, delay_mismatch: float) -> float:

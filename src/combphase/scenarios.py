@@ -14,7 +14,6 @@ import hashlib
 import importlib.resources
 import json
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -27,25 +26,63 @@ from .errors import ScenarioConfigError
 
 SCHEMA_VERSION = 1
 
-SCENARIO_KINDS = (
-    "rwa_validity",
-    "closed_forms",
-    "permutation_optimality",
-    "table1_scaling",
-    "crlb_saturation",
-    "resolution_extrapolation",
-    "raman_three_level",
-    "error_models",
-    "refine_fiber",
-    "visibility_budget",
-)
+#: Marks a param that has no default and must be set in the config.
+REQUIRED = "required"
+
+#: Params of each scenario kind with their defaults; the runners read only
+#: these keys, and a config may set no others.  Entries of ``points`` and
+#: ``scans`` are read by their runner and not checked here.
+PARAMS = {
+    "rwa_validity": {
+        "cycles": [5, 10, 20, 30, 60],
+        "theta": np.pi / 4,
+        "envelope": "gaussian",
+        "carrier_hz": 1.0,
+        "integration_tol": 1e-8,
+        "max_refinements": 6,
+    },
+    "closed_forms": {"n_cases": 200, "n_max": 10_000},
+    "permutation_optimality": {"sizes": [4, 6, 8, 10], "trials": 5},
+    "table1_scaling": {
+        "scans": [
+            {"kind": "1B", "n_values": [100, 1000, 10000]},
+            {"kind": "2B", "n_values": [10, 32, 100], "n_delay_values": [10, 32, 100]},
+        ],
+        "m_shots": 10_000,
+        "n_seeds": 500,
+    },
+    "crlb_saturation": {"points": REQUIRED, "n_seeds": 500},
+    "resolution_extrapolation": {
+        "reduced_points": [[8, 4], [16, 8], [32, 16]],
+        "m_shots": 2000,
+        "n_seeds": 100,
+        "extrapolations": [{"rep_rate_hz": 1e8, "n": 500_000, "n_delay": 500_000}],
+    },
+    "raman_three_level": {
+        "transition_hz": 100.0,
+        "rabi": 12.0,
+        "duration": 1.0,
+        "detuning_fraction_population": 0.2,
+        "detuning_fraction_map": 0.02,
+        "grid_points": 25,
+    },
+    "error_models": {"pair_gap_s": 1e-11},
+    "refine_fiber": {
+        "prior_scale": 1.0,
+        "m_shots": 5000,
+        "growth": 4,
+        "max_stages": 6,
+        "n_seeds": 100,
+    },
+    "visibility_budget": {"lifetime_s": 8e-9, "excited_window_s": 1e-10, "epsilon": 0.1},
+}
 
 CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
         "name": {"type": "string", "minLength": 1},
-        "kind": {"enum": list(SCENARIO_KINDS)},
+        "kind": {"enum": list(PARAMS)},
         "description": {"type": "string"},
         "tags": {"type": "array", "items": {"type": "string"}},
         "seed": {"type": "integer", "minimum": 0},
@@ -72,6 +109,14 @@ def _validate(raw) -> None:
         jsonschema.validate(raw, CONFIG_SCHEMA)
     except jsonschema.ValidationError as e:
         raise ScenarioConfigError(f"invalid scenario config: {e.message}") from e
+    known = PARAMS[raw["kind"]]
+    params = raw.get("params", {})
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ScenarioConfigError(f"unknown params for kind {raw['kind']}: {', '.join(unknown)}")
+    missing = sorted(k for k, v in known.items() if v is REQUIRED and k not in params)
+    if missing:
+        raise ScenarioConfigError(f"missing params for kind {raw['kind']}: {', '.join(missing)}")
 
 
 def load_scenario_config(path) -> ScenarioConfig:
@@ -86,7 +131,7 @@ def load_scenario_config(path) -> ScenarioConfig:
         description=raw.get("description", ""),
         tags=tuple(raw.get("tags", ())),
         seed=int(raw.get("seed", 0)),
-        params=dict(raw.get("params", {})),
+        params={**PARAMS[raw["kind"]], **raw.get("params", {})},
         source_text=text,
     )
 
@@ -117,7 +162,7 @@ def list_scenarios(tag: str | None = None) -> list[dict]:
 def find_scenario(name_or_path) -> Path:
     """Resolve a bundled scenario name or an explicit config path."""
     p = Path(name_or_path)
-    if p.exists():
+    if p.is_file():
         return p
     candidate = _bundle_dir() / f"{name_or_path}.yaml"
     if candidate.is_file():
@@ -155,30 +200,17 @@ def _write_rows(path: Path, header, rows, fmt: str) -> Path:
     return path
 
 
-def _seed_map(fn, seeds, threads: int):
-    """Order-preserving map over seeds; reduction is order-independent anyway."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, seeds))
-    return [fn(s) for s in seeds]
-
-
 # --- runners ---------------------------------------------------------------
 
 
 def _run_rwa_validity(cfg, out, fmt, threads):
     p = cfg.params
-    cycles = p.get("cycles", [5, 10, 20, 30, 60])
-    theta = p.get("theta", np.pi / 4)
-    envelope = p.get("envelope", "gaussian")
-    w = 2.0 * np.pi * p.get("carrier_hz", 1.0)
+    w = 2.0 * np.pi * p["carrier_hz"]
     rows = []
-    for c in cycles:
-        spec = pulses.PulseSpec(envelope, theta, c / p.get("carrier_hz", 1.0), w, w, 0.3)
+    for c in p["cycles"]:
+        spec = pulses.PulseSpec(p["envelope"], p["theta"], c / p["carrier_hz"], w, w, 0.3)
         u = pulses.integrate_pulse(
-            spec,
-            tol=p.get("integration_tol", 1e-8),
-            max_refinements=p.get("max_refinements", 6),
+            spec, tol=p["integration_tol"], max_refinements=p["max_refinements"]
         )
         f = pulses.unitary_fidelity(u, pulses.rwa_unitary(spec))
         rows.append((c, f, 1.0 - f))
@@ -191,9 +223,9 @@ def _run_closed_forms(cfg, out, fmt, threads):
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = 0.0
-    for case in range(p.get("n_cases", 200)):
+    for case in range(p["n_cases"]):
         kind = ["1B", "2B", "phase_ref"][case % 3]
-        n = 2 * int(rng.integers(1, p.get("n_max", 10_000) // 2))
+        n = 2 * int(rng.integers(1, p["n_max"] // 2))
         nd = int(rng.integers(1, 64)) if kind == "2B" else 0
         dphi = float(rng.uniform(-0.5, 0.5))
         train = comb.PulseTrain(
@@ -228,8 +260,8 @@ def _run_permutation(cfg, out, fmt, threads):
     p = cfg.params
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    for n in p.get("sizes", [4, 6, 8, 10]):
-        for trial in range(p.get("trials", 5)):
+    for n in p["sizes"]:
+        for trial in range(p["trials"]):
             phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
             brute = protocols.brute_force_permutation_phase(phases)
             analytic, _ = protocols.optimal_permutation_phase(phases)
@@ -246,48 +278,48 @@ def _run_table1_scaling(cfg, out, fmt, threads):
     p = cfg.params
     artifacts = []
     slopes = {}
-    for kind_cfg in p.get("scans", [
-        {"kind": "1B", "n_values": [100, 1000, 10000]},
-        {"kind": "2B", "n_values": [10, 32, 100], "n_delay_values": [10, 32, 100]},
-    ]):
-        res = estimation.sensitivity_scan(
-            kind_cfg["kind"],
-            kind_cfg["n_values"],
-            m_shots=p.get("m_shots", 10_000),
-            n_seeds=p.get("n_seeds", 500),
-            n_delay_values=kind_cfg.get("n_delay_values"),
-            seed=cfg.seed,
-        )
-        base = out / f"scaling_{kind_cfg['kind']}"
-        estimation.scan_to_csv(res, base.with_suffix(".csv"), base.with_suffix(".slope.json"))
-        artifacts += [base.with_suffix(".csv"), base.with_suffix(".slope.json")]
-        slopes[kind_cfg["kind"]] = res.slope
+    for scan in p["scans"]:
+        try:
+            res = estimation.sensitivity_scan(
+                scan["kind"],
+                scan["n_values"],
+                m_shots=p["m_shots"],
+                n_seeds=p["n_seeds"],
+                n_delay_values=scan.get("n_delay_values"),
+                seed=cfg.seed,
+            )
+        except ValueError as e:
+            raise ScenarioConfigError(f"scan {scan['kind']}: {e}") from e
+        base = out / f"scaling_{scan['kind']}"
+        rows = [
+            (pt.n, pt.n_delay, pt.m_shots, pt.sigma_dphi, pt.crlb_sigma, pt.ratio)
+            for pt in res.points
+        ]
+        path = _write_rows(base, ["N", "N_d", "M", "sigma_dphi", "crlb", "ratio"], rows, fmt)
+        sidecar = base.with_suffix(".slope.json")
+        sidecar.write_text(json.dumps(
+            {"kind": res.kind, "slope": res.slope, "slope_stderr": res.slope_stderr}, indent=2
+        ))
+        artifacts += [path, sidecar]
+        slopes[scan["kind"]] = res.slope
     return artifacts, {"slopes": slopes}
 
 
 def _run_crlb_saturation(cfg, out, fmt, threads):
     p = cfg.params
-    n_seeds = p.get("n_seeds", 500)
+    n_seeds = p["n_seeds"]
     rows = []
     for i, pt in enumerate(p["points"]):
         spec = protocols.ProtocolSpec(
             pt["kind"], pt["n"], pt.get("n_delay", 0), 0.0, pt.get("theta", np.pi / 2)
         )
         dphi = pt["dphi"]
-        xi = estimation.optimize_reference_phase(spec, spec.theta, dphi, grid=64)
-        model = protocols.ramsey_model(replace(spec, reference_phase=xi))
         m_shots = pt.get("m_shots", 10_000)
-
-        def one(seed, model=model, spec=spec, dphi=dphi, m_shots=m_shots):
-            rec = estimation.sample_record(model, spec.theta, dphi, m_shots, seed)
-            return estimation.ml_estimate(rec, model, (spec.theta, 0.0), fix_theta=True).dphi_hat
-
         base_seed = cfg.seed + pt.get("seed_offset", 1000 * i)
-        ests = _seed_map(one, range(base_seed, base_seed + n_seeds), threads)
+        ests, bound = estimation.estimator_study(
+            spec, dphi, m_shots, range(base_seed, base_seed + n_seeds), threads
+        )
         var = float(np.var(ests, ddof=1))
-        bound = estimation.crlb(
-            estimation.fisher_matrix(model, spec.theta, dphi, m_shots)
-        ).variances[1]
         rows.append((pt["kind"], pt["n"], pt.get("n_delay", 0), dphi, m_shots, var, bound, var / bound))
     path = _write_rows(
         out / "crlb_saturation",
@@ -304,26 +336,18 @@ def _run_resolution(cfg, out, fmt, threads):
     rows = []
     # reduced-scale consistency: sigma * chi * sqrt(M) should be flat
     consts = []
-    for idx, (n, nd) in enumerate(p.get("reduced_points", [[8, 4], [16, 8], [32, 16]])):
+    m_shots = p["m_shots"]
+    for idx, (n, nd) in enumerate(p["reduced_points"]):
         spec = protocols.ProtocolSpec("2B", n, nd, 0.0, np.pi / 2)
         chi = spec.enhancement
-        dphi = 0.2 / chi
-        xi = estimation.optimize_reference_phase(spec, np.pi / 2, dphi, grid=64)
-        model = protocols.ramsey_model(replace(spec, reference_phase=xi))
-        m_shots = p.get("m_shots", 2000)
-
-        def one(seed, model=model, dphi=dphi, m_shots=m_shots):
-            rec = estimation.sample_record(model, np.pi / 2, dphi, m_shots, seed)
-            return estimation.ml_estimate(rec, model, (np.pi / 2, 0.0), fix_theta=True).dphi_hat
-
         start = cfg.seed + 10_000 * idx
-        ests = _seed_map(one, range(start, start + p.get("n_seeds", 100)), threads)
+        ests, _ = estimation.estimator_study(
+            spec, 0.2 / chi, m_shots, range(start, start + p["n_seeds"]), threads
+        )
         sigma = float(np.std(ests, ddof=1))
         consts.append(sigma * chi * np.sqrt(m_shots))
         rows.append(("simulated", n, nd, sigma, sigma * chi * np.sqrt(m_shots)))
-    for case in p.get("extrapolations", [
-        {"rep_rate_hz": 1e8, "n": 500_000, "n_delay": 500_000},
-    ]):
+    for case in p["extrapolations"]:
         res = estimation.offset_resolution(case["rep_rate_hz"], case["n"], case["n_delay"])
         rows.append(("extrapolated", case["n"], case["n_delay"], res, 0.0))
     path = _write_rows(
@@ -337,37 +361,41 @@ def _run_resolution(cfg, out, fmt, threads):
 
 def _run_raman(cfg, out, fmt, threads):
     p = cfg.params
-    omega_at = 2.0 * np.pi * p.get("transition_hz", 100.0)
+    omega_at = 2.0 * np.pi * p["transition_hz"]
 
     def make(delta):
         return raman.LambdaSpec(
-            rabi=p.get("rabi", 12.0),
-            duration=p.get("duration", 1.0),
+            rabi=p["rabi"],
+            duration=p["duration"],
             laser_freq=omega_at * (1.0 - delta),
             excited_energy=omega_at,
         )
 
     # Raman regime: strongly detuned pulse must leave the excited state empty.
-    _, pop_c = raman.integrate_lambda(make(p.get("detuning_fraction_population", 0.2)))
+    _, pop_c = raman.integrate_lambda(make(p["detuning_fraction_population"]))
     # Phase fidelity: weakly detuned pulse maps the leg phase almost one-to-one.
-    grid = np.linspace(0.0, 2.0 * np.pi, p.get("grid_points", 25))
-    pm = raman.phase_map(make(p.get("detuning_fraction_map", 0.02)), grid)
-    path = Path(out) / "raman_phase_map.csv"
-    raman.phase_map_to_csv(pm, path)
+    grid = np.linspace(0.0, 2.0 * np.pi, p["grid_points"])
+    pm = raman.phase_map(make(p["detuning_fraction_map"]), grid)
+    path = _write_rows(
+        out / "raman_phase_map",
+        ["phi_l", "phi_s", "dphi_s_dphi_l"],
+        zip(pm.phi_l, pm.phi_s, pm.dphi_s),
+        fmt,
+    )
     summary = {
         "excited_population": pop_c,
         "max_curve_deviation": pm.max_curve_deviation,
         "max_identity_deviation": pm.max_identity_deviation,
         "monotone": pm.monotone,
     }
-    spath = Path(out) / "raman_summary.json"
+    spath = out / "raman_summary.json"
     spath.write_text(json.dumps(summary, indent=2) + "\n")
     return [path, spath], summary
 
 
 def _run_error_models(cfg, out, fmt, threads):
     p = cfg.params
-    gap = p.get("pair_gap_s", 10e-12)
+    gap = p["pair_gap_s"]
     deph = noise.ac_stark_preset(seed=cfg.seed)
     therm = noise.be_doppler_preset()
     therm_co = noise.be_doppler_preset(copropagating=True)
@@ -387,15 +415,14 @@ def _run_refine(cfg, out, fmt, threads):
     c = comb.fiber_comb_preset()
     # 200 kHz-class offset as the prior bound; prior_scale < 1 models an
     # operator underestimating the offset, which must abort with a wrap error
-    prior = abs(c.phase_step) * p.get("prior_scale", 1.0)
+    prior = abs(c.phase_step) * p["prior_scale"]
     config = estimation.RefineConfig(
-        m_shots=p.get("m_shots", 5000),
-        growth=p.get("growth", 4),
-        max_stages=p.get("max_stages", 6),
+        m_shots=p["m_shots"],
+        growth=p["growth"],
+        max_stages=p["max_stages"],
         prior_bound=prior,
         seed=cfg.seed,
     )
-    n_seeds = p.get("n_seeds", 100)
 
     true_bound = abs(c.phase_step)
 
@@ -405,7 +432,7 @@ def _run_refine(cfg, out, fmt, threads):
         tr = estimation.iterative_refine(true, replace(config, seed=seed * 13 + cfg.seed))
         return true, tr
 
-    results = _seed_map(one, range(cfg.seed, cfg.seed + n_seeds), threads)
+    results = estimation._seed_map(one, range(cfg.seed, cfg.seed + p["n_seeds"]), threads)
     rows = []
     for seed_i, (true, tr) in enumerate(results):
         last = tr.stages[-1]
@@ -436,9 +463,9 @@ def _run_refine(cfg, out, fmt, threads):
 def _run_visibility(cfg, out, fmt, threads):
     p = cfg.params
     budget = raman.visibility_budget(
-        gamma=1.0 / p.get("lifetime_s", 8e-9),
-        t_e=p.get("excited_window_s", 100e-12),
-        epsilon=p.get("epsilon", 0.1),
+        gamma=1.0 / p["lifetime_s"],
+        t_e=p["excited_window_s"],
+        epsilon=p["epsilon"],
     )
     path = _write_rows(out / "visibility_budget", ["quantity", "value"],
                        [("pulse_budget", float(budget))], fmt)
@@ -473,6 +500,8 @@ def run_scenario(
     """
     if fmt not in ("csv", "json"):
         raise ScenarioConfigError(f"unsupported output format {fmt!r}")
+    if seed is not None and int(seed) < 0:
+        raise ScenarioConfigError(f"seed must be a non-negative integer, got {seed}")
     cfg = load_scenario_config(find_scenario(name_or_path))
     if seed is not None:
         cfg = replace(cfg, seed=int(seed))

@@ -11,6 +11,7 @@ from combphase.estimation import (
     MeasurementRecord,
     RefineConfig,
     crlb,
+    estimator_study,
     fisher_matrix,
     iterative_refine,
     log_likelihood_and_grad,
@@ -18,10 +19,10 @@ from combphase.estimation import (
     offset_resolution,
     optimize_reference_phase,
     sample_record,
-    scan_to_csv,
     sensitivity_scan,
 )
 from combphase.protocols import ProtocolSpec, ramsey_model
+from combphase.scenarios import run_scenario
 
 
 def _model(kind="1B", n=100, nd=0, xi=np.pi / 2, theta=np.pi / 2):
@@ -145,15 +146,38 @@ def test_optimize_reference_phase_reaches_max_information():
 
 
 def test_sensitivity_scan_slope_and_csv(tmp_path):
-    res = sensitivity_scan("1B", [16, 32, 64], m_shots=2000, n_seeds=40, seed=3)
-    assert res.slope == pytest.approx(-1.0, abs=0.15)
-    csv_path = tmp_path / "scan.csv"
-    json_path = tmp_path / "scan.json"
-    scan_to_csv(res, csv_path, json_path)
-    lines = csv_path.read_text().splitlines()
+    cfg = tmp_path / "scan.yaml"
+    cfg.write_text(
+        "schema_version: 1\nname: small_scan\nkind: table1_scaling\nseed: 3\n"
+        "params: {m_shots: 2000, n_seeds: 40, scans: [{kind: 1B, n_values: [16, 32, 64]}]}\n"
+    )
+    result = run_scenario(cfg, tmp_path)
+    assert result["summary"]["slopes"]["1B"] == pytest.approx(-1.0, abs=0.15)
+    lines = (tmp_path / "scaling_1B.csv").read_text().splitlines()
     assert lines[0] == "N,N_d,M,sigma_dphi,crlb,ratio"
     assert len(lines) == 4
-    assert "slope" in json_path.read_text()
+    assert "slope" in (tmp_path / "scaling_1B.slope.json").read_text()
+
+
+def test_sensitivity_scan_needs_three_sizes():
+    with pytest.raises(ValueError, match="three"):
+        sensitivity_scan("1B", [10, 20], m_shots=200, n_seeds=3)
+    with pytest.raises(ValueError, match="n_delay_values"):
+        sensitivity_scan("2B", [10, 20, 40], m_shots=200, n_seeds=3, n_delay_values=[4, 8])
+
+
+def test_estimator_study_matches_per_seed_fits():
+    spec = ProtocolSpec("1B", 50, 0, 0.0, np.pi / 2)
+    estimates, variance = estimator_study(spec, 0.004, 2000, range(5, 9), threads=2)
+    xi = optimize_reference_phase(spec, spec.theta, 0.004, grid=64)
+    model = ramsey_model(replace(spec, reference_phase=xi))
+    expected = [
+        ml_estimate(sample_record(model, spec.theta, 0.004, 2000, s), model,
+                    (spec.theta, 0.0), fix_theta=True).dphi_hat
+        for s in range(5, 9)
+    ]
+    assert estimates.tolist() == expected
+    assert variance == crlb(fisher_matrix(model, spec.theta, 0.004, 2000)).variances[1]
 
 
 def test_offset_resolution_arithmetic():

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -12,9 +10,9 @@ from combphase.raman import (
     measured_phase_step,
     pair_phase_gate,
     phase_map,
-    phase_map_to_csv,
     visibility_budget,
 )
+from combphase.scenarios import run_scenario
 
 W_AT = 2.0 * np.pi * 100.0
 
@@ -68,12 +66,14 @@ def test_phase_map_deviation_grows_with_detuning():
     assert large.max_curve_deviation > small.max_curve_deviation
 
 
-def test_phase_map_csv_format():
-    grid = np.linspace(0.0, 2.0 * np.pi, 5)
-    pm = phase_map(_spec(0.2), grid, rwa=True)
-    buf = io.StringIO()
-    phase_map_to_csv(pm, buf)
-    lines = buf.getvalue().splitlines()
+def test_phase_map_csv_format(tmp_path):
+    cfg = tmp_path / "raman.yaml"
+    cfg.write_text(
+        "schema_version: 1\nname: small_raman\nkind: raman_three_level\n"
+        "params: {grid_points: 5, transition_hz: 20.0, rabi: 4.0}\n"
+    )
+    run_scenario(cfg, tmp_path)
+    lines = (tmp_path / "raman_phase_map.csv").read_text().splitlines()
     assert lines[0] == "phi_l,phi_s,dphi_s_dphi_l"
     assert len(lines) == 6
 

@@ -4,14 +4,49 @@ from pathlib import Path
 import pytest
 import yaml
 
+from combphase import estimation
 from combphase.cli import EXIT_NUMERIC, EXIT_SCHEMA, EXIT_WRAP, main
 from combphase.errors import ScenarioConfigError
 from combphase.scenarios import (
+    PARAMS,
     find_scenario,
     list_scenarios,
     load_scenario_config,
     run_scenario,
 )
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: Smallest params that still run each kind end to end.
+TINY_PARAMS = {
+    "rwa_validity": {"cycles": [2, 4]},
+    "closed_forms": {"n_cases": 3, "n_max": 20},
+    "permutation_optimality": {"sizes": [4], "trials": 1},
+    "table1_scaling": {"scans": [{"kind": "1B", "n_values": [4, 8, 16]}], "m_shots": 200, "n_seeds": 3},
+    "crlb_saturation": {"n_seeds": 3, "points": [{"kind": "1B", "n": 10, "dphi": 0.02, "m_shots": 1000}]},
+    "resolution_extrapolation": {"reduced_points": [[4, 2], [8, 4]], "m_shots": 200, "n_seeds": 3},
+    "raman_three_level": {"grid_points": 5, "transition_hz": 20.0, "rabi": 4.0},
+    "error_models": {},
+    "refine_fiber": {"n_seeds": 1, "m_shots": 500, "max_stages": 2},
+    "visibility_budget": {},
+}
+
+
+def _config(tmp_path, kind, params, name="tiny"):
+    cfg = tmp_path / f"{name}.yaml"
+    cfg.write_text(yaml.safe_dump(
+        {"schema_version": 1, "name": name, "kind": kind, "params": params}
+    ))
+    return cfg
+
+
+@pytest.fixture
+def no_fits(monkeypatch):
+    """Fail the test if any ML fit runs."""
+    def fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(estimation, "ml_estimate", fit)
 
 
 def test_bundled_catalogue_has_all_scenarios():
@@ -43,7 +78,7 @@ def test_empty_config_is_schema_error(tmp_path):
     cfg.write_text("{}\n")
     with pytest.raises(ScenarioConfigError):
         load_scenario_config(cfg)
-    assert main(["scan", "--scenario", str(cfg), "--out", str(tmp_path)]) == EXIT_SCHEMA
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_SCHEMA
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -93,7 +128,7 @@ def test_json_format_flag(tmp_path):
 
 
 def test_cli_runs_bundled_scenario(tmp_path, capsys):
-    assert main(["raman", "--scenario", "error_models", "--out", str(tmp_path)]) == 0
+    assert main(["run", "error_models", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "doppler_velocity_m_per_s" in out
     assert (tmp_path / "error_models.csv").exists()
@@ -107,7 +142,7 @@ def test_cli_numeric_failure_exit_code(tmp_path):
         "kind": "rwa_validity",
         "params": {"cycles": [5], "integration_tol": 1e-16, "max_refinements": 1},
     }))
-    assert main(["pulse", "--scenario", str(cfg), "--out", str(tmp_path)]) == EXIT_NUMERIC
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_NUMERIC
 
 
 def test_cli_wrap_abort_exit_code(tmp_path):
@@ -119,7 +154,7 @@ def test_cli_wrap_abort_exit_code(tmp_path):
         "seed": 0,
         "params": {"n_seeds": 3, "m_shots": 200, "prior_scale": 0.01},
     }))
-    assert main(["refine", "--scenario", str(cfg), "--out", str(tmp_path)]) == EXIT_WRAP
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_WRAP
 
 
 def test_threads_do_not_change_results(tmp_path):
@@ -135,3 +170,68 @@ def test_threads_do_not_change_results(tmp_path):
     run_scenario(cfg, a, threads=1)
     run_scenario(cfg, b, threads=4)
     assert (a / "refine_fiber.csv").read_bytes() == (b / "refine_fiber.csv").read_bytes()
+
+
+@pytest.mark.parametrize("old", ["pulse", "protocol", "raman", "estimate", "scan", "refine"])
+def test_old_subcommands_removed(old):
+    with pytest.raises(SystemExit) as exc:
+        main([old])
+    assert exc.value.code == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("kind", sorted(PARAMS))
+def test_every_kind_honours_json_format(tmp_path, kind):
+    assert set(TINY_PARAMS) == set(PARAMS)
+    out = tmp_path / "out"
+    result = run_scenario(_config(tmp_path, kind, TINY_PARAMS[kind]), out, fmt="json")
+    assert not list(out.glob("*.csv"))
+    for artifact in result["artifacts"]:
+        assert artifact.endswith(".json")
+        json.loads(Path(artifact).read_text())
+
+
+def test_bundled_name_wins_over_same_named_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "visibility_budget").mkdir()
+    assert find_scenario("visibility_budget").is_file()
+    assert main(["run", "visibility_budget", "--out", "visibility_budget"]) == 0
+
+
+def test_negative_seed_is_config_error(tmp_path):
+    with pytest.raises(ScenarioConfigError):
+        run_scenario("visibility_budget", tmp_path, seed=-1)
+    assert main(["run", "visibility_budget", "--seed", "-1", "--out", str(tmp_path)]) == EXIT_SCHEMA
+
+
+def test_unknown_param_rejected_before_fitting(tmp_path, no_fits):
+    cfg = _config(tmp_path, "refine_fiber", {"n_seed": 2}, name="typo")
+    with pytest.raises(ScenarioConfigError, match="n_seed"):
+        load_scenario_config(cfg)
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_SCHEMA
+    assert not (tmp_path / "refine_fiber.csv").exists()
+
+
+def test_missing_required_param_rejected(tmp_path):
+    with pytest.raises(ScenarioConfigError, match="points"):
+        load_scenario_config(_config(tmp_path, "crlb_saturation", {"n_seeds": 3}))
+
+
+def test_scaling_scan_needs_three_sizes(tmp_path, no_fits):
+    cfg = _config(tmp_path, "table1_scaling", {"scans": [{"kind": "1B", "n_values": [10, 20]}]})
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_SCHEMA
+
+
+def test_bundled_and_benchmark_configs_load():
+    bundled = [find_scenario(i["name"]) for i in list_scenarios()]
+    benchmark = sorted((REPO / "perfbench" / "configs").rglob("*.yaml"))
+    assert len(bundled) == 10 and benchmark
+    for path in bundled + benchmark:
+        cfg = load_scenario_config(path)
+        assert set(cfg.params) == set(PARAMS[cfg.kind])
+
+
+def test_params_table_is_documented():
+    doc = (REPO / "docs" / "formats.md").read_text()
+    for kind, params in PARAMS.items():
+        for key in params:
+            assert f"`{key}`" in doc, (kind, key)
