@@ -12,7 +12,6 @@ literature is not unanimous about the 2 pi).
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -311,8 +310,6 @@ def train_from_csv(path_or_file) -> PulseTrain:
     if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
         with open(path_or_file, newline="") as fh:
             return train_from_csv(fh)
-    if isinstance(path_or_file, str):
-        path_or_file = io.StringIO(path_or_file)
     r = csv.reader(path_or_file)
     header = next(r)
     if header != ["index", "t_m", "phi_m", "theta_m"]:

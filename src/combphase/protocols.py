@@ -27,9 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._su2 import HADAMARD, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, ID2, matpow_with_grad, rot_x, rot_z
+from ._su2 import (
+    HADAMARD, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, ID2, matpow_with_grad, ordered_product, rot_x, rot_z,
+)
 from .comb import PulseTrain
-from .pulses import PulseSpec, Unitary, integrate_pulse, rwa_matrix
+from .pulses import Unitary, rwa_matrix
 
 PROTOCOL_KINDS = ("1A", "1B", "2A", "2B", "phase_ref")
 
@@ -70,27 +72,11 @@ class ProtocolSpec:
         return 1.0  # 1A: no coherent enhancement
 
 
-def compose_train(
-    t: PulseTrain,
-    use_rwa: bool = True,
-    template: PulseSpec | None = None,
-    steps_per_cycle: int = 200,
-) -> Unitary:
-    """Ordered product of per-pulse unitaries, later pulses to the left."""
+def compose_train(t: PulseTrain) -> Unitary:
+    """Ordered product of the per-pulse closed forms, later pulses to the left."""
     if len(t) == 0:
         raise ValueError("empty train")
-    u = ID2
-    for phi, theta in zip(t.phases, t.thetas):
-        if use_rwa:
-            step = rwa_matrix(theta, phi)
-        else:
-            if template is None:
-                raise ValueError("integrated composition needs a pulse template")
-            step = integrate_pulse(
-                template.replace(theta=theta, ceo_phase=phi), steps_per_cycle
-            ).matrix
-        u = step @ u
-    return Unitary(u, tol=1e-8 if not use_rwa else 1e-10)
+    return Unitary(ordered_product(rwa_matrix(theta, phi) for phi, theta in zip(t.phases, t.thetas)))
 
 
 def closed_form_1a(theta: float, dphi: float, n: int) -> np.ndarray:

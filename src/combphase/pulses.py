@@ -22,13 +22,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._su2 import SIGMA_Z, expm_herm, rot_x, rot_z, unitarity_defect
-from .errors import IntegrationError, UndefinedPhaseError
+from ._su2 import (
+    expm_herm, magnus_generators, ordered_product, refine_until_stable, rot_x, rot_z, step_count,
+    unitarity_defect,
+)
+from .errors import UndefinedPhaseError
 
-ENVELOPE_KINDS = ("gaussian", "cos2", "rect")
 
 #: width of the truncated gaussian envelope, as a fraction of the duration
 _GAUSSIAN_STD_FRACTION = 1.0 / 8.0
+
+
+def _gaussian_area(tau: float) -> float:
+    from scipy.special import erf
+
+    std, half = tau * _GAUSSIAN_STD_FRACTION, tau / 2.0
+    return std * np.sqrt(2.0 * np.pi) * erf(half / (std * np.sqrt(2.0)))
+
+
+#: unit-peak envelope shapes on [-tau/2, tau/2] and their areas, per kind
+_ENVELOPES = {
+    "gaussian": (
+        lambda t, tau: np.exp(-0.5 * (t / (tau * _GAUSSIAN_STD_FRACTION)) ** 2), _gaussian_area
+    ),
+    "cos2": (lambda t, tau: np.cos(np.pi * t / tau) ** 2, lambda tau: tau / 2.0),
+    "rect": (lambda t, tau: np.ones_like(t), lambda tau: tau),
+}
+ENVELOPE_KINDS = tuple(_ENVELOPES)
+
+
+def unit_envelope(kind: str, t, tau: float):
+    """Unit-peak envelope at times t, zero outside [-tau/2, tau/2], and its area."""
+    t = np.asarray(t, dtype=float)
+    shape, area = _ENVELOPES[kind]
+    return np.where(np.abs(t) <= tau / 2.0, shape(t, tau), 0.0), area(tau)
 
 
 @dataclass(frozen=True)
@@ -69,22 +96,8 @@ class PulseSpec:
 
     def envelope(self, t):
         """Evaluate s(t); vectorized, zero outside [-tau/2, tau/2]."""
-        t = np.asarray(t, dtype=float)
-        half = self.tau / 2.0
-        inside = np.abs(t) <= half
-        if self.envelope_kind == "rect":
-            shape = np.ones_like(t)
-            area = self.tau
-        elif self.envelope_kind == "cos2":
-            shape = np.cos(np.pi * t / self.tau) ** 2
-            area = self.tau / 2.0
-        else:  # gaussian, truncated and renormalized
-            std = self.tau * _GAUSSIAN_STD_FRACTION
-            shape = np.exp(-0.5 * (t / std) ** 2)
-            from scipy.special import erf
-
-            area = std * np.sqrt(2.0 * np.pi) * erf(half / (std * np.sqrt(2.0)))
-        return np.where(inside, self.theta * shape / area, 0.0)
+        shape, area = unit_envelope(self.envelope_kind, t, self.tau)
+        return self.theta * shape / area
 
     def replace(self, **kwargs) -> "PulseSpec":
         from dataclasses import replace
@@ -135,12 +148,11 @@ class QubitState:
 
 def rwa_unitary(p: PulseSpec) -> Unitary:
     """Closed-form resonant propagator; depends only on theta and the phase."""
-    u = rot_z(p.ceo_phase) @ rot_x(p.theta) @ rot_z(-p.ceo_phase)
-    return Unitary(u)
+    return Unitary(rwa_matrix(p.theta, p.ceo_phase))
 
 
 def rwa_matrix(theta: float, phi: float) -> np.ndarray:
-    """Bare ndarray version of `rwa_unitary` for hot loops."""
+    """The closed form exp(-i phi sigma_z) exp(i theta sigma_x) exp(+i phi sigma_z)."""
     return rot_z(phi) @ rot_x(theta) @ rot_z(-phi)
 
 
@@ -168,24 +180,9 @@ def _rotating_frame_hamiltonians(p: PulseSpec, phases, times) -> np.ndarray:
 
 
 def _propagate_two_level(p: PulseSpec, phases, steps: int) -> np.ndarray:
-    """Fourth-order (two-point Gauss Magnus) propagation over the pulse.
-
-    Each step exponentiates an exactly Hermitian generator, so the result is
-    unitary to machine precision regardless of the step size.  Batched over
-    a grid of CEO phases; returns shape (G, 2, 2).
-    """
-    phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    h_step = p.tau / steps
-    t0 = -p.tau / 2.0 + h_step * np.arange(steps)
-    c = np.sqrt(3.0) / 6.0
-    h1 = _rotating_frame_hamiltonians(p, phases, t0 + (0.5 - c) * h_step)
-    h2 = _rotating_frame_hamiltonians(p, phases, t0 + (0.5 + c) * h_step)
-    comm = h2 @ h1 - h1 @ h2
-    gen = (h_step / 2.0) * (h1 + h2) - 1.0j * (np.sqrt(3.0) * h_step**2 / 12.0) * comm
-    u = np.broadcast_to(np.eye(2, dtype=complex), (phases.size, 2, 2)).copy()
-    for k in range(steps):
-        u = expm_herm(gen[k]) @ u
-    return u
+    """Magnus propagation over the pulse, batched over CEO phases: (G, 2, 2)."""
+    gen = magnus_generators(lambda t: _rotating_frame_hamiltonians(p, phases, t), p.tau, steps)
+    return ordered_product(expm_herm(g) for g in gen)
 
 
 def integrate_pulse(
@@ -196,43 +193,25 @@ def integrate_pulse(
 ) -> Unitary:
     """Propagator of the full semiclassical model, in the rotating frame.
 
-    The step count is refined by halving until two consecutive resolutions
-    agree to ``tol`` in Frobenius norm; failure to stabilize raises
-    IntegrationError.
+    The step count is doubled until two consecutive resolutions agree to
+    ``tol`` in Frobenius norm; failure to stabilize raises IntegrationError.
     """
-    if steps_per_cycle < 100:
-        raise ValueError("steps_per_cycle must be >= 100")
-    steps = max(int(np.ceil(steps_per_cycle * p.carrier_cycles)), 50)
-    u_prev = _propagate_two_level(p, p.ceo_phase, steps)[0]
-    for _ in range(max_refinements):
-        steps *= 2
-        u = _propagate_two_level(p, p.ceo_phase, steps)[0]
-        if np.linalg.norm(u - u_prev) <= tol:
-            return Unitary(u, tol=1e-8)
-        u_prev = u
-    raise IntegrationError(
-        f"propagator did not stabilize to {tol} after {max_refinements} halvings"
+    u = refine_until_stable(
+        lambda steps: _propagate_two_level(p, p.ceo_phase, steps)[0],
+        step_count(steps_per_cycle, p.carrier_cycles), tol, max_refinements,
     )
-
-
-def integrate_pulse_phase_grid(p: PulseSpec, phases, steps_per_cycle: int = 200) -> np.ndarray:
-    """Batched `integrate_pulse` over a grid of CEO phases (fixed resolution)."""
-    if steps_per_cycle < 100:
-        raise ValueError("steps_per_cycle must be >= 100")
-    steps = max(int(np.ceil(steps_per_cycle * p.carrier_cycles)), 50)
-    return _propagate_two_level(p, phases, steps)
+    return Unitary(u, tol=1e-8)
 
 
 def unitary_fidelity(a: Unitary, b: Unitary) -> float:
     """|tr(a^dag b)| / dim; equals 1 iff a and b agree up to global phase."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(abs(np.trace(a.matrix.conj().T @ b.matrix)) / a.dim)
+    return matrix_fidelity(a.matrix, b.matrix)
 
 
 def matrix_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """Bare ndarray version of `unitary_fidelity`."""
     if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(abs(np.trace(a.conj().T @ b)) / a.shape[0])
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._su2 import expm_herm, rot_x, rot_z
+from ._su2 import expm_herm, magnus_generators, ordered_product, refine_until_stable, step_count
 from .errors import IntegrationError
-from .pulses import Unitary
+from .pulses import ENVELOPE_KINDS, Unitary, rwa_matrix, unit_envelope
 
 _BASIS = ("a", "b", "c")  # indices 0, 1, 2
 
@@ -41,7 +41,7 @@ class LambdaSpec:
     def __post_init__(self):
         if self.rabi < 0 or self.duration <= 0 or self.laser_freq <= 0:
             raise ValueError("rabi, duration and laser_freq must be positive")
-        if self.envelope_kind not in ("gaussian", "cos2", "rect"):
+        if self.envelope_kind not in ENVELOPE_KINDS:
             raise ValueError(f"unknown envelope kind {self.envelope_kind!r}")
         if self.detuning == 0.0:
             raise ValueError("Raman regime requires a nonzero detuning")
@@ -59,16 +59,9 @@ class LambdaSpec:
         return self.duration * self.laser_freq / (2.0 * np.pi)
 
     def envelope(self, t):
-        t = np.asarray(t, dtype=float)
-        half = self.duration / 2.0
-        if self.envelope_kind == "rect":
-            shape = np.ones_like(t)
-        elif self.envelope_kind == "cos2":
-            shape = np.cos(np.pi * t / self.duration) ** 2
-        else:
-            std = self.duration / 8.0
-            shape = np.exp(-0.5 * (t / std) ** 2)
-        return np.where(np.abs(t) <= half, self.rabi * shape, 0.0)
+        """Evaluate s(t); vectorized, zero outside [-duration/2, duration/2]."""
+        shape, _ = unit_envelope(self.envelope_kind, t, self.duration)
+        return self.rabi * shape
 
     def replace(self, **kwargs) -> "LambdaSpec":
         from dataclasses import replace
@@ -124,19 +117,10 @@ def _lambda_rwa_hamiltonians(l: LambdaSpec, phi2_grid, times) -> np.ndarray:
 
 
 def _propagate(l: LambdaSpec, phi2_grid, steps: int, rwa: bool) -> np.ndarray:
+    """Magnus propagation over the pulse, batched over phi_2: (G, 3, 3)."""
     ham = _lambda_rwa_hamiltonians if rwa else _lambda_hamiltonians
-    h_step = l.duration / steps
-    t0 = -l.duration / 2.0 + h_step * np.arange(steps)
-    c = np.sqrt(3.0) / 6.0
-    h1 = ham(l, phi2_grid, t0 + (0.5 - c) * h_step)
-    h2 = ham(l, phi2_grid, t0 + (0.5 + c) * h_step)
-    comm = h2 @ h1 - h1 @ h2
-    gen = (h_step / 2.0) * (h1 + h2) - 1.0j * (np.sqrt(3.0) * h_step**2 / 12.0) * comm
-    g = np.atleast_1d(np.asarray(phi2_grid)).size
-    u = np.broadcast_to(np.eye(3, dtype=complex), (g, 3, 3)).copy()
-    for k in range(steps):
-        u = expm_herm(gen[k]) @ u
-    return u
+    gen = magnus_generators(lambda t: ham(l, phi2_grid, t), l.duration, steps)
+    return ordered_product(expm_herm(g) for g in gen)
 
 
 def integrate_lambda(
@@ -148,20 +132,14 @@ def integrate_lambda(
 ) -> tuple[Unitary, float]:
     """Propagator of the three-level model and the residual |c> population.
 
-    The population is quoted for an atom starting in |a>.  Step count is
-    refined by halving until two resolutions agree to ``tol``.
+    The population is quoted for an atom starting in |a>.  The step count is
+    doubled until two resolutions agree to ``tol``.
     """
-    if steps_per_cycle < 100:
-        raise ValueError("steps_per_cycle must be >= 100")
-    steps = max(int(np.ceil(steps_per_cycle * l.carrier_cycles)), 50)
-    u_prev = _propagate(l, l.phi_2, steps, rwa)[0]
-    for _ in range(max_refinements):
-        steps *= 2
-        u = _propagate(l, l.phi_2, steps, rwa)[0]
-        if np.linalg.norm(u - u_prev) <= tol:
-            return Unitary(u, tol=1e-8), float(np.abs(u[2, 0]) ** 2)
-        u_prev = u
-    raise IntegrationError(f"three-level propagator did not stabilize to {tol}")
+    u = refine_until_stable(
+        lambda steps: _propagate(l, l.phi_2, steps, rwa)[0],
+        step_count(steps_per_cycle, l.carrier_cycles), tol, max_refinements,
+    )
+    return Unitary(u, tol=1e-8), float(np.abs(u[2, 0]) ** 2)
 
 
 @dataclass(frozen=True)
@@ -191,7 +169,7 @@ def phase_map(
     grid = np.asarray(phi_l_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("need a 1-d grid with at least 3 points")
-    steps = max(int(np.ceil(steps_per_cycle * l.carrier_cycles)), 50)
+    steps = step_count(steps_per_cycle, l.carrier_cycles)
     phi2 = np.concatenate(([l.phi_1], l.phi_1 + grid))  # leading reference point
     u = _propagate(l, phi2, steps, rwa)
     ca, cb = u[:, 0, 0], u[:, 1, 0]
@@ -238,8 +216,7 @@ def effective_qubit_unitary(r: RamanEffective, n: int, dphi: float | None = None
             raise ValueError("carrier_freq needed to apply a delay mismatch")
         scale = r.phase_eff / dphi if dphi != 0.0 else 0.0
         phi = scale * measured_phase_step(dphi, r.carrier_freq, r.delay_mismatch)
-    u = rot_z(phi) @ rot_x(n * r.theta_eff) @ rot_z(-phi)
-    return Unitary(u)
+    return Unitary(rwa_matrix(n * r.theta_eff, phi))
 
 
 def pair_phase_gate(phase_difference: float) -> Unitary:

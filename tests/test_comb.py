@@ -173,6 +173,18 @@ def test_train_csv_round_trip_exact(n, seed):
     assert np.array_equal(back.thetas, t.thetas)
 
 
+def test_train_csv_round_trip_through_file(tmp_path):
+    t = PulseTrain(np.array([0.0, 1.5e-8]), np.array([0.1, -0.3]), np.array([0.2, np.pi / 2]), np.array([4, 7]))
+    path = tmp_path / "train.csv"
+    train_to_csv(t, path)
+    for arg in (path, str(path)):  # a str is a path, never CSV text
+        back = train_from_csv(arg)
+        assert np.array_equal(back.times, t.times)
+        assert np.array_equal(back.phases, t.phases)
+        assert np.array_equal(back.thetas, t.thetas)
+        assert np.array_equal(back.indices, t.indices)
+
+
 def test_train_csv_rejects_bad_header():
     with pytest.raises(ValueError):
         train_from_csv(io.StringIO("a,b,c,d\n1,2,3,4\n"))

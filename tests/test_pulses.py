@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combphase._su2 import rot_x, rot_z, unitarity_defect
+from combphase import pulses, raman
+from combphase._su2 import rot_x, rot_z, step_count, unitarity_defect
 from combphase.errors import IntegrationError, UndefinedPhaseError
 from combphase.pulses import (
     PulseSpec,
@@ -11,7 +12,6 @@ from combphase.pulses import (
     Unitary,
     effective_phase,
     integrate_pulse,
-    integrate_pulse_phase_grid,
     matrix_fidelity,
     rwa_matrix,
     rwa_unitary,
@@ -115,18 +115,42 @@ def test_integrated_propagator_is_unitary_to_1e10():
     assert unitarity_defect(u.matrix) < 1e-10
 
 
-def test_integrate_pulse_raises_when_not_stabilizing():
-    p = PulseSpec("gaussian", np.pi / 4, 10.0, W, W)
+# a small Raman pulse: 16 carrier cycles, detuned by 20 % of the transition
+LAMBDA = raman.LambdaSpec(rabi=4.0, duration=1.0, laser_freq=0.8 * 20 * W, excited_energy=20 * W)
+
+
+@pytest.mark.parametrize(
+    "integrate,spec",
+    [(integrate_pulse, PulseSpec("gaussian", np.pi / 4, 10.0, W, W)), (raman.integrate_lambda, LAMBDA)],
+    ids=["integrate_pulse", "integrate_lambda"],
+)
+def test_integrate_pulse_raises_when_not_stabilizing(integrate, spec):
     with pytest.raises(IntegrationError):
-        integrate_pulse(p, tol=1e-16, max_refinements=1)
+        integrate(spec, tol=1e-16, max_refinements=1)
 
 
-def test_phase_grid_matches_single_phase_integration():
-    p = PulseSpec("gaussian", np.pi / 3, 10.0, W, W)
+PULSE = PulseSpec("gaussian", np.pi / 3, 10.0, W, W)
+#: the shared Magnus integrator at d = 2 over CEO phases and at d = 3 over phi_2
+PROPAGATORS = {
+    2: lambda grid: pulses._propagate_two_level(PULSE, grid, step_count(200, PULSE.carrier_cycles)),
+    3: lambda grid: raman._propagate(LAMBDA, grid, step_count(200, LAMBDA.carrier_cycles), False),
+}
+
+
+@pytest.mark.parametrize("d", sorted(PROPAGATORS))
+def test_batched_propagation_matches_one_value_at_a_time(d):
     grid = np.array([0.0, 0.5, 1.2])
-    batch = integrate_pulse_phase_grid(p, grid, steps_per_cycle=400)
-    single = integrate_pulse_phase_grid(p.replace(ceo_phase=0.5), [0.5], 400)[0]
-    assert np.allclose(batch[1], single, atol=1e-12)
+    batch = PROPAGATORS[d](grid)
+    assert batch.shape == (grid.size, d, d)
+    for phase, u in zip(grid, batch):
+        assert np.allclose(u, PROPAGATORS[d](phase)[0], atol=1e-12)
+
+
+def test_step_count_rule():
+    assert step_count(200, 10.0) == 2000
+    assert step_count(100, 0.1) == 50
+    with pytest.raises(ValueError):
+        step_count(99, 10.0)
 
 
 def test_integrated_effective_phase_tracks_ceo_phase():

@@ -59,6 +59,11 @@ def test_full_model_phase_map_small_detuning():
     assert pm.max_curve_deviation > 1e-4
 
 
+def test_phase_map_rejects_coarse_steps():
+    with pytest.raises(ValueError, match="steps_per_cycle"):
+        phase_map(_spec(0.2), np.linspace(0.0, 1.0, 3), steps_per_cycle=10)
+
+
 def test_phase_map_deviation_grows_with_detuning():
     grid = np.linspace(0.0, 2.0 * np.pi, 9)
     small = phase_map(_spec(0.02), grid)
