@@ -4,12 +4,20 @@ Everything here is plain numpy; the point is to keep the hot paths of the
 protocol/estimation code free of scipy.linalg.expm calls, which dominate
 runtime for long pulse trains.  The one propagator of pulses, Raman pulses
 and trains (step count, Magnus step, ordered product, step doubling) is here.
+It works on whole arrays, never one step at a time: `magnus_generators`
+yields the step generators in blocks of `MAGNUS_BLOCK` steps, each block is
+exponentiated by one batched `expm_herm` call, and `ordered_product` reduces
+the stacked factors pairwise, as a tree of batched matmuls.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import IntegrationError
+
+#: Magnus steps per generator block; bounds the memory of one block of
+#: (steps, grid, d, d) arrays, whatever the total step count
+MAGNUS_BLOCK = 1024
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -77,29 +85,47 @@ def step_count(steps_per_cycle: int, cycles: float) -> int:
     return max(int(np.ceil(steps_per_cycle * cycles)), 50)
 
 
-def magnus_generators(hamiltonians, duration: float, steps: int) -> np.ndarray:
+def magnus_generators(hamiltonians, duration: float, steps: int):
     """Two-point Gauss (4th-order) Magnus generators on [-duration/2, duration/2].
 
-    ``hamiltonians(times)`` gives H of shape (T, G, d, d); the (steps, G, d, d)
-    generators are exactly Hermitian, so each step is unitary to machine
+    ``hamiltonians(times)`` gives H of shape (T, G, d, d).  The (steps, G, d, d)
+    generators are yielded in time order, in blocks of at most `MAGNUS_BLOCK`
+    steps.  They are exactly Hermitian, so each step is unitary to machine
     precision (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
     """
     h_step = duration / steps
-    t0 = -duration / 2.0 + h_step * np.arange(steps)
     c = np.sqrt(3.0) / 6.0
-    h1 = hamiltonians(t0 + (0.5 - c) * h_step)
-    h2 = hamiltonians(t0 + (0.5 + c) * h_step)
-    comm = h2 @ h1 - h1 @ h2
-    return (h_step / 2.0) * (h1 + h2) - 1.0j * (np.sqrt(3.0) * h_step**2 / 12.0) * comm
+    for start in range(0, steps, MAGNUS_BLOCK):
+        t0 = -duration / 2.0 + h_step * np.arange(start, min(start + MAGNUS_BLOCK, steps))
+        h1 = hamiltonians(t0 + (0.5 - c) * h_step)
+        h2 = hamiltonians(t0 + (0.5 + c) * h_step)
+        comm = h2 @ h1 - h1 @ h2
+        yield (h_step / 2.0) * (h1 + h2) - 1.0j * (np.sqrt(3.0) * h_step**2 / 12.0) * comm
 
 
-def ordered_product(factors) -> np.ndarray:
-    """Product of (batched) matrices from the identity, later factors to the left."""
+def ordered_product(blocks) -> np.ndarray:
+    """Time-ordered product of stacked factors, later factors to the left.
+
+    ``blocks`` is one (S, ..., d, d) array of factors in time order, or an
+    iterable of such arrays, block after block.  Each block is reduced
+    pairwise, as a tree of batched matmuls of depth log2(S) (Blelloch,
+    CMU-CS-90-190 (1990)), and the block products are then multiplied in
+    order.  The result has shape (..., d, d).
+    """
+    if isinstance(blocks, np.ndarray):
+        blocks = (blocks,)
     u = None
-    for f in factors:
-        if u is None:
-            u = np.broadcast_to(np.eye(f.shape[-1], dtype=complex), f.shape).copy()
-        u = f @ u
+    for f in blocks:
+        if len(f) == 0:
+            raise ValueError("ordered_product of no factors")
+        while len(f) > 1:
+            pairs = f[1::2] @ f[0 : len(f) - 1 : 2]
+            if len(f) % 2:
+                pairs[-1] = f[-1] @ pairs[-1]
+            f = pairs
+        u = f[0] if u is None else f[0] @ u
+    if u is None:
+        raise ValueError("ordered_product of no factors")
     return u
 
 

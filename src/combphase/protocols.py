@@ -76,7 +76,7 @@ def compose_train(t: PulseTrain) -> Unitary:
     """Ordered product of the per-pulse closed forms, later pulses to the left."""
     if len(t) == 0:
         raise ValueError("empty train")
-    return Unitary(ordered_product(rwa_matrix(theta, phi) for phi, theta in zip(t.phases, t.thetas)))
+    return Unitary(ordered_product(rwa_matrix(t.thetas, t.phases)))
 
 
 def closed_form_1a(theta: float, dphi: float, n: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._su2 import (
-    expm_herm, magnus_generators, ordered_product, refine_until_stable, rot_x, rot_z, step_count,
+    expm_herm, magnus_generators, ordered_product, refine_until_stable, step_count,
     unitarity_defect,
 )
 from .errors import UndefinedPhaseError
@@ -151,9 +151,18 @@ def rwa_unitary(p: PulseSpec) -> Unitary:
     return Unitary(rwa_matrix(p.theta, p.ceo_phase))
 
 
-def rwa_matrix(theta: float, phi: float) -> np.ndarray:
-    """The closed form exp(-i phi sigma_z) exp(i theta sigma_x) exp(+i phi sigma_z)."""
-    return rot_z(phi) @ rot_x(theta) @ rot_z(-phi)
+def rwa_matrix(theta, phi) -> np.ndarray:
+    """The closed form exp(-i phi sigma_z) exp(i theta sigma_x) exp(+i phi sigma_z).
+
+    That is [[c, i s e^{-2i phi}], [i s e^{2i phi}, c]] with c, s = cos, sin
+    of theta; theta and phi broadcast, giving shape (..., 2, 2).
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    u = np.empty(theta.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = u[..., 1, 1] = np.cos(theta)
+    u[..., 0, 1] = 1.0j * np.sin(theta) * np.exp(-2.0j * phi)
+    u[..., 1, 0] = 1.0j * np.sin(theta) * np.exp(2.0j * phi)
+    return u
 
 
 def _rotating_frame_hamiltonians(p: PulseSpec, phases, times) -> np.ndarray:
@@ -181,8 +190,8 @@ def _rotating_frame_hamiltonians(p: PulseSpec, phases, times) -> np.ndarray:
 
 def _propagate_two_level(p: PulseSpec, phases, steps: int) -> np.ndarray:
     """Magnus propagation over the pulse, batched over CEO phases: (G, 2, 2)."""
-    gen = magnus_generators(lambda t: _rotating_frame_hamiltonians(p, phases, t), p.tau, steps)
-    return ordered_product(expm_herm(g) for g in gen)
+    blocks = magnus_generators(lambda t: _rotating_frame_hamiltonians(p, phases, t), p.tau, steps)
+    return ordered_product(expm_herm(g) for g in blocks)
 
 
 def integrate_pulse(

@@ -119,8 +119,20 @@ def _lambda_rwa_hamiltonians(l: LambdaSpec, phi2_grid, times) -> np.ndarray:
 def _propagate(l: LambdaSpec, phi2_grid, steps: int, rwa: bool) -> np.ndarray:
     """Magnus propagation over the pulse, batched over phi_2: (G, 3, 3)."""
     ham = _lambda_rwa_hamiltonians if rwa else _lambda_hamiltonians
-    gen = magnus_generators(lambda t: ham(l, phi2_grid, t), l.duration, steps)
-    return ordered_product(expm_herm(g) for g in gen)
+    blocks = magnus_generators(lambda t: ham(l, phi2_grid, t), l.duration, steps)
+    return ordered_product(expm_herm(g) for g in blocks)
+
+
+def _step_cycles(l: LambdaSpec, rwa: bool) -> float:
+    """Periods of the fastest frequency in the propagated Hamiltonian.
+
+    The carrier-resolved model oscillates at the laser frequency; its
+    rotating-wave reduction has no carrier term, only the detuning and the
+    Rabi frequency.
+    """
+    if rwa:
+        return l.duration * (abs(l.detuning) + l.rabi) / (2.0 * np.pi)
+    return l.carrier_cycles
 
 
 def integrate_lambda(
@@ -132,12 +144,14 @@ def integrate_lambda(
 ) -> tuple[Unitary, float]:
     """Propagator of the three-level model and the residual |c> population.
 
-    The population is quoted for an atom starting in |a>.  The step count is
-    doubled until two resolutions agree to ``tol``.
+    The population is quoted for an atom starting in |a>.  The step count
+    starts at ``steps_per_cycle`` per period of the laser carrier, or with
+    ``rwa`` of the detuning plus the Rabi frequency, and is doubled until two
+    resolutions agree to ``tol``.
     """
     u = refine_until_stable(
         lambda steps: _propagate(l, l.phi_2, steps, rwa)[0],
-        step_count(steps_per_cycle, l.carrier_cycles), tol, max_refinements,
+        step_count(steps_per_cycle, _step_cycles(l, rwa)), tol, max_refinements,
     )
     return Unitary(u, tol=1e-8), float(np.abs(u[2, 0]) ** 2)
 
@@ -164,12 +178,13 @@ def phase_map(
 
     The atom starts in |a>; phi_s is arg(c_b / c_a) referenced to its value
     at phi_l = 0, unwrapped along the grid.  A non-monotone curve would
-    invalidate phase stabilization and is flagged (with a warning).
+    invalidate phase stabilization and is flagged (with a warning).  The
+    step count is sized as in `integrate_lambda` and not refined.
     """
     grid = np.asarray(phi_l_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("need a 1-d grid with at least 3 points")
-    steps = step_count(steps_per_cycle, l.carrier_cycles)
+    steps = step_count(steps_per_cycle, _step_cycles(l, rwa))
     phi2 = np.concatenate(([l.phi_1], l.phi_1 + grid))  # leading reference point
     u = _propagate(l, phi2, steps, rwa)
     ca, cb = u[:, 0, 0], u[:, 1, 0]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combphase._su2 import rot_x, rot_z
-from combphase.comb import PulseTrain
+from combphase.comb import JitterSpec, PulseTrain, apply_phase_jitter, fiber_comb_preset, generate_train
 from combphase.protocols import (
     ProtocolSpec,
     brute_force_permutation_phase,
@@ -66,6 +66,15 @@ def test_closed_form_1b_matches_product(dphi, n_half):
     u = _brute_product(phases, np.pi / 2)
     v = closed_form_1b(phases).matrix
     assert matrix_fidelity(u, v) == pytest.approx(1.0, abs=1e-11)
+
+
+def test_compose_train_matches_brute_product_on_long_jittered_train():
+    train = apply_phase_jitter(
+        generate_train(fiber_comb_preset(), 10_000, start_index=17), JitterSpec(kind="white", sigma=0.1), 3
+    )
+    assert np.all(train.thetas == train.thetas[0])
+    u = compose_train(train).matrix
+    assert np.max(np.abs(u - _brute_product(train.phases, train.thetas[0]))) <= 1e-10
 
 
 def test_closed_form_1b_rejects_odd():

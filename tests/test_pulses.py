@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combphase import pulses, raman
+from combphase import _su2, pulses, raman
 from combphase._su2 import rot_x, rot_z, step_count, unitarity_defect
 from combphase.errors import IntegrationError, UndefinedPhaseError
 from combphase.pulses import (
@@ -144,6 +144,23 @@ def test_batched_propagation_matches_one_value_at_a_time(d):
     assert batch.shape == (grid.size, d, d)
     for phase, u in zip(grid, batch):
         assert np.allclose(u, PROPAGATORS[d](phase)[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("d", sorted(PROPAGATORS))
+def test_propagation_does_not_depend_on_block_size(d, monkeypatch):
+    grid = np.array([0.0, 1.2])
+    default = PROPAGATORS[d](grid)
+    monkeypatch.setattr(_su2, "MAGNUS_BLOCK", 7)
+    assert np.allclose(PROPAGATORS[d](grid), default, rtol=0.0, atol=1e-12)
+
+
+def test_rwa_matrix_broadcasts_the_conjugated_rotation():
+    thetas, phis = np.array([0.0, 0.3, np.pi / 2]), np.array([[0.1], [2.5]])
+    u = rwa_matrix(thetas, phis)
+    assert u.shape == (2, 3, 2, 2)
+    for i, phi in enumerate(phis[:, 0]):
+        for j, theta in enumerate(thetas):
+            assert np.allclose(u[i, j], rot_z(phi) @ rot_x(theta) @ rot_z(-phi), rtol=0.0, atol=1e-15)
 
 
 def test_step_count_rule():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from combphase._su2 import rot_x, rot_z, unitarity_defect
+from combphase import raman
+from combphase._su2 import rot_x, rot_z, step_count, unitarity_defect
 from combphase.raman import (
     LambdaSpec,
     RamanEffective,
@@ -12,7 +13,7 @@ from combphase.raman import (
     phase_map,
     visibility_budget,
 )
-from combphase.scenarios import run_scenario
+from combphase.scenarios import find_scenario, load_scenario_config, run_scenario
 
 W_AT = 2.0 * np.pi * 100.0
 
@@ -57,6 +58,27 @@ def test_full_model_phase_map_small_detuning():
     # but genuinely nonzero for the carrier-resolved model
     assert pm.max_curve_deviation / (2.0 * np.pi) < 0.01
     assert pm.max_curve_deviation > 1e-4
+
+
+def test_rwa_steps_follow_detuning_and_rabi():
+    l = _spec(0.2)
+    carrier = step_count(200, l.carrier_cycles)
+    rwa = step_count(200, raman._step_cycles(l, rwa=True))
+    assert (carrier, rwa) == (16001, 4382)
+    assert rwa < 0.3 * carrier
+    u_rwa = raman._propagate(l, l.phi_2, rwa, rwa=True)
+    u_carrier = raman._propagate(l, l.phi_2, carrier, rwa=True)
+    assert np.max(np.abs(u_rwa - u_carrier)) <= 1e-9
+
+
+def test_bundled_phase_map_is_converged():
+    p = load_scenario_config(find_scenario("raman_three_level")).params
+    l = _spec(p["detuning_fraction_map"], rabi=p["rabi"])
+    assert (p["transition_hz"], p["duration"]) == (100.0, 1.0)  # as W_AT and _spec assume
+    grid = np.linspace(0.0, 2.0 * np.pi, 5)
+    coarse = phase_map(l, grid, steps_per_cycle=200).phi_s
+    fine = phase_map(l, grid, steps_per_cycle=400).phi_s
+    assert np.max(np.abs(coarse - fine)) <= 1e-9
 
 
 def test_phase_map_rejects_coarse_steps():
