@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("scenario", metavar="NAME|PATH", help="bundled scenario name or config file path")
     rp.add_argument("--seed", type=int, default=None, help="override the config seed")
     rp.add_argument("--out", default=".", help="output directory (default: cwd)")
-    rp.add_argument("--threads", type=int, default=1, help="worker threads for seed sweeps")
     rp.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     lp = sub.add_parser("list", help="list bundled scenarios")
     lp.add_argument("--tag", default=None, help="only scenarios carrying this tag")
@@ -60,9 +59,7 @@ def main(argv=None) -> int:
                 print(f"{info['name']:28s} [{tags}] {info['description']}")
         return 0
     try:
-        result = run_scenario(
-            args.scenario, args.out, seed=args.seed, fmt=args.fmt, threads=args.threads
-        )
+        result = run_scenario(args.scenario, args.out, seed=args.seed, fmt=args.fmt)
     except ScenarioConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -7,7 +7,6 @@ binomial arms as independent samples of known parametric distributions.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -326,28 +325,18 @@ def optimize_reference_phase(
 # --- seed-sweep estimator study -------------------------------------------
 
 
-def _seed_map(fn, seeds, threads: int = 1) -> list:
-    """Order-preserving map over seeds, on ``threads`` worker threads."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, seeds))
-    return [fn(s) for s in seeds]
-
-
 def estimator_study(
     spec: ProtocolSpec,
     dphi: float,
     m_shots: int,
     seeds,
-    threads: int = 1,
 ) -> tuple[np.ndarray, float]:
     """Fixed-theta ML estimates of ``dphi`` over simulated experiments.
 
     The reference phase is chosen for maximal dphi information at the true
     point, then each seed draws one record of ``m_shots`` per arm and is fit
     with theta held at ``spec.theta``.  Returns the estimates in seed order
-    and the CRLB variance of dphi for one experiment.  ``threads`` spreads
-    the fits over worker threads without changing the results.
+    and the CRLB variance of dphi for one experiment.
     """
     theta = spec.theta
     xi = optimize_reference_phase(spec, theta, dphi, grid=64)
@@ -357,7 +346,7 @@ def estimator_study(
         rec = sample_record(model, theta, dphi, m_shots, seed)
         return ml_estimate(rec, model, (theta, 0.0), fix_theta=True).dphi_hat
 
-    estimates = np.array(_seed_map(one, seeds, threads), dtype=float)
+    estimates = np.array([one(s) for s in seeds], dtype=float)
     variance = crlb(fisher_matrix(model, theta, dphi, m_shots)).variances[1]
     return estimates, float(variance)
 

@@ -235,12 +235,6 @@ class RamseyOutcomeModel:
             dprobs(psi2, dpsi2_dphi),
         )
 
-    def p1(self, s: int, theta: float, dphi: float) -> float:
-        return float(self.evaluate(theta, dphi)[0][s])
-
-    def p2(self, s: int, theta: float, dphi: float) -> float:
-        return float(self.evaluate(theta, dphi)[1][s])
-
     def train_unitary(self, theta: float, dphi: float) -> np.ndarray:
         return _train_unitary_with_grad(self.spec, theta, dphi)[0]
 

@@ -187,23 +187,27 @@ def _write_rows(path: Path, header, rows, fmt: str) -> Path:
         return repr(float(x)) if isinstance(x, (float, np.floating)) else x
 
     if fmt == "json":
-        path = path.with_suffix(".json")
         payload = [dict(zip(header, [enc(x) for x in r])) for r in rows]
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-    else:
-        path = path.with_suffix(".csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for r in rows:
-                w.writerow([enc(x) for x in r])
+        return _write_json(path.with_suffix(".json"), payload)
+    path = path.with_suffix(".csv")
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for r in rows:
+            w.writerow([enc(x) for x in r])
+    return path
+
+
+def _write_json(path: Path, obj) -> Path:
+    """Write one JSON document with two-space indent and a final newline."""
+    path.write_text(json.dumps(obj, indent=2) + "\n")
     return path
 
 
 # --- runners ---------------------------------------------------------------
 
 
-def _run_rwa_validity(cfg, out, fmt, threads):
+def _run_rwa_validity(cfg, out, fmt):
     p = cfg.params
     w = 2.0 * np.pi * p["carrier_hz"]
     rows = []
@@ -218,7 +222,7 @@ def _run_rwa_validity(cfg, out, fmt, threads):
     return [path], {"monotone": bool(np.all(np.diff([r[1] for r in rows]) > 0))}
 
 
-def _run_closed_forms(cfg, out, fmt, threads):
+def _run_closed_forms(cfg, out, fmt):
     p = cfg.params
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -235,16 +239,12 @@ def _run_closed_forms(cfg, out, fmt, threads):
         )
         if kind == "2B":
             u = protocols.closed_form_2b(dphi, n, nd).matrix
-            spec = protocols.ProtocolSpec("2B", n, nd, 0.0, np.pi / 2)
-            v = protocols.ramsey_model(spec).train_unitary(np.pi / 2, dphi)
         elif kind == "phase_ref":
             u = protocols.phase_reference_sequence(train).matrix
-            spec = protocols.ProtocolSpec("phase_ref", n, 0, 0.0, np.pi / 2)
-            v = protocols.ramsey_model(spec).train_unitary(np.pi / 2, dphi)
         else:
             u = protocols.closed_form_1b(train.phases).matrix
-            spec = protocols.ProtocolSpec("1B", n, 0, 0.0, np.pi / 2)
-            v = protocols.ramsey_model(spec).train_unitary(np.pi / 2, dphi)
+        spec = protocols.ProtocolSpec(kind, n, nd, 0.0, np.pi / 2)
+        v = protocols.ramsey_model(spec).train_unitary(np.pi / 2, dphi)
         err = 1.0 - pulses.matrix_fidelity(u, v)
         worst = max(worst, err)
         rows.append((case, kind, n, nd, dphi, err))
@@ -256,7 +256,7 @@ def _run_closed_forms(cfg, out, fmt, threads):
     return [path], {"worst_fidelity_error": worst}
 
 
-def _run_permutation(cfg, out, fmt, threads):
+def _run_permutation(cfg, out, fmt):
     p = cfg.params
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -274,7 +274,7 @@ def _run_permutation(cfg, out, fmt, threads):
     return [path], {"max_difference": max(r[4] for r in rows)}
 
 
-def _run_table1_scaling(cfg, out, fmt, threads):
+def _run_table1_scaling(cfg, out, fmt):
     p = cfg.params
     artifacts = []
     slopes = {}
@@ -296,16 +296,16 @@ def _run_table1_scaling(cfg, out, fmt, threads):
             for pt in res.points
         ]
         path = _write_rows(base, ["N", "N_d", "M", "sigma_dphi", "crlb", "ratio"], rows, fmt)
-        sidecar = base.with_suffix(".slope.json")
-        sidecar.write_text(json.dumps(
-            {"kind": res.kind, "slope": res.slope, "slope_stderr": res.slope_stderr}, indent=2
-        ))
+        sidecar = _write_json(
+            base.with_suffix(".slope.json"),
+            {"kind": res.kind, "slope": res.slope, "slope_stderr": res.slope_stderr},
+        )
         artifacts += [path, sidecar]
         slopes[scan["kind"]] = res.slope
     return artifacts, {"slopes": slopes}
 
 
-def _run_crlb_saturation(cfg, out, fmt, threads):
+def _run_crlb_saturation(cfg, out, fmt):
     p = cfg.params
     n_seeds = p["n_seeds"]
     rows = []
@@ -317,7 +317,7 @@ def _run_crlb_saturation(cfg, out, fmt, threads):
         m_shots = pt.get("m_shots", 10_000)
         base_seed = cfg.seed + pt.get("seed_offset", 1000 * i)
         ests, bound = estimation.estimator_study(
-            spec, dphi, m_shots, range(base_seed, base_seed + n_seeds), threads
+            spec, dphi, m_shots, range(base_seed, base_seed + n_seeds)
         )
         var = float(np.var(ests, ddof=1))
         rows.append((pt["kind"], pt["n"], pt.get("n_delay", 0), dphi, m_shots, var, bound, var / bound))
@@ -329,7 +329,7 @@ def _run_crlb_saturation(cfg, out, fmt, threads):
     return [path], {"ratios": [r[7] for r in rows]}
 
 
-def _run_resolution(cfg, out, fmt, threads):
+def _run_resolution(cfg, out, fmt):
     """Offset-frequency resolution: verified scaling at desk scale, then
     arithmetic extrapolation to configurations far beyond simulation."""
     p = cfg.params
@@ -342,7 +342,7 @@ def _run_resolution(cfg, out, fmt, threads):
         chi = spec.enhancement
         start = cfg.seed + 10_000 * idx
         ests, _ = estimation.estimator_study(
-            spec, 0.2 / chi, m_shots, range(start, start + p["n_seeds"]), threads
+            spec, 0.2 / chi, m_shots, range(start, start + p["n_seeds"])
         )
         sigma = float(np.std(ests, ddof=1))
         consts.append(sigma * chi * np.sqrt(m_shots))
@@ -359,7 +359,7 @@ def _run_resolution(cfg, out, fmt, threads):
     return [path], {"scaling_constant_spread": spread}
 
 
-def _run_raman(cfg, out, fmt, threads):
+def _run_raman(cfg, out, fmt):
     p = cfg.params
     omega_at = 2.0 * np.pi * p["transition_hz"]
 
@@ -388,12 +388,11 @@ def _run_raman(cfg, out, fmt, threads):
         "max_identity_deviation": pm.max_identity_deviation,
         "monotone": pm.monotone,
     }
-    spath = out / "raman_summary.json"
-    spath.write_text(json.dumps(summary, indent=2) + "\n")
+    spath = _write_json(out / "raman_summary.json", summary)
     return [path, spath], summary
 
 
-def _run_error_models(cfg, out, fmt, threads):
+def _run_error_models(cfg, out, fmt):
     p = cfg.params
     gap = p["pair_gap_s"]
     deph = noise.ac_stark_preset(seed=cfg.seed)
@@ -410,7 +409,7 @@ def _run_error_models(cfg, out, fmt, threads):
     return [path], dict(rows)
 
 
-def _run_refine(cfg, out, fmt, threads):
+def _run_refine(cfg, out, fmt):
     p = cfg.params
     c = comb.fiber_comb_preset()
     # 200 kHz-class offset as the prior bound; prior_scale < 1 models an
@@ -432,7 +431,7 @@ def _run_refine(cfg, out, fmt, threads):
         tr = estimation.iterative_refine(true, replace(config, seed=seed * 13 + cfg.seed))
         return true, tr
 
-    results = estimation._seed_map(one, range(cfg.seed, cfg.seed + p["n_seeds"]), threads)
+    results = [one(s) for s in range(cfg.seed, cfg.seed + p["n_seeds"])]
     rows = []
     for seed_i, (true, tr) in enumerate(results):
         last = tr.stages[-1]
@@ -460,7 +459,7 @@ def _run_refine(cfg, out, fmt, threads):
     }
 
 
-def _run_visibility(cfg, out, fmt, threads):
+def _run_visibility(cfg, out, fmt):
     p = cfg.params
     budget = raman.visibility_budget(
         gamma=1.0 / p["lifetime_s"],
@@ -491,7 +490,6 @@ def run_scenario(
     out_dir,
     seed: int | None = None,
     fmt: str = "csv",
-    threads: int = 1,
 ) -> dict:
     """Run one scenario; returns {'artifacts': [...], 'summary': {...}}.
 
@@ -508,7 +506,7 @@ def run_scenario(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    artifacts, summary = _RUNNERS[cfg.kind](cfg, out, fmt, threads)
+    artifacts, summary = _RUNNERS[cfg.kind](cfg, out, fmt)
     from . import __version__
 
     manifest = {
@@ -521,9 +519,9 @@ def run_scenario(
         "package_version": __version__,
         "numpy_version": np.__version__,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    mpath = _write_json(out / "manifest.json", manifest)
     return {
-        "artifacts": [str(a) for a in artifacts] + [str(out / "manifest.json")],
+        "artifacts": [str(a) for a in artifacts] + [str(mpath)],
         "summary": _jsonable(summary),
     }
 

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from combphase._su2 import SIGMA_X, ordered_product
 from combphase.comb import PulseTrain
 from combphase.estimation import offset_resolution, refined_offset_uncertainty
 from combphase.protocols import (
@@ -20,7 +21,7 @@ from combphase.protocols import (
     compose_train,
     phase_reference_sequence,
 )
-from combphase.pulses import matrix_fidelity
+from combphase.pulses import matrix_fidelity, rwa_matrix
 from combphase.raman import visibility_budget
 from combphase.scenarios import run_scenario
 
@@ -78,12 +79,7 @@ def test_criterion_02_closed_form_equivalence(capsys):
             train = PulseTrain(np.arange(n) * 1e-8, phases, np.full(n, np.pi / 2))
             if kind == "phase_ref":
                 closed = phase_reference_sequence(train).matrix
-                sx = np.array([[0, 1], [1, 0]], dtype=complex)
-                u = np.eye(2, dtype=complex)
-                from combphase.pulses import rwa_matrix
-
-                for phi in phases:
-                    u = sx @ rwa_matrix(np.pi / 2, phi) @ u
+                u = ordered_product(SIGMA_X @ rwa_matrix(np.full(n, np.pi / 2), phases))
             else:
                 u = compose_train(train).matrix
             worst = max(worst, 1.0 - matrix_fidelity(u, closed))
@@ -108,7 +104,7 @@ def test_criterion_03_permutation_optimality(tmp_path, capsys):
 
 def test_criterion_04_scaling_slopes(tmp_path, capsys):
     with report(capsys, 4, "sensitivity scaling slopes"):
-        result = run_scenario("table1_scaling", tmp_path, threads=4)
+        result = run_scenario("table1_scaling", tmp_path)
         slopes = result["summary"]["slopes"]
         assert slopes["1B"] == pytest.approx(-1.0, abs=0.05)
         assert slopes["2B"] == pytest.approx(-1.0, abs=0.05)
@@ -116,7 +112,7 @@ def test_criterion_04_scaling_slopes(tmp_path, capsys):
 
 def test_criterion_05_crlb_saturation(tmp_path, capsys):
     with report(capsys, 5, "ML estimator saturates the CRLB"):
-        result = run_scenario("crlb_saturation", tmp_path, threads=4)
+        result = run_scenario("crlb_saturation", tmp_path)
         ratios = result["summary"]["ratios"]
         assert len(ratios) == 10
         for r in ratios:
@@ -157,7 +153,7 @@ def test_criterion_08_error_models(tmp_path, capsys):
 
 def test_criterion_09_iterative_refinement(tmp_path, capsys):
     with report(capsys, 9, "iterative offset lock"):
-        result = run_scenario("refine_fiber", tmp_path, threads=4)
+        result = run_scenario("refine_fiber", tmp_path)
         rows = _read_csv(tmp_path / "refine_fiber.csv")
         assert len(rows) == 100
         assert result["summary"]["all_locked"]

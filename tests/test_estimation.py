@@ -168,7 +168,7 @@ def test_sensitivity_scan_needs_three_sizes():
 
 def test_estimator_study_matches_per_seed_fits():
     spec = ProtocolSpec("1B", 50, 0, 0.0, np.pi / 2)
-    estimates, variance = estimator_study(spec, 0.004, 2000, range(5, 9), threads=2)
+    estimates, variance = estimator_study(spec, 0.004, 2000, range(5, 9))
     xi = optimize_reference_phase(spec, spec.theta, 0.004, grid=64)
     model = ramsey_model(replace(spec, reference_phase=xi))
     expected = [

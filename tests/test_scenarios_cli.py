@@ -157,7 +157,7 @@ def test_cli_wrap_abort_exit_code(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_WRAP
 
 
-def test_threads_do_not_change_results(tmp_path):
+def test_same_seed_gives_identical_refine_files(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     cfg = tmp_path / "small_refine.yaml"
     cfg.write_text(yaml.safe_dump({
@@ -167,15 +167,19 @@ def test_threads_do_not_change_results(tmp_path):
         "seed": 3,
         "params": {"n_seeds": 8, "m_shots": 500},
     }))
-    run_scenario(cfg, a, threads=1)
-    run_scenario(cfg, b, threads=4)
+    run_scenario(cfg, a)
+    run_scenario(cfg, b)
     assert (a / "refine_fiber.csv").read_bytes() == (b / "refine_fiber.csv").read_bytes()
 
 
-@pytest.mark.parametrize("old", ["pulse", "protocol", "raman", "estimate", "scan", "refine"])
-def test_old_subcommands_removed(old):
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param([old], id=old) for old in ("pulse", "protocol", "raman", "estimate", "scan", "refine")]
+    + [pytest.param(["run", "visibility_budget", "--threads", "4"], id="run-threads")],
+)
+def test_old_subcommands_removed(argv):
     with pytest.raises(SystemExit) as exc:
-        main([old])
+        main(argv)
     assert exc.value.code == EXIT_SCHEMA
 
 
