@@ -3,9 +3,10 @@
 Everything here is plain numpy; the point is to keep the hot paths of the
 protocol/estimation code free of scipy.linalg.expm calls, which dominate
 runtime for long pulse trains.  The one propagator of pulses, Raman pulses
-and trains (step count, Magnus step, ordered product, step doubling) is here.
-It works on whole arrays, never one step at a time: `magnus_generators`
-yields the step generators in blocks of `MAGNUS_BLOCK` steps, each block is
+and trains (step count, Magnus step, ordered product, step doubling) is here,
+and its one accuracy parameter is ``tol`` (see `refine_until_stable`).  It
+works on whole arrays, never one step at a time: `magnus_generators` yields
+the step generators in blocks of `MAGNUS_BLOCK` steps, each block is
 exponentiated by one batched `expm_herm` call, and `ordered_product` reduces
 the stacked factors pairwise, as a tree of batched matmuls.
 """
@@ -18,6 +19,11 @@ from .errors import IntegrationError
 #: Magnus steps per generator block; bounds the memory of one block of
 #: (steps, grid, d, d) arrays, whatever the total step count
 MAGNUS_BLOCK = 1024
+
+#: Magnus steps per period of the fastest frequency before any doubling
+STEPS_PER_PERIOD = 16
+#: doublings before `refine_until_stable` gives up: at most 1024 steps per period
+MAX_DOUBLINGS = 6
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -78,11 +84,9 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.linalg.norm(u.conj().T @ u - np.eye(d)))
 
 
-def step_count(steps_per_cycle: int, cycles: float) -> int:
-    """Initial Magnus step count for a pulse of ``cycles`` carrier periods."""
-    if steps_per_cycle < 100:
-        raise ValueError("steps_per_cycle must be >= 100")
-    return max(int(np.ceil(steps_per_cycle * cycles)), 50)
+def step_count(cycles: float) -> int:
+    """Initial Magnus step count for a pulse of ``cycles`` periods of its fastest frequency."""
+    return max(int(np.ceil(STEPS_PER_PERIOD * cycles)), 50)
 
 
 def magnus_generators(hamiltonians, duration: float, steps: int):
@@ -129,13 +133,17 @@ def ordered_product(blocks) -> np.ndarray:
     return u
 
 
-def refine_until_stable(propagate, steps: int, tol: float, max_refinements: int) -> np.ndarray:
-    """``propagate(steps)``, doubling ``steps`` until two results agree to ``tol``."""
+def refine_until_stable(propagate, steps: int, tol: float) -> np.ndarray:
+    """``propagate(steps)``, doubling ``steps`` until its error estimate is within ``tol``.
+
+    The Magnus step is 4th order, so |U_2s - U_s| / 15 estimates the error
+    of U_2s (Richardson), in Frobenius norm over the whole (stacked) result.
+    """
     u_prev = propagate(steps)
-    for _ in range(max_refinements):
+    for _ in range(MAX_DOUBLINGS):
         steps *= 2
         u = propagate(steps)
-        if np.linalg.norm(u - u_prev) <= tol:
+        if np.linalg.norm(u - u_prev) / 15.0 <= tol:
             return u
         u_prev = u
-    raise IntegrationError(f"propagator did not stabilize to {tol} after {max_refinements} doublings")
+    raise IntegrationError(f"propagator did not stabilize to {tol} after {MAX_DOUBLINGS} doublings")

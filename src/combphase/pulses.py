@@ -194,20 +194,15 @@ def _propagate_two_level(p: PulseSpec, phases, steps: int) -> np.ndarray:
     return ordered_product(expm_herm(g) for g in blocks)
 
 
-def integrate_pulse(
-    p: PulseSpec,
-    steps_per_cycle: int = 200,
-    tol: float = 1e-8,
-    max_refinements: int = 6,
-) -> Unitary:
+def integrate_pulse(p: PulseSpec, *, tol: float = 1e-8) -> Unitary:
     """Propagator of the full semiclassical model, in the rotating frame.
 
-    The step count is doubled until two consecutive resolutions agree to
-    ``tol`` in Frobenius norm; failure to stabilize raises IntegrationError.
+    The step count starts at 16 per carrier cycle and is doubled until the
+    Richardson estimate of the error, in Frobenius norm, is within ``tol``;
+    failure to stabilize raises IntegrationError.
     """
     u = refine_until_stable(
-        lambda steps: _propagate_two_level(p, p.ceo_phase, steps)[0],
-        step_count(steps_per_cycle, p.carrier_cycles), tol, max_refinements,
+        lambda steps: _propagate_two_level(p, p.ceo_phase, steps)[0], step_count(p.carrier_cycles), tol
     )
     return Unitary(u, tol=1e-8)
 

@@ -135,23 +135,16 @@ def _step_cycles(l: LambdaSpec, rwa: bool) -> float:
     return l.carrier_cycles
 
 
-def integrate_lambda(
-    l: LambdaSpec,
-    steps_per_cycle: int = 200,
-    rwa: bool = False,
-    tol: float = 1e-8,
-    max_refinements: int = 5,
-) -> tuple[Unitary, float]:
+def integrate_lambda(l: LambdaSpec, *, rwa: bool = False, tol: float = 1e-8) -> tuple[Unitary, float]:
     """Propagator of the three-level model and the residual |c> population.
 
     The population is quoted for an atom starting in |a>.  The step count
-    starts at ``steps_per_cycle`` per period of the laser carrier, or with
-    ``rwa`` of the detuning plus the Rabi frequency, and is doubled until two
-    resolutions agree to ``tol``.
+    starts at 16 per period of the laser carrier, or with ``rwa`` of the
+    detuning plus the Rabi frequency, and is doubled until the Richardson
+    estimate of the error, in Frobenius norm, is within ``tol``.
     """
     u = refine_until_stable(
-        lambda steps: _propagate(l, l.phi_2, steps, rwa)[0],
-        step_count(steps_per_cycle, _step_cycles(l, rwa)), tol, max_refinements,
+        lambda steps: _propagate(l, l.phi_2, steps, rwa)[0], step_count(_step_cycles(l, rwa)), tol
     )
     return Unitary(u, tol=1e-8), float(np.abs(u[2, 0]) ** 2)
 
@@ -168,30 +161,30 @@ class PhaseMapResult:
     monotone: bool
 
 
-def phase_map(
-    l: LambdaSpec,
-    phi_l_grid,
-    steps_per_cycle: int = 200,
-    rwa: bool = False,
-) -> PhaseMapResult:
+def phase_map(l: LambdaSpec, phi_l_grid, *, rwa: bool = False, tol: float = 1e-6) -> PhaseMapResult:
     """Relative a-b phase imprinted by the pulse, as a function of phi_l.
 
     The atom starts in |a>; phi_s is arg(c_b / c_a) referenced to its value
-    at phi_l = 0, unwrapped along the grid.  A non-monotone curve would
+    at phi_l = 0, with its deviation from phi_l unwrapped along the grid (so
+    a grid step of pi reads forwards).  A non-monotone curve would
     invalidate phase stabilization and is flagged (with a warning).  The
-    step count is sized as in `integrate_lambda` and not refined.
+    grid is propagated as one stack and refined as in `integrate_lambda`.
+    On the bundled 25-point map the default ``tol`` stops at 64 steps per
+    carrier cycle (estimates 3.6e-6, 2.3e-7, 1.4e-8 at 32, 64, 128), with
+    phi_s within 2.1e-8 rad of a 400-step reference, against the 6.3e-2 rad
+    that criterion 7 needs; a ``tol`` of 2e-7 or less goes on to 128 steps
+    per cycle and costs 240 steps per cycle in all.
     """
     grid = np.asarray(phi_l_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("need a 1-d grid with at least 3 points")
-    steps = step_count(steps_per_cycle, _step_cycles(l, rwa))
     phi2 = np.concatenate(([l.phi_1], l.phi_1 + grid))  # leading reference point
-    u = _propagate(l, phi2, steps, rwa)
+    u = refine_until_stable(lambda steps: _propagate(l, phi2, steps, rwa), step_count(_step_cycles(l, rwa)), tol)
     ca, cb = u[:, 0, 0], u[:, 1, 0]
     if np.min(np.abs(cb)) < 1e-9:
         raise IntegrationError("b amplitude vanished; phase extraction undefined")
     raw = np.angle(cb / ca)
-    phi_s = np.unwrap(raw[1:] - raw[0])
+    phi_s = grid + np.unwrap(np.angle(np.exp(1.0j * (raw[1:] - raw[0] - grid))))
     dphi_s = np.gradient(phi_s, grid)
     monotone = bool(np.all(np.diff(phi_s) > 0) or np.all(np.diff(phi_s) < 0))
     if not monotone:

@@ -39,7 +39,6 @@ PARAMS = {
         "envelope": "gaussian",
         "carrier_hz": 1.0,
         "integration_tol": 1e-8,
-        "max_refinements": 6,
     },
     "closed_forms": {"n_cases": 200, "n_max": 10_000},
     "permutation_optimality": {"sizes": [4, 6, 8, 10], "trials": 5},
@@ -213,9 +212,7 @@ def _run_rwa_validity(cfg, out, fmt):
     rows = []
     for c in p["cycles"]:
         spec = pulses.PulseSpec(p["envelope"], p["theta"], c / p["carrier_hz"], w, w, 0.3)
-        u = pulses.integrate_pulse(
-            spec, tol=p["integration_tol"], max_refinements=p["max_refinements"]
-        )
+        u = pulses.integrate_pulse(spec, tol=p["integration_tol"])
         f = pulses.unitary_fidelity(u, pulses.rwa_unitary(spec))
         rows.append((c, f, 1.0 - f))
     path = _write_rows(out / "rwa_validity", ["cycles", "fidelity", "infidelity"], rows, fmt)

@@ -117,23 +117,46 @@ def test_integrated_propagator_is_unitary_to_1e10():
 
 # a small Raman pulse: 16 carrier cycles, detuned by 20 % of the transition
 LAMBDA = raman.LambdaSpec(rabi=4.0, duration=1.0, laser_freq=0.8 * 20 * W, excited_energy=20 * W)
+PULSE_10 = PulseSpec("gaussian", np.pi / 4, 10.0, W, W)
 
 
 @pytest.mark.parametrize(
     "integrate,spec",
-    [(integrate_pulse, PulseSpec("gaussian", np.pi / 4, 10.0, W, W)), (raman.integrate_lambda, LAMBDA)],
+    [(integrate_pulse, PULSE_10), (raman.integrate_lambda, LAMBDA)],
     ids=["integrate_pulse", "integrate_lambda"],
 )
 def test_integrate_pulse_raises_when_not_stabilizing(integrate, spec):
     with pytest.raises(IntegrationError):
-        integrate(spec, tol=1e-16, max_refinements=1)
+        integrate(spec, tol=1e-16)
+
+
+def test_richardson_estimate_bounds_the_error():
+    # results at the default tol, 1e-8, against a fixed 400 steps per carrier cycle
+    pulse = pulses._propagate_two_level(PULSE_10, PULSE_10.ceo_phase, 4000)[0]
+    assert np.linalg.norm(integrate_pulse(PULSE_10).matrix - pulse) <= 1e-8
+    lam = raman._propagate(LAMBDA, LAMBDA.phi_2, int(np.ceil(400 * LAMBDA.carrier_cycles)), False)[0]
+    assert np.linalg.norm(raman.integrate_lambda(LAMBDA)[0].matrix - lam) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integrate_pulse(PULSE_10, 1e-8),
+        lambda: raman.integrate_lambda(LAMBDA, True),
+        lambda: raman.phase_map(LAMBDA, np.linspace(0.0, 1.0, 3), True),
+    ],
+    ids=["integrate_pulse", "integrate_lambda", "phase_map"],
+)
+def test_accuracy_arguments_are_keyword_only(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 PULSE = PulseSpec("gaussian", np.pi / 3, 10.0, W, W)
 #: the shared Magnus integrator at d = 2 over CEO phases and at d = 3 over phi_2
 PROPAGATORS = {
-    2: lambda grid: pulses._propagate_two_level(PULSE, grid, step_count(200, PULSE.carrier_cycles)),
-    3: lambda grid: raman._propagate(LAMBDA, grid, step_count(200, LAMBDA.carrier_cycles), False),
+    2: lambda grid: pulses._propagate_two_level(PULSE, grid, step_count(PULSE.carrier_cycles)),
+    3: lambda grid: raman._propagate(LAMBDA, grid, step_count(LAMBDA.carrier_cycles), False),
 }
 
 
@@ -164,10 +187,10 @@ def test_rwa_matrix_broadcasts_the_conjugated_rotation():
 
 
 def test_step_count_rule():
-    assert step_count(200, 10.0) == 2000
-    assert step_count(100, 0.1) == 50
-    with pytest.raises(ValueError):
-        step_count(99, 10.0)
+    # 16 steps per period of the fastest frequency, and never fewer than 50
+    assert step_count(10.0) == 160
+    assert step_count(10.01) == 161
+    assert step_count(0.1) == 50
 
 
 def test_integrated_effective_phase_tracks_ceo_phase():

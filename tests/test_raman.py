@@ -3,6 +3,7 @@ import pytest
 
 from combphase import raman
 from combphase._su2 import rot_x, rot_z, step_count, unitarity_defect
+from combphase.errors import IntegrationError
 from combphase.raman import (
     LambdaSpec,
     RamanEffective,
@@ -62,12 +63,12 @@ def test_full_model_phase_map_small_detuning():
 
 def test_rwa_steps_follow_detuning_and_rabi():
     l = _spec(0.2)
-    carrier = step_count(200, l.carrier_cycles)
-    rwa = step_count(200, raman._step_cycles(l, rwa=True))
-    assert (carrier, rwa) == (16001, 4382)
+    carrier = step_count(l.carrier_cycles)
+    rwa = step_count(raman._step_cycles(l, rwa=True))
+    assert (carrier, rwa) == (1281, 351)
     assert rwa < 0.3 * carrier
-    u_rwa = raman._propagate(l, l.phi_2, rwa, rwa=True)
-    u_carrier = raman._propagate(l, l.phi_2, carrier, rwa=True)
+    u_rwa = integrate_lambda(l, rwa=True, tol=1e-10)[0].matrix
+    u_carrier = raman._propagate(l, l.phi_2, 16001, rwa=True)[0]  # carrier-sized steps
     assert np.max(np.abs(u_rwa - u_carrier)) <= 1e-9
 
 
@@ -76,14 +77,26 @@ def test_bundled_phase_map_is_converged():
     l = _spec(p["detuning_fraction_map"], rabi=p["rabi"])
     assert (p["transition_hz"], p["duration"]) == (100.0, 1.0)  # as W_AT and _spec assume
     grid = np.linspace(0.0, 2.0 * np.pi, 5)
-    coarse = phase_map(l, grid, steps_per_cycle=200).phi_s
-    fine = phase_map(l, grid, steps_per_cycle=400).phi_s
-    assert np.max(np.abs(coarse - fine)) <= 1e-9
+    phi_s = phase_map(l, grid).phi_s
+    # reference: a fixed 400 steps per carrier cycle, phases taken modulo 2 pi
+    u = raman._propagate(l, np.concatenate(([0.0], grid)), int(np.ceil(400 * l.carrier_cycles)), False)
+    raw = np.angle(u[:, 1, 0] / u[:, 0, 0])
+    assert np.max(np.abs(np.angle(np.exp(1.0j * (phi_s - raw[1:] + raw[0]))))) <= 1e-9
 
 
-def test_phase_map_rejects_coarse_steps():
-    with pytest.raises(ValueError, match="steps_per_cycle"):
-        phase_map(_spec(0.2), np.linspace(0.0, 1.0, 3), steps_per_cycle=10)
+@pytest.mark.parametrize("detuning_fraction", [0.02, 0.2])
+def test_phase_map_reads_steps_of_pi_forwards(detuning_fraction):
+    # a grid step of pi sits on the branch cut of unwrapping the raw phase
+    pm = phase_map(_spec(detuning_fraction), np.linspace(0.0, 2.0 * np.pi, 3))
+    assert np.allclose(pm.phi_s, [0.0, np.pi, 2.0 * np.pi], rtol=0.0, atol=1e-6)
+    assert pm.monotone
+    assert pm.max_curve_deviation < 1e-6
+
+
+def test_phase_map_raises_when_not_stabilizing():
+    short = LambdaSpec(rabi=4.0, duration=0.1, laser_freq=0.8 * W_AT, excited_energy=W_AT)
+    with pytest.raises(IntegrationError):
+        phase_map(short, np.linspace(0.0, 1.0, 3), tol=1e-16)
 
 
 def test_phase_map_deviation_grows_with_detuning():

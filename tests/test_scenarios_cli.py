@@ -140,7 +140,7 @@ def test_cli_numeric_failure_exit_code(tmp_path):
         "schema_version": 1,
         "name": "impossible_tolerance",
         "kind": "rwa_validity",
-        "params": {"cycles": [5], "integration_tol": 1e-16, "max_refinements": 1},
+        "params": {"cycles": [5], "integration_tol": 1e-16},
     }))
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_NUMERIC
 
