@@ -40,9 +40,15 @@ def rot_x(angle: float) -> np.ndarray:
     return np.array([[c, 1.0j * s], [1.0j * s, c]])
 
 
-def rot_z(angle: float) -> np.ndarray:
-    """exp(-i * angle * sigma_z), i.e. diag(e^{-i angle}, e^{+i angle})."""
-    return np.array([[np.exp(-1.0j * angle), 0.0], [0.0, np.exp(1.0j * angle)]])
+def rot_z(angle) -> np.ndarray:
+    """exp(-i * angle * sigma_z), i.e. diag(e^{-i angle}, e^{+i angle}).
+
+    ``angle`` may be an array; the result then has shape ``angle.shape + (2, 2)``.
+    """
+    u = np.zeros(np.shape(angle) + (2, 2), dtype=complex)
+    u[..., 0, 0] = np.exp(-1.0j * angle)
+    u[..., 1, 1] = np.exp(1.0j * angle)
+    return u
 
 
 def expm_herm(h: np.ndarray, scale: complex = -1.0j) -> np.ndarray:
@@ -58,24 +64,26 @@ def expm_herm(h: np.ndarray, scale: complex = -1.0j) -> np.ndarray:
 def matpow_with_grad(m: np.ndarray, dms: list[np.ndarray], n: int):
     """Return (m**n, [d(m**n)/dp for each dm in dms]) by square-and-multiply.
 
-    Uses the product rule at every squaring, so the derivatives are exact
-    (no finite differences) and cost O(log n) matrix products.
+    ``m`` and the ``dms`` may be stacks of shape (..., d, d) that broadcast
+    together.  The derivatives are exact (no finite differences): they are
+    the first-row blocks of the n-th power of the block upper-triangular
+    matrix [[m, dm_1, ..., dm_j], [0, m, 0, ...], ..., [0, ..., 0, m]], so
+    each product of the square-and-multiply applies the product rule to all
+    of them at once, in O(log n) products of (j+1)d x (j+1)d matrices.
     """
-    p = np.eye(m.shape[0], dtype=complex)
-    dps = [np.zeros_like(p) for _ in dms]
-    base, dbases = m, list(dms)
     k = int(n)
     if k < 0:
         raise ValueError("negative power")
-    while k:
-        if k & 1:
-            dps = [dp @ base + p @ db for dp, db in zip(dps, dbases)]
-            p = p @ base
-        k >>= 1
-        if k:
-            dbases = [db @ base + base @ db for db in dbases]
-            base = base @ base
-    return p, dps
+    d = m.shape[-1]
+    size = d * (len(dms) + 1)
+    stack = np.broadcast_shapes(m.shape, *(dm.shape for dm in dms))[:-2]
+    block = np.zeros(stack + (size, size), dtype=complex)
+    for i in range(0, size, d):
+        block[..., i : i + d, i : i + d] = m
+    for i, dm in enumerate(dms, 1):
+        block[..., :d, i * d : (i + 1) * d] = dm
+    power = np.linalg.matrix_power(block, k)
+    return power[..., :d, :d], [power[..., :d, i : i + d] for i in range(d, size, d)]
 
 
 def unitarity_defect(u: np.ndarray) -> float:

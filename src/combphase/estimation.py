@@ -13,9 +13,13 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DegenerateFitError, SingularInformationError, WrapAmbiguityError
-from .protocols import ProtocolSpec, RamseyOutcomeModel, ramsey_model
+from .protocols import (
+    ProtocolSpec, RamseyOutcomeModel, ramsey_model, ramsey_probabilities, train_unitary_with_grad,
+)
 
 _PCLIP = 1e-12  # probability floor used inside likelihoods only
+#: points of the fixed-theta fringe grid over the dphi window (64 intervals)
+_GRID_POINTS = 65
 
 
 @dataclass(frozen=True)
@@ -66,14 +70,51 @@ class EstimationResult:
     n_evaluations: int
 
 
-def _arm_terms(model: RamseyOutcomeModel, theta: float, dphi: float, arms):
-    p1, p2, d1t, d1p, d2t, d2p = model.evaluate(theta, dphi)
+def _arm_terms(probs, arms):
+    """(p, dp_dth, dp_dphi) of each arm in ``arms`` from an `evaluate` tuple."""
+    p1, p2, d1t, d1p, d2t, d2p = probs
     out = []
     if "p1" in arms:
         out.append((p1, d1t, d1p))
     if "p2" in arms:
         out.append((p2, d2t, d2p))
     return out
+
+
+def _information(arm_terms, m_shots: int, chi: float):
+    """Fisher matrices (..., 2, 2) and a (...) mask of singular points.
+
+    ``arm_terms`` holds (p, dp_dth, dp_dphi) per arm, each indexed by the
+    outcome on its last axis.  I_ij = sum over arms and outcomes of
+    M (d_i P)(d_j P) / P.  Outcomes with P = 0 contribute nothing when their
+    derivative also vanishes (removable); a vanishing probability with a
+    nonzero derivative means the score diverges, and the point is flagged.
+    """
+    info = 0.0
+    singular = False
+    for p, dt, dp in arm_terms:
+        for s in range(2):
+            grad = np.stack([dt[..., s], dp[..., s]], axis=-1)
+            ps = p[..., s]
+            node = ps < 1e-14
+            # Near a fringe node P ~ d^2 and dP ~ 2 chi d, so the term
+            # dP^2 / P stays bounded by ~4 chi^2 (removable).  A genuine
+            # P -> 0 crossing with finite slope blows far past that.
+            ratio = np.sum(grad * grad, axis=-1) / np.maximum(ps, 1e-300)
+            singular = singular | (node & (ratio > max(1e8, 1e4 * chi * chi)))
+            outer = grad[..., :, None] * grad[..., None, :]
+            term = m_shots * outer / np.where(node, 1.0, ps)[..., None, None]
+            info = info + np.where(node[..., None, None], 0.0, term)
+    return info, singular
+
+
+def _information_at(model: RamseyOutcomeModel, theta, dphi, m_shots, arms) -> np.ndarray:
+    """Fisher matrices at ``dphi`` (scalar or array); raises if any point is singular."""
+    terms = _arm_terms(model.evaluate(theta, dphi), arms)
+    info, singular = _information(terms, m_shots, max(model.spec.enhancement, 1.0))
+    if np.any(singular):
+        raise SingularInformationError("outcome probability vanishes with nonzero derivative")
+    return info
 
 
 def fisher_matrix(
@@ -89,23 +130,7 @@ def fisher_matrix(
     vanishes (removable); a vanishing probability with a nonzero derivative
     means the score diverges and raises SingularInformationError.
     """
-    info = np.zeros((2, 2))
-    chi = max(model.spec.enhancement, 1.0)
-    for p, dt, dp in _arm_terms(model, theta, dphi, arms):
-        for s in range(2):
-            grad = np.array([dt[s], dp[s]])
-            if p[s] < 1e-14:
-                # Near a fringe node P ~ d^2 and dP ~ 2 chi d, so the term
-                # dP^2 / P stays bounded by ~4 chi^2 (removable).  A genuine
-                # P -> 0 crossing with finite slope blows far past that.
-                ratio = float(grad @ grad) / max(p[s], 1e-300)
-                if ratio > max(1e8, 1e4 * chi * chi):
-                    raise SingularInformationError(
-                        f"outcome probability vanishes at s={s} with nonzero derivative"
-                    )
-                continue
-            info += m_shots * np.outer(grad, grad) / p[s]
-    return FisherMatrix(info)
+    return FisherMatrix(_information_at(model, theta, dphi, m_shots, arms))
 
 
 @dataclass(frozen=True)
@@ -172,35 +197,36 @@ def ml_estimate(
 ) -> EstimationResult:
     """Maximum-likelihood point estimate of (theta, dphi).
 
-    A bounded scalar pass per coordinate is followed by a joint quasi-Newton
-    polish with the analytic gradient.  ``dphi_window`` defaults to the
-    unambiguous quarter-fringe pi / (4 chi) around the initial guess; an
-    initial accumulated phase beyond the fringe raises WrapAmbiguityError
-    (use `iterative_refine` instead).
+    ``dphi_window`` defaults to the unambiguous quarter-fringe pi / (4 chi)
+    around the initial guess; a non-positive or non-finite window raises
+    ValueError, and an initial accumulated phase beyond the fringe raises
+    WrapAmbiguityError (use `iterative_refine` instead).
+
+    With ``fix_theta`` the log-likelihood is scanned on a 65-point dphi grid
+    over the window, and the estimate is the root of the analytic dphi
+    score (brentq) inside the grid bracket around the best grid point.  If
+    the score does not change sign there, the maximum lies on or beyond the
+    window edge: the best grid point is returned with ``converged=False``.
+    The grid and the identifiability probes depend only on the model and the
+    window, so they are computed once per model and shared by its records;
+    ``n_evaluations`` counts the score evaluations of this record alone.
+    Otherwise (the joint path) a bounded scalar pass per coordinate is
+    followed by a joint quasi-Newton polish with the analytic gradient.
     """
     theta0, dphi0 = float(init[0]), float(init[1])
     chi = max(model.spec.enhancement, 1.0)
+    if dphi_window is None:
+        dphi_window = np.pi / (4.0 * chi)
+    elif not (np.isfinite(dphi_window) and dphi_window > 0.0):
+        raise ValueError(f"dphi_window must be positive and finite, got {dphi_window}")
     if abs(chi * dphi0) >= np.pi:
         raise WrapAmbiguityError(
             "initial accumulated phase exceeds pi; run iterative refinement"
         )
-    if dphi_window is None:
-        dphi_window = np.pi / (4.0 * chi)
     arms = ("p1",) if record.counts2 is None else ("p1", "p2")
-    # Identifiability probe: isolated nodes are fine, a window-wide blind
-    # spot is not, so test the Fisher matrix at several points of the window.
-    scale = np.array([1.0, chi])
-    best_eig = -np.inf
-    best_phase_info = 0.0
-    for frac in (-0.6, -0.25, 0.0, 0.25, 0.6):
-        probe = fisher_matrix(
-            model, theta0, dphi0 + frac * (dphi_window or np.pi / (4 * chi)),
-            record.m_shots, arms=arms,
-        )
-        scaled = probe.matrix / np.outer(scale, scale)
-        best_phase_info = max(best_phase_info, scaled[1, 1])
-        if np.linalg.cond(scaled) < 1e10:
-            best_eig = max(best_eig, np.min(np.linalg.eigvalsh(scaled)))
+    best_eig, best_phase_info = _identifiability(
+        model, theta0, dphi0, dphi_window, record.m_shots, arms
+    )
     if fix_theta:
         if best_phase_info <= 1e-9:
             raise DegenerateFitError("no phase information anywhere in the window")
@@ -209,46 +235,14 @@ def ml_estimate(
             "(theta, dphi) not jointly identifiable from the available arms"
         )
 
-    evals = [0]
-
-    def nll(theta, dphi):
-        evals[0] += 1
-        ll, g = log_likelihood_and_grad(record, model, theta, dphi)
-        return -ll, -g
-
-    th, dp = theta0, dphi0
     dp_lo, dp_hi = dphi0 - dphi_window, dphi0 + dphi_window
-    th_lo, th_hi = max(theta0 - theta_window, 1e-6), theta0 + theta_window
-    res = optimize.minimize_scalar(
-        lambda x: nll(th, x)[0], bounds=(dp_lo, dp_hi), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    dp = float(res.x)
-    if not fix_theta:
-        # The theta likelihood oscillates on a pi / N scale, so locate the
-        # right fringe on a grid before the local bounded refinement.
-        n_grid = max(16, int(np.ceil(8.0 * (th_hi - th_lo) * model.spec.n_pulses / np.pi)))
-        grid_th = np.linspace(th_lo, th_hi, n_grid)
-        vals = [nll(x, dp)[0] for x in grid_th]
-        k = int(np.argmin(vals))
-        lo = grid_th[max(k - 1, 0)]
-        hi = grid_th[min(k + 1, n_grid - 1)]
-        res_t = optimize.minimize_scalar(
-            lambda x: nll(x, dp)[0], bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        th = float(res_t.x)
-        polish = optimize.minimize(
-            lambda x: nll(x[0], x[1]),
-            x0=[th, dp],
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(th_lo, th_hi), (dp_lo, dp_hi)],
-        )
-        th, dp = float(polish.x[0]), float(polish.x[1])
-        converged = bool(polish.success)
+    if fix_theta:
+        th = theta0
+        dp, converged, n_evaluations = _fixed_theta_fit(record, model, th, dp_lo, dp_hi, chi)
     else:
-        converged = bool(res.success) if hasattr(res, "success") else True
+        th, dp, converged, n_evaluations = _joint_fit(
+            record, model, theta0, dphi0, (dp_lo, dp_hi), theta_window
+        )
 
     bounds_result = crlb(fisher_matrix(model, th, dp, record.m_shots, arms=arms))
     cov = _observed_covariance(record, model, th, dp, fix_theta, chi)
@@ -261,25 +255,127 @@ def ml_estimate(
         crlb_diag=bounds_result.variances,
         ratio=ratio,
         converged=converged,
-        n_evaluations=evals[0],
+        n_evaluations=n_evaluations,
     )
 
 
+def _identifiability(model, theta0, dphi0, window, m_shots, arms):
+    """(Smallest eigenvalue of the well-conditioned probes, largest phase
+    information) of the chi-scaled Fisher matrix at five points of the window.
+
+    Isolated nodes are fine, a window-wide blind spot is not, so the Fisher
+    matrix is tested at several points.  Cached on the model per window.
+    """
+    key = ("probes", theta0, dphi0, window, m_shots, arms)
+    if key not in model.cache:
+        chi = max(model.spec.enhancement, 1.0)
+        scale = np.array([1.0, chi])
+        probes = dphi0 + np.array([-0.6, -0.25, 0.0, 0.25, 0.6]) * window
+        scaled = _information_at(model, theta0, probes, m_shots, arms) / np.outer(scale, scale)
+        well = np.linalg.cond(scaled) < 1e10
+        best_eig = float(np.max(np.linalg.eigvalsh(scaled[well])[:, 0], initial=-np.inf))
+        model.cache[key] = (best_eig, max(0.0, float(np.max(scaled[:, 1, 1]))))
+    return model.cache[key]
+
+
+def _fringe_grid(model, theta, lo, hi):
+    """dphi grid over [lo, hi] with each arm's clipped log-probabilities and
+    dphi score weights (dP/dphi) / P, from one batched evaluation cached on
+    the model."""
+    key = ("grid", theta, lo, hi)
+    if key not in model.cache:
+        grid = np.linspace(lo, hi, _GRID_POINTS)
+        p1, p2, _, d1p, _, d2p = model.evaluate(theta, grid)
+        terms = []
+        for p, dp in ((p1, d1p), (p2, d2p)):
+            pc = np.clip(p, _PCLIP, 1.0)
+            terms.append((np.log(pc), dp / pc))
+        model.cache[key] = (grid, terms)
+    return model.cache[key]
+
+
+def _fixed_theta_fit(record, model, theta, lo, hi, chi):
+    """(dphi_hat, converged, score evaluations) of the fixed-theta fit on [lo, hi]."""
+    grid, terms = _fringe_grid(model, theta, lo, hi)
+    counts = (record.counts1,) if record.counts2 is None else (record.counts1, record.counts2)
+    ll = sum(log_p @ c for (log_p, _), c in zip(terms, counts))
+    score = sum(weight @ c for (_, weight), c in zip(terms, counts))
+    k = int(np.argmax(ll))
+    a, b = max(k - 1, 0), min(k + 1, len(grid) - 1)
+    if not np.sign(score[a]) > np.sign(score[b]):
+        return float(grid[k]), False, 0
+    # brentq starts from both ends of the bracket, whose scores the grid holds
+    known = {float(grid[a]): score[a], float(grid[b]): score[b]}
+    evals = [0]
+
+    def dphi_score(x):
+        if x in known:
+            return known[x]
+        evals[0] += 1
+        return log_likelihood_and_grad(record, model, theta, x)[1][1]
+
+    root, res = optimize.brentq(
+        dphi_score, grid[a], grid[b], xtol=1e-12 / chi, full_output=True, disp=False
+    )
+    return float(root), bool(res.converged), evals[0]
+
+
+def _joint_fit(record, model, theta0, dphi0, dphi_bounds, theta_window):
+    """(theta_hat, dphi_hat, converged, evaluations) of the joint fit."""
+    evals = [0]
+
+    def nll(theta, dphi):
+        evals[0] += 1
+        ll, g = log_likelihood_and_grad(record, model, theta, dphi)
+        return -ll, -g
+
+    th_lo, th_hi = max(theta0 - theta_window, 1e-6), theta0 + theta_window
+    res = optimize.minimize_scalar(
+        lambda x: nll(theta0, x)[0], bounds=dphi_bounds, method="bounded",
+        options={"xatol": 1e-12},
+    )
+    dp = float(res.x)
+    # The theta likelihood oscillates on a pi / N scale, so locate the
+    # right fringe on a grid before the local bounded refinement.
+    n_grid = max(16, int(np.ceil(8.0 * (th_hi - th_lo) * model.spec.n_pulses / np.pi)))
+    grid_th = np.linspace(th_lo, th_hi, n_grid)
+    vals = [nll(x, dp)[0] for x in grid_th]
+    k = int(np.argmin(vals))
+    lo = grid_th[max(k - 1, 0)]
+    hi = grid_th[min(k + 1, n_grid - 1)]
+    res_t = optimize.minimize_scalar(
+        lambda x: nll(x, dp)[0], bounds=(lo, hi), method="bounded",
+        options={"xatol": 1e-12},
+    )
+    th = float(res_t.x)
+    polish = optimize.minimize(
+        lambda x: nll(x[0], x[1]),
+        x0=[th, dp],
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(th_lo, th_hi), dphi_bounds],
+    )
+    return float(polish.x[0]), float(polish.x[1]), bool(polish.success), evals[0]
+
+
 def _observed_covariance(record, model, theta, dphi, fix_theta, chi):
-    """Inverse observed information (finite differences of the exact gradient)."""
+    """Inverse observed information (finite differences of the exact gradient).
+
+    At fixed theta only the dphi direction is differenced.
+    """
     h = np.array([1e-7, 1e-7 / chi])
     hess = np.zeros((2, 2))
-    for i in range(2):
+    for i in (1,) if fix_theta else (0, 1):
         d = np.zeros(2)
         d[i] = h[i]
         _, gp = log_likelihood_and_grad(record, model, theta + d[0], dphi + d[1])
         _, gm = log_likelihood_and_grad(record, model, theta - d[0], dphi - d[1])
         hess[i] = -(gp - gm) / (2.0 * h[i])
-    hess = (hess + hess.T) / 2.0
     if fix_theta:
         cov = np.zeros((2, 2))
         cov[1, 1] = 1.0 / hess[1, 1] if hess[1, 1] > 0 else np.inf
         return cov
+    hess = (hess + hess.T) / 2.0
     try:
         return np.linalg.inv(hess)
     except np.linalg.LinAlgError:
@@ -293,26 +389,30 @@ def optimize_reference_phase(
     m_shots: int = 1,
     grid: int = 256,
 ) -> float:
-    """Reference phase maximizing the dphi Fisher information (grid + refine)."""
-    xis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    """Reference phase maximizing the dphi Fisher information (grid + refine).
+
+    The train does not depend on the reference phase, so its unitary and
+    gradients are computed once and every probe only re-applies arm 1.
+    """
+    train = train_unitary_with_grad(spec, theta, dphi)
+    chi = max(spec.enhancement, 1.0)
 
     def probe(xi):
-        m = ramsey_model(replace(spec, reference_phase=float(np.mod(xi, 2.0 * np.pi))))
-        try:
-            i = fisher_matrix(m, theta, dphi, m_shots).matrix[1, 1]
-        except SingularInformationError:
-            return 0.0, 1.0
-        p1 = m.evaluate(theta, dphi)[0]
-        return i, abs(p1[1] - 0.5)
+        """(dphi information, fringe imbalance |P1(1) - 1/2|) at reference phase(s) xi."""
+        probs = ramsey_probabilities(train, np.mod(xi, 2.0 * np.pi))
+        info, singular = _information(_arm_terms(probs, ("p1", "p2")), m_shots, chi)
+        info = np.where(singular, 0.0, info[..., 1, 1])
+        return info, np.where(singular, 1.0, np.abs(probs[0][..., 1] - 0.5))
 
-    vals = [probe(xi) for xi in xis]
-    best_i = max(v[0] for v in vals)
+    xis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    info, imbalance = probe(xis)
+    best_i = info.max()
     # The information is often flat in xi; among near-maximal points prefer a
     # balanced fringe so finite-sample ML behaves like the asymptotic theory.
-    candidates = [
-        (imb, xi) for xi, (i, imb) in zip(xis, vals) if i >= best_i * (1.0 - 1e-9)
-    ]
-    best_xi = min(candidates)[1]
+    # xi and xi + pi mirror the fringe and tie exactly, so rounding must not
+    # decide: ties within 1e-12 go to the smallest xi.
+    imbalance = np.where(info >= best_i * (1.0 - 1e-9), imbalance, np.inf)
+    best_xi = xis[np.argmax(imbalance <= imbalance.min() + 1e-12)]
     step = 2.0 * np.pi / grid
     res = optimize.minimize_scalar(
         lambda x: -probe(x)[0], bounds=(best_xi - step, best_xi + step), method="bounded"

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._su2 import (
-    HADAMARD, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, ID2, matpow_with_grad, ordered_product, rot_x, rot_z,
+    HADAMARD, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z, ID2, matpow_with_grad, ordered_product, rot_x,
+    rot_z,
 )
 from .comb import PulseTrain
 from .pulses import Unitary, rwa_matrix
@@ -159,21 +160,22 @@ def optimal_permutation_phase(phases) -> tuple[float, list[int]]:
 
 # --- Ramsey outcome model -------------------------------------------------
 
-_E0 = np.array([1.0, 0.0], dtype=complex)
+def train_unitary_with_grad(spec: ProtocolSpec, theta: float, dphi):
+    """U_tot(theta, dphi) and its exact partial derivatives (U, dU/dtheta, dU/ddphi).
 
-
-def _train_unitary_with_grad(spec: ProtocolSpec, theta: float, dphi: float):
-    """U_tot(theta, dphi) and its exact partial derivatives."""
+    ``dphi`` may be a numpy array (``theta`` stays a scalar); each result then has
+    shape ``dphi.shape + (2, 2)``.
+    """
     if spec.kind == "phase_ref":
         total = dphi * spec.n_pulses * (spec.n_pulses + 1) / 2.0
         u = rot_z(-2.0 * total)
         du_dphi = 2.0j * (spec.n_pulses * (spec.n_pulses + 1) / 2.0) * (SIGMA_Z @ u)
-        return u, np.zeros((2, 2), dtype=complex), du_dphi
+        return u, np.zeros_like(u), du_dphi
 
     a = rot_x(theta)
-    da_dth = 1.0j * (np.array([[0, 1], [1, 0]], dtype=complex) @ a)
+    da_dth = 1.0j * (SIGMA_X @ a)
     if spec.kind in ("1A", "1B"):
-        g, dg_dth, dg_dphi = a, da_dth, np.zeros((2, 2), dtype=complex)
+        g, dg_dth, dg_dphi = a, da_dth, None
         k = spec.n_pulses
     else:  # 2A / 2B: pair unitary with delay-boosted inner phase
         nd = spec.n_delay
@@ -185,11 +187,12 @@ def _train_unitary_with_grad(spec: ProtocolSpec, theta: float, dphi: float):
         dg_dphi = -1.0j * nd * (SIGMA_Z @ core - core @ SIGMA_Z) @ a
         k = spec.n_pulses // 2
 
-    d = rot_z(dphi)
     dinv = rot_z(-dphi)
     m = g @ dinv
     dm_dth = dg_dth @ dinv
-    dm_dphi = dg_dphi @ dinv + 1.0j * (g @ (SIGMA_Z @ dinv))
+    dm_dphi = 1.0j * (g @ (SIGMA_Z @ dinv))
+    if dg_dphi is not None:
+        dm_dphi = dg_dphi @ dinv + dm_dphi
     p, (dp_dth, dp_dphi) = matpow_with_grad(m, [dm_dth, dm_dphi], k)
     dz = rot_z(k * dphi)
     u = dz @ p
@@ -198,45 +201,54 @@ def _train_unitary_with_grad(spec: ProtocolSpec, theta: float, dphi: float):
     return u, du_dth, du_dphi
 
 
+def ramsey_probabilities(train, xi):
+    """Arm distributions and gradients from a train ``(U, dU/dtheta, dU/ddphi)``.
+
+    Arm 1 is Hadamard, reference phase ``xi`` on |1>, the train and an
+    undoing Hadamard; arm 2 is the train alone on |0>.  Returns (p1, p2,
+    dp1_dth, dp1_dphi, dp2_dth, dp2_dphi), each indexed by the outcome s on
+    its last axis.  Either ``xi`` may be an array (one train, many reference
+    phases) or the train may be a stack (many dphi, one reference phase).
+    """
+    h = HADAMARD[0, 0]
+    e = h * np.exp(1.0j * np.asarray(xi, dtype=float))[..., None, None]
+    t = np.stack(train, axis=-3)  # (..., 3, 2, 2): U, dU/dtheta, dU/ddphi
+    # arm 1 is HADAMARD @ t @ [h, h e^{i xi}], written out elementwise so
+    # that a stack of trains rounds exactly like each train on its own
+    w = t[..., :, 0] * h + t[..., :, 1] * e
+    w0, w1 = w[..., 0], w[..., 1]
+    arms = []
+    for psi in (np.stack([w0 + w1, w0 - w1], axis=-1) * h, t[..., :, 0]):
+        amp = psi[..., 0, :]
+        grad = 2.0 * np.real(np.conj(amp)[..., None, :] * psi[..., 1:, :])
+        arms.append((np.abs(amp) ** 2, grad[..., 0, :], grad[..., 1, :]))
+    (p1, dp1_dth, dp1_dphi), (p2, dp2_dth, dp2_dphi) = arms
+    return p1, p2, dp1_dth, dp1_dphi, dp2_dth, dp2_dphi
+
+
 @dataclass(frozen=True)
 class RamseyOutcomeModel:
-    """Two-arm measurement distributions P1/P2(s | theta, dphi) with gradients."""
+    """Two-arm measurement distributions P1/P2(s | theta, dphi) with gradients.
+
+    ``cache`` holds what `estimation` derives from the model alone (the
+    fringe grid and identifiability probes of a fit window), so the fits of
+    many records share it; it takes no part in comparison or hashing.
+    """
 
     spec: ProtocolSpec
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def evaluate(self, theta: float, dphi: float):
+    def evaluate(self, theta: float, dphi):
         """Return (p1, p2, dp1_dth, dp1_dphi, dp2_dth, dp2_dphi).
 
-        Each entry is a length-2 array indexed by the outcome s in {0, 1}.
+        Each entry is indexed by the outcome s in {0, 1} on its last axis; an
+        array ``dphi`` adds its shape in front.
         """
-        u, du_dth, du_dphi = _train_unitary_with_grad(self.spec, theta, dphi)
-        xi = self.spec.reference_phase
-        ref = np.array([[1.0, 0.0], [0.0, np.exp(1.0j * xi)]])
-        pre1 = ref @ (HADAMARD @ _E0)
-        psi1 = HADAMARD @ (u @ pre1)
-        dpsi1_dth = HADAMARD @ (du_dth @ pre1)
-        dpsi1_dphi = HADAMARD @ (du_dphi @ pre1)
-        psi2 = u @ _E0
-        dpsi2_dth = du_dth @ _E0
-        dpsi2_dphi = du_dphi @ _E0
-
-        def probs(psi):
-            return np.abs(psi) ** 2
-
-        def dprobs(psi, dpsi):
-            return 2.0 * np.real(np.conj(psi) * dpsi)
-
-        return (
-            probs(psi1),
-            probs(psi2),
-            dprobs(psi1, dpsi1_dth),
-            dprobs(psi1, dpsi1_dphi),
-            dprobs(psi2, dpsi2_dth),
-            dprobs(psi2, dpsi2_dphi),
-        )
+        train = train_unitary_with_grad(self.spec, theta, dphi)
+        return ramsey_probabilities(train, self.spec.reference_phase)
 
     def train_unitary(self, theta: float, dphi: float) -> np.ndarray:
-        return _train_unitary_with_grad(self.spec, theta, dphi)[0]
+        return train_unitary_with_grad(self.spec, theta, dphi)[0]
 
 
 def ramsey_model(spec: ProtocolSpec) -> RamseyOutcomeModel:

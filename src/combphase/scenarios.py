@@ -2,9 +2,9 @@
 
 Every bundled scenario exercises one slice of the library end-to-end and
 writes deterministic artifacts (CSV or JSON) plus a manifest recording the
-config hash, seed, package and git versions, and a timestamp.  Same config
-and seed always produce byte-identical data files; only the manifest's
-timestamp varies.
+config hash, seed, package and git versions, a timestamp and the run's wall
+time.  Same config and seed always produce byte-identical data files; only
+the manifest's timestamp and timings vary.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import hashlib
 import importlib.resources
 import json
 import subprocess
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -490,8 +491,9 @@ def run_scenario(
 ) -> dict:
     """Run one scenario; returns {'artifacts': [...], 'summary': {...}}.
 
-    Writes ``manifest.json`` beside the artifacts.  Deterministic data files
-    for a fixed config + seed.
+    Writes ``manifest.json`` beside the artifacts, with the runner's wall
+    time under ``timings``.  Deterministic data files for a fixed config +
+    seed.
     """
     if fmt not in ("csv", "json"):
         raise ScenarioConfigError(f"unsupported output format {fmt!r}")
@@ -503,7 +505,9 @@ def run_scenario(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    t0 = time.perf_counter()
     artifacts, summary = _RUNNERS[cfg.kind](cfg, out, fmt)
+    run_s = time.perf_counter() - t0
     from . import __version__
 
     manifest = {
@@ -515,6 +519,8 @@ def run_scenario(
         "config_sha256": hashlib.sha256(cfg.source_text.encode()).hexdigest(),
         "package_version": __version__,
         "numpy_version": np.__version__,
+        # wall times live here only: data files must stay byte-identical
+        "timings": {"run_s": run_s},
     }
     mpath = _write_json(out / "manifest.json", manifest)
     return {

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
-from combphase.errors import DegenerateFitError, WrapAmbiguityError
+from combphase.errors import DegenerateFitError, SingularInformationError, WrapAmbiguityError
 from combphase.estimation import (
     FisherMatrix,
     MeasurementRecord,
@@ -143,6 +144,127 @@ def test_optimize_reference_phase_reaches_max_information():
     # and the chosen fringe is balanced, not pinned at a node
     p1 = ramsey_model(replace(spec, reference_phase=xi)).evaluate(np.pi / 2, 0.001)[0]
     assert 0.05 < p1[1] < 0.95
+
+
+def _bounded_brent_fit(record, model, theta, window):
+    """Oracle: the fixed-theta fit as a bounded Brent minimisation of the
+    negative log-likelihood over the whole window."""
+    res = optimize.minimize_scalar(
+        lambda x: -log_likelihood_and_grad(record, model, theta, x)[0],
+        bounds=(-window, window), method="bounded", options={"xatol": 1e-12},
+    )
+    return float(res.x)
+
+
+def _sweep_model(kind, n, nd):
+    """A bundled CRLB point: the model at its reference phase, chi and true dphi."""
+    spec = ProtocolSpec(kind, n, nd, 0.0, np.pi / 2)
+    chi = spec.enhancement
+    dphi = 0.2 / chi
+    xi = optimize_reference_phase(spec, spec.theta, dphi, grid=64)
+    return ramsey_model(replace(spec, reference_phase=xi)), chi, dphi
+
+
+@pytest.mark.parametrize("kind,n,nd", [("1B", 10, 0), ("1B", 1000, 0), ("2B", 100, 50)])
+def test_fixed_theta_fit_matches_bounded_brent(kind, n, nd):
+    model, chi, dphi = _sweep_model(kind, n, nd)
+    m_shots = 10_000
+    p = model.evaluate(np.pi / 2, dphi)[0][1]
+    sigma = np.sqrt(m_shots * p * (1.0 - p))
+    # 300 distinct records spanning +-5 sigma of n1 around its expectation
+    n1s = np.unique(np.round(m_shots * p + np.linspace(-5.0, 5.0, 300) * sigma).astype(int))
+    assert n1s.size == 300
+    window = np.pi / (4.0 * chi)
+    worst = 0.0
+    for n1 in n1s:
+        rec = MeasurementRecord(m_shots, [m_shots - n1, n1], [m_shots, 0])
+        est = ml_estimate(rec, model, (np.pi / 2, 0.0), fix_theta=True)
+        assert est.converged
+        worst = max(worst, chi * abs(est.dphi_hat - _bounded_brent_fit(rec, model, np.pi / 2, window)))
+    assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+@pytest.mark.parametrize("n1,mirror", [(0, True), (10_000, False)])
+def test_fixed_theta_fit_without_a_root_returns_the_window_edge(n, n1, mirror):
+    # xi and xi + pi are equally informative and mirror the fringe; on the
+    # bundled xi, n1 = M is likeliest beyond the window, on its mirror n1 = 0
+    model, chi, _ = _sweep_model("1B", n, 0)
+    if mirror:
+        xi = np.mod(model.spec.reference_phase + np.pi, 2.0 * np.pi)
+        model = ramsey_model(replace(model.spec, reference_phase=xi))
+    rec = MeasurementRecord(10_000, [10_000 - n1, n1], [10_000, 0])
+    est = ml_estimate(rec, model, (np.pi / 2, 0.0), fix_theta=True)
+    assert abs(est.dphi_hat) >= 0.98 * np.pi / (4.0 * chi)
+    assert not est.converged
+
+
+@pytest.mark.parametrize("window", [0.0, -0.01, np.nan, np.inf])
+def test_ml_estimate_rejects_a_bad_window(window):
+    model = _model(n=100)
+    rec = sample_record(model, np.pi / 2, 0.002, 1000, seed=0)
+    with pytest.raises(ValueError, match="dphi_window"):
+        ml_estimate(rec, model, (np.pi / 2, 0.0), fix_theta=True, dphi_window=window)
+
+
+def test_fit_cache_lives_on_the_model_and_not_in_its_identity():
+    spec = ProtocolSpec("1B", 100, 0, np.pi / 2, np.pi / 2)
+    model = ramsey_model(spec)
+    rec = sample_record(model, np.pi / 2, 0.002, 1000, seed=0)
+    first = ml_estimate(rec, model, (np.pi / 2, 0.0), fix_theta=True)
+    assert model.cache
+    fresh = ramsey_model(spec)
+    assert not fresh.cache
+    assert fresh == model and hash(fresh) == hash(model)
+    again = ml_estimate(rec, fresh, (np.pi / 2, 0.0), fix_theta=True)
+    assert (again.dphi_hat, again.covariance[1, 1]) == (first.dphi_hat, first.covariance[1, 1])
+    # a narrower window on the same model gets its own grid: the fit pins at its edge
+    narrow = ml_estimate(rec, model, (np.pi / 2, 0.0), fix_theta=True, dphi_window=0.001)
+    assert narrow.dphi_hat == pytest.approx(0.001) and not narrow.converged
+
+
+def _reference_phase_by_models(spec, theta, dphi, grid):
+    """Oracle: the reference-phase search with one model and one Fisher
+    matrix per probed xi; exact ties go to the smallest xi."""
+
+    def probe(xi):
+        m = ramsey_model(replace(spec, reference_phase=float(np.mod(xi, 2.0 * np.pi))))
+        try:
+            i = fisher_matrix(m, theta, dphi, 1).matrix[1, 1]
+        except SingularInformationError:
+            return 0.0, 1.0
+        return i, abs(m.evaluate(theta, dphi)[0][1] - 0.5)
+
+    xis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    vals = [probe(xi) for xi in xis]
+    best_i = max(v[0] for v in vals)
+    near = [(imb, xi) for xi, (i, imb) in zip(xis, vals) if i >= best_i * (1.0 - 1e-9)]
+    least = min(imb for imb, _ in near)
+    best_xi = min(xi for imb, xi in near if imb <= least + 1e-12)
+    step = 2.0 * np.pi / grid
+    res = optimize.minimize_scalar(
+        lambda x: -probe(x)[0], bounds=(best_xi - step, best_xi + step), method="bounded"
+    )
+    if -res.fun > best_i * (1.0 + 1e-9):
+        best_xi = res.x
+    return float(np.mod(best_xi, 2.0 * np.pi))
+
+
+@pytest.mark.parametrize(
+    "kind,n,nd,theta,dphi",
+    [
+        ("1B", 10, 0, np.pi / 2, 0.02),
+        ("2B", 100, 50, np.pi / 2, 4e-5),
+        ("1A", 7, 0, 0.9, 0.013),
+        ("2A", 6, 3, 0.9, 0.01),
+        ("phase_ref", 9, 0, 1.0, 0.01),
+        ("1B", 64, 0, 0.95 * np.pi / 2, 0.003),
+    ],
+)
+def test_reference_phase_search_matches_one_model_per_probe(kind, n, nd, theta, dphi):
+    spec = ProtocolSpec(kind, n, nd, 0.0, theta)
+    expected = _reference_phase_by_models(spec, theta, dphi, 64)
+    assert optimize_reference_phase(spec, theta, dphi, grid=64) == pytest.approx(expected, abs=1e-9)
 
 
 def test_sensitivity_scan_slope_and_csv(tmp_path):

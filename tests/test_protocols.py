@@ -160,6 +160,20 @@ def test_model_gradients_match_finite_differences(kind, n, nd):
         assert np.max(np.abs(fd - dp)) < 1e-6 * (1.0 + np.max(np.abs(dp)))
 
 
+@pytest.mark.parametrize(
+    "kind,n,nd", [("1A", 7, 0), ("1B", 64, 0), ("1B", 1000, 0), ("2A", 6, 3), ("2B", 100, 50), ("phase_ref", 9, 0)]
+)
+def test_batched_evaluate_matches_scalar_loop(kind, n, nd):
+    theta = 0.9 if kind in ("1A", "2A") else 0.95 * np.pi / 2
+    model = ramsey_model(ProtocolSpec(kind, n, nd, 0.7, theta))
+    dphis = np.linspace(-0.05, 0.05, 33)
+    batched = model.evaluate(theta, dphis)
+    for i, dphi in enumerate(dphis):
+        for b, s in zip(batched, model.evaluate(theta, dphi)):
+            assert b.shape == (dphis.size, 2) and s.shape == (2,)
+            assert np.max(np.abs(b[i] - s)) <= 1e-15
+
+
 def test_1b_fringe_is_cos_squared():
     n, xi = 20, 0.8
     model = ramsey_model(ProtocolSpec("1B", n, 0, xi, np.pi / 2))

@@ -100,7 +100,8 @@ def test_run_scenario_writes_manifest(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["scenario"] == "visibility_budget"
     assert manifest["schema_version"] == 1
-    assert set(manifest) >= {"scenario", "schema_version", "seed", "git_rev", "started_at"}
+    assert set(manifest) >= {"scenario", "schema_version", "seed", "git_rev", "started_at", "timings"}
+    assert isinstance(manifest["timings"]["run_s"], float) and manifest["timings"]["run_s"] >= 0.0
     assert result["summary"]["pulse_budget"] == 184
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from combphase._su2 import MAGNUS_BLOCK, expm_herm, magnus_generators, ordered_product
+from combphase._su2 import MAGNUS_BLOCK, expm_herm, magnus_generators, matpow_with_grad, ordered_product
 
 
 def _sequential_fold(factors):
@@ -40,3 +40,24 @@ def test_magnus_generators_come_in_blocks():
     sizes = [g.shape[0] for g in magnus_generators(lambda t: np.zeros((t.size, 1, 2, 2)), 1.0, steps)]
     assert sizes == [MAGNUS_BLOCK, MAGNUS_BLOCK, 3]
 
+
+def _power_rule(m, dm, n):
+    """Oracle: d(m**n) = sum_j m**j dm m**(n-1-j), one term at a time."""
+    powers = [np.eye(2, dtype=complex)]
+    for _ in range(n):
+        powers.append(powers[-1] @ m)
+    return powers[n], sum((powers[j] @ dm @ powers[n - 1 - j] for j in range(n)), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 37])
+def test_matpow_with_grad_on_stacks_matches_power_rule(n):
+    ms = _random_unitaries(5, 1, 2, seed=n)[:, 0]
+    rng = np.random.default_rng(n + 100)
+    dms = [rng.normal(size=(5, 2, 2)) + 1.0j * rng.normal(size=(5, 2, 2)) for _ in range(2)]
+    p, dps = matpow_with_grad(ms, dms, n)
+    assert p.shape == (5, 2, 2) and [d.shape for d in dps] == [(5, 2, 2)] * 2
+    for i in range(5):
+        for dm, dp in zip(dms, dps):
+            expected_p, expected_dp = _power_rule(ms[i], dm[i], n)
+            assert np.allclose(p[i], expected_p, rtol=0.0, atol=1e-12)
+            assert np.allclose(dp[i], expected_dp, rtol=0.0, atol=1e-12 * max(n, 1))
