@@ -42,7 +42,6 @@ from .estimation import (
     MeasurementRecord,
     RefineConfig,
     RefineTrace,
-    ScanResult,
     crlb,
     estimator_study,
     fisher_matrix,
@@ -52,7 +51,6 @@ from .estimation import (
     optimize_reference_phase,
     refined_offset_uncertainty,
     sample_record,
-    sensitivity_scan,
 )
 from .noise import (
     DephasingSpec,

@@ -1,4 +1,5 @@
-"""Statistical engine: Fisher information, CRLB, ML estimation, scaling scans.
+"""Statistical engine: Fisher information, CRLB, ML estimation, seed-sweep
+estimator studies and the iterative lock.
 
 The measurement model is the two-arm Ramsey experiment of `protocols`:
 2M atoms, M interrogated with the Hadamard/reference-phase sandwich (arm 1)
@@ -20,6 +21,12 @@ from .protocols import (
 _PCLIP = 1e-12  # probability floor used inside likelihoods only
 #: points of the fixed-theta fringe grid over the dphi window (64 intervals)
 _GRID_POINTS = 65
+#: condition number above which `crlb` falls back to the pseudo-inverse
+_COND_LIMIT = 1e12
+#: longest train the lock grows to
+_N_MAX = 1 << 20
+#: the lock keeps chi * (residual bound) below this fraction of pi
+_SAFETY_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,7 @@ def _information(arm_terms, m_shots: int, chi: float):
 def _information_at(model: RamseyOutcomeModel, theta, dphi, m_shots, arms) -> np.ndarray:
     """Fisher matrices at ``dphi`` (scalar or array); raises if any point is singular."""
     terms = _arm_terms(model.evaluate(theta, dphi), arms)
-    info, singular = _information(terms, m_shots, max(model.spec.enhancement, 1.0))
+    info, singular = _information(terms, m_shots, model.spec.enhancement)
     if np.any(singular):
         raise SingularInformationError("outcome probability vanishes with nonzero derivative")
     return info
@@ -139,10 +146,14 @@ class CRLBResult:
     singular: bool
 
 
-def crlb(f: FisherMatrix, cond_limit: float = 1e12) -> CRLBResult:
-    """Per-parameter variance lower bounds: diagonal of the inverse Fisher."""
+def crlb(f: FisherMatrix) -> CRLBResult:
+    """Per-parameter variance lower bounds: diagonal of the inverse Fisher.
+
+    An all-zero or ill-conditioned matrix is flagged ``singular`` and
+    inverted by the pseudo-inverse.
+    """
     m = f.matrix
-    singular = np.linalg.cond(m) > cond_limit if np.any(m) else True
+    singular = np.linalg.cond(m) > _COND_LIMIT if np.any(m) else True
     inv = np.linalg.pinv(m) if singular else np.linalg.inv(m)
     return CRLBResult(variances=np.diag(inv).copy(), singular=bool(singular))
 
@@ -214,7 +225,7 @@ def ml_estimate(
     followed by a joint quasi-Newton polish with the analytic gradient.
     """
     theta0, dphi0 = float(init[0]), float(init[1])
-    chi = max(model.spec.enhancement, 1.0)
+    chi = model.spec.enhancement
     if dphi_window is None:
         dphi_window = np.pi / (4.0 * chi)
     elif not (np.isfinite(dphi_window) and dphi_window > 0.0):
@@ -268,7 +279,7 @@ def _identifiability(model, theta0, dphi0, window, m_shots, arms):
     """
     key = ("probes", theta0, dphi0, window, m_shots, arms)
     if key not in model.cache:
-        chi = max(model.spec.enhancement, 1.0)
+        chi = model.spec.enhancement
         scale = np.array([1.0, chi])
         probes = dphi0 + np.array([-0.6, -0.25, 0.0, 0.25, 0.6]) * window
         scaled = _information_at(model, theta0, probes, m_shots, arms) / np.outer(scale, scale)
@@ -395,7 +406,7 @@ def optimize_reference_phase(
     gradients are computed once and every probe only re-applies arm 1.
     """
     train = train_unitary_with_grad(spec, theta, dphi)
-    chi = max(spec.enhancement, 1.0)
+    chi = spec.enhancement
 
     def probe(xi):
         """(dphi information, fringe imbalance |P1(1) - 1/2|) at reference phase(s) xi."""
@@ -451,73 +462,7 @@ def estimator_study(
     return estimates, float(variance)
 
 
-# --- sensitivity scaling scans -------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    n: int
-    n_delay: int
-    m_shots: int
-    sigma_dphi: float  # empirical std of the ML estimate
-    crlb_sigma: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    kind: str
-    points: list[ScanPoint]
-    slope: float  # d log(sigma) / d log(x), x = enhancement variable
-    slope_stderr: float
-
-    def enhancement_values(self) -> np.ndarray:
-        if self.kind == "2B":
-            return np.array([p.n * p.n_delay for p in self.points], dtype=float)
-        if self.kind == "2A":
-            return np.array([p.n_delay for p in self.points], dtype=float)
-        return np.array([p.n for p in self.points], dtype=float)
-
-
-def sensitivity_scan(
-    kind: str,
-    n_values,
-    m_shots: int,
-    n_seeds: int,
-    n_delay_values=None,
-    theta: float = np.pi / 2,
-    target_fringe: float = 0.2,
-    seed: int = 0,
-) -> ScanResult:
-    """Empirical sigma_dphi over seeds at each train size, with log-log slope.
-
-    The true dphi at each point is target_fringe / chi so every point sits at
-    the same well-conditioned spot on its fringe.  theta is treated as
-    calibrated (fixed) in the fits; the joint-estimation behavior is covered
-    by the CRLB-saturation study.
-    """
-    n_values = list(n_values)
-    if n_delay_values is None:
-        n_delay_values = [0] * len(n_values)
-    if len(n_values) < 3:
-        raise ValueError("a scaling scan needs at least three train sizes for its slope error")
-    if len(n_delay_values) != len(n_values):
-        raise ValueError("n_delay_values must match n_values in length")
-    points = []
-    for i, (n, nd) in enumerate(zip(n_values, n_delay_values)):
-        spec = ProtocolSpec(kind, n, nd, 0.0, theta)
-        chi = max(spec.enhancement, 1.0)
-        estimates, variance = estimator_study(
-            spec, target_fringe / chi, m_shots, range(seed + 1000 * i, seed + 1000 * i + n_seeds)
-        )
-        sigma = float(np.std(estimates, ddof=1))
-        crlb_sigma = float(np.sqrt(variance))
-        points.append(ScanPoint(n, nd, m_shots, sigma, crlb_sigma, sigma / crlb_sigma))
-    result = ScanResult(kind, points, 0.0, 0.0)
-    x = np.log(result.enhancement_values())
-    y = np.log([p.sigma_dphi for p in points])
-    coef, cov = np.polyfit(x, y, 1, cov=True)
-    return ScanResult(kind, points, float(coef[0]), float(np.sqrt(cov[0, 0])))
+# --- offset-frequency resolution ------------------------------------------
 
 
 def offset_resolution(rep_rate: float, n: int, n_delay: int = 1) -> float:
@@ -543,9 +488,7 @@ class RefineConfig:
     growth: int = 4
     max_stages: int = 6
     prior_bound: float = 0.02  # |dphi| known a priori [rad]
-    n_max: int = 1 << 20
     seed: int = 0
-    safety_fraction: float = 0.25  # keep chi * bound below this fraction of pi
 
 
 @dataclass(frozen=True)
@@ -570,18 +513,19 @@ class RefineTrace:
 def iterative_refine(true_dphi: float, config: RefineConfig = RefineConfig()) -> RefineTrace:
     """Lock a simulated comb: estimate, feed back, grow the train, repeat.
 
-    Each stage runs protocol 1B at quadrature reference phase, with the train
-    length capped so the accumulated residual phase stays inside the
-    unambiguous fringe.  A fit that pins to its window edge is treated as a
-    wrap: the stage backs off to the previous train length once and aborts
-    with WrapAmbiguityError if it happens again.
+    Each stage runs protocol 1B at quadrature reference phase.  The next
+    train grows by ``growth``, capped so that five CRLB standard deviations
+    of the stage's estimate, the residual bound the controller can know,
+    stay inside the unambiguous fringe.  A fit that pins to its window edge
+    is treated as a wrap: the stage backs off to the previous train length
+    once and aborts with WrapAmbiguityError if it happens again.
     """
     if abs(true_dphi) > config.prior_bound * 1.001:
         raise WrapAmbiguityError("true offset exceeds the assumed prior bound")
     residual = float(true_dphi)
     bound = config.prior_bound
     stages: list[RefineStage] = []
-    n = _safe_train_length(bound, config)
+    n = _safe_train_length(bound)
     backed_off = False
     stage_idx = 0
     while stage_idx < config.max_stages:
@@ -605,8 +549,8 @@ def iterative_refine(true_dphi: float, config: RefineConfig = RefineConfig()) ->
         crlb_sigma = float(np.sqrt(est.crlb_diag[1]))
         stages.append(RefineStage(n, est.dphi_hat, residual, crlb_sigma))
         stage_idx += 1
-        bound = max(5.0 * crlb_sigma, abs(residual))
-        n_next = min(n * config.growth, _safe_train_length(bound, config), config.n_max)
+        bound = 5.0 * crlb_sigma
+        n_next = min(n * config.growth, _safe_train_length(bound))
         n_next -= n_next % 2
         if n_next <= n:
             break
@@ -619,9 +563,10 @@ def iterative_refine(true_dphi: float, config: RefineConfig = RefineConfig()) ->
     )
 
 
-def _safe_train_length(bound: float, config: RefineConfig) -> int:
+def _safe_train_length(bound: float) -> int:
+    """Longest even train, at most `_N_MAX`, whose fringe keeps ``bound`` unambiguous."""
     if bound <= 0:
-        return config.n_max
-    n = int(config.safety_fraction * np.pi / bound)
+        return _N_MAX
+    n = int(_SAFETY_FRACTION * np.pi / bound)
     n = max(n - (n % 2), 2)  # even for the 1B closed form
-    return min(n, config.n_max)
+    return min(n, _N_MAX)

@@ -20,7 +20,6 @@ from combphase.estimation import (
     offset_resolution,
     optimize_reference_phase,
     sample_record,
-    sensitivity_scan,
 )
 from combphase.protocols import ProtocolSpec, ramsey_model
 from combphase.scenarios import run_scenario
@@ -279,13 +278,6 @@ def test_sensitivity_scan_slope_and_csv(tmp_path):
     assert lines[0] == "N,N_d,M,sigma_dphi,crlb,ratio"
     assert len(lines) == 4
     assert "slope" in (tmp_path / "scaling_1B.slope.json").read_text()
-
-
-def test_sensitivity_scan_needs_three_sizes():
-    with pytest.raises(ValueError, match="three"):
-        sensitivity_scan("1B", [10, 20], m_shots=200, n_seeds=3)
-    with pytest.raises(ValueError, match="n_delay_values"):
-        sensitivity_scan("2B", [10, 20, 40], m_shots=200, n_seeds=3, n_delay_values=[4, 8])
 
 
 def test_estimator_study_matches_per_seed_fits():

@@ -222,8 +222,30 @@ def test_missing_required_param_rejected(tmp_path):
 
 
 def test_scaling_scan_needs_three_sizes(tmp_path, no_fits):
-    cfg = _config(tmp_path, "table1_scaling", {"scans": [{"kind": "1B", "n_values": [10, 20]}]})
-    assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_SCHEMA
+    valid = {"kind": "1B", "n_values": [4, 8, 16]}
+    bad_scans = {
+        "two sizes": [{"kind": "1B", "n_values": [10, 20]}],
+        "mismatched delays": [{"kind": "2B", "n_values": [10, 20, 40], "n_delay_values": [4, 8]}],
+        "chi = 1 throughout (1A)": [{"kind": "1A", "n_values": [10, 20, 40]}],
+        "repeated chi": [{"kind": "1B", "n_values": [10, 20, 10]}],
+        "odd 1B size": [{"kind": "1B", "n_values": [10, 20, 31]}],
+        "bad scan after a valid one": [valid, {"kind": "1B", "n_values": [10, 20]}],
+        "two scans of one kind": [valid, {"kind": "1B", "n_values": [32, 64, 128]}],
+    }
+    for name, scans in bad_scans.items():
+        out = tmp_path / name.replace(" ", "_")
+        cfg = _config(tmp_path, "table1_scaling", {"scans": scans})
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA, name
+        assert not list(out.glob("scaling_*")), name
+
+
+def test_closed_forms_match_the_outcome_model(tmp_path):
+    # the tiny run's third case is a phase_ref train
+    cfg = _config(tmp_path, "closed_forms", TINY_PARAMS["closed_forms"])
+    result = run_scenario(cfg, tmp_path / "out")
+    rows = (tmp_path / "out" / "closed_forms.csv").read_text().splitlines()
+    assert [r.split(",")[1] for r in rows[1:]] == ["1B", "2B", "phase_ref"]
+    assert result["summary"]["worst_fidelity_error"] < 1e-9
 
 
 def test_bundled_and_benchmark_configs_load():
