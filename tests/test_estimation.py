@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from combphase.errors import DegenerateFitError, SingularInformationError, WrapAmbiguityError
+from combphase.errors import (
+    DegenerateFitError,
+    ScenarioConfigError,
+    SingularInformationError,
+    WrapAmbiguityError,
+)
 from combphase.estimation import (
     FisherMatrix,
     MeasurementRecord,
@@ -278,6 +283,22 @@ def test_sensitivity_scan_slope_and_csv(tmp_path):
     assert lines[0] == "N,N_d,M,sigma_dphi,crlb,ratio"
     assert len(lines) == 4
     assert "slope" in (tmp_path / "scaling_1B.slope.json").read_text()
+
+
+def test_sensitivity_scan_needs_three_sizes(tmp_path):
+    def scan(entry):
+        cfg = tmp_path / "scan.yaml"
+        cfg.write_text(
+            "schema_version: 1\nname: bad_scan\nkind: table1_scaling\nseed: 3\n"
+            f"params: {{m_shots: 200, n_seeds: 3, scans: [{entry}]}}\n"
+        )
+        run_scenario(cfg, tmp_path / "out")
+
+    with pytest.raises(ScenarioConfigError, match="three"):
+        scan("{kind: 1B, n_values: [10, 20]}")
+    with pytest.raises(ScenarioConfigError, match="n_delay_values"):
+        scan("{kind: 2B, n_values: [10, 20, 40], n_delay_values: [4, 8]}")
+    assert not list((tmp_path / "out").glob("scaling_*"))
 
 
 def test_estimator_study_matches_per_seed_fits():
