@@ -504,21 +504,33 @@ class RefineTrace:
     stages: list[RefineStage]
     locked: bool
     final_crlb_sigma: float
+    backoffs: int  # fits that pinned to the window edge and shortened the train
 
     @property
     def final_residual(self) -> float:
         return self.stages[-1].residual
 
 
-def iterative_refine(true_dphi: float, config: RefineConfig = RefineConfig()) -> RefineTrace:
+def iterative_refine(
+    true_dphi: float,
+    config: RefineConfig = RefineConfig(),
+    models: dict[ProtocolSpec, RamseyOutcomeModel] | None = None,
+) -> RefineTrace:
     """Lock a simulated comb: estimate, feed back, grow the train, repeat.
 
     Each stage runs protocol 1B at quadrature reference phase.  The next
     train grows by ``growth``, capped so that five CRLB standard deviations
     of the stage's estimate, the residual bound the controller can know,
     stay inside the unambiguous fringe.  A fit that pins to its window edge
-    is treated as a wrap: the stage backs off to the previous train length
-    once and aborts with WrapAmbiguityError if it happens again.
+    is treated as a wrap: the stage backs off once to N // growth, rounded
+    down to an even length, and aborts with WrapAmbiguityError if it happens
+    again.  ``RefineTrace.backoffs`` counts the back-offs.
+
+    ``models`` maps each stage's `ProtocolSpec` to its outcome model.  A
+    dict shared by several locks lets them reuse one model per train length,
+    and with it the fringe grid and identifiability probes cached on the
+    model; the locks' results do not change.  Models missing from the dict
+    are built and added.  With ``None`` every stage builds its own model.
     """
     if abs(true_dphi) > config.prior_bound * 1.001:
         raise WrapAmbiguityError("true offset exceeds the assumed prior bound")
@@ -526,22 +538,24 @@ def iterative_refine(true_dphi: float, config: RefineConfig = RefineConfig()) ->
     bound = config.prior_bound
     stages: list[RefineStage] = []
     n = _safe_train_length(bound)
-    backed_off = False
+    backoffs = 0
     stage_idx = 0
     while stage_idx < config.max_stages:
         spec = ProtocolSpec("1B", n, 0, np.pi / 2.0, np.pi / 2.0)
         model = ramsey_model(spec)
+        if models is not None:
+            model = models.setdefault(spec, model)
         rec = sample_record(
             model, np.pi / 2.0, residual, config.m_shots, seed=config.seed + 7919 * stage_idx
         )
         window = np.pi / (4.0 * spec.enhancement)
         est = ml_estimate(rec, model, (np.pi / 2.0, 0.0), fix_theta=True, dphi_window=window)
         if abs(est.dphi_hat) >= 0.98 * window:
-            if backed_off:
+            if backoffs:
                 raise WrapAmbiguityError(
                     f"estimate pinned to the fringe edge twice at N={n}"
                 )
-            backed_off = True
+            backoffs += 1
             n = max(n // config.growth, 2)
             n -= n % 2
             continue
@@ -560,6 +574,7 @@ def iterative_refine(true_dphi: float, config: RefineConfig = RefineConfig()) ->
         stages=stages,
         locked=bool(abs(stages[-1].residual) <= 3.0 * final_sigma),
         final_crlb_sigma=final_sigma,
+        backoffs=backoffs,
     )
 
 

@@ -449,11 +449,14 @@ def _run_refine(cfg, out, fmt):
     )
 
     true_bound = abs(c.phase_step)
+    # one model per train length for all locks of this run: without the
+    # oracle the locks share their N schedule, so each fringe grid is built once
+    models = {}
 
     def one(seed):
         rng = np.random.default_rng(seed)
         true = float(rng.uniform(-true_bound, true_bound))
-        tr = estimation.iterative_refine(true, replace(config, seed=seed * 13 + cfg.seed))
+        tr = estimation.iterative_refine(true, replace(config, seed=seed * 13 + cfg.seed), models)
         return true, tr
 
     results = [one(s) for s in range(cfg.seed, cfg.seed + p["n_seeds"])]
@@ -481,6 +484,7 @@ def _run_refine(cfg, out, fmt):
     return [path, tpath], {
         "all_locked": bool(all(r[7] for r in rows)),
         "worst_residual_ratio": max(r[6] for r in rows),
+        "backoffs": sum(tr.backoffs for _, tr in results),
     }
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from combphase import estimation, fiber_comb_preset
 from combphase.errors import (
     DegenerateFitError,
     ScenarioConfigError,
@@ -339,3 +340,63 @@ def test_iterative_refine_tightens_each_stage():
 def test_iterative_refine_rejects_out_of_prior_truth():
     with pytest.raises(WrapAmbiguityError):
         iterative_refine(0.05, RefineConfig(prior_bound=0.01))
+
+
+# Scenario seed of the benchmark's lock workload at master seed 1.  Lock 14
+# of that run (true dphi 0.01251954992842703) pins its first fit, at N = 62,
+# backs off to N = 14 and then locks in six stages.
+_LOCK_SEED = 1835504127
+_BACKOFF_LOCK = 14
+
+
+def _fiber_lock(i):
+    """(true dphi, config) of lock ``i`` of a `refine_fiber` run at `_LOCK_SEED`."""
+    prior = abs(fiber_comb_preset().phase_step)
+    seed = _LOCK_SEED + i
+    true = float(np.random.default_rng(seed).uniform(-prior, prior))
+    config = RefineConfig(m_shots=5000, prior_bound=prior, seed=13 * seed + _LOCK_SEED)
+    return true, config
+
+
+def _record_fits(monkeypatch):
+    """Record (model, dphi_hat, window) of every ml_estimate call."""
+    fits = []
+
+    def spy(record, model, init, **kwargs):
+        est = ml_estimate(record, model, init, **kwargs)
+        fits.append((model, est.dphi_hat, kwargs["dphi_window"]))
+        return est
+
+    monkeypatch.setattr(estimation, "ml_estimate", spy)
+    return fits
+
+
+def test_iterative_refine_recovers_from_one_backoff(monkeypatch):
+    fits = _record_fits(monkeypatch)
+    true, config = _fiber_lock(_BACKOFF_LOCK)
+    trace = iterative_refine(true, config)
+    pinned_model, dphi_hat, window = fits[0]
+    assert abs(dphi_hat) >= 0.98 * window
+    pinned_n = pinned_model.spec.n_pulses
+    backed_off = pinned_n // config.growth
+    backed_off -= backed_off % 2
+    assert [s.n for s in trace.stages] == [backed_off * config.growth**k for k in range(6)]
+    assert (pinned_n, backed_off) == (62, 14)
+    assert trace.backoffs == 1
+    assert trace.locked
+    assert len(fits) == len(trace.stages) + 1
+
+
+def test_shared_models_leave_every_lock_unchanged(monkeypatch):
+    """Sharing one model per train length across locks changes no trace."""
+    locks = [_fiber_lock(i) for i in range(20)]
+    alone = [iterative_refine(true, config) for true, config in locks]
+    fits = _record_fits(monkeypatch)
+    models = {}
+    shared = [iterative_refine(true, config, models) for true, config in locks]
+    assert shared == alone
+    assert any(t.backoffs for t in shared)
+    # one model per distinct spec fitted, each with one fringe grid
+    assert {model.spec for model, _, _ in fits} == set(models)
+    assert all(model is models[model.spec] for model, _, _ in fits)
+    assert all(sum(key[0] == "grid" for key in m.cache) == 1 for m in models.values())

@@ -135,6 +135,33 @@ def test_cli_runs_bundled_scenario(tmp_path, capsys):
     assert (tmp_path / "error_models.csv").exists()
 
 
+def test_cli_refine_summary_counts_backoffs(tmp_path, capsys):
+    # lock 14 at this seed pins once and recovers (see test_estimation)
+    cfg = _config(tmp_path, "refine_fiber", {"n_seeds": 15, "m_shots": 5000})
+    assert main(["run", str(cfg), "--seed", "1835504127", "--out", str(tmp_path)]) == 0
+    summary, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    assert summary["backoffs"] == 1
+    assert summary["all_locked"]
+
+
+def test_refine_locks_share_models_within_one_run_only(tmp_path, monkeypatch):
+    dicts = []
+    refine = estimation.iterative_refine
+
+    def spy(true_dphi, config, models):
+        dicts.append(models)
+        return refine(true_dphi, config, models)
+
+    monkeypatch.setattr(estimation, "iterative_refine", spy)
+    cfg = _config(tmp_path, "refine_fiber", {"n_seeds": 3, "m_shots": 500})
+    run_scenario(cfg, tmp_path / "a")
+    run_scenario(cfg, tmp_path / "b")
+    first, second = dicts[:3], dicts[3:]
+    assert all(d is first[0] for d in first) and all(d is second[0] for d in second)
+    assert first[0] is not second[0]
+    assert first[0] and first[0].keys() == second[0].keys()
+
+
 def test_cli_numeric_failure_exit_code(tmp_path):
     cfg = tmp_path / "impossible.yaml"
     cfg.write_text(yaml.safe_dump({
@@ -170,7 +197,8 @@ def test_same_seed_gives_identical_refine_files(tmp_path):
     }))
     run_scenario(cfg, a)
     run_scenario(cfg, b)
-    assert (a / "refine_fiber.csv").read_bytes() == (b / "refine_fiber.csv").read_bytes()
+    for name in ("refine_fiber.csv", "refine_trace_seed0.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 @pytest.mark.parametrize(
