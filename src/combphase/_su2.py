@@ -26,7 +26,6 @@ STEPS_PER_PERIOD = 16
 MAX_DOUBLINGS = 6
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -51,13 +50,13 @@ def rot_z(angle) -> np.ndarray:
     return u
 
 
-def expm_herm(h: np.ndarray, scale: complex = -1.0j) -> np.ndarray:
-    """exp(scale * h) for a (batched) Hermitian matrix via eigendecomposition.
+def expm_herm(h: np.ndarray) -> np.ndarray:
+    """exp(-i h) for a (batched) Hermitian matrix via eigendecomposition.
 
     h may have shape (..., d, d); the result has the same shape.
     """
     w, v = np.linalg.eigh(h)
-    phases = np.exp(scale * w)
+    phases = np.exp(-1.0j * w)
     return np.einsum("...ik,...k,...jk->...ij", v, phases, v.conj())
 
 

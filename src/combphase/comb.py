@@ -43,10 +43,6 @@ class CombSpec:
             raise ValueError(f"unknown phase convention {self.phase_convention!r}")
 
     @property
-    def rep_rate(self) -> float:
-        return 1.0 / self.rep_period
-
-    @property
     def phase_step(self) -> float:
         """Pulse-to-pulse phase increment [rad]."""
         step = self.offset_freq * self.rep_period

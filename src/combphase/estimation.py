@@ -21,6 +21,10 @@ from .protocols import (
 _PCLIP = 1e-12  # probability floor used inside likelihoods only
 #: points of the fixed-theta fringe grid over the dphi window (64 intervals)
 _GRID_POINTS = 65
+#: half-width of the theta window of a joint fit [rad]
+_THETA_WINDOW = 0.3
+#: reference phases on the grid of `optimize_reference_phase` before its refinement
+_REFERENCE_GRID = 64
 #: condition number above which `crlb` falls back to the pseudo-inverse
 _COND_LIMIT = 1e12
 #: longest train the lock grows to
@@ -204,7 +208,6 @@ def ml_estimate(
     init: tuple[float, float],
     fix_theta: bool = False,
     dphi_window: float | None = None,
-    theta_window: float = 0.3,
 ) -> EstimationResult:
     """Maximum-likelihood point estimate of (theta, dphi).
 
@@ -251,9 +254,7 @@ def ml_estimate(
         th = theta0
         dp, converged, n_evaluations = _fixed_theta_fit(record, model, th, dp_lo, dp_hi, chi)
     else:
-        th, dp, converged, n_evaluations = _joint_fit(
-            record, model, theta0, dphi0, (dp_lo, dp_hi), theta_window
-        )
+        th, dp, converged, n_evaluations = _joint_fit(record, model, theta0, dphi0, (dp_lo, dp_hi))
 
     bounds_result = crlb(fisher_matrix(model, th, dp, record.m_shots, arms=arms))
     cov = _observed_covariance(record, model, th, dp, fix_theta, chi)
@@ -331,7 +332,7 @@ def _fixed_theta_fit(record, model, theta, lo, hi, chi):
     return float(root), bool(res.converged), evals[0]
 
 
-def _joint_fit(record, model, theta0, dphi0, dphi_bounds, theta_window):
+def _joint_fit(record, model, theta0, dphi0, dphi_bounds):
     """(theta_hat, dphi_hat, converged, evaluations) of the joint fit."""
     evals = [0]
 
@@ -340,7 +341,7 @@ def _joint_fit(record, model, theta0, dphi0, dphi_bounds, theta_window):
         ll, g = log_likelihood_and_grad(record, model, theta, dphi)
         return -ll, -g
 
-    th_lo, th_hi = max(theta0 - theta_window, 1e-6), theta0 + theta_window
+    th_lo, th_hi = max(theta0 - _THETA_WINDOW, 1e-6), theta0 + _THETA_WINDOW
     res = optimize.minimize_scalar(
         lambda x: nll(theta0, x)[0], bounds=dphi_bounds, method="bounded",
         options={"xatol": 1e-12},
@@ -393,17 +394,13 @@ def _observed_covariance(record, model, theta, dphi, fix_theta, chi):
         return np.full((2, 2), np.inf)
 
 
-def optimize_reference_phase(
-    spec: ProtocolSpec,
-    theta: float,
-    dphi: float,
-    m_shots: int = 1,
-    grid: int = 256,
-) -> float:
+def optimize_reference_phase(spec: ProtocolSpec, theta: float, dphi: float) -> float:
     """Reference phase maximizing the dphi Fisher information (grid + refine).
 
-    The train does not depend on the reference phase, so its unitary and
-    gradients are computed once and every probe only re-applies arm 1.
+    The information is taken per shot, since the shot count scales it and
+    leaves the argmax alone.  The train does not depend on the reference
+    phase, so its unitary and gradients are computed once and every probe
+    only re-applies arm 1.
     """
     train = train_unitary_with_grad(spec, theta, dphi)
     chi = spec.enhancement
@@ -411,11 +408,11 @@ def optimize_reference_phase(
     def probe(xi):
         """(dphi information, fringe imbalance |P1(1) - 1/2|) at reference phase(s) xi."""
         probs = ramsey_probabilities(train, np.mod(xi, 2.0 * np.pi))
-        info, singular = _information(_arm_terms(probs, ("p1", "p2")), m_shots, chi)
+        info, singular = _information(_arm_terms(probs, ("p1", "p2")), 1, chi)
         info = np.where(singular, 0.0, info[..., 1, 1])
         return info, np.where(singular, 1.0, np.abs(probs[0][..., 1] - 0.5))
 
-    xis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    xis = np.linspace(0.0, 2.0 * np.pi, _REFERENCE_GRID, endpoint=False)
     info, imbalance = probe(xis)
     best_i = info.max()
     # The information is often flat in xi; among near-maximal points prefer a
@@ -424,7 +421,7 @@ def optimize_reference_phase(
     # decide: ties within 1e-12 go to the smallest xi.
     imbalance = np.where(info >= best_i * (1.0 - 1e-9), imbalance, np.inf)
     best_xi = xis[np.argmax(imbalance <= imbalance.min() + 1e-12)]
-    step = 2.0 * np.pi / grid
+    step = 2.0 * np.pi / _REFERENCE_GRID
     res = optimize.minimize_scalar(
         lambda x: -probe(x)[0], bounds=(best_xi - step, best_xi + step), method="bounded"
     )
@@ -450,7 +447,7 @@ def estimator_study(
     and the CRLB variance of dphi for one experiment.
     """
     theta = spec.theta
-    xi = optimize_reference_phase(spec, theta, dphi, grid=64)
+    xi = optimize_reference_phase(spec, theta, dphi)
     model = ramsey_model(replace(spec, reference_phase=xi))
 
     def one(seed):

@@ -99,11 +99,6 @@ class PulseSpec:
         shape, area = unit_envelope(self.envelope_kind, t, self.tau)
         return self.theta * shape / area
 
-    def replace(self, **kwargs) -> "PulseSpec":
-        from dataclasses import replace
-
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class Unitary:
@@ -119,13 +114,6 @@ class Unitary:
         object.__setattr__(self, "matrix", m)
         if unitarity_defect(m) > self.tol:
             raise ValueError("matrix is not unitary within tolerance")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __matmul__(self, other: "Unitary") -> "Unitary":
-        return Unitary(self.matrix @ other.matrix, tol=max(self.tol, other.tol))
 
 
 @dataclass(frozen=True)

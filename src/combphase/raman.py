@@ -19,8 +19,6 @@ from ._su2 import expm_herm, magnus_generators, ordered_product, refine_until_st
 from .errors import IntegrationError
 from .pulses import ENVELOPE_KINDS, Unitary, rwa_matrix, unit_envelope
 
-_BASIS = ("a", "b", "c")  # indices 0, 1, 2
-
 
 @dataclass(frozen=True)
 class LambdaSpec:
@@ -51,10 +49,6 @@ class LambdaSpec:
         return self.excited_energy - self.laser_freq
 
     @property
-    def phi_l(self) -> float:
-        return self.phi_2 - self.phi_1
-
-    @property
     def carrier_cycles(self) -> float:
         return self.duration * self.laser_freq / (2.0 * np.pi)
 
@@ -62,11 +56,6 @@ class LambdaSpec:
         """Evaluate s(t); vectorized, zero outside [-duration/2, duration/2]."""
         shape, _ = unit_envelope(self.envelope_kind, t, self.duration)
         return self.rabi * shape
-
-    def replace(self, **kwargs) -> "LambdaSpec":
-        from dataclasses import replace
-
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import yaml
 
@@ -31,8 +30,7 @@ SCHEMA_VERSION = 1
 REQUIRED = "required"
 
 #: Params of each scenario kind with their defaults; the runners read only
-#: these keys, and a config may set no others.  Entries of ``points`` and
-#: ``scans`` are read by their runner and not checked here.
+#: these keys, and a config may set no others.
 PARAMS = {
     "rwa_validity": {
         "cycles": [5, 10, 20, 30, 60],
@@ -77,20 +75,25 @@ PARAMS = {
     "visibility_budget": {"lifetime_s": 8e-9, "excited_window_s": 1e-10, "epsilon": 0.1},
 }
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "name": {"type": "string", "minLength": 1},
-        "kind": {"enum": list(PARAMS)},
-        "description": {"type": "string"},
-        "tags": {"type": "array", "items": {"type": "string"}},
-        "seed": {"type": "integer", "minimum": 0},
-        "params": {"type": "object"},
-    },
-    "required": ["schema_version", "name", "kind"],
-    "additionalProperties": False,
+#: (required keys, optional keys) of each entry of a list param, per
+#: (kind, param); the runners give the optional keys their documented defaults.
+ENTRY_KEYS = {
+    ("crlb_saturation", "points"): (("kind", "n", "dphi"), ("n_delay", "m_shots", "theta", "seed_offset")),
+    ("table1_scaling", "scans"): (("kind", "n_values"), ("n_delay_values",)),
+    ("resolution_extrapolation", "extrapolations"): (("rep_rate_hz", "n", "n_delay"), ()),
 }
+
+#: Top-level keys of a config: (rule, what the rule asks for).
+_TOP_LEVEL = {
+    "schema_version": (lambda v: v == SCHEMA_VERSION and not isinstance(v, bool), f"{SCHEMA_VERSION}"),
+    "name": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "kind": (lambda v: isinstance(v, str) and v in PARAMS, f"one of {', '.join(PARAMS)}"),
+    "description": (lambda v: isinstance(v, str), "a string"),
+    "tags": (lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v), "a list of strings"),
+    "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0, "a non-negative integer"),
+    "params": (lambda v: isinstance(v, dict), "a mapping"),
+}
+_REQUIRED_TOP_LEVEL = ("schema_version", "name", "kind")
 
 
 @dataclass(frozen=True)
@@ -104,33 +107,47 @@ class ScenarioConfig:
     source_text: str = ""
 
 
+def _check_keys(where: str, mapping: dict, required, allowed) -> None:
+    for problem, keys in (
+        ("unknown", [k for k in mapping if k not in allowed]),
+        ("missing", [k for k in required if k not in mapping]),
+    ):
+        if keys:
+            raise ScenarioConfigError(f"{where}: {problem} keys {', '.join(sorted(map(str, keys)))}")
+
+
 def _validate(raw) -> None:
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise ScenarioConfigError(f"invalid scenario config: {e.message}") from e
-    known = PARAMS[raw["kind"]]
-    params = raw.get("params", {})
-    unknown = sorted(set(params) - set(known))
-    if unknown:
-        raise ScenarioConfigError(f"unknown params for kind {raw['kind']}: {', '.join(unknown)}")
-    missing = sorted(k for k, v in known.items() if v is REQUIRED and k not in params)
-    if missing:
-        raise ScenarioConfigError(f"missing params for kind {raw['kind']}: {', '.join(missing)}")
+    """Raise `ScenarioConfigError`, naming the key, unless ``raw`` is a valid
+    config: the top-level keys (`_TOP_LEVEL`), the params of its kind
+    (`PARAMS`) and the keys of each list entry (`ENTRY_KEYS`)."""
+    if not isinstance(raw, dict):
+        raise ScenarioConfigError("scenario config must be a mapping")
+    _check_keys("top level", raw, _REQUIRED_TOP_LEVEL, _TOP_LEVEL)
+    for key, (rule, wanted) in _TOP_LEVEL.items():
+        if key in raw and not rule(raw[key]):
+            raise ScenarioConfigError(f"{key} must be {wanted}, got {raw[key]!r}")
+    kind, params = raw["kind"], raw.get("params", {})
+    known = PARAMS[kind]
+    _check_keys(f"params of kind {kind}", params, [k for k, v in known.items() if v is REQUIRED], known)
+    for (entry_kind, param), (required, optional) in ENTRY_KEYS.items():
+        if entry_kind == kind and param in params:
+            entries = params[param]
+            if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+                raise ScenarioConfigError(f"{param} must be a list of mappings, got {entries!r}")
+            for i, entry in enumerate(entries):
+                _check_keys(f"{param} entry {i}", entry, required, required + optional)
 
 
 def load_scenario_config(path) -> ScenarioConfig:
     text = Path(path).read_text()
     raw = yaml.safe_load(text)
-    if not isinstance(raw, dict):
-        raise ScenarioConfigError("scenario config must be a mapping")
     _validate(raw)
     return ScenarioConfig(
         name=raw["name"],
         kind=raw["kind"],
         description=raw.get("description", ""),
         tags=tuple(raw.get("tags", ())),
-        seed=int(raw.get("seed", 0)),
+        seed=raw.get("seed", 0),
         params={**PARAMS[raw["kind"]], **raw.get("params", {})},
         source_text=text,
     )
@@ -142,21 +159,13 @@ def _bundle_dir():
 
 def list_scenarios(tag: str | None = None) -> list[dict]:
     """Bundled scenarios: name, kind, description and tags, sorted by name."""
-    out = []
-    for entry in sorted(_bundle_dir().iterdir(), key=lambda e: e.name):
-        if not entry.name.endswith(".yaml"):
-            continue
-        raw = yaml.safe_load(entry.read_text())
-        _validate(raw)
-        info = {
-            "name": raw["name"],
-            "kind": raw["kind"],
-            "description": raw.get("description", ""),
-            "tags": list(raw.get("tags", ())),
-        }
-        if tag is None or tag in info["tags"]:
-            out.append(info)
-    return out
+    entries = sorted(_bundle_dir().iterdir(), key=lambda e: e.name)
+    cfgs = [load_scenario_config(e) for e in entries if e.name.endswith(".yaml")]
+    return [
+        {"name": c.name, "kind": c.kind, "description": c.description, "tags": list(c.tags)}
+        for c in cfgs
+        if tag is None or tag in c.tags
+    ]
 
 
 def find_scenario(name_or_path) -> Path:
@@ -274,6 +283,18 @@ def _run_permutation(cfg, out, fmt):
     return [path], {"max_difference": max(r[4] for r in rows)}
 
 
+def _checked_specs(entries, what: str, make) -> list:
+    """``make(entry)`` for every entry before any fit; a `ValueError` becomes a
+    `ScenarioConfigError` that names the entry."""
+    specs = []
+    for i, entry in enumerate(entries):
+        try:
+            specs.append(make(entry))
+        except ValueError as e:
+            raise ScenarioConfigError(f"{what} entry {i}: {e}") from e
+    return specs
+
+
 def _scan_specs(scan) -> list:
     """The `ProtocolSpec` of each point of one ``scans`` entry, checked."""
     n_values = list(scan["n_values"])
@@ -295,12 +316,7 @@ def _run_table1_scaling(cfg, out, fmt):
     """
     p = cfg.params
     m_shots = p["m_shots"]
-    scans = []
-    for scan in p["scans"]:
-        try:
-            scans.append(_scan_specs(scan))
-        except ValueError as e:
-            raise ScenarioConfigError(f"scan {scan['kind']}: {e}") from e
+    scans = _checked_specs(p["scans"], "scans", _scan_specs)
     kinds = [specs[0].kind for specs in scans]
     if len(set(kinds)) < len(kinds):
         raise ScenarioConfigError(f"one scan per kind, since the kind names its files: {kinds}")
@@ -330,14 +346,19 @@ def _run_table1_scaling(cfg, out, fmt):
     return artifacts, {"slopes": slopes}
 
 
+def _point_spec(pt):
+    return protocols.ProtocolSpec(
+        pt["kind"], pt["n"], pt.get("n_delay", 0), 0.0, pt.get("theta", np.pi / 2)
+    )
+
+
 def _run_crlb_saturation(cfg, out, fmt):
+    """Estimator variance against the CRLB at each point, all checked first."""
     p = cfg.params
     n_seeds = p["n_seeds"]
+    specs = _checked_specs(p["points"], "points", _point_spec)
     rows = []
-    for i, pt in enumerate(p["points"]):
-        spec = protocols.ProtocolSpec(
-            pt["kind"], pt["n"], pt.get("n_delay", 0), 0.0, pt.get("theta", np.pi / 2)
-        )
+    for i, (pt, spec) in enumerate(zip(p["points"], specs)):
         dphi = pt["dphi"]
         m_shots = pt.get("m_shots", 10_000)
         base_seed = cfg.seed + pt.get("seed_offset", 1000 * i)
@@ -345,13 +366,18 @@ def _run_crlb_saturation(cfg, out, fmt):
             spec, dphi, m_shots, range(base_seed, base_seed + n_seeds)
         )
         var = float(np.var(ests, ddof=1))
-        rows.append((pt["kind"], pt["n"], pt.get("n_delay", 0), dphi, m_shots, var, bound, var / bound))
+        rows.append((spec.kind, spec.n_pulses, spec.n_delay, dphi, m_shots, var, bound, var / bound))
     path = _write_rows(
         out / "crlb_saturation",
         ["kind", "n", "n_delay", "dphi", "m_shots", "variance", "crlb", "ratio"],
         rows, fmt,
     )
     return [path], {"ratios": [r[7] for r in rows]}
+
+
+def _reduced_spec(point):
+    n, nd = point
+    return protocols.ProtocolSpec("2B", n, nd)
 
 
 def _run_resolution(cfg, out, fmt):
@@ -362,8 +388,8 @@ def _run_resolution(cfg, out, fmt):
     # reduced-scale consistency: sigma * chi * sqrt(M) should be flat
     consts = []
     m_shots = p["m_shots"]
-    for idx, (n, nd) in enumerate(p["reduced_points"]):
-        spec = protocols.ProtocolSpec("2B", n, nd, 0.0, np.pi / 2)
+    specs = _checked_specs(p["reduced_points"], "reduced_points", _reduced_spec)
+    for idx, spec in enumerate(specs):
         chi = spec.enhancement
         start = cfg.seed + 10_000 * idx
         ests, _ = estimation.estimator_study(
@@ -371,7 +397,7 @@ def _run_resolution(cfg, out, fmt):
         )
         sigma = float(np.std(ests, ddof=1))
         consts.append(sigma * chi * np.sqrt(m_shots))
-        rows.append(("simulated", n, nd, sigma, sigma * chi * np.sqrt(m_shots)))
+        rows.append(("simulated", spec.n_pulses, spec.n_delay, sigma, sigma * chi * np.sqrt(m_shots)))
     for case in p["extrapolations"]:
         res = estimation.offset_resolution(case["rep_rate_hz"], case["n"], case["n_delay"])
         rows.append(("extrapolated", case["n"], case["n_delay"], res, 0.0))

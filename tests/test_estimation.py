@@ -143,7 +143,7 @@ def test_ml_estimate_degenerate_without_second_arm():
 
 def test_optimize_reference_phase_reaches_max_information():
     spec = ProtocolSpec("1B", 50, 0, 0.0, np.pi / 2)
-    xi = optimize_reference_phase(spec, np.pi / 2, 0.001, m_shots=1)
+    xi = optimize_reference_phase(spec, np.pi / 2, 0.001)
     f = fisher_matrix(ramsey_model(replace(spec, reference_phase=xi)), np.pi / 2, 0.001, 1)
     assert f.matrix[1, 1] == pytest.approx(4.0 * 50**2, rel=1e-6)
     # and the chosen fringe is balanced, not pinned at a node
@@ -166,7 +166,7 @@ def _sweep_model(kind, n, nd):
     spec = ProtocolSpec(kind, n, nd, 0.0, np.pi / 2)
     chi = spec.enhancement
     dphi = 0.2 / chi
-    xi = optimize_reference_phase(spec, spec.theta, dphi, grid=64)
+    xi = optimize_reference_phase(spec, spec.theta, dphi)
     return ramsey_model(replace(spec, reference_phase=xi)), chi, dphi
 
 
@@ -269,7 +269,7 @@ def _reference_phase_by_models(spec, theta, dphi, grid):
 def test_reference_phase_search_matches_one_model_per_probe(kind, n, nd, theta, dphi):
     spec = ProtocolSpec(kind, n, nd, 0.0, theta)
     expected = _reference_phase_by_models(spec, theta, dphi, 64)
-    assert optimize_reference_phase(spec, theta, dphi, grid=64) == pytest.approx(expected, abs=1e-9)
+    assert optimize_reference_phase(spec, theta, dphi) == pytest.approx(expected, abs=1e-9)
 
 
 def test_sensitivity_scan_slope_and_csv(tmp_path):
@@ -305,7 +305,7 @@ def test_sensitivity_scan_needs_three_sizes(tmp_path):
 def test_estimator_study_matches_per_seed_fits():
     spec = ProtocolSpec("1B", 50, 0, 0.0, np.pi / 2)
     estimates, variance = estimator_study(spec, 0.004, 2000, range(5, 9))
-    xi = optimize_reference_phase(spec, spec.theta, 0.004, grid=64)
+    xi = optimize_reference_phase(spec, spec.theta, 0.004)
     model = ramsey_model(replace(spec, reference_phase=xi))
     expected = [
         ml_estimate(sample_record(model, spec.theta, 0.004, 2000, s), model,

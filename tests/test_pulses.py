@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,7 +199,7 @@ def test_integrated_effective_phase_tracks_ceo_phase():
     p = PulseSpec("gaussian", np.pi / 4, 30.0, W, W)
     phis = [0.2, 0.7, 1.3]
     for phi in phis:
-        u = integrate_pulse(p.replace(ceo_phase=phi))
+        u = integrate_pulse(replace(p, ceo_phase=phi))
         assert effective_phase(u) == pytest.approx(phi, abs=2e-3)
 
 

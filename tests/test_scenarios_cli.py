@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import combphase
 from combphase import estimation
 from combphase.cli import EXIT_NUMERIC, EXIT_SCHEMA, EXIT_WRAP, main
 from combphase.errors import ScenarioConfigError
 from combphase.scenarios import (
+    ENTRY_KEYS,
     PARAMS,
     find_scenario,
     list_scenarios,
@@ -71,6 +76,10 @@ def test_list_command_json(capsys):
     assert main(["list", "--json", "--tag", "raman"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert {i["name"] for i in out} == {"raman_three_level", "visibility_budget"}
+    assert out == list_scenarios(tag="raman")
+    for info in out:
+        assert list(info) == ["name", "kind", "description", "tags"]
+        assert isinstance(info["tags"], list)
 
 
 def test_empty_config_is_schema_error(tmp_path):
@@ -79,6 +88,53 @@ def test_empty_config_is_schema_error(tmp_path):
     with pytest.raises(ScenarioConfigError):
         load_scenario_config(cfg)
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_SCHEMA
+
+
+_VALID_TOP_LEVEL = {"schema_version": 1, "name": "x", "kind": "visibility_budget"}
+_DROP = object()
+
+#: One bad config per top-level rule: (changes to a valid config, text the error names).
+BAD_TOP_LEVEL = {
+    "schema_version missing": ({"schema_version": _DROP}, "schema_version"),
+    "name missing": ({"name": _DROP}, "name"),
+    "kind missing": ({"kind": _DROP}, "kind"),
+    "unknown key": ({"extra_knob": 3}, "extra_knob"),
+    "non-string key": ({7: "x"}, "top level: unknown keys 7"),
+    "schema_version 2": ({"schema_version": 2}, "schema_version"),
+    "schema_version true": ({"schema_version": True}, "schema_version"),
+    "schema_version string": ({"schema_version": "1"}, "schema_version"),
+    "empty name": ({"name": ""}, "name"),
+    "non-string name": ({"name": 5}, "name"),
+    "unknown kind": ({"kind": "nope"}, "kind"),
+    "non-string kind": ({"kind": 3}, "kind"),
+    "list kind": ({"kind": ["visibility_budget"]}, "kind"),
+    "non-string description": ({"description": 5}, "description"),
+    "tags not a list": ({"tags": "estimation"}, "tags"),
+    "non-string tag": ({"tags": ["estimation", 1]}, "tags"),
+    "negative seed": ({"seed": -1}, "seed"),
+    "seed true": ({"seed": True}, "seed"),
+    "string seed": ({"seed": "3"}, "seed"),
+    "float seed": ({"seed": 3.0}, "seed"),
+    "params not a mapping": ({"params": [1]}, "params"),
+    "null params": ({"params": None}, "params"),
+}
+
+
+@pytest.mark.parametrize("change,names", BAD_TOP_LEVEL.values(), ids=BAD_TOP_LEVEL.keys())
+def test_each_top_level_rule_is_a_config_error(tmp_path, change, names):
+    raw = {k: v for k, v in {**_VALID_TOP_LEVEL, **change}.items() if v is not _DROP}
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(raw, sort_keys=False))
+    with pytest.raises(ScenarioConfigError, match=names):
+        load_scenario_config(cfg)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+    assert not (tmp_path / "out").exists()
+
+
+def test_import_leaves_jsonschema_out():
+    src = str(Path(combphase.__file__).resolve().parents[1])
+    code = "import sys, combphase; sys.exit('jsonschema' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -267,6 +323,40 @@ def test_scaling_scan_needs_three_sizes(tmp_path, no_fits):
         assert not list(out.glob("scaling_*")), name
 
 
+_POINT = {"kind": "1B", "n": 10, "dphi": 0.02}
+
+
+@pytest.mark.parametrize(
+    "kind,params,names",
+    [
+        pytest.param("crlb_saturation", {"points": [{**_POINT, "m_shot": 1000}]}, "m_shot", id="m_shot typo"),
+        pytest.param("crlb_saturation", {"points": [{"kind": "1B", "n": 10}]}, "dphi", id="point without dphi"),
+        pytest.param("crlb_saturation", {"points": [_POINT, {**_POINT, "kind": "3C"}]}, "3C", id="kind 3C"),
+        pytest.param("crlb_saturation", {"points": [_POINT, {**_POINT, "n": 11}]}, "even", id="odd 1B size"),
+        pytest.param("crlb_saturation", {"points": [_POINT, ["1B", 10]]}, "mapping", id="point not a mapping"),
+        pytest.param("crlb_saturation", {"points": _POINT}, "list", id="points not a list"),
+        pytest.param(
+            "resolution_extrapolation",
+            {"extrapolations": [{"rep_rate_hz": 1.0e8, "n": 250}]},
+            "n_delay", id="extrapolation without n_delay",
+        ),
+        pytest.param(
+            "resolution_extrapolation", {"reduced_points": [[8, 4], [7, 4]]}, "even", id="odd 2B size",
+        ),
+        pytest.param(
+            "table1_scaling", {"scans": [{"kind": "1B", "n_value": [4, 8, 16]}]}, "n_value", id="scan typo",
+        ),
+    ],
+)
+def test_bad_entries_rejected_before_fitting(tmp_path, no_fits, kind, params, names):
+    cfg = _config(tmp_path, kind, {**TINY_PARAMS[kind], **params})
+    with pytest.raises(ScenarioConfigError, match=names):
+        run_scenario(cfg, tmp_path / "direct")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
+    assert not list(out.glob("*")) and not list((tmp_path / "direct").glob("*"))
+
+
 def test_closed_forms_match_the_outcome_model(tmp_path):
     # the tiny run's third case is a phase_ref train
     cfg = _config(tmp_path, "closed_forms", TINY_PARAMS["closed_forms"])
@@ -290,3 +380,6 @@ def test_params_table_is_documented():
     for kind, params in PARAMS.items():
         for key in params:
             assert f"`{key}`" in doc, (kind, key)
+    for (kind, param), (required, optional) in ENTRY_KEYS.items():
+        for key in (param,) + required + optional:
+            assert f"`{key}`" in doc, (kind, param, key)
