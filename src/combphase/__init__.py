@@ -36,13 +36,11 @@ from .errors import (
     WrapAmbiguityError,
 )
 from .estimation import (
-    CRLBResult,
     EstimationResult,
     FisherMatrix,
     MeasurementRecord,
     RefineConfig,
     RefineTrace,
-    crlb,
     estimator_study,
     fisher_matrix,
     iterative_refine,

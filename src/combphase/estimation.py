@@ -1,10 +1,16 @@
-"""Statistical engine: Fisher information, CRLB, ML estimation, seed-sweep
-estimator studies and the iterative lock.
+"""Statistical engine: Fisher information, ML estimation of the phase step,
+seed-sweep estimator studies and the iterative lock.
 
 The measurement model is the two-arm Ramsey experiment of `protocols`:
 2M atoms, M interrogated with the Hadamard/reference-phase sandwich (arm 1)
 and M with the bare train (arm 2).  Everything downstream treats the two
 binomial arms as independent samples of known parametric distributions.
+
+Every fit holds the pulse area theta at its known value and estimates dphi
+alone, so its Cramer-Rao bound is 1 / I_dphidphi, the dphi entry of the
+Fisher matrix, and not the dphi entry of the inverse 2x2 matrix, which
+bounds an estimator that does not know theta (Kay, *Estimation Theory*,
+1993, ch. 3).
 """
 from __future__ import annotations
 
@@ -21,12 +27,8 @@ from .protocols import (
 _PCLIP = 1e-12  # probability floor used inside likelihoods only
 #: points of the fixed-theta fringe grid over the dphi window (64 intervals)
 _GRID_POINTS = 65
-#: half-width of the theta window of a joint fit [rad]
-_THETA_WINDOW = 0.3
 #: reference phases on the grid of `optimize_reference_phase` before its refinement
 _REFERENCE_GRID = 64
-#: condition number above which `crlb` falls back to the pseudo-inverse
-_COND_LIMIT = 1e12
 #: longest train the lock grows to
 _N_MAX = 1 << 20
 #: the lock keeps chi * (residual bound) below this fraction of pi
@@ -72,11 +74,10 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class EstimationResult:
-    theta_hat: float
     dphi_hat: float
-    covariance: np.ndarray  # observed-information covariance estimate
-    crlb_diag: np.ndarray  # (var_theta, var_dphi) lower bounds at the estimate
-    ratio: np.ndarray  # achieved / CRLB, per parameter
+    variance: float  # inverse observed dphi information at the estimate
+    bound: float  # Cramer-Rao bound 1 / I_dphidphi at the estimate
+    ratio: float  # variance / bound
     converged: bool
     n_evaluations: int
 
@@ -144,22 +145,9 @@ def fisher_matrix(
     return FisherMatrix(_information_at(model, theta, dphi, m_shots, arms))
 
 
-@dataclass(frozen=True)
-class CRLBResult:
-    variances: np.ndarray  # diagonal of the (pseudo-)inverse
-    singular: bool
-
-
-def crlb(f: FisherMatrix) -> CRLBResult:
-    """Per-parameter variance lower bounds: diagonal of the inverse Fisher.
-
-    An all-zero or ill-conditioned matrix is flagged ``singular`` and
-    inverted by the pseudo-inverse.
-    """
-    m = f.matrix
-    singular = np.linalg.cond(m) > _COND_LIMIT if np.any(m) else True
-    inv = np.linalg.pinv(m) if singular else np.linalg.inv(m)
-    return CRLBResult(variances=np.diag(inv).copy(), singular=bool(singular))
+def _dphi_bound(model, theta, dphi, m_shots, arms=("p1", "p2")) -> float:
+    """Cramer-Rao bound on the variance of a dphi estimate with theta known."""
+    return 1.0 / fisher_matrix(model, theta, dphi, m_shots, arms).matrix[1, 1]
 
 
 def sample_record(
@@ -206,28 +194,32 @@ def ml_estimate(
     record: MeasurementRecord,
     model: RamseyOutcomeModel,
     init: tuple[float, float],
-    fix_theta: bool = False,
+    fix_theta: bool = True,
     dphi_window: float | None = None,
 ) -> EstimationResult:
-    """Maximum-likelihood point estimate of (theta, dphi).
+    """Maximum-likelihood estimate of dphi with theta held at ``init[0]``.
 
     ``dphi_window`` defaults to the unambiguous quarter-fringe pi / (4 chi)
-    around the initial guess; a non-positive or non-finite window raises
-    ValueError, and an initial accumulated phase beyond the fringe raises
-    WrapAmbiguityError (use `iterative_refine` instead).
+    around the initial guess ``init[1]``; a non-positive or non-finite
+    window raises ValueError, and an initial accumulated phase beyond the
+    fringe raises WrapAmbiguityError (use `iterative_refine` instead).
+    ``fix_theta=False`` raises ValueError: the joint (theta, dphi) fit has
+    been removed, and the keyword stays only for callers that pass True.
 
-    With ``fix_theta`` the log-likelihood is scanned on a 65-point dphi grid
-    over the window, and the estimate is the root of the analytic dphi
-    score (brentq) inside the grid bracket around the best grid point.  If
-    the score does not change sign there, the maximum lies on or beyond the
-    window edge: the best grid point is returned with ``converged=False``.
-    The grid and the identifiability probes depend only on the model and the
-    window, so they are computed once per model and shared by its records;
+    The log-likelihood is scanned on a 65-point dphi grid over the window,
+    and the estimate is the root of the analytic dphi score (brentq) in a
+    grid interval next to the best grid point where the score falls through
+    zero.  If there is none, the maximum lies on or beyond the window edge:
+    the best grid point is returned with ``converged=False``.  The grid and
+    the phase-information probes depend only on the model and the window, so
+    they are computed once per model and shared by its records;
     ``n_evaluations`` counts the score evaluations of this record alone.
-    Otherwise (the joint path) a bounded scalar pass per coordinate is
-    followed by a joint quasi-Newton polish with the analytic gradient.
+    ``variance`` is the inverse observed information and ``bound`` the
+    fixed-theta Cramer-Rao bound 1 / I_dphidphi, both at the estimate.
     """
-    theta0, dphi0 = float(init[0]), float(init[1])
+    if not fix_theta:
+        raise ValueError("the joint (theta, dphi) fit has been removed; theta is always fixed")
+    theta, dphi0 = float(init[0]), float(init[1])
     chi = model.spec.enhancement
     if dphi_window is None:
         dphi_window = np.pi / (4.0 * chi)
@@ -238,55 +230,36 @@ def ml_estimate(
             "initial accumulated phase exceeds pi; run iterative refinement"
         )
     arms = ("p1",) if record.counts2 is None else ("p1", "p2")
-    best_eig, best_phase_info = _identifiability(
-        model, theta0, dphi0, dphi_window, record.m_shots, arms
+    if _phase_information(model, theta, dphi0, dphi_window, record.m_shots, arms) <= 1e-9:
+        raise DegenerateFitError("no phase information anywhere in the window")
+
+    dp, converged, n_evaluations = _fixed_theta_fit(
+        record, model, theta, dphi0 - dphi_window, dphi0 + dphi_window, chi
     )
-    if fix_theta:
-        if best_phase_info <= 1e-9:
-            raise DegenerateFitError("no phase information anywhere in the window")
-    elif best_eig <= 1e-9:
-        raise DegenerateFitError(
-            "(theta, dphi) not jointly identifiable from the available arms"
-        )
-
-    dp_lo, dp_hi = dphi0 - dphi_window, dphi0 + dphi_window
-    if fix_theta:
-        th = theta0
-        dp, converged, n_evaluations = _fixed_theta_fit(record, model, th, dp_lo, dp_hi, chi)
-    else:
-        th, dp, converged, n_evaluations = _joint_fit(record, model, theta0, dphi0, (dp_lo, dp_hi))
-
-    bounds_result = crlb(fisher_matrix(model, th, dp, record.m_shots, arms=arms))
-    cov = _observed_covariance(record, model, th, dp, fix_theta, chi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(bounds_result.variances > 0, np.diag(cov) / bounds_result.variances, np.inf)
+    bound = _dphi_bound(model, theta, dp, record.m_shots, arms)
+    variance = _observed_variance(record, model, theta, dp, chi)
     return EstimationResult(
-        theta_hat=th,
         dphi_hat=dp,
-        covariance=cov,
-        crlb_diag=bounds_result.variances,
-        ratio=ratio,
+        variance=variance,
+        bound=bound,
+        ratio=variance / bound,
         converged=converged,
         n_evaluations=n_evaluations,
     )
 
 
-def _identifiability(model, theta0, dphi0, window, m_shots, arms):
-    """(Smallest eigenvalue of the well-conditioned probes, largest phase
-    information) of the chi-scaled Fisher matrix at five points of the window.
+def _phase_information(model, theta, dphi0, window, m_shots, arms):
+    """Largest dphi information, over chi^2, at five points of the window.
 
-    Isolated nodes are fine, a window-wide blind spot is not, so the Fisher
-    matrix is tested at several points.  Cached on the model per window.
+    Isolated nodes are fine, a window-wide blind spot is not, so the
+    information is probed at several points.  Cached on the model per window.
     """
-    key = ("probes", theta0, dphi0, window, m_shots, arms)
+    key = ("probes", theta, dphi0, window, m_shots, arms)
     if key not in model.cache:
         chi = model.spec.enhancement
-        scale = np.array([1.0, chi])
         probes = dphi0 + np.array([-0.6, -0.25, 0.0, 0.25, 0.6]) * window
-        scaled = _information_at(model, theta0, probes, m_shots, arms) / np.outer(scale, scale)
-        well = np.linalg.cond(scaled) < 1e10
-        best_eig = float(np.max(np.linalg.eigvalsh(scaled[well])[:, 0], initial=-np.inf))
-        model.cache[key] = (best_eig, max(0.0, float(np.max(scaled[:, 1, 1]))))
+        info = _information_at(model, theta, probes, m_shots, arms)[:, 1, 1] / (chi * chi)
+        model.cache[key] = max(0.0, float(np.max(info)))
     return model.cache[key]
 
 
@@ -306,6 +279,19 @@ def _fringe_grid(model, theta, lo, hi):
     return model.cache[key]
 
 
+def _falling_bracket(score, k):
+    """Grid indices (a, b) next to k where the score falls through zero, or None.
+
+    The two grid neighbours of k come first.  If their scores share a sign
+    that the score at k does not, the root lies between k and one neighbour.
+    """
+    a, b = max(k - 1, 0), min(k + 1, len(score) - 1)
+    for lo, hi in ((a, b), (k, b), (a, k)):
+        if np.sign(score[lo]) > np.sign(score[hi]):
+            return lo, hi
+    return None
+
+
 def _fixed_theta_fit(record, model, theta, lo, hi, chi):
     """(dphi_hat, converged, score evaluations) of the fixed-theta fit on [lo, hi]."""
     grid, terms = _fringe_grid(model, theta, lo, hi)
@@ -313,9 +299,10 @@ def _fixed_theta_fit(record, model, theta, lo, hi, chi):
     ll = sum(log_p @ c for (log_p, _), c in zip(terms, counts))
     score = sum(weight @ c for (_, weight), c in zip(terms, counts))
     k = int(np.argmax(ll))
-    a, b = max(k - 1, 0), min(k + 1, len(grid) - 1)
-    if not np.sign(score[a]) > np.sign(score[b]):
+    bracket = _falling_bracket(score, k)
+    if bracket is None:
         return float(grid[k]), False, 0
+    a, b = bracket
     # brentq starts from both ends of the bracket, whose scores the grid holds
     known = {float(grid[a]): score[a], float(grid[b]): score[b]}
     evals = [0]
@@ -332,66 +319,14 @@ def _fixed_theta_fit(record, model, theta, lo, hi, chi):
     return float(root), bool(res.converged), evals[0]
 
 
-def _joint_fit(record, model, theta0, dphi0, dphi_bounds):
-    """(theta_hat, dphi_hat, converged, evaluations) of the joint fit."""
-    evals = [0]
-
-    def nll(theta, dphi):
-        evals[0] += 1
-        ll, g = log_likelihood_and_grad(record, model, theta, dphi)
-        return -ll, -g
-
-    th_lo, th_hi = max(theta0 - _THETA_WINDOW, 1e-6), theta0 + _THETA_WINDOW
-    res = optimize.minimize_scalar(
-        lambda x: nll(theta0, x)[0], bounds=dphi_bounds, method="bounded",
-        options={"xatol": 1e-12},
-    )
-    dp = float(res.x)
-    # The theta likelihood oscillates on a pi / N scale, so locate the
-    # right fringe on a grid before the local bounded refinement.
-    n_grid = max(16, int(np.ceil(8.0 * (th_hi - th_lo) * model.spec.n_pulses / np.pi)))
-    grid_th = np.linspace(th_lo, th_hi, n_grid)
-    vals = [nll(x, dp)[0] for x in grid_th]
-    k = int(np.argmin(vals))
-    lo = grid_th[max(k - 1, 0)]
-    hi = grid_th[min(k + 1, n_grid - 1)]
-    res_t = optimize.minimize_scalar(
-        lambda x: nll(x, dp)[0], bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    th = float(res_t.x)
-    polish = optimize.minimize(
-        lambda x: nll(x[0], x[1]),
-        x0=[th, dp],
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(th_lo, th_hi), dphi_bounds],
-    )
-    return float(polish.x[0]), float(polish.x[1]), bool(polish.success), evals[0]
-
-
-def _observed_covariance(record, model, theta, dphi, fix_theta, chi):
-    """Inverse observed information (finite differences of the exact gradient).
-
-    At fixed theta only the dphi direction is differenced.
-    """
-    h = np.array([1e-7, 1e-7 / chi])
-    hess = np.zeros((2, 2))
-    for i in (1,) if fix_theta else (0, 1):
-        d = np.zeros(2)
-        d[i] = h[i]
-        _, gp = log_likelihood_and_grad(record, model, theta + d[0], dphi + d[1])
-        _, gm = log_likelihood_and_grad(record, model, theta - d[0], dphi - d[1])
-        hess[i] = -(gp - gm) / (2.0 * h[i])
-    if fix_theta:
-        cov = np.zeros((2, 2))
-        cov[1, 1] = 1.0 / hess[1, 1] if hess[1, 1] > 0 else np.inf
-        return cov
-    hess = (hess + hess.T) / 2.0
-    try:
-        return np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        return np.full((2, 2), np.inf)
+def _observed_variance(record, model, theta, dphi, chi):
+    """Inverse observed dphi information, from a central difference of the
+    exact dphi score."""
+    h = 1e-7 / chi
+    _, gp = log_likelihood_and_grad(record, model, theta, dphi + h)
+    _, gm = log_likelihood_and_grad(record, model, theta, dphi - h)
+    info = -(gp[1] - gm[1]) / (2.0 * h)
+    return 1.0 / info if info > 0 else np.inf
 
 
 def optimize_reference_phase(spec: ProtocolSpec, theta: float, dphi: float) -> float:
@@ -444,7 +379,8 @@ def estimator_study(
     The reference phase is chosen for maximal dphi information at the true
     point, then each seed draws one record of ``m_shots`` per arm and is fit
     with theta held at ``spec.theta``.  Returns the estimates in seed order
-    and the CRLB variance of dphi for one experiment.
+    and the fixed-theta Cramer-Rao bound 1 / I_dphidphi on the variance of
+    one experiment's estimate, the bound `ml_estimate` reports.
     """
     theta = spec.theta
     xi = optimize_reference_phase(spec, theta, dphi)
@@ -452,18 +388,26 @@ def estimator_study(
 
     def one(seed):
         rec = sample_record(model, theta, dphi, m_shots, seed)
-        return ml_estimate(rec, model, (theta, 0.0), fix_theta=True).dphi_hat
+        return ml_estimate(rec, model, (theta, 0.0)).dphi_hat
 
     estimates = np.array([one(s) for s in seeds], dtype=float)
-    variance = crlb(fisher_matrix(model, theta, dphi, m_shots)).variances[1]
-    return estimates, float(variance)
+    return estimates, float(_dphi_bound(model, theta, dphi, m_shots))
 
 
 # --- offset-frequency resolution ------------------------------------------
 
 
 def offset_resolution(rep_rate: float, n: int, n_delay: int = 1) -> float:
-    """Single-shot offset-frequency resolution f_rep / (N N_d) [Hz]."""
+    """Single-shot offset-frequency resolution f_rep / (N N_d) [Hz].
+
+    Raises ValueError unless N >= 1, N_d >= 0 and the rate is positive and
+    finite; N_d = 0 (no delay) counts as 1.
+    """
+    if n < 1 or n_delay < 0 or not (np.isfinite(rep_rate) and rep_rate > 0):
+        raise ValueError(
+            f"need n >= 1, n_delay >= 0 and a positive finite rep rate, got "
+            f"n={n}, n_delay={n_delay}, rep_rate={rep_rate}"
+        )
     return rep_rate / (n * max(n_delay, 1))
 
 
@@ -525,7 +469,7 @@ def iterative_refine(
 
     ``models`` maps each stage's `ProtocolSpec` to its outcome model.  A
     dict shared by several locks lets them reuse one model per train length,
-    and with it the fringe grid and identifiability probes cached on the
+    and with it the fringe grid and phase-information probes cached on the
     model; the locks' results do not change.  Models missing from the dict
     are built and added.  With ``None`` every stage builds its own model.
     """
@@ -546,7 +490,7 @@ def iterative_refine(
             model, np.pi / 2.0, residual, config.m_shots, seed=config.seed + 7919 * stage_idx
         )
         window = np.pi / (4.0 * spec.enhancement)
-        est = ml_estimate(rec, model, (np.pi / 2.0, 0.0), fix_theta=True, dphi_window=window)
+        est = ml_estimate(rec, model, (np.pi / 2.0, 0.0), dphi_window=window)
         if abs(est.dphi_hat) >= 0.98 * window:
             if backoffs:
                 raise WrapAmbiguityError(
@@ -557,7 +501,7 @@ def iterative_refine(
             n -= n % 2
             continue
         residual -= est.dphi_hat
-        crlb_sigma = float(np.sqrt(est.crlb_diag[1]))
+        crlb_sigma = float(np.sqrt(est.bound))
         stages.append(RefineStage(n, est.dphi_hat, residual, crlb_sigma))
         stage_idx += 1
         bound = 5.0 * crlb_sigma

@@ -231,7 +231,7 @@ class RamseyOutcomeModel:
     """Two-arm measurement distributions P1/P2(s | theta, dphi) with gradients.
 
     ``cache`` holds what `estimation` derives from the model alone (the
-    fringe grid and identifiability probes of a fit window), so the fits of
+    fringe grid and phase-information probes of a fit window), so the fits of
     many records share it; it takes no part in comparison or hashing.
     """
 

@@ -140,7 +140,10 @@ def _validate(raw) -> None:
 
 def load_scenario_config(path) -> ScenarioConfig:
     text = Path(path).read_text()
-    raw = yaml.safe_load(text)
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.YAMLError as e:
+        raise ScenarioConfigError(f"{path}: not valid YAML: {e}") from e
     _validate(raw)
     return ScenarioConfig(
         name=raw["name"],
@@ -380,15 +383,23 @@ def _reduced_spec(point):
     return protocols.ProtocolSpec("2B", n, nd)
 
 
+def _extrapolated_row(case):
+    """The ``resolution`` row of one ``extrapolations`` entry: its offset resolution [Hz]."""
+    res = estimation.offset_resolution(case["rep_rate_hz"], case["n"], case["n_delay"])
+    return ("extrapolated", case["n"], case["n_delay"], res, 0.0)
+
+
 def _run_resolution(cfg, out, fmt):
     """Offset-frequency resolution: verified scaling at desk scale, then
-    arithmetic extrapolation to configurations far beyond simulation."""
+    arithmetic extrapolation to configurations far beyond simulation.
+    Every reduced point and extrapolation is checked before the first fit."""
     p = cfg.params
     rows = []
     # reduced-scale consistency: sigma * chi * sqrt(M) should be flat
     consts = []
     m_shots = p["m_shots"]
     specs = _checked_specs(p["reduced_points"], "reduced_points", _reduced_spec)
+    extrapolated = _checked_specs(p["extrapolations"], "extrapolations", _extrapolated_row)
     for idx, spec in enumerate(specs):
         chi = spec.enhancement
         start = cfg.seed + 10_000 * idx
@@ -398,9 +409,7 @@ def _run_resolution(cfg, out, fmt):
         sigma = float(np.std(ests, ddof=1))
         consts.append(sigma * chi * np.sqrt(m_shots))
         rows.append(("simulated", spec.n_pulses, spec.n_delay, sigma, sigma * chi * np.sqrt(m_shots)))
-    for case in p["extrapolations"]:
-        res = estimation.offset_resolution(case["rep_rate_hz"], case["n"], case["n_delay"])
-        rows.append(("extrapolated", case["n"], case["n_delay"], res, 0.0))
+    rows += extrapolated
     path = _write_rows(
         out / "resolution",
         ["row_kind", "n", "n_delay", "value", "scaled_constant"],

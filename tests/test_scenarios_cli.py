@@ -90,6 +90,15 @@ def test_empty_config_is_schema_error(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_SCHEMA
 
 
+def test_yaml_parse_error_is_config_error(tmp_path):
+    cfg = tmp_path / "broken.yaml"
+    cfg.write_text("schema_version: 1\nname: broken\nkind: [unclosed\n")
+    with pytest.raises(ScenarioConfigError, match="YAML"):
+        load_scenario_config(cfg)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+    assert not (tmp_path / "out").exists()
+
+
 _VALID_TOP_LEVEL = {"schema_version": 1, "name": "x", "kind": "visibility_budget"}
 _DROP = object()
 
@@ -355,6 +364,26 @@ def test_bad_entries_rejected_before_fitting(tmp_path, no_fits, kind, params, na
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
     assert not list(out.glob("*")) and not list((tmp_path / "direct").glob("*"))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        {"rep_rate_hz": 1.0e8, "n": 0, "n_delay": 5},
+        {"rep_rate_hz": 1.0e8, "n": 250, "n_delay": -1},
+        {"rep_rate_hz": 0.0, "n": 250, "n_delay": 250},
+        {"rep_rate_hz": float("inf"), "n": 250, "n_delay": 250},
+    ],
+    ids=["n 0", "negative n_delay", "zero rate", "infinite rate"],
+)
+def test_extrapolation_values_checked_before_fitting(tmp_path, no_fits, case):
+    params = {**TINY_PARAMS["resolution_extrapolation"], "extrapolations": [case]}
+    cfg = _config(tmp_path, "resolution_extrapolation", params)
+    with pytest.raises(ScenarioConfigError, match="extrapolations entry 0"):
+        run_scenario(cfg, tmp_path / "direct")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
+    assert not (out / "resolution.csv").exists()
 
 
 def test_closed_forms_match_the_outcome_model(tmp_path):
