@@ -7,8 +7,8 @@ the empirical standard deviation with the Cramer-Rao lower bound computed
 from the Fisher information of the same model.
 
 The pulse area theta is known and held fixed in the fit, so the bound on
-the variance is 1 / I_dphidphi, the dphi entry of the Fisher matrix.  At a
-balanced fringe that entry is 4 N^2 M, so the bound is
+the variance is 1 / I_dphidphi, the Fisher information in dphi.  At a
+balanced fringe it is 4 N^2 M, so the bound is
 sigma = 1 / (2 N sqrt(M)); the empirical ratio should sit close to 1.
 """
 import numpy as np
@@ -31,9 +31,9 @@ spec = ProtocolSpec("1B", n, 0, xi, theta)
 model = ramsey_model(spec)
 
 info = fisher_matrix(model, theta, dphi_true, m_shots)
-sigma_bound = 1.0 / np.sqrt(info.matrix[1, 1])
+sigma_bound = 1.0 / np.sqrt(info)
 print(f"1-train, N = {n}, M = {m_shots} shots/arm, reference phase xi = {xi:.4f}")
-print(f"Fisher information I_dphi = {info.matrix[1, 1]:.4e}  (4 N^2 M = {4 * n**2 * m_shots:.4e})")
+print(f"Fisher information I_dphi = {info:.4e}  (4 N^2 M = {4 * n**2 * m_shots:.4e})")
 print(f"CRLB sigma_dphi = {sigma_bound:.3e} rad\n")
 
 estimates = []

@@ -37,7 +37,6 @@ from .errors import (
 )
 from .estimation import (
     EstimationResult,
-    FisherMatrix,
     MeasurementRecord,
     RefineConfig,
     RefineTrace,

@@ -60,29 +60,25 @@ def expm_herm(h: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...k,...jk->...ij", v, phases, v.conj())
 
 
-def matpow_with_grad(m: np.ndarray, dms: list[np.ndarray], n: int):
-    """Return (m**n, [d(m**n)/dp for each dm in dms]) by square-and-multiply.
+def matpow_with_grad(m: np.ndarray, dm: np.ndarray, n: int):
+    """Return (m**n, d(m**n)) by square-and-multiply, for a derivative ``dm`` of ``m``.
 
-    ``m`` and the ``dms`` may be stacks of shape (..., d, d) that broadcast
-    together.  The derivatives are exact (no finite differences): they are
-    the first-row blocks of the n-th power of the block upper-triangular
-    matrix [[m, dm_1, ..., dm_j], [0, m, 0, ...], ..., [0, ..., 0, m]], so
-    each product of the square-and-multiply applies the product rule to all
-    of them at once, in O(log n) products of (j+1)d x (j+1)d matrices.
+    ``m`` and ``dm`` may be stacks of shape (..., d, d) that broadcast
+    together.  The derivative is exact (no finite differences): it is the
+    top-right block of the n-th power of the block upper-triangular matrix
+    [[m, dm], [0, m]], so each product of the square-and-multiply applies
+    the product rule, in O(log n) products of 2d x 2d matrices.
     """
     k = int(n)
     if k < 0:
         raise ValueError("negative power")
     d = m.shape[-1]
-    size = d * (len(dms) + 1)
-    stack = np.broadcast_shapes(m.shape, *(dm.shape for dm in dms))[:-2]
-    block = np.zeros(stack + (size, size), dtype=complex)
-    for i in range(0, size, d):
-        block[..., i : i + d, i : i + d] = m
-    for i, dm in enumerate(dms, 1):
-        block[..., :d, i * d : (i + 1) * d] = dm
+    block = np.zeros(np.broadcast_shapes(m.shape, dm.shape)[:-2] + (2 * d, 2 * d), dtype=complex)
+    block[..., :d, :d] = m
+    block[..., d:, d:] = m
+    block[..., :d, d:] = dm
     power = np.linalg.matrix_power(block, k)
-    return power[..., :d, :d], [power[..., :d, i : i + d] for i in range(d, size, d)]
+    return power[..., :d, :d], power[..., :d, d:]
 
 
 def unitarity_defect(u: np.ndarray) -> float:

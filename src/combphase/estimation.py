@@ -7,10 +7,9 @@ and M with the bare train (arm 2).  Everything downstream treats the two
 binomial arms as independent samples of known parametric distributions.
 
 Every fit holds the pulse area theta at its known value and estimates dphi
-alone, so its Cramer-Rao bound is 1 / I_dphidphi, the dphi entry of the
-Fisher matrix, and not the dphi entry of the inverse 2x2 matrix, which
-bounds an estimator that does not know theta (Kay, *Estimation Theory*,
-1993, ch. 3).
+alone, so the model carries dphi derivatives only, the Fisher information
+I_dphidphi is a number, and the Cramer-Rao bound is 1 / I_dphidphi (Kay,
+*Estimation Theory*, 1993, ch. 3).
 """
 from __future__ import annotations
 
@@ -33,23 +32,6 @@ _REFERENCE_GRID = 64
 _N_MAX = 1 << 20
 #: the lock keeps chi * (residual bound) below this fraction of pi
 _SAFETY_FRACTION = 0.25
-
-
-@dataclass(frozen=True)
-class FisherMatrix:
-    """2x2 information matrix over (theta, dphi) for the 2M-atom experiment."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        if abs(m[0, 1] - m[1, 0]) > 1e-9 * (1.0 + abs(m[0, 1])):
-            raise ValueError("Fisher matrix must be symmetric")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-12 * max(1.0, np.abs(m).max()):
-            raise ValueError("Fisher matrix must be positive semidefinite")
-        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
@@ -83,45 +65,44 @@ class EstimationResult:
 
 
 def _arm_terms(probs, arms):
-    """(p, dp_dth, dp_dphi) of each arm in ``arms`` from an `evaluate` tuple."""
-    p1, p2, d1t, d1p, d2t, d2p = probs
+    """(p, dp_dphi) of each arm in ``arms`` from an `evaluate` tuple."""
+    p1, p2, d1, d2 = probs
     out = []
     if "p1" in arms:
-        out.append((p1, d1t, d1p))
+        out.append((p1, d1))
     if "p2" in arms:
-        out.append((p2, d2t, d2p))
+        out.append((p2, d2))
     return out
 
 
 def _information(arm_terms, m_shots: int, chi: float):
-    """Fisher matrices (..., 2, 2) and a (...) mask of singular points.
+    """dphi Fisher information (...) and a (...) mask of singular points.
 
-    ``arm_terms`` holds (p, dp_dth, dp_dphi) per arm, each indexed by the
-    outcome on its last axis.  I_ij = sum over arms and outcomes of
-    M (d_i P)(d_j P) / P.  Outcomes with P = 0 contribute nothing when their
-    derivative also vanishes (removable); a vanishing probability with a
-    nonzero derivative means the score diverges, and the point is flagged.
+    ``arm_terms`` holds (p, dp_dphi) per arm, each indexed by the outcome on
+    its last axis.  I = sum over arms and outcomes of M (dP/ddphi)^2 / P.
+    Outcomes with P = 0 contribute nothing when their dphi derivative also
+    vanishes (removable); a vanishing probability with a nonzero dphi
+    derivative means the score diverges, and the point is flagged.  The
+    test looks at dP/ddphi alone, since it is the only derivative in I.
     """
     info = 0.0
     singular = False
-    for p, dt, dp in arm_terms:
+    for p, dp in arm_terms:
         for s in range(2):
-            grad = np.stack([dt[..., s], dp[..., s]], axis=-1)
-            ps = p[..., s]
+            ps, ds = p[..., s], dp[..., s]
             node = ps < 1e-14
             # Near a fringe node P ~ d^2 and dP ~ 2 chi d, so the term
             # dP^2 / P stays bounded by ~4 chi^2 (removable).  A genuine
             # P -> 0 crossing with finite slope blows far past that.
-            ratio = np.sum(grad * grad, axis=-1) / np.maximum(ps, 1e-300)
+            square = ds * ds
+            ratio = square / np.maximum(ps, 1e-300)
             singular = singular | (node & (ratio > max(1e8, 1e4 * chi * chi)))
-            outer = grad[..., :, None] * grad[..., None, :]
-            term = m_shots * outer / np.where(node, 1.0, ps)[..., None, None]
-            info = info + np.where(node[..., None, None], 0.0, term)
+            info = info + np.where(node, 0.0, m_shots * square / np.where(node, 1.0, ps))
     return info, singular
 
 
-def _information_at(model: RamseyOutcomeModel, theta, dphi, m_shots, arms) -> np.ndarray:
-    """Fisher matrices at ``dphi`` (scalar or array); raises if any point is singular."""
+def _information_at(model: RamseyOutcomeModel, theta, dphi, m_shots, arms):
+    """dphi information at ``dphi`` (scalar or array); raises if any point is singular."""
     terms = _arm_terms(model.evaluate(theta, dphi), arms)
     info, singular = _information(terms, m_shots, model.spec.enhancement)
     if np.any(singular):
@@ -135,19 +116,20 @@ def fisher_matrix(
     dphi: float,
     m_shots: int,
     arms=("p1", "p2"),
-) -> FisherMatrix:
-    """I_ij = sum over arms and outcomes of M (d_i P)(d_j P) / P.
+) -> float:
+    """I_dphidphi = sum over arms and outcomes of M (dP/ddphi)^2 / P, theta known.
 
     Outcomes with P = 0 contribute nothing when their derivative also
     vanishes (removable); a vanishing probability with a nonzero derivative
-    means the score diverges and raises SingularInformationError.
+    means the score diverges and raises SingularInformationError.  The name
+    predates the scalar result; `perfbench/tracer.py` wraps it by name.
     """
-    return FisherMatrix(_information_at(model, theta, dphi, m_shots, arms))
+    return float(_information_at(model, theta, dphi, m_shots, arms))
 
 
 def _dphi_bound(model, theta, dphi, m_shots, arms=("p1", "p2")) -> float:
     """Cramer-Rao bound on the variance of a dphi estimate with theta known."""
-    return 1.0 / fisher_matrix(model, theta, dphi, m_shots, arms).matrix[1, 1]
+    return 1.0 / fisher_matrix(model, theta, dphi, m_shots, arms)
 
 
 def sample_record(
@@ -175,19 +157,18 @@ def sample_record(
 
 
 def log_likelihood_and_grad(record: MeasurementRecord, model, theta, dphi):
-    """Joint log-likelihood of both arms with its analytic gradient."""
-    p1, p2, d1t, d1p, d2t, d2p = model.evaluate(theta, dphi)
+    """Joint log-likelihood of both arms and its analytic dphi score."""
+    p1, p2, d1, d2 = model.evaluate(theta, dphi)
     ll = 0.0
-    grad = np.zeros(2)
-    sets = [(record.counts1, p1, d1t, d1p)]
+    score = 0.0
+    sets = [(record.counts1, p1, d1)]
     if record.counts2 is not None:
-        sets.append((record.counts2, p2, d2t, d2p))
-    for counts, p, dt, dp in sets:
+        sets.append((record.counts2, p2, d2))
+    for counts, p, dp in sets:
         pc = np.clip(p, _PCLIP, 1.0)
         ll += float(np.sum(counts * np.log(pc)))
-        w = counts / pc
-        grad += np.array([float(np.sum(w * dt)), float(np.sum(w * dp))])
-    return ll, grad
+        score += float(np.sum(counts / pc * dp))
+    return ll, score
 
 
 def ml_estimate(
@@ -258,7 +239,7 @@ def _phase_information(model, theta, dphi0, window, m_shots, arms):
     if key not in model.cache:
         chi = model.spec.enhancement
         probes = dphi0 + np.array([-0.6, -0.25, 0.0, 0.25, 0.6]) * window
-        info = _information_at(model, theta, probes, m_shots, arms)[:, 1, 1] / (chi * chi)
+        info = _information_at(model, theta, probes, m_shots, arms) / (chi * chi)
         model.cache[key] = max(0.0, float(np.max(info)))
     return model.cache[key]
 
@@ -270,7 +251,7 @@ def _fringe_grid(model, theta, lo, hi):
     key = ("grid", theta, lo, hi)
     if key not in model.cache:
         grid = np.linspace(lo, hi, _GRID_POINTS)
-        p1, p2, _, d1p, _, d2p = model.evaluate(theta, grid)
+        p1, p2, d1p, d2p = model.evaluate(theta, grid)
         terms = []
         for p, dp in ((p1, d1p), (p2, d2p)):
             pc = np.clip(p, _PCLIP, 1.0)
@@ -311,7 +292,7 @@ def _fixed_theta_fit(record, model, theta, lo, hi, chi):
         if x in known:
             return known[x]
         evals[0] += 1
-        return log_likelihood_and_grad(record, model, theta, x)[1][1]
+        return log_likelihood_and_grad(record, model, theta, x)[1]
 
     root, res = optimize.brentq(
         dphi_score, grid[a], grid[b], xtol=1e-12 / chi, full_output=True, disp=False
@@ -325,7 +306,7 @@ def _observed_variance(record, model, theta, dphi, chi):
     h = 1e-7 / chi
     _, gp = log_likelihood_and_grad(record, model, theta, dphi + h)
     _, gm = log_likelihood_and_grad(record, model, theta, dphi - h)
-    info = -(gp[1] - gm[1]) / (2.0 * h)
+    info = -(gp - gm) / (2.0 * h)
     return 1.0 / info if info > 0 else np.inf
 
 
@@ -334,7 +315,7 @@ def optimize_reference_phase(spec: ProtocolSpec, theta: float, dphi: float) -> f
 
     The information is taken per shot, since the shot count scales it and
     leaves the argmax alone.  The train does not depend on the reference
-    phase, so its unitary and gradients are computed once and every probe
+    phase, so its unitary and dphi derivative are computed once and every probe
     only re-applies arm 1.
     """
     train = train_unitary_with_grad(spec, theta, dphi)
@@ -344,7 +325,7 @@ def optimize_reference_phase(spec: ProtocolSpec, theta: float, dphi: float) -> f
         """(dphi information, fringe imbalance |P1(1) - 1/2|) at reference phase(s) xi."""
         probs = ramsey_probabilities(train, np.mod(xi, 2.0 * np.pi))
         info, singular = _information(_arm_terms(probs, ("p1", "p2")), 1, chi)
-        info = np.where(singular, 0.0, info[..., 1, 1])
+        info = np.where(singular, 0.0, info)
         return info, np.where(singular, 1.0, np.abs(probs[0][..., 1] - 0.5))
 
     xis = np.linspace(0.0, 2.0 * np.pi, _REFERENCE_GRID, endpoint=False)
@@ -430,6 +411,12 @@ class RefineConfig:
     max_stages: int = 6
     prior_bound: float = 0.02  # |dphi| known a priori [rad]
     seed: int = 0
+
+    def __post_init__(self):
+        for name, least in (("m_shots", 1), ("growth", 2), ("max_stages", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

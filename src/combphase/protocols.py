@@ -15,8 +15,8 @@ phase_ref : ideal sigma_x gates interleaved between pulses, accumulating
 The outcome model implements the two-arm Ramsey experiment: arm 1 applies
 Hadamard, reference phase xi on |1>, the train, and an undoing Hadamard;
 arm 2 applies the train directly to |0> (no Hadamards), measuring the raw
-excitation probability that pins down theta.  All probabilities come with
-exact analytic derivatives in (theta, dphi), obtained by product-rule
+excitation probability.  The pulse area theta is known; all probabilities
+come with their exact analytic derivative in dphi, obtained by product-rule
 accumulation through a square-and-multiply matrix power.
 """
 from __future__ import annotations
@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._su2 import (
-    HADAMARD, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z, ID2, matpow_with_grad, ordered_product, rot_x,
-    rot_z,
+    HADAMARD, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, ID2, matpow_with_grad, ordered_product, rot_x, rot_z,
 )
 from .comb import PulseTrain
 from .pulses import Unitary, rwa_matrix
@@ -161,7 +160,7 @@ def optimal_permutation_phase(phases) -> tuple[float, list[int]]:
 # --- Ramsey outcome model -------------------------------------------------
 
 def train_unitary_with_grad(spec: ProtocolSpec, theta: float, dphi):
-    """U_tot(theta, dphi) and its exact partial derivatives (U, dU/dtheta, dU/ddphi).
+    """U_tot(theta, dphi) and its exact derivative in dphi, as (U, dU/ddphi).
 
     ``dphi`` may be a numpy array (``theta`` stays a scalar); each result then has
     shape ``dphi.shape + (2, 2)``.
@@ -169,50 +168,42 @@ def train_unitary_with_grad(spec: ProtocolSpec, theta: float, dphi):
     if spec.kind == "phase_ref":
         total = dphi * spec.n_pulses * (spec.n_pulses + 1) / 2.0
         u = rot_z(-2.0 * total)
-        du_dphi = 2.0j * (spec.n_pulses * (spec.n_pulses + 1) / 2.0) * (SIGMA_Z @ u)
-        return u, np.zeros_like(u), du_dphi
+        return u, 2.0j * (spec.n_pulses * (spec.n_pulses + 1) / 2.0) * (SIGMA_Z @ u)
 
     a = rot_x(theta)
-    da_dth = 1.0j * (SIGMA_X @ a)
     if spec.kind in ("1A", "1B"):
-        g, dg_dth, dg_dphi = a, da_dth, None
+        g, dg_dphi = a, None
         k = spec.n_pulses
     else:  # 2A / 2B: pair unitary with delay-boosted inner phase
         nd = spec.n_delay
-        c = rot_z(nd * dphi)
-        cinv = rot_z(-nd * dphi)
-        core = c @ a @ cinv
+        core = rot_z(nd * dphi) @ a @ rot_z(-nd * dphi)
         g = core @ a
-        dg_dth = c @ da_dth @ cinv @ a + core @ da_dth
         dg_dphi = -1.0j * nd * (SIGMA_Z @ core - core @ SIGMA_Z) @ a
         k = spec.n_pulses // 2
 
     dinv = rot_z(-dphi)
     m = g @ dinv
-    dm_dth = dg_dth @ dinv
     dm_dphi = 1.0j * (g @ (SIGMA_Z @ dinv))
     if dg_dphi is not None:
         dm_dphi = dg_dphi @ dinv + dm_dphi
-    p, (dp_dth, dp_dphi) = matpow_with_grad(m, [dm_dth, dm_dphi], k)
+    p, dp_dphi = matpow_with_grad(m, dm_dphi, k)
     dz = rot_z(k * dphi)
     u = dz @ p
-    du_dth = dz @ dp_dth
-    du_dphi = -1.0j * k * (SIGMA_Z @ u) + dz @ dp_dphi
-    return u, du_dth, du_dphi
+    return u, -1.0j * k * (SIGMA_Z @ u) + dz @ dp_dphi
 
 
 def ramsey_probabilities(train, xi):
-    """Arm distributions and gradients from a train ``(U, dU/dtheta, dU/ddphi)``.
+    """Arm distributions and their dphi derivatives from a train ``(U, dU/ddphi)``.
 
     Arm 1 is Hadamard, reference phase ``xi`` on |1>, the train and an
     undoing Hadamard; arm 2 is the train alone on |0>.  Returns (p1, p2,
-    dp1_dth, dp1_dphi, dp2_dth, dp2_dphi), each indexed by the outcome s on
-    its last axis.  Either ``xi`` may be an array (one train, many reference
-    phases) or the train may be a stack (many dphi, one reference phase).
+    dp1_dphi, dp2_dphi), each indexed by the outcome s on its last axis.
+    Either ``xi`` may be an array (one train, many reference phases) or the
+    train may be a stack (many dphi, one reference phase).
     """
     h = HADAMARD[0, 0]
     e = h * np.exp(1.0j * np.asarray(xi, dtype=float))[..., None, None]
-    t = np.stack(train, axis=-3)  # (..., 3, 2, 2): U, dU/dtheta, dU/ddphi
+    t = np.stack(train, axis=-3)  # (..., 2, 2, 2): U, dU/ddphi
     # arm 1 is HADAMARD @ t @ [h, h e^{i xi}], written out elementwise so
     # that a stack of trains rounds exactly like each train on its own
     w = t[..., :, 0] * h + t[..., :, 1] * e
@@ -220,15 +211,14 @@ def ramsey_probabilities(train, xi):
     arms = []
     for psi in (np.stack([w0 + w1, w0 - w1], axis=-1) * h, t[..., :, 0]):
         amp = psi[..., 0, :]
-        grad = 2.0 * np.real(np.conj(amp)[..., None, :] * psi[..., 1:, :])
-        arms.append((np.abs(amp) ** 2, grad[..., 0, :], grad[..., 1, :]))
-    (p1, dp1_dth, dp1_dphi), (p2, dp2_dth, dp2_dphi) = arms
-    return p1, p2, dp1_dth, dp1_dphi, dp2_dth, dp2_dphi
+        arms.append((np.abs(amp) ** 2, 2.0 * np.real(np.conj(amp) * psi[..., 1, :])))
+    (p1, dp1_dphi), (p2, dp2_dphi) = arms
+    return p1, p2, dp1_dphi, dp2_dphi
 
 
 @dataclass(frozen=True)
 class RamseyOutcomeModel:
-    """Two-arm measurement distributions P1/P2(s | theta, dphi) with gradients.
+    """Two-arm measurement distributions P1/P2(s | theta, dphi) with their dphi derivatives.
 
     ``cache`` holds what `estimation` derives from the model alone (the
     fringe grid and phase-information probes of a fit window), so the fits of
@@ -239,7 +229,7 @@ class RamseyOutcomeModel:
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def evaluate(self, theta: float, dphi):
-        """Return (p1, p2, dp1_dth, dp1_dphi, dp2_dth, dp2_dphi).
+        """Return (p1, p2, dp1_dphi, dp2_dphi).
 
         Each entry is indexed by the outcome s in {0, 1} on its last axis; an
         array ``dphi`` adds its shape in front.

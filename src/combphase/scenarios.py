@@ -83,6 +83,15 @@ ENTRY_KEYS = {
     ("resolution_extrapolation", "extrapolations"): (("rep_rate_hz", "n", "n_delay"), ()),
 }
 
+#: Fewest seeds each kind with an ``n_seeds`` param can run: a study row is a
+#: ddof = 1 spread over its seeds, a lock run needs one lock.
+_MIN_SEEDS = {"table1_scaling": 2, "crlb_saturation": 2, "resolution_extrapolation": 2, "refine_fiber": 1}
+
+
+def _is_count(v, least: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
 #: Top-level keys of a config: (rule, what the rule asks for).
 _TOP_LEVEL = {
     "schema_version": (lambda v: v == SCHEMA_VERSION and not isinstance(v, bool), f"{SCHEMA_VERSION}"),
@@ -90,7 +99,7 @@ _TOP_LEVEL = {
     "kind": (lambda v: isinstance(v, str) and v in PARAMS, f"one of {', '.join(PARAMS)}"),
     "description": (lambda v: isinstance(v, str), "a string"),
     "tags": (lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v), "a list of strings"),
-    "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0, "a non-negative integer"),
+    "seed": (lambda v: _is_count(v, 0), "a non-negative integer"),
     "params": (lambda v: isinstance(v, dict), "a mapping"),
 }
 _REQUIRED_TOP_LEVEL = ("schema_version", "name", "kind")
@@ -119,7 +128,8 @@ def _check_keys(where: str, mapping: dict, required, allowed) -> None:
 def _validate(raw) -> None:
     """Raise `ScenarioConfigError`, naming the key, unless ``raw`` is a valid
     config: the top-level keys (`_TOP_LEVEL`), the params of its kind
-    (`PARAMS`) and the keys of each list entry (`ENTRY_KEYS`)."""
+    (`PARAMS`), its seed count (`_MIN_SEEDS`) and the keys of each list
+    entry (`ENTRY_KEYS`)."""
     if not isinstance(raw, dict):
         raise ScenarioConfigError("scenario config must be a mapping")
     _check_keys("top level", raw, _REQUIRED_TOP_LEVEL, _TOP_LEVEL)
@@ -129,6 +139,10 @@ def _validate(raw) -> None:
     kind, params = raw["kind"], raw.get("params", {})
     known = PARAMS[kind]
     _check_keys(f"params of kind {kind}", params, [k for k, v in known.items() if v is REQUIRED], known)
+    if "n_seeds" in params and not _is_count(params["n_seeds"], _MIN_SEEDS[kind]):
+        raise ScenarioConfigError(
+            f"n_seeds of kind {kind} must be an integer >= {_MIN_SEEDS[kind]}, got {params['n_seeds']!r}"
+        )
     for (entry_kind, param), (required, optional) in ENTRY_KEYS.items():
         if entry_kind == kind and param in params:
             entries = params[param]
@@ -475,13 +489,16 @@ def _run_refine(cfg, out, fmt):
     # 200 kHz-class offset as the prior bound; prior_scale < 1 models an
     # operator underestimating the offset, which must abort with a wrap error
     prior = abs(c.phase_step) * p["prior_scale"]
-    config = estimation.RefineConfig(
-        m_shots=p["m_shots"],
-        growth=p["growth"],
-        max_stages=p["max_stages"],
-        prior_bound=prior,
-        seed=cfg.seed,
-    )
+    try:
+        config = estimation.RefineConfig(
+            m_shots=p["m_shots"],
+            growth=p["growth"],
+            max_stages=p["max_stages"],
+            prior_bound=prior,
+            seed=cfg.seed,
+        )
+    except ValueError as e:
+        raise ScenarioConfigError(f"params of kind refine_fiber: {e}") from e
 
     true_bound = abs(c.phase_step)
     # one model per train length for all locks of this run: without the

@@ -148,12 +148,8 @@ def test_model_gradients_match_finite_differences(kind, n, nd):
     spec = ProtocolSpec(kind, n, nd, 0.7, theta)
     model = ramsey_model(spec)
     h = 1e-6
-    p1, p2, d1t, d1p, d2t, d2p = model.evaluate(theta, dphi)
-    for i, (dt, dp, pick) in enumerate([(d1t, d1p, 0), (d2t, d2p, 1)]):
-        fp = model.evaluate(theta + h, dphi)[pick]
-        fm = model.evaluate(theta - h, dphi)[pick]
-        fd = (fp - fm) / (2 * h)
-        assert np.max(np.abs(fd - dt)) < 1e-6 * (1.0 + np.max(np.abs(dt)))
+    _, _, d1, d2 = model.evaluate(theta, dphi)
+    for dp, pick in [(d1, 0), (d2, 1)]:
         fp = model.evaluate(theta, dphi + h)[pick]
         fm = model.evaluate(theta, dphi - h)[pick]
         fd = (fp - fm) / (2 * h)

@@ -386,6 +386,35 @@ def test_extrapolation_values_checked_before_fitting(tmp_path, no_fits, case):
     assert not (out / "resolution.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "kind,n_seeds",
+    [(kind, n) for kind in ("crlb_saturation", "table1_scaling", "resolution_extrapolation")
+     for n in (0, 1, "many", 3.0, True)]
+    + [("refine_fiber", n) for n in (0, -1, "many", 1.0)],
+)
+def test_seed_count_checked_before_fitting(tmp_path, no_fits, kind, n_seeds):
+    # a study row is a ddof = 1 spread, so a study needs two seeds; a lock run one
+    cfg = _config(tmp_path, kind, {**TINY_PARAMS[kind], "n_seeds": n_seeds})
+    with pytest.raises(ScenarioConfigError, match="n_seeds"):
+        load_scenario_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize(
+    "params,name",
+    [({"max_stages": 0}, "max_stages"), ({"growth": 1}, "growth"), ({"m_shots": 0}, "m_shots")],
+)
+def test_bad_refine_config_rejected_before_fitting(tmp_path, no_fits, params, name):
+    cfg = _config(tmp_path, "refine_fiber", {**TINY_PARAMS["refine_fiber"], **params})
+    with pytest.raises(ScenarioConfigError, match=name):
+        run_scenario(cfg, tmp_path / "direct")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
+    assert not (out / "refine_fiber.csv").exists()
+
+
 def test_closed_forms_match_the_outcome_model(tmp_path):
     # the tiny run's third case is a phase_ref train
     cfg = _config(tmp_path, "closed_forms", TINY_PARAMS["closed_forms"])

@@ -53,11 +53,10 @@ def _power_rule(m, dm, n):
 def test_matpow_with_grad_on_stacks_matches_power_rule(n):
     ms = _random_unitaries(5, 1, 2, seed=n)[:, 0]
     rng = np.random.default_rng(n + 100)
-    dms = [rng.normal(size=(5, 2, 2)) + 1.0j * rng.normal(size=(5, 2, 2)) for _ in range(2)]
-    p, dps = matpow_with_grad(ms, dms, n)
-    assert p.shape == (5, 2, 2) and [d.shape for d in dps] == [(5, 2, 2)] * 2
+    dm = rng.normal(size=(5, 2, 2)) + 1.0j * rng.normal(size=(5, 2, 2))
+    p, dp = matpow_with_grad(ms, dm, n)
+    assert p.shape == dp.shape == (5, 2, 2)
     for i in range(5):
-        for dm, dp in zip(dms, dps):
-            expected_p, expected_dp = _power_rule(ms[i], dm[i], n)
-            assert np.allclose(p[i], expected_p, rtol=0.0, atol=1e-12)
-            assert np.allclose(dp[i], expected_dp, rtol=0.0, atol=1e-12 * max(n, 1))
+        expected_p, expected_dp = _power_rule(ms[i], dm[i], n)
+        assert np.allclose(p[i], expected_p, rtol=0.0, atol=1e-12)
+        assert np.allclose(dp[i], expected_dp, rtol=0.0, atol=1e-12 * max(n, 1))
