@@ -6,10 +6,12 @@ noise, fit dphi by maximum likelihood over many repetitions, and compare
 the empirical standard deviation with the Cramer-Rao lower bound computed
 from the Fisher information of the same model.
 
-The pulse area theta is known and held fixed in the fit, so the bound on
-the variance is 1 / I_dphidphi, the Fisher information in dphi.  At a
-balanced fringe it is 4 N^2 M, so the bound is
-sigma = 1 / (2 N sqrt(M)); the empirical ratio should sit close to 1.
+The pulse area theta is known: the ProtocolSpec holds it, the model reads
+it there and the fit holds it fixed (sample_record and ml_estimate still
+take it, and it must equal the spec's).  The bound on the variance is
+1 / I_dphidphi, the Fisher information in dphi.  At a balanced fringe it
+is 4 N^2 M, so the bound is sigma = 1 / (2 N sqrt(M)); the empirical
+ratio should sit close to 1.
 """
 import numpy as np
 
@@ -26,11 +28,11 @@ n, m_shots, n_seeds = 100, 2000, 300
 theta = np.pi / 2
 dphi_true = 0.2 / n  # same comfortable spot on the fringe for any N
 
-xi = optimize_reference_phase(ProtocolSpec("1B", n, 0, 0.0, theta), theta, dphi_true)
+xi = optimize_reference_phase(ProtocolSpec("1B", n, 0, 0.0, theta), dphi_true)
 spec = ProtocolSpec("1B", n, 0, xi, theta)
 model = ramsey_model(spec)
 
-info = fisher_matrix(model, theta, dphi_true, m_shots)
+info = fisher_matrix(model, dphi_true, m_shots)
 sigma_bound = 1.0 / np.sqrt(info)
 print(f"1-train, N = {n}, M = {m_shots} shots/arm, reference phase xi = {xi:.4f}")
 print(f"Fisher information I_dphi = {info:.4e}  (4 N^2 M = {4 * n**2 * m_shots:.4e})")

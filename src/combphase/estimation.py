@@ -6,10 +6,10 @@ The measurement model is the two-arm Ramsey experiment of `protocols`:
 and M with the bare train (arm 2).  Everything downstream treats the two
 binomial arms as independent samples of known parametric distributions.
 
-Every fit holds the pulse area theta at its known value and estimates dphi
-alone, so the model carries dphi derivatives only, the Fisher information
-I_dphidphi is a number, and the Cramer-Rao bound is 1 / I_dphidphi (Kay,
-*Estimation Theory*, 1993, ch. 3).
+Every fit holds the pulse area theta at its known value, the model's
+``spec.theta``, and estimates dphi alone, so the model carries dphi
+derivatives only, the Fisher information I_dphidphi is a number, and the
+Cramer-Rao bound is 1 / I_dphidphi (Kay, *Estimation Theory*, 1993, ch. 3).
 """
 from __future__ import annotations
 
@@ -40,18 +40,14 @@ class MeasurementRecord:
 
     m_shots: int
     counts1: np.ndarray
-    counts2: np.ndarray | None = None
+    counts2: np.ndarray
 
     def __post_init__(self):
-        c1 = np.asarray(self.counts1, dtype=int)
-        if c1.shape != (2,) or c1.sum() != self.m_shots:
-            raise ValueError("arm-1 counts must be two outcomes summing to m_shots")
-        object.__setattr__(self, "counts1", c1)
-        if self.counts2 is not None:
-            c2 = np.asarray(self.counts2, dtype=int)
-            if c2.shape != (2,) or c2.sum() != self.m_shots:
-                raise ValueError("arm-2 counts must be two outcomes summing to m_shots")
-            object.__setattr__(self, "counts2", c2)
+        for arm in ("counts1", "counts2"):
+            c = np.asarray(getattr(self, arm), dtype=int)
+            if c.shape != (2,) or c.sum() != self.m_shots:
+                raise ValueError(f"{arm} must be two outcomes summing to m_shots")
+            object.__setattr__(self, arm, c)
 
 
 @dataclass(frozen=True)
@@ -64,30 +60,21 @@ class EstimationResult:
     n_evaluations: int
 
 
-def _arm_terms(probs, arms):
-    """(p, dp_dphi) of each arm in ``arms`` from an `evaluate` tuple."""
-    p1, p2, d1, d2 = probs
-    out = []
-    if "p1" in arms:
-        out.append((p1, d1))
-    if "p2" in arms:
-        out.append((p2, d2))
-    return out
-
-
-def _information(arm_terms, m_shots: int, chi: float):
+def _information(probs, m_shots: int, chi: float):
     """dphi Fisher information (...) and a (...) mask of singular points.
 
-    ``arm_terms`` holds (p, dp_dphi) per arm, each indexed by the outcome on
-    its last axis.  I = sum over arms and outcomes of M (dP/ddphi)^2 / P.
+    ``probs`` is an `evaluate` tuple (p1, p2, dp1_dphi, dp2_dphi), each
+    indexed by the outcome on its last axis.  I = sum over both arms and
+    outcomes of M (dP/ddphi)^2 / P.
     Outcomes with P = 0 contribute nothing when their dphi derivative also
     vanishes (removable); a vanishing probability with a nonzero dphi
     derivative means the score diverges, and the point is flagged.  The
     test looks at dP/ddphi alone, since it is the only derivative in I.
     """
+    p1, p2, d1, d2 = probs
     info = 0.0
     singular = False
-    for p, dp in arm_terms:
+    for p, dp in ((p1, d1), (p2, d2)):
         for s in range(2):
             ps, ds = p[..., s], dp[..., s]
             node = ps < 1e-14
@@ -101,35 +88,35 @@ def _information(arm_terms, m_shots: int, chi: float):
     return info, singular
 
 
-def _information_at(model: RamseyOutcomeModel, theta, dphi, m_shots, arms):
+def _information_at(model: RamseyOutcomeModel, dphi, m_shots):
     """dphi information at ``dphi`` (scalar or array); raises if any point is singular."""
-    terms = _arm_terms(model.evaluate(theta, dphi), arms)
-    info, singular = _information(terms, m_shots, model.spec.enhancement)
+    info, singular = _information(model.evaluate(dphi), m_shots, model.spec.enhancement)
     if np.any(singular):
         raise SingularInformationError("outcome probability vanishes with nonzero derivative")
     return info
 
 
-def fisher_matrix(
-    model: RamseyOutcomeModel,
-    theta: float,
-    dphi: float,
-    m_shots: int,
-    arms=("p1", "p2"),
-) -> float:
-    """I_dphidphi = sum over arms and outcomes of M (dP/ddphi)^2 / P, theta known.
+def fisher_matrix(model: RamseyOutcomeModel, dphi: float, m_shots: int) -> float:
+    """I_dphidphi = sum over both arms and outcomes of M (dP/ddphi)^2 / P at
+    the model's known pulse area.
 
     Outcomes with P = 0 contribute nothing when their derivative also
     vanishes (removable); a vanishing probability with a nonzero derivative
     means the score diverges and raises SingularInformationError.  The name
     predates the scalar result; `perfbench/tracer.py` wraps it by name.
     """
-    return float(_information_at(model, theta, dphi, m_shots, arms))
+    return float(_information_at(model, dphi, m_shots))
 
 
-def _dphi_bound(model, theta, dphi, m_shots, arms=("p1", "p2")) -> float:
+def _dphi_bound(model, dphi, m_shots) -> float:
     """Cramer-Rao bound on the variance of a dphi estimate with theta known."""
-    return 1.0 / fisher_matrix(model, theta, dphi, m_shots, arms)
+    return 1.0 / fisher_matrix(model, dphi, m_shots)
+
+
+def _check_theta(model: RamseyOutcomeModel, theta) -> None:
+    """Raise ValueError unless ``theta`` is the model's pulse area ``spec.theta``."""
+    if theta != model.spec.theta:
+        raise ValueError(f"theta {theta!r} differs from the model's pulse area {model.spec.theta!r}")
 
 
 def sample_record(
@@ -138,33 +125,26 @@ def sample_record(
     dphi: float,
     m_shots: int,
     seed: int,
-    arms=("p1", "p2"),
 ) -> MeasurementRecord:
-    """Binomial draws from both arms; deterministic under the seed."""
+    """Binomial draws of ``m_shots`` from each arm; deterministic under the seed.
+
+    The model holds the pulse area; ``theta`` must equal ``model.spec.theta``
+    (ValueError otherwise).  The slot stays only for callers that pass it.
+    """
+    _check_theta(model, theta)
     rng = np.random.default_rng(seed)
-    p1, p2, *_ = model.evaluate(theta, dphi)
-    c1 = None
-    c2 = None
-    if "p1" in arms:
-        n1 = rng.binomial(m_shots, np.clip(p1[1], 0.0, 1.0))
-        c1 = np.array([m_shots - n1, n1])
-    if "p2" in arms:
-        n2 = rng.binomial(m_shots, np.clip(p2[1], 0.0, 1.0))
-        c2 = np.array([m_shots - n2, n2])
-    if c1 is None:
-        raise ValueError("arm 1 is required in a measurement record")
-    return MeasurementRecord(m_shots=m_shots, counts1=c1, counts2=c2)
+    p1, p2, *_ = model.evaluate(dphi)
+    n1 = rng.binomial(m_shots, np.clip(p1[1], 0.0, 1.0))
+    n2 = rng.binomial(m_shots, np.clip(p2[1], 0.0, 1.0))
+    return MeasurementRecord(m_shots, np.array([m_shots - n1, n1]), np.array([m_shots - n2, n2]))
 
 
-def log_likelihood_and_grad(record: MeasurementRecord, model, theta, dphi):
+def log_likelihood_and_grad(record: MeasurementRecord, model, dphi):
     """Joint log-likelihood of both arms and its analytic dphi score."""
-    p1, p2, d1, d2 = model.evaluate(theta, dphi)
+    p1, p2, d1, d2 = model.evaluate(dphi)
     ll = 0.0
     score = 0.0
-    sets = [(record.counts1, p1, d1)]
-    if record.counts2 is not None:
-        sets.append((record.counts2, p2, d2))
-    for counts, p, dp in sets:
+    for counts, p, dp in ((record.counts1, p1, d1), (record.counts2, p2, d2)):
         pc = np.clip(p, _PCLIP, 1.0)
         ll += float(np.sum(counts * np.log(pc)))
         score += float(np.sum(counts / pc * dp))
@@ -178,10 +158,12 @@ def ml_estimate(
     fix_theta: bool = True,
     dphi_window: float | None = None,
 ) -> EstimationResult:
-    """Maximum-likelihood estimate of dphi with theta held at ``init[0]``.
+    """Maximum-likelihood estimate of dphi with theta held at ``model.spec.theta``.
 
-    ``dphi_window`` defaults to the unambiguous quarter-fringe pi / (4 chi)
-    around the initial guess ``init[1]``; a non-positive or non-finite
+    ``init`` is (theta, initial dphi guess).  Its theta must equal
+    ``model.spec.theta`` (ValueError otherwise); the slot stays only for
+    callers that pass it.  ``dphi_window`` defaults to the unambiguous
+    quarter-fringe pi / (4 chi) around ``init[1]``; a non-positive or non-finite
     window raises ValueError, and an initial accumulated phase beyond the
     fringe raises WrapAmbiguityError (use `iterative_refine` instead).
     ``fix_theta=False`` raises ValueError: the joint (theta, dphi) fit has
@@ -200,7 +182,8 @@ def ml_estimate(
     """
     if not fix_theta:
         raise ValueError("the joint (theta, dphi) fit has been removed; theta is always fixed")
-    theta, dphi0 = float(init[0]), float(init[1])
+    _check_theta(model, init[0])
+    dphi0 = float(init[1])
     chi = model.spec.enhancement
     if dphi_window is None:
         dphi_window = np.pi / (4.0 * chi)
@@ -210,15 +193,14 @@ def ml_estimate(
         raise WrapAmbiguityError(
             "initial accumulated phase exceeds pi; run iterative refinement"
         )
-    arms = ("p1",) if record.counts2 is None else ("p1", "p2")
-    if _phase_information(model, theta, dphi0, dphi_window, record.m_shots, arms) <= 1e-9:
+    if _phase_information(model, dphi0, dphi_window, record.m_shots) <= 1e-9:
         raise DegenerateFitError("no phase information anywhere in the window")
 
     dp, converged, n_evaluations = _fixed_theta_fit(
-        record, model, theta, dphi0 - dphi_window, dphi0 + dphi_window, chi
+        record, model, dphi0 - dphi_window, dphi0 + dphi_window, chi
     )
-    bound = _dphi_bound(model, theta, dp, record.m_shots, arms)
-    variance = _observed_variance(record, model, theta, dp, chi)
+    bound = _dphi_bound(model, dp, record.m_shots)
+    variance = _observed_variance(record, model, dp, chi)
     return EstimationResult(
         dphi_hat=dp,
         variance=variance,
@@ -229,29 +211,29 @@ def ml_estimate(
     )
 
 
-def _phase_information(model, theta, dphi0, window, m_shots, arms):
+def _phase_information(model, dphi0, window, m_shots):
     """Largest dphi information, over chi^2, at five points of the window.
 
     Isolated nodes are fine, a window-wide blind spot is not, so the
     information is probed at several points.  Cached on the model per window.
     """
-    key = ("probes", theta, dphi0, window, m_shots, arms)
+    key = ("probes", dphi0, window, m_shots)
     if key not in model.cache:
         chi = model.spec.enhancement
         probes = dphi0 + np.array([-0.6, -0.25, 0.0, 0.25, 0.6]) * window
-        info = _information_at(model, theta, probes, m_shots, arms) / (chi * chi)
+        info = _information_at(model, probes, m_shots) / (chi * chi)
         model.cache[key] = max(0.0, float(np.max(info)))
     return model.cache[key]
 
 
-def _fringe_grid(model, theta, lo, hi):
+def _fringe_grid(model, lo, hi):
     """dphi grid over [lo, hi] with each arm's clipped log-probabilities and
     dphi score weights (dP/dphi) / P, from one batched evaluation cached on
     the model."""
-    key = ("grid", theta, lo, hi)
+    key = ("grid", lo, hi)
     if key not in model.cache:
         grid = np.linspace(lo, hi, _GRID_POINTS)
-        p1, p2, d1p, d2p = model.evaluate(theta, grid)
+        p1, p2, d1p, d2p = model.evaluate(grid)
         terms = []
         for p, dp in ((p1, d1p), (p2, d2p)):
             pc = np.clip(p, _PCLIP, 1.0)
@@ -273,10 +255,10 @@ def _falling_bracket(score, k):
     return None
 
 
-def _fixed_theta_fit(record, model, theta, lo, hi, chi):
+def _fixed_theta_fit(record, model, lo, hi, chi):
     """(dphi_hat, converged, score evaluations) of the fixed-theta fit on [lo, hi]."""
-    grid, terms = _fringe_grid(model, theta, lo, hi)
-    counts = (record.counts1,) if record.counts2 is None else (record.counts1, record.counts2)
+    grid, terms = _fringe_grid(model, lo, hi)
+    counts = (record.counts1, record.counts2)
     ll = sum(log_p @ c for (log_p, _), c in zip(terms, counts))
     score = sum(weight @ c for (_, weight), c in zip(terms, counts))
     k = int(np.argmax(ll))
@@ -292,7 +274,7 @@ def _fixed_theta_fit(record, model, theta, lo, hi, chi):
         if x in known:
             return known[x]
         evals[0] += 1
-        return log_likelihood_and_grad(record, model, theta, x)[1]
+        return log_likelihood_and_grad(record, model, x)[1]
 
     root, res = optimize.brentq(
         dphi_score, grid[a], grid[b], xtol=1e-12 / chi, full_output=True, disp=False
@@ -300,31 +282,32 @@ def _fixed_theta_fit(record, model, theta, lo, hi, chi):
     return float(root), bool(res.converged), evals[0]
 
 
-def _observed_variance(record, model, theta, dphi, chi):
+def _observed_variance(record, model, dphi, chi):
     """Inverse observed dphi information, from a central difference of the
     exact dphi score."""
     h = 1e-7 / chi
-    _, gp = log_likelihood_and_grad(record, model, theta, dphi + h)
-    _, gm = log_likelihood_and_grad(record, model, theta, dphi - h)
+    _, gp = log_likelihood_and_grad(record, model, dphi + h)
+    _, gm = log_likelihood_and_grad(record, model, dphi - h)
     info = -(gp - gm) / (2.0 * h)
     return 1.0 / info if info > 0 else np.inf
 
 
-def optimize_reference_phase(spec: ProtocolSpec, theta: float, dphi: float) -> float:
-    """Reference phase maximizing the dphi Fisher information (grid + refine).
+def optimize_reference_phase(spec: ProtocolSpec, dphi: float) -> float:
+    """Reference phase maximizing the dphi Fisher information at the pulse
+    area ``spec.theta`` (grid + refine).
 
     The information is taken per shot, since the shot count scales it and
     leaves the argmax alone.  The train does not depend on the reference
     phase, so its unitary and dphi derivative are computed once and every probe
     only re-applies arm 1.
     """
-    train = train_unitary_with_grad(spec, theta, dphi)
+    train = train_unitary_with_grad(spec, dphi)
     chi = spec.enhancement
 
     def probe(xi):
         """(dphi information, fringe imbalance |P1(1) - 1/2|) at reference phase(s) xi."""
         probs = ramsey_probabilities(train, np.mod(xi, 2.0 * np.pi))
-        info, singular = _information(_arm_terms(probs, ("p1", "p2")), 1, chi)
+        info, singular = _information(probs, 1, chi)
         info = np.where(singular, 0.0, info)
         return info, np.where(singular, 1.0, np.abs(probs[0][..., 1] - 0.5))
 
@@ -363,16 +346,15 @@ def estimator_study(
     and the fixed-theta Cramer-Rao bound 1 / I_dphidphi on the variance of
     one experiment's estimate, the bound `ml_estimate` reports.
     """
-    theta = spec.theta
-    xi = optimize_reference_phase(spec, theta, dphi)
+    xi = optimize_reference_phase(spec, dphi)
     model = ramsey_model(replace(spec, reference_phase=xi))
 
     def one(seed):
-        rec = sample_record(model, theta, dphi, m_shots, seed)
-        return ml_estimate(rec, model, (theta, 0.0)).dphi_hat
+        rec = sample_record(model, spec.theta, dphi, m_shots, seed)
+        return ml_estimate(rec, model, (spec.theta, 0.0)).dphi_hat
 
     estimates = np.array([one(s) for s in seeds], dtype=float)
-    return estimates, float(_dphi_bound(model, theta, dphi, m_shots))
+    return estimates, float(_dphi_bound(model, dphi, m_shots))
 
 
 # --- offset-frequency resolution ------------------------------------------
@@ -474,10 +456,10 @@ def iterative_refine(
         if models is not None:
             model = models.setdefault(spec, model)
         rec = sample_record(
-            model, np.pi / 2.0, residual, config.m_shots, seed=config.seed + 7919 * stage_idx
+            model, spec.theta, residual, config.m_shots, seed=config.seed + 7919 * stage_idx
         )
         window = np.pi / (4.0 * spec.enhancement)
-        est = ml_estimate(rec, model, (np.pi / 2.0, 0.0), dphi_window=window)
+        est = ml_estimate(rec, model, (spec.theta, 0.0), dphi_window=window)
         if abs(est.dphi_hat) >= 0.98 * window:
             if backoffs:
                 raise WrapAmbiguityError(

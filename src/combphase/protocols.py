@@ -15,13 +15,15 @@ phase_ref : ideal sigma_x gates interleaved between pulses, accumulating
 The outcome model implements the two-arm Ramsey experiment: arm 1 applies
 Hadamard, reference phase xi on |1>, the train, and an undoing Hadamard;
 arm 2 applies the train directly to |0> (no Hadamards), measuring the raw
-excitation probability.  The pulse area theta is known; all probabilities
-come with their exact analytic derivative in dphi, obtained by product-rule
-accumulation through a square-and-multiply matrix power.
+excitation probability.  The pulse area theta is known and read from the
+`ProtocolSpec`; all probabilities come with their exact analytic derivative
+in dphi, obtained by product-rule accumulation through a square-and-multiply
+matrix power.
 """
 from __future__ import annotations
 
 import itertools
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -49,6 +51,14 @@ class ProtocolSpec:
     def __post_init__(self):
         if self.kind not in PROTOCOL_KINDS:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
+        for name in ("n_pulses", "n_delay"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("theta", "reference_phase"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and np.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.n_pulses < 1:
             raise ValueError("n_pulses must be >= 1")
         if self.kind in ("1B", "2A", "2B") and self.n_pulses % 2:
@@ -159,18 +169,19 @@ def optimal_permutation_phase(phases) -> tuple[float, list[int]]:
 
 # --- Ramsey outcome model -------------------------------------------------
 
-def train_unitary_with_grad(spec: ProtocolSpec, theta: float, dphi):
-    """U_tot(theta, dphi) and its exact derivative in dphi, as (U, dU/ddphi).
+def train_unitary_with_grad(spec: ProtocolSpec, dphi):
+    """U_tot(dphi) at the pulse area ``spec.theta`` and its exact derivative in
+    dphi, as (U, dU/ddphi).
 
-    ``dphi`` may be a numpy array (``theta`` stays a scalar); each result then has
-    shape ``dphi.shape + (2, 2)``.
+    ``dphi`` may be a numpy array; each result then has shape
+    ``dphi.shape + (2, 2)``.
     """
     if spec.kind == "phase_ref":
         total = dphi * spec.n_pulses * (spec.n_pulses + 1) / 2.0
         u = rot_z(-2.0 * total)
         return u, 2.0j * (spec.n_pulses * (spec.n_pulses + 1) / 2.0) * (SIGMA_Z @ u)
 
-    a = rot_x(theta)
+    a = rot_x(spec.theta)
     if spec.kind in ("1A", "1B"):
         g, dg_dphi = a, None
         k = spec.n_pulses
@@ -218,7 +229,8 @@ def ramsey_probabilities(train, xi):
 
 @dataclass(frozen=True)
 class RamseyOutcomeModel:
-    """Two-arm measurement distributions P1/P2(s | theta, dphi) with their dphi derivatives.
+    """Two-arm measurement distributions P1/P2(s | dphi) at the pulse area
+    ``spec.theta``, with their dphi derivatives.
 
     ``cache`` holds what `estimation` derives from the model alone (the
     fringe grid and phase-information probes of a fit window), so the fits of
@@ -228,17 +240,17 @@ class RamseyOutcomeModel:
     spec: ProtocolSpec
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def evaluate(self, theta: float, dphi):
+    def evaluate(self, dphi):
         """Return (p1, p2, dp1_dphi, dp2_dphi).
 
         Each entry is indexed by the outcome s in {0, 1} on its last axis; an
         array ``dphi`` adds its shape in front.
         """
-        train = train_unitary_with_grad(self.spec, theta, dphi)
+        train = train_unitary_with_grad(self.spec, dphi)
         return ramsey_probabilities(train, self.spec.reference_phase)
 
-    def train_unitary(self, theta: float, dphi: float) -> np.ndarray:
-        return train_unitary_with_grad(self.spec, theta, dphi)[0]
+    def train_unitary(self, dphi: float) -> np.ndarray:
+        return train_unitary_with_grad(self.spec, dphi)[0]
 
 
 def ramsey_model(spec: ProtocolSpec) -> RamseyOutcomeModel:

@@ -83,13 +83,23 @@ ENTRY_KEYS = {
     ("resolution_extrapolation", "extrapolations"): (("rep_rate_hz", "n", "n_delay"), ()),
 }
 
-#: Fewest seeds each kind with an ``n_seeds`` param can run: a study row is a
-#: ddof = 1 spread over its seeds, a lock run needs one lock.
-_MIN_SEEDS = {"table1_scaling": 2, "crlb_saturation": 2, "resolution_extrapolation": 2, "refine_fiber": 1}
+#: Least value of each count param, per kind: a study row is a ddof = 1
+#: spread over its seeds, a lock run needs one lock and a record one shot.
+#: (`RefineConfig` checks the lock's own counts.)
+_LEAST_COUNTS = {
+    "table1_scaling": {"n_seeds": 2, "m_shots": 1},
+    "crlb_saturation": {"n_seeds": 2},
+    "resolution_extrapolation": {"n_seeds": 2, "m_shots": 1},
+    "refine_fiber": {"n_seeds": 1},
+}
 
 
 def _is_count(v, least: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
 
 
 #: Top-level keys of a config: (rule, what the rule asks for).
@@ -128,8 +138,8 @@ def _check_keys(where: str, mapping: dict, required, allowed) -> None:
 def _validate(raw) -> None:
     """Raise `ScenarioConfigError`, naming the key, unless ``raw`` is a valid
     config: the top-level keys (`_TOP_LEVEL`), the params of its kind
-    (`PARAMS`), its seed count (`_MIN_SEEDS`) and the keys of each list
-    entry (`ENTRY_KEYS`)."""
+    (`PARAMS`), its count params (`_LEAST_COUNTS`) and the keys of each
+    list entry (`ENTRY_KEYS`)."""
     if not isinstance(raw, dict):
         raise ScenarioConfigError("scenario config must be a mapping")
     _check_keys("top level", raw, _REQUIRED_TOP_LEVEL, _TOP_LEVEL)
@@ -139,10 +149,9 @@ def _validate(raw) -> None:
     kind, params = raw["kind"], raw.get("params", {})
     known = PARAMS[kind]
     _check_keys(f"params of kind {kind}", params, [k for k, v in known.items() if v is REQUIRED], known)
-    if "n_seeds" in params and not _is_count(params["n_seeds"], _MIN_SEEDS[kind]):
-        raise ScenarioConfigError(
-            f"n_seeds of kind {kind} must be an integer >= {_MIN_SEEDS[kind]}, got {params['n_seeds']!r}"
-        )
+    for name, least in _LEAST_COUNTS.get(kind, {}).items():
+        if name in params and not _is_count(params[name], least):
+            raise ScenarioConfigError(f"{name} of kind {kind} must be an integer >= {least}, got {params[name]!r}")
     for (entry_kind, param), (required, optional) in ENTRY_KEYS.items():
         if entry_kind == kind and param in params:
             entries = params[param]
@@ -270,7 +279,7 @@ def _run_closed_forms(cfg, out, fmt):
         else:
             u = protocols.closed_form_1b(train.phases).matrix
         spec = protocols.ProtocolSpec(kind, n, nd, 0.0, np.pi / 2)
-        v = protocols.ramsey_model(spec).train_unitary(np.pi / 2, dphi)
+        v = protocols.ramsey_model(spec).train_unitary(dphi)
         err = 1.0 - pulses.matrix_fidelity(u, v)
         worst = max(worst, err)
         rows.append((case, kind, n, nd, dphi, err))
@@ -364,6 +373,12 @@ def _run_table1_scaling(cfg, out, fmt):
 
 
 def _point_spec(pt):
+    """The `ProtocolSpec` of one ``points`` entry; a bad ``m_shots`` or ``dphi``
+    of the entry raises ValueError too."""
+    if not _is_count(pt.get("m_shots", 10_000), 1):
+        raise ValueError(f"m_shots must be an integer >= 1, got {pt['m_shots']!r}")
+    if not _is_real(pt["dphi"]):
+        raise ValueError(f"dphi must be a finite real number, got {pt['dphi']!r}")
     return protocols.ProtocolSpec(
         pt["kind"], pt["n"], pt.get("n_delay", 0), 0.0, pt.get("theta", np.pi / 2)
     )

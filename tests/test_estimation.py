@@ -36,7 +36,7 @@ def _model(kind="1B", n=100, nd=0, xi=np.pi / 2, theta=np.pi / 2):
 def test_fisher_oracle_quadrature_fringe():
     # N pi/2-pulses at quadrature: information 4 N^2 M in the phase step
     n, m_shots = 100, 1000
-    f = fisher_matrix(_model(n=n), np.pi / 2, 0.001, m_shots)
+    f = fisher_matrix(_model(n=n), 0.001, m_shots)
     assert f == pytest.approx(4.0 * n**2 * m_shots, rel=1e-9)
 
 
@@ -44,15 +44,15 @@ def test_fisher_oracle_quadrature_fringe():
 @settings(max_examples=30, deadline=None)
 def test_fisher_psd_everywhere(theta, dphi):
     # I_dphidphi is a sum of squares over probabilities: never negative
-    assert fisher_matrix(_model(n=20, xi=1.0), theta, dphi, 100) >= 0.0
+    assert fisher_matrix(_model(n=20, xi=1.0, theta=theta), dphi, 100) >= 0.0
 
 
 @given(theta=st.floats(0.3, 2.8), dphi=st.floats(-0.02, 0.02))
 @settings(max_examples=30, deadline=None)
 def test_score_has_zero_expectation(theta, dphi):
     # E[S] = sum_s dP/ddphi = 0 for each arm
-    model = _model(n=20, xi=1.0)
-    _, _, d1, d2 = model.evaluate(theta, dphi)
+    model = _model(n=20, xi=1.0, theta=theta)
+    _, _, d1, d2 = model.evaluate(dphi)
     for d in (d1, d2):
         assert abs(d.sum()) < 1e-10
 
@@ -67,18 +67,31 @@ def test_sample_record_deterministic_counts():
 
 
 def test_measurement_record_validation():
-    with pytest.raises(ValueError):
-        MeasurementRecord(10, np.array([4, 7]))  # does not sum to m_shots
+    with pytest.raises(ValueError, match="counts1"):
+        MeasurementRecord(10, np.array([4, 7]), np.array([5, 5]))  # does not sum to m_shots
+    with pytest.raises(ValueError, match="counts2"):
+        MeasurementRecord(10, np.array([4, 6]), np.array([5, 5, 0]))  # three outcomes
+
+
+def test_theta_slots_must_match_the_model():
+    # the model holds the pulse area; sample_record's theta and ml_estimate's
+    # init[0] remain only as slots that must repeat it
+    model = _model(n=100)
+    with pytest.raises(ValueError, match="pulse area"):
+        sample_record(model, 0.95 * np.pi / 2, 0.002, 1000, seed=0)
+    rec = sample_record(model, np.pi / 2, 0.002, 1000, seed=0)
+    with pytest.raises(ValueError, match="pulse area"):
+        ml_estimate(rec, model, (0.95 * np.pi / 2, 0.0))
 
 
 def test_log_likelihood_gradient_matches_fd():
     model = _model(theta=0.95 * np.pi / 2)
     rec = sample_record(model, 0.95 * np.pi / 2, 0.002, 1000, seed=0)
-    th, dp = 0.95 * np.pi / 2, 0.0015
-    _, score = log_likelihood_and_grad(rec, model, th, dp)
+    dp = 0.0015
+    _, score = log_likelihood_and_grad(rec, model, dp)
     h = 1e-7
-    lp, _ = log_likelihood_and_grad(rec, model, th, dp + h)
-    lm, _ = log_likelihood_and_grad(rec, model, th, dp - h)
+    lp, _ = log_likelihood_and_grad(rec, model, dp + h)
+    lm, _ = log_likelihood_and_grad(rec, model, dp - h)
     assert (lp - lm) / (2 * h) == pytest.approx(score, rel=1e-4, abs=1e-3)
 
 
@@ -110,17 +123,6 @@ def test_ml_estimate_wrap_guard():
         ml_estimate(rec, model, (np.pi / 2, 0.01))  # chi * init = 10 > pi
 
 
-def test_ml_estimate_degenerate_without_second_arm():
-    # at theta = pi/2 arm 1 alone carries no theta information, but theta is
-    # held fixed, so the single-arm fit is well-posed
-    model = _model(n=10)
-    rec = sample_record(model, np.pi / 2, 0.01, 1000, seed=1, arms=("p1",))
-    assert rec.counts2 is None
-    est = ml_estimate(rec, model, (np.pi / 2, 0.0))
-    assert est.converged
-    assert est.bound == 1.0 / fisher_matrix(model, np.pi / 2, est.dphi_hat, 1000, ("p1",))
-
-
 def test_ml_estimate_degenerate_without_pulse_area():
     # theta = 0: the train does nothing, so no outcome depends on dphi
     model = _model(n=10, theta=0.0)
@@ -131,19 +133,19 @@ def test_ml_estimate_degenerate_without_pulse_area():
 
 def test_optimize_reference_phase_reaches_max_information():
     spec = ProtocolSpec("1B", 50, 0, 0.0, np.pi / 2)
-    xi = optimize_reference_phase(spec, np.pi / 2, 0.001)
-    f = fisher_matrix(ramsey_model(replace(spec, reference_phase=xi)), np.pi / 2, 0.001, 1)
+    xi = optimize_reference_phase(spec, 0.001)
+    f = fisher_matrix(ramsey_model(replace(spec, reference_phase=xi)), 0.001, 1)
     assert f == pytest.approx(4.0 * 50**2, rel=1e-6)
     # and the chosen fringe is balanced, not pinned at a node
-    p1 = ramsey_model(replace(spec, reference_phase=xi)).evaluate(np.pi / 2, 0.001)[0]
+    p1 = ramsey_model(replace(spec, reference_phase=xi)).evaluate(0.001)[0]
     assert 0.05 < p1[1] < 0.95
 
 
-def _bounded_brent_fit(record, model, theta, window):
+def _bounded_brent_fit(record, model, window):
     """Oracle: the fixed-theta fit as a bounded Brent minimisation of the
     negative log-likelihood over the whole window."""
     res = optimize.minimize_scalar(
-        lambda x: -log_likelihood_and_grad(record, model, theta, x)[0],
+        lambda x: -log_likelihood_and_grad(record, model, x)[0],
         bounds=(-window, window), method="bounded", options={"xatol": 1e-12},
     )
     return float(res.x)
@@ -154,7 +156,7 @@ def _sweep_model(kind, n, nd):
     spec = ProtocolSpec(kind, n, nd, 0.0, np.pi / 2)
     chi = spec.enhancement
     dphi = 0.2 / chi
-    xi = optimize_reference_phase(spec, spec.theta, dphi)
+    xi = optimize_reference_phase(spec, dphi)
     return ramsey_model(replace(spec, reference_phase=xi)), chi, dphi
 
 
@@ -162,7 +164,7 @@ def _sweep_model(kind, n, nd):
 def test_fixed_theta_fit_matches_bounded_brent(kind, n, nd):
     model, chi, dphi = _sweep_model(kind, n, nd)
     m_shots = 10_000
-    p = model.evaluate(np.pi / 2, dphi)[0][1]
+    p = model.evaluate(dphi)[0][1]
     sigma = np.sqrt(m_shots * p * (1.0 - p))
     # 300 distinct records spanning +-5 sigma of n1 around its expectation
     n1s = np.unique(np.round(m_shots * p + np.linspace(-5.0, 5.0, 300) * sigma).astype(int))
@@ -173,7 +175,7 @@ def test_fixed_theta_fit_matches_bounded_brent(kind, n, nd):
         rec = MeasurementRecord(m_shots, [m_shots - n1, n1], [m_shots, 0])
         est = ml_estimate(rec, model, (np.pi / 2, 0.0))
         assert est.converged
-        worst = max(worst, chi * abs(est.dphi_hat - _bounded_brent_fit(rec, model, np.pi / 2, window)))
+        worst = max(worst, chi * abs(est.dphi_hat - _bounded_brent_fit(rec, model, window)))
     assert worst <= 1e-6
 
 
@@ -195,7 +197,7 @@ def test_fixed_theta_fit_without_a_root_returns_the_window_edge(n, n1, mirror):
 def _weak_pulse_model():
     """1A, N = 20, theta = 0.05 at the reference phase of its study at dphi = 0.05."""
     spec = ProtocolSpec("1A", 20, 0, 0.0, 0.05)
-    xi = optimize_reference_phase(spec, spec.theta, 0.05)
+    xi = optimize_reference_phase(spec, 0.05)
     return ramsey_model(replace(spec, reference_phase=xi))
 
 
@@ -207,14 +209,14 @@ def test_fixed_theta_fit_brackets_beside_the_best_grid_point():
     rec = MeasurementRecord(10_000, [8741, 1259], [5197, 4803])
     window = np.pi / 4.0
     grid = np.linspace(-window, window, 65)
-    ll = [log_likelihood_and_grad(rec, model, 0.05, x)[0] for x in grid]
+    ll = [log_likelihood_and_grad(rec, model, x)[0] for x in grid]
     k = int(np.argmax(ll))
-    scores = [log_likelihood_and_grad(rec, model, 0.05, grid[i])[1] for i in (k - 1, k, k + 1)]
+    scores = [log_likelihood_and_grad(rec, model, grid[i])[1] for i in (k - 1, k, k + 1)]
     assert scores[0] < 0 < scores[1] and scores[2] < 0
     est = ml_estimate(rec, model, (0.05, 0.0))
     assert est.converged
     assert grid[k] < est.dphi_hat < grid[k + 1]
-    assert log_likelihood_and_grad(rec, model, 0.05, est.dphi_hat)[0] >= max(ll)
+    assert log_likelihood_and_grad(rec, model, est.dphi_hat)[0] >= max(ll)
 
 
 @pytest.mark.parametrize(
@@ -235,7 +237,7 @@ def test_weak_pulse_bound_is_the_fixed_theta_bound():
     # theta is known, so the study is graded against 1/I_dphidphi
     spec = ProtocolSpec("1A", 20, 0, 0.0, 0.05)
     _, bound = estimator_study(spec, 0.05, 10_000, range(2))
-    assert bound == 1.0 / fisher_matrix(_weak_pulse_model(), 0.05, 0.05, 10_000)
+    assert bound == 1.0 / fisher_matrix(_weak_pulse_model(), 0.05, 10_000)
 
 
 def test_weak_pulse_study_reaches_the_fixed_theta_bound():
@@ -272,17 +274,17 @@ def test_fit_cache_lives_on_the_model_and_not_in_its_identity():
     assert narrow.dphi_hat == pytest.approx(0.001) and not narrow.converged
 
 
-def _reference_phase_by_models(spec, theta, dphi, grid):
+def _reference_phase_by_models(spec, dphi, grid):
     """Oracle: the reference-phase search with one model and one Fisher
     information per probed xi; exact ties go to the smallest xi."""
 
     def probe(xi):
         m = ramsey_model(replace(spec, reference_phase=float(np.mod(xi, 2.0 * np.pi))))
         try:
-            i = fisher_matrix(m, theta, dphi, 1)
+            i = fisher_matrix(m, dphi, 1)
         except SingularInformationError:
             return 0.0, 1.0
-        return i, abs(m.evaluate(theta, dphi)[0][1] - 0.5)
+        return i, abs(m.evaluate(dphi)[0][1] - 0.5)
 
     xis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     vals = [probe(xi) for xi in xis]
@@ -312,8 +314,8 @@ def _reference_phase_by_models(spec, theta, dphi, grid):
 )
 def test_reference_phase_search_matches_one_model_per_probe(kind, n, nd, theta, dphi):
     spec = ProtocolSpec(kind, n, nd, 0.0, theta)
-    expected = _reference_phase_by_models(spec, theta, dphi, 64)
-    assert optimize_reference_phase(spec, theta, dphi) == pytest.approx(expected, abs=1e-9)
+    expected = _reference_phase_by_models(spec, dphi, 64)
+    assert optimize_reference_phase(spec, dphi) == pytest.approx(expected, abs=1e-9)
 
 
 def test_sensitivity_scan_slope_and_csv(tmp_path):
@@ -349,7 +351,7 @@ def test_sensitivity_scan_needs_three_sizes(tmp_path):
 def test_estimator_study_matches_per_seed_fits():
     spec = ProtocolSpec("1B", 50, 0, 0.0, np.pi / 2)
     estimates, variance = estimator_study(spec, 0.004, 2000, range(5, 9))
-    xi = optimize_reference_phase(spec, spec.theta, 0.004)
+    xi = optimize_reference_phase(spec, 0.004)
     model = ramsey_model(replace(spec, reference_phase=xi))
     expected = [
         ml_estimate(sample_record(model, spec.theta, 0.004, 2000, s), model,
@@ -357,7 +359,7 @@ def test_estimator_study_matches_per_seed_fits():
         for s in range(5, 9)
     ]
     assert estimates.tolist() == expected
-    assert variance == 1.0 / fisher_matrix(model, spec.theta, 0.004, 2000)
+    assert variance == 1.0 / fisher_matrix(model, 0.004, 2000)
 
 
 def test_offset_resolution_arithmetic():

@@ -43,6 +43,29 @@ def test_protocol_spec_validation():
         ProtocolSpec("1B", 4, reference_phase=7.0)
 
 
+@pytest.mark.parametrize(
+    "fields,name",
+    [
+        ({"n_pulses": "ten"}, "n_pulses"),
+        ({"n_pulses": True}, "n_pulses"),
+        ({"n_pulses": 10.0}, "n_pulses"),
+        ({"n_delay": "a"}, "n_delay"),
+        ({"theta": "x"}, "theta"),
+        ({"theta": np.nan}, "theta"),
+        ({"theta": True}, "theta"),
+        ({"reference_phase": np.inf}, "reference_phase"),
+    ],
+)
+def test_protocol_spec_rejects_bad_field_types(fields, name):
+    with pytest.raises(ValueError, match=name):
+        ProtocolSpec(**{"kind": "1B", "n_pulses": 10, **fields})
+
+
+def test_protocol_spec_takes_numpy_numbers():
+    spec = ProtocolSpec("2B", np.int64(10), np.int32(5), np.float64(0.5), np.float32(1.0))
+    assert spec.enhancement == 50.0
+
+
 def test_enhancement_factors():
     assert ProtocolSpec("1A", 7).enhancement == 1.0
     assert ProtocolSpec("1B", 10).enhancement == 10.0
@@ -137,7 +160,7 @@ def test_compose_train_agrees_with_model_unitary():
             phases[0::2] = np.arange(n // 2) * dphi
             phases[1::2] = (np.arange(n // 2) + nd) * dphi
         u = compose_train(_train(phases)).matrix
-        v = model.train_unitary(np.pi / 2, dphi)
+        v = model.train_unitary(dphi)
         assert matrix_fidelity(u, v) == pytest.approx(1.0, abs=1e-11)
 
 
@@ -148,10 +171,10 @@ def test_model_gradients_match_finite_differences(kind, n, nd):
     spec = ProtocolSpec(kind, n, nd, 0.7, theta)
     model = ramsey_model(spec)
     h = 1e-6
-    _, _, d1, d2 = model.evaluate(theta, dphi)
+    _, _, d1, d2 = model.evaluate(dphi)
     for dp, pick in [(d1, 0), (d2, 1)]:
-        fp = model.evaluate(theta, dphi + h)[pick]
-        fm = model.evaluate(theta, dphi - h)[pick]
+        fp = model.evaluate(dphi + h)[pick]
+        fm = model.evaluate(dphi - h)[pick]
         fd = (fp - fm) / (2 * h)
         assert np.max(np.abs(fd - dp)) < 1e-6 * (1.0 + np.max(np.abs(dp)))
 
@@ -163,9 +186,9 @@ def test_batched_evaluate_matches_scalar_loop(kind, n, nd):
     theta = 0.9 if kind in ("1A", "2A") else 0.95 * np.pi / 2
     model = ramsey_model(ProtocolSpec(kind, n, nd, 0.7, theta))
     dphis = np.linspace(-0.05, 0.05, 33)
-    batched = model.evaluate(theta, dphis)
+    batched = model.evaluate(dphis)
     for i, dphi in enumerate(dphis):
-        for b, s in zip(batched, model.evaluate(theta, dphi)):
+        for b, s in zip(batched, model.evaluate(dphi)):
             assert b.shape == (dphis.size, 2) and s.shape == (2,)
             assert np.max(np.abs(b[i] - s)) <= 1e-15
 
@@ -174,17 +197,16 @@ def test_1b_fringe_is_cos_squared():
     n, xi = 20, 0.8
     model = ramsey_model(ProtocolSpec("1B", n, 0, xi, np.pi / 2))
     for dphi in (0.0, 0.01, 0.05):
-        p1 = model.evaluate(np.pi / 2, dphi)[0]
+        p1 = model.evaluate(dphi)[0]
         assert p1[0] == pytest.approx(np.cos(n * dphi + xi / 2.0) ** 2, abs=1e-12)
         assert p1.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_probabilities_normalized_everywhere():
-    model = ramsey_model(ProtocolSpec("2B", 6, 4, 1.1, 1.2))
     rng = np.random.default_rng(0)
     for _ in range(20):
         th, dp = rng.uniform(0, np.pi), rng.uniform(-0.3, 0.3)
-        p1, p2, *_ = model.evaluate(th, dp)
+        p1, p2, *_ = ramsey_model(ProtocolSpec("2B", 6, 4, 1.1, th)).evaluate(dp)
         assert p1.sum() == pytest.approx(1.0, abs=1e-12)
         assert p2.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(p1 >= -1e-15) and np.all(p2 >= -1e-15)

@@ -355,6 +355,11 @@ _POINT = {"kind": "1B", "n": 10, "dphi": 0.02}
         pytest.param(
             "table1_scaling", {"scans": [{"kind": "1B", "n_value": [4, 8, 16]}]}, "n_value", id="scan typo",
         ),
+        pytest.param("crlb_saturation", {"points": [{**_POINT, "m_shots": 0}]}, "m_shots", id="no shots"),
+        pytest.param("crlb_saturation", {"points": [{**_POINT, "dphi": float("nan")}]}, "dphi", id="dphi nan"),
+        pytest.param("crlb_saturation", {"points": [{**_POINT, "n": "ten"}]}, "n_pulses", id="n not a number"),
+        pytest.param("crlb_saturation", {"points": [{**_POINT, "theta": "x"}]}, "theta", id="theta not a number"),
+        pytest.param("crlb_saturation", {"points": [{**_POINT, "n_delay": "a"}]}, "n_delay", id="n_delay on 1B"),
     ],
 )
 def test_bad_entries_rejected_before_fitting(tmp_path, no_fits, kind, params, names):
@@ -386,16 +391,24 @@ def test_extrapolation_values_checked_before_fitting(tmp_path, no_fits, case):
     assert not (out / "resolution.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "kind,n_seeds",
-    [(kind, n) for kind in ("crlb_saturation", "table1_scaling", "resolution_extrapolation")
+#: (kind, param, bad value); an n_seeds case is named kind-value, an m_shots one kind-m_shots value
+_BAD_COUNTS = (
+    [(kind, "n_seeds", n) for kind in ("crlb_saturation", "table1_scaling", "resolution_extrapolation")
      for n in (0, 1, "many", 3.0, True)]
-    + [("refine_fiber", n) for n in (0, -1, "many", 1.0)],
+    + [("refine_fiber", "n_seeds", n) for n in (0, -1, "many", 1.0)]
+    + [(kind, "m_shots", m) for kind in ("table1_scaling", "resolution_extrapolation") for m in (0, -5, 2.5, "many")]
 )
-def test_seed_count_checked_before_fitting(tmp_path, no_fits, kind, n_seeds):
-    # a study row is a ddof = 1 spread, so a study needs two seeds; a lock run one
-    cfg = _config(tmp_path, kind, {**TINY_PARAMS[kind], "n_seeds": n_seeds})
-    with pytest.raises(ScenarioConfigError, match="n_seeds"):
+
+
+@pytest.mark.parametrize(
+    "kind,name,value",
+    [pytest.param(k, n, v, id=f"{k}-{v}" if n == "n_seeds" else f"{k}-{n} {v}") for k, n, v in _BAD_COUNTS],
+)
+def test_seed_count_checked_before_fitting(tmp_path, no_fits, kind, name, value):
+    # a study row is a ddof = 1 spread, so a study needs two seeds; a lock run
+    # needs one, and a record one shot
+    cfg = _config(tmp_path, kind, {**TINY_PARAMS[kind], name: value})
+    with pytest.raises(ScenarioConfigError, match=name):
         load_scenario_config(cfg)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
