@@ -108,11 +108,6 @@ def fisher_matrix(model: RamseyOutcomeModel, dphi: float, m_shots: int) -> float
     return float(_information_at(model, dphi, m_shots))
 
 
-def _dphi_bound(model, dphi, m_shots) -> float:
-    """Cramer-Rao bound on the variance of a dphi estimate with theta known."""
-    return 1.0 / fisher_matrix(model, dphi, m_shots)
-
-
 def _check_theta(model: RamseyOutcomeModel, theta) -> None:
     """Raise ValueError unless ``theta`` is the model's pulse area ``spec.theta``."""
     if theta != model.spec.theta:
@@ -130,25 +125,37 @@ def sample_record(
 
     The model holds the pulse area; ``theta`` must equal ``model.spec.theta``
     (ValueError otherwise).  The slot stays only for callers that pass it.
+    The outcome probabilities at ``dphi`` are cached on the model, so the
+    records of one study evaluate the model once.
     """
     _check_theta(model, theta)
     rng = np.random.default_rng(seed)
-    p1, p2, *_ = model.evaluate(dphi)
+    key = ("probs", dphi)
+    if key not in model.cache:
+        model.cache[key] = model.evaluate(dphi)
+    p1, p2, *_ = model.cache[key]
     n1 = rng.binomial(m_shots, np.clip(p1[1], 0.0, 1.0))
     n2 = rng.binomial(m_shots, np.clip(p2[1], 0.0, 1.0))
     return MeasurementRecord(m_shots, np.array([m_shots - n1, n1]), np.array([m_shots - n2, n2]))
 
 
-def log_likelihood_and_grad(record: MeasurementRecord, model, dphi):
-    """Joint log-likelihood of both arms and its analytic dphi score."""
-    p1, p2, d1, d2 = model.evaluate(dphi)
+def _likelihood_terms(record: MeasurementRecord, probs):
+    """Log-likelihood and dphi score of ``record`` under an `evaluate` tuple,
+    one value per dphi the tuple was evaluated at."""
+    p1, p2, d1, d2 = probs
     ll = 0.0
     score = 0.0
     for counts, p, dp in ((record.counts1, p1, d1), (record.counts2, p2, d2)):
         pc = np.clip(p, _PCLIP, 1.0)
-        ll += float(np.sum(counts * np.log(pc)))
-        score += float(np.sum(counts / pc * dp))
+        ll = ll + np.sum(counts * np.log(pc), axis=-1)
+        score = score + np.sum(counts / pc * dp, axis=-1)
     return ll, score
+
+
+def log_likelihood_and_grad(record: MeasurementRecord, model, dphi):
+    """Joint log-likelihood of both arms and its analytic dphi score."""
+    ll, score = _likelihood_terms(record, model.evaluate(dphi))
+    return float(ll), float(score)
 
 
 def ml_estimate(
@@ -178,7 +185,14 @@ def ml_estimate(
     they are computed once per model and shared by its records;
     ``n_evaluations`` counts the score evaluations of this record alone.
     ``variance`` is the inverse observed information and ``bound`` the
-    fixed-theta Cramer-Rao bound 1 / I_dphidphi, both at the estimate.
+    fixed-theta Cramer-Rao bound 1 / I_dphidphi, both at the estimate and
+    both from one evaluation of the model at the estimate and beside it.
+
+    Fits are memoised on the model, keyed by the initial dphi, the window,
+    ``m_shots`` and both arms' counts: a record that repeats one already fit
+    on this model returns the stored result with ``n_evaluations=0``.  The
+    wrap and phase-information checks run before the lookup, and a fit that
+    raises stores nothing, so errors repeat as well.
     """
     if not fix_theta:
         raise ValueError("the joint (theta, dphi) fit has been removed; theta is always fixed")
@@ -196,12 +210,15 @@ def ml_estimate(
     if _phase_information(model, dphi0, dphi_window, record.m_shots) <= 1e-9:
         raise DegenerateFitError("no phase information anywhere in the window")
 
+    key = ("fit", dphi0, dphi_window, record.m_shots,
+           tuple(record.counts1.tolist()), tuple(record.counts2.tolist()))
+    if key in model.cache:
+        return replace(model.cache[key], n_evaluations=0)
     dp, converged, n_evaluations = _fixed_theta_fit(
         record, model, dphi0 - dphi_window, dphi0 + dphi_window, chi
     )
-    bound = _dphi_bound(model, dp, record.m_shots)
-    variance = _observed_variance(record, model, dp, chi)
-    return EstimationResult(
+    variance, bound = _variance_and_bound(record, model, dp, chi)
+    result = EstimationResult(
         dphi_hat=dp,
         variance=variance,
         bound=bound,
@@ -209,6 +226,8 @@ def ml_estimate(
         converged=converged,
         n_evaluations=n_evaluations,
     )
+    model.cache[key] = result
+    return result
 
 
 def _phase_information(model, dphi0, window, m_shots):
@@ -282,14 +301,21 @@ def _fixed_theta_fit(record, model, lo, hi, chi):
     return float(root), bool(res.converged), evals[0]
 
 
-def _observed_variance(record, model, dphi, chi):
-    """Inverse observed dphi information, from a central difference of the
-    exact dphi score."""
+def _variance_and_bound(record, model, dphi, chi):
+    """(inverse observed dphi information, Cramer-Rao bound 1 / I_dphidphi)
+    at ``dphi``, from one evaluation at dphi - h, dphi and dphi + h.
+
+    The observed information is a central difference of the exact dphi score;
+    a singular Fisher information at ``dphi`` raises SingularInformationError.
+    """
     h = 1e-7 / chi
-    _, gp = log_likelihood_and_grad(record, model, dphi + h)
-    _, gm = log_likelihood_and_grad(record, model, dphi - h)
-    info = -(gp - gm) / (2.0 * h)
-    return 1.0 / info if info > 0 else np.inf
+    probs = model.evaluate(np.array([dphi - h, dphi, dphi + h]))
+    info, singular = _information(tuple(p[1] for p in probs), record.m_shots, chi)
+    if singular:
+        raise SingularInformationError("outcome probability vanishes with nonzero derivative")
+    _, (gm, _, gp) = _likelihood_terms(record, probs)
+    observed = -(gp - gm) / (2.0 * h)
+    return (1.0 / float(observed) if observed > 0 else np.inf), 1.0 / float(info)
 
 
 def optimize_reference_phase(spec: ProtocolSpec, dphi: float) -> float:
@@ -354,7 +380,7 @@ def estimator_study(
         return ml_estimate(rec, model, (spec.theta, 0.0)).dphi_hat
 
     estimates = np.array([one(s) for s in seeds], dtype=float)
-    return estimates, float(_dphi_bound(model, dphi, m_shots))
+    return estimates, 1.0 / fisher_matrix(model, dphi, m_shots)
 
 
 # --- offset-frequency resolution ------------------------------------------

@@ -232,9 +232,12 @@ class RamseyOutcomeModel:
     """Two-arm measurement distributions P1/P2(s | dphi) at the pulse area
     ``spec.theta``, with their dphi derivatives.
 
-    ``cache`` holds what `estimation` derives from the model alone (the
-    fringe grid and phase-information probes of a fit window), so the fits of
-    many records share it; it takes no part in comparison or hashing.
+    ``cache`` holds what `estimation` computes on this model, so the records
+    of a study or of the locks sharing the model reuse it: the fringe grid of
+    each fit window, the phase-information probes of each window, the outcome
+    probabilities `sample_record` draws from at each true dphi, and the result
+    of each distinct fit (`ml_estimate`'s memo).  It lives and dies with the
+    model and takes no part in comparison or hashing.
     """
 
     spec: ProtocolSpec

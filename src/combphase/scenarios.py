@@ -83,16 +83,6 @@ ENTRY_KEYS = {
     ("resolution_extrapolation", "extrapolations"): (("rep_rate_hz", "n", "n_delay"), ()),
 }
 
-#: Least value of each count param, per kind: a study row is a ddof = 1
-#: spread over its seeds, a lock run needs one lock and a record one shot.
-#: (`RefineConfig` checks the lock's own counts.)
-_LEAST_COUNTS = {
-    "table1_scaling": {"n_seeds": 2, "m_shots": 1},
-    "crlb_saturation": {"n_seeds": 2},
-    "resolution_extrapolation": {"n_seeds": 2, "m_shots": 1},
-    "refine_fiber": {"n_seeds": 1},
-}
-
 
 def _is_count(v, least: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= least
@@ -100,6 +90,40 @@ def _is_count(v, least: int) -> bool:
 
 def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
+
+
+def _count(least: int):
+    return lambda v: _is_count(v, least), f"an integer >= {least}"
+
+
+def _is_positive(v) -> bool:
+    return _is_real(v) and v > 0
+
+
+def _list_of(rule, wanted: str):
+    return lambda v: isinstance(v, list) and v != [] and all(map(rule, v)), f"a non-empty list of {wanted}"
+
+
+#: Value rules of params, per kind: (rule, what the rule asks for).  A study
+#: row is a ddof = 1 spread over its seeds, a lock run needs one lock and a
+#: record one shot; `RefineConfig` checks the lock's own counts.
+_PARAM_RULES = {
+    "rwa_validity": {
+        "cycles": _list_of(_is_positive, "positive finite numbers"),
+        "carrier_hz": (_is_positive, "a positive finite number"),
+    },
+    # n_max >= 4 leaves room for a train of at least two pulses
+    "closed_forms": {"n_cases": _count(1), "n_max": _count(4)},
+    "permutation_optimality": {
+        "sizes": _list_of(lambda n: _is_count(n, 2) and n % 2 == 0, "even integers >= 2"),
+        "trials": _count(1),
+    },
+    "table1_scaling": {"n_seeds": _count(2), "m_shots": _count(1)},
+    "crlb_saturation": {"n_seeds": _count(2)},
+    "resolution_extrapolation": {"n_seeds": _count(2), "m_shots": _count(1)},
+    "raman_three_level": {"grid_points": _count(3)},
+    "refine_fiber": {"n_seeds": _count(1), "prior_scale": (_is_positive, "a positive finite number")},
+}
 
 
 #: Top-level keys of a config: (rule, what the rule asks for).
@@ -138,7 +162,7 @@ def _check_keys(where: str, mapping: dict, required, allowed) -> None:
 def _validate(raw) -> None:
     """Raise `ScenarioConfigError`, naming the key, unless ``raw`` is a valid
     config: the top-level keys (`_TOP_LEVEL`), the params of its kind
-    (`PARAMS`), its count params (`_LEAST_COUNTS`) and the keys of each
+    (`PARAMS`), their values (`_PARAM_RULES`) and the keys of each
     list entry (`ENTRY_KEYS`)."""
     if not isinstance(raw, dict):
         raise ScenarioConfigError("scenario config must be a mapping")
@@ -149,9 +173,9 @@ def _validate(raw) -> None:
     kind, params = raw["kind"], raw.get("params", {})
     known = PARAMS[kind]
     _check_keys(f"params of kind {kind}", params, [k for k, v in known.items() if v is REQUIRED], known)
-    for name, least in _LEAST_COUNTS.get(kind, {}).items():
-        if name in params and not _is_count(params[name], least):
-            raise ScenarioConfigError(f"{name} of kind {kind} must be an integer >= {least}, got {params[name]!r}")
+    for name, (rule, wanted) in _PARAM_RULES.get(kind, {}).items():
+        if name in params and not rule(params[name]):
+            raise ScenarioConfigError(f"{name} of kind {kind} must be {wanted}, got {params[name]!r}")
     for (entry_kind, param), (required, optional) in ENTRY_KEYS.items():
         if entry_kind == kind and param in params:
             entries = params[param]

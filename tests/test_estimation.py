@@ -25,7 +25,7 @@ from combphase.estimation import (
     optimize_reference_phase,
     sample_record,
 )
-from combphase.protocols import ProtocolSpec, ramsey_model
+from combphase.protocols import ProtocolSpec, RamseyOutcomeModel, ramsey_model
 from combphase.scenarios import run_scenario
 
 
@@ -111,7 +111,8 @@ def test_ml_estimate_rejects_the_removed_joint_fit():
     model = _model(n=100)
     rec = sample_record(model, np.pi / 2, 0.002, 1000, seed=0)
     fixed = ml_estimate(rec, model, (np.pi / 2, 0.0), fix_theta=True)
-    assert fixed == ml_estimate(rec, model, (np.pi / 2, 0.0))
+    # on a fresh model, since a repeated record on the same one is memoised
+    assert fixed == ml_estimate(rec, _model(n=100), (np.pi / 2, 0.0))
     with pytest.raises(ValueError, match="joint"):
         ml_estimate(rec, model, (np.pi / 2, 0.0), fix_theta=False)
 
@@ -349,17 +350,140 @@ def test_sensitivity_scan_needs_three_sizes(tmp_path):
 
 
 def test_estimator_study_matches_per_seed_fits():
+    # each seed is fit on a fresh model, so no memoised fit takes part in the
+    # expectation; the seed range draws some records more than once
     spec = ProtocolSpec("1B", 50, 0, 0.0, np.pi / 2)
-    estimates, variance = estimator_study(spec, 0.004, 2000, range(5, 9))
-    xi = optimize_reference_phase(spec, 0.004)
-    model = ramsey_model(replace(spec, reference_phase=xi))
-    expected = [
-        ml_estimate(sample_record(model, spec.theta, 0.004, 2000, s), model,
-                    (spec.theta, 0.0)).dphi_hat
-        for s in range(5, 9)
-    ]
+    seeds = range(5, 45)
+    estimates, variance = estimator_study(spec, 0.004, 2000, seeds)
+    spec = replace(spec, reference_phase=optimize_reference_phase(spec, 0.004))
+    records = [sample_record(ramsey_model(spec), spec.theta, 0.004, 2000, s) for s in seeds]
+    assert len({(tuple(r.counts1), tuple(r.counts2)) for r in records}) < len(records)
+    expected = [ml_estimate(rec, ramsey_model(spec), (spec.theta, 0.0)).dphi_hat for rec in records]
     assert estimates.tolist() == expected
-    assert variance == 1.0 / fisher_matrix(model, 0.004, 2000)
+    assert variance == 1.0 / fisher_matrix(ramsey_model(spec), 0.004, 2000)
+
+
+def test_a_repeated_record_returns_the_stored_fit():
+    spec = ProtocolSpec("1B", 100, 0, np.pi / 2, np.pi / 2)
+    model = ramsey_model(spec)
+    rec = sample_record(model, np.pi / 2, 0.002, 1000, seed=0)
+    first = ml_estimate(rec, model, (np.pi / 2, 0.0))
+    copy = MeasurementRecord(rec.m_shots, rec.counts1.copy(), rec.counts2.copy())
+    again = ml_estimate(copy, model, (np.pi / 2, 0.0))
+    fresh = ml_estimate(rec, ramsey_model(spec), (np.pi / 2, 0.0))
+    assert first == fresh and fresh.n_evaluations > 0
+    assert again == replace(fresh, n_evaluations=0)
+
+
+def test_memoised_fits_do_not_collide():
+    # records and calls that share all but one part of the memo key, each
+    # fit on one shared model and compared with a fit on a fresh model
+    spec = ProtocolSpec("2A", 6, 3, np.pi / 2, 0.9)
+    shared = ramsey_model(spec)
+    rec = MeasurementRecord(1000, [576, 424], [368, 632])  # the expected counts at dphi = 0.05
+    calls = [
+        (rec, 0.0, None),
+        (rec, 0.0, 0.1),  # window
+        (rec, 0.02, None),  # init
+        (MeasurementRecord(2000, [1152, 848], [736, 1264]), 0.0, None),  # m_shots
+        (MeasurementRecord(1000, [576, 424], [390, 610]), 0.0, None),  # counts2
+    ]
+    fits = []
+    for rec, init, window in calls:
+        est = ml_estimate(rec, shared, (spec.theta, init), dphi_window=window)
+        assert est == ml_estimate(rec, ramsey_model(spec), (spec.theta, init), dphi_window=window)
+        fits.append(est)
+    assert len({replace(f, n_evaluations=0) for f in fits}) == len(calls)
+
+
+def test_a_record_that_raises_keeps_raising(monkeypatch):
+    # the wrap and phase-information checks come before the memo lookup
+    model = _model(n=1000)
+    rec = sample_record(model, np.pi / 2, 0.0, 100, seed=0)
+    ml_estimate(rec, model, (np.pi / 2, 0.0))
+    for _ in range(2):
+        with pytest.raises(WrapAmbiguityError):
+            ml_estimate(rec, model, (np.pi / 2, 0.01))
+    blind = _model(n=10, theta=0.0)
+    rec = sample_record(blind, 0.0, 0.01, 1000, seed=1)
+    for _ in range(2):
+        with pytest.raises(DegenerateFitError):
+            ml_estimate(rec, blind, (0.0, 0.0))
+    # a fit that raises after the lookup stores nothing
+    model = _model(n=100)
+    rec = sample_record(model, np.pi / 2, 0.002, 1000, seed=0)
+
+    def singular(*args):
+        raise SingularInformationError("outcome probability vanishes with nonzero derivative")
+
+    with monkeypatch.context() as m:
+        m.setattr(estimation, "_variance_and_bound", singular)
+        for _ in range(2):
+            with pytest.raises(SingularInformationError):
+                ml_estimate(rec, model, (np.pi / 2, 0.0))
+    assert ml_estimate(rec, model, (np.pi / 2, 0.0)).n_evaluations > 0
+
+
+def _scalar_variance_and_bound(record, model, dphi):
+    """Oracle: the bound as 1 / I_dphidphi at the estimate and the variance
+    from a central difference of two scalar score evaluations."""
+    h = 1e-7 / model.spec.enhancement
+    _, gp = log_likelihood_and_grad(record, model, dphi + h)
+    _, gm = log_likelihood_and_grad(record, model, dphi - h)
+    info = -(gp - gm) / (2.0 * h)
+    return (1.0 / info if info > 0 else np.inf), 1.0 / fisher_matrix(model, dphi, record.m_shots)
+
+
+@pytest.mark.parametrize(
+    "kind,n,nd,theta,dphi",
+    [
+        ("1B", 10, 0, np.pi / 2, 0.02),
+        ("1B", 1000, 0, np.pi / 2, 2e-4),
+        ("2B", 100, 50, np.pi / 2, 4e-5),
+        ("1A", 20, 0, 0.05, 0.05),
+        ("2A", 6, 3, 0.9, 0.01),
+    ],
+)
+def test_three_point_post_fit_matches_the_scalar_oracle(kind, n, nd, theta, dphi):
+    spec = ProtocolSpec(kind, n, nd, 0.0, theta)
+    model = ramsey_model(replace(spec, reference_phase=optimize_reference_phase(spec, dphi)))
+    for seed in range(40):
+        rec = sample_record(model, theta, dphi, 10_000, seed)
+        est = ml_estimate(rec, model, (theta, 0.0))
+        assert (est.variance, est.bound) == _scalar_variance_and_bound(rec, model, est.dphi_hat)
+
+
+def test_study_evaluates_the_model_once_per_distinct_record(monkeypatch):
+    # deterministic call counts: one sampling evaluate per study, and a few
+    # evaluates per distinct record (the score root plus one post-fit call)
+    calls = {"all": 0, "sampling": 0}
+    evaluate = RamseyOutcomeModel.evaluate
+    draw = estimation.sample_record
+    inside = [False]
+    records = []
+
+    def counted(self, dphi):
+        calls["all"] += 1
+        calls["sampling"] += inside[0]
+        return evaluate(self, dphi)
+
+    def sampled(*args):
+        inside[0] = True
+        try:
+            rec = draw(*args)
+        finally:
+            inside[0] = False
+        records.append((tuple(rec.counts1), tuple(rec.counts2)))
+        return rec
+
+    monkeypatch.setattr(RamseyOutcomeModel, "evaluate", counted)
+    monkeypatch.setattr(estimation, "sample_record", sampled)
+    estimator_study(ProtocolSpec("1B", 10, 0, 0.0, np.pi / 2), 0.02, 10_000, range(200))
+    assert len(records) == 200
+    distinct = len(set(records))
+    assert distinct < 200
+    assert calls["sampling"] == 1
+    assert calls["all"] <= 5 * distinct + 5
 
 
 def test_offset_resolution_arithmetic():

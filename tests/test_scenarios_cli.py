@@ -428,6 +428,26 @@ def test_bad_refine_config_rejected_before_fitting(tmp_path, no_fits, params, na
     assert not (out / "refine_fiber.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "kind,name,value",
+    [
+        pytest.param("refine_fiber", "prior_scale", "x", id="prior_scale x"),
+        pytest.param("closed_forms", "n_max", 2, id="n_max 2"),
+        pytest.param("rwa_validity", "cycles", [0], id="cycles [0]"),
+        pytest.param("raman_three_level", "grid_points", 0, id="grid_points 0"),
+        pytest.param("permutation_optimality", "sizes", [3], id="sizes [3]"),
+    ],
+)
+def test_bad_param_values_exit_2_at_load(tmp_path, kind, name, value):
+    # unchecked, each value would reach the library and fail there with a traceback (exit 1)
+    cfg = _config(tmp_path, kind, {**TINY_PARAMS[kind], name: value})
+    with pytest.raises(ScenarioConfigError, match=name):
+        load_scenario_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
+    assert not list(out.glob("*"))
+
+
 def test_closed_forms_match_the_outcome_model(tmp_path):
     # the tiny run's third case is a phase_ref train
     cfg = _config(tmp_path, "closed_forms", TINY_PARAMS["closed_forms"])
