@@ -2,12 +2,9 @@
 
 A comb emits pulses every repetition period T whose carrier-envelope phase
 advances by a fixed step per pulse.  The step is tied to the offset
-frequency nu_0; by default we use the angular convention
+frequency nu_0 in the angular convention
 
     phase_step = 2 pi nu_0 T
-
-(a "cyclic" convention nu_0 * T is available as a switch, since the
-literature is not unanimous about the 2 pi).
 """
 from __future__ import annotations
 
@@ -18,8 +15,6 @@ import numpy as np
 
 from .errors import OverlapError, ReplicaBudgetError
 from .pulses import PulseSpec
-
-PHASE_CONVENTIONS = ("angular", "cyclic")
 
 #: default gap between the two members of an interleaved pair [s]
 DEFAULT_INTRA_PAIR_GAP = 10e-12
@@ -32,23 +27,17 @@ class CombSpec:
     rep_period: float  # T [s]
     offset_freq: float  # nu_0 [Hz]
     pulse_template: PulseSpec
-    phase_convention: str = "angular"
 
     def __post_init__(self):
         if self.rep_period <= 0:
             raise ValueError("rep_period must be positive")
         if self.rep_period <= self.pulse_template.tau:
             raise ValueError("rep_period must exceed the pulse duration")
-        if self.phase_convention not in PHASE_CONVENTIONS:
-            raise ValueError(f"unknown phase convention {self.phase_convention!r}")
 
     @property
     def phase_step(self) -> float:
-        """Pulse-to-pulse phase increment [rad]."""
-        step = self.offset_freq * self.rep_period
-        if self.phase_convention == "angular":
-            step *= 2.0 * np.pi
-        return step
+        """Pulse-to-pulse phase increment 2 pi nu_0 T [rad]."""
+        return 2.0 * np.pi * (self.offset_freq * self.rep_period)
 
 
 @dataclass(frozen=True)

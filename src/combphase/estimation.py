@@ -125,15 +125,16 @@ def sample_record(
 
     The model holds the pulse area; ``theta`` must equal ``model.spec.theta``
     (ValueError otherwise).  The slot stays only for callers that pass it.
-    The outcome probabilities at ``dphi`` are cached on the model, so the
-    records of one study evaluate the model once.
+    The model caches the outcome probabilities at the latest ``dphi`` only,
+    so the records of one study evaluate the model once, and a lock that
+    samples each stage at a new residual keeps one entry per model.
     """
     _check_theta(model, theta)
     rng = np.random.default_rng(seed)
-    key = ("probs", dphi)
-    if key not in model.cache:
-        model.cache[key] = model.evaluate(dphi)
-    p1, p2, *_ = model.cache[key]
+    cached = model.cache.get("probs")
+    if cached is None or cached[0] != dphi:
+        cached = model.cache["probs"] = (dphi, model.evaluate(dphi))
+    p1, p2, *_ = cached[1]
     n1 = rng.binomial(m_shots, np.clip(p1[1], 0.0, 1.0))
     n2 = rng.binomial(m_shots, np.clip(p2[1], 0.0, 1.0))
     return MeasurementRecord(m_shots, np.array([m_shots - n1, n1]), np.array([m_shots - n2, n2]))
@@ -466,10 +467,12 @@ def iterative_refine(
     dict shared by several locks lets them reuse one model per train length,
     and with it the fringe grid and phase-information probes cached on the
     model; the locks' results do not change.  Models missing from the dict
-    are built and added.  With ``None`` every stage builds its own model.
+    are built and added.  With ``None`` the lock keeps a dict of its own.
     """
     if abs(true_dphi) > config.prior_bound * 1.001:
         raise WrapAmbiguityError("true offset exceeds the assumed prior bound")
+    if models is None:
+        models = {}
     residual = float(true_dphi)
     bound = config.prior_bound
     stages: list[RefineStage] = []
@@ -478,9 +481,9 @@ def iterative_refine(
     stage_idx = 0
     while stage_idx < config.max_stages:
         spec = ProtocolSpec("1B", n, 0, np.pi / 2.0, np.pi / 2.0)
-        model = ramsey_model(spec)
-        if models is not None:
-            model = models.setdefault(spec, model)
+        if spec not in models:
+            models[spec] = ramsey_model(spec)
+        model = models[spec]
         rec = sample_record(
             model, spec.theta, residual, config.m_shots, seed=config.seed + 7919 * stage_idx
         )

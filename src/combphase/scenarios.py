@@ -14,9 +14,11 @@ import hashlib
 import importlib.resources
 import json
 import subprocess
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -26,117 +28,176 @@ from .errors import ScenarioConfigError
 
 SCHEMA_VERSION = 1
 
-#: Marks a param that has no default and must be set in the config.
+#: Marks a key that has no default and must be set in the config.
 REQUIRED = "required"
 
-#: Params of each scenario kind with their defaults; the runners read only
-#: these keys, and a config may set no others.
-PARAMS = {
-    "rwa_validity": {
-        "cycles": [5, 10, 20, 30, 60],
-        "theta": np.pi / 4,
-        "envelope": "gaussian",
-        "carrier_hz": 1.0,
-        "integration_tol": 1e-8,
-    },
-    "closed_forms": {"n_cases": 200, "n_max": 10_000},
-    "permutation_optimality": {"sizes": [4, 6, 8, 10], "trials": 5},
-    "table1_scaling": {
-        "scans": [
-            {"kind": "1B", "n_values": [100, 1000, 10000]},
-            {"kind": "2B", "n_values": [10, 32, 100], "n_delay_values": [10, 32, 100]},
-        ],
-        "m_shots": 10_000,
-        "n_seeds": 500,
-    },
-    "crlb_saturation": {"points": REQUIRED, "n_seeds": 500},
-    "resolution_extrapolation": {
-        "reduced_points": [[8, 4], [16, 8], [32, 16]],
-        "m_shots": 2000,
-        "n_seeds": 100,
-        "extrapolations": [{"rep_rate_hz": 1e8, "n": 500_000, "n_delay": 500_000}],
-    },
-    "raman_three_level": {
-        "transition_hz": 100.0,
-        "rabi": 12.0,
-        "duration": 1.0,
-        "detuning_fraction_population": 0.2,
-        "detuning_fraction_map": 0.02,
-        "grid_points": 25,
-    },
-    "error_models": {"pair_gap_s": 1e-11},
-    "refine_fiber": {
-        "prior_scale": 1.0,
-        "m_shots": 5000,
-        "growth": 4,
-        "max_stages": 6,
-        "n_seeds": 100,
-    },
-    "visibility_budget": {"lifetime_s": 8e-9, "excited_window_s": 1e-10, "epsilon": 0.1},
-}
 
-#: (required keys, optional keys) of each entry of a list param, per
-#: (kind, param); the runners give the optional keys their documented defaults.
-ENTRY_KEYS = {
-    ("crlb_saturation", "points"): (("kind", "n", "dphi"), ("n_delay", "m_shots", "theta", "seed_offset")),
-    ("table1_scaling", "scans"): (("kind", "n_values"), ("n_delay_values",)),
-    ("resolution_extrapolation", "extrapolations"): (("rep_rate_hz", "n", "n_delay"), ()),
-}
+class Key(NamedTuple):
+    """One config key: its default, the rule its value must pass and what
+    the rule asks for.
+
+    ``default`` is `REQUIRED` for a key the config must set; the default of
+    an entry key may be a function of the entry's index and the entry.
+    ``entries`` is the key table of each entry of a list-of-mappings param.
+    """
+
+    default: object
+    rule: Callable
+    wanted: str
+    entries: dict | None = None
 
 
-def _is_count(v, least: int) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int_at_least(least: int):
+    return lambda v: _is_int(v) and v >= least
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
-
-
-def _count(least: int):
-    return lambda v: _is_count(v, least), f"an integer >= {least}"
+    # finite; an int too large for a float is not
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _is_positive(v) -> bool:
     return _is_real(v) and v > 0
 
 
-def _list_of(rule, wanted: str):
-    return lambda v: isinstance(v, list) and v != [] and all(map(rule, v)), f"a non-empty list of {wanted}"
+def _count(least: int):
+    return _int_at_least(least), f"an integer >= {least}"
 
 
-#: Value rules of params, per kind: (rule, what the rule asks for).  A study
-#: row is a ddof = 1 spread over its seeds, a lock run needs one lock and a
-#: record one shot; `RefineConfig` checks the lock's own counts.
-_PARAM_RULES = {
+def _one_of(options):
+    return lambda v: isinstance(v, str) and v in options, f"one of {', '.join(options)}"
+
+
+def _list_of(rule, items: str):
+    return lambda v: isinstance(v, list) and v != [] and all(map(rule, v)), f"a non-empty list of {items}"
+
+
+_INTEGER = _is_int, "an integer"
+_REAL = _is_real, "a finite number"
+_POSITIVE = _is_positive, "a positive finite number"
+_NON_NEGATIVE = (lambda v: _is_real(v) and v >= 0), "a non-negative finite number"
+_MAPPINGS = (lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v)), "a list of mappings"
+_PROTOCOL_KIND = _one_of(protocols.PROTOCOL_KINDS)
+# a Raman laser at (1 - fraction) times the transition frequency: positive,
+# and detuned from the excited state
+_DETUNING = (lambda v: _is_real(v) and v != 0 and v < 1), "a nonzero finite number below 1"
+
+#: Params of each scenario kind: each one's default and rule, and the key
+#: table of each entry of a list param.  The runners read only these keys,
+#: and a config may set no others.  A study row is a ddof = 1 spread over
+#: its seeds, a lock run needs one lock and a record one shot;
+#: `RefineConfig` checks the lock's own counts.
+PARAMS = {
     "rwa_validity": {
-        "cycles": _list_of(_is_positive, "positive finite numbers"),
-        "carrier_hz": (_is_positive, "a positive finite number"),
+        "cycles": Key([5, 10, 20, 30, 60], *_list_of(_is_positive, "positive finite numbers")),
+        "theta": Key(np.pi / 4, *_NON_NEGATIVE),
+        "envelope": Key("gaussian", *_one_of(pulses.ENVELOPE_KINDS)),
+        "carrier_hz": Key(1.0, *_POSITIVE),
+        "integration_tol": Key(1e-8, *_POSITIVE),
     },
     # n_max >= 4 leaves room for a train of at least two pulses
-    "closed_forms": {"n_cases": _count(1), "n_max": _count(4)},
+    "closed_forms": {"n_cases": Key(200, *_count(1)), "n_max": Key(10_000, *_count(4))},
     "permutation_optimality": {
-        "sizes": _list_of(lambda n: _is_count(n, 2) and n % 2 == 0, "even integers >= 2"),
-        "trials": _count(1),
+        "sizes": Key(
+            [4, 6, 8, 10], *_list_of(lambda n: _int_at_least(2)(n) and n % 2 == 0, "even integers >= 2")
+        ),
+        "trials": Key(5, *_count(1)),
     },
-    "table1_scaling": {"n_seeds": _count(2), "m_shots": _count(1)},
-    "crlb_saturation": {"n_seeds": _count(2)},
-    "resolution_extrapolation": {"n_seeds": _count(2), "m_shots": _count(1)},
-    "raman_three_level": {"grid_points": _count(3)},
-    "refine_fiber": {"n_seeds": _count(1), "prior_scale": (_is_positive, "a positive finite number")},
+    "table1_scaling": {
+        "scans": Key(
+            [
+                {"kind": "1B", "n_values": [100, 1000, 10000]},
+                {"kind": "2B", "n_values": [10, 32, 100], "n_delay_values": [10, 32, 100]},
+            ],
+            *_MAPPINGS,
+            entries={
+                "kind": Key(REQUIRED, *_PROTOCOL_KIND),
+                "n_values": Key(REQUIRED, *_list_of(_int_at_least(1), "integers >= 1")),
+                "n_delay_values": Key(
+                    lambda i, scan: [0] * len(scan["n_values"]), *_list_of(_int_at_least(0), "integers >= 0")
+                ),
+            },
+        ),
+        "m_shots": Key(10_000, *_count(1)),
+        "n_seeds": Key(500, *_count(2)),
+    },
+    "crlb_saturation": {
+        "points": Key(
+            REQUIRED,
+            *_MAPPINGS,
+            entries={
+                "kind": Key(REQUIRED, *_PROTOCOL_KIND),
+                "n": Key(REQUIRED, *_count(1)),
+                "dphi": Key(REQUIRED, *_REAL),
+                "n_delay": Key(0, *_count(0)),
+                "m_shots": Key(10_000, *_count(1)),
+                "theta": Key(np.pi / 2, *_REAL),
+                "seed_offset": Key(lambda i, point: 1000 * i, *_count(0)),
+            },
+        ),
+        "n_seeds": Key(500, *_count(2)),
+    },
+    "resolution_extrapolation": {
+        "reduced_points": Key(
+            [[8, 4], [16, 8], [32, 16]],
+            *_list_of(
+                lambda pt: isinstance(pt, list) and len(pt) == 2 and all(map(_is_int, pt)),
+                "[n, n_delay] pairs of integers",
+            ),
+        ),
+        "m_shots": Key(2000, *_count(1)),
+        "n_seeds": Key(100, *_count(2)),
+        "extrapolations": Key(
+            [{"rep_rate_hz": 1e8, "n": 500_000, "n_delay": 500_000}],
+            *_MAPPINGS,
+            entries={
+                "rep_rate_hz": Key(REQUIRED, *_POSITIVE),
+                "n": Key(REQUIRED, *_count(1)),
+                "n_delay": Key(REQUIRED, *_count(0)),
+            },
+        ),
+    },
+    "raman_three_level": {
+        "transition_hz": Key(100.0, *_POSITIVE),
+        "rabi": Key(12.0, *_POSITIVE),
+        "duration": Key(1.0, *_POSITIVE),
+        "detuning_fraction_population": Key(0.2, *_DETUNING),
+        "detuning_fraction_map": Key(0.02, *_DETUNING),
+        "grid_points": Key(25, *_count(3)),
+    },
+    "error_models": {"pair_gap_s": Key(1e-11, *_NON_NEGATIVE)},
+    "refine_fiber": {
+        "prior_scale": Key(1.0, *_POSITIVE),
+        "m_shots": Key(5000, *_INTEGER),
+        "growth": Key(4, *_INTEGER),
+        "max_stages": Key(6, *_INTEGER),
+        "n_seeds": Key(100, *_count(1)),
+    },
+    "visibility_budget": {
+        "lifetime_s": Key(8e-9, *_POSITIVE),
+        "excited_window_s": Key(1e-10, *_POSITIVE),
+        "epsilon": Key(0.1, lambda v: _is_real(v) and 0 < v < 1, "a number in (0, 1)"),
+    },
 }
 
-
-#: Top-level keys of a config: (rule, what the rule asks for).
+#: Top-level keys of a config, in the same form.
 _TOP_LEVEL = {
-    "schema_version": (lambda v: v == SCHEMA_VERSION and not isinstance(v, bool), f"{SCHEMA_VERSION}"),
-    "name": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
-    "kind": (lambda v: isinstance(v, str) and v in PARAMS, f"one of {', '.join(PARAMS)}"),
-    "description": (lambda v: isinstance(v, str), "a string"),
-    "tags": (lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v), "a list of strings"),
-    "seed": (lambda v: _is_count(v, 0), "a non-negative integer"),
-    "params": (lambda v: isinstance(v, dict), "a mapping"),
+    "schema_version": Key(
+        REQUIRED, lambda v: v == SCHEMA_VERSION and not isinstance(v, bool), f"{SCHEMA_VERSION}"
+    ),
+    "name": Key(REQUIRED, lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "kind": Key(REQUIRED, *_one_of(PARAMS)),
+    "description": Key("", lambda v: isinstance(v, str), "a string"),
+    "tags": Key(
+        [], lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v), "a list of strings"
+    ),
+    "seed": Key(0, *_count(0)),
+    "params": Key({}, lambda v: isinstance(v, dict), "a mapping"),
 }
-_REQUIRED_TOP_LEVEL = ("schema_version", "name", "kind")
 
 
 @dataclass(frozen=True)
@@ -159,30 +220,48 @@ def _check_keys(where: str, mapping: dict, required, allowed) -> None:
             raise ScenarioConfigError(f"{where}: {problem} keys {', '.join(sorted(map(str, keys)))}")
 
 
+def _check_level(where: str, mapping: dict, table: dict) -> list:
+    """Check one mapping against its key table; return the (where, entry,
+    table) of each entry of its list-of-mappings keys."""
+    _check_keys(where, mapping, [k for k, key in table.items() if key.default is REQUIRED], table)
+    nested = []
+    for name, key in table.items():
+        if name in mapping:
+            value = mapping[name]
+            if not key.rule(value):
+                raise ScenarioConfigError(f"{where}: {name} must be {key.wanted}, got {value!r}")
+            if key.entries:
+                nested += [(f"{name} entry {i}", entry, key.entries) for i, entry in enumerate(value)]
+    return nested
+
+
 def _validate(raw) -> None:
     """Raise `ScenarioConfigError`, naming the key, unless ``raw`` is a valid
-    config: the top-level keys (`_TOP_LEVEL`), the params of its kind
-    (`PARAMS`), their values (`_PARAM_RULES`) and the keys of each
-    list entry (`ENTRY_KEYS`)."""
+    config: the top level (`_TOP_LEVEL`), the params of its kind and each
+    entry of a list param (`PARAMS`) hold only the keys of their tables,
+    every required one, and values that pass the keys' rules."""
     if not isinstance(raw, dict):
         raise ScenarioConfigError("scenario config must be a mapping")
-    _check_keys("top level", raw, _REQUIRED_TOP_LEVEL, _TOP_LEVEL)
-    for key, (rule, wanted) in _TOP_LEVEL.items():
-        if key in raw and not rule(raw[key]):
-            raise ScenarioConfigError(f"{key} must be {wanted}, got {raw[key]!r}")
-    kind, params = raw["kind"], raw.get("params", {})
-    known = PARAMS[kind]
-    _check_keys(f"params of kind {kind}", params, [k for k, v in known.items() if v is REQUIRED], known)
-    for name, (rule, wanted) in _PARAM_RULES.get(kind, {}).items():
-        if name in params and not rule(params[name]):
-            raise ScenarioConfigError(f"{name} of kind {kind} must be {wanted}, got {params[name]!r}")
-    for (entry_kind, param), (required, optional) in ENTRY_KEYS.items():
-        if entry_kind == kind and param in params:
-            entries = params[param]
-            if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
-                raise ScenarioConfigError(f"{param} must be a list of mappings, got {entries!r}")
-            for i, entry in enumerate(entries):
-                _check_keys(f"{param} entry {i}", entry, required, required + optional)
+    _check_level("top level", raw, _TOP_LEVEL)
+    levels = [(f"params of kind {raw['kind']}", raw.get("params", {}), PARAMS[raw["kind"]])]
+    for level in levels:
+        levels += _check_level(*level)
+
+
+def _filled(mapping: dict, table: dict, index: int = 0) -> dict:
+    """``mapping`` with the default of each key it leaves out, the entries of
+    its list-of-mappings keys filled too; ``index`` is the mapping's place in
+    its list."""
+    out = {}
+    for name, key in table.items():
+        if name in mapping:
+            value = mapping[name]
+        else:
+            value = key.default(index, mapping) if callable(key.default) else key.default
+        if key.entries:
+            value = [_filled(entry, key.entries, i) for i, entry in enumerate(value)]
+        out[name] = value
+    return out
 
 
 def load_scenario_config(path) -> ScenarioConfig:
@@ -192,13 +271,14 @@ def load_scenario_config(path) -> ScenarioConfig:
     except yaml.YAMLError as e:
         raise ScenarioConfigError(f"{path}: not valid YAML: {e}") from e
     _validate(raw)
+    top = _filled(raw, _TOP_LEVEL)
     return ScenarioConfig(
-        name=raw["name"],
-        kind=raw["kind"],
-        description=raw.get("description", ""),
-        tags=tuple(raw.get("tags", ())),
-        seed=raw.get("seed", 0),
-        params={**PARAMS[raw["kind"]], **raw.get("params", {})},
+        name=top["name"],
+        kind=top["kind"],
+        description=top["description"],
+        tags=tuple(top["tags"]),
+        seed=top["seed"],
+        params=_filled(top["params"], PARAMS[top["kind"]]),
         source_text=text,
     )
 
@@ -347,8 +427,7 @@ def _checked_specs(entries, what: str, make) -> list:
 
 def _scan_specs(scan) -> list:
     """The `ProtocolSpec` of each point of one ``scans`` entry, checked."""
-    n_values = list(scan["n_values"])
-    n_delays = list(scan.get("n_delay_values", [0] * len(n_values)))
+    n_values, n_delays = scan["n_values"], scan["n_delay_values"]
     if len(n_delays) != len(n_values):
         raise ValueError("n_delay_values must match n_values in length")
     specs = [protocols.ProtocolSpec(scan["kind"], n, nd) for n, nd in zip(n_values, n_delays)]
@@ -397,15 +476,8 @@ def _run_table1_scaling(cfg, out, fmt):
 
 
 def _point_spec(pt):
-    """The `ProtocolSpec` of one ``points`` entry; a bad ``m_shots`` or ``dphi``
-    of the entry raises ValueError too."""
-    if not _is_count(pt.get("m_shots", 10_000), 1):
-        raise ValueError(f"m_shots must be an integer >= 1, got {pt['m_shots']!r}")
-    if not _is_real(pt["dphi"]):
-        raise ValueError(f"dphi must be a finite real number, got {pt['dphi']!r}")
-    return protocols.ProtocolSpec(
-        pt["kind"], pt["n"], pt.get("n_delay", 0), 0.0, pt.get("theta", np.pi / 2)
-    )
+    """The `ProtocolSpec` of one ``points`` entry."""
+    return protocols.ProtocolSpec(pt["kind"], pt["n"], pt["n_delay"], 0.0, pt["theta"])
 
 
 def _run_crlb_saturation(cfg, out, fmt):
@@ -414,10 +486,10 @@ def _run_crlb_saturation(cfg, out, fmt):
     n_seeds = p["n_seeds"]
     specs = _checked_specs(p["points"], "points", _point_spec)
     rows = []
-    for i, (pt, spec) in enumerate(zip(p["points"], specs)):
+    for pt, spec in zip(p["points"], specs):
         dphi = pt["dphi"]
-        m_shots = pt.get("m_shots", 10_000)
-        base_seed = cfg.seed + pt.get("seed_offset", 1000 * i)
+        m_shots = pt["m_shots"]
+        base_seed = cfg.seed + pt["seed_offset"]
         ests, bound = estimation.estimator_study(
             spec, dphi, m_shots, range(base_seed, base_seed + n_seeds)
         )
@@ -445,14 +517,13 @@ def _extrapolated_row(case):
 def _run_resolution(cfg, out, fmt):
     """Offset-frequency resolution: verified scaling at desk scale, then
     arithmetic extrapolation to configurations far beyond simulation.
-    Every reduced point and extrapolation is checked before the first fit."""
+    Every reduced point is checked before the first fit."""
     p = cfg.params
     rows = []
     # reduced-scale consistency: sigma * chi * sqrt(M) should be flat
     consts = []
     m_shots = p["m_shots"]
     specs = _checked_specs(p["reduced_points"], "reduced_points", _reduced_spec)
-    extrapolated = _checked_specs(p["extrapolations"], "extrapolations", _extrapolated_row)
     for idx, spec in enumerate(specs):
         chi = spec.enhancement
         start = cfg.seed + 10_000 * idx
@@ -462,7 +533,7 @@ def _run_resolution(cfg, out, fmt):
         sigma = float(np.std(ests, ddof=1))
         consts.append(sigma * chi * np.sqrt(m_shots))
         rows.append(("simulated", spec.n_pulses, spec.n_delay, sigma, sigma * chi * np.sqrt(m_shots)))
-    rows += extrapolated
+    rows += [_extrapolated_row(case) for case in p["extrapolations"]]
     path = _write_rows(
         out / "resolution",
         ["row_kind", "n", "n_delay", "value", "scaled_constant"],

@@ -26,16 +26,13 @@ from combphase.pulses import PulseSpec
 W = 2.0 * np.pi * 3.5e14
 
 
-def _comb(offset=200e3, period=10e-9, convention="angular"):
+def _comb(offset=200e3, period=10e-9):
     template = PulseSpec("gaussian", np.pi / 2, 10e-12, W, W)
-    return CombSpec(period, offset, template, convention)
+    return CombSpec(period, offset, template)
 
 
-def test_phase_step_conventions():
-    ang = _comb(convention="angular")
-    cyc = _comb(convention="cyclic")
-    assert ang.phase_step == pytest.approx(2.0 * np.pi * 200e3 * 10e-9)
-    assert ang.phase_step == pytest.approx(2.0 * np.pi * cyc.phase_step)
+def test_phase_step_is_angular():
+    assert _comb().phase_step == pytest.approx(2.0 * np.pi * 200e3 * 10e-9)
 
 
 def test_comb_validation():
@@ -43,8 +40,6 @@ def test_comb_validation():
         _comb(period=-1.0)
     with pytest.raises(ValueError):
         _comb(period=5e-12)  # shorter than the pulse
-    with pytest.raises(ValueError):
-        _comb(convention="radians")
 
 
 def test_generate_train_phases_are_linear():

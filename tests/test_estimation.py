@@ -66,6 +66,17 @@ def test_sample_record_deterministic_counts():
     assert a.counts1.sum() == 500
 
 
+def test_sampling_cache_keeps_the_latest_dphi_only():
+    model = _model()
+    first = sample_record(model, np.pi / 2, 0.001, 500, seed=9)
+    other = sample_record(model, np.pi / 2, 0.002, 500, seed=9)
+    again = sample_record(model, np.pi / 2, 0.001, 500, seed=9)
+    assert list(model.cache) == ["probs"]
+    fresh = sample_record(_model(), np.pi / 2, 0.002, 500, seed=9)
+    for a, b in ((first, again), (other, fresh)):
+        assert np.array_equal(a.counts1, b.counts1) and np.array_equal(a.counts2, b.counts2)
+
+
 def test_measurement_record_validation():
     with pytest.raises(ValueError, match="counts1"):
         MeasurementRecord(10, np.array([4, 7]), np.array([5, 5]))  # does not sum to m_shots

@@ -1,18 +1,22 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import combphase
 from combphase import estimation
 from combphase.cli import EXIT_NUMERIC, EXIT_SCHEMA, EXIT_WRAP, main
 from combphase.errors import ScenarioConfigError
 from combphase.scenarios import (
-    ENTRY_KEYS,
     PARAMS,
     find_scenario,
     list_scenarios,
@@ -45,11 +49,15 @@ def _config(tmp_path, kind, params, name="tiny"):
     return cfg
 
 
+class FitRan(AssertionError):
+    """Raised by the `no_fits` fixture when an ML fit starts."""
+
+
 @pytest.fixture
 def no_fits(monkeypatch):
     """Fail the test if any ML fit runs."""
     def fit(*args, **kwargs):
-        raise AssertionError("a fit ran")
+        raise FitRan("a fit ran")
 
     monkeypatch.setattr(estimation, "ml_estimate", fit)
 
@@ -225,6 +233,8 @@ def test_refine_locks_share_models_within_one_run_only(tmp_path, monkeypatch):
     assert all(d is first[0] for d in first) and all(d is second[0] for d in second)
     assert first[0] is not second[0]
     assert first[0] and first[0].keys() == second[0].keys()
+    # each stage samples at a new true residual, so a model keeps one sampling entry
+    assert all(sum(k == "probs" or k[:1] == ("probs",) for k in m.cache) <= 1 for m in first[0].values())
 
 
 def test_cli_numeric_failure_exit_code(tmp_path):
@@ -357,7 +367,7 @@ _POINT = {"kind": "1B", "n": 10, "dphi": 0.02}
         ),
         pytest.param("crlb_saturation", {"points": [{**_POINT, "m_shots": 0}]}, "m_shots", id="no shots"),
         pytest.param("crlb_saturation", {"points": [{**_POINT, "dphi": float("nan")}]}, "dphi", id="dphi nan"),
-        pytest.param("crlb_saturation", {"points": [{**_POINT, "n": "ten"}]}, "n_pulses", id="n not a number"),
+        pytest.param("crlb_saturation", {"points": [{**_POINT, "n": "ten"}]}, "entry 0: n must", id="n not a number"),
         pytest.param("crlb_saturation", {"points": [{**_POINT, "theta": "x"}]}, "theta", id="theta not a number"),
         pytest.param("crlb_saturation", {"points": [{**_POINT, "n_delay": "a"}]}, "n_delay", id="n_delay on 1B"),
     ],
@@ -428,24 +438,102 @@ def test_bad_refine_config_rejected_before_fitting(tmp_path, no_fits, params, na
     assert not (out / "refine_fiber.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "kind,name,value",
-    [
-        pytest.param("refine_fiber", "prior_scale", "x", id="prior_scale x"),
-        pytest.param("closed_forms", "n_max", 2, id="n_max 2"),
-        pytest.param("rwa_validity", "cycles", [0], id="cycles [0]"),
-        pytest.param("raman_three_level", "grid_points", 0, id="grid_points 0"),
-        pytest.param("permutation_optimality", "sizes", [3], id="sizes [3]"),
-    ],
-)
-def test_bad_param_values_exit_2_at_load(tmp_path, kind, name, value):
-    # unchecked, each value would reach the library and fail there with a traceback (exit 1)
-    cfg = _config(tmp_path, kind, {**TINY_PARAMS[kind], name: value})
-    with pytest.raises(ScenarioConfigError, match=name):
+#: (kind, changes to the tiny params, text the error names); unchecked, each
+#: value reached the library and failed there with a traceback (exit 1).
+_BAD_VALUES = {
+    "prior_scale x": ("refine_fiber", {"prior_scale": "x"}, "prior_scale"),
+    "n_max 2": ("closed_forms", {"n_max": 2}, "n_max"),
+    "cycles [0]": ("rwa_validity", {"cycles": [0]}, "cycles"),
+    "grid_points 0": ("raman_three_level", {"grid_points": 0}, "grid_points"),
+    "sizes [3]": ("permutation_optimality", {"sizes": [3]}, "sizes"),
+    "envelope foo": ("rwa_validity", {"envelope": "foo"}, "envelope"),
+    "integration_tol x": ("rwa_validity", {"integration_tol": "x"}, "integration_tol"),
+    "theta -1": ("rwa_validity", {"theta": -1}, "theta"),
+    "lifetime_s 0": ("visibility_budget", {"lifetime_s": 0}, "lifetime_s"),
+    "lifetime_s 10**400": ("visibility_budget", {"lifetime_s": 10**400}, "lifetime_s"),
+    "epsilon 2": ("visibility_budget", {"epsilon": 2}, "epsilon"),
+    "pair_gap_s x": ("error_models", {"pair_gap_s": "x"}, "pair_gap_s"),
+    "rabi x": ("raman_three_level", {"rabi": "x"}, "rabi"),
+    "duration 0": ("raman_three_level", {"duration": 0}, "duration"),
+    "rep_rate_hz x": (
+        "resolution_extrapolation",
+        {"extrapolations": [{"rep_rate_hz": "x", "n": 250, "n_delay": 250}]},
+        "extrapolations entry 0: rep_rate_hz",
+    ),
+    "n_values 5": ("table1_scaling", {"scans": [{"kind": "1B", "n_values": 5}]}, "scans entry 0: n_values"),
+    "second point's seed_offset x": (
+        "crlb_saturation",
+        {"points": [_POINT, {**_POINT, "seed_offset": "x"}]},
+        "points entry 1: seed_offset",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,change,names", _BAD_VALUES.values(), ids=_BAD_VALUES.keys())
+def test_bad_param_values_exit_2_at_load(tmp_path, kind, change, names):
+    cfg = _config(tmp_path, kind, {**TINY_PARAMS[kind], **change})
+    with pytest.raises(ScenarioConfigError, match=names):
         load_scenario_config(cfg)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
     assert not list(out.glob("*"))
+
+
+def test_entry_defaults_are_filled_at_load(tmp_path):
+    points = [_POINT, {**_POINT, "seed_offset": 7}]
+    cfg = load_scenario_config(_config(tmp_path, "crlb_saturation", {"points": points}))
+    first, second = cfg.params["points"]
+    assert first == {**_POINT, "n_delay": 0, "m_shots": 10_000, "theta": np.pi / 2, "seed_offset": 0}
+    assert second["seed_offset"] == 7
+    cfg = load_scenario_config(_config(tmp_path, "table1_scaling", {}))
+    assert [scan["n_delay_values"] for scan in cfg.params["scans"]] == [[0, 0, 0], [10, 32, 100]]
+
+
+def _mutation_paths(kind):
+    """Where a mutation of the tiny params of ``kind`` may act: each param,
+    each key of each entry the tiny params hold, and the first item of each
+    of their lists of numbers."""
+    paths = []
+    for name, key in PARAMS[kind].items():
+        paths.append((name,))
+        value = TINY_PARAMS[kind].get(name)
+        if key.entries and value:
+            paths += [(name, i, k) for i in range(len(value)) for k in key.entries]
+        elif isinstance(value, list):
+            paths.append((name, 0))
+    return paths
+
+
+#: Replacement values: wrong types, and zero, negative and non-finite numbers.
+_MUTANTS = ("x", True, None, [1], 0, -1, float("nan"), float("inf"))
+
+
+@pytest.mark.parametrize("kind", sorted(PARAMS))
+@settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_configs_exit_with_a_typed_code(no_fits, kind, data):
+    # dropped keys fall back to defaults and numbers stay small, so no
+    # mutation starts a long run; a fit stops at the no_fits sentinel
+    params = copy.deepcopy(TINY_PARAMS[kind])
+    *head, last = data.draw(st.sampled_from(_mutation_paths(kind)), label="path")
+    parent = params
+    for step in head:
+        parent = parent[step]
+    mutant = data.draw(st.sampled_from(("drop",) + _MUTANTS), label="mutant")
+    if mutant != "drop":
+        parent[last] = mutant
+    elif isinstance(parent, list) or last in parent:
+        del parent[last]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _config(Path(tmp), kind, params)
+        try:
+            code = main(["run", str(cfg), "--out", str(Path(tmp) / "out")])
+        except FitRan:
+            return
+    assert code in (0, EXIT_SCHEMA, EXIT_NUMERIC, EXIT_WRAP)
 
 
 def test_closed_forms_match_the_outcome_model(tmp_path):
@@ -466,11 +554,17 @@ def test_bundled_and_benchmark_configs_load():
         assert set(cfg.params) == set(PARAMS[cfg.kind])
 
 
+def _keys(table, where=()):
+    """(path, key) of every key in a key table and in its entry tables."""
+    for name, key in table.items():
+        yield where + (name,), key
+        if key.entries:
+            yield from _keys(key.entries, where + (name,))
+
+
 def test_params_table_is_documented():
     doc = (REPO / "docs" / "formats.md").read_text()
-    for kind, params in PARAMS.items():
-        for key in params:
-            assert f"`{key}`" in doc, (kind, key)
-    for (kind, param), (required, optional) in ENTRY_KEYS.items():
-        for key in (param,) + required + optional:
-            assert f"`{key}`" in doc, (kind, param, key)
+    for kind, table in PARAMS.items():
+        for path, key in _keys(table):
+            assert f"`{path[-1]}`" in doc, (kind, path)
+            assert key.wanted in doc, (kind, path, key.wanted)
