@@ -10,18 +10,13 @@ pulse-to-pulse carrier-envelope phase step.
 __version__ = "1.0.0"
 
 from .comb import (
-    BsdSpec,
     CombSpec,
     JitterSpec,
     PulseTrain,
     apply_phase_jitter,
-    bsd_replicate,
     fiber_comb_preset,
     generate_train,
-    max_replicas,
     split_delay_interleave,
-    train_from_csv,
-    train_to_csv,
     wrap_pulse_count,
 )
 from .errors import (
@@ -29,7 +24,6 @@ from .errors import (
     DegenerateFitError,
     IntegrationError,
     OverlapError,
-    ReplicaBudgetError,
     ScenarioConfigError,
     SingularInformationError,
     UndefinedPhaseError,
@@ -46,7 +40,6 @@ from .estimation import (
     ml_estimate,
     offset_resolution,
     optimize_reference_phase,
-    refined_offset_uncertainty,
     sample_record,
 )
 from .noise import (
@@ -54,7 +47,6 @@ from .noise import (
     ThermalSpec,
     ac_stark_preset,
     be_doppler_preset,
-    dephase_train,
     doppler_phase_error,
     doppler_velocity,
     spin_echo_residual,
@@ -74,7 +66,6 @@ from .protocols import (
 )
 from .pulses import (
     PulseSpec,
-    QubitState,
     Unitary,
     effective_phase,
     integrate_pulse,
@@ -84,8 +75,6 @@ from .pulses import (
 from .raman import (
     LambdaSpec,
     PhaseMapResult,
-    RamanEffective,
-    effective_qubit_unitary,
     integrate_lambda,
     phase_map,
     visibility_budget,

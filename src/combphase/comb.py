@@ -8,12 +8,11 @@ frequency nu_0 in the angular convention
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import OverlapError, ReplicaBudgetError
+from .errors import OverlapError
 from .pulses import PulseSpec
 
 #: default gap between the two members of an interleaved pair [s]
@@ -78,26 +77,6 @@ class PulseTrain:
 
     def __len__(self) -> int:
         return self.times.size
-
-
-@dataclass(frozen=True)
-class BsdSpec:
-    """Beam-splitter-and-delayer: n short-spaced replicas of each pulse."""
-
-    replicas: int
-    spacing: float  # Delta t [s]
-    amplitude_rule: str = "equal"  # "equal" or "geometric"
-    ratio: float = 0.5  # used by the geometric rule
-
-    def __post_init__(self):
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
-        if self.amplitude_rule not in ("equal", "geometric"):
-            raise ValueError(f"unknown amplitude rule {self.amplitude_rule!r}")
-        if self.amplitude_rule == "geometric" and not 0 < self.ratio < 1:
-            raise ValueError("geometric ratio must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -178,54 +157,6 @@ def split_delay_interleave(
     return PulseTrain(times, phases, thetas, indices, t.pulse_duration, t.wrap_risk)
 
 
-def max_replicas(pulse_duration: float, tau_rad: float | None, tau_coh: float | None) -> int:
-    """Largest replica count allowed by the radiative/coherence lifetimes."""
-    lifetimes = [x for x in (tau_rad, tau_coh) if x is not None]
-    if not lifetimes:
-        raise ValueError("at least one lifetime is required")
-    return int(min(lifetimes) / (2.0 * pulse_duration))
-
-
-def bsd_replicate(
-    t: PulseTrain,
-    b: BsdSpec,
-    tau_rad: float | None = None,
-    tau_coh: float | None = None,
-) -> PulseTrain:
-    """Replace every pulse by ``b.replicas`` replicas spaced ``b.spacing`` apart.
-
-    The total pulse area of each event is preserved: the equal rule splits
-    theta evenly, the geometric rule uses normalized weights ratio**j.
-    """
-    if b.replicas == 1:
-        return t
-    if t.pulse_duration is not None:
-        if b.spacing < t.pulse_duration:
-            raise OverlapError("replica spacing shorter than the pulse duration")
-        if tau_rad is not None or tau_coh is not None:
-            budget = max_replicas(t.pulse_duration, tau_rad, tau_coh)
-            if b.replicas > budget:
-                raise ReplicaBudgetError(
-                    f"{b.replicas} replicas exceed the lifetime budget of {budget}"
-                )
-    span = (b.replicas - 1) * b.spacing
-    if len(t) > 1 and span >= np.min(np.diff(t.times)):
-        raise OverlapError("replica fan of one pulse reaches into the next event")
-    if b.amplitude_rule == "equal":
-        weights = np.full(b.replicas, 1.0 / b.replicas)
-    else:
-        w = b.ratio ** np.arange(b.replicas)
-        weights = w / w.sum()
-    offs = b.spacing * np.arange(b.replicas)
-    times = (t.times[:, None] + offs[None, :]).ravel()
-    phases = np.repeat(t.phases, b.replicas)
-    thetas = (t.thetas[:, None] * weights[None, :]).ravel()
-    indices = None
-    if t.indices is not None:
-        indices = np.repeat(t.indices, b.replicas)
-    return PulseTrain(times, phases, thetas, indices, t.pulse_duration, t.wrap_risk)
-
-
 def apply_phase_jitter(t: PulseTrain, model: JitterSpec, seed: int) -> PulseTrain:
     """Add stochastic per-pulse phase noise; deterministic under the seed.
 
@@ -270,40 +201,3 @@ def wrap_pulse_count(c: CombSpec) -> int:
         return np.iinfo(np.int64).max
     return int(round(2.0 * np.pi / step))
 
-
-# --- CSV interface (columns: index, t_m [s], phi_m [rad], theta_m [rad]) ---
-
-def train_to_csv(t: PulseTrain, path_or_file) -> None:
-    close = False
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        fh = open(path_or_file, "w", newline="")
-        close = True
-    else:
-        fh = path_or_file
-    try:
-        w = csv.writer(fh)
-        w.writerow(["index", "t_m", "phi_m", "theta_m"])
-        src = t.indices if t.indices is not None else np.arange(len(t))
-        for i, tm, ph, th in zip(src, t.times, t.phases, t.thetas):
-            w.writerow([int(i), repr(float(tm)), repr(float(ph)), repr(float(th))])
-    finally:
-        if close:
-            fh.close()
-
-
-def train_from_csv(path_or_file) -> PulseTrain:
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, newline="") as fh:
-            return train_from_csv(fh)
-    r = csv.reader(path_or_file)
-    header = next(r)
-    if header != ["index", "t_m", "phi_m", "theta_m"]:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    rows = [row for row in r if row]
-    idx = np.array([int(x[0]) for x in rows])
-    return PulseTrain(
-        times=np.array([float(x[1]) for x in rows]),
-        phases=np.array([float(x[2]) for x in rows]),
-        thetas=np.array([float(x[3]) for x in rows]),
-        indices=idx,
-    )

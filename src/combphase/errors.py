@@ -17,10 +17,6 @@ class OverlapError(CombPhaseError):
     """Pulse arrangement would make electric fields overlap in time."""
 
 
-class ReplicaBudgetError(CombPhaseError):
-    """Replica count exceeds what the radiative/coherence lifetimes allow."""
-
-
 class SingularInformationError(CombPhaseError):
     """Fisher information is singular at the requested parameter point."""
 

@@ -401,15 +401,6 @@ def offset_resolution(rep_rate: float, n: int, n_delay: int = 1) -> float:
     return rep_rate / (n * max(n_delay, 1))
 
 
-def refined_offset_uncertainty(initial_width: float, n: int, n_delay: int = 1) -> float:
-    """Offset uncertainty after refining an initial width by the train gain.
-
-    A delayed train of N pulses with delay N_d compresses the uncertainty of
-    the offset frequency by the phase-accumulation factor N * N_d.
-    """
-    return initial_width / (n * max(n_delay, 1))
-
-
 # --- iterative refinement -------------------------------------------------
 
 

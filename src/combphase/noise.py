@@ -10,12 +10,10 @@ pulses; a copropagating Raman geometry cancels the effect exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import hbar, physical_constants
-
-from .comb import PulseTrain
 
 _AMU = physical_constants["atomic mass constant"][0]
 
@@ -33,28 +31,19 @@ class DephasingSpec:
 
     ``sigma_eps`` is the stationary standard deviation in rad/s.  Quoted
     "100 Hz-class" shifts are ordinary frequencies; multiply by 2 pi (see
-    `ac_stark_preset`).  The Ornstein-Uhlenbeck correlation time must be much
-    longer than a pulse for the constant-per-pulse approximation to hold.
+    `ac_stark_preset`).
     """
 
     sigma_eps: float  # rad/s
-    correlation_time: float  # s
-    seed: int = 0
 
     def __post_init__(self):
         if self.sigma_eps < 0:
             raise ValueError("sigma_eps must be >= 0")
-        if self.correlation_time <= 0:
-            raise ValueError("correlation_time must be positive")
 
 
-def ac_stark_preset(pulse_duration: float = 10e-12, seed: int = 0) -> DephasingSpec:
+def ac_stark_preset() -> DephasingSpec:
     """Pessimistic 100 Hz-class ac Stark shift, slow on any pulse timescale."""
-    return DephasingSpec(
-        sigma_eps=2.0 * np.pi * 100.0,
-        correlation_time=max(1e-3, 100.0 * pulse_duration),
-        seed=seed,
-    )
+    return DephasingSpec(sigma_eps=2.0 * np.pi * 100.0)
 
 
 @dataclass(frozen=True)
@@ -69,31 +58,6 @@ class ThermalSpec:
     def __post_init__(self):
         if self.linewidth <= 0 or self.mass <= 0 or self.wavelength <= 0:
             raise ValueError("linewidth, mass and wavelength must be positive")
-
-
-def dephase_train(t: PulseTrain, d: DephasingSpec) -> PulseTrain:
-    """Perturb the train phases by the integrated stray field between pulses.
-
-    epsilon is an Ornstein-Uhlenbeck process sampled at the pulse arrivals
-    (held constant over each inter-pulse interval), so the added phase of
-    pulse m relative to pulse m-1 is epsilon_m * (t_m - t_{m-1}).
-    Deterministic under the spec's seed.
-    """
-    if t.pulse_duration is not None and d.correlation_time <= 10.0 * t.pulse_duration:
-        raise ValueError("correlation time must exceed 10 pulse durations")
-    if d.sigma_eps == 0.0:
-        return t
-    rng = np.random.default_rng(d.seed)
-    n = len(t)
-    eps = np.empty(n)
-    eps[0] = rng.normal(0.0, d.sigma_eps)
-    gaps = np.diff(t.times)
-    rho = np.exp(-gaps / d.correlation_time)
-    kicks = rng.normal(0.0, 1.0, size=n - 1)
-    for k in range(1, n):
-        eps[k] = eps[k - 1] * rho[k - 1] + d.sigma_eps * np.sqrt(1.0 - rho[k - 1] ** 2) * kicks[k - 1]
-    added = np.concatenate(([0.0], np.cumsum(eps[1:] * gaps)))
-    return replace(t, phases=t.phases + added)
 
 
 def expected_dephasing_error(d: DephasingSpec, gap: float) -> float:

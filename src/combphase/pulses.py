@@ -116,24 +116,6 @@ class Unitary:
             raise ValueError("matrix is not unitary within tolerance")
 
 
-@dataclass(frozen=True)
-class QubitState:
-    """Normalized complex amplitude vector (dim 2 or 3)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
-        if a.ndim != 1 or a.shape[0] not in (2, 3):
-            raise ValueError("expected a length-2 or length-3 vector")
-        if abs(np.linalg.norm(a) - 1.0) > 1e-10:
-            raise ValueError("state is not normalized")
-        object.__setattr__(self, "amplitudes", a)
-
-    def populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
 def rwa_unitary(p: PulseSpec) -> Unitary:
     """Closed-form resonant propagator; depends only on theta and the phase."""
     return Unitary(rwa_matrix(p.theta, p.ceo_phase))

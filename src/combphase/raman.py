@@ -17,7 +17,7 @@ import numpy as np
 
 from ._su2 import expm_herm, magnus_generators, ordered_product, refine_until_stable, step_count
 from .errors import IntegrationError
-from .pulses import ENVELOPE_KINDS, Unitary, rwa_matrix, unit_envelope
+from .pulses import ENVELOPE_KINDS, Unitary, unit_envelope
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,6 @@ class LambdaSpec:
         """Evaluate s(t); vectorized, zero outside [-duration/2, duration/2]."""
         shape, _ = unit_envelope(self.envelope_kind, t, self.duration)
         return self.rabi * shape
-
-
-@dataclass(frozen=True)
-class RamanEffective:
-    """Effective qubit picture of a Raman pulse pair.
-
-    ``phase_eff`` is the phase entering the sigma_z conjugation: phi_m -
-    phi_ref against a cw reference, or n_delay * dphi when the comb is
-    self-referenced with a delay line.  ``delay_mismatch`` is the residual
-    delay-line error delta_T = T_d - N_d T.
-    """
-
-    theta_eff: float
-    phase_eff: float
-    delay_mismatch: float = 0.0
-    carrier_freq: float | None = None
 
 
 def _lambda_hamiltonians(l: LambdaSpec, phi2_grid, times) -> np.ndarray:
@@ -188,43 +172,14 @@ def phase_map(l: LambdaSpec, phi_l_grid, *, rwa: bool = False, tol: float = 1e-6
     )
 
 
-def measured_phase_step(dphi: float, carrier_freq: float, delay_mismatch: float) -> float:
-    """Phase step actually read out when the delay line misses by delta_T.
-
-    A residual interferometric-path delay shifts the apparent step by
-    omega * delta_T; the path itself must be stabilized separately.
-    """
-    return dphi + carrier_freq * delay_mismatch
-
-
-def effective_qubit_unitary(r: RamanEffective, n: int, dphi: float | None = None) -> Unitary:
-    """Qubit unitary of N Raman pulse pairs.
-
-    exp(-i Phi sigma_z) exp(i N theta' sigma_x) exp(+i Phi sigma_z) with
-    Phi = phase_eff, corrected for a delay mismatch when the carrier
-    frequency is known and ``dphi`` (the per-pair step) is supplied.
-    N * theta' should sit near pi/4 for best sensitivity.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    phi = r.phase_eff
-    if dphi is not None and r.delay_mismatch != 0.0:
-        if r.carrier_freq is None:
-            raise ValueError("carrier_freq needed to apply a delay mismatch")
-        scale = r.phase_eff / dphi if dphi != 0.0 else 0.0
-        phi = scale * measured_phase_step(dphi, r.carrier_freq, r.delay_mismatch)
-    return Unitary(rwa_matrix(n * r.theta_eff, phi))
-
-
-def pair_phase_gate(phase_difference: float) -> Unitary:
-    """Non-overlapping pi/2 Lambda variant: |1> -> -e^{i dphi'} |1>."""
-    return Unitary(np.diag([1.0, -np.exp(1.0j * phase_difference)]).astype(complex))
-
-
 def visibility_budget(gamma: float, t_e: float, epsilon: float) -> int:
     """Pulse budget N = -ln(epsilon) / (gamma T_e) before losing visibility epsilon."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if gamma <= 0 or t_e <= 0:
         raise ValueError("gamma and t_e must be positive")
-    return int(-np.log(epsilon) / (gamma * t_e))
+    with np.errstate(divide="ignore", over="ignore"):
+        budget = -np.log(epsilon) / (gamma * t_e)
+    if not np.isfinite(budget):
+        raise ValueError(f"the pulse budget is not finite: gamma * t_e = {gamma * t_e!r}")
+    return int(budget)

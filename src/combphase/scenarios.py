@@ -64,8 +64,10 @@ def _is_positive(v) -> bool:
     return _is_real(v) and v > 0
 
 
-def _count(least: int):
-    return _int_at_least(least), f"an integer >= {least}"
+def _count(least: int, most: int | None = None):
+    if most is None:
+        return _int_at_least(least), f"an integer >= {least}"
+    return (lambda v: _int_at_least(least)(v) and v <= most), f"an integer from {least} to {most}"
 
 
 def _one_of(options):
@@ -85,27 +87,37 @@ _PROTOCOL_KIND = _one_of(protocols.PROTOCOL_KINDS)
 # a Raman laser at (1 - fraction) times the transition frequency: positive,
 # and detuned from the excited state
 _DETUNING = (lambda v: _is_real(v) and v != 0 and v < 1), "a nonzero finite number below 1"
+#: Most seeds of one study or lock run.
+_MAX_SEEDS = 100_000
 
 #: Params of each scenario kind: each one's default and rule, and the key
 #: table of each entry of a list param.  The runners read only these keys,
 #: and a config may set no others.  A study row is a ddof = 1 spread over
 #: its seeds, a lock run needs one lock and a record one shot;
-#: `RefineConfig` checks the lock's own counts.
+#: `RefineConfig` checks the lock's own counts.  Upper bounds on seeds,
+#: cycles, cases, pairings and grid points bound the work of one run.
 PARAMS = {
     "rwa_validity": {
-        "cycles": Key([5, 10, 20, 30, 60], *_list_of(_is_positive, "positive finite numbers")),
+        "cycles": Key(
+            [5, 10, 20, 30, 60],
+            *_list_of(lambda c: _is_positive(c) and c <= 1e4, "positive numbers up to 10000"),
+        ),
         "theta": Key(np.pi / 4, *_NON_NEGATIVE),
         "envelope": Key("gaussian", *_one_of(pulses.ENVELOPE_KINDS)),
         "carrier_hz": Key(1.0, *_POSITIVE),
         "integration_tol": Key(1e-8, *_POSITIVE),
     },
     # n_max >= 4 leaves room for a train of at least two pulses
-    "closed_forms": {"n_cases": Key(200, *_count(1)), "n_max": Key(10_000, *_count(4))},
+    "closed_forms": {
+        "n_cases": Key(200, *_count(1, 100_000)),
+        "n_max": Key(10_000, *_count(4, 1_000_000)),
+    },
     "permutation_optimality": {
         "sizes": Key(
-            [4, 6, 8, 10], *_list_of(lambda n: _int_at_least(2)(n) and n % 2 == 0, "even integers >= 2")
+            [4, 6, 8, 10],
+            *_list_of(lambda n: _int_at_least(2)(n) and n <= 20 and n % 2 == 0, "even integers from 2 to 20"),
         ),
-        "trials": Key(5, *_count(1)),
+        "trials": Key(5, *_count(1, 1000)),
     },
     "table1_scaling": {
         "scans": Key(
@@ -123,7 +135,7 @@ PARAMS = {
             },
         ),
         "m_shots": Key(10_000, *_count(1)),
-        "n_seeds": Key(500, *_count(2)),
+        "n_seeds": Key(500, *_count(2, _MAX_SEEDS)),
     },
     "crlb_saturation": {
         "points": Key(
@@ -139,7 +151,7 @@ PARAMS = {
                 "seed_offset": Key(lambda i, point: 1000 * i, *_count(0)),
             },
         ),
-        "n_seeds": Key(500, *_count(2)),
+        "n_seeds": Key(500, *_count(2, _MAX_SEEDS)),
     },
     "resolution_extrapolation": {
         "reduced_points": Key(
@@ -150,7 +162,7 @@ PARAMS = {
             ),
         ),
         "m_shots": Key(2000, *_count(1)),
-        "n_seeds": Key(100, *_count(2)),
+        "n_seeds": Key(100, *_count(2, _MAX_SEEDS)),
         "extrapolations": Key(
             [{"rep_rate_hz": 1e8, "n": 500_000, "n_delay": 500_000}],
             *_MAPPINGS,
@@ -167,7 +179,7 @@ PARAMS = {
         "duration": Key(1.0, *_POSITIVE),
         "detuning_fraction_population": Key(0.2, *_DETUNING),
         "detuning_fraction_map": Key(0.02, *_DETUNING),
-        "grid_points": Key(25, *_count(3)),
+        "grid_points": Key(25, *_count(3, 200)),
     },
     "error_models": {"pair_gap_s": Key(1e-11, *_NON_NEGATIVE)},
     "refine_fiber": {
@@ -175,7 +187,7 @@ PARAMS = {
         "m_shots": Key(5000, *_INTEGER),
         "growth": Key(4, *_INTEGER),
         "max_stages": Key(6, *_INTEGER),
-        "n_seeds": Key(100, *_count(1)),
+        "n_seeds": Key(100, *_count(1, _MAX_SEEDS)),
     },
     "visibility_budget": {
         "lifetime_s": Key(8e-9, *_POSITIVE),
@@ -579,7 +591,7 @@ def _run_raman(cfg, out, fmt):
 def _run_error_models(cfg, out, fmt):
     p = cfg.params
     gap = p["pair_gap_s"]
-    deph = noise.ac_stark_preset(seed=cfg.seed)
+    deph = noise.ac_stark_preset()
     therm = noise.be_doppler_preset()
     therm_co = noise.be_doppler_preset(copropagating=True)
     rows = [
@@ -652,11 +664,14 @@ def _run_refine(cfg, out, fmt):
 
 def _run_visibility(cfg, out, fmt):
     p = cfg.params
-    budget = raman.visibility_budget(
-        gamma=1.0 / p["lifetime_s"],
-        t_e=p["excited_window_s"],
-        epsilon=p["epsilon"],
-    )
+    try:
+        budget = raman.visibility_budget(
+            gamma=1.0 / p["lifetime_s"],
+            t_e=p["excited_window_s"],
+            epsilon=p["epsilon"],
+        )
+    except ValueError as e:
+        raise ScenarioConfigError(f"params of kind visibility_budget: {e}") from e
     path = _write_rows(out / "visibility_budget", ["quantity", "value"],
                        [("pulse_budget", float(budget))], fmt)
     return [path], {"pulse_budget": budget}

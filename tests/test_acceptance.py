@@ -13,7 +13,7 @@ import pytest
 
 from combphase._su2 import SIGMA_X, ordered_product
 from combphase.comb import PulseTrain
-from combphase.estimation import offset_resolution, refined_offset_uncertainty
+from combphase.estimation import offset_resolution
 from combphase.protocols import (
     closed_form_1a,
     closed_form_1b,
@@ -125,7 +125,7 @@ def test_criterion_06_offset_resolution_numbers(tmp_path, capsys):
         assert offset_resolution(1e8, 500_000, 500_000) == pytest.approx(4e-4, rel=1e-12)
         # 1 us-class delayed interrogation: a 200 kHz-wide offset refined by
         # a 250 x 250 train lands at the 3 Hz level
-        assert round(refined_offset_uncertainty(200e3, 250, 250)) == 3
+        assert round(offset_resolution(200e3, 250, 250)) == 3
         # reduced-scale simulation verifies the 1/(N N_d) law the
         # extrapolation relies on: sigma * N * N_d * sqrt(M) is constant
         result = run_scenario("resolution_extrapolation", tmp_path)

@@ -1,26 +1,17 @@
-import io
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from combphase.comb import (
-    BsdSpec,
     CombSpec,
     JitterSpec,
     PulseTrain,
     apply_phase_jitter,
-    bsd_replicate,
     fiber_comb_preset,
     generate_train,
-    max_replicas,
     split_delay_interleave,
-    train_from_csv,
-    train_to_csv,
     wrap_pulse_count,
 )
-from combphase.errors import OverlapError, ReplicaBudgetError
+from combphase.errors import OverlapError
 from combphase.pulses import PulseSpec
 
 W = 2.0 * np.pi * 3.5e14
@@ -103,41 +94,6 @@ def test_split_delay_degenerate_no_delay():
     assert np.allclose(out.phases[0::2], out.phases[1::2])
 
 
-def test_max_replicas_lifetime_budget():
-    # 7 ns usable lifetime and 10 ps pulses: 350 replicas
-    assert max_replicas(10e-12, 7e-9, None) == 350
-    assert max_replicas(10e-12, 7e-9, 2e-9) == 100
-    with pytest.raises(ValueError):
-        max_replicas(10e-12, None, None)
-
-
-def test_bsd_replicate_preserves_area():
-    t = generate_train(_comb(), 3)
-    out = bsd_replicate(t, BsdSpec(replicas=5, spacing=25e-12))
-    assert len(out) == 15
-    assert np.sum(out.thetas) == pytest.approx(np.sum(t.thetas))
-    # equal rule: all replicas share the area evenly
-    assert np.allclose(out.thetas, np.pi / 2 / 5)
-
-
-def test_bsd_geometric_weights():
-    t = generate_train(_comb(), 1)
-    out = bsd_replicate(t, BsdSpec(replicas=3, spacing=25e-12, amplitude_rule="geometric", ratio=0.5))
-    w = np.array([1.0, 0.5, 0.25])
-    assert np.allclose(out.thetas, np.pi / 2 * w / w.sum())
-
-
-def test_bsd_budget_and_overlap_errors():
-    t = generate_train(_comb(), 2)
-    with pytest.raises(ReplicaBudgetError):
-        bsd_replicate(t, BsdSpec(replicas=400, spacing=25e-12), tau_rad=7e-9)
-    with pytest.raises(OverlapError):
-        bsd_replicate(t, BsdSpec(replicas=2, spacing=5e-12))
-    with pytest.raises(OverlapError):
-        # replica fan longer than the repetition period
-        bsd_replicate(t, BsdSpec(replicas=500, spacing=25e-12))
-
-
 def test_phase_jitter_deterministic_and_flagging():
     t = generate_train(_comb(), 100)
     a = apply_phase_jitter(t, JitterSpec("random_walk", 0.01), seed=5)
@@ -148,38 +104,3 @@ def test_phase_jitter_deterministic_and_flagging():
     assert c.wrap_risk  # 0.2 * sqrt(100) = 2.0 >= pi/2
     d = apply_phase_jitter(t, JitterSpec("white", 0.0), seed=5)
     assert d is t
-
-
-@given(n=st.integers(1, 30), seed=st.integers(0, 1000))
-@settings(max_examples=25, deadline=None)
-def test_train_csv_round_trip_exact(n, seed):
-    rng = np.random.default_rng(seed)
-    t = PulseTrain(
-        times=np.sort(rng.uniform(0.0, 1.0, n)) + np.arange(n),  # strictly increasing
-        phases=rng.normal(size=n),
-        thetas=rng.uniform(0.0, np.pi, n),
-        indices=np.arange(n),
-    )
-    buf = io.StringIO()
-    train_to_csv(t, buf)
-    back = train_from_csv(io.StringIO(buf.getvalue()))
-    assert np.array_equal(back.times, t.times)  # repr round-trips exactly
-    assert np.array_equal(back.phases, t.phases)
-    assert np.array_equal(back.thetas, t.thetas)
-
-
-def test_train_csv_round_trip_through_file(tmp_path):
-    t = PulseTrain(np.array([0.0, 1.5e-8]), np.array([0.1, -0.3]), np.array([0.2, np.pi / 2]), np.array([4, 7]))
-    path = tmp_path / "train.csv"
-    train_to_csv(t, path)
-    for arg in (path, str(path)):  # a str is a path, never CSV text
-        back = train_from_csv(arg)
-        assert np.array_equal(back.times, t.times)
-        assert np.array_equal(back.phases, t.phases)
-        assert np.array_equal(back.thetas, t.thetas)
-        assert np.array_equal(back.indices, t.indices)
-
-
-def test_train_csv_rejects_bad_header():
-    with pytest.raises(ValueError):
-        train_from_csv(io.StringIO("a,b,c,d\n1,2,3,4\n"))

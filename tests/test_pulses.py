@@ -10,7 +10,6 @@ from combphase._su2 import rot_x, rot_z, step_count, unitarity_defect
 from combphase.errors import IntegrationError, UndefinedPhaseError
 from combphase.pulses import (
     PulseSpec,
-    QubitState,
     Unitary,
     effective_phase,
     integrate_pulse,
@@ -85,13 +84,6 @@ def test_effective_phase_undefined_for_diagonal_unitary():
 def test_unitary_rejects_non_unitary():
     with pytest.raises(ValueError):
         Unitary(np.array([[1.0, 0.1], [0.0, 1.0]]))
-
-
-def test_qubit_state_normalization():
-    with pytest.raises(ValueError):
-        QubitState(np.array([1.0, 1.0]))
-    s = QubitState(np.array([1.0, 1.0]) / np.sqrt(2))
-    assert np.allclose(s.populations(), [0.5, 0.5])
 
 
 # frozen oracle: infidelity of the full model vs the rotating-wave closed

@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from combphase import raman
-from combphase._su2 import rot_x, rot_z, step_count, unitarity_defect
+from combphase._su2 import step_count, unitarity_defect
 from combphase.errors import IntegrationError
 from combphase.raman import (
     LambdaSpec,
-    RamanEffective,
-    effective_qubit_unitary,
     integrate_lambda,
-    measured_phase_step,
-    pair_phase_gate,
     phase_map,
     visibility_budget,
 )
@@ -116,28 +112,6 @@ def test_phase_map_csv_format(tmp_path):
     lines = (tmp_path / "raman_phase_map.csv").read_text().splitlines()
     assert lines[0] == "phi_l,phi_s,dphi_s_dphi_l"
     assert len(lines) == 6
-
-
-def test_measured_phase_step_delay_mismatch():
-    assert measured_phase_step(0.01, 0.0, 0.0) == 0.01
-    # a residual path mismatch shifts the apparent step by omega * delta_T
-    assert measured_phase_step(0.01, 2.0e15, 1.0e-18) == pytest.approx(0.012)
-
-
-def test_effective_qubit_unitary_structure():
-    r = RamanEffective(theta_eff=0.02, phase_eff=0.5)
-    u = effective_qubit_unitary(r, n=10).matrix
-    expected = rot_z(0.5) @ rot_x(0.2) @ rot_z(-0.5)
-    assert np.allclose(u, expected, atol=1e-12)
-    with pytest.raises(ValueError):
-        effective_qubit_unitary(r, 0)
-
-
-def test_pair_phase_gate():
-    u = pair_phase_gate(0.3).matrix
-    assert u[0, 0] == 1.0
-    assert u[1, 1] == pytest.approx(-np.exp(0.3j))
-    assert unitarity_defect(u) < 1e-12
 
 
 def test_visibility_budget_number():

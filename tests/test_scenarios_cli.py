@@ -466,6 +466,19 @@ _BAD_VALUES = {
         {"points": [_POINT, {**_POINT, "seed_offset": "x"}]},
         "points entry 1: seed_offset",
     ),
+    # upper bounds on the work one config asks for, each one past its bound
+    "table1 n_seeds 100001": ("table1_scaling", {"n_seeds": 100_001}, "n_seeds"),
+    "crlb n_seeds 100001": ("crlb_saturation", {"n_seeds": 100_001}, "n_seeds"),
+    "resolution n_seeds 100001": ("resolution_extrapolation", {"n_seeds": 100_001}, "n_seeds"),
+    "refine n_seeds 100001": ("refine_fiber", {"n_seeds": 100_001}, "n_seeds"),
+    "cycles [10001]": ("rwa_validity", {"cycles": [2, 10_001]}, "cycles"),
+    "n_max 1000001": ("closed_forms", {"n_max": 1_000_001}, "n_max"),
+    "n_max 10**20": ("closed_forms", {"n_max": 10**20}, "n_max"),
+    "n_cases 100001": ("closed_forms", {"n_cases": 100_001}, "n_cases"),
+    # 21 is odd and broken anyway; 22 is the first even size past the bound
+    "sizes [22]": ("permutation_optimality", {"sizes": [4, 22]}, "sizes"),
+    "trials 1001": ("permutation_optimality", {"trials": 1001}, "trials"),
+    "grid_points 201": ("raman_three_level", {"grid_points": 201}, "grid_points"),
 }
 
 
@@ -474,6 +487,14 @@ def test_bad_param_values_exit_2_at_load(tmp_path, kind, change, names):
     cfg = _config(tmp_path, kind, {**TINY_PARAMS[kind], **change})
     with pytest.raises(ScenarioConfigError, match=names):
         load_scenario_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
+    assert not list(out.glob("*"))
+
+
+def test_non_finite_visibility_budget_exits_2(tmp_path):
+    # gamma * t_e underflows to 0, so the budget -ln(epsilon) / (gamma t_e) is inf
+    cfg = _config(tmp_path, "visibility_budget", {"lifetime_s": 1.0e300, "excited_window_s": 1.0e-300})
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
     assert not list(out.glob("*"))
