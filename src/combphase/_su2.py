@@ -141,12 +141,17 @@ def refine_until_stable(propagate, steps: int, tol: float) -> np.ndarray:
 
     The Magnus step is 4th order, so |U_2s - U_s| / 15 estimates the error
     of U_2s (Richardson), in Frobenius norm over the whole (stacked) result.
+    A step exponential that fails (`np.linalg.LinAlgError`, say on a
+    Hamiltonian too large for floating point) raises IntegrationError.
     """
-    u_prev = propagate(steps)
-    for _ in range(MAX_DOUBLINGS):
-        steps *= 2
-        u = propagate(steps)
-        if np.linalg.norm(u - u_prev) / 15.0 <= tol:
-            return u
-        u_prev = u
+    try:
+        u_prev = propagate(steps)
+        for _ in range(MAX_DOUBLINGS):
+            steps *= 2
+            u = propagate(steps)
+            if np.linalg.norm(u - u_prev) / 15.0 <= tol:
+                return u
+            u_prev = u
+    except np.linalg.LinAlgError as e:
+        raise IntegrationError(f"propagator step failed: {e}") from e
     raise IntegrationError(f"propagator did not stabilize to {tol} after {MAX_DOUBLINGS} doublings")

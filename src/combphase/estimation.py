@@ -53,9 +53,7 @@ class MeasurementRecord:
 @dataclass(frozen=True)
 class EstimationResult:
     dphi_hat: float
-    variance: float  # inverse observed dphi information at the estimate
     bound: float  # Cramer-Rao bound 1 / I_dphidphi at the estimate
-    ratio: float  # variance / bound
     converged: bool
     n_evaluations: int
 
@@ -140,22 +138,15 @@ def sample_record(
     return MeasurementRecord(m_shots, np.array([m_shots - n1, n1]), np.array([m_shots - n2, n2]))
 
 
-def _likelihood_terms(record: MeasurementRecord, probs):
-    """Log-likelihood and dphi score of ``record`` under an `evaluate` tuple,
-    one value per dphi the tuple was evaluated at."""
-    p1, p2, d1, d2 = probs
+def log_likelihood_and_grad(record: MeasurementRecord, model, dphi):
+    """Joint log-likelihood of both arms and its analytic dphi score."""
+    p1, p2, d1, d2 = model.evaluate(dphi)
     ll = 0.0
     score = 0.0
     for counts, p, dp in ((record.counts1, p1, d1), (record.counts2, p2, d2)):
         pc = np.clip(p, _PCLIP, 1.0)
         ll = ll + np.sum(counts * np.log(pc), axis=-1)
         score = score + np.sum(counts / pc * dp, axis=-1)
-    return ll, score
-
-
-def log_likelihood_and_grad(record: MeasurementRecord, model, dphi):
-    """Joint log-likelihood of both arms and its analytic dphi score."""
-    ll, score = _likelihood_terms(record, model.evaluate(dphi))
     return float(ll), float(score)
 
 
@@ -164,15 +155,13 @@ def ml_estimate(
     model: RamseyOutcomeModel,
     init: tuple[float, float],
     fix_theta: bool = True,
-    dphi_window: float | None = None,
 ) -> EstimationResult:
     """Maximum-likelihood estimate of dphi with theta held at ``model.spec.theta``.
 
     ``init`` is (theta, initial dphi guess).  Its theta must equal
     ``model.spec.theta`` (ValueError otherwise); the slot stays only for
-    callers that pass it.  ``dphi_window`` defaults to the unambiguous
-    quarter-fringe pi / (4 chi) around ``init[1]``; a non-positive or non-finite
-    window raises ValueError, and an initial accumulated phase beyond the
+    callers that pass it.  The fit window is the unambiguous quarter-fringe
+    pi / (4 chi) around ``init[1]``; an initial accumulated phase beyond the
     fringe raises WrapAmbiguityError (use `iterative_refine` instead).
     ``fix_theta=False`` raises ValueError: the joint (theta, dphi) fit has
     been removed, and the keyword stays only for callers that pass True.
@@ -181,84 +170,68 @@ def ml_estimate(
     and the estimate is the root of the analytic dphi score (brentq) in a
     grid interval next to the best grid point where the score falls through
     zero.  If there is none, the maximum lies on or beyond the window edge:
-    the best grid point is returned with ``converged=False``.  The grid and
-    the phase-information probes depend only on the model and the window, so
-    they are computed once per model and shared by its records;
+    the best grid point is returned with ``converged=False``.  The grid
+    depends only on the model and the window, so it is computed once per
+    model and shared by its records; its evaluation also gives the window's
+    peak information, and a window without any raises DegenerateFitError.
     ``n_evaluations`` counts the score evaluations of this record alone.
-    ``variance`` is the inverse observed information and ``bound`` the
-    fixed-theta Cramer-Rao bound 1 / I_dphidphi, both at the estimate and
-    both from one evaluation of the model at the estimate and beside it.
+    ``bound`` is the fixed-theta Cramer-Rao bound 1 / I_dphidphi at the
+    estimate, from one more evaluation of the model.
 
-    Fits are memoised on the model, keyed by the initial dphi, the window,
-    ``m_shots`` and both arms' counts: a record that repeats one already fit
-    on this model returns the stored result with ``n_evaluations=0``.  The
-    wrap and phase-information checks run before the lookup, and a fit that
-    raises stores nothing, so errors repeat as well.
+    Fits are memoised on the model, keyed by the initial dphi, ``m_shots``
+    and both arms' counts: a record that repeats one already fit on this
+    model returns the stored result with ``n_evaluations=0``.  The wrap and
+    phase-information checks run before the lookup, and a fit that raises
+    stores nothing, so errors repeat as well.
     """
     if not fix_theta:
         raise ValueError("the joint (theta, dphi) fit has been removed; theta is always fixed")
     _check_theta(model, init[0])
     dphi0 = float(init[1])
     chi = model.spec.enhancement
-    if dphi_window is None:
-        dphi_window = np.pi / (4.0 * chi)
-    elif not (np.isfinite(dphi_window) and dphi_window > 0.0):
-        raise ValueError(f"dphi_window must be positive and finite, got {dphi_window}")
     if abs(chi * dphi0) >= np.pi:
         raise WrapAmbiguityError(
             "initial accumulated phase exceeds pi; run iterative refinement"
         )
-    if _phase_information(model, dphi0, dphi_window, record.m_shots) <= 1e-9:
+    window = np.pi / (4.0 * chi)
+    grid, terms, peak = _fringe_grid(model, dphi0 - window, dphi0 + window)
+    if record.m_shots * peak / (chi * chi) <= 1e-9:
         raise DegenerateFitError("no phase information anywhere in the window")
 
-    key = ("fit", dphi0, dphi_window, record.m_shots,
+    key = ("fit", dphi0, record.m_shots,
            tuple(record.counts1.tolist()), tuple(record.counts2.tolist()))
     if key in model.cache:
         return replace(model.cache[key], n_evaluations=0)
-    dp, converged, n_evaluations = _fixed_theta_fit(
-        record, model, dphi0 - dphi_window, dphi0 + dphi_window, chi
-    )
-    variance, bound = _variance_and_bound(record, model, dp, chi)
-    result = EstimationResult(
-        dphi_hat=dp,
-        variance=variance,
-        bound=bound,
-        ratio=variance / bound,
-        converged=converged,
-        n_evaluations=n_evaluations,
-    )
+    dp, converged, n_evaluations = _fixed_theta_fit(record, model, grid, terms, chi)
+    bound = 1.0 / float(_information_at(model, np.array([dp]), record.m_shots)[0])
+    result = EstimationResult(dp, bound, converged, n_evaluations)
     model.cache[key] = result
     return result
 
 
-def _phase_information(model, dphi0, window, m_shots):
-    """Largest dphi information, over chi^2, at five points of the window.
-
-    Isolated nodes are fine, a window-wide blind spot is not, so the
-    information is probed at several points.  Cached on the model per window.
-    """
-    key = ("probes", dphi0, window, m_shots)
-    if key not in model.cache:
-        chi = model.spec.enhancement
-        probes = dphi0 + np.array([-0.6, -0.25, 0.0, 0.25, 0.6]) * window
-        info = _information_at(model, probes, m_shots) / (chi * chi)
-        model.cache[key] = max(0.0, float(np.max(info)))
-    return model.cache[key]
-
-
 def _fringe_grid(model, lo, hi):
-    """dphi grid over [lo, hi] with each arm's clipped log-probabilities and
-    dphi score weights (dP/dphi) / P, from one batched evaluation cached on
-    the model."""
+    """(grid, terms, peak) over [lo, hi] from one batched evaluation cached
+    on the model.
+
+    ``terms`` holds each arm's clipped log-probabilities and dphi score
+    weights (dP/dphi) / P on the 65-point grid, and ``peak`` the largest
+    per-shot dphi information on it.  Isolated fringe nodes are fine, a
+    window-wide blind spot is not, which is why the whole grid is looked at.
+    A singular grid point raises SingularInformationError and caches nothing.
+    """
     key = ("grid", lo, hi)
     if key not in model.cache:
         grid = np.linspace(lo, hi, _GRID_POINTS)
-        p1, p2, d1p, d2p = model.evaluate(grid)
+        probs = model.evaluate(grid)
+        info, singular = _information(probs, 1, model.spec.enhancement)
+        if np.any(singular):
+            raise SingularInformationError("outcome probability vanishes with nonzero derivative")
+        p1, p2, d1p, d2p = probs
         terms = []
         for p, dp in ((p1, d1p), (p2, d2p)):
             pc = np.clip(p, _PCLIP, 1.0)
             terms.append((np.log(pc), dp / pc))
-        model.cache[key] = (grid, terms)
+        model.cache[key] = (grid, terms, max(0.0, float(np.max(info))))
     return model.cache[key]
 
 
@@ -275,9 +248,9 @@ def _falling_bracket(score, k):
     return None
 
 
-def _fixed_theta_fit(record, model, lo, hi, chi):
-    """(dphi_hat, converged, score evaluations) of the fixed-theta fit on [lo, hi]."""
-    grid, terms = _fringe_grid(model, lo, hi)
+def _fixed_theta_fit(record, model, grid, terms, chi):
+    """(dphi_hat, converged, score evaluations) of the fixed-theta fit on the
+    `_fringe_grid` ``grid`` with its ``terms``."""
     counts = (record.counts1, record.counts2)
     ll = sum(log_p @ c for (log_p, _), c in zip(terms, counts))
     score = sum(weight @ c for (_, weight), c in zip(terms, counts))
@@ -300,23 +273,6 @@ def _fixed_theta_fit(record, model, lo, hi, chi):
         dphi_score, grid[a], grid[b], xtol=1e-12 / chi, full_output=True, disp=False
     )
     return float(root), bool(res.converged), evals[0]
-
-
-def _variance_and_bound(record, model, dphi, chi):
-    """(inverse observed dphi information, Cramer-Rao bound 1 / I_dphidphi)
-    at ``dphi``, from one evaluation at dphi - h, dphi and dphi + h.
-
-    The observed information is a central difference of the exact dphi score;
-    a singular Fisher information at ``dphi`` raises SingularInformationError.
-    """
-    h = 1e-7 / chi
-    probs = model.evaluate(np.array([dphi - h, dphi, dphi + h]))
-    info, singular = _information(tuple(p[1] for p in probs), record.m_shots, chi)
-    if singular:
-        raise SingularInformationError("outcome probability vanishes with nonzero derivative")
-    _, (gm, _, gp) = _likelihood_terms(record, probs)
-    observed = -(gp - gm) / (2.0 * h)
-    return (1.0 / float(observed) if observed > 0 else np.inf), 1.0 / float(info)
 
 
 def optimize_reference_phase(spec: ProtocolSpec, dphi: float) -> float:
@@ -456,8 +412,8 @@ def iterative_refine(
 
     ``models`` maps each stage's `ProtocolSpec` to its outcome model.  A
     dict shared by several locks lets them reuse one model per train length,
-    and with it the fringe grid and phase-information probes cached on the
-    model; the locks' results do not change.  Models missing from the dict
+    and with it the fringe grid cached on the model; the locks' results do
+    not change.  Models missing from the dict
     are built and added.  With ``None`` the lock keeps a dict of its own.
     """
     if abs(true_dphi) > config.prior_bound * 1.001:
@@ -479,7 +435,7 @@ def iterative_refine(
             model, spec.theta, residual, config.m_shots, seed=config.seed + 7919 * stage_idx
         )
         window = np.pi / (4.0 * spec.enhancement)
-        est = ml_estimate(rec, model, (spec.theta, 0.0), dphi_window=window)
+        est = ml_estimate(rec, model, (spec.theta, 0.0))
         if abs(est.dphi_hat) >= 0.98 * window:
             if backoffs:
                 raise WrapAmbiguityError(

@@ -89,6 +89,12 @@ _PROTOCOL_KIND = _one_of(protocols.PROTOCOL_KINDS)
 _DETUNING = (lambda v: _is_real(v) and v != 0 and v < 1), "a nonzero finite number below 1"
 #: Most seeds of one study or lock run.
 _MAX_SEEDS = 100_000
+#: Most shots of one record: counts stay exact in the float64 likelihoods.
+_MAX_SHOTS = 2**53
+#: Most laser carrier cycles of one Raman pulse.  `phase_map`'s cost grows
+#: linearly in them: the bundled 25-point map (98 cycles) takes 1.5 s and
+#: one at 980 cycles 7 s on a 2-vCPU machine.
+_MAX_RAMAN_CYCLES = 1000
 
 #: Params of each scenario kind: each one's default and rule, and the key
 #: table of each entry of a list param.  The runners read only these keys,
@@ -134,7 +140,7 @@ PARAMS = {
                 ),
             },
         ),
-        "m_shots": Key(10_000, *_count(1)),
+        "m_shots": Key(10_000, *_count(1, _MAX_SHOTS)),
         "n_seeds": Key(500, *_count(2, _MAX_SEEDS)),
     },
     "crlb_saturation": {
@@ -146,7 +152,7 @@ PARAMS = {
                 "n": Key(REQUIRED, *_count(1)),
                 "dphi": Key(REQUIRED, *_REAL),
                 "n_delay": Key(0, *_count(0)),
-                "m_shots": Key(10_000, *_count(1)),
+                "m_shots": Key(10_000, *_count(1, _MAX_SHOTS)),
                 "theta": Key(np.pi / 2, *_REAL),
                 "seed_offset": Key(lambda i, point: 1000 * i, *_count(0)),
             },
@@ -161,7 +167,7 @@ PARAMS = {
                 "[n, n_delay] pairs of integers",
             ),
         ),
-        "m_shots": Key(2000, *_count(1)),
+        "m_shots": Key(2000, *_count(1, _MAX_SHOTS)),
         "n_seeds": Key(100, *_count(2, _MAX_SEEDS)),
         "extrapolations": Key(
             [{"rep_rate_hz": 1e8, "n": 500_000, "n_delay": 500_000}],
@@ -184,7 +190,7 @@ PARAMS = {
     "error_models": {"pair_gap_s": Key(1e-11, *_NON_NEGATIVE)},
     "refine_fiber": {
         "prior_scale": Key(1.0, *_POSITIVE),
-        "m_shots": Key(5000, *_INTEGER),
+        "m_shots": Key(5000, *_count(1, _MAX_SHOTS)),
         "growth": Key(4, *_INTEGER),
         "max_stages": Key(6, *_INTEGER),
         "n_seeds": Key(100, *_count(1, _MAX_SEEDS)),
@@ -555,23 +561,37 @@ def _run_resolution(cfg, out, fmt):
     return [path], {"scaling_constant_spread": spread}
 
 
-def _run_raman(cfg, out, fmt):
-    p = cfg.params
+def _raman_spec(p, delta_key):
+    """The `LambdaSpec` of the pulse detuned by ``p[delta_key]``, checked
+    before any propagation: a valid spec of at most `_MAX_RAMAN_CYCLES`
+    carrier cycles."""
     omega_at = 2.0 * np.pi * p["transition_hz"]
-
-    def make(delta):
-        return raman.LambdaSpec(
+    try:
+        spec = raman.LambdaSpec(
             rabi=p["rabi"],
             duration=p["duration"],
-            laser_freq=omega_at * (1.0 - delta),
+            laser_freq=omega_at * (1.0 - p[delta_key]),
             excited_energy=omega_at,
         )
+    except ValueError as e:
+        raise ScenarioConfigError(f"params of kind raman_three_level: {delta_key}: {e}") from e
+    if not spec.carrier_cycles <= _MAX_RAMAN_CYCLES:
+        raise ScenarioConfigError(
+            f"params of kind raman_three_level: duration * transition_hz * (1 - {delta_key}) is "
+            f"{spec.carrier_cycles!r} carrier cycles, more than {_MAX_RAMAN_CYCLES}"
+        )
+    return spec
 
+
+def _run_raman(cfg, out, fmt):
+    p = cfg.params
+    population = _raman_spec(p, "detuning_fraction_population")
+    mapped = _raman_spec(p, "detuning_fraction_map")
     # Raman regime: strongly detuned pulse must leave the excited state empty.
-    _, pop_c = raman.integrate_lambda(make(p["detuning_fraction_population"]))
+    _, pop_c = raman.integrate_lambda(population)
     # Phase fidelity: weakly detuned pulse maps the leg phase almost one-to-one.
     grid = np.linspace(0.0, 2.0 * np.pi, p["grid_points"])
-    pm = raman.phase_map(make(p["detuning_fraction_map"]), grid)
+    pm = raman.phase_map(mapped, grid)
     path = _write_rows(
         out / "raman_phase_map",
         ["phi_l", "phi_s", "dphi_s_dphi_l"],

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import combphase
-from combphase import estimation
+from combphase import _su2, estimation, raman, scenarios
 from combphase.cli import EXIT_NUMERIC, EXIT_SCHEMA, EXIT_WRAP, main
 from combphase.errors import ScenarioConfigError
 from combphase.scenarios import (
@@ -479,6 +479,13 @@ _BAD_VALUES = {
     "sizes [22]": ("permutation_optimality", {"sizes": [4, 22]}, "sizes"),
     "trials 1001": ("permutation_optimality", {"trials": 1001}, "trials"),
     "grid_points 201": ("raman_three_level", {"grid_points": 201}, "grid_points"),
+    # past 2**53 shots a count is no longer exact in float64
+    "crlb point m_shots 2**53+1": (
+        "crlb_saturation", {"points": [{**_POINT, "m_shots": 2**53 + 1}]}, "points entry 0: m_shots"
+    ),
+    "table1 m_shots 2**53+1": ("table1_scaling", {"m_shots": 2**53 + 1}, "m_shots"),
+    "resolution m_shots 2**53+1": ("resolution_extrapolation", {"m_shots": 2**53 + 1}, "m_shots"),
+    "refine m_shots 2**53+1": ("refine_fiber", {"m_shots": 2**53 + 1}, "m_shots"),
 }
 
 
@@ -498,6 +505,44 @@ def test_non_finite_visibility_budget_exits_2(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
     assert not list(out.glob("*"))
+
+
+def test_raman_propagator_failure_exits_3(tmp_path):
+    # the Hamiltonian overflows, and the step exponential's eigensolver fails
+    cfg = _config(tmp_path, "raman_three_level", {"rabi": 1.0e300})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    assert not list(out.glob("raman_*"))
+
+
+@pytest.mark.parametrize(
+    "change,names",
+    [
+        pytest.param({"transition_hz": 1.0e300}, "carrier cycles", id="transition_hz 1e300"),
+        pytest.param({"detuning_fraction_map": -1.0e300}, "carrier cycles", id="laser at 1e300 omega"),
+        pytest.param({"transition_hz": 1100.0}, "1078.0 carrier cycles", id="map pulse past the cap"),
+        pytest.param({"duration": 1.0e300}, "carrier cycles", id="duration 1e300"),
+        pytest.param({"detuning_fraction_map": 1.0e-300}, "nonzero detuning", id="detuning underflows"),
+    ],
+)
+def test_raman_pulse_is_checked_before_any_propagation(tmp_path, monkeypatch, change, names):
+    def propagation(*args):
+        raise AssertionError("a propagation started")
+
+    monkeypatch.setattr(_su2, "magnus_generators", propagation)
+    monkeypatch.setattr(raman, "magnus_generators", propagation)
+    cfg = _config(tmp_path, "raman_three_level", change)
+    with pytest.raises(ScenarioConfigError, match=names):
+        run_scenario(cfg, tmp_path / "direct")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
+    assert not list(out.glob("*"))
+
+
+def test_raman_cycle_cap_admits_ten_times_the_bundled_pulse():
+    params = {**load_scenario_config(find_scenario("raman_three_level")).params, "transition_hz": 1000.0}
+    spec = scenarios._raman_spec(params, "detuning_fraction_map")
+    assert spec.carrier_cycles == pytest.approx(980.0)
 
 
 def test_entry_defaults_are_filled_at_load(tmp_path):
