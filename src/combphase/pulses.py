@@ -167,7 +167,7 @@ def _propagate_two_level(p: PulseSpec, phases, steps: int) -> np.ndarray:
 def integrate_pulse(p: PulseSpec, *, tol: float = 1e-8) -> Unitary:
     """Propagator of the full semiclassical model, in the rotating frame.
 
-    The step count starts at 16 per carrier cycle and is doubled until the
+    The step count starts at 8 per carrier cycle and is doubled until the
     Richardson estimate of the error, in Frobenius norm, is within ``tol``;
     failure to stabilize raises IntegrationError.
     """

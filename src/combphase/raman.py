@@ -112,7 +112,7 @@ def integrate_lambda(l: LambdaSpec, *, rwa: bool = False, tol: float = 1e-8) -> 
     """Propagator of the three-level model and the residual |c> population.
 
     The population is quoted for an atom starting in |a>.  The step count
-    starts at 16 per period of the laser carrier, or with ``rwa`` of the
+    starts at 8 per period of the laser carrier, or with ``rwa`` of the
     detuning plus the Rabi frequency, and is doubled until the Richardson
     estimate of the error, in Frobenius norm, is within ``tol``.
     """
@@ -142,11 +142,11 @@ def phase_map(l: LambdaSpec, phi_l_grid, *, rwa: bool = False, tol: float = 1e-6
     a grid step of pi reads forwards).  A non-monotone curve would
     invalidate phase stabilization and is flagged (with a warning).  The
     grid is propagated as one stack and refined as in `integrate_lambda`.
-    On the bundled 25-point map the default ``tol`` stops at 64 steps per
-    carrier cycle (estimates 3.6e-6, 2.3e-7, 1.4e-8 at 32, 64, 128), with
-    phi_s within 2.1e-8 rad of a 400-step reference, against the 6.3e-2 rad
-    that criterion 7 needs; a ``tol`` of 2e-7 or less goes on to 128 steps
-    per cycle and costs 240 steps per cycle in all.
+    On the bundled 25-point map the default ``tol`` stops at 16 steps per
+    carrier cycle (estimates 2.7e-7, 4.4e-9, 6.9e-11 at 16, 32, 64), with
+    phi_s within 2.6e-8 rad of a 400-step reference, against the 6.3e-2 rad
+    that criterion 7 needs; a ``tol`` of 2.7e-7 or less goes on to 32 steps
+    per cycle and costs 56 steps per cycle in all.
     """
     grid = np.asarray(phi_l_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:

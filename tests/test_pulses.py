@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +133,14 @@ def test_richardson_estimate_bounds_the_error():
     assert np.linalg.norm(raman.integrate_lambda(LAMBDA)[0].matrix - lam) <= 1e-8
 
 
+def test_overflowing_step_raises_without_a_warning():
+    huge = replace(LAMBDA, rabi=1.0e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="propagator step failed"):
+            raman.integrate_lambda(huge)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -152,6 +161,47 @@ PROPAGATORS = {
     2: lambda grid: pulses._propagate_two_level(PULSE, grid, step_count(PULSE.carrier_cycles)),
     3: lambda grid: raman._propagate(LAMBDA, grid, step_count(LAMBDA.carrier_cycles), False),
 }
+
+
+#: the shared Magnus integrator at a given step count, the pulse's cycles and
+#: the same propagator at the integrator's default tol
+STEPPERS = {
+    2: (
+        lambda steps: pulses._propagate_two_level(PULSE, PULSE.ceo_phase, steps)[0],
+        PULSE.carrier_cycles,
+        lambda: integrate_pulse(PULSE).matrix,
+    ),
+    3: (
+        lambda steps: raman._propagate(LAMBDA, LAMBDA.phi_2, steps, False)[0],
+        LAMBDA.carrier_cycles,
+        lambda: raman.integrate_lambda(LAMBDA)[0].matrix,
+    ),
+}
+
+
+@pytest.mark.parametrize("d", sorted(STEPPERS))
+def test_halving_the_step_divides_the_error_by_about_64(d):
+    propagate, cycles, _ = STEPPERS[d]
+    reference = propagate(int(np.ceil(400 * cycles)))
+    steps = step_count(cycles)
+    errors = [np.linalg.norm(propagate(s) - reference) for s in (steps, 2 * steps, 4 * steps)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 48.0 <= coarse / fine <= 80.0
+
+
+@pytest.mark.parametrize("d", sorted(STEPPERS))
+def test_richardson_estimate_tracks_the_sixth_order_error(d):
+    propagate, cycles, at_default_tol = STEPPERS[d]
+    reference = propagate(int(np.ceil(400 * cycles)))
+    for steps in (step_count(cycles), 2 * step_count(cycles)):
+        coarse, fine = propagate(steps), propagate(2 * steps)
+        # the estimate runs a few percent below the error, so no one-sided bound
+        estimate = np.linalg.norm(fine - coarse) / 63.0
+        assert 0.5 <= estimate / np.linalg.norm(fine - reference) <= 2.0
+        # refinement stops at the first doubling whose estimate is within tol
+        assert np.array_equal(_su2.refine_until_stable(propagate, steps, 1.01 * estimate), fine)
+        assert np.array_equal(_su2.refine_until_stable(propagate, steps, 0.99 * estimate), propagate(4 * steps))
+    assert np.linalg.norm(at_default_tol() - reference) <= 1e-8
 
 
 @pytest.mark.parametrize("d", sorted(PROPAGATORS))
@@ -181,9 +231,9 @@ def test_rwa_matrix_broadcasts_the_conjugated_rotation():
 
 
 def test_step_count_rule():
-    # 16 steps per period of the fastest frequency, and never fewer than 50
-    assert step_count(10.0) == 160
-    assert step_count(10.01) == 161
+    # 8 steps per period of the fastest frequency, and never fewer than 50
+    assert step_count(10.0) == 80
+    assert step_count(10.01) == 81
     assert step_count(0.1) == 50
 
 

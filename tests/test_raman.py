@@ -61,7 +61,7 @@ def test_rwa_steps_follow_detuning_and_rabi():
     l = _spec(0.2)
     carrier = step_count(l.carrier_cycles)
     rwa = step_count(raman._step_cycles(l, rwa=True))
-    assert (carrier, rwa) == (1281, 351)
+    assert (carrier, rwa) == (641, 176)
     assert rwa < 0.3 * carrier
     u_rwa = integrate_lambda(l, rwa=True, tol=1e-10)[0].matrix
     u_carrier = raman._propagate(l, l.phi_2, 16001, rwa=True)[0]  # carrier-sized steps

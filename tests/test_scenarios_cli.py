@@ -508,7 +508,7 @@ def test_non_finite_visibility_budget_exits_2(tmp_path):
 
 
 def test_raman_propagator_failure_exits_3(tmp_path):
-    # the Hamiltonian overflows, and the step exponential's eigensolver fails
+    # the commutators of the Magnus step overflow
     cfg = _config(tmp_path, "raman_three_level", {"rabi": 1.0e300})
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC

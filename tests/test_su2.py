@@ -18,7 +18,8 @@ def _random_unitaries(length, grid, d, seed):
     return expm_herm(a + a.conj().swapaxes(-1, -2))
 
 
-@pytest.mark.parametrize("length", [1, 2, 7, MAGNUS_BLOCK + 5])
+# 1029 factors fill four blocks of `MAGNUS_BLOCK` and part of a fifth
+@pytest.mark.parametrize("length", [1, 2, 7, 1029])
 @pytest.mark.parametrize("d", [2, 3])
 def test_ordered_product_matches_sequential_fold(d, length):
     factors = _random_unitaries(length, 4, d, seed=length)
@@ -60,3 +61,18 @@ def test_matpow_with_grad_on_stacks_matches_power_rule(n):
         expected_p, expected_dp = _power_rule(ms[i], dm[i], n)
         assert np.allclose(p[i], expected_p, rtol=0.0, atol=1e-12)
         assert np.allclose(dp[i], expected_dp, rtol=0.0, atol=1e-12 * max(n, 1))
+
+
+def test_magnus_generators_are_exactly_hermitian():
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(3, 3, 3)) + 1.0j * rng.normal(size=(3, 3, 3))
+    basis = a + a.conj().swapaxes(-1, -2)
+
+    def hamiltonians(t):
+        weights = np.cos(np.outer(t, [1.0, 2.0, 3.0]))
+        return np.einsum("tk,kij->tij", weights, basis)[:, None]
+
+    blocks = list(magnus_generators(hamiltonians, 2.0, MAGNUS_BLOCK + 5))
+    assert [g.shape for g in blocks] == [(MAGNUS_BLOCK, 1, 3, 3), (5, 1, 3, 3)]
+    for g in blocks:
+        assert np.array_equal(g, g.conj().swapaxes(-1, -2))
