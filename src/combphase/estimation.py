@@ -26,6 +26,8 @@ from .protocols import (
 _PCLIP = 1e-12  # probability floor used inside likelihoods only
 #: points of the fixed-theta fringe grid over the dphi window (64 intervals)
 _GRID_POINTS = 65
+#: Illinois iterations after which a fit that has not met its tolerance stops
+_ROOT_ITERATIONS = 100
 #: reference phases on the grid of `optimize_reference_phase` before its refinement
 _REFERENCE_GRID = 64
 #: longest train the lock grows to
@@ -139,7 +141,12 @@ def sample_record(
 
 
 def log_likelihood_and_grad(record: MeasurementRecord, model, dphi):
-    """Joint log-likelihood of both arms and its analytic dphi score."""
+    """Joint log-likelihood of both arms and its analytic dphi score at one dphi.
+
+    The fit engine `_fit_records` computes the same score for many records at
+    once; this scalar form is the reference that tests check it against, and
+    `perfbench/tracer.py` wraps it by name.
+    """
     p1, p2, d1, d2 = model.evaluate(dphi)
     ll = 0.0
     score = 0.0
@@ -162,25 +169,17 @@ def ml_estimate(
     ``model.spec.theta`` (ValueError otherwise); the slot stays only for
     callers that pass it.  The fit window is the unambiguous quarter-fringe
     pi / (4 chi) around ``init[1]``; an initial accumulated phase beyond the
-    fringe raises WrapAmbiguityError (use `iterative_refine` instead).
+    fringe raises WrapAmbiguityError (use `iterative_refine` instead), and a
+    window without phase information raises DegenerateFitError.
     ``fix_theta=False`` raises ValueError: the joint (theta, dphi) fit has
     been removed, and the keyword stays only for callers that pass True.
 
-    The log-likelihood is scanned on a 65-point dphi grid over the window,
-    and the estimate is the root of the analytic dphi score (brentq) in a
-    grid interval next to the best grid point where the score falls through
-    zero.  If there is none, the maximum lies on or beyond the window edge:
-    the best grid point is returned with ``converged=False``.  The grid
-    depends only on the model and the window, so it is computed once per
-    model and shared by its records; its evaluation also gives the window's
-    peak information, and a window without any raises DegenerateFitError.
-    ``n_evaluations`` counts the score evaluations of this record alone.
-    ``bound`` is the fixed-theta Cramer-Rao bound 1 / I_dphidphi at the
-    estimate, from one more evaluation of the model.
-
+    The fit is the one-record call of the batched engine `_fit_records`.
     Fits are memoised on the model, keyed by the initial dphi, ``m_shots``
-    and both arms' counts: a record that repeats one already fit on this
-    model returns the stored result with ``n_evaluations=0``.  The wrap and
+    and both arms' counts; `estimator_study` fills the memo with all its
+    distinct records from one engine call.  The first read of a stored fit
+    returns it with the score evaluations its fit took, and later reads of
+    the same record return it with ``n_evaluations=0``.  The wrap and
     phase-information checks run before the lookup, and a fit that raises
     stores nothing, so errors repeat as well.
     """
@@ -188,6 +187,30 @@ def ml_estimate(
         raise ValueError("the joint (theta, dphi) fit has been removed; theta is always fixed")
     _check_theta(model, init[0])
     dphi0 = float(init[1])
+    _fit_window(model, dphi0, record.m_shots)
+    counts = [*record.counts1.tolist(), *record.counts2.tolist()]
+    key = _memo_key(dphi0, record.m_shots, counts)
+    result = model.cache.get(key)
+    if result is None:
+        result = _fit_records(model, np.array([counts]), record.m_shots, dphi0)[0]
+    model.cache[key] = replace(result, n_evaluations=0)
+    return result
+
+
+def _memo_key(dphi0: float, m_shots: int, counts) -> tuple:
+    """`ml_estimate`'s memo key of a record with ``counts`` (arm 1's outcomes
+    0 and 1, then arm 2's) fit around ``dphi0``."""
+    return ("fit", dphi0, m_shots, tuple(counts))
+
+
+def distinct_fits(models) -> int:
+    """Number of distinct records fit on ``models``: their memo entries."""
+    return sum(key[0] == "fit" for model in models for key in model.cache)
+
+
+def _fit_window(model, dphi0: float, m_shots: int):
+    """(grid, terms) of the `_fringe_grid` over the fit window pi / (4 chi)
+    around ``dphi0``, after the wrap and phase-information checks."""
     chi = model.spec.enhancement
     if abs(chi * dphi0) >= np.pi:
         raise WrapAmbiguityError(
@@ -195,29 +218,22 @@ def ml_estimate(
         )
     window = np.pi / (4.0 * chi)
     grid, terms, peak = _fringe_grid(model, dphi0 - window, dphi0 + window)
-    if record.m_shots * peak / (chi * chi) <= 1e-9:
+    if m_shots * peak / (chi * chi) <= 1e-9:
         raise DegenerateFitError("no phase information anywhere in the window")
-
-    key = ("fit", dphi0, record.m_shots,
-           tuple(record.counts1.tolist()), tuple(record.counts2.tolist()))
-    if key in model.cache:
-        return replace(model.cache[key], n_evaluations=0)
-    dp, converged, n_evaluations = _fixed_theta_fit(record, model, grid, terms, chi)
-    bound = 1.0 / float(_information_at(model, np.array([dp]), record.m_shots)[0])
-    result = EstimationResult(dp, bound, converged, n_evaluations)
-    model.cache[key] = result
-    return result
+    return grid, terms
 
 
 def _fringe_grid(model, lo, hi):
     """(grid, terms, peak) over [lo, hi] from one batched evaluation cached
     on the model.
 
-    ``terms`` holds each arm's clipped log-probabilities and dphi score
-    weights (dP/dphi) / P on the 65-point grid, and ``peak`` the largest
-    per-shot dphi information on it.  Isolated fringe nodes are fine, a
-    window-wide blind spot is not, which is why the whole grid is looked at.
-    A singular grid point raises SingularInformationError and caches nothing.
+    ``terms`` has shape (4, 2, 65): for each outcome column (arm 1 s = 0, 1,
+    then arm 2 s = 0, 1) its clipped log-probability and its dphi score
+    weight (dP/dphi) / P on the 65-point grid.  ``peak`` is the largest
+    per-shot dphi information on the grid.  Isolated fringe nodes are fine,
+    a window-wide blind spot is not, which is why the whole grid is looked
+    at.  A singular grid point raises SingularInformationError and caches
+    nothing.
     """
     key = ("grid", lo, hi)
     if key not in model.cache:
@@ -227,10 +243,9 @@ def _fringe_grid(model, lo, hi):
         if np.any(singular):
             raise SingularInformationError("outcome probability vanishes with nonzero derivative")
         p1, p2, d1p, d2p = probs
-        terms = []
-        for p, dp in ((p1, d1p), (p2, d2p)):
-            pc = np.clip(p, _PCLIP, 1.0)
-            terms.append((np.log(pc), dp / pc))
+        pc = np.clip(np.concatenate([p1, p2], axis=-1), _PCLIP, 1.0).T
+        dp = np.concatenate([d1p, d2p], axis=-1).T
+        terms = np.stack([np.log(pc), dp / pc], axis=1)
         model.cache[key] = (grid, terms, max(0.0, float(np.max(info))))
     return model.cache[key]
 
@@ -248,31 +263,106 @@ def _falling_bracket(score, k):
     return None
 
 
-def _fixed_theta_fit(record, model, grid, terms, chi):
-    """(dphi_hat, converged, score evaluations) of the fixed-theta fit on the
-    `_fringe_grid` ``grid`` with its ``terms``."""
-    counts = (record.counts1, record.counts2)
-    ll = sum(log_p @ c for (log_p, _), c in zip(terms, counts))
-    score = sum(weight @ c for (_, weight), c in zip(terms, counts))
-    k = int(np.argmax(ll))
-    bracket = _falling_bracket(score, k)
-    if bracket is None:
-        return float(grid[k]), False, 0
-    a, b = bracket
-    # brentq starts from both ends of the bracket, whose scores the grid holds
-    known = {float(grid[a]): score[a], float(grid[b]): score[b]}
-    evals = [0]
-
-    def dphi_score(x):
-        if x in known:
-            return known[x]
-        evals[0] += 1
-        return log_likelihood_and_grad(record, model, x)[1]
-
-    root, res = optimize.brentq(
-        dphi_score, grid[a], grid[b], xtol=1e-12 / chi, full_output=True, disp=False
+def _row_scores(model, x, counts1, counts2):
+    """dphi score of each row of the arms' counts (R, 2) at its own ``x``
+    (R,), from one evaluation of the model; the arithmetic of
+    `log_likelihood_and_grad`."""
+    p1, p2, d1, d2 = model.evaluate(x)
+    # np.minimum(np.maximum(...)) is np.clip without its per-call overhead
+    return (
+        (counts1 / np.minimum(np.maximum(p1, _PCLIP), 1.0) * d1).sum(axis=-1)
+        + (counts2 / np.minimum(np.maximum(p2, _PCLIP), 1.0) * d2).sum(axis=-1)
     )
-    return float(root), bool(res.converged), evals[0]
+
+
+def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[EstimationResult]:
+    """Fixed-theta ML fits of R records of one model together, one
+    `EstimationResult` per row of ``counts`` (R, 4): arm 1's outcomes 0 and
+    1, then arm 2's, each row summing to ``m_shots`` per arm.
+
+    - **Grid.** The counts meet the `_fringe_grid` terms of the window around
+      ``dphi0`` in one (R, 2, 65) product, which gives every row's
+      log-likelihood and score on the grid.  It is written as four broadcast
+      products rather than a BLAS matmul, whose kernel changes with R, so a
+      row rounds the same in any batch.
+    - **Brackets.** Each row takes `_falling_bracket` beside its best grid
+      point, and a bracket of two grid intervals keeps the half where the
+      grid score at that point changes sign.  A row without a bracket has
+      its maximum on or beyond the window edge and returns the best grid
+      point with ``converged=False``; a row with a zero score at a bracket
+      end returns that end.
+    - **Roots.** The Illinois modified regula falsi (Dowell & Jarratt, BIT
+      11, 168, 1971): a secant step inside the bracket, and the score kept
+      at the bracket's old end is halved whenever the new point lands on the
+      same side as the last one.  Every active row moves from one
+      `model.evaluate` of the active rows per iteration.  A row stops at its
+      latest point once its next secant step is shorter than half of
+      ``xtol = 1e-12 / chi``; one still open after `_ROOT_ITERATIONS`
+      iterations stops with ``converged=False``.  ``n_evaluations`` counts
+      the iterations a row took part in.
+    - **Bound.** 1 / I_dphidphi at every row's estimate, from one batched
+      evaluation: infinite at a point without information, such as a fringe
+      node, and SingularInformationError at a singular one.
+
+    Each row's result is bit-for-bit the one it gets when fit alone.
+    """
+    counts = np.asarray(counts, dtype=float).reshape(-1, 4)
+    grid, terms = _fit_window(model, dphi0, m_shots)
+    both = (counts[:, 0, None, None] * terms[0] + counts[:, 1, None, None] * terms[1]) + (
+        counts[:, 2, None, None] * terms[2] + counts[:, 3, None, None] * terms[3]
+    )
+    ll, score = both[:, 0], both[:, 1]
+    best = np.argmax(ll, axis=1)
+    root = grid[best]
+    converged = np.zeros(len(counts), dtype=bool)
+    evaluations = np.zeros(len(counts), dtype=int)
+    rows, ends = [], []
+    for r, k in enumerate(best.tolist()):
+        bracket = _falling_bracket(score[r], k)
+        if bracket is None:
+            continue
+        converged[r] = True
+        lo, hi = bracket
+        if hi - lo == 2:  # the grid score at k tells which half holds the root
+            lo, hi = (lo, k) if np.sign(score[r, lo]) > np.sign(score[r, k]) else (k, hi)
+        if score[r, lo] == 0.0 or score[r, hi] == 0.0:
+            root[r] = grid[lo] if score[r, lo] == 0.0 else grid[hi]
+        else:
+            rows.append(r)
+            ends.append((lo, hi))
+    rows = np.array(rows, dtype=int)
+    lo, hi = np.array(ends, dtype=int).reshape(-1, 2).T
+    # b is the latest point and a the end kept from earlier steps; their
+    # scores have opposite signs, so the secant step never divides by zero
+    a, b = grid[lo], grid[hi]
+    fa, fb = score[rows, lo], score[rows, hi]
+    counts1, counts2 = counts[rows, :2], counts[rows, 2:]
+    xtol = 1e-12 / model.spec.enhancement
+    for n in range(_ROOT_ITERATIONS):
+        step = fb * (b - a) / (fb - fa)
+        done = np.abs(step) < 0.5 * xtol
+        if np.count_nonzero(done):
+            root[rows[done]] = b[done]
+            evaluations[rows[done]] = n
+            open_ = ~done
+            rows, a, b, fa, fb, step, counts1, counts2 = (
+                v[open_] for v in (rows, a, b, fa, fb, step, counts1, counts2)
+            )
+        if not rows.size:
+            break
+        x = b - step
+        fx = _row_scores(model, x, counts1, counts2)
+        crossed = np.sign(fx) != np.sign(fb)
+        a, fa = np.where(crossed, b, a), np.where(crossed, fb, 0.5 * fa)
+        b, fb = x, fx
+    root[rows] = b
+    evaluations[rows] = _ROOT_ITERATIONS
+    converged[rows] = False
+    info = _information_at(model, root, m_shots)
+    return [
+        EstimationResult(dp, 1.0 / i if i else np.inf, c, e)
+        for dp, i, c, e in zip(root.tolist(), info.tolist(), converged.tolist(), evaluations.tolist())
+    ]
 
 
 def optimize_reference_phase(spec: ProtocolSpec, dphi: float) -> float:
@@ -320,24 +410,39 @@ def estimator_study(
     dphi: float,
     m_shots: int,
     seeds,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, dict]:
     """Fixed-theta ML estimates of ``dphi`` over simulated experiments.
 
     The reference phase is chosen for maximal dphi information at the true
-    point, then each seed draws one record of ``m_shots`` per arm and is fit
-    with theta held at ``spec.theta``.  Returns the estimates in seed order
-    and the fixed-theta Cramer-Rao bound 1 / I_dphidphi on the variance of
-    one experiment's estimate, the bound `ml_estimate` reports.
+    point, then each seed draws one record of ``m_shots`` per arm, one
+    `sample_record` call per seed.  The distinct records are fit together by
+    one `_fit_records` call and stored in the model's fit memo, and each
+    seed reads its fit through `ml_estimate`, so a study's model evaluations
+    do not grow with its number of distinct records.
+
+    Returns the estimates in seed order, the fixed-theta Cramer-Rao bound
+    1 / I_dphidphi on the variance of one experiment's estimate (the bound
+    `ml_estimate` reports), and the study's diagnostics: ``fits`` (one per
+    seed), ``distinct_records``, ``nonconverged`` fits and fits ``pinned``
+    within 0.98 of the window edge.
     """
     xi = optimize_reference_phase(spec, dphi)
     model = ramsey_model(replace(spec, reference_phase=xi))
-
-    def one(seed):
-        rec = sample_record(model, spec.theta, dphi, m_shots, seed)
-        return ml_estimate(rec, model, (spec.theta, 0.0)).dphi_hat
-
-    estimates = np.array([one(s) for s in seeds], dtype=float)
-    return estimates, 1.0 / fisher_matrix(model, dphi, m_shots)
+    records = [sample_record(model, spec.theta, dphi, m_shots, s) for s in seeds]
+    counts = np.array([[*r.counts1, *r.counts2] for r in records], dtype=int).reshape(-1, 4)
+    distinct = np.unique(counts, axis=0)
+    for row, fit in zip(distinct.tolist(), _fit_records(model, distinct, m_shots)):
+        model.cache[_memo_key(0.0, m_shots, row)] = fit
+    fits = [ml_estimate(rec, model, (spec.theta, 0.0)) for rec in records]
+    estimates = np.array([f.dphi_hat for f in fits], dtype=float)
+    window = np.pi / (4.0 * spec.enhancement)
+    diagnostics = {
+        "fits": len(fits),
+        "distinct_records": len(distinct),
+        "nonconverged": sum(not f.converged for f in fits),
+        "pinned": int(np.sum(np.abs(estimates) >= 0.98 * window)),
+    }
+    return estimates, 1.0 / fisher_matrix(model, dphi, m_shots), diagnostics
 
 
 # --- offset-frequency resolution ------------------------------------------
@@ -389,6 +494,7 @@ class RefineTrace:
     locked: bool
     final_crlb_sigma: float
     backoffs: int  # fits that pinned to the window edge and shortened the train
+    nonconverged: int  # fits, back-offs included, whose root did not converge
 
     @property
     def final_residual(self) -> float:
@@ -408,7 +514,9 @@ def iterative_refine(
     stay inside the unambiguous fringe.  A fit that pins to its window edge
     is treated as a wrap: the stage backs off once to N // growth, rounded
     down to an even length, and aborts with WrapAmbiguityError if it happens
-    again.  ``RefineTrace.backoffs`` counts the back-offs.
+    again.  ``RefineTrace.backoffs`` counts the back-offs and
+    ``RefineTrace.nonconverged`` the fits, back-offs included, that returned
+    ``converged=False``.
 
     ``models`` maps each stage's `ProtocolSpec` to its outcome model.  A
     dict shared by several locks lets them reuse one model per train length,
@@ -424,7 +532,7 @@ def iterative_refine(
     bound = config.prior_bound
     stages: list[RefineStage] = []
     n = _safe_train_length(bound)
-    backoffs = 0
+    backoffs = nonconverged = 0
     stage_idx = 0
     while stage_idx < config.max_stages:
         spec = ProtocolSpec("1B", n, 0, np.pi / 2.0, np.pi / 2.0)
@@ -436,6 +544,7 @@ def iterative_refine(
         )
         window = np.pi / (4.0 * spec.enhancement)
         est = ml_estimate(rec, model, (spec.theta, 0.0))
+        nonconverged += not est.converged
         if abs(est.dphi_hat) >= 0.98 * window:
             if backoffs:
                 raise WrapAmbiguityError(
@@ -461,6 +570,7 @@ def iterative_refine(
         locked=bool(abs(stages[-1].residual) <= 3.0 * final_sigma),
         final_crlb_sigma=final_sigma,
         backoffs=backoffs,
+        nonconverged=nonconverged,
     )
 
 

@@ -469,14 +469,16 @@ def _run_table1_scaling(cfg, out, fmt):
         raise ScenarioConfigError(f"one scan per kind, since the kind names its files: {kinds}")
     artifacts = []
     slopes = {}
+    studies = []
     for specs in scans:
         kind = specs[0].kind
         rows = []
         for i, spec in enumerate(specs):
             start = cfg.seed + 1000 * i
-            ests, variance = estimation.estimator_study(
+            ests, variance, diagnostics = estimation.estimator_study(
                 spec, 0.2 / spec.enhancement, m_shots, range(start, start + p["n_seeds"])
             )
+            studies.append(diagnostics)
             sigma = float(np.std(ests, ddof=1))
             crlb_sigma = float(np.sqrt(variance))
             rows.append((spec.n_pulses, spec.n_delay, m_shots, sigma, crlb_sigma, sigma / crlb_sigma))
@@ -490,7 +492,7 @@ def _run_table1_scaling(cfg, out, fmt):
         )
         artifacts += [path, sidecar]
         slopes[kind] = float(coef[0])
-    return artifacts, {"slopes": slopes}
+    return artifacts, {"slopes": slopes}, _summed(studies)
 
 
 def _point_spec(pt):
@@ -504,13 +506,15 @@ def _run_crlb_saturation(cfg, out, fmt):
     n_seeds = p["n_seeds"]
     specs = _checked_specs(p["points"], "points", _point_spec)
     rows = []
+    studies = []
     for pt, spec in zip(p["points"], specs):
         dphi = pt["dphi"]
         m_shots = pt["m_shots"]
         base_seed = cfg.seed + pt["seed_offset"]
-        ests, bound = estimation.estimator_study(
+        ests, bound, diagnostics = estimation.estimator_study(
             spec, dphi, m_shots, range(base_seed, base_seed + n_seeds)
         )
+        studies.append(diagnostics)
         var = float(np.var(ests, ddof=1))
         rows.append((spec.kind, spec.n_pulses, spec.n_delay, dphi, m_shots, var, bound, var / bound))
     path = _write_rows(
@@ -518,7 +522,7 @@ def _run_crlb_saturation(cfg, out, fmt):
         ["kind", "n", "n_delay", "dphi", "m_shots", "variance", "crlb", "ratio"],
         rows, fmt,
     )
-    return [path], {"ratios": [r[7] for r in rows]}
+    return [path], {"ratios": [r[7] for r in rows]}, _summed(studies)
 
 
 def _reduced_spec(point):
@@ -540,14 +544,16 @@ def _run_resolution(cfg, out, fmt):
     rows = []
     # reduced-scale consistency: sigma * chi * sqrt(M) should be flat
     consts = []
+    studies = []
     m_shots = p["m_shots"]
     specs = _checked_specs(p["reduced_points"], "reduced_points", _reduced_spec)
     for idx, spec in enumerate(specs):
         chi = spec.enhancement
         start = cfg.seed + 10_000 * idx
-        ests, _ = estimation.estimator_study(
+        ests, _, diagnostics = estimation.estimator_study(
             spec, 0.2 / chi, m_shots, range(start, start + p["n_seeds"])
         )
+        studies.append(diagnostics)
         sigma = float(np.std(ests, ddof=1))
         consts.append(sigma * chi * np.sqrt(m_shots))
         rows.append(("simulated", spec.n_pulses, spec.n_delay, sigma, sigma * chi * np.sqrt(m_shots)))
@@ -558,7 +564,7 @@ def _run_resolution(cfg, out, fmt):
         rows, fmt,
     )
     spread = float(np.ptp(consts) / np.mean(consts))
-    return [path], {"scaling_constant_spread": spread}
+    return [path], {"scaling_constant_spread": spread}, _summed(studies)
 
 
 def _raman_spec(p, delta_key):
@@ -675,11 +681,26 @@ def _run_refine(cfg, out, fmt):
         ["n", "dphi_hat", "residual", "crlb_sigma"],
         trace_rows, fmt,
     )
+    traces = [tr for _, tr in results]
+    backoffs = sum(tr.backoffs for tr in traces)
+    diagnostics = {
+        "fits": sum(len(tr.stages) for tr in traces) + backoffs,
+        "distinct_records": estimation.distinct_fits(models.values()),
+        "nonconverged": sum(tr.nonconverged for tr in traces),
+        # a fit pinned to the window edge backs off, or raises if it is the second
+        "pinned": backoffs,
+        "backoffs": backoffs,
+    }
     return [path, tpath], {
         "all_locked": bool(all(r[7] for r in rows)),
         "worst_residual_ratio": max(r[6] for r in rows),
-        "backoffs": sum(tr.backoffs for _, tr in results),
-    }
+        "backoffs": backoffs,
+    }, diagnostics
+
+
+def _summed(studies: list[dict]) -> dict:
+    """The diagnostics of several `estimator_study` calls, added key by key."""
+    return {key: sum(d[key] for d in studies) for key in studies[0]}
 
 
 def _run_visibility(cfg, out, fmt):
@@ -720,8 +741,9 @@ def run_scenario(
     """Run one scenario; returns {'artifacts': [...], 'summary': {...}}.
 
     Writes ``manifest.json`` beside the artifacts, with the runner's wall
-    time under ``timings``.  Deterministic data files for a fixed config +
-    seed.
+    time under ``timings`` and, for the runners that fit, the estimator's
+    counts under ``diagnostics``.  Deterministic data files for a fixed
+    config + seed.
     """
     if fmt not in ("csv", "json"):
         raise ScenarioConfigError(f"unsupported output format {fmt!r}")
@@ -734,7 +756,8 @@ def run_scenario(
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
-    artifacts, summary = _RUNNERS[cfg.kind](cfg, out, fmt)
+    # a runner that fits returns its diagnostics third
+    artifacts, summary, *diagnostics = _RUNNERS[cfg.kind](cfg, out, fmt)
     run_s = time.perf_counter() - t0
     from . import __version__
 
@@ -750,6 +773,8 @@ def run_scenario(
         # wall times live here only: data files must stay byte-identical
         "timings": {"run_s": run_s},
     }
+    if diagnostics:
+        manifest["diagnostics"] = diagnostics[0]
     mpath = _write_json(out / "manifest.json", manifest)
     return {
         "artifacts": [str(a) for a in artifacts] + [str(mpath)],

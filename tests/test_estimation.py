@@ -189,6 +189,111 @@ def test_fixed_theta_fit_matches_bounded_brent(kind, n, nd):
     assert worst <= 1e-6
 
 
+def _brentq_fit(record, model, dphi0=0.0):
+    """Oracle: the scalar fixed-theta fit, (dphi_hat, converged).
+
+    It scans the window's 65-point grid record by record, brackets the score
+    root with `_falling_bracket` beside the best grid point, keeps the half
+    of a two-interval bracket where the score at that point changes sign,
+    and solves it with brentq on the scalar score of
+    `log_likelihood_and_grad`.
+    """
+    chi = model.spec.enhancement
+    window = np.pi / (4.0 * chi)
+    grid = np.linspace(dphi0 - window, dphi0 + window, 65)
+    p1, p2, d1, d2 = model.evaluate(grid)
+    ll = score = 0.0
+    for counts, p, dp in ((record.counts1, p1, d1), (record.counts2, p2, d2)):
+        pc = np.clip(p, 1e-12, 1.0)
+        ll = ll + np.log(pc) @ counts
+        score = score + (dp / pc) @ counts
+    k = int(np.argmax(ll))
+    bracket = estimation._falling_bracket(score, k)
+    if bracket is None:
+        return float(grid[k]), False
+    a, b = bracket
+    if b - a == 2:
+        a, b = (a, k) if np.sign(score[a]) > np.sign(score[k]) else (k, b)
+    known = {float(grid[a]): score[a], float(grid[b]): score[b]}
+
+    def dphi_score(x):
+        return known[x] if x in known else log_likelihood_and_grad(record, model, x)[1]
+
+    root, res = optimize.brentq(
+        dphi_score, grid[a], grid[b], xtol=1e-12 / chi, full_output=True, disp=False
+    )
+    return float(root), bool(res.converged)
+
+
+def _oracle_batches():
+    """(model, dphi0, m_shots, counts rows) of each oracle batch.
+
+    The three bundled CRLB points take the 300 records of
+    `test_fixed_theta_fit_matches_bounded_brent` and two records with all
+    arm-1 shots in one outcome, one of which has no root in the window.  On
+    the phase_ref N = 1 model at reference phase 0 the window [0, pi / 4]
+    starts on a fringe node, where the score of every record is exactly
+    zero, so records with all shots in outcome 0 take that bracket end;
+    the others have an inner root or, with all shots in outcome 1, none.
+    """
+    batches = []
+    for kind, n, nd in [("1B", 10, 0), ("1B", 1000, 0), ("2B", 100, 50)]:
+        model, chi, dphi = _sweep_model(kind, n, nd)
+        m = 10_000
+        p = model.evaluate(dphi)[0][1]
+        sigma = np.sqrt(m * p * (1.0 - p))
+        n1s = np.unique(np.round(m * p + np.linspace(-5.0, 5.0, 300) * sigma).astype(int))
+        n1s = np.concatenate([n1s, [0, m]])
+        batches.append((model, 0.0, m, [[m - n1, n1, m, 0] for n1 in n1s]))
+    model = ramsey_model(ProtocolSpec("phase_ref", 1, 0, 0.0))
+    m = 1000
+    n1s = [0, 500, 0, 1, 10, 100, 300, 480, 600, 900, 999, 1000, 0]
+    batches.append((model, np.pi / 8.0, m, [[m - n1, n1, m, 0] for n1 in n1s]))
+    return batches
+
+
+@pytest.mark.parametrize("batch", range(4), ids=["1B-10", "1B-1000", "2B-100x50", "phase_ref-1"])
+def test_batched_fits_match_the_scalar_oracle(batch):
+    model, dphi0, m, rows = _oracle_batches()[batch]
+    chi = model.spec.enhancement
+    fits = estimation._fit_records(model, np.array(rows), m, dphi0)
+    assert len(fits) == len(rows)
+    worst = 0.0
+    for row, fit in zip(rows, fits):
+        dphi_hat, converged = _brentq_fit(MeasurementRecord(m, row[:2], row[2:]), model, dphi0)
+        assert fit.converged == converged
+        worst = max(worst, chi * abs(fit.dphi_hat - dphi_hat))
+    assert worst <= 1e-9
+    # the batch holds rows without a root, pinned to the window edge
+    window = np.pi / (4.0 * chi)
+    assert any(not f.converged and abs(f.dphi_hat - dphi0) >= 0.98 * window for f in fits)
+    if batch == 3:
+        # ... and rows whose root is the bracket end with a zero score
+        ends = [f for f in fits if f.converged and f.n_evaluations == 0]
+        assert len(ends) >= 3 and all(f.dphi_hat == 0.0 for f in ends)
+        assert sum(f.converged and f.n_evaluations > 0 for f in fits) >= 7
+
+
+@pytest.mark.parametrize("batch", range(4), ids=["1B-10", "1B-1000", "2B-100x50", "phase_ref-1"])
+def test_each_batched_fit_is_its_one_row_fit_bit_for_bit(batch):
+    model, dphi0, m, rows = _oracle_batches()[batch]
+    fits = estimation._fit_records(model, np.array(rows), m, dphi0)
+    for row, fit in zip(rows, fits):
+        alone = estimation._fit_records(model, np.array([row]), m, dphi0)[0]
+        assert np.array_equal(
+            [alone.dphi_hat, alone.bound, alone.converged, alone.n_evaluations],
+            [fit.dphi_hat, fit.bound, fit.converged, fit.n_evaluations],
+        )
+        record = MeasurementRecord(m, row[:2], row[2:])
+        fresh = ml_estimate(record, ramsey_model(model.spec), (model.spec.theta, dphi0))
+        assert fresh == alone
+
+
+def test_an_empty_batch_fits_nothing():
+    model, _, _ = _sweep_model("1B", 10, 0)
+    assert estimation._fit_records(model, np.zeros((0, 4), dtype=int), 10_000) == []
+
+
 @pytest.mark.parametrize("n", [10, 1000])
 @pytest.mark.parametrize("n1,mirror", [(0, True), (10_000, False)])
 def test_fixed_theta_fit_without_a_root_returns_the_window_edge(n, n1, mirror):
@@ -246,7 +351,7 @@ def test_falling_bracket_picks_the_maximum_side(score, bracket):
 def test_weak_pulse_bound_is_the_fixed_theta_bound():
     # theta is known, so the study is graded against 1/I_dphidphi
     spec = ProtocolSpec("1A", 20, 0, 0.0, 0.05)
-    _, bound = estimator_study(spec, 0.05, 10_000, range(2))
+    _, bound, _ = estimator_study(spec, 0.05, 10_000, range(2))
     assert bound == 1.0 / fisher_matrix(_weak_pulse_model(), 0.05, 10_000)
 
 
@@ -256,7 +361,7 @@ def test_weak_pulse_study_reaches_the_fixed_theta_bound():
     # so it falls outside [0.7, 1.5] with probability 1.3e-5 (6e-4 if the
     # true ratio were two standard errors lower, at 0.87).
     spec = ProtocolSpec("1A", 20, 0, 0.0, 0.05)
-    estimates, bound = estimator_study(spec, 0.05, 10_000, range(500))
+    estimates, bound, _ = estimator_study(spec, 0.05, 10_000, range(500))
     assert 0.7 <= np.var(estimates, ddof=1) / bound <= 1.5
 
 
@@ -352,13 +457,21 @@ def test_estimator_study_matches_per_seed_fits():
     # expectation; the seed range draws some records more than once
     spec = ProtocolSpec("1B", 50, 0, 0.0, np.pi / 2)
     seeds = range(5, 45)
-    estimates, variance = estimator_study(spec, 0.004, 2000, seeds)
+    estimates, variance, diagnostics = estimator_study(spec, 0.004, 2000, seeds)
     spec = replace(spec, reference_phase=optimize_reference_phase(spec, 0.004))
     records = [sample_record(ramsey_model(spec), spec.theta, 0.004, 2000, s) for s in seeds]
-    assert len({(tuple(r.counts1), tuple(r.counts2)) for r in records}) < len(records)
-    expected = [ml_estimate(rec, ramsey_model(spec), (spec.theta, 0.0)).dphi_hat for rec in records]
-    assert estimates.tolist() == expected
+    distinct = len({(tuple(r.counts1), tuple(r.counts2)) for r in records})
+    assert distinct < len(records)
+    fits = [ml_estimate(rec, ramsey_model(spec), (spec.theta, 0.0)) for rec in records]
+    assert estimates.tolist() == [f.dphi_hat for f in fits]
     assert variance == 1.0 / fisher_matrix(ramsey_model(spec), 0.004, 2000)
+    window = np.pi / (4.0 * spec.enhancement)
+    assert diagnostics == {
+        "fits": len(records),
+        "distinct_records": distinct,
+        "nonconverged": sum(not f.converged for f in fits),
+        "pinned": sum(abs(f.dphi_hat) >= 0.98 * window for f in fits),
+    }
 
 
 def test_a_repeated_record_returns_the_stored_fit():
@@ -472,17 +585,23 @@ def test_a_singular_window_raises_before_any_score_evaluation(monkeypatch):
 
     rec = sample_record(_model(n=100), np.pi / 2, 0.002, 1000, seed=0)
     monkeypatch.setattr(RamseyOutcomeModel, "evaluate", singular)
-    monkeypatch.setattr(estimation, "log_likelihood_and_grad", no_score)
+    monkeypatch.setattr(estimation, "_row_scores", no_score)
     model = _model(n=100)
     for _ in range(2):
         with pytest.raises(SingularInformationError):
             ml_estimate(rec, model, (np.pi / 2, 0.0))
     assert not model.cache
+    # the sentinel is live: on a regular window the fit does reach it
+    monkeypatch.setattr(RamseyOutcomeModel, "evaluate", evaluate)
+    with pytest.raises(AssertionError, match="score evaluated"):
+        ml_estimate(rec, model, (np.pi / 2, 0.0))
 
 
 def test_study_evaluates_the_model_once_per_distinct_record(monkeypatch):
-    # deterministic call counts: one sampling evaluate per study, and a few
-    # evaluates per distinct record (the score root plus one post-fit call)
+    # deterministic call counts: one sampling evaluate per study, and a fixed
+    # number for its fits however many records are distinct: the fringe
+    # grid, one per root iteration of the whole batch, the bounds of the
+    # batch and the study's bound
     calls = {"all": 0, "sampling": 0}
     evaluate = RamseyOutcomeModel.evaluate
     draw = estimation.sample_record
@@ -510,7 +629,7 @@ def test_study_evaluates_the_model_once_per_distinct_record(monkeypatch):
     distinct = len(set(records))
     assert distinct < 200
     assert calls["sampling"] == 1
-    assert calls["all"] <= 5 * distinct + 5
+    assert calls["all"] <= 20 < distinct
 
 
 def test_offset_resolution_arithmetic():

@@ -60,6 +60,7 @@ def no_fits(monkeypatch):
         raise FitRan("a fit ran")
 
     monkeypatch.setattr(estimation, "ml_estimate", fit)
+    monkeypatch.setattr(estimation, "_fit_records", fit)
 
 
 def test_bundled_catalogue_has_all_scenarios():
@@ -215,6 +216,61 @@ def test_cli_refine_summary_counts_backoffs(tmp_path, capsys):
     summary, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
     assert summary["backoffs"] == 1
     assert summary["all_locked"]
+
+
+#: estimator studies each fitting kind's tiny config runs: one per point
+_TINY_STUDIES = {"table1_scaling": 3, "crlb_saturation": 1, "resolution_extrapolation": 2}
+
+
+@pytest.mark.parametrize("kind", sorted(_TINY_STUDIES))
+def test_study_runs_write_their_diagnostics_to_the_manifest(tmp_path, monkeypatch, kind):
+    studies = []
+    study = estimation.estimator_study
+
+    def spy(*args):
+        result = study(*args)
+        studies.append(result[2])
+        return result
+
+    monkeypatch.setattr(estimation, "estimator_study", spy)
+    cfg = _config(tmp_path, kind, TINY_PARAMS[kind])
+    run_scenario(cfg, tmp_path / "a")
+    run_scenario(cfg, tmp_path / "b")
+    manifests = [json.loads((tmp_path / d / "manifest.json").read_text()) for d in "ab"]
+    assert len(studies) == 2 * _TINY_STUDIES[kind]
+    keys = ("fits", "distinct_records", "nonconverged", "pinned")
+    expected = {k: sum(d[k] for d in studies[: _TINY_STUDIES[kind]]) for k in keys}
+    assert manifests[0]["diagnostics"] == manifests[1]["diagnostics"] == expected
+    assert expected["fits"] == _TINY_STUDIES[kind] * TINY_PARAMS[kind]["n_seeds"]
+    assert 0 < expected["distinct_records"] <= expected["fits"]
+    for a in (tmp_path / "a").iterdir():
+        if a.name != "manifest.json":
+            assert a.read_bytes() == (tmp_path / "b" / a.name).read_bytes()
+
+
+def test_refine_manifest_counts_every_fit_of_the_locks(tmp_path, monkeypatch):
+    # lock 14 at this seed pins once and recovers (see test_estimation)
+    fits = []
+    fit = estimation.ml_estimate
+
+    def spy(record, model, init, **kwargs):
+        est = fit(record, model, init, **kwargs)
+        key = (model.spec, tuple(record.counts1), tuple(record.counts2))
+        fits.append((key, est, np.pi / (4.0 * model.spec.enhancement)))
+        return est
+
+    monkeypatch.setattr(estimation, "ml_estimate", spy)
+    cfg = _config(tmp_path, "refine_fiber", {"n_seeds": 15, "m_shots": 5000})
+    result = run_scenario(cfg, tmp_path, seed=1835504127)
+    diagnostics = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]
+    assert diagnostics == {
+        "fits": len(fits),
+        "distinct_records": len({key for key, _, _ in fits}),
+        "nonconverged": sum(not est.converged for _, est, _ in fits),
+        "pinned": sum(abs(est.dphi_hat) >= 0.98 * window for _, est, window in fits),
+        "backoffs": result["summary"]["backoffs"],
+    }
+    assert diagnostics["pinned"] == diagnostics["backoffs"] == 1
 
 
 def test_refine_locks_share_models_within_one_run_only(tmp_path, monkeypatch):
