@@ -15,8 +15,10 @@ import numpy as np
 from .errors import OverlapError
 from .pulses import PulseSpec
 
-#: default gap between the two members of an interleaved pair [s]
-DEFAULT_INTRA_PAIR_GAP = 10e-12
+#: gap between the two members of an interleaved pair [s]
+INTRA_PAIR_GAP = 10e-12
+#: carrier (and atomic transition) angular frequency of `fiber_comb_preset` [rad/s]
+FIBER_CARRIER_FREQ = 2.0 * np.pi * 3.5e14
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,6 @@ class PulseTrain:
     thetas: np.ndarray
     indices: np.ndarray | None = None
     pulse_duration: float | None = None
-    wrap_risk: bool = False
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -107,32 +108,27 @@ def generate_train(c: CombSpec, n_pulses: int, start_index: int = 0) -> PulseTra
     )
 
 
-def split_delay_interleave(
-    t: PulseTrain,
-    n_delay: int,
-    n_pairs: int | None = None,
-    intra_pair_gap: float = DEFAULT_INTRA_PAIR_GAP,
-) -> PulseTrain:
+def split_delay_interleave(t: PulseTrain, n_delay: int, n_pairs: int | None = None) -> PulseTrain:
     """Split the train, delay the early half by n_delay periods, interleave.
 
     Pair k consists of the delayed copy of pulse k (arriving first) and the
-    undelayed pulse k + n_delay, separated by ``intra_pair_gap``.  Each source
+    undelayed pulse k + n_delay, separated by `INTRA_PAIR_GAP`.  Each source
     pulse is used exactly once, which caps the number of pairs at n_delay.
     """
-    if n_delay < 0:
-        raise ValueError("n_delay must be >= 0")
+    if n_delay < 1:
+        raise ValueError("n_delay must be >= 1")
     n = len(t)
     if n_pairs is None:
-        n_pairs = min(n - n_delay, n_delay) if n_delay > 0 else n
+        n_pairs = min(n - n_delay, n_delay)
     if n_pairs < 1:
         raise ValueError("train too short for the requested delay")
-    if n_delay > 0 and n_pairs > n_delay:
+    if n_pairs > n_delay:
         raise ValueError("more pairs than the delay allows without reusing pulses")
     if n_pairs + n_delay > n:
         raise ValueError("train too short to pair each kept pulse")
-    if t.pulse_duration is not None and intra_pair_gap < t.pulse_duration:
+    if t.pulse_duration is not None and INTRA_PAIR_GAP < t.pulse_duration:
         raise OverlapError(
-            f"intra-pair gap {intra_pair_gap} shorter than the pulse duration"
+            f"intra-pair gap {INTRA_PAIR_GAP} shorter than the pulse duration"
         )
     early = slice(0, n_pairs)
     late = slice(n_delay, n_delay + n_pairs)
@@ -142,7 +138,7 @@ def split_delay_interleave(
     indices = np.empty(2 * n_pairs, dtype=int)
     # delayed member first, undelayed one an intra-pair gap later
     times[0::2] = t.times[late]
-    times[1::2] = t.times[late] + intra_pair_gap
+    times[1::2] = t.times[late] + INTRA_PAIR_GAP
     phases[0::2] = t.phases[early]
     phases[1::2] = t.phases[late]
     thetas[0::2] = t.thetas[early]
@@ -150,46 +146,26 @@ def split_delay_interleave(
     src = t.indices if t.indices is not None else np.arange(n)
     indices[0::2] = src[early]
     indices[1::2] = src[late]
-    if n_delay == 0:
-        # degenerate splitter: pair each pulse with itself, re-timed
-        times[0::2] = t.times[early]
-        times[1::2] = t.times[early] + intra_pair_gap
-    return PulseTrain(times, phases, thetas, indices, t.pulse_duration, t.wrap_risk)
+    return PulseTrain(times, phases, thetas, indices, t.pulse_duration)
 
 
 def apply_phase_jitter(t: PulseTrain, model: JitterSpec, seed: int) -> PulseTrain:
-    """Add stochastic per-pulse phase noise; deterministic under the seed.
-
-    The wrap_risk flag is set when the predicted std of the accumulated
-    phase excursion reaches pi/2, i.e. when a protocol reading the phase
-    modulo pi can no longer trust a single-shot determination.
-    """
+    """Add stochastic per-pulse phase noise; deterministic under the seed."""
     if model.sigma == 0.0:
         return t
-    rng = np.random.default_rng(seed)
-    n = len(t)
-    kicks = rng.normal(0.0, model.sigma, size=n)
-    if model.kind == "random_walk":
-        noise = np.cumsum(kicks)
-        predicted_std = model.sigma * np.sqrt(n)
-    else:
-        noise = kicks
-        predicted_std = model.sigma
-    return replace(
-        t,
-        phases=t.phases + noise,
-        wrap_risk=bool(t.wrap_risk or predicted_std >= np.pi / 2.0),
-    )
+    kicks = np.random.default_rng(seed).normal(0.0, model.sigma, size=len(t))
+    noise = np.cumsum(kicks) if model.kind == "random_walk" else kicks
+    return replace(t, phases=t.phases + noise)
 
 
-def fiber_comb_preset(carrier_freq: float = 2.0 * np.pi * 3.5e14) -> CombSpec:
+def fiber_comb_preset() -> CombSpec:
     """A 100 MHz fiber comb with a 200 kHz-class offset and 10 ps pulses."""
     template = PulseSpec(
         envelope_kind="gaussian",
         theta=np.pi / 2,
         tau=10e-12,
-        carrier_freq=carrier_freq,
-        atom_freq=carrier_freq,
+        carrier_freq=FIBER_CARRIER_FREQ,
+        atom_freq=FIBER_CARRIER_FREQ,
     )
     return CombSpec(rep_period=10e-9, offset_freq=200e3, pulse_template=template)
 

@@ -209,31 +209,34 @@ def distinct_fits(models) -> int:
 
 
 def _fit_window(model, dphi0: float, m_shots: int):
-    """(grid, terms) of the `_fringe_grid` over the fit window pi / (4 chi)
-    around ``dphi0``, after the wrap and phase-information checks."""
+    """(grid, terms, nodes) of the `_fringe_grid` over the fit window
+    pi / (4 chi) around ``dphi0``, after the wrap and phase-information
+    checks."""
     chi = model.spec.enhancement
     if abs(chi * dphi0) >= np.pi:
         raise WrapAmbiguityError(
             "initial accumulated phase exceeds pi; run iterative refinement"
         )
     window = np.pi / (4.0 * chi)
-    grid, terms, peak = _fringe_grid(model, dphi0 - window, dphi0 + window)
+    grid, terms, nodes, peak = _fringe_grid(model, dphi0 - window, dphi0 + window)
     if m_shots * peak / (chi * chi) <= 1e-9:
         raise DegenerateFitError("no phase information anywhere in the window")
-    return grid, terms
+    return grid, terms, nodes
 
 
 def _fringe_grid(model, lo, hi):
-    """(grid, terms, peak) over [lo, hi] from one batched evaluation cached
-    on the model.
+    """(grid, terms, nodes, peak) over [lo, hi] from one batched evaluation
+    cached on the model.
 
     ``terms`` has shape (4, 2, 65): for each outcome column (arm 1 s = 0, 1,
     then arm 2 s = 0, 1) its clipped log-probability and its dphi score
-    weight (dP/dphi) / P on the 65-point grid.  ``peak`` is the largest
-    per-shot dphi information on the grid.  Isolated fringe nodes are fine,
-    a window-wide blind spot is not, which is why the whole grid is looked
-    at.  A singular grid point raises SingularInformationError and caches
-    nothing.
+    weight (dP/dphi) / P on the 65-point grid.  ``nodes`` (4, 65) marks the
+    grid points where an outcome's probability is clipped at `_PCLIP`, for
+    an outcome that is not clipped across the whole grid; it is None when
+    no point is marked.  ``peak`` is the largest per-shot dphi information
+    on the grid.  Isolated fringe nodes are fine, a window-wide blind spot
+    is not, which is why the whole grid is looked at.  A singular grid point
+    raises SingularInformationError and caches nothing.
     """
     key = ("grid", lo, hi)
     if key not in model.cache:
@@ -246,19 +249,24 @@ def _fringe_grid(model, lo, hi):
         pc = np.clip(np.concatenate([p1, p2], axis=-1), _PCLIP, 1.0).T
         dp = np.concatenate([d1p, d2p], axis=-1).T
         terms = np.stack([np.log(pc), dp / pc], axis=1)
-        model.cache[key] = (grid, terms, max(0.0, float(np.max(info))))
+        nodes = pc == _PCLIP
+        nodes &= ~nodes.all(axis=1, keepdims=True)
+        nodes = nodes if nodes.any() else None
+        model.cache[key] = (grid, terms, nodes, max(0.0, float(np.max(info))))
     return model.cache[key]
 
 
-def _falling_bracket(score, k):
+def _falling_bracket(up, down, k):
     """Grid indices (a, b) next to k where the score falls through zero, or None.
 
-    The two grid neighbours of k come first.  If their scores share a sign
-    that the score at k does not, the root lies between k and one neighbour.
+    ``up`` and ``down`` are the grid scores as seen just above and just
+    below each point; they differ only at a pole (see `_fit_records`).  The
+    two grid neighbours of k come first.  If their scores share a sign that
+    the score at k does not, the root lies between k and one neighbour.
     """
-    a, b = max(k - 1, 0), min(k + 1, len(score) - 1)
+    a, b = max(k - 1, 0), min(k + 1, len(up) - 1)
     for lo, hi in ((a, b), (k, b), (a, k)):
-        if np.sign(score[lo]) > np.sign(score[hi]):
+        if np.sign(up[lo]) > np.sign(down[hi]):
             return lo, hi
     return None
 
@@ -291,10 +299,15 @@ def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[Estima
       its maximum on or beyond the window edge and returns the best grid
       point with ``converged=False``; a row with a zero score at a bracket
       end returns that end.
+    - **Poles.** At a `_fringe_grid` node of an outcome the row observed,
+      the log-likelihood falls to -inf, so the score is +inf just above the
+      point and -inf just below it: such a point is never a root or a
+      zero-score end.
     - **Roots.** The Illinois modified regula falsi (Dowell & Jarratt, BIT
       11, 168, 1971): a secant step inside the bracket, and the score kept
       at the bracket's old end is halved whenever the new point lands on the
-      same side as the last one.  Every active row moves from one
+      same side as the last one; while that end is a pole the step bisects
+      the bracket instead.  Every active row moves from one
       `model.evaluate` of the active rows per iteration.  A row stops at its
       latest point once its next secant step is shorter than half of
       ``xtol = 1e-12 / chi``; one still open after `_ROOT_ITERATIONS`
@@ -307,26 +320,30 @@ def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[Estima
     Each row's result is bit-for-bit the one it gets when fit alone.
     """
     counts = np.asarray(counts, dtype=float).reshape(-1, 4)
-    grid, terms = _fit_window(model, dphi0, m_shots)
+    grid, terms, nodes = _fit_window(model, dphi0, m_shots)
     both = (counts[:, 0, None, None] * terms[0] + counts[:, 1, None, None] * terms[1]) + (
         counts[:, 2, None, None] * terms[2] + counts[:, 3, None, None] * terms[3]
     )
     ll, score = both[:, 0], both[:, 1]
+    up = down = score
+    if nodes is not None:  # the window holds fringe nodes
+        pole = ((counts[:, :, None] > 0) & nodes).any(axis=1)
+        up, down = np.where(pole, np.inf, score), np.where(pole, -np.inf, score)
     best = np.argmax(ll, axis=1)
     root = grid[best]
     converged = np.zeros(len(counts), dtype=bool)
     evaluations = np.zeros(len(counts), dtype=int)
     rows, ends = [], []
     for r, k in enumerate(best.tolist()):
-        bracket = _falling_bracket(score[r], k)
+        bracket = _falling_bracket(up[r], down[r], k)
         if bracket is None:
             continue
         converged[r] = True
         lo, hi = bracket
         if hi - lo == 2:  # the grid score at k tells which half holds the root
-            lo, hi = (lo, k) if np.sign(score[r, lo]) > np.sign(score[r, k]) else (k, hi)
-        if score[r, lo] == 0.0 or score[r, hi] == 0.0:
-            root[r] = grid[lo] if score[r, lo] == 0.0 else grid[hi]
+            lo, hi = (lo, k) if np.sign(up[r, lo]) > np.sign(down[r, k]) else (k, hi)
+        if up[r, lo] == 0.0 or down[r, hi] == 0.0:
+            root[r] = grid[lo] if up[r, lo] == 0.0 else grid[hi]
         else:
             rows.append(r)
             ends.append((lo, hi))
@@ -335,11 +352,18 @@ def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[Estima
     # b is the latest point and a the end kept from earlier steps; their
     # scores have opposite signs, so the secant step never divides by zero
     a, b = grid[lo], grid[hi]
-    fa, fb = score[rows, lo], score[rows, hi]
+    fa, fb = up[rows, lo], down[rows, hi]
+    poles = nodes is not None and bool(np.isinf(fa).any() or np.isinf(fb).any())
+    if poles:  # keep each pole as the end a, the one the loop bisects towards
+        swap = np.isinf(fb)
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        fa, fb = np.where(swap, fb, fa), np.where(swap, fa, fb)
     counts1, counts2 = counts[rows, :2], counts[rows, 2:]
     xtol = 1e-12 / model.spec.enhancement
     for n in range(_ROOT_ITERATIONS):
         step = fb * (b - a) / (fb - fa)
+        if poles:
+            step = np.where(np.isinf(fa), 0.5 * (b - a), step)
         done = np.abs(step) < 0.5 * xtol
         if np.count_nonzero(done):
             root[rows[done]] = b[done]

@@ -19,21 +19,25 @@ from ._su2 import expm_herm, magnus_generators, ordered_product, refine_until_st
 from .errors import IntegrationError
 from .pulses import ENVELOPE_KINDS, Unitary, unit_envelope
 
+#: Richardson error bound of `integrate_lambda`'s propagator (Frobenius norm)
+LAMBDA_TOL = 1e-8
+#: Richardson error bound of `phase_map`'s stacked propagators (Frobenius norm)
+PHASE_MAP_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class LambdaSpec:
     """Raman pulse: common-envelope two-leg drive through an excited state.
 
     ``rabi`` is the peak amplitude of the envelope s(t) (not an integrated
-    area); both legs share the same s(t).
+    area); both legs share the same s(t).  Leg 1 has phase 0, so the leg
+    phase difference phi_l is leg 2's phase.
     """
 
     rabi: float  # peak of s(t) [rad/s]
     duration: float  # tau [s]
     laser_freq: float  # omega [rad/s]
     excited_energy: float  # omega_at [rad/s]
-    phi_1: float = 0.0
-    phi_2: float = 0.0
     envelope_kind: str = "cos2"
 
     def __post_init__(self):
@@ -64,7 +68,7 @@ def _lambda_hamiltonians(l: LambdaSpec, phi2_grid, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     s = l.envelope(times)[:, None]
     wt = l.laser_freq * times[:, None]
-    leg1 = s * np.cos(wt + l.phi_1) * np.exp(1.0j * wt)
+    leg1 = s * np.cos(wt) * np.exp(1.0j * wt)
     leg2 = s * np.cos(wt + phi2[None, :]) * np.exp(1.0j * wt)
     h = np.zeros((times.size, phi2.size, 3, 3), dtype=complex)
     h[..., 2, 2] = l.detuning
@@ -75,49 +79,23 @@ def _lambda_hamiltonians(l: LambdaSpec, phi2_grid, times) -> np.ndarray:
     return h
 
 
-def _lambda_rwa_hamiltonians(l: LambdaSpec, phi2_grid, times) -> np.ndarray:
-    """Rotating-wave reduction of the same model (carrier dropped)."""
-    phi2 = np.atleast_1d(np.asarray(phi2_grid, dtype=float))
-    times = np.asarray(times, dtype=float)
-    s = l.envelope(times)[:, None] / 2.0
-    h = np.zeros((times.size, phi2.size, 3, 3), dtype=complex)
-    h[..., 2, 2] = l.detuning
-    h[..., 2, 0] = s * np.exp(-1.0j * l.phi_1)
-    h[..., 0, 2] = np.conj(h[..., 2, 0])
-    h[..., 2, 1] = s * np.exp(-1.0j * phi2[None, :])
-    h[..., 1, 2] = np.conj(h[..., 2, 1])
-    return h
-
-
-def _propagate(l: LambdaSpec, phi2_grid, steps: int, rwa: bool) -> np.ndarray:
+def _propagate(l: LambdaSpec, phi2_grid, steps: int) -> np.ndarray:
     """Magnus propagation over the pulse, batched over phi_2: (G, 3, 3)."""
-    ham = _lambda_rwa_hamiltonians if rwa else _lambda_hamiltonians
-    blocks = magnus_generators(lambda t: ham(l, phi2_grid, t), l.duration, steps)
+    blocks = magnus_generators(lambda t: _lambda_hamiltonians(l, phi2_grid, t), l.duration, steps)
     return ordered_product(expm_herm(g) for g in blocks)
 
 
-def _step_cycles(l: LambdaSpec, rwa: bool) -> float:
-    """Periods of the fastest frequency in the propagated Hamiltonian.
-
-    The carrier-resolved model oscillates at the laser frequency; its
-    rotating-wave reduction has no carrier term, only the detuning and the
-    Rabi frequency.
-    """
-    if rwa:
-        return l.duration * (abs(l.detuning) + l.rabi) / (2.0 * np.pi)
-    return l.carrier_cycles
-
-
-def integrate_lambda(l: LambdaSpec, *, rwa: bool = False, tol: float = 1e-8) -> tuple[Unitary, float]:
-    """Propagator of the three-level model and the residual |c> population.
+def integrate_lambda(l: LambdaSpec) -> tuple[Unitary, float]:
+    """Propagator of the three-level model at phi_l = 0 and the residual |c>
+    population.
 
     The population is quoted for an atom starting in |a>.  The step count
-    starts at 8 per period of the laser carrier, or with ``rwa`` of the
-    detuning plus the Rabi frequency, and is doubled until the Richardson
-    estimate of the error, in Frobenius norm, is within ``tol``.
+    starts at 8 per period of the laser carrier and is doubled until the
+    Richardson estimate of the error, in Frobenius norm, is within
+    `LAMBDA_TOL`.
     """
     u = refine_until_stable(
-        lambda steps: _propagate(l, l.phi_2, steps, rwa)[0], step_count(_step_cycles(l, rwa)), tol
+        lambda steps: _propagate(l, 0.0, steps)[0], step_count(l.carrier_cycles), LAMBDA_TOL
     )
     return Unitary(u, tol=1e-8), float(np.abs(u[2, 0]) ** 2)
 
@@ -134,25 +112,27 @@ class PhaseMapResult:
     monotone: bool
 
 
-def phase_map(l: LambdaSpec, phi_l_grid, *, rwa: bool = False, tol: float = 1e-6) -> PhaseMapResult:
+def phase_map(l: LambdaSpec, phi_l_grid) -> PhaseMapResult:
     """Relative a-b phase imprinted by the pulse, as a function of phi_l.
 
     The atom starts in |a>; phi_s is arg(c_b / c_a) referenced to its value
     at phi_l = 0, with its deviation from phi_l unwrapped along the grid (so
     a grid step of pi reads forwards).  A non-monotone curve would
     invalidate phase stabilization and is flagged (with a warning).  The
-    grid is propagated as one stack and refined as in `integrate_lambda`.
-    On the bundled 25-point map the default ``tol`` stops at 16 steps per
-    carrier cycle (estimates 2.7e-7, 4.4e-9, 6.9e-11 at 16, 32, 64), with
-    phi_s within 2.6e-8 rad of a 400-step reference, against the 6.3e-2 rad
-    that criterion 7 needs; a ``tol`` of 2.7e-7 or less goes on to 32 steps
-    per cycle and costs 56 steps per cycle in all.
+    grid is propagated as one stack and refined as in `integrate_lambda`,
+    to `PHASE_MAP_TOL`.  On the bundled 25-point map that stops at 16 steps
+    per carrier cycle (estimates 2.7e-7, 4.4e-9, 6.9e-11 at 16, 32, 64),
+    with phi_s within 2.6e-8 rad of a 400-step reference, against the
+    6.3e-2 rad that criterion 7 needs; a bound of 2.7e-7 or less would go
+    on to 32 steps per cycle and cost 56 steps per cycle in all.
     """
     grid = np.asarray(phi_l_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("need a 1-d grid with at least 3 points")
-    phi2 = np.concatenate(([l.phi_1], l.phi_1 + grid))  # leading reference point
-    u = refine_until_stable(lambda steps: _propagate(l, phi2, steps, rwa), step_count(_step_cycles(l, rwa)), tol)
+    phi2 = np.concatenate(([0.0], grid))  # leading reference point
+    u = refine_until_stable(
+        lambda steps: _propagate(l, phi2, steps), step_count(l.carrier_cycles), PHASE_MAP_TOL
+    )
     ca, cb = u[:, 0, 0], u[:, 1, 0]
     if np.min(np.abs(cb)) < 1e-9:
         raise IntegrationError("b amplitude vanished; phase extraction undefined")

@@ -78,7 +78,6 @@ def _list_of(rule, items: str):
     return lambda v: isinstance(v, list) and v != [] and all(map(rule, v)), f"a non-empty list of {items}"
 
 
-_INTEGER = _is_int, "an integer"
 _REAL = _is_real, "a finite number"
 _POSITIVE = _is_positive, "a positive finite number"
 _NON_NEGATIVE = (lambda v: _is_real(v) and v >= 0), "a non-negative finite number"
@@ -99,9 +98,9 @@ _MAX_RAMAN_CYCLES = 1000
 #: Params of each scenario kind: each one's default and rule, and the key
 #: table of each entry of a list param.  The runners read only these keys,
 #: and a config may set no others.  A study row is a ddof = 1 spread over
-#: its seeds, a lock run needs one lock and a record one shot;
-#: `RefineConfig` checks the lock's own counts.  Upper bounds on seeds,
-#: cycles, cases, pairings and grid points bound the work of one run.
+#: its seeds, a lock run needs one lock and a record one shot, and a lock
+#: takes the counts `RefineConfig` accepts.  Upper bounds on seeds, cycles,
+#: cases, pairings and grid points bound the work of one run.
 PARAMS = {
     "rwa_validity": {
         "cycles": Key(
@@ -191,8 +190,8 @@ PARAMS = {
     "refine_fiber": {
         "prior_scale": Key(1.0, *_POSITIVE),
         "m_shots": Key(5000, *_count(1, _MAX_SHOTS)),
-        "growth": Key(4, *_INTEGER),
-        "max_stages": Key(6, *_INTEGER),
+        "growth": Key(4, *_count(2)),
+        "max_stages": Key(6, *_count(1)),
         "n_seeds": Key(100, *_count(1, _MAX_SEEDS)),
     },
     "visibility_budget": {
@@ -339,7 +338,11 @@ def _git_rev() -> str:
 
 
 def _write_rows(path: Path, header, rows, fmt: str) -> Path:
-    """Serialize rows deterministically; floats via repr for exact round-trip."""
+    """Serialize rows deterministically; floats via repr for exact round-trip.
+
+    Like `_write_json`, it creates the output directory, so a run that
+    fails before its first file leaves none behind.
+    """
     def enc(x):
         return repr(float(x)) if isinstance(x, (float, np.floating)) else x
 
@@ -347,6 +350,7 @@ def _write_rows(path: Path, header, rows, fmt: str) -> Path:
         payload = [dict(zip(header, [enc(x) for x in r])) for r in rows]
         return _write_json(path.with_suffix(".json"), payload)
     path = path.with_suffix(".csv")
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -357,6 +361,7 @@ def _write_rows(path: Path, header, rows, fmt: str) -> Path:
 
 def _write_json(path: Path, obj) -> Path:
     """Write one JSON document with two-space indent and a final newline."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=2) + "\n")
     return path
 
@@ -637,16 +642,13 @@ def _run_refine(cfg, out, fmt):
     # 200 kHz-class offset as the prior bound; prior_scale < 1 models an
     # operator underestimating the offset, which must abort with a wrap error
     prior = abs(c.phase_step) * p["prior_scale"]
-    try:
-        config = estimation.RefineConfig(
-            m_shots=p["m_shots"],
-            growth=p["growth"],
-            max_stages=p["max_stages"],
-            prior_bound=prior,
-            seed=cfg.seed,
-        )
-    except ValueError as e:
-        raise ScenarioConfigError(f"params of kind refine_fiber: {e}") from e
+    config = estimation.RefineConfig(
+        m_shots=p["m_shots"],
+        growth=p["growth"],
+        max_stages=p["max_stages"],
+        prior_bound=prior,
+        seed=cfg.seed,
+    )
 
     true_bound = abs(c.phase_step)
     # one model per train length for all locks of this run: without the
@@ -753,7 +755,6 @@ def run_scenario(
     if seed is not None:
         cfg = replace(cfg, seed=int(seed))
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
     # a runner that fits returns its diagnostics third

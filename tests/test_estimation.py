@@ -151,12 +151,12 @@ def test_optimize_reference_phase_reaches_max_information():
     assert 0.05 < p1[1] < 0.95
 
 
-def _bounded_brent_fit(record, model, window):
+def _bounded_brent_fit(record, model, window, dphi0=0.0):
     """Oracle: the fixed-theta fit as a bounded Brent minimisation of the
     negative log-likelihood over the whole window."""
     res = optimize.minimize_scalar(
         lambda x: -log_likelihood_and_grad(record, model, x)[0],
-        bounds=(-window, window), method="bounded", options={"xatol": 1e-12},
+        bounds=(dphi0 - window, dphi0 + window), method="bounded", options={"xatol": 1e-12},
     )
     return float(res.x)
 
@@ -196,25 +196,31 @@ def _brentq_fit(record, model, dphi0=0.0):
     root with `_falling_bracket` beside the best grid point, keeps the half
     of a two-interval bracket where the score at that point changes sign,
     and solves it with brentq on the scalar score of
-    `log_likelihood_and_grad`.
+    `log_likelihood_and_grad`.  A grid point where an observed outcome's
+    probability is clipped, and not across the whole grid, is a pole of the
+    score: +inf just above it and -inf just below it.
     """
     chi = model.spec.enhancement
     window = np.pi / (4.0 * chi)
     grid = np.linspace(dphi0 - window, dphi0 + window, 65)
     p1, p2, d1, d2 = model.evaluate(grid)
     ll = score = 0.0
+    pole = np.zeros(grid.size, dtype=bool)
     for counts, p, dp in ((record.counts1, p1, d1), (record.counts2, p2, d2)):
         pc = np.clip(p, 1e-12, 1.0)
         ll = ll + np.log(pc) @ counts
         score = score + (dp / pc) @ counts
+        node = (pc == 1e-12) & ~np.all(pc == 1e-12, axis=0)
+        pole |= np.any(node & (counts > 0), axis=1)
+    up, down = np.where(pole, np.inf, score), np.where(pole, -np.inf, score)
     k = int(np.argmax(ll))
-    bracket = estimation._falling_bracket(score, k)
+    bracket = estimation._falling_bracket(up, down, k)
     if bracket is None:
         return float(grid[k]), False
     a, b = bracket
     if b - a == 2:
-        a, b = (a, k) if np.sign(score[a]) > np.sign(score[k]) else (k, b)
-    known = {float(grid[a]): score[a], float(grid[b]): score[b]}
+        a, b = (a, k) if np.sign(up[a]) > np.sign(down[k]) else (k, b)
+    known = {float(grid[a]): up[a], float(grid[b]): down[b]}
 
     def dphi_score(x):
         return known[x] if x in known else log_likelihood_and_grad(record, model, x)[1]
@@ -345,7 +351,36 @@ def test_fixed_theta_fit_brackets_beside_the_best_grid_point():
     ],
 )
 def test_falling_bracket_picks_the_maximum_side(score, bracket):
-    assert estimation._falling_bracket(np.array(score), 1) == bracket
+    assert estimation._falling_bracket(np.array(score), np.array(score), 1) == bracket
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["node below", "node above"])
+def test_a_fit_beside_a_clipped_fringe_node_finds_the_maximum(side):
+    # the window [0, pi / 4] starts on a node of P1(1), where the clipped
+    # score is exactly zero although outcome 1 was seen: the log-likelihood
+    # is -82.9 there and peaks at 0.00866, at -27.3; the window [-pi / 4, 0]
+    # ends on that node
+    model = ramsey_model(ProtocolSpec("phase_ref", 1, 0, 0.0))
+    chi, dphi0 = model.spec.enhancement, side * np.pi / 8.0
+    record = MeasurementRecord(10_000, [9997, 3], [10_000, 0])
+    fit = ml_estimate(record, model, (np.pi / 2, dphi0))
+    assert fit.converged and np.isfinite(fit.bound)
+    dphi_hat, converged = _brentq_fit(record, model, dphi0)
+    assert converged and chi * abs(fit.dphi_hat - dphi_hat) <= 1e-9
+    # rounding of the log-likelihood, about 1e-12, blurs its maximum over a
+    # few 1e-9 in dphi, so the maximiser is held to the gate of
+    # test_fixed_theta_fit_matches_bounded_brent
+    window = np.pi / (4.0 * chi)
+    assert chi * abs(fit.dphi_hat - _bounded_brent_fit(record, model, window, dphi0)) <= 1e-6
+
+
+def test_an_outcome_clipped_across_the_window_marks_no_node():
+    # at theta = pi / 2 arm 2 reads outcome 1 with P < 1e-30 across the
+    # window; a count there shifts the log-likelihood by a constant only
+    model, _, _ = _sweep_model("1B", 10, 0)
+    m = 10_000
+    seen = ml_estimate(MeasurementRecord(m, [5000, 5000], [m - 1, 1]), model, (np.pi / 2, 0.0))
+    assert seen == ml_estimate(MeasurementRecord(m, [5000, 5000], [m, 0]), model, (np.pi / 2, 0.0))
 
 
 def test_weak_pulse_bound_is_the_fixed_theta_bound():

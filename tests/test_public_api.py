@@ -1,13 +1,18 @@
-"""Every public name is reached by something that checks the paper.
+"""Every public name and option is reached by something that checks the paper.
 
 A name exported by ``combphase`` must be named in a file other than its own
 module: another module of the package, a demo, the README, the acceptance
 suite or the benchmark.  A name that only its own unit tests call is code
-that no check of the paper reaches.
+that no check of the paper reaches.  Likewise every defaulted parameter of
+an exported function or dataclass must be set by some call in those files.
 """
 import ast
+import dataclasses
+import inspect
 import re
 from pathlib import Path
+
+import combphase
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "combphase"
@@ -36,15 +41,19 @@ def _exports():
     ]
 
 
-def test_every_export_is_reached_outside_its_module():
-    readers = [
+def _readers():
+    """The package modules, demos, README, acceptance suite and benchmark."""
+    return [
         *PACKAGE.glob("*.py"),
         *(REPO / "demos").glob("*.py"),
         REPO / "README.md",
         REPO / "tests" / "test_acceptance.py",
         *(REPO / "perfbench").glob("*.py"),
     ]
-    texts = {path: path.read_text() for path in readers}
+
+
+def test_every_export_is_reached_outside_its_module():
+    texts = {path: path.read_text() for path in _readers()}
     exports = _exports()
     assert exports
     unreached = [
@@ -58,3 +67,34 @@ def test_every_export_is_reached_outside_its_module():
         )
     ]
     assert not unreached, f"exported names that only their own tests reach: {unreached}"
+
+
+def _calls(path):
+    """Every ``ast.Call`` in a Python file, or in the README's python blocks."""
+    text = path.read_text()
+    if path.suffix == ".md":
+        text = "\n".join(re.findall(r"```python\n(.*?)```", text, re.S))
+    return [node for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Call)]
+
+
+def test_every_option_is_set_outside_the_tests():
+    calls = {}
+    for path in _readers():
+        for call in _calls(path):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(name, []).append(call)
+    unset = []
+    for _, name in _exports():
+        obj = getattr(combphase, name)
+        if not (inspect.isfunction(obj) or dataclasses.is_dataclass(obj)):
+            continue
+        params = list(inspect.signature(obj).parameters.values())
+        passed = set()
+        for call in calls.get(name, []):
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+                passed.update(p.name for p in params)  # *args or **kwargs may set any of them
+            passed.update(p.name for p in params[: len(call.args)] if p.kind != p.KEYWORD_ONLY)
+            passed.update(k.arg for k in call.keywords)
+        unset += [f"{name}({p.name}=)" for p in params if p.default is not p.empty and p.name not in passed]
+    assert not unset, f"options that only tests set: {unset}"

@@ -120,16 +120,17 @@ PULSE_10 = PulseSpec("gaussian", np.pi / 4, 10.0, W, W)
     [(integrate_pulse, PULSE_10), (raman.integrate_lambda, LAMBDA)],
     ids=["integrate_pulse", "integrate_lambda"],
 )
-def test_integrate_pulse_raises_when_not_stabilizing(integrate, spec):
+def test_integrate_pulse_raises_when_not_stabilizing(integrate, spec, monkeypatch):
+    monkeypatch.setattr(_su2, "MAX_DOUBLINGS", 0)  # give up before any doubling
     with pytest.raises(IntegrationError):
-        integrate(spec, tol=1e-16)
+        integrate(spec)
 
 
 def test_richardson_estimate_bounds_the_error():
     # results at the default tol, 1e-8, against a fixed 400 steps per carrier cycle
     pulse = pulses._propagate_two_level(PULSE_10, PULSE_10.ceo_phase, 4000)[0]
     assert np.linalg.norm(integrate_pulse(PULSE_10).matrix - pulse) <= 1e-8
-    lam = raman._propagate(LAMBDA, LAMBDA.phi_2, int(np.ceil(400 * LAMBDA.carrier_cycles)), False)[0]
+    lam = raman._propagate(LAMBDA, 0.0, int(np.ceil(400 * LAMBDA.carrier_cycles)))[0]
     assert np.linalg.norm(raman.integrate_lambda(LAMBDA)[0].matrix - lam) <= 1e-8
 
 
@@ -143,12 +144,8 @@ def test_overflowing_step_raises_without_a_warning():
 
 @pytest.mark.parametrize(
     "call",
-    [
-        lambda: integrate_pulse(PULSE_10, 1e-8),
-        lambda: raman.integrate_lambda(LAMBDA, True),
-        lambda: raman.phase_map(LAMBDA, np.linspace(0.0, 1.0, 3), True),
-    ],
-    ids=["integrate_pulse", "integrate_lambda", "phase_map"],
+    [lambda: integrate_pulse(PULSE_10, 1e-8)],
+    ids=["integrate_pulse"],
 )
 def test_accuracy_arguments_are_keyword_only(call):
     with pytest.raises(TypeError):
@@ -159,7 +156,7 @@ PULSE = PulseSpec("gaussian", np.pi / 3, 10.0, W, W)
 #: the shared Magnus integrator at d = 2 over CEO phases and at d = 3 over phi_2
 PROPAGATORS = {
     2: lambda grid: pulses._propagate_two_level(PULSE, grid, step_count(PULSE.carrier_cycles)),
-    3: lambda grid: raman._propagate(LAMBDA, grid, step_count(LAMBDA.carrier_cycles), False),
+    3: lambda grid: raman._propagate(LAMBDA, grid, step_count(LAMBDA.carrier_cycles)),
 }
 
 
@@ -172,7 +169,7 @@ STEPPERS = {
         lambda: integrate_pulse(PULSE).matrix,
     ),
     3: (
-        lambda steps: raman._propagate(LAMBDA, LAMBDA.phi_2, steps, False)[0],
+        lambda steps: raman._propagate(LAMBDA, 0.0, steps)[0],
         LAMBDA.carrier_cycles,
         lambda: raman.integrate_lambda(LAMBDA)[0].matrix,
     ),

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from combphase import raman
-from combphase._su2 import step_count, unitarity_defect
+from combphase import _su2, raman
+from combphase._su2 import unitarity_defect
 from combphase.errors import IntegrationError
 from combphase.raman import (
     LambdaSpec,
@@ -40,13 +40,6 @@ def test_strongly_detuned_pulse_empties_excited_state():
     assert unitarity_defect(u.matrix) < 1e-8
 
 
-def test_rwa_phase_map_is_identity():
-    grid = np.linspace(0.0, 2.0 * np.pi, 9)
-    pm = phase_map(_spec(0.2), grid, rwa=True)
-    assert pm.max_curve_deviation < 1e-9
-    assert pm.monotone
-
-
 def test_full_model_phase_map_small_detuning():
     grid = np.linspace(0.0, 2.0 * np.pi, 13)
     pm = phase_map(_spec(0.02), grid)
@@ -57,17 +50,6 @@ def test_full_model_phase_map_small_detuning():
     assert pm.max_curve_deviation > 1e-4
 
 
-def test_rwa_steps_follow_detuning_and_rabi():
-    l = _spec(0.2)
-    carrier = step_count(l.carrier_cycles)
-    rwa = step_count(raman._step_cycles(l, rwa=True))
-    assert (carrier, rwa) == (641, 176)
-    assert rwa < 0.3 * carrier
-    u_rwa = integrate_lambda(l, rwa=True, tol=1e-10)[0].matrix
-    u_carrier = raman._propagate(l, l.phi_2, 16001, rwa=True)[0]  # carrier-sized steps
-    assert np.max(np.abs(u_rwa - u_carrier)) <= 1e-9
-
-
 def test_bundled_phase_map_is_converged():
     p = load_scenario_config(find_scenario("raman_three_level")).params
     l = _spec(p["detuning_fraction_map"], rabi=p["rabi"])
@@ -75,7 +57,7 @@ def test_bundled_phase_map_is_converged():
     grid = np.linspace(0.0, 2.0 * np.pi, 5)
     phi_s = phase_map(l, grid).phi_s
     # reference: a fixed 400 steps per carrier cycle, phases taken modulo 2 pi
-    u = raman._propagate(l, np.concatenate(([0.0], grid)), int(np.ceil(400 * l.carrier_cycles)), False)
+    u = raman._propagate(l, np.concatenate(([0.0], grid)), int(np.ceil(400 * l.carrier_cycles)))
     raw = np.angle(u[:, 1, 0] / u[:, 0, 0])
     assert np.max(np.abs(np.angle(np.exp(1.0j * (phi_s - raw[1:] + raw[0]))))) <= 1e-9
 
@@ -89,10 +71,11 @@ def test_phase_map_reads_steps_of_pi_forwards(detuning_fraction):
     assert pm.max_curve_deviation < 1e-6
 
 
-def test_phase_map_raises_when_not_stabilizing():
+def test_phase_map_raises_when_not_stabilizing(monkeypatch):
     short = LambdaSpec(rabi=4.0, duration=0.1, laser_freq=0.8 * W_AT, excited_energy=W_AT)
+    monkeypatch.setattr(_su2, "MAX_DOUBLINGS", 0)  # give up before any doubling
     with pytest.raises(IntegrationError):
-        phase_map(short, np.linspace(0.0, 1.0, 3), tol=1e-16)
+        phase_map(short, np.linspace(0.0, 1.0, 3))
 
 
 def test_phase_map_deviation_grows_with_detuning():

@@ -434,7 +434,9 @@ def test_bad_entries_rejected_before_fitting(tmp_path, no_fits, kind, params, na
         run_scenario(cfg, tmp_path / "direct")
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
-    assert not list(out.glob("*")) and not list((tmp_path / "direct").glob("*"))
+    # a config that passes load, such as an odd 1B size, fails before any
+    # file is written and leaves no output directory behind
+    assert not out.exists() and not (tmp_path / "direct").exists()
 
 
 @pytest.mark.parametrize(
@@ -487,6 +489,8 @@ def test_seed_count_checked_before_fitting(tmp_path, no_fits, kind, name, value)
 )
 def test_bad_refine_config_rejected_before_fitting(tmp_path, no_fits, params, name):
     cfg = _config(tmp_path, "refine_fiber", {**TINY_PARAMS["refine_fiber"], **params})
+    with pytest.raises(ScenarioConfigError, match=name):
+        load_scenario_config(cfg)
     with pytest.raises(ScenarioConfigError, match=name):
         run_scenario(cfg, tmp_path / "direct")
     out = tmp_path / "out"
