@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, physical_constants
 
-_AMU = physical_constants["atomic mass constant"][0]
+#: reduced Planck constant [J s] and atomic mass constant [kg], CODATA 2022
+hbar = 1.0545718176461565e-34
+_AMU = 1.66053906892e-27
 
 #: atomic masses [kg] for the species discussed in the trapped-ion estimates
 ATOMIC_MASS = {

@@ -18,6 +18,7 @@ included, and is the reference against which the closed form is judged.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,8 @@ _GAUSSIAN_STD_FRACTION = 1.0 / 8.0
 
 
 def _gaussian_area(tau: float) -> float:
-    from scipy.special import erf
-
     std, half = tau * _GAUSSIAN_STD_FRACTION, tau / 2.0
-    return std * np.sqrt(2.0 * np.pi) * erf(half / (std * np.sqrt(2.0)))
+    return std * np.sqrt(2.0 * np.pi) * math.erf(half / (std * np.sqrt(2.0)))
 
 
 #: unit-peak envelope shapes on [-tau/2, tau/2] and their areas, per kind

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.constants import hbar, physical_constants
 
+from combphase import noise
 from combphase.noise import (
     DephasingSpec,
     ThermalSpec,
@@ -18,6 +20,11 @@ def test_spec_validation():
         DephasingSpec(sigma_eps=-1.0)
     with pytest.raises(ValueError):
         ThermalSpec(linewidth=-1.0, mass=1e-26, wavelength=3e-7)
+
+
+def test_constants_match_codata():
+    assert noise.hbar == hbar
+    assert noise._AMU == physical_constants["atomic mass constant"][0]
 
 
 def test_closely_paired_pulses_suppress_dephasing():

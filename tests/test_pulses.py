@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from combphase import _su2, pulses, raman
 from combphase._su2 import rot_x, rot_z, step_count, unitarity_defect
@@ -45,6 +46,12 @@ def test_envelope_area_equals_theta(kind, theta, tau):
     t = np.linspace(-tau / 2, tau / 2, 20001)
     area = np.trapezoid(p.envelope(t), t)
     assert area == pytest.approx(theta, rel=1e-5)
+
+
+@pytest.mark.parametrize("tau", [1e-14, 3e-13, 1.0, 7.3])
+def test_gaussian_area_matches_scipy_erf(tau):
+    std, half = tau * pulses._GAUSSIAN_STD_FRACTION, tau / 2.0
+    assert pulses._gaussian_area(tau) == std * np.sqrt(2.0 * np.pi) * erf(half / (std * np.sqrt(2.0)))
 
 
 def test_envelope_vanishes_outside_support():

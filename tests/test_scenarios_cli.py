@@ -149,9 +149,10 @@ def test_each_top_level_rule_is_a_config_error(tmp_path, change, names):
     assert not (tmp_path / "out").exists()
 
 
-def test_import_leaves_jsonschema_out():
+@pytest.mark.parametrize("module", ["jsonschema", "scipy"])
+def test_import_leaves_module_out(module):
     src = str(Path(combphase.__file__).resolve().parents[1])
-    code = "import sys, combphase; sys.exit('jsonschema' in sys.modules)"
+    code = f"import sys, combphase; sys.exit(any(m.partition('.')[0] == {module!r} for m in sys.modules))"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
