@@ -10,9 +10,20 @@ Ros, Phys. Rep. 470, 151 (2009), section 5 (see `magnus_generators`).  It
 works on whole arrays, never one step at a time: `magnus_generators` yields
 the step generators in blocks of `MAGNUS_BLOCK` steps, each block is
 exponentiated by one batched `expm_herm` call, and `ordered_product` reduces
-the stacked factors pairwise, as a tree of batched matmuls.
+the stacked factors pairwise, as a tree of batched products.
+
+The matrices are 2x2 or 3x3, so numpy's stacked matmul and LAPACK spend
+their time on loops of length d.  Inside `magnus_generators`, `expm_herm`
+and `ordered_product` the stacks are therefore held in a contiguous
+(d, d, ...) structure-of-arrays layout, in which `_mm` forms a product from
+d elementwise operations over the whole stack.  Every function still takes
+and returns (..., d, d) arrays.  `expm_herm` is a Taylor polynomial with
+scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+(2009)), built from such products.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,14 +64,77 @@ def rot_z(angle) -> np.ndarray:
     return u
 
 
-def expm_herm(h: np.ndarray) -> np.ndarray:
-    """exp(-i h) for a (batched) Hermitian matrix via eigendecomposition.
+#: Taylor degree m -> the largest 1-norm theta_m of x for which the
+#: truncation error of the degree-m Taylor polynomial of exp(x) stays below
+#: 2^-53.  For |x| <= theta <= (m + 2) / 2 the remainder sum_{k>m} |x|^k / k!
+#: is at most twice its first term, so theta_m = ((m + 1)! 2^-54)^(1/(m+1)).
+_TAYLOR_THETA = {m: (math.factorial(m + 1) * 2.0**-54) ** (1.0 / (m + 1)) for m in range(1, 19)}
 
-    h may have shape (..., d, d); the result has the same shape.
+
+def _soa(a: np.ndarray) -> np.ndarray:
+    """A (..., d, d) stack as a contiguous (d, d, ...) array.
+
+    A view with moved axes is not enough: elementwise ops keep their input's
+    memory order, so every later op would still stride through d-long rows.
     """
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1.0j * w)
-    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1)))
+
+
+def _aos(a: np.ndarray) -> np.ndarray:
+    """A (d, d, ...) array as a (..., d, d) view; `_soa` of it copies nothing."""
+    return np.moveaxis(a, (0, 1), (-2, -1))
+
+
+def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for stacks in the (d, d, ...) layout, batch shapes broadcast."""
+    out = x[:, 0, None] * y[None, 0]
+    for k in range(1, x.shape[0]):
+        out += x[:, k, None] * y[None, k]
+    return out
+
+
+def _taylor_plan(norm: float) -> tuple[int, int]:
+    """(degree, squarings) for a generator of 1-norm ``norm``.
+
+    The smallest degree m whose theta_m covers ``norm``; past the last
+    theta_m, the top degree and the fewest squarings that bring ``norm``
+    within it.  Each squaring doubles the rounding error, so the degree is
+    raised as far as the table goes before any squaring.
+    """
+    if not math.isfinite(norm):
+        raise np.linalg.LinAlgError(f"matrix exponential of a non-finite generator (1-norm {norm})")
+    for m, theta in _TAYLOR_THETA.items():
+        if norm <= theta:
+            return m, 0
+    return m, math.ceil(math.log2(norm / theta))
+
+
+def expm_herm(h: np.ndarray) -> np.ndarray:
+    """exp(-i h) for a (batched) Hermitian matrix.
+
+    h may have shape (..., d, d); the result has the same shape.  With
+    x = -i h / 2^s, the degree-m Taylor polynomial of exp(x) is evaluated by
+    Horner's rule and squared s times (scaling and squaring, Al-Mohy &
+    Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)).  One (m, s) serves
+    the whole stack, chosen by `_taylor_plan` so that its largest 1-norm of
+    x is within theta_m, where the Taylor truncation error is below 2^-53
+    (see `_TAYLOR_THETA`).  The result is unitary to a few ulp times 2^s.
+    A non-finite h raises `np.linalg.LinAlgError`.
+    """
+    a = _soa(h)
+    # 1-norm: largest column sum, over the whole stack
+    m, s = _taylor_plan(float(np.max(np.abs(a).sum(axis=0), initial=0.0)))
+    x = (-1.0j * 0.5**s) * a
+    # Horner's rule from the top coefficient: p <- x (p + I / k!), then + I
+    p = x / math.factorial(m)
+    for k in range(m - 1, -1, -1):
+        for i in range(a.shape[0]):
+            p[i, i] += 1.0 / math.factorial(k)
+        if k:
+            p = _mm(x, p)
+    for _ in range(s):
+        p = _mm(p, p)
+    return _aos(p)
 
 
 def matpow_with_grad(m: np.ndarray, dm: np.ndarray, n: int):
@@ -117,25 +191,23 @@ def magnus_generators(hamiltonians, duration: float, steps: int):
     c = np.sqrt(15.0) / 10.0
     for start in range(0, steps, MAGNUS_BLOCK):
         t0 = -duration / 2.0 + h_step * np.arange(start, min(start + MAGNUS_BLOCK, steps))
-        h1 = hamiltonians(t0 + (0.5 - c) * h_step)
-        h2 = hamiltonians(t0 + 0.5 * h_step)
-        h3 = hamiltonians(t0 + (0.5 + c) * h_step)
+        h1, h2, h3 = (_soa(hamiltonians(t0 + node * h_step)) for node in (0.5 - c, 0.5, 0.5 + c))
         b1 = h_step * h2
         b2 = (h_step * np.sqrt(15.0) / 3.0) * (h3 - h1)
         b3 = (h_step * 10.0 / 3.0) * (h3 - 2.0 * h2 + h1)
         c1 = -1.0j * _commutator(b1, b2)
         c2 = (1.0j / 60.0) * _commutator(b1, 2.0 * b3 + c1)
-        yield b1 + b3 / 12.0 - (1.0j / 240.0) * _commutator(c1 - 20.0 * b1 - b3, b2 + c2)
+        yield _aos(b1 + b3 / 12.0 - (1.0j / 240.0) * _commutator(c1 - 20.0 * b1 - b3, b2 + c2))
 
 
 def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] for stacks of Hermitian x and y, from one matmul.
+    """[x, y] for Hermitian x and y in the (d, d, ...) layout, from one product.
 
     y x = (x y)^dagger, so [x, y] = x y - (x y)^dagger, which is exactly
     anti-Hermitian in floating point.
     """
-    xy = x @ y
-    return xy - xy.conj().swapaxes(-1, -2)
+    xy = _mm(x, y)
+    return xy - xy.conj().swapaxes(0, 1)
 
 
 def ordered_product(blocks) -> np.ndarray:
@@ -143,7 +215,7 @@ def ordered_product(blocks) -> np.ndarray:
 
     ``blocks`` is one (S, ..., d, d) array of factors in time order, or an
     iterable of such arrays, block after block.  Each block is reduced
-    pairwise, as a tree of batched matmuls of depth log2(S) (Blelloch,
+    pairwise, as a tree of batched products of depth log2(S) (Blelloch,
     CMU-CS-90-190 (1990)), and the block products are then multiplied in
     order.  The result has shape (..., d, d).
     """
@@ -153,15 +225,17 @@ def ordered_product(blocks) -> np.ndarray:
     for f in blocks:
         if len(f) == 0:
             raise ValueError("ordered_product of no factors")
-        while len(f) > 1:
-            pairs = f[1::2] @ f[0 : len(f) - 1 : 2]
-            if len(f) % 2:
-                pairs[-1] = f[-1] @ pairs[-1]
+        f = _soa(f)  # (d, d, S, ...)
+        while f.shape[2] > 1:
+            n = f.shape[2]
+            pairs = _mm(f[:, :, 1::2], f[:, :, 0 : n - 1 : 2])
+            if n % 2:
+                pairs[:, :, -1] = _mm(f[:, :, -1], pairs[:, :, -1])
             f = pairs
-        u = f[0] if u is None else f[0] @ u
+        u = f[:, :, 0] if u is None else _mm(f[:, :, 0], u)
     if u is None:
         raise ValueError("ordered_product of no factors")
-    return u
+    return np.ascontiguousarray(_aos(u))
 
 
 def refine_until_stable(propagate, steps: int, tol: float) -> np.ndarray:

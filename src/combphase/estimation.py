@@ -469,7 +469,9 @@ def estimator_study(
     1 / I_dphidphi on the variance of one experiment's estimate (the bound
     `ml_estimate` reports), and the study's diagnostics: ``fits`` (one per
     seed), ``distinct_records``, ``nonconverged`` fits and fits ``pinned``
-    within 0.98 of the window edge.
+    within 0.98 of the window edge.  A study none of whose fits converged
+    raises DegenerateFitError: its estimates are not maximum-likelihood
+    estimates, and their spread says nothing about the estimator.
     """
     xi = optimize_reference_phase(spec, dphi)
     model = ramsey_model(replace(spec, reference_phase=xi))
@@ -479,6 +481,8 @@ def estimator_study(
     for row, fit in zip(distinct.tolist(), _fit_records(model, distinct, m_shots)):
         model.cache[_memo_key(0.0, m_shots, row)] = fit
     fits = [ml_estimate(rec, model, (spec.theta, 0.0)) for rec in records]
+    if fits and not any(f.converged for f in fits):
+        raise DegenerateFitError(f"none of the {len(fits)} fits of the study converged")
     estimates = np.array([f.dphi_hat for f in fits], dtype=float)
     window = np.pi / (4.0 * spec.enhancement)
     diagnostics = {

@@ -91,8 +91,8 @@ _MAX_SEEDS = 100_000
 #: Most shots of one record: counts stay exact in the float64 likelihoods.
 _MAX_SHOTS = 2**53
 #: Most laser carrier cycles of one Raman pulse.  `phase_map`'s cost grows
-#: about linearly in them: the bundled 25-point map (98 cycles) takes 0.6 s
-#: and one at 980 cycles 4.9 s on a 2-vCPU machine.
+#: about linearly in them: the bundled 25-point map (98 cycles) takes 0.1 s
+#: and one at 980 cycles 0.85 s on a 2-vCPU machine.
 _MAX_RAMAN_CYCLES = 1000
 
 #: Params of each scenario kind: each one's default and rule, and the key

@@ -305,6 +305,16 @@ def test_cli_numeric_failure_exit_code(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_NUMERIC
 
 
+def test_study_without_a_converged_fit_exits_3(tmp_path):
+    # every fit of this point stops one fringe-grid step from 0 unconverged,
+    # so its variance would read 0 and its ratio a perfect estimator
+    point = {"kind": "1A", "n": 7, "dphi": 0.013, "theta": 0.9}
+    cfg = _config(tmp_path, "crlb_saturation", {"points": [point], "n_seeds": 20})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    assert not list(out.glob("crlb_saturation*"))
+
+
 def test_cli_wrap_abort_exit_code(tmp_path):
     cfg = tmp_path / "underestimated.yaml"
     cfg.write_text(yaml.safe_dump({

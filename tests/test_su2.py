@@ -1,7 +1,89 @@
+import math
+
 import numpy as np
 import pytest
 
-from combphase._su2 import MAGNUS_BLOCK, expm_herm, magnus_generators, matpow_with_grad, ordered_product
+from combphase import pulses, raman, scenarios
+from combphase._su2 import (
+    _TAYLOR_THETA, MAGNUS_BLOCK, expm_herm, magnus_generators, matpow_with_grad, ordered_product,
+    refine_until_stable,
+)
+from combphase.errors import IntegrationError
+
+
+def _expm_herm_eigh(h):
+    """Oracle: exp(-i h) from the eigendecomposition of the Hermitian h."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1.0j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _random_hermitian(shape, d, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape + (d, d)) + 1.0j * rng.normal(size=shape + (d, d))
+    return a + a.conj().swapaxes(-1, -2)
+
+
+# from no squaring (1e-3) to ten squarings (1e3)
+@pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_expm_herm_matches_the_eigh_oracle(d, norm):
+    h = _random_hermitian((20, 3), d, seed=d)
+    # every matrix of the stack has 1-norm ``norm``, so all need the same squarings
+    h *= norm / np.abs(h).sum(axis=-2).max(axis=-1)[..., None, None]
+    u = expm_herm(h)
+    assert u.shape == h.shape
+    assert np.max(np.abs(u - _expm_herm_eigh(h))) <= 1e-13 * max(1.0, norm)
+    # each squaring doubles the defect: about 2e-16 per squaring count
+    defect = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)))
+    assert defect <= 1e-15 * max(1.0, norm)
+
+
+def test_taylor_degrees_truncate_below_double_precision():
+    for m, theta in _TAYLOR_THETA.items():
+        remainder = math.fsum(theta**k / math.factorial(k) for k in range(m + 1, m + 40))
+        assert remainder <= 2.0**-53
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_generator_fails_as_an_integration_error(bad):
+    h = np.zeros((4, 1, 3, 3), dtype=complex)
+    h[..., 0, 2] = h[..., 2, 0] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        expm_herm(h)
+    with pytest.raises(IntegrationError):
+        refine_until_stable(lambda steps: expm_herm(h)[0, 0], 50, 1e-8)
+
+    def propagate(steps):
+        blocks = magnus_generators(lambda t: np.broadcast_to(h[:1], (t.size, 1, 3, 3)), 1.0, steps)
+        return ordered_product(expm_herm(g) for g in blocks)
+
+    with pytest.raises(IntegrationError):
+        refine_until_stable(propagate, 50, 1e-8)
+
+
+def _bundled_phase_map():
+    params = scenarios.load_scenario_config(scenarios.find_scenario("raman_three_level")).params
+    spec = scenarios._raman_spec(params, "detuning_fraction_map")
+    return raman.phase_map(spec, np.linspace(0.0, 2.0 * np.pi, params["grid_points"])).phi_s
+
+
+PROPAGATIONS = {
+    "integrate_pulse": lambda: pulses.integrate_pulse(
+        pulses.PulseSpec("gaussian", np.pi / 4, 60.0, 2.0 * np.pi, 2.0 * np.pi, 0.3)
+    ).matrix,
+    "integrate_lambda": lambda: raman.integrate_lambda(
+        raman.LambdaSpec(rabi=12.0, duration=1.0, laser_freq=160.0 * np.pi, excited_energy=200.0 * np.pi)
+    )[0].matrix,
+    "bundled phase_map": _bundled_phase_map,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPAGATIONS))
+def test_propagation_matches_the_eigh_exponential(name, monkeypatch):
+    result = PROPAGATIONS[name]()
+    monkeypatch.setattr(pulses, "expm_herm", _expm_herm_eigh)
+    monkeypatch.setattr(raman, "expm_herm", _expm_herm_eigh)
+    assert np.max(np.abs(result - PROPAGATIONS[name]())) <= 1e-12
 
 
 def _sequential_fold(factors):
@@ -13,9 +95,7 @@ def _sequential_fold(factors):
 
 
 def _random_unitaries(length, grid, d, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(length, grid, d, d)) + 1.0j * rng.normal(size=(length, grid, d, d))
-    return expm_herm(a + a.conj().swapaxes(-1, -2))
+    return expm_herm(_random_hermitian((length, grid), d, seed))
 
 
 # 1029 factors fill four blocks of `MAGNUS_BLOCK` and part of a fifth
