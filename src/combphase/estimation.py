@@ -137,8 +137,8 @@ def sample_record(
     if cached is None or cached[0] != dphi:
         cached = model.cache["probs"] = (dphi, model.evaluate(dphi))
     p1, p2, *_ = cached[1]
-    n1 = rng.binomial(m_shots, np.clip(p1[1], 0.0, 1.0))
-    n2 = rng.binomial(m_shots, np.clip(p2[1], 0.0, 1.0))
+    n1 = rng.binomial(m_shots, min(max(p1[1], 0.0), 1.0))
+    n2 = rng.binomial(m_shots, min(max(p2[1], 0.0), 1.0))
     return MeasurementRecord(m_shots, np.array([m_shots - n1, n1]), np.array([m_shots - n2, n2]))
 
 
@@ -276,13 +276,15 @@ def _falling_bracket(up, down, k):
 def _row_scores(model, x, counts1, counts2):
     """dphi score of each row of the arms' counts (R, 2) at its own ``x``
     (R,), from one evaluation of the model; the arithmetic of
-    `log_likelihood_and_grad`."""
-    p1, p2, d1, d2 = model.evaluate(x)
+    `log_likelihood_and_grad`.  Returns the scores and that evaluation, its
+    (p1, p2, dp1_dphi, dp2_dphi) stacked as one (4, R, 2) array."""
+    probs = p1, p2, d1, d2 = model.evaluate(x)
     # np.minimum(np.maximum(...)) is np.clip without its per-call overhead
-    return (
+    score = (
         (counts1 / np.minimum(np.maximum(p1, _PCLIP), 1.0) * d1).sum(axis=-1)
         + (counts2 / np.minimum(np.maximum(p2, _PCLIP), 1.0) * d2).sum(axis=-1)
     )
+    return score, np.stack(probs)
 
 
 def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[EstimationResult]:
@@ -315,9 +317,11 @@ def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[Estima
       ``xtol = 1e-12 / chi``; one still open after `_ROOT_ITERATIONS`
       iterations stops with ``converged=False``.  ``n_evaluations`` counts
       the iterations a row took part in.
-    - **Bound.** 1 / I_dphidphi at every row's estimate, from one batched
-      evaluation: infinite at a point without information, such as a fringe
-      node, and SingularInformationError at a singular one.
+    - **Bound.** 1 / I_dphidphi at every row's estimate: infinite at a
+      point without information, such as a fringe node, and
+      SingularInformationError at a singular one.  A row whose root is its
+      last iterate takes it from the evaluation of its last score; the rows
+      whose root is a grid point share one batched evaluation.
 
     Each row's result is bit-for-bit the one it gets when fit alone.
     """
@@ -362,6 +366,9 @@ def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[Estima
         fa, fb = np.where(swap, fb, fa), np.where(swap, fa, fb)
     counts1, counts2 = counts[rows, :2], counts[rows, 2:]
     xtol = 1e-12 / model.spec.enhancement
+    # the evaluation at each row's root, for the rows whose root is an iterate
+    at_root = np.empty((4, len(counts), 2))
+    iterate = np.zeros(len(counts), dtype=bool)
     for n in range(_ROOT_ITERATIONS):
         step = fb * (b - a) / (fb - fa)
         if poles:
@@ -371,20 +378,32 @@ def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[Estima
             root[rows[done]] = b[done]
             evaluations[rows[done]] = n
             open_ = ~done
+            if n:  # b is the last iterate, not a bracket end
+                at_root[:, rows[done]] = last[:, done]
+                iterate[rows[done]] = True
+                last = last[:, open_]
             rows, a, b, fa, fb, step, counts1, counts2 = (
                 v[open_] for v in (rows, a, b, fa, fb, step, counts1, counts2)
             )
         if not rows.size:
             break
         x = b - step
-        fx = _row_scores(model, x, counts1, counts2)
+        fx, last = _row_scores(model, x, counts1, counts2)
         crossed = np.sign(fx) != np.sign(fb)
         a, fa = np.where(crossed, b, a), np.where(crossed, fb, 0.5 * fa)
         b, fb = x, fx
-    root[rows] = b
-    evaluations[rows] = _ROOT_ITERATIONS
-    converged[rows] = False
-    info = _information_at(model, root, m_shots)
+    if rows.size:
+        root[rows] = b
+        evaluations[rows] = _ROOT_ITERATIONS
+        converged[rows] = False
+        at_root[:, rows] = last
+        iterate[rows] = True
+    info = np.empty(len(counts))
+    info[iterate], singular = _information(at_root[:, iterate], m_shots, model.spec.enhancement)
+    if np.any(singular):
+        raise SingularInformationError("outcome probability vanishes with nonzero derivative")
+    if not iterate.all():
+        info[~iterate] = _information_at(model, root[~iterate], m_shots)
     return [
         EstimationResult(dp, 1.0 / i if i else np.inf, c, e)
         for dp, i, c, e in zip(root.tolist(), info.tolist(), converged.tolist(), evaluations.tolist())
@@ -468,17 +487,20 @@ def estimator_study(
     Returns the estimates in seed order, the fixed-theta Cramer-Rao bound
     1 / I_dphidphi on the variance of one experiment's estimate (the bound
     `ml_estimate` reports), and the study's diagnostics: ``fits`` (one per
-    seed), ``distinct_records``, ``nonconverged`` fits and fits ``pinned``
-    within 0.98 of the window edge.  A study none of whose fits converged
-    raises DegenerateFitError: its estimates are not maximum-likelihood
-    estimates, and their spread says nothing about the estimator.
+    seed), ``distinct_records``, ``nonconverged`` fits, fits ``pinned``
+    within 0.98 of the window edge, and ``score_evaluations``, the
+    ``n_evaluations`` of the distinct records' fits summed.  A study none of
+    whose fits converged raises DegenerateFitError: its estimates are not
+    maximum-likelihood estimates, and their spread says nothing about the
+    estimator.
     """
     xi = optimize_reference_phase(spec, dphi)
     model = ramsey_model(replace(spec, reference_phase=xi))
     records = [sample_record(model, spec.theta, dphi, m_shots, s) for s in seeds]
     counts = np.array([[*r.counts1, *r.counts2] for r in records], dtype=int).reshape(-1, 4)
     distinct = np.unique(counts, axis=0)
-    for row, fit in zip(distinct.tolist(), _fit_records(model, distinct, m_shots)):
+    distinct_fits = _fit_records(model, distinct, m_shots)
+    for row, fit in zip(distinct.tolist(), distinct_fits):
         model.cache[_memo_key(0.0, m_shots, row)] = fit
     fits = [ml_estimate(rec, model, (spec.theta, 0.0)) for rec in records]
     if fits and not any(f.converged for f in fits):
@@ -490,6 +512,7 @@ def estimator_study(
         "distinct_records": len(distinct),
         "nonconverged": sum(not f.converged for f in fits),
         "pinned": int(np.sum(np.abs(estimates) >= 0.98 * window)),
+        "score_evaluations": sum(f.n_evaluations for f in distinct_fits),
     }
     return estimates, 1.0 / fisher_matrix(model, dphi, m_shots), diagnostics
 
@@ -544,6 +567,7 @@ class RefineTrace:
     final_crlb_sigma: float
     backoffs: int  # fits that pinned to the window edge and shortened the train
     nonconverged: int  # fits, back-offs included, whose root did not converge
+    score_evaluations: int  # n_evaluations summed over the fits, back-offs included
 
     @property
     def final_residual(self) -> float:
@@ -563,9 +587,10 @@ def iterative_refine(
     stay inside the unambiguous fringe.  A fit that pins to its window edge
     is treated as a wrap: the stage backs off once to N // growth, rounded
     down to an even length, and aborts with WrapAmbiguityError if it happens
-    again.  ``RefineTrace.backoffs`` counts the back-offs and
+    again.  ``RefineTrace.backoffs`` counts the back-offs,
     ``RefineTrace.nonconverged`` the fits, back-offs included, that returned
-    ``converged=False``.
+    ``converged=False``, and ``RefineTrace.score_evaluations`` sums their
+    ``n_evaluations``.
 
     ``models`` maps each stage's `ProtocolSpec` to its outcome model.  A
     dict shared by several locks lets them reuse one model per train length,
@@ -581,7 +606,7 @@ def iterative_refine(
     bound = config.prior_bound
     stages: list[RefineStage] = []
     n = _safe_train_length(bound)
-    backoffs = nonconverged = 0
+    backoffs = nonconverged = score_evaluations = 0
     stage_idx = 0
     while stage_idx < config.max_stages:
         spec = ProtocolSpec("1B", n, 0, np.pi / 2.0, np.pi / 2.0)
@@ -594,6 +619,7 @@ def iterative_refine(
         window = np.pi / (4.0 * spec.enhancement)
         est = ml_estimate(rec, model, (spec.theta, 0.0))
         nonconverged += not est.converged
+        score_evaluations += est.n_evaluations
         if abs(est.dphi_hat) >= 0.98 * window:
             if backoffs:
                 raise WrapAmbiguityError(
@@ -620,6 +646,7 @@ def iterative_refine(
         final_crlb_sigma=final_sigma,
         backoffs=backoffs,
         nonconverged=nonconverged,
+        score_evaluations=score_evaluations,
     )
 
 

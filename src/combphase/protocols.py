@@ -17,8 +17,9 @@ Hadamard, reference phase xi on |1>, the train, and an undoing Hadamard;
 arm 2 applies the train directly to |0> (no Hadamards), measuring the raw
 excitation probability.  The pulse area theta is known and read from the
 `ProtocolSpec`; all probabilities come with their exact analytic derivative
-in dphi, obtained by product-rule accumulation through a square-and-multiply
-matrix power.
+in dphi.  Every train is the k-th power of one SU(2) pulse or pair unitary,
+and `_su2.matpow_with_grad` forms that power and its derivative in closed
+form, elementwise and at the same cost for any k.
 """
 from __future__ import annotations
 

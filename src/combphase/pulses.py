@@ -188,6 +188,21 @@ def matrix_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.trace(a.conj().T @ b)) / a.shape[0])
 
 
+def _matrix_infidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """1 - `matrix_fidelity`(a, b) for unitary a and b, without subtracting from 1.
+
+    It is ||a - e^{i phi} b||_F^2 / (2 d) with phi = arg tr(b^dag a), the
+    global phase that brings b closest to a: for unitaries this equals
+    1 - |tr(a^dag b)| / d, and it keeps the digits of an infidelity far
+    below the spacing of doubles near 1.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    overlap = np.trace(b.conj().T @ a)
+    phase = overlap / abs(overlap) if overlap else 1.0
+    return float(np.linalg.norm(a - phase * b) ** 2 / (2 * a.shape[0]))
+
+
 def effective_phase(u: Unitary | np.ndarray) -> float:
     """CEO phase read back from the sigma_plus coefficient of a 2x2 unitary.
 

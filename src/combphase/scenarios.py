@@ -376,8 +376,8 @@ def _run_rwa_validity(cfg, out, fmt):
     for c in p["cycles"]:
         spec = pulses.PulseSpec(p["envelope"], p["theta"], c / p["carrier_hz"], w, w, 0.3)
         u = pulses.integrate_pulse(spec, tol=p["integration_tol"])
-        f = pulses.unitary_fidelity(u, pulses.rwa_unitary(spec))
-        rows.append((c, f, 1.0 - f))
+        rwa = pulses.rwa_unitary(spec)
+        rows.append((c, pulses.unitary_fidelity(u, rwa), pulses._matrix_infidelity(u.matrix, rwa.matrix)))
     path = _write_rows(out / "rwa_validity", ["cycles", "fidelity", "infidelity"], rows, fmt)
     return [path], {"monotone": bool(np.all(np.diff([r[1] for r in rows]) > 0))}
 
@@ -692,6 +692,7 @@ def _run_refine(cfg, out, fmt):
         # a fit pinned to the window edge backs off, or raises if it is the second
         "pinned": backoffs,
         "backoffs": backoffs,
+        "score_evaluations": sum(tr.score_evaluations for tr in traces),
     }
     return [path, tpath], {
         "all_locked": bool(all(r[7] for r in rows)),

@@ -525,12 +525,16 @@ def test_estimator_study_matches_per_seed_fits():
     assert estimates.tolist() == [f.dphi_hat for f in fits]
     assert variance == 1.0 / fisher_matrix(ramsey_model(spec), 0.004, 2000)
     window = np.pi / (4.0 * spec.enhancement)
+    # each distinct record's fit counts once
+    evaluations = {(tuple(r.counts1), tuple(r.counts2)): f.n_evaluations for r, f in zip(records, fits)}
     assert diagnostics == {
         "fits": len(records),
         "distinct_records": distinct,
         "nonconverged": sum(not f.converged for f in fits),
         "pinned": sum(abs(f.dphi_hat) >= 0.98 * window for f in fits),
+        "score_evaluations": sum(evaluations.values()),
     }
+    assert diagnostics["score_evaluations"] > 0
 
 
 def test_a_repeated_record_returns_the_stored_fit():
@@ -578,15 +582,18 @@ def test_a_record_that_raises_keeps_raising(monkeypatch):
     for _ in range(2):
         with pytest.raises(DegenerateFitError):
             ml_estimate(rec, blind, (0.0, 0.0))
-    # a fit that raises after the lookup stores nothing
+    # a fit that raises after the lookup, at its bound, stores nothing
     model = _model(n=100)
     rec = sample_record(model, np.pi / 2, 0.002, 1000, seed=0)
+    information = estimation._information
 
-    def singular(*args):
-        raise SingularInformationError("outcome probability vanishes with nonzero derivative")
+    def singular(probs, m_shots, chi):
+        # the fringe grid is taken per shot, so only the bound sees the record's M
+        info, flags = information(probs, m_shots, chi)
+        return info, flags | (m_shots == rec.m_shots)
 
     with monkeypatch.context() as m:
-        m.setattr(estimation, "_information_at", singular)
+        m.setattr(estimation, "_information", singular)
         for _ in range(2):
             with pytest.raises(SingularInformationError):
                 ml_estimate(rec, model, (np.pi / 2, 0.0))
@@ -613,9 +620,10 @@ def test_three_point_post_fit_matches_the_scalar_oracle(kind, n, nd, theta, dphi
         assert est.bound == 1.0 / fisher_matrix(model, est.dphi_hat, rec.m_shots)
 
 
-def test_a_first_fit_evaluates_the_model_twice_besides_its_score(monkeypatch):
+def test_a_first_fit_evaluates_the_model_once_besides_its_score(monkeypatch):
     # one fringe-grid evaluation, which also checks the window's information,
-    # the score evaluations of the root, and one evaluation for the bound
+    # and the score evaluations of the root; the bound comes from the last of
+    # them, since the root is the last iterate
     calls = [0]
     evaluate = RamseyOutcomeModel.evaluate
 
@@ -627,7 +635,7 @@ def test_a_first_fit_evaluates_the_model_twice_besides_its_score(monkeypatch):
     monkeypatch.setattr(RamseyOutcomeModel, "evaluate", counted)
     est = ml_estimate(rec, _model(n=100), (np.pi / 2, 0.0))
     assert est.converged and est.n_evaluations > 0
-    assert calls[0] == 2 + est.n_evaluations
+    assert calls[0] == 1 + est.n_evaluations
 
 
 def test_a_singular_window_raises_before_any_score_evaluation(monkeypatch):

@@ -239,11 +239,12 @@ def test_study_runs_write_their_diagnostics_to_the_manifest(tmp_path, monkeypatc
     run_scenario(cfg, tmp_path / "b")
     manifests = [json.loads((tmp_path / d / "manifest.json").read_text()) for d in "ab"]
     assert len(studies) == 2 * _TINY_STUDIES[kind]
-    keys = ("fits", "distinct_records", "nonconverged", "pinned")
+    keys = ("fits", "distinct_records", "nonconverged", "pinned", "score_evaluations")
     expected = {k: sum(d[k] for d in studies[: _TINY_STUDIES[kind]]) for k in keys}
     assert manifests[0]["diagnostics"] == manifests[1]["diagnostics"] == expected
     assert expected["fits"] == _TINY_STUDIES[kind] * TINY_PARAMS[kind]["n_seeds"]
     assert 0 < expected["distinct_records"] <= expected["fits"]
+    assert expected["score_evaluations"] > 0
     for a in (tmp_path / "a").iterdir():
         if a.name != "manifest.json":
             assert a.read_bytes() == (tmp_path / "b" / a.name).read_bytes()
@@ -270,8 +271,10 @@ def test_refine_manifest_counts_every_fit_of_the_locks(tmp_path, monkeypatch):
         "nonconverged": sum(not est.converged for _, est, _ in fits),
         "pinned": sum(abs(est.dphi_hat) >= 0.98 * window for _, est, window in fits),
         "backoffs": result["summary"]["backoffs"],
+        "score_evaluations": sum(est.n_evaluations for _, est, _ in fits),
     }
     assert diagnostics["pinned"] == diagnostics["backoffs"] == 1
+    assert diagnostics["score_evaluations"] > diagnostics["fits"]
 
 
 def test_refine_locks_share_models_within_one_run_only(tmp_path, monkeypatch):

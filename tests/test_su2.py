@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from combphase import pulses, raman, scenarios
+from combphase import protocols, pulses, raman, scenarios
 from combphase._su2 import (
     _TAYLOR_THETA, MAGNUS_BLOCK, expm_herm, magnus_generators, matpow_with_grad, ordered_product,
     refine_until_stable,
@@ -130,17 +130,90 @@ def _power_rule(m, dm, n):
     return powers[n], sum((powers[j] @ dm @ powers[n - 1 - j] for j in range(n)), np.zeros((2, 2)))
 
 
+def _block_power(m, dm, n):
+    """Oracle: the n-th power of [[m, dm], [0, m]] by square-and-multiply,
+    whose top-right block is d(m**n)."""
+    block = np.zeros(np.broadcast_shapes(m.shape, dm.shape)[:-2] + (4, 4), dtype=complex)
+    block[..., :2, :2] = block[..., 2:, 2:] = m
+    block[..., :2, 2:] = dm
+    power = np.linalg.matrix_power(block, n)
+    return power[..., :2, :2], power[..., :2, 2:]
+
+
+def _traceless_hermitian(shape, seed):
+    """[[x, y], [conj(y), -x]], exactly traceless and Hermitian."""
+    x, re, im = np.random.default_rng(seed).normal(size=(3,) + shape)
+    y = re + 1.0j * im
+    return np.stack([np.stack([x + 0.0j, y], -1), np.stack([y.conj(), -x + 0.0j], -1)], -2)
+
+
+def _random_su2_tangents(count, seed):
+    """``count`` SU(2) matrices m and tangents m i H, H traceless Hermitian."""
+    h, g = _traceless_hermitian((2, count), seed)
+    m = expm_herm(h)
+    return m, m @ (1.0j * g)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 37])
 def test_matpow_with_grad_on_stacks_matches_power_rule(n):
-    ms = _random_unitaries(5, 1, 2, seed=n)[:, 0]
-    rng = np.random.default_rng(n + 100)
-    dm = rng.normal(size=(5, 2, 2)) + 1.0j * rng.normal(size=(5, 2, 2))
+    ms, dm = _random_su2_tangents(5, seed=n)
     p, dp = matpow_with_grad(ms, dm, n)
     assert p.shape == dp.shape == (5, 2, 2)
     for i in range(5):
         expected_p, expected_dp = _power_rule(ms[i], dm[i], n)
         assert np.allclose(p[i], expected_p, rtol=0.0, atol=1e-12)
         assert np.allclose(dp[i], expected_dp, rtol=0.0, atol=1e-12 * max(n, 1))
+
+
+def _pair_factors(spec, dphi, monkeypatch):
+    """The (m, dm) that `train_unitary_with_grad` raises to a power at each ``dphi``."""
+    seen = []
+
+    def spy(m, dm, n):
+        seen.append((m, dm))
+        return matpow_with_grad(m, dm, n)
+
+    monkeypatch.setattr(protocols, "matpow_with_grad", spy)
+    protocols.train_unitary_with_grad(spec, np.array(dphi))
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _power_stacks(monkeypatch):
+    identity = np.array([np.eye(2), -np.eye(2)], dtype=complex)
+    return {
+        "+-I": (identity, identity @ (1.0j * _traceless_hermitian((2,), seed=0))),
+        # -I at dphi = 0, and within 1e-12 of it at 1e-15
+        "2B pi/2": _pair_factors(protocols.ProtocolSpec("2B", 1000, 500), [0.0, 1e-15, 1e-9], monkeypatch),
+        "1A 0.05": _pair_factors(
+            protocols.ProtocolSpec("1A", 20, 0, 0.0, 0.05), [0.0, 1e-3, 0.05], monkeypatch
+        ),
+    }
+
+
+@pytest.mark.parametrize("k", [1, 2, 37, 1025, 1 << 20])
+@pytest.mark.parametrize("stack", ["+-I", "2B pi/2", "1A 0.05"])
+def test_matpow_with_grad_matches_the_block_power(stack, k, monkeypatch):
+    # square-and-multiply loses about k eps of relative precision itself
+    m, dm = _power_stacks(monkeypatch)[stack]
+    p, dp = matpow_with_grad(m, dm, k)
+    expected_p, expected_dp = _block_power(m, dm, k)
+    tol = 4.0 * k * np.finfo(float).eps
+    assert np.all(np.abs(p - expected_p) <= tol)
+    scale = np.maximum(np.abs(expected_dp).max(axis=(-2, -1), keepdims=True), 1.0)
+    assert np.all(np.abs(dp - expected_dp) <= tol * scale)
+
+
+def test_matpow_with_grad_is_exact_at_plus_minus_identity():
+    identity = np.array([np.eye(2), -np.eye(2)], dtype=complex)
+    ih = 1.0j * _traceless_hermitian((2,), seed=1)
+    for k in (0, 1, 2, 7, 1 << 20):
+        with np.errstate(all="raise"):
+            p, dp = matpow_with_grad(identity, identity @ ih, k)
+        sign = np.array([1.0, (-1.0) ** k])[:, None, None]
+        assert np.array_equal(p, sign * np.eye(2))
+        # d((+-I)^k) = k (+-I)^(k-1) (+-I) i H = k (+-1)^k i H
+        assert np.array_equal(dp, k * sign * ih)
 
 
 def test_magnus_generators_are_exactly_hermitian():
