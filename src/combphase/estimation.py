@@ -10,6 +10,12 @@ Every fit holds the pulse area theta at its known value, the model's
 ``spec.theta``, and estimates dphi alone, so the model carries dphi
 derivatives only, the Fisher information I_dphidphi is a number, and the
 Cramer-Rao bound is 1 / I_dphidphi (Kay, *Estimation Theory*, 1993, ch. 3).
+
+Every fit is read through `ml_estimate`, whose memo on the model holds one
+fit per distinct record.  Two callers fill it with batched fits first:
+`estimator_study` with a study's distinct records, and `_prefit_locks`
+with the records of a run's locks, one `_fit_records` call per train
+length and step.  A record the memo lacks is fit on its own.
 """
 from __future__ import annotations
 
@@ -17,7 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateFitError, SingularInformationError, WrapAmbiguityError
+from .errors import (
+    CombPhaseError, DegenerateFitError, SingularInformationError, WrapAmbiguityError,
+)
 from .protocols import (
     ProtocolSpec, RamseyOutcomeModel, ramsey_model, ramsey_probabilities, train_unitary_with_grad,
 )
@@ -132,13 +140,20 @@ def sample_record(
     samples each stage at a new residual keeps one entry per model.
     """
     _check_theta(model, theta)
-    rng = np.random.default_rng(seed)
     cached = model.cache.get("probs")
     if cached is None or cached[0] != dphi:
         cached = model.cache["probs"] = (dphi, model.evaluate(dphi))
     p1, p2, *_ = cached[1]
-    n1 = rng.binomial(m_shots, min(max(p1[1], 0.0), 1.0))
-    n2 = rng.binomial(m_shots, min(max(p2[1], 0.0), 1.0))
+    return _draw_record(p1[1], p2[1], m_shots, seed)
+
+
+def _draw_record(p1: float, p2: float, m_shots: int, seed: int) -> MeasurementRecord:
+    """The record `sample_record` draws when arm 1 gives outcome 1 with
+    probability ``p1`` and arm 2 with ``p2``: one ``default_rng(seed)``,
+    arm 1's draw first."""
+    rng = np.random.default_rng(seed)
+    n1 = rng.binomial(m_shots, min(max(p1, 0.0), 1.0))
+    n2 = rng.binomial(m_shots, min(max(p2, 0.0), 1.0))
     return MeasurementRecord(m_shots, np.array([m_shots - n1, n1]), np.array([m_shots - n2, n2]))
 
 
@@ -179,11 +194,13 @@ def ml_estimate(
     The fit is the one-record call of the batched engine `_fit_records`.
     Fits are memoised on the model, keyed by the initial dphi, ``m_shots``
     and both arms' counts; `estimator_study` fills the memo with all its
-    distinct records from one engine call.  The first read of a stored fit
-    returns it with the score evaluations its fit took, and later reads of
-    the same record return it with ``n_evaluations=0``.  The wrap and
-    phase-information checks run before the lookup, and a fit that raises
-    stores nothing, so errors repeat as well.
+    distinct records from one engine call, and `_prefit_locks` with the
+    records of a run's locks, one engine call per model and step.  The
+    first read of a stored fit returns it with the score evaluations its
+    fit took, and later reads of the same record return it with
+    ``n_evaluations=0``.  The wrap and phase-information checks run before
+    the lookup, and a fit that raises stores nothing, so errors repeat as
+    well.
     """
     if not fix_theta:
         raise ValueError("the joint (theta, dphi) fit has been removed; theta is always fixed")
@@ -550,6 +567,10 @@ class RefineConfig:
             value = getattr(self, name)
             if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        bound = self.prior_bound
+        real = isinstance(bound, (int, float, np.integer, np.floating)) and not isinstance(bound, bool)
+        if not (real and 0.0 < bound < np.inf):
+            raise ValueError(f"prior_bound must be a positive finite number, got {bound!r}")
 
 
 @dataclass(frozen=True)
@@ -592,32 +613,52 @@ def iterative_refine(
     ``converged=False``, and ``RefineTrace.score_evaluations`` sums their
     ``n_evaluations``.
 
-    ``models`` maps each stage's `ProtocolSpec` to its outcome model.  A
-    dict shared by several locks lets them reuse one model per train length,
-    and with it the fringe grid cached on the model; the locks' results do
-    not change.  Models missing from the dict
-    are built and added.  With ``None`` the lock keeps a dict of its own.
+    The control flow is `_lock`'s; this call answers each of its stages
+    with one `sample_record` and one `ml_estimate`.  ``models`` maps each
+    stage's `ProtocolSpec` to its outcome model.  A dict shared by several
+    locks lets them reuse one model per train length, with its fringe grid
+    and its fit memo, and `_prefit_locks` can fill that memo for all of
+    them beforehand; the locks' results do not change either way.  Models
+    missing from the dict are built and added.  With ``None`` the lock
+    keeps a dict of its own.
+    """
+    lock = _lock(true_dphi, config, {} if models is None else models)
+    model, residual, m_shots, seed = next(lock)
+    while True:
+        theta = model.spec.theta
+        rec = sample_record(model, theta, residual, m_shots, seed=seed)
+        est = ml_estimate(rec, model, (theta, 0.0))
+        try:
+            model, residual, m_shots, seed = lock.send(est)
+        except StopIteration as done:
+            return done.value
+
+
+def _lock(true_dphi: float, config: RefineConfig, models: dict):
+    """One lock's control flow (see `iterative_refine`), as a generator.
+
+    Each fit it needs is yielded as a sampling request ``(model, residual,
+    m_shots, seed)``: draw one record of ``model`` at the true residual
+    with ``seed`` and send back its `EstimationResult`, fit around 0.  It
+    returns the `RefineTrace`, or raises WrapAmbiguityError for a truth
+    beyond the prior bound or a second pinned fit.  The lock's own call
+    (`iterative_refine`) and the lockstep of a run's locks
+    (`_prefit_locks`) answer the requests.
     """
     if abs(true_dphi) > config.prior_bound * 1.001:
         raise WrapAmbiguityError("true offset exceeds the assumed prior bound")
-    if models is None:
-        models = {}
     residual = float(true_dphi)
-    bound = config.prior_bound
     stages: list[RefineStage] = []
-    n = _safe_train_length(bound)
+    n = _safe_train_length(config.prior_bound)
     backoffs = nonconverged = score_evaluations = 0
-    stage_idx = 0
-    while stage_idx < config.max_stages:
+    while len(stages) < config.max_stages:
         spec = ProtocolSpec("1B", n, 0, np.pi / 2.0, np.pi / 2.0)
         if spec not in models:
             models[spec] = ramsey_model(spec)
-        model = models[spec]
-        rec = sample_record(
-            model, spec.theta, residual, config.m_shots, seed=config.seed + 7919 * stage_idx
-        )
+        # the stage's seed counts completed stages, so the fit after a
+        # back-off reuses the seed of the fit that pinned
+        est = yield models[spec], residual, config.m_shots, config.seed + 7919 * len(stages)
         window = np.pi / (4.0 * spec.enhancement)
-        est = ml_estimate(rec, model, (spec.theta, 0.0))
         nonconverged += not est.converged
         score_evaluations += est.n_evaluations
         if abs(est.dphi_hat) >= 0.98 * window:
@@ -632,9 +673,7 @@ def iterative_refine(
         residual -= est.dphi_hat
         crlb_sigma = float(np.sqrt(est.bound))
         stages.append(RefineStage(n, est.dphi_hat, residual, crlb_sigma))
-        stage_idx += 1
-        bound = 5.0 * crlb_sigma
-        n_next = min(n * config.growth, _safe_train_length(bound))
+        n_next = min(n * config.growth, _safe_train_length(5.0 * crlb_sigma))
         n_next -= n_next % 2
         if n_next <= n:
             break
@@ -648,6 +687,59 @@ def iterative_refine(
         nonconverged=nonconverged,
         score_evaluations=score_evaluations,
     )
+
+
+def _prefit_locks(locks, models: dict) -> None:
+    """Fit the records of several locks in lockstep into ``models``' fit memos.
+
+    ``locks`` lists each lock's (true dphi, `RefineConfig`), and ``models``
+    is the dict their `iterative_refine` calls will share.  One `_lock` per
+    lock runs here; at each step their requests are grouped by model and
+    shot count, one batched `evaluate` gives the group's probabilities,
+    each record is drawn with its own seed (`_draw_record`, as
+    `sample_record` draws it), and the group's records that the memo lacks
+    are fit by one `_fit_records` call and stored under `ml_estimate`'s
+    key.  The locks' own calls then read their fits from the memo, so the
+    model evaluations of a run grow with its stages, not with its locks.
+
+    Nothing here decides a result: a memo entry is the fit of its key,
+    whoever stores it.  A lock that raises a CombPhaseError, or whose group
+    fit raises one, is dropped, and its own call fits and raises as it
+    would alone; so does a lock whose record the memo lacks.
+    """
+    pending = []
+    for true_dphi, config in locks:
+        lock = _lock(true_dphi, config, models)
+        try:
+            pending.append((lock, next(lock)))
+        except CombPhaseError:
+            pass
+    while pending:
+        groups = {}
+        for lock, request in pending:
+            model, _, m_shots, _ = request
+            groups.setdefault((model.spec, m_shots), []).append((lock, request))
+        pending = []
+        for group in groups.values():
+            model, _, m_shots, _ = group[0][1]
+            p1, p2, *_ = model.evaluate(np.array([request[1] for _, request in group]))
+            keys, new = [], {}  # each request's memo key; the rows the memo lacks
+            for (_, (_, _, _, seed)), a, b in zip(group, p1[:, 1], p2[:, 1]):
+                rec = _draw_record(a, b, m_shots, seed)
+                row = [*rec.counts1.tolist(), *rec.counts2.tolist()]
+                keys.append(_memo_key(0.0, m_shots, row))
+                if keys[-1] not in model.cache:
+                    new[keys[-1]] = row
+            try:
+                fits = _fit_records(model, np.array(list(new.values())), m_shots) if new else []
+            except CombPhaseError:
+                continue
+            model.cache.update(zip(new, fits))
+            for (lock, _), key in zip(group, keys):
+                try:
+                    pending.append((lock, lock.send(model.cache[key])))
+                except (StopIteration, CombPhaseError):
+                    pass
 
 
 def _safe_train_length(bound: float) -> int:

@@ -407,7 +407,7 @@ def _run_closed_forms(cfg, out, fmt):
             u = protocols.closed_form_1b(train.phases).matrix
         spec = protocols.ProtocolSpec(kind, n, nd, 0.0, np.pi / 2)
         v = protocols.ramsey_model(spec).train_unitary(dphi)
-        err = 1.0 - pulses.matrix_fidelity(u, v)
+        err = pulses._matrix_infidelity(u, v)
         worst = max(worst, err)
         rows.append((case, kind, n, nd, dphi, err))
     path = _write_rows(
@@ -642,26 +642,32 @@ def _run_refine(cfg, out, fmt):
     # 200 kHz-class offset as the prior bound; prior_scale < 1 models an
     # operator underestimating the offset, which must abort with a wrap error
     prior = abs(c.phase_step) * p["prior_scale"]
-    config = estimation.RefineConfig(
-        m_shots=p["m_shots"],
-        growth=p["growth"],
-        max_stages=p["max_stages"],
-        prior_bound=prior,
-        seed=cfg.seed,
-    )
+    try:
+        config = estimation.RefineConfig(
+            m_shots=p["m_shots"],
+            growth=p["growth"],
+            max_stages=p["max_stages"],
+            prior_bound=prior,
+            seed=cfg.seed,
+        )
+    except ValueError as e:  # a prior_scale so small that the bound rounds to 0
+        raise ScenarioConfigError(f"params of kind refine_fiber: {e}") from e
 
     true_bound = abs(c.phase_step)
+    locks = []
+    for seed in range(cfg.seed, cfg.seed + p["n_seeds"]):
+        true = float(np.random.default_rng(seed).uniform(-true_bound, true_bound))
+        locks.append((true, replace(config, seed=seed * 13 + cfg.seed)))
     # one model per train length for all locks of this run: without the
-    # oracle the locks share their N schedule, so each fringe grid is built once
+    # oracle the locks share their N schedule, so each fringe grid is built
+    # once, and the lockstep fills each model's fit memo with one batched
+    # fit per stage before the locks run one by one
     models = {}
-
-    def one(seed):
-        rng = np.random.default_rng(seed)
-        true = float(rng.uniform(-true_bound, true_bound))
-        tr = estimation.iterative_refine(true, replace(config, seed=seed * 13 + cfg.seed), models)
-        return true, tr
-
-    results = [one(s) for s in range(cfg.seed, cfg.seed + p["n_seeds"])]
+    t0 = time.perf_counter()
+    estimation._prefit_locks(locks, models)
+    t1 = time.perf_counter()
+    results = [(true, estimation.iterative_refine(true, lock, models)) for true, lock in locks]
+    timings = {"prefit_s": t1 - t0, "locks_s": time.perf_counter() - t1}
     rows = []
     for seed_i, (true, tr) in enumerate(results):
         last = tr.stages[-1]
@@ -698,7 +704,7 @@ def _run_refine(cfg, out, fmt):
         "all_locked": bool(all(r[7] for r in rows)),
         "worst_residual_ratio": max(r[6] for r in rows),
         "backoffs": backoffs,
-    }, diagnostics
+    }, diagnostics, timings
 
 
 def _summed(studies: list[dict]) -> dict:
@@ -758,8 +764,9 @@ def run_scenario(
     out = Path(out_dir)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
-    # a runner that fits returns its diagnostics third
-    artifacts, summary, *diagnostics = _RUNNERS[cfg.kind](cfg, out, fmt)
+    # a runner that fits returns its diagnostics third, and one that times
+    # its own stages returns their wall times fourth
+    artifacts, summary, *extra = _RUNNERS[cfg.kind](cfg, out, fmt)
     run_s = time.perf_counter() - t0
     from . import __version__
 
@@ -773,10 +780,10 @@ def run_scenario(
         "package_version": __version__,
         "numpy_version": np.__version__,
         # wall times live here only: data files must stay byte-identical
-        "timings": {"run_s": run_s},
+        "timings": {"run_s": run_s, **(extra[1] if len(extra) > 1 else {})},
     }
-    if diagnostics:
-        manifest["diagnostics"] = diagnostics[0]
+    if extra:
+        manifest["diagnostics"] = extra[0]
     mpath = _write_json(out / "manifest.json", manifest)
     return {
         "artifacts": [str(a) for a in artifacts] + [str(mpath)],

@@ -66,6 +66,22 @@ def test_sample_record_deterministic_counts():
     assert a.counts1.sum() == 500
 
 
+@pytest.mark.parametrize("n,m_shots", [(14, 5000), (62, 5000), (3584, 200), (1000, 1)])
+def test_a_drawn_record_is_the_sampled_record_bit_for_bit(n, m_shots):
+    # the lockstep takes a group's probabilities from one batched evaluate
+    # and draws each record with the helper `sample_record` draws with
+    model = _model(n=n)
+    residuals = np.linspace(-0.5, 0.5, 11) * np.pi / (4.0 * model.spec.enhancement)
+    p1, p2, *_ = model.evaluate(residuals)
+    for i, (residual, seed) in enumerate(zip(residuals.tolist(), range(100, 111))):
+        scalar = _model(n=n).evaluate(residual)
+        assert p1[i, 1] == scalar[0][1] and p2[i, 1] == scalar[1][1]
+        drawn = estimation._draw_record(p1[i, 1], p2[i, 1], m_shots, seed)
+        sampled = sample_record(_model(n=n), np.pi / 2, residual, m_shots, seed)
+        assert np.array_equal(drawn.counts1, sampled.counts1)
+        assert np.array_equal(drawn.counts2, sampled.counts2)
+
+
 def test_sampling_cache_keeps_the_latest_dphi_only():
     model = _model()
     first = sample_record(model, np.pi / 2, 0.001, 500, seed=9)
@@ -725,7 +741,10 @@ def test_iterative_refine_tightens_each_stage():
 
 
 @pytest.mark.parametrize(
-    "field,value", [("m_shots", 0), ("growth", 1), ("growth", 4.0), ("max_stages", 0), ("max_stages", True)]
+    "field,value",
+    [("m_shots", 0), ("growth", 1), ("growth", 4.0), ("max_stages", 0), ("max_stages", True)]
+    # a NaN bound used to reach the first train length and fail converting NaN to an integer
+    + [("prior_bound", v) for v in (float("nan"), float("inf"), 0.0, -0.01, "0.02", True)],
 )
 def test_refine_config_rejects_bad_counts(field, value):
     with pytest.raises(ValueError, match=field):
@@ -795,3 +814,111 @@ def test_shared_models_leave_every_lock_unchanged(monkeypatch):
     assert {model.spec for model, _, _ in fits} == set(models)
     assert all(model is models[model.spec] for model, _, _ in fits)
     assert all(sum(key[0] == "grid" for key in m.cache) == 1 for m in models.values())
+
+
+def _lone_locks(locks):
+    """Each lock run alone, with models of its own: a trace, or the error it raised."""
+    outcomes = []
+    for true, config in locks:
+        try:
+            outcomes.append(iterative_refine(true, config))
+        except WrapAmbiguityError as e:
+            outcomes.append((type(e), str(e)))
+    return outcomes
+
+
+def _lockstep_locks(locks, prefill=None):
+    """The locks run as a run runs them: the lockstep fills the shared
+    models' memos (over ``prefill``, the locks themselves by default), then
+    each lock runs on its own."""
+    models = {}
+    estimation._prefit_locks(locks if prefill is None else prefill, models)
+    outcomes = []
+    for true, config in locks:
+        try:
+            outcomes.append(iterative_refine(true, config, models))
+        except WrapAmbiguityError as e:
+            outcomes.append((type(e), str(e)))
+    return outcomes, models
+
+
+def _fit_calls(monkeypatch):
+    """Record the number of rows of every `_fit_records` call."""
+    calls = []
+    fit = estimation._fit_records
+
+    def spy(model, counts, m_shots, dphi0=0.0):
+        calls.append(len(counts))
+        return fit(model, counts, m_shots, dphi0)
+
+    monkeypatch.setattr(estimation, "_fit_records", spy)
+    return calls
+
+
+def test_lockstep_locks_equal_lone_locks(monkeypatch):
+    locks = [_fiber_lock(i) for i in range(20)]
+    alone = _lone_locks(locks)
+    assert alone[_BACKOFF_LOCK].backoffs == 1
+    calls = _fit_calls(monkeypatch)
+    fits = _record_fits(monkeypatch)
+    models = {}
+    estimation._prefit_locks(locks, models)
+    prefit = len(calls)
+    lockstep = [iterative_refine(true, config, models) for true, config in locks]
+    assert lockstep == alone
+    # every lock read its fits from the memo, and each distinct record was fit once
+    assert len(calls) == prefit
+    assert sum(calls) == estimation.distinct_fits(models.values()) <= len(fits)
+    # one fit per train length at each step: split the fits lock by lock
+    lengths, start = [], 0
+    for trace in lockstep:
+        end = start + len(trace.stages) + trace.backoffs
+        lengths.append([model.spec.n_pulses for model, _, _ in fits[start:end]])
+        start = end
+    assert start == len(fits)
+    steps = max(map(len, lengths))
+    per_step = [{ns[k] for ns in lengths if k < len(ns)} for k in range(steps)]
+    assert prefit <= sum(map(len, per_step)) <= steps * max(map(len, per_step)) < len(fits)
+
+
+def test_a_lock_that_raises_in_lockstep_raises_alone(monkeypatch):
+    # every fit at N = 14 pins to the window edge; every lock starts at
+    # N = 62, and lock 14, which backs off from 62 to 14, pins twice
+    fit = estimation._fit_records
+
+    def pinned_at_14(model, counts, m_shots, dphi0=0.0):
+        results = fit(model, counts, m_shots, dphi0)
+        if model.spec.n_pulses != 14:
+            return results
+        window = np.pi / (4.0 * model.spec.enhancement)
+        return [replace(r, dphi_hat=window) for r in results]
+
+    monkeypatch.setattr(estimation, "_fit_records", pinned_at_14)
+    locks = [_fiber_lock(i) for i in range(20)]
+    alone = _lone_locks(locks)
+    assert [i for i, outcome in enumerate(alone) if isinstance(outcome, tuple)] == [_BACKOFF_LOCK]
+    assert alone[_BACKOFF_LOCK] == (WrapAmbiguityError, "estimate pinned to the fringe edge twice at N=14")
+    lockstep, _ = _lockstep_locks(locks)
+    assert lockstep == alone
+
+
+def test_locks_do_not_depend_on_the_prefill(monkeypatch):
+    locks = [_fiber_lock(i) for i in range(20)]
+    alone = _lone_locks(locks)
+    calls = _fit_calls(monkeypatch)
+    # perturbed: the memo holds fits of records the locks mostly do not
+    # draw, so they fit most of their records on their own
+    models = {}
+    estimation._prefit_locks([(true + 1e-4, config) for true, config in locks], models)
+    prefit = len(calls)
+    assert [iterative_refine(true, config, models) for true, config in locks] == alone
+    assert 0 < prefit < len(calls) - prefit
+    # emptied: the prefill's fits are gone before the locks run
+    models = {}
+    estimation._prefit_locks(locks, models)
+    for model in models.values():
+        for key in [key for key in model.cache if key[0] == "fit"]:
+            del model.cache[key]
+    assert [iterative_refine(true, config, models) for true, config in locks] == alone
+    # and no prefill at all
+    assert _lockstep_locks(locks, prefill=[])[0] == alone

@@ -277,6 +277,64 @@ def test_refine_manifest_counts_every_fit_of_the_locks(tmp_path, monkeypatch):
     assert diagnostics["score_evaluations"] > diagnostics["fits"]
 
 
+def test_lockstep_run_equals_the_per_lock_run(tmp_path, monkeypatch):
+    # the oracle is the same run with the lockstep prefill switched off;
+    # lock 14 at this seed pins once and recovers (see test_estimation)
+    traces, fit_rows = [], []
+    refine, fit = estimation.iterative_refine, estimation._fit_records
+
+    def spy(true_dphi, config, models):
+        traces.append(refine(true_dphi, config, models))
+        return traces[-1]
+
+    def counted(model, counts, m_shots, dphi0=0.0):
+        fit_rows.append(len(counts))
+        return fit(model, counts, m_shots, dphi0)
+
+    monkeypatch.setattr(estimation, "iterative_refine", spy)
+    monkeypatch.setattr(estimation, "_fit_records", counted)
+    cfg = _config(tmp_path, "refine_fiber", {"n_seeds": 15, "m_shots": 5000})
+    run_scenario(cfg, tmp_path / "lockstep", seed=1835504127)
+    lockstep, lockstep_fits = traces[:], fit_rows[:]
+    traces.clear()
+    fit_rows.clear()
+    monkeypatch.setattr(estimation, "_prefit_locks", lambda locks, models: None)
+    run_scenario(cfg, tmp_path / "alone", seed=1835504127)
+    assert lockstep == traces and sum(t.backoffs for t in traces) == 1
+    manifests = [json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("lockstep", "alone")]
+    assert manifests[0]["diagnostics"] == manifests[1]["diagnostics"]
+    for a in (tmp_path / "alone").iterdir():
+        if a.name != "manifest.json":
+            assert a.read_bytes() == (tmp_path / "lockstep" / a.name).read_bytes()
+    # alone, one fit per record; in lockstep, one per train length and step,
+    # and the locks follow two N schedules (from 62, and from 14 after a back-off)
+    fits = manifests[0]["diagnostics"]["fits"]
+    assert len(fit_rows) == fits
+    steps = max(len(t.stages) + t.backoffs for t in traces)
+    assert len(lockstep_fits) <= steps * 2 < fits
+    assert sum(lockstep_fits) == manifests[0]["diagnostics"]["distinct_records"]
+
+
+def test_refine_manifest_times_the_lockstep_and_the_locks(tmp_path):
+    cfg = _config(tmp_path, "refine_fiber", TINY_PARAMS["refine_fiber"])
+    run_scenario(cfg, tmp_path / "refine")
+    timings = json.loads((tmp_path / "refine" / "manifest.json").read_text())["timings"]
+    assert list(timings) == ["run_s", "prefit_s", "locks_s"]
+    assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
+    assert timings["prefit_s"] + timings["locks_s"] <= timings["run_s"]
+    run_scenario("error_models", tmp_path / "other")
+    assert list(json.loads((tmp_path / "other" / "manifest.json").read_text())["timings"]) == ["run_s"]
+
+
+def test_a_prior_that_rounds_to_zero_exits_2(tmp_path):
+    cfg = _config(tmp_path, "refine_fiber", {**TINY_PARAMS["refine_fiber"], "prior_scale": 1e-323})
+    with pytest.raises(ScenarioConfigError, match="prior_bound"):
+        run_scenario(cfg, tmp_path / "direct")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
+    assert not out.exists()
+
+
 def test_refine_locks_share_models_within_one_run_only(tmp_path, monkeypatch):
     dicts = []
     refine = estimation.iterative_refine
@@ -683,6 +741,15 @@ def test_closed_forms_match_the_outcome_model(tmp_path):
     rows = (tmp_path / "out" / "closed_forms.csv").read_text().splitlines()
     assert [r.split(",")[1] for r in rows[1:]] == ["1B", "2B", "phase_ref"]
     assert result["summary"]["worst_fidelity_error"] < 1e-9
+
+
+def test_bundled_closed_forms_fidelity_errors_are_not_negative(tmp_path):
+    # 1 - fidelity, formed by subtraction, read -2.2e-16 at rounding noise
+    result = run_scenario("closed_forms", tmp_path)
+    errors = [float(r.split(",")[-1]) for r in (tmp_path / "closed_forms.csv").read_text().splitlines()[1:]]
+    assert len(errors) == 200
+    assert min(errors) >= 0.0
+    assert max(errors) == result["summary"]["worst_fidelity_error"] < 1e-15
 
 
 def test_bundled_and_benchmark_configs_load():
