@@ -12,10 +12,10 @@ derivatives only, the Fisher information I_dphidphi is a number, and the
 Cramer-Rao bound is 1 / I_dphidphi (Kay, *Estimation Theory*, 1993, ch. 3).
 
 Every fit is read through `ml_estimate`, whose memo on the model holds one
-fit per distinct record.  Two callers fill it with batched fits first:
-`estimator_study` with a study's distinct records, and `_prefit_locks`
-with the records of a run's locks, one `_fit_records` call per train
-length and step.  A record the memo lacks is fit on its own.
+fit per distinct record.  One helper, `_fill_memo`, stores batched fits in
+it: `estimator_study` calls it with a study's records, and `_prefit_locks`
+with the records of a run's locks, once per train length and step.  A
+record the memo lacks is fit on its own.
 """
 from __future__ import annotations
 
@@ -98,9 +98,9 @@ def _information(probs, m_shots: int, chi: float):
     return info, singular
 
 
-def _information_at(model: RamseyOutcomeModel, dphi, m_shots):
-    """dphi information at ``dphi`` (scalar or array); raises if any point is singular."""
-    info, singular = _information(model.evaluate(dphi), m_shots, model.spec.enhancement)
+def _nonsingular_information(probs, m_shots: int, chi: float):
+    """`_information` of ``probs``; raises SingularInformationError if any point is singular."""
+    info, singular = _information(probs, m_shots, chi)
     if np.any(singular):
         raise SingularInformationError("outcome probability vanishes with nonzero derivative")
     return info
@@ -115,7 +115,7 @@ def fisher_matrix(model: RamseyOutcomeModel, dphi: float, m_shots: int) -> float
     means the score diverges and raises SingularInformationError.  The name
     predates the scalar result; `perfbench/tracer.py` wraps it by name.
     """
-    return float(_information_at(model, dphi, m_shots))
+    return float(_nonsingular_information(model.evaluate(dphi), m_shots, model.spec.enhancement))
 
 
 def _check_theta(model: RamseyOutcomeModel, theta) -> None:
@@ -193,11 +193,10 @@ def ml_estimate(
 
     The fit is the one-record call of the batched engine `_fit_records`.
     Fits are memoised on the model, keyed by the initial dphi, ``m_shots``
-    and both arms' counts; `estimator_study` fills the memo with all its
-    distinct records from one engine call, and `_prefit_locks` with the
-    records of a run's locks, one engine call per model and step.  The
-    first read of a stored fit returns it with the score evaluations its
-    fit took, and later reads of the same record return it with
+    and both arms' counts; `_fill_memo` fills the memo in batches, for a
+    study or for one train length and step of a run's locks.  The first
+    read of a stored fit returns it with the score evaluations its fit
+    took, and later reads of the same record return it with
     ``n_evaluations=0``.  The wrap and phase-information checks run before
     the lookup, and a fit that raises stores nothing, so errors repeat as
     well.
@@ -220,6 +219,18 @@ def _memo_key(dphi0: float, m_shots: int, counts) -> tuple:
     """`ml_estimate`'s memo key of a record with ``counts`` (arm 1's outcomes
     0 and 1, then arm 2's) fit around ``dphi0``."""
     return ("fit", dphi0, m_shots, tuple(counts))
+
+
+def _fill_memo(model, rows, m_shots: int) -> list[EstimationResult]:
+    """Each row's fit around 0 from ``model``'s fit memo; one `_fit_records`
+    call fits the distinct ``rows`` (a record's four counts each) the memo
+    lacks and stores them under `ml_estimate`'s key, or raises and stores
+    nothing."""
+    keys = [_memo_key(0.0, m_shots, row) for row in rows]
+    new = {key: row for key, row in zip(keys, rows) if key not in model.cache}
+    if new:
+        model.cache.update(zip(new, _fit_records(model, np.array(list(new.values())), m_shots)))
+    return [model.cache[key] for key in keys]
 
 
 def distinct_fits(models) -> int:
@@ -261,9 +272,7 @@ def _fringe_grid(model, lo, hi):
     if key not in model.cache:
         grid = np.linspace(lo, hi, _GRID_POINTS)
         probs = model.evaluate(grid)
-        info, singular = _information(probs, 1, model.spec.enhancement)
-        if np.any(singular):
-            raise SingularInformationError("outcome probability vanishes with nonzero derivative")
+        info = _nonsingular_information(probs, 1, model.spec.enhancement)
         p1, p2, d1p, d2p = probs
         pc = np.clip(np.concatenate([p1, p2], axis=-1), _PCLIP, 1.0).T
         dp = np.concatenate([d1p, d2p], axis=-1).T
@@ -383,7 +392,7 @@ def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[Estima
         fa, fb = np.where(swap, fb, fa), np.where(swap, fa, fb)
     counts1, counts2 = counts[rows, :2], counts[rows, 2:]
     xtol = 1e-12 / model.spec.enhancement
-    # the evaluation at each row's root, for the rows whose root is an iterate
+    # the evaluation at each row's root: its last score's if the root is an iterate
     at_root = np.empty((4, len(counts), 2))
     iterate = np.zeros(len(counts), dtype=bool)
     for n in range(_ROOT_ITERATIONS):
@@ -415,12 +424,9 @@ def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[Estima
         converged[rows] = False
         at_root[:, rows] = last
         iterate[rows] = True
-    info = np.empty(len(counts))
-    info[iterate], singular = _information(at_root[:, iterate], m_shots, model.spec.enhancement)
-    if np.any(singular):
-        raise SingularInformationError("outcome probability vanishes with nonzero derivative")
     if not iterate.all():
-        info[~iterate] = _information_at(model, root[~iterate], m_shots)
+        at_root[:, ~iterate] = model.evaluate(root[~iterate])
+    info = _nonsingular_information(at_root, m_shots, model.spec.enhancement)
     return [
         EstimationResult(dp, 1.0 / i if i else np.inf, c, e)
         for dp, i, c, e in zip(root.tolist(), info.tolist(), converged.tolist(), evaluations.tolist())
@@ -496,40 +502,38 @@ def estimator_study(
 
     The reference phase is chosen for maximal dphi information at the true
     point, then each seed draws one record of ``m_shots`` per arm, one
-    `sample_record` call per seed.  The distinct records are fit together by
-    one `_fit_records` call and stored in the model's fit memo, and each
-    seed reads its fit through `ml_estimate`, so a study's model evaluations
-    do not grow with its number of distinct records.
+    `sample_record` call per seed.  `_fill_memo` fits the distinct records
+    together, and each seed reads its fit through `ml_estimate`, so a
+    study's model evaluations do not grow with its number of distinct
+    records.
 
     Returns the estimates in seed order, the fixed-theta Cramer-Rao bound
     1 / I_dphidphi on the variance of one experiment's estimate (the bound
-    `ml_estimate` reports), and the study's diagnostics: ``fits`` (one per
-    seed), ``distinct_records``, ``nonconverged`` fits, fits ``pinned``
-    within 0.98 of the window edge, and ``score_evaluations``, the
-    ``n_evaluations`` of the distinct records' fits summed.  A study none of
-    whose fits converged raises DegenerateFitError: its estimates are not
-    maximum-likelihood estimates, and their spread says nothing about the
-    estimator.
+    `ml_estimate` reports), and the study's diagnostics, counted as a lock
+    run counts them: ``fits`` (one per seed), ``distinct_records``
+    (`distinct_fits`), ``nonconverged`` fits, fits ``pinned`` within 0.98 of
+    the window edge, and ``score_evaluations``, the ``n_evaluations`` the
+    fits return.  A study none of whose fits converged, or one of two or
+    more seeds whose estimates all coincide, raises DegenerateFitError: its
+    spread then says nothing about the estimator.
     """
     xi = optimize_reference_phase(spec, dphi)
     model = ramsey_model(replace(spec, reference_phase=xi))
     records = [sample_record(model, spec.theta, dphi, m_shots, s) for s in seeds]
-    counts = np.array([[*r.counts1, *r.counts2] for r in records], dtype=int).reshape(-1, 4)
-    distinct = np.unique(counts, axis=0)
-    distinct_fits = _fit_records(model, distinct, m_shots)
-    for row, fit in zip(distinct.tolist(), distinct_fits):
-        model.cache[_memo_key(0.0, m_shots, row)] = fit
+    _fill_memo(model, [[*r.counts1.tolist(), *r.counts2.tolist()] for r in records], m_shots)
     fits = [ml_estimate(rec, model, (spec.theta, 0.0)) for rec in records]
     if fits and not any(f.converged for f in fits):
         raise DegenerateFitError(f"none of the {len(fits)} fits of the study converged")
     estimates = np.array([f.dphi_hat for f in fits], dtype=float)
+    if len(estimates) >= 2 and np.all(estimates == estimates[0]):
+        raise DegenerateFitError(f"all {len(fits)} estimates of the study coincide")
     window = np.pi / (4.0 * spec.enhancement)
     diagnostics = {
         "fits": len(fits),
-        "distinct_records": len(distinct),
+        "distinct_records": distinct_fits([model]),
         "nonconverged": sum(not f.converged for f in fits),
         "pinned": int(np.sum(np.abs(estimates) >= 0.98 * window)),
-        "score_evaluations": sum(f.n_evaluations for f in distinct_fits),
+        "score_evaluations": sum(f.n_evaluations for f in fits),
     }
     return estimates, 1.0 / fisher_matrix(model, dphi, m_shots), diagnostics
 
@@ -697,10 +701,10 @@ def _prefit_locks(locks, models: dict) -> None:
     lock runs here; at each step their requests are grouped by model and
     shot count, one batched `evaluate` gives the group's probabilities,
     each record is drawn with its own seed (`_draw_record`, as
-    `sample_record` draws it), and the group's records that the memo lacks
-    are fit by one `_fit_records` call and stored under `ml_estimate`'s
-    key.  The locks' own calls then read their fits from the memo, so the
-    model evaluations of a run grow with its stages, not with its locks.
+    `sample_record` draws it), and `_fill_memo` fits the group's records
+    that the memo lacks in one batch.  The locks' own calls then read their
+    fits from the memo, so the model evaluations of a run grow with its
+    stages, not with its locks.
 
     Nothing here decides a result: a memo entry is the fit of its key,
     whoever stores it.  A lock that raises a CombPhaseError, or whose group
@@ -723,21 +727,17 @@ def _prefit_locks(locks, models: dict) -> None:
         for group in groups.values():
             model, _, m_shots, _ = group[0][1]
             p1, p2, *_ = model.evaluate(np.array([request[1] for _, request in group]))
-            keys, new = [], {}  # each request's memo key; the rows the memo lacks
-            for (_, (_, _, _, seed)), a, b in zip(group, p1[:, 1], p2[:, 1]):
-                rec = _draw_record(a, b, m_shots, seed)
-                row = [*rec.counts1.tolist(), *rec.counts2.tolist()]
-                keys.append(_memo_key(0.0, m_shots, row))
-                if keys[-1] not in model.cache:
-                    new[keys[-1]] = row
+            records = [
+                _draw_record(a, b, m_shots, seed) for (_, (*_, seed)), a, b in zip(group, p1[:, 1], p2[:, 1])
+            ]
+            rows = [[*rec.counts1.tolist(), *rec.counts2.tolist()] for rec in records]
             try:
-                fits = _fit_records(model, np.array(list(new.values())), m_shots) if new else []
+                fits = _fill_memo(model, rows, m_shots)
             except CombPhaseError:
                 continue
-            model.cache.update(zip(new, fits))
-            for (lock, _), key in zip(group, keys):
+            for (lock, _), fit in zip(group, fits):
                 try:
-                    pending.append((lock, lock.send(model.cache[key])))
+                    pending.append((lock, lock.send(fit)))
                 except (StopIteration, CombPhaseError):
                     pass
 

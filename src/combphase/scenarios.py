@@ -282,10 +282,10 @@ def _filled(mapping: dict, table: dict, index: int = 0) -> dict:
 
 
 def load_scenario_config(path) -> ScenarioConfig:
-    text = Path(path).read_text()
     try:
+        text = Path(path).read_text()
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as e:
+    except (UnicodeDecodeError, yaml.YAMLError) as e:
         raise ScenarioConfigError(f"{path}: not valid YAML: {e}") from e
     _validate(raw)
     top = _filled(raw, _TOP_LEVEL)
@@ -448,6 +448,18 @@ def _checked_specs(entries, what: str, make) -> list:
     return specs
 
 
+def _studies(points, n_seeds: int):
+    """One `estimation.estimator_study` of ``n_seeds`` seeds per point (spec,
+    true dphi, m_shots, first seed), all before a runner writes any file.
+    Returns each point's (estimates, bound) and the diagnostics summed."""
+    studies = [
+        estimation.estimator_study(spec, dphi, m_shots, range(start, start + n_seeds))
+        for spec, dphi, m_shots, start in points
+    ]
+    diagnostics = {key: sum(study[2][key] for study in studies) for key in studies[0][2]}
+    return [study[:2] for study in studies], diagnostics
+
+
 def _scan_specs(scan) -> list:
     """The `ProtocolSpec` of each point of one ``scans`` entry, checked."""
     n_values, n_delays = scan["n_values"], scan["n_delay_values"]
@@ -464,7 +476,8 @@ def _run_table1_scaling(cfg, out, fmt):
     slope of sigma against chi = `ProtocolSpec.enhancement`.
 
     The true dphi at each point is 0.2 / chi, so every point sits at the same
-    spot on its fringe.  Every scan is checked before the first fit.
+    spot on its fringe, and point i of each scan starts at seed + 1000 i.
+    Every scan is checked before the first fit.
     """
     p = cfg.params
     m_shots = p["m_shots"]
@@ -472,18 +485,17 @@ def _run_table1_scaling(cfg, out, fmt):
     kinds = [specs[0].kind for specs in scans]
     if len(set(kinds)) < len(kinds):
         raise ScenarioConfigError(f"one scan per kind, since the kind names its files: {kinds}")
-    artifacts = []
-    slopes = {}
-    studies = []
-    for specs in scans:
-        kind = specs[0].kind
+    points = [
+        (spec, 0.2 / spec.enhancement, m_shots, cfg.seed + 1000 * i)
+        for specs in scans
+        for i, spec in enumerate(specs)
+    ]
+    studies, diagnostics = _studies(points, p["n_seeds"])
+    artifacts, slopes = [], {}
+    for specs, kind in zip(scans, kinds):
+        scan, studies = studies[: len(specs)], studies[len(specs):]
         rows = []
-        for i, spec in enumerate(specs):
-            start = cfg.seed + 1000 * i
-            ests, variance, diagnostics = estimation.estimator_study(
-                spec, 0.2 / spec.enhancement, m_shots, range(start, start + p["n_seeds"])
-            )
-            studies.append(diagnostics)
+        for spec, (ests, variance) in zip(specs, scan):
             sigma = float(np.std(ests, ddof=1))
             crlb_sigma = float(np.sqrt(variance))
             rows.append((spec.n_pulses, spec.n_delay, m_shots, sigma, crlb_sigma, sigma / crlb_sigma))
@@ -497,7 +509,7 @@ def _run_table1_scaling(cfg, out, fmt):
         )
         artifacts += [path, sidecar]
         slopes[kind] = float(coef[0])
-    return artifacts, {"slopes": slopes}, _summed(studies)
+    return artifacts, {"slopes": slopes}, diagnostics
 
 
 def _point_spec(pt):
@@ -506,20 +518,17 @@ def _point_spec(pt):
 
 
 def _run_crlb_saturation(cfg, out, fmt):
-    """Estimator variance against the CRLB at each point, all checked first."""
+    """Estimator variance against the CRLB at each point, all checked first;
+    a point starts at seed + its ``seed_offset``."""
     p = cfg.params
-    n_seeds = p["n_seeds"]
     specs = _checked_specs(p["points"], "points", _point_spec)
+    points = [
+        (spec, pt["dphi"], pt["m_shots"], cfg.seed + pt["seed_offset"])
+        for pt, spec in zip(p["points"], specs)
+    ]
+    studies, diagnostics = _studies(points, p["n_seeds"])
     rows = []
-    studies = []
-    for pt, spec in zip(p["points"], specs):
-        dphi = pt["dphi"]
-        m_shots = pt["m_shots"]
-        base_seed = cfg.seed + pt["seed_offset"]
-        ests, bound, diagnostics = estimation.estimator_study(
-            spec, dphi, m_shots, range(base_seed, base_seed + n_seeds)
-        )
-        studies.append(diagnostics)
+    for (spec, dphi, m_shots, _), (ests, bound) in zip(points, studies):
         var = float(np.var(ests, ddof=1))
         rows.append((spec.kind, spec.n_pulses, spec.n_delay, dphi, m_shots, var, bound, var / bound))
     path = _write_rows(
@@ -527,7 +536,7 @@ def _run_crlb_saturation(cfg, out, fmt):
         ["kind", "n", "n_delay", "dphi", "m_shots", "variance", "crlb", "ratio"],
         rows, fmt,
     )
-    return [path], {"ratios": [r[7] for r in rows]}, _summed(studies)
+    return [path], {"ratios": [r[7] for r in rows]}, diagnostics
 
 
 def _reduced_spec(point):
@@ -544,24 +553,19 @@ def _extrapolated_row(case):
 def _run_resolution(cfg, out, fmt):
     """Offset-frequency resolution: verified scaling at desk scale, then
     arithmetic extrapolation to configurations far beyond simulation.
-    Every reduced point is checked before the first fit."""
+    Every reduced point is checked before the first fit, and reduced point
+    i starts at seed + 10000 i."""
     p = cfg.params
-    rows = []
-    # reduced-scale consistency: sigma * chi * sqrt(M) should be flat
-    consts = []
-    studies = []
     m_shots = p["m_shots"]
     specs = _checked_specs(p["reduced_points"], "reduced_points", _reduced_spec)
-    for idx, spec in enumerate(specs):
-        chi = spec.enhancement
-        start = cfg.seed + 10_000 * idx
-        ests, _, diagnostics = estimation.estimator_study(
-            spec, 0.2 / chi, m_shots, range(start, start + p["n_seeds"])
-        )
-        studies.append(diagnostics)
-        sigma = float(np.std(ests, ddof=1))
-        consts.append(sigma * chi * np.sqrt(m_shots))
+    points = [(spec, 0.2 / spec.enhancement, m_shots, cfg.seed + 10_000 * i) for i, spec in enumerate(specs)]
+    studies, diagnostics = _studies(points, p["n_seeds"])
+    rows = []
+    for spec, (ests, _) in zip(specs, studies):
+        sigma, chi = float(np.std(ests, ddof=1)), spec.enhancement
         rows.append(("simulated", spec.n_pulses, spec.n_delay, sigma, sigma * chi * np.sqrt(m_shots)))
+    # reduced-scale consistency: sigma * chi * sqrt(M) should be flat
+    consts = [row[4] for row in rows]
     rows += [_extrapolated_row(case) for case in p["extrapolations"]]
     path = _write_rows(
         out / "resolution",
@@ -569,7 +573,7 @@ def _run_resolution(cfg, out, fmt):
         rows, fmt,
     )
     spread = float(np.ptp(consts) / np.mean(consts))
-    return [path], {"scaling_constant_spread": spread}, _summed(studies)
+    return [path], {"scaling_constant_spread": spread}, diagnostics
 
 
 def _raman_spec(p, delta_key):
@@ -705,11 +709,6 @@ def _run_refine(cfg, out, fmt):
         "worst_residual_ratio": max(r[6] for r in rows),
         "backoffs": backoffs,
     }, diagnostics, timings
-
-
-def _summed(studies: list[dict]) -> dict:
-    """The diagnostics of several `estimator_study` calls, added key by key."""
-    return {key: sum(d[key] for d in studies) for key in studies[0]}
 
 
 def _run_visibility(cfg, out, fmt):

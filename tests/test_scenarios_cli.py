@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import combphase
 from combphase import _su2, estimation, raman, scenarios
 from combphase.cli import EXIT_NUMERIC, EXIT_SCHEMA, EXIT_WRAP, main
-from combphase.errors import ScenarioConfigError
+from combphase.errors import DegenerateFitError, ScenarioConfigError
+from combphase.protocols import ProtocolSpec
 from combphase.scenarios import (
     PARAMS,
     find_scenario,
@@ -103,6 +104,15 @@ def test_yaml_parse_error_is_config_error(tmp_path):
     cfg = tmp_path / "broken.yaml"
     cfg.write_text("schema_version: 1\nname: broken\nkind: [unclosed\n")
     with pytest.raises(ScenarioConfigError, match="YAML"):
+        load_scenario_config(cfg)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+    assert not (tmp_path / "out").exists()
+
+
+def test_undecodable_config_is_config_error(tmp_path):
+    cfg = tmp_path / "undecodable.yaml"
+    cfg.write_bytes(b"\xff\xfe\x00bad")
+    with pytest.raises(ScenarioConfigError, match="undecodable.yaml"):
         load_scenario_config(cfg)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
     assert not (tmp_path / "out").exists()
@@ -374,6 +384,106 @@ def test_study_without_a_converged_fit_exits_3(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
     assert not list(out.glob("crlb_saturation*"))
+
+
+#: one shot and two seeds: at seed 0 some study draws two equal records, so
+#: its estimates coincide and its spread of 0 would read a perfect estimator
+_DEGENERATE_STUDIES = {
+    "table1_scaling": {"scans": [{"kind": "1B", "n_values": [4, 8, 16]}], "m_shots": 1, "n_seeds": 2},
+    "crlb_saturation": {"n_seeds": 2, "points": [{"kind": "1B", "n": 10, "dphi": 0.02, "m_shots": 1}]},
+    "resolution_extrapolation": {"reduced_points": [[4, 2], [8, 4]], "m_shots": 1, "n_seeds": 2},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DEGENERATE_STUDIES))
+def test_study_whose_estimates_coincide_exits_3(tmp_path, kind):
+    cfg = _config(tmp_path, kind, _DEGENERATE_STUDIES[kind])
+    with pytest.raises(DegenerateFitError, match="coincide"):
+        run_scenario(cfg, tmp_path / "direct")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    assert not out.exists()
+
+
+#: a 1B scan and a 2B scan of three points each
+_TWO_SCANS = [
+    {"kind": "1B", "n_values": [4, 8, 16], "n_delay_values": [0, 0, 0]},
+    {"kind": "2B", "n_values": [4, 6, 8], "n_delay_values": [2, 2, 2]},
+]
+
+
+def test_a_study_that_raises_leaves_no_data_file(tmp_path, monkeypatch):
+    # the 1B scan's studies succeed, then the 2B scan's first one raises
+    study = estimation.estimator_study
+
+    def failing_2b(spec, *args):
+        if spec.kind == "2B":
+            raise DegenerateFitError("the 2B study fails")
+        return study(spec, *args)
+
+    monkeypatch.setattr(estimation, "estimator_study", failing_2b)
+    cfg = _config(tmp_path, "table1_scaling", {"scans": _TWO_SCANS, "m_shots": 200, "n_seeds": 3})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    assert not out.exists()
+
+
+def _csv_rows(path):
+    """The rows of a CSV data file, each number as a float."""
+    def value(x):
+        try:
+            return float(x)
+        except ValueError:
+            return x
+
+    return [[value(x) for x in line.split(",")] for line in path.read_text().splitlines()[1:]]
+
+
+def _study(spec, dphi, m_shots, start, n_seeds):
+    """The estimates and bound of an `estimator_study` of ``n_seeds`` seeds from ``start``."""
+    estimates, bound, _ = estimation.estimator_study(spec, dphi, m_shots, range(start, start + n_seeds))
+    return estimates, bound
+
+
+def test_each_study_kind_keeps_its_seed_layout(tmp_path):
+    seed, n_seeds, m = 5, 3, 200
+    # table1_scaling: point i of each scan starts at seed + 1000 i
+    cfg = _config(tmp_path, "table1_scaling", {"scans": _TWO_SCANS, "m_shots": m, "n_seeds": n_seeds})
+    run_scenario(cfg, tmp_path / "scaling", seed=seed)
+    for scan in _TWO_SCANS:
+        expected = []
+        for i, (n, nd) in enumerate(zip(scan["n_values"], scan["n_delay_values"])):
+            spec = ProtocolSpec(scan["kind"], n, nd)
+            estimates, bound = _study(spec, 0.2 / spec.enhancement, m, seed + 1000 * i, n_seeds)
+            sigma, crlb = float(np.std(estimates, ddof=1)), float(np.sqrt(bound))
+            expected.append([n, nd, m, sigma, crlb, sigma / crlb])
+        assert _csv_rows(tmp_path / "scaling" / f"scaling_{scan['kind']}.csv") == expected
+    # crlb_saturation: a point starts at seed + its seed_offset, by default
+    # 1000 times its index
+    points = [
+        {"kind": "1B", "n": 10, "dphi": 0.02, "m_shots": 1000, "seed_offset": 7},
+        {"kind": "2B", "n": 4, "n_delay": 2, "dphi": 0.01, "m_shots": 500},
+    ]
+    cfg = _config(tmp_path, "crlb_saturation", {"points": points, "n_seeds": n_seeds})
+    run_scenario(cfg, tmp_path / "crlb", seed=seed)
+    expected = []
+    for pt, offset in zip(points, (7, 1000)):
+        spec = ProtocolSpec(pt["kind"], pt["n"], pt.get("n_delay", 0))
+        estimates, bound = _study(spec, pt["dphi"], pt["m_shots"], seed + offset, n_seeds)
+        var = float(np.var(estimates, ddof=1))
+        expected.append([spec.kind, spec.n_pulses, spec.n_delay, pt["dphi"], pt["m_shots"], var, bound, var / bound])
+    assert _csv_rows(tmp_path / "crlb" / "crlb_saturation.csv") == expected
+    # resolution_extrapolation: reduced point i starts at seed + 10000 i
+    reduced = [[4, 2], [8, 4]]
+    params = {"reduced_points": reduced, "m_shots": m, "n_seeds": n_seeds}
+    run_scenario(_config(tmp_path, "resolution_extrapolation", params), tmp_path / "resolution", seed=seed)
+    expected = []
+    for i, (n, nd) in enumerate(reduced):
+        spec = ProtocolSpec("2B", n, nd)
+        estimates, _ = _study(spec, 0.2 / spec.enhancement, m, seed + 10_000 * i, n_seeds)
+        sigma = float(np.std(estimates, ddof=1))
+        expected.append(["simulated", n, nd, sigma, sigma * spec.enhancement * np.sqrt(m)])
+    assert _csv_rows(tmp_path / "resolution" / "resolution.csv")[: len(reduced)] == expected
 
 
 def test_cli_wrap_abort_exit_code(tmp_path):
