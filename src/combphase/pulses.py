@@ -159,7 +159,8 @@ def _rotating_frame_hamiltonians(p: PulseSpec, phases, times) -> np.ndarray:
 
 def _propagate_two_level(p: PulseSpec, phases, steps: int) -> np.ndarray:
     """Magnus propagation over the pulse, batched over CEO phases: (G, 2, 2)."""
-    blocks = magnus_generators(lambda t: _rotating_frame_hamiltonians(p, phases, t), p.tau, steps)
+    width = np.size(phases)
+    blocks = magnus_generators(lambda t: _rotating_frame_hamiltonians(p, phases, t), p.tau, steps, width)
     return ordered_product(expm_herm(g) for g in blocks)
 
 

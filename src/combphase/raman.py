@@ -81,7 +81,8 @@ def _lambda_hamiltonians(l: LambdaSpec, phi2_grid, times) -> np.ndarray:
 
 def _propagate(l: LambdaSpec, phi2_grid, steps: int) -> np.ndarray:
     """Magnus propagation over the pulse, batched over phi_2: (G, 3, 3)."""
-    blocks = magnus_generators(lambda t: _lambda_hamiltonians(l, phi2_grid, t), l.duration, steps)
+    width = np.size(phi2_grid)
+    blocks = magnus_generators(lambda t: _lambda_hamiltonians(l, phi2_grid, t), l.duration, steps, width)
     return ordered_product(expm_herm(g) for g in blocks)
 
 

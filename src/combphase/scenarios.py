@@ -82,6 +82,8 @@ _REAL = _is_real, "a finite number"
 _POSITIVE = _is_positive, "a positive finite number"
 _NON_NEGATIVE = (lambda v: _is_real(v) and v >= 0), "a non-negative finite number"
 _MAPPINGS = (lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v)), "a list of mappings"
+# a study list: each entry is one study, and a run needs at least one
+_STUDIES = _list_of(lambda e: isinstance(e, dict), "mappings")
 _PROTOCOL_KIND = _one_of(protocols.PROTOCOL_KINDS)
 # a Raman laser at (1 - fraction) times the transition frequency: positive,
 # and detuned from the excited state
@@ -130,7 +132,7 @@ PARAMS = {
                 {"kind": "1B", "n_values": [100, 1000, 10000]},
                 {"kind": "2B", "n_values": [10, 32, 100], "n_delay_values": [10, 32, 100]},
             ],
-            *_MAPPINGS,
+            *_STUDIES,
             entries={
                 "kind": Key(REQUIRED, *_PROTOCOL_KIND),
                 "n_values": Key(REQUIRED, *_list_of(_int_at_least(1), "integers >= 1")),
@@ -145,7 +147,7 @@ PARAMS = {
     "crlb_saturation": {
         "points": Key(
             REQUIRED,
-            *_MAPPINGS,
+            *_STUDIES,
             entries={
                 "kind": Key(REQUIRED, *_PROTOCOL_KIND),
                 "n": Key(REQUIRED, *_count(1)),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from combphase import _su2, pulses, raman
+from combphase import _su2, pulses, raman, scenarios
 from combphase._su2 import rot_x, rot_z, step_count, unitarity_defect
 from combphase.errors import IntegrationError, UndefinedPhaseError
 from combphase.pulses import (
@@ -218,12 +218,28 @@ def test_batched_propagation_matches_one_value_at_a_time(d):
         assert np.allclose(u, PROPAGATORS[d](phase)[0], atol=1e-12)
 
 
-@pytest.mark.parametrize("d", sorted(PROPAGATORS))
-def test_propagation_does_not_depend_on_block_size(d, monkeypatch):
-    grid = np.array([0.0, 1.2])
-    default = PROPAGATORS[d](grid)
+def _bundled_phase_map():
+    """phi_s and d phi_s / d phi_l of the bundled map, one stack of 26 phases."""
+    params = scenarios.load_scenario_config(scenarios.find_scenario("raman_three_level")).params
+    spec = scenarios._raman_spec(params, "detuning_fraction_map")
+    result = raman.phase_map(spec, np.linspace(0.0, 2.0 * np.pi, params["grid_points"]))
+    return np.stack([result.phi_s, result.dphi_s])
+
+
+#: propagations at grid widths 2 and 26; at a budget of 7 matrices the first
+#: takes blocks of 3 steps and the bundled map blocks of one step
+BLOCKED = {
+    "2": lambda: PROPAGATORS[2](np.array([0.0, 1.2])),
+    "3": lambda: PROPAGATORS[3](np.array([0.0, 1.2])),
+    "bundled phase map": _bundled_phase_map,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED))
+def test_propagation_does_not_depend_on_block_size(name, monkeypatch):
+    default = BLOCKED[name]()
     monkeypatch.setattr(_su2, "MAGNUS_BLOCK", 7)
-    assert np.allclose(PROPAGATORS[d](grid), default, rtol=0.0, atol=1e-12)
+    assert np.allclose(BLOCKED[name](), default, rtol=0.0, atol=1e-12)
 
 
 def test_rwa_matrix_broadcasts_the_conjugated_rotation():

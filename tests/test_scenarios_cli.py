@@ -621,6 +621,16 @@ def test_bad_entries_rejected_before_fitting(tmp_path, no_fits, kind, params, na
     assert not out.exists() and not (tmp_path / "direct").exists()
 
 
+@pytest.mark.parametrize("kind,key", [("crlb_saturation", "points"), ("table1_scaling", "scans")])
+def test_empty_study_list_rejected_at_load(tmp_path, kind, key):
+    cfg = _config(tmp_path, kind, {key: []})
+    with pytest.raises(ScenarioConfigError, match=f"{key} must be a non-empty list of mappings"):
+        load_scenario_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "case",
     [

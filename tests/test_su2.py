@@ -54,11 +54,18 @@ def test_non_finite_generator_fails_as_an_integration_error(bad):
         refine_until_stable(lambda steps: expm_herm(h)[0, 0], 50, 1e-8)
 
     def propagate(steps):
-        blocks = magnus_generators(lambda t: np.broadcast_to(h[:1], (t.size, 1, 3, 3)), 1.0, steps)
+        blocks = magnus_generators(lambda t: np.broadcast_to(h[:1], (t.size, 1, 3, 3)), 1.0, steps, 1)
         return ordered_product(expm_herm(g) for g in blocks)
 
     with pytest.raises(IntegrationError):
         refine_until_stable(propagate, 50, 1e-8)
+
+
+def test_a_tolerance_below_rounding_is_never_reached():
+    # two resolutions that agree exactly show rounding, not an error of 0
+    with pytest.raises(IntegrationError, match="did not stabilize"):
+        refine_until_stable(lambda steps: np.eye(2, dtype=complex), 50, 1e-17)
+    assert np.array_equal(refine_until_stable(lambda steps: np.eye(2, dtype=complex), 50, 1e-13), np.eye(2))
 
 
 def _bundled_phase_map():
@@ -98,14 +105,16 @@ def _random_unitaries(length, grid, d, seed):
     return expm_herm(_random_hermitian((length, grid), d, seed))
 
 
-# 1029 factors fill four blocks of `MAGNUS_BLOCK` and part of a fifth
+# at grid width 4, 1029 factors fill two blocks of `MAGNUS_BLOCK` matrices
+# and part of a third
 @pytest.mark.parametrize("length", [1, 2, 7, 1029])
 @pytest.mark.parametrize("d", [2, 3])
 def test_ordered_product_matches_sequential_fold(d, length):
     factors = _random_unitaries(length, 4, d, seed=length)
     expected = _sequential_fold(factors)
     assert np.allclose(ordered_product(factors), expected, rtol=0.0, atol=1e-12)
-    blocks = (factors[i : i + MAGNUS_BLOCK] for i in range(0, length, MAGNUS_BLOCK))
+    step = MAGNUS_BLOCK // 4
+    blocks = (factors[i : i + step] for i in range(0, length, step))
     assert np.allclose(ordered_product(blocks), expected, rtol=0.0, atol=1e-12)
 
 
@@ -117,9 +126,25 @@ def test_ordered_product_rejects_empty_input():
 
 
 def test_magnus_generators_come_in_blocks():
-    steps = 2 * MAGNUS_BLOCK + 3
-    sizes = [g.shape[0] for g in magnus_generators(lambda t: np.zeros((t.size, 1, 2, 2)), 1.0, steps)]
-    assert sizes == [MAGNUS_BLOCK, MAGNUS_BLOCK, 3]
+    # one grid point, the bundled phase map's 26, and a grid wider than a block
+    for width, steps in ((1, 2 * MAGNUS_BLOCK + 3), (26, 200), (MAGNUS_BLOCK + 3, 5)):
+        scale = np.arange(1.0, width + 1.0)
+
+        def hamiltonians(t):
+            # H = t (g + 1) |0><0| commutes with itself, so each step's
+            # generator is h H at the step's midpoint
+            h = np.zeros((t.size, width, 2, 2))
+            h[..., 0, 0] = np.outer(t, scale)
+            return h
+
+        blocks = list(magnus_generators(hamiltonians, 2.0, steps, width))
+        assert all(g.shape[0] * width <= max(MAGNUS_BLOCK, width) for g in blocks)
+        assert all(g.shape[0] == max(1, MAGNUS_BLOCK // width) for g in blocks[:-1])
+        g = np.concatenate(blocks)
+        assert g.shape == (steps, width, 2, 2)
+        h_step = 2.0 / steps
+        midpoints = -1.0 + h_step * (np.arange(steps) + 0.5)
+        assert np.allclose(g[..., 0, 0], h_step * np.outer(midpoints, scale), rtol=1e-12, atol=1e-12)
 
 
 def _power_rule(m, dm, n):
@@ -222,10 +247,12 @@ def test_magnus_generators_are_exactly_hermitian():
     basis = a + a.conj().swapaxes(-1, -2)
 
     def hamiltonians(t):
-        weights = np.cos(np.outer(t, [1.0, 2.0, 3.0]))
-        return np.einsum("tk,kij->tij", weights, basis)[:, None]
+        # two grid points, at two frequency scales
+        weights = np.cos(np.multiply.outer(t, [[1.0, 2.0, 3.0], [0.5, 1.0, 1.5]]))
+        return np.einsum("tgk,kij->tgij", weights, basis)
 
-    blocks = list(magnus_generators(hamiltonians, 2.0, MAGNUS_BLOCK + 5))
-    assert [g.shape for g in blocks] == [(MAGNUS_BLOCK, 1, 3, 3), (5, 1, 3, 3)]
+    # blocks of MAGNUS_BLOCK matrices, here MAGNUS_BLOCK // 2 steps
+    blocks = list(magnus_generators(hamiltonians, 2.0, MAGNUS_BLOCK // 2 + 5, 2))
+    assert [g.shape for g in blocks] == [(MAGNUS_BLOCK // 2, 2, 3, 3), (5, 2, 3, 3)]
     for g in blocks:
         assert np.array_equal(g, g.conj().swapaxes(-1, -2))
