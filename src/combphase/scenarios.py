@@ -5,11 +5,16 @@ writes deterministic artifacts (CSV or JSON) plus a manifest recording the
 config hash, seed, package and git versions, a timestamp and the run's wall
 time.  Same config and seed always produce byte-identical data files; only
 the manifest's timestamp and timings vary.
+
+Each runner ``_run_<kind>(cfg)`` computes without writing and returns a
+`Run`; `run_scenario` writes its files and the manifest through
+`_write_files`, so a run that raises leaves no file and no directory.
 """
 from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import hashlib
 import importlib.resources
 import json
@@ -328,7 +333,10 @@ def find_scenario(name_or_path) -> Path:
     raise ScenarioConfigError(f"no scenario named or at {name_or_path!r}")
 
 
+@functools.cache
 def _git_rev() -> str:
+    """The source revision; the imported source does not change within a
+    process, so ``git`` runs once."""
     try:
         return subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -339,39 +347,59 @@ def _git_rev() -> str:
         return "unknown"
 
 
-def _write_rows(path: Path, header, rows, fmt: str) -> Path:
-    """Serialize rows deterministically; floats via repr for exact round-trip.
+class Table(NamedTuple):
+    """A tabular data file: its column names and its rows."""
 
-    Like `_write_json`, it creates the output directory, so a run that
-    fails before its first file leaves none behind.
+    header: list
+    rows: list
+
+
+class Run(NamedTuple):
+    """What a runner returns.
+
+    ``files`` maps each data file's stem, in writing order, to its content:
+    a `Table` (``.csv``, or ``.json`` with format json) or a JSON document
+    (``.json`` in either format).  ``diagnostics`` are the estimator's
+    counts of a runner that fits, and ``timings`` the wall times of a
+    runner's own stages.
     """
+
+    files: dict
+    summary: dict
+    diagnostics: dict | None = None
+    timings: dict = {}
+
+
+def _write_files(out: Path, files: dict, fmt: str) -> list[Path]:
+    """Write each of ``files`` (stem to content, as in `Run`) into ``out``,
+    creating it, and return the paths.  Floats in a table are written via
+    repr for an exact round-trip; a JSON document has two-space indent and
+    a final newline."""
     def enc(x):
         return repr(float(x)) if isinstance(x, (float, np.floating)) else x
 
-    if fmt == "json":
-        payload = [dict(zip(header, [enc(x) for x in r])) for r in rows]
-        return _write_json(path.with_suffix(".json"), payload)
-    path = path.with_suffix(".csv")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for r in rows:
-            w.writerow([enc(x) for x in r])
-    return path
-
-
-def _write_json(path: Path, obj) -> Path:
-    """Write one JSON document with two-space indent and a final newline."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2) + "\n")
-    return path
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for stem, content in files.items():
+        if isinstance(content, Table) and fmt == "csv":
+            path = out / f"{stem}.csv"
+            with open(path, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(content.header)
+                w.writerows([enc(x) for x in r] for r in content.rows)
+        else:
+            if isinstance(content, Table):
+                content = [dict(zip(content.header, map(enc, r))) for r in content.rows]
+            path = out / f"{stem}.json"
+            path.write_text(json.dumps(content, indent=2) + "\n")
+        paths.append(path)
+    return paths
 
 
 # --- runners ---------------------------------------------------------------
 
 
-def _run_rwa_validity(cfg, out, fmt):
+def _run_rwa_validity(cfg):
     p = cfg.params
     w = 2.0 * np.pi * p["carrier_hz"]
     rows = []
@@ -380,11 +408,13 @@ def _run_rwa_validity(cfg, out, fmt):
         u = pulses.integrate_pulse(spec, tol=p["integration_tol"])
         rwa = pulses.rwa_unitary(spec)
         rows.append((c, pulses.unitary_fidelity(u, rwa), pulses._matrix_infidelity(u.matrix, rwa.matrix)))
-    path = _write_rows(out / "rwa_validity", ["cycles", "fidelity", "infidelity"], rows, fmt)
-    return [path], {"monotone": bool(np.all(np.diff([r[1] for r in rows]) > 0))}
+    return Run(
+        {"rwa_validity": Table(["cycles", "fidelity", "infidelity"], rows)},
+        {"monotone": bool(np.all(np.diff([r[1] for r in rows]) > 0))},
+    )
 
 
-def _run_closed_forms(cfg, out, fmt):
+def _run_closed_forms(cfg):
     """Closed forms of random 1B, 2B and phase_ref trains against the train
     unitary of the outcome model (`RamseyOutcomeModel.train_unitary`)."""
     p = cfg.params
@@ -412,15 +442,11 @@ def _run_closed_forms(cfg, out, fmt):
         err = pulses._matrix_infidelity(u, v)
         worst = max(worst, err)
         rows.append((case, kind, n, nd, dphi, err))
-    path = _write_rows(
-        out / "closed_forms",
-        ["case", "kind", "n", "n_delay", "dphi", "fidelity_error"],
-        rows, fmt,
-    )
-    return [path], {"worst_fidelity_error": worst}
+    table = Table(["case", "kind", "n", "n_delay", "dphi", "fidelity_error"], rows)
+    return Run({"closed_forms": table}, {"worst_fidelity_error": worst})
 
 
-def _run_permutation(cfg, out, fmt):
+def _run_permutation(cfg):
     p = cfg.params
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -430,12 +456,8 @@ def _run_permutation(cfg, out, fmt):
             brute = protocols.brute_force_permutation_phase(phases)
             analytic, _ = protocols.optimal_permutation_phase(phases)
             rows.append((n, trial, brute, analytic, abs(brute - analytic)))
-    path = _write_rows(
-        out / "permutation_optimality",
-        ["n", "trial", "brute_force", "analytic", "abs_difference"],
-        rows, fmt,
-    )
-    return [path], {"max_difference": max(r[4] for r in rows)}
+    table = Table(["n", "trial", "brute_force", "analytic", "abs_difference"], rows)
+    return Run({"permutation_optimality": table}, {"max_difference": max(r[4] for r in rows)})
 
 
 def _checked_specs(entries, what: str, make) -> list:
@@ -452,8 +474,8 @@ def _checked_specs(entries, what: str, make) -> list:
 
 def _studies(points, n_seeds: int):
     """One `estimation.estimator_study` of ``n_seeds`` seeds per point (spec,
-    true dphi, m_shots, first seed), all before a runner writes any file.
-    Returns each point's (estimates, bound) and the diagnostics summed."""
+    true dphi, m_shots, first seed).  Returns each point's (estimates,
+    bound) and the diagnostics summed."""
     studies = [
         estimation.estimator_study(spec, dphi, m_shots, range(start, start + n_seeds))
         for spec, dphi, m_shots, start in points
@@ -473,7 +495,7 @@ def _scan_specs(scan) -> list:
     return specs
 
 
-def _run_table1_scaling(cfg, out, fmt):
+def _run_table1_scaling(cfg):
     """sigma(dphi) over seeds at each point of each scan, and the log-log
     slope of sigma against chi = `ProtocolSpec.enhancement`.
 
@@ -493,7 +515,7 @@ def _run_table1_scaling(cfg, out, fmt):
         for i, spec in enumerate(specs)
     ]
     studies, diagnostics = _studies(points, p["n_seeds"])
-    artifacts, slopes = [], {}
+    files, slopes = {}, {}
     for specs, kind in zip(scans, kinds):
         scan, studies = studies[: len(specs)], studies[len(specs):]
         rows = []
@@ -503,15 +525,12 @@ def _run_table1_scaling(cfg, out, fmt):
             rows.append((spec.n_pulses, spec.n_delay, m_shots, sigma, crlb_sigma, sigma / crlb_sigma))
         chi = np.array([spec.enhancement for spec in specs])
         coef, cov = np.polyfit(np.log(chi), np.log([r[3] for r in rows]), 1, cov=True)
-        base = out / f"scaling_{kind}"
-        path = _write_rows(base, ["N", "N_d", "M", "sigma_dphi", "crlb", "ratio"], rows, fmt)
-        sidecar = _write_json(
-            base.with_suffix(".slope.json"),
-            {"kind": kind, "slope": float(coef[0]), "slope_stderr": float(np.sqrt(cov[0, 0]))},
-        )
-        artifacts += [path, sidecar]
+        files[f"scaling_{kind}"] = Table(["N", "N_d", "M", "sigma_dphi", "crlb", "ratio"], rows)
+        files[f"scaling_{kind}.slope"] = {
+            "kind": kind, "slope": float(coef[0]), "slope_stderr": float(np.sqrt(cov[0, 0])),
+        }
         slopes[kind] = float(coef[0])
-    return artifacts, {"slopes": slopes}, diagnostics
+    return Run(files, {"slopes": slopes}, diagnostics)
 
 
 def _point_spec(pt):
@@ -519,7 +538,7 @@ def _point_spec(pt):
     return protocols.ProtocolSpec(pt["kind"], pt["n"], pt["n_delay"], 0.0, pt["theta"])
 
 
-def _run_crlb_saturation(cfg, out, fmt):
+def _run_crlb_saturation(cfg):
     """Estimator variance against the CRLB at each point, all checked first;
     a point starts at seed + its ``seed_offset``."""
     p = cfg.params
@@ -533,12 +552,8 @@ def _run_crlb_saturation(cfg, out, fmt):
     for (spec, dphi, m_shots, _), (ests, bound) in zip(points, studies):
         var = float(np.var(ests, ddof=1))
         rows.append((spec.kind, spec.n_pulses, spec.n_delay, dphi, m_shots, var, bound, var / bound))
-    path = _write_rows(
-        out / "crlb_saturation",
-        ["kind", "n", "n_delay", "dphi", "m_shots", "variance", "crlb", "ratio"],
-        rows, fmt,
-    )
-    return [path], {"ratios": [r[7] for r in rows]}, diagnostics
+    table = Table(["kind", "n", "n_delay", "dphi", "m_shots", "variance", "crlb", "ratio"], rows)
+    return Run({"crlb_saturation": table}, {"ratios": [r[7] for r in rows]}, diagnostics)
 
 
 def _reduced_spec(point):
@@ -552,7 +567,7 @@ def _extrapolated_row(case):
     return ("extrapolated", case["n"], case["n_delay"], res, 0.0)
 
 
-def _run_resolution(cfg, out, fmt):
+def _run_resolution(cfg):
     """Offset-frequency resolution: verified scaling at desk scale, then
     arithmetic extrapolation to configurations far beyond simulation.
     Every reduced point is checked before the first fit, and reduced point
@@ -569,13 +584,9 @@ def _run_resolution(cfg, out, fmt):
     # reduced-scale consistency: sigma * chi * sqrt(M) should be flat
     consts = [row[4] for row in rows]
     rows += [_extrapolated_row(case) for case in p["extrapolations"]]
-    path = _write_rows(
-        out / "resolution",
-        ["row_kind", "n", "n_delay", "value", "scaled_constant"],
-        rows, fmt,
-    )
+    table = Table(["row_kind", "n", "n_delay", "value", "scaled_constant"], rows)
     spread = float(np.ptp(consts) / np.mean(consts))
-    return [path], {"scaling_constant_spread": spread}, diagnostics
+    return Run({"resolution": table}, {"scaling_constant_spread": spread}, diagnostics)
 
 
 def _raman_spec(p, delta_key):
@@ -600,7 +611,7 @@ def _raman_spec(p, delta_key):
     return spec
 
 
-def _run_raman(cfg, out, fmt):
+def _run_raman(cfg):
     p = cfg.params
     population = _raman_spec(p, "detuning_fraction_population")
     mapped = _raman_spec(p, "detuning_fraction_map")
@@ -609,23 +620,17 @@ def _run_raman(cfg, out, fmt):
     # Phase fidelity: weakly detuned pulse maps the leg phase almost one-to-one.
     grid = np.linspace(0.0, 2.0 * np.pi, p["grid_points"])
     pm = raman.phase_map(mapped, grid)
-    path = _write_rows(
-        out / "raman_phase_map",
-        ["phi_l", "phi_s", "dphi_s_dphi_l"],
-        zip(pm.phi_l, pm.phi_s, pm.dphi_s),
-        fmt,
-    )
+    table = Table(["phi_l", "phi_s", "dphi_s_dphi_l"], list(zip(pm.phi_l, pm.phi_s, pm.dphi_s)))
     summary = {
         "excited_population": pop_c,
         "max_curve_deviation": pm.max_curve_deviation,
         "max_identity_deviation": pm.max_identity_deviation,
         "monotone": pm.monotone,
     }
-    spath = _write_json(out / "raman_summary.json", summary)
-    return [path, spath], summary
+    return Run({"raman_phase_map": table, "raman_summary": summary}, summary)
 
 
-def _run_error_models(cfg, out, fmt):
+def _run_error_models(cfg):
     p = cfg.params
     gap = p["pair_gap_s"]
     deph = noise.ac_stark_preset()
@@ -638,11 +643,10 @@ def _run_error_models(cfg, out, fmt):
         ("doppler_copropagating_rad", noise.doppler_phase_error(therm_co, gap)),
         ("spin_echo_constant_field_rad", noise.spin_echo_residual([1.0] * 6, [gap] * 6)),
     ]
-    path = _write_rows(out / "error_models", ["quantity", "value"], rows, fmt)
-    return [path], dict(rows)
+    return Run({"error_models": Table(["quantity", "value"], rows)}, dict(rows))
 
 
-def _run_refine(cfg, out, fmt):
+def _run_refine(cfg):
     p = cfg.params
     c = comb.fiber_comb_preset()
     # 200 kHz-class offset as the prior bound; prior_scale < 1 models an
@@ -681,20 +685,17 @@ def _run_refine(cfg, out, fmt):
             (seed_i, true, len(tr.stages), last.n, last.residual, tr.final_crlb_sigma,
              abs(last.residual) / tr.final_crlb_sigma, int(tr.locked))
         )
-    path = _write_rows(
-        out / "refine_fiber",
-        ["seed", "true_dphi", "stages", "final_n", "residual", "final_crlb_sigma",
-         "residual_over_crlb", "locked"],
-        rows, fmt,
-    )
     trace_rows = [
         (s.n, s.dphi_hat, s.residual, s.crlb_sigma) for s in results[0][1].stages
     ]
-    tpath = _write_rows(
-        out / "refine_trace_seed0",
-        ["n", "dphi_hat", "residual", "crlb_sigma"],
-        trace_rows, fmt,
-    )
+    files = {
+        "refine_fiber": Table(
+            ["seed", "true_dphi", "stages", "final_n", "residual", "final_crlb_sigma",
+             "residual_over_crlb", "locked"],
+            rows,
+        ),
+        "refine_trace_seed0": Table(["n", "dphi_hat", "residual", "crlb_sigma"], trace_rows),
+    }
     traces = [tr for _, tr in results]
     backoffs = sum(tr.backoffs for tr in traces)
     diagnostics = {
@@ -706,14 +707,15 @@ def _run_refine(cfg, out, fmt):
         "backoffs": backoffs,
         "score_evaluations": sum(tr.score_evaluations for tr in traces),
     }
-    return [path, tpath], {
+    summary = {
         "all_locked": bool(all(r[7] for r in rows)),
         "worst_residual_ratio": max(r[6] for r in rows),
         "backoffs": backoffs,
-    }, diagnostics, timings
+    }
+    return Run(files, summary, diagnostics, timings)
 
 
-def _run_visibility(cfg, out, fmt):
+def _run_visibility(cfg):
     p = cfg.params
     try:
         budget = raman.visibility_budget(
@@ -723,9 +725,8 @@ def _run_visibility(cfg, out, fmt):
         )
     except ValueError as e:
         raise ScenarioConfigError(f"params of kind visibility_budget: {e}") from e
-    path = _write_rows(out / "visibility_budget", ["quantity", "value"],
-                       [("pulse_budget", float(budget))], fmt)
-    return [path], {"pulse_budget": budget}
+    table = Table(["quantity", "value"], [("pulse_budget", float(budget))])
+    return Run({"visibility_budget": table}, {"pulse_budget": budget})
 
 
 _RUNNERS = {
@@ -750,10 +751,10 @@ def run_scenario(
 ) -> dict:
     """Run one scenario; returns {'artifacts': [...], 'summary': {...}}.
 
-    Writes ``manifest.json`` beside the artifacts, with the runner's wall
-    time under ``timings`` and, for the runners that fit, the estimator's
-    counts under ``diagnostics``.  Deterministic data files for a fixed
-    config + seed.
+    Writes ``manifest.json`` after the data files, with the wall time of
+    the runner and of writing its data files under ``timings`` and, for
+    the runners that fit, the estimator's counts under ``diagnostics``.
+    Deterministic data files for a fixed config + seed.
     """
     if fmt not in ("csv", "json"):
         raise ScenarioConfigError(f"unsupported output format {fmt!r}")
@@ -765,9 +766,8 @@ def run_scenario(
     out = Path(out_dir)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
-    # a runner that fits returns its diagnostics third, and one that times
-    # its own stages returns their wall times fourth
-    artifacts, summary, *extra = _RUNNERS[cfg.kind](cfg, out, fmt)
+    run = _RUNNERS[cfg.kind](cfg)
+    paths = _write_files(out, run.files, fmt)
     run_s = time.perf_counter() - t0
     from . import __version__
 
@@ -781,15 +781,12 @@ def run_scenario(
         "package_version": __version__,
         "numpy_version": np.__version__,
         # wall times live here only: data files must stay byte-identical
-        "timings": {"run_s": run_s, **(extra[1] if len(extra) > 1 else {})},
+        "timings": {"run_s": run_s, **run.timings},
     }
-    if extra:
-        manifest["diagnostics"] = extra[0]
-    mpath = _write_json(out / "manifest.json", manifest)
-    return {
-        "artifacts": [str(a) for a in artifacts] + [str(mpath)],
-        "summary": _jsonable(summary),
-    }
+    if run.diagnostics is not None:
+        manifest["diagnostics"] = run.diagnostics
+    paths += _write_files(out, {"manifest": manifest}, fmt)
+    return {"artifacts": [str(a) for a in paths], "summary": _jsonable(run.summary)}
 
 
 def _jsonable(x):

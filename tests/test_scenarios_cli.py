@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 import subprocess
@@ -373,7 +374,9 @@ def test_cli_numeric_failure_exit_code(tmp_path):
         "kind": "rwa_validity",
         "params": {"cycles": [5], "integration_tol": 1e-16},
     }))
-    assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_NUMERIC
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    assert not out.exists()
 
 
 def test_study_without_a_converged_fit_exits_3(tmp_path):
@@ -383,7 +386,7 @@ def test_study_without_a_converged_fit_exits_3(tmp_path):
     cfg = _config(tmp_path, "crlb_saturation", {"points": [point], "n_seeds": 20})
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
-    assert not list(out.glob("crlb_saturation*"))
+    assert not out.exists()
 
 
 #: one shot and two seeds: at seed 0 some study draws two equal records, so
@@ -528,12 +531,26 @@ def test_old_subcommands_removed(argv):
 @pytest.mark.parametrize("kind", sorted(PARAMS))
 def test_every_kind_honours_json_format(tmp_path, kind):
     assert set(TINY_PARAMS) == set(PARAMS)
+    cfg = _config(tmp_path, kind, TINY_PARAMS[kind])
     out = tmp_path / "out"
-    result = run_scenario(_config(tmp_path, kind, TINY_PARAMS[kind]), out, fmt="json")
+    result = run_scenario(cfg, out, fmt="json")
     assert not list(out.glob("*.csv"))
     for artifact in result["artifacts"]:
         assert artifact.endswith(".json")
         json.loads(Path(artifact).read_text())
+    # the CSV run writes the same files with the same values: each JSON
+    # table's records are its CSV rows, and each JSON document is the same
+    csv_paths = [Path(a) for a in run_scenario(cfg, tmp_path / "csv")["artifacts"][:-1]]
+    json_paths = [Path(a) for a in result["artifacts"][:-1]]
+    assert [p.name.rsplit(".", 1)[0] for p in csv_paths] == [p.stem for p in json_paths]
+    for csv_path, json_path in zip(csv_paths, json_paths):
+        if csv_path.suffix == ".json":
+            assert csv_path.read_bytes() == json_path.read_bytes()
+            continue
+        header, *rows = csv.reader(csv_path.read_text().splitlines())
+        records = json.loads(json_path.read_text())
+        assert [list(r) for r in records] == [header] * len(rows)
+        assert [[str(v) for v in r.values()] for r in records] == rows
 
 
 def test_bundled_name_wins_over_same_named_directory(tmp_path, monkeypatch):
@@ -756,7 +773,7 @@ def test_non_finite_visibility_budget_exits_2(tmp_path):
     cfg = _config(tmp_path, "visibility_budget", {"lifetime_s": 1.0e300, "excited_window_s": 1.0e-300})
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
-    assert not list(out.glob("*"))
+    assert not out.exists()
 
 
 def test_raman_propagator_failure_exits_3(tmp_path):
@@ -764,7 +781,7 @@ def test_raman_propagator_failure_exits_3(tmp_path):
     cfg = _config(tmp_path, "raman_three_level", {"rabi": 1.0e300})
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
-    assert not list(out.glob("raman_*"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -788,7 +805,7 @@ def test_raman_pulse_is_checked_before_any_propagation(tmp_path, monkeypatch, ch
         run_scenario(cfg, tmp_path / "direct")
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
-    assert not list(out.glob("*"))
+    assert not out.exists()
 
 
 def test_raman_cycle_cap_admits_ten_times_the_bundled_pulse():
@@ -846,11 +863,13 @@ def test_mutated_configs_exit_with_a_typed_code(no_fits, kind, data):
     elif isinstance(parent, list) or last in parent:
         del parent[last]
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = _config(Path(tmp), kind, params)
+        cfg, out = _config(Path(tmp), kind, params), Path(tmp) / "out"
         try:
-            code = main(["run", str(cfg), "--out", str(Path(tmp) / "out")])
+            code = main(["run", str(cfg), "--out", str(out)])
         except FitRan:
             return
+        # a run that fails writes nothing, not even its output directory
+        assert code == 0 or not out.exists()
     assert code in (0, EXIT_SCHEMA, EXIT_NUMERIC, EXIT_WRAP)
 
 
