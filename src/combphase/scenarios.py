@@ -6,8 +6,12 @@ config hash, seed, package and git versions, a timestamp and the run's wall
 time.  Same config and seed always produce byte-identical data files; only
 the manifest's timestamp and timings vary.
 
-Each runner ``_run_<kind>(cfg)`` computes without writing and returns a
-`Run`; `run_scenario` writes its files and the manifest through
+`load_scenario_config` alone decides whether a config is valid, in one
+pass: `_checked` checks each mapping against its key table (`PARAMS`) and
+fills the defaults, and the kind's builder (`_BUILDERS`) makes the runner's
+inputs, applying the rules across keys; any fault is a `ScenarioConfigError`.
+Each runner ``_run_<kind>(cfg, inputs)`` computes without writing and
+returns a `Run`; `run_scenario` writes its files and the manifest through
 `_write_files`, so a run that raises leaves no file and no directory.
 """
 from __future__ import annotations
@@ -53,7 +57,7 @@ class Key(NamedTuple):
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _int_at_least(least: int):
@@ -235,76 +239,64 @@ class ScenarioConfig:
     source_text: str = ""
 
 
-def _check_keys(where: str, mapping: dict, required, allowed) -> None:
+def _checked(where: str, mapping: dict, table: dict, index: int = 0) -> dict:
+    """``mapping`` checked against its key table and filled with the default
+    of each key it leaves out, the entries of its list-of-mappings keys
+    checked and filled too; ``index`` is the mapping's place in its list.
+
+    Raises `ScenarioConfigError`, naming ``where`` and the key, for a key not
+    in ``table``, a missing required key or a value that breaks its rule.
+    """
     for problem, keys in (
-        ("unknown", [k for k in mapping if k not in allowed]),
-        ("missing", [k for k in required if k not in mapping]),
+        ("unknown", [k for k in mapping if k not in table]),
+        ("missing", [k for k, key in table.items() if key.default is REQUIRED and k not in mapping]),
     ):
         if keys:
             raise ScenarioConfigError(f"{where}: {problem} keys {', '.join(sorted(map(str, keys)))}")
-
-
-def _check_level(where: str, mapping: dict, table: dict) -> list:
-    """Check one mapping against its key table; return the (where, entry,
-    table) of each entry of its list-of-mappings keys."""
-    _check_keys(where, mapping, [k for k, key in table.items() if key.default is REQUIRED], table)
-    nested = []
+    out = {}
     for name, key in table.items():
         if name in mapping:
             value = mapping[name]
             if not key.rule(value):
                 raise ScenarioConfigError(f"{where}: {name} must be {key.wanted}, got {value!r}")
-            if key.entries:
-                nested += [(f"{name} entry {i}", entry, key.entries) for i, entry in enumerate(value)]
-    return nested
-
-
-def _validate(raw) -> None:
-    """Raise `ScenarioConfigError`, naming the key, unless ``raw`` is a valid
-    config: the top level (`_TOP_LEVEL`), the params of its kind and each
-    entry of a list param (`PARAMS`) hold only the keys of their tables,
-    every required one, and values that pass the keys' rules."""
-    if not isinstance(raw, dict):
-        raise ScenarioConfigError("scenario config must be a mapping")
-    _check_level("top level", raw, _TOP_LEVEL)
-    levels = [(f"params of kind {raw['kind']}", raw.get("params", {}), PARAMS[raw["kind"]])]
-    for level in levels:
-        levels += _check_level(*level)
-
-
-def _filled(mapping: dict, table: dict, index: int = 0) -> dict:
-    """``mapping`` with the default of each key it leaves out, the entries of
-    its list-of-mappings keys filled too; ``index`` is the mapping's place in
-    its list."""
-    out = {}
-    for name, key in table.items():
-        if name in mapping:
-            value = mapping[name]
         else:
             value = key.default(index, mapping) if callable(key.default) else key.default
         if key.entries:
-            value = [_filled(entry, key.entries, i) for i, entry in enumerate(value)]
+            value = [_checked(f"{name} entry {i}", entry, key.entries, i) for i, entry in enumerate(value)]
         out[name] = value
     return out
 
 
-def load_scenario_config(path) -> ScenarioConfig:
+def _load(path) -> tuple[ScenarioConfig, object]:
+    """The config at ``path``, checked and filled, and the inputs its kind's
+    builder (`_BUILDERS`) makes of its params; `None` for a kind without
+    one.  Any fault of the config raises `ScenarioConfigError` here."""
     try:
         text = Path(path).read_text()
         raw = yaml.safe_load(text)
     except (UnicodeDecodeError, yaml.YAMLError) as e:
         raise ScenarioConfigError(f"{path}: not valid YAML: {e}") from e
-    _validate(raw)
-    top = _filled(raw, _TOP_LEVEL)
-    return ScenarioConfig(
-        name=top["name"],
-        kind=top["kind"],
-        description=top["description"],
-        tags=tuple(top["tags"]),
-        seed=top["seed"],
-        params=_filled(top["params"], PARAMS[top["kind"]]),
-        source_text=text,
+    if not isinstance(raw, dict):
+        raise ScenarioConfigError("scenario config must be a mapping")
+    top = _checked("top level", raw, _TOP_LEVEL)
+    kind = top["kind"]
+    params = _checked(f"params of kind {kind}", top["params"], PARAMS[kind])
+    try:
+        inputs = _BUILDERS[kind](params) if kind in _BUILDERS else None
+    except ValueError as e:
+        raise ScenarioConfigError(f"params of kind {kind}: {e}") from e
+    cfg = ScenarioConfig(
+        name=top["name"], kind=kind, description=top["description"], tags=tuple(top["tags"]),
+        seed=top["seed"], params=params, source_text=text,
     )
+    return cfg, inputs
+
+
+def load_scenario_config(path) -> ScenarioConfig:
+    """The config at ``path``, checked and filled with every default; a
+    config that `run_scenario` would reject for its content raises
+    `ScenarioConfigError` here."""
+    return _load(path)[0]
 
 
 def _bundle_dir():
@@ -399,7 +391,7 @@ def _write_files(out: Path, files: dict, fmt: str) -> list[Path]:
 # --- runners ---------------------------------------------------------------
 
 
-def _run_rwa_validity(cfg):
+def _run_rwa_validity(cfg, _):
     p = cfg.params
     w = 2.0 * np.pi * p["carrier_hz"]
     rows = []
@@ -414,7 +406,7 @@ def _run_rwa_validity(cfg):
     )
 
 
-def _run_closed_forms(cfg):
+def _run_closed_forms(cfg, _):
     """Closed forms of random 1B, 2B and phase_ref trains against the train
     unitary of the outcome model (`RamseyOutcomeModel.train_unitary`)."""
     p = cfg.params
@@ -446,7 +438,7 @@ def _run_closed_forms(cfg):
     return Run({"closed_forms": table}, {"worst_fidelity_error": worst})
 
 
-def _run_permutation(cfg):
+def _run_permutation(cfg, _):
     p = cfg.params
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -458,18 +450,6 @@ def _run_permutation(cfg):
             rows.append((n, trial, brute, analytic, abs(brute - analytic)))
     table = Table(["n", "trial", "brute_force", "analytic", "abs_difference"], rows)
     return Run({"permutation_optimality": table}, {"max_difference": max(r[4] for r in rows)})
-
-
-def _checked_specs(entries, what: str, make) -> list:
-    """``make(entry)`` for every entry before any fit; a `ValueError` becomes a
-    `ScenarioConfigError` that names the entry."""
-    specs = []
-    for i, entry in enumerate(entries):
-        try:
-            specs.append(make(entry))
-        except ValueError as e:
-            raise ScenarioConfigError(f"{what} entry {i}: {e}") from e
-    return specs
 
 
 def _studies(points, n_seeds: int):
@@ -484,6 +464,17 @@ def _studies(points, n_seeds: int):
     return [study[:2] for study in studies], diagnostics
 
 
+def _entry_specs(p, key: str, make) -> list:
+    """``make(entry)`` of each entry of ``p[key]``; a `ValueError` names the entry."""
+    specs = []
+    for i, entry in enumerate(p[key]):
+        try:
+            specs.append(make(entry))
+        except ValueError as e:
+            raise ValueError(f"{key} entry {i}: {e}") from e
+    return specs
+
+
 def _scan_specs(scan) -> list:
     """The `ProtocolSpec` of each point of one ``scans`` entry, checked."""
     n_values, n_delays = scan["n_values"], scan["n_delay_values"]
@@ -495,20 +486,24 @@ def _scan_specs(scan) -> list:
     return specs
 
 
-def _run_table1_scaling(cfg):
+def _scans(p) -> list:
+    """The specs of each of ``p["scans"]``, at most one scan per kind."""
+    scans = _entry_specs(p, "scans", _scan_specs)
+    kinds = [specs[0].kind for specs in scans]
+    if len(set(kinds)) < len(kinds):
+        raise ValueError(f"one scan per kind, since the kind names its files: {kinds}")
+    return scans
+
+
+def _run_table1_scaling(cfg, scans):
     """sigma(dphi) over seeds at each point of each scan, and the log-log
     slope of sigma against chi = `ProtocolSpec.enhancement`.
 
     The true dphi at each point is 0.2 / chi, so every point sits at the same
     spot on its fringe, and point i of each scan starts at seed + 1000 i.
-    Every scan is checked before the first fit.
     """
     p = cfg.params
     m_shots = p["m_shots"]
-    scans = _checked_specs(p["scans"], "scans", _scan_specs)
-    kinds = [specs[0].kind for specs in scans]
-    if len(set(kinds)) < len(kinds):
-        raise ScenarioConfigError(f"one scan per kind, since the kind names its files: {kinds}")
     points = [
         (spec, 0.2 / spec.enhancement, m_shots, cfg.seed + 1000 * i)
         for specs in scans
@@ -516,7 +511,8 @@ def _run_table1_scaling(cfg):
     ]
     studies, diagnostics = _studies(points, p["n_seeds"])
     files, slopes = {}, {}
-    for specs, kind in zip(scans, kinds):
+    for specs in scans:
+        kind = specs[0].kind
         scan, studies = studies[: len(specs)], studies[len(specs):]
         rows = []
         for spec, (ests, variance) in zip(specs, scan):
@@ -538,11 +534,10 @@ def _point_spec(pt):
     return protocols.ProtocolSpec(pt["kind"], pt["n"], pt["n_delay"], 0.0, pt["theta"])
 
 
-def _run_crlb_saturation(cfg):
-    """Estimator variance against the CRLB at each point, all checked first;
-    a point starts at seed + its ``seed_offset``."""
+def _run_crlb_saturation(cfg, specs):
+    """Estimator variance against the CRLB at each point; a point starts at
+    seed + its ``seed_offset``."""
     p = cfg.params
-    specs = _checked_specs(p["points"], "points", _point_spec)
     points = [
         (spec, pt["dphi"], pt["m_shots"], cfg.seed + pt["seed_offset"])
         for pt, spec in zip(p["points"], specs)
@@ -556,25 +551,18 @@ def _run_crlb_saturation(cfg):
     return Run({"crlb_saturation": table}, {"ratios": [r[7] for r in rows]}, diagnostics)
 
 
-def _reduced_spec(point):
-    n, nd = point
-    return protocols.ProtocolSpec("2B", n, nd)
-
-
 def _extrapolated_row(case):
     """The ``resolution`` row of one ``extrapolations`` entry: its offset resolution [Hz]."""
     res = estimation.offset_resolution(case["rep_rate_hz"], case["n"], case["n_delay"])
     return ("extrapolated", case["n"], case["n_delay"], res, 0.0)
 
 
-def _run_resolution(cfg):
+def _run_resolution(cfg, specs):
     """Offset-frequency resolution: verified scaling at desk scale, then
     arithmetic extrapolation to configurations far beyond simulation.
-    Every reduced point is checked before the first fit, and reduced point
-    i starts at seed + 10000 i."""
+    Reduced point i starts at seed + 10000 i."""
     p = cfg.params
     m_shots = p["m_shots"]
-    specs = _checked_specs(p["reduced_points"], "reduced_points", _reduced_spec)
     points = [(spec, 0.2 / spec.enhancement, m_shots, cfg.seed + 10_000 * i) for i, spec in enumerate(specs)]
     studies, diagnostics = _studies(points, p["n_seeds"])
     rows = []
@@ -590,9 +578,8 @@ def _run_resolution(cfg):
 
 
 def _raman_spec(p, delta_key):
-    """The `LambdaSpec` of the pulse detuned by ``p[delta_key]``, checked
-    before any propagation: a valid spec of at most `_MAX_RAMAN_CYCLES`
-    carrier cycles."""
+    """The `LambdaSpec` of the pulse detuned by ``p[delta_key]``: a valid
+    spec of at most `_MAX_RAMAN_CYCLES` carrier cycles."""
     omega_at = 2.0 * np.pi * p["transition_hz"]
     try:
         spec = raman.LambdaSpec(
@@ -602,19 +589,18 @@ def _raman_spec(p, delta_key):
             excited_energy=omega_at,
         )
     except ValueError as e:
-        raise ScenarioConfigError(f"params of kind raman_three_level: {delta_key}: {e}") from e
+        raise ValueError(f"{delta_key}: {e}") from e
     if not spec.carrier_cycles <= _MAX_RAMAN_CYCLES:
-        raise ScenarioConfigError(
-            f"params of kind raman_three_level: duration * transition_hz * (1 - {delta_key}) is "
+        raise ValueError(
+            f"duration * transition_hz * (1 - {delta_key}) is "
             f"{spec.carrier_cycles!r} carrier cycles, more than {_MAX_RAMAN_CYCLES}"
         )
     return spec
 
 
-def _run_raman(cfg):
+def _run_raman(cfg, specs):
     p = cfg.params
-    population = _raman_spec(p, "detuning_fraction_population")
-    mapped = _raman_spec(p, "detuning_fraction_map")
+    population, mapped = specs
     # Raman regime: strongly detuned pulse must leave the excited state empty.
     _, pop_c = raman.integrate_lambda(population)
     # Phase fidelity: weakly detuned pulse maps the leg phase almost one-to-one.
@@ -630,7 +616,7 @@ def _run_raman(cfg):
     return Run({"raman_phase_map": table, "raman_summary": summary}, summary)
 
 
-def _run_error_models(cfg):
+def _run_error_models(cfg, _):
     p = cfg.params
     gap = p["pair_gap_s"]
     deph = noise.ac_stark_preset()
@@ -646,32 +632,31 @@ def _run_error_models(cfg):
     return Run({"error_models": Table(["quantity", "value"], rows)}, dict(rows))
 
 
-def _run_refine(cfg):
-    p = cfg.params
-    c = comb.fiber_comb_preset()
+def _refine_config(p):
+    """The `RefineConfig` of every lock but its seed; a prior_scale so small
+    that the bound rounds to 0 raises `ValueError`."""
     # 200 kHz-class offset as the prior bound; prior_scale < 1 models an
     # operator underestimating the offset, which must abort with a wrap error
-    prior = abs(c.phase_step) * p["prior_scale"]
-    try:
-        config = estimation.RefineConfig(
-            m_shots=p["m_shots"],
-            growth=p["growth"],
-            max_stages=p["max_stages"],
-            prior_bound=prior,
-            seed=cfg.seed,
-        )
-    except ValueError as e:  # a prior_scale so small that the bound rounds to 0
-        raise ScenarioConfigError(f"params of kind refine_fiber: {e}") from e
+    return estimation.RefineConfig(
+        m_shots=p["m_shots"],
+        growth=p["growth"],
+        max_stages=p["max_stages"],
+        prior_bound=abs(comb.fiber_comb_preset().phase_step) * p["prior_scale"],
+    )
 
-    true_bound = abs(c.phase_step)
+
+def _run_refine(cfg, config):
+    p = cfg.params
+    true_bound = abs(comb.fiber_comb_preset().phase_step)
     locks = []
     for seed in range(cfg.seed, cfg.seed + p["n_seeds"]):
         true = float(np.random.default_rng(seed).uniform(-true_bound, true_bound))
         locks.append((true, replace(config, seed=seed * 13 + cfg.seed)))
-    # one model per train length for all locks of this run: without the
-    # oracle the locks share their N schedule, so each fringe grid is built
-    # once, and the lockstep fills each model's fit memo with one batched
-    # fit per stage before the locks run one by one
+    # one models dict per run: each train length's fringe grid and fit memo
+    # are built once for all locks of the run and freed with it (see
+    # test_refine_locks_share_models_within_one_run_only); the lockstep
+    # fills each memo with one batched fit per stage before the locks run
+    # one by one
     models = {}
     t0 = time.perf_counter()
     estimation._prefit_locks(locks, models)
@@ -715,20 +700,32 @@ def _run_refine(cfg):
     return Run(files, summary, diagnostics, timings)
 
 
-def _run_visibility(cfg):
-    p = cfg.params
-    try:
-        budget = raman.visibility_budget(
-            gamma=1.0 / p["lifetime_s"],
-            t_e=p["excited_window_s"],
-            epsilon=p["epsilon"],
-        )
-    except ValueError as e:
-        raise ScenarioConfigError(f"params of kind visibility_budget: {e}") from e
+def _run_visibility(cfg, budget):
     table = Table(["quantity", "value"], [("pulse_budget", float(budget))])
     return Run({"visibility_budget": table}, {"pulse_budget": budget})
 
 
+#: What each kind builds of its params at load, before its runner starts;
+#: a `ValueError` of a builder is a config error.  A builder reads only the
+#: params, not the seed, which `run_scenario` may override after load.
+_BUILDERS = {
+    "table1_scaling": _scans,
+    "crlb_saturation": lambda p: _entry_specs(p, "points", _point_spec),
+    "resolution_extrapolation": lambda p: _entry_specs(
+        p, "reduced_points", lambda pt: protocols.ProtocolSpec("2B", *pt)
+    ),
+    "raman_three_level": lambda p: (
+        _raman_spec(p, "detuning_fraction_population"), _raman_spec(p, "detuning_fraction_map")
+    ),
+    "refine_fiber": _refine_config,
+    # a budget that is not finite raises
+    "visibility_budget": lambda p: raman.visibility_budget(
+        gamma=1.0 / p["lifetime_s"], t_e=p["excited_window_s"], epsilon=p["epsilon"]
+    ),
+}
+
+#: The runner of each kind: ``runner(cfg, inputs)``, the inputs being what
+#: the kind's builder made of the params, or `None`.
 _RUNNERS = {
     "rwa_validity": _run_rwa_validity,
     "closed_forms": _run_closed_forms,
@@ -758,15 +755,15 @@ def run_scenario(
     """
     if fmt not in ("csv", "json"):
         raise ScenarioConfigError(f"unsupported output format {fmt!r}")
-    if seed is not None and int(seed) < 0:
-        raise ScenarioConfigError(f"seed must be a non-negative integer, got {seed}")
-    cfg = load_scenario_config(find_scenario(name_or_path))
+    if seed is not None and not _int_at_least(0)(seed):
+        raise ScenarioConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    cfg, inputs = _load(find_scenario(name_or_path))
     if seed is not None:
         cfg = replace(cfg, seed=int(seed))
     out = Path(out_dir)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
-    run = _RUNNERS[cfg.kind](cfg)
+    run = _RUNNERS[cfg.kind](cfg, inputs)
     paths = _write_files(out, run.files, fmt)
     run_s = time.perf_counter() - t0
     from . import __version__

@@ -566,6 +566,24 @@ def test_negative_seed_is_config_error(tmp_path):
     assert main(["run", "visibility_budget", "--seed", "-1", "--out", str(tmp_path)]) == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("seed", [2.7, True, "3"], ids=["float", "bool", "string"])
+def test_non_integer_seed_is_config_error(tmp_path, seed):
+    # the seed an override gives must pass the config's own seed rule, not
+    # be truncated to 2, 1 or 3
+    with pytest.raises(ScenarioConfigError, match="seed must be a non-negative integer"):
+        run_scenario("visibility_budget", tmp_path / "out", seed=seed)
+    assert not (tmp_path / "out").exists()
+
+
+def test_numpy_integer_seed_runs_as_its_int(tmp_path):
+    run_scenario("permutation_optimality", tmp_path / "numpy", seed=np.int64(3))
+    run_scenario("permutation_optimality", tmp_path / "int", seed=3)
+    manifest = json.loads((tmp_path / "numpy" / "manifest.json").read_text())
+    assert manifest["seed"] == 3 and type(manifest["seed"]) is int
+    name = "permutation_optimality.csv"
+    assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
+
 def test_unknown_param_rejected_before_fitting(tmp_path, no_fits):
     cfg = _config(tmp_path, "refine_fiber", {"n_seed": 2}, name="typo")
     with pytest.raises(ScenarioConfigError, match="n_seed"):
@@ -579,18 +597,29 @@ def test_missing_required_param_rejected(tmp_path):
         load_scenario_config(_config(tmp_path, "crlb_saturation", {"n_seeds": 3}))
 
 
+_VALID_SCAN = {"kind": "1B", "n_values": [4, 8, 16]}
+
+#: Scans that pass every key's rule but not the rules across keys: (scans,
+#: text the error names).
+_BAD_SCANS = {
+    "two sizes": ([{"kind": "1B", "n_values": [10, 20]}], "scans entry 0: .*three distinct chi"),
+    "mismatched delays": (
+        [{"kind": "2B", "n_values": [10, 20, 40], "n_delay_values": [4, 8]}], "scans entry 0: n_delay_values"
+    ),
+    "chi = 1 throughout (1A)": (
+        [{"kind": "1A", "n_values": [10, 20, 40]}], "scans entry 0: .*three distinct chi"
+    ),
+    "repeated chi": ([{"kind": "1B", "n_values": [10, 20, 10]}], "scans entry 0: .*three distinct chi"),
+    "odd 1B size": ([{"kind": "1B", "n_values": [10, 20, 31]}], "scans entry 0: .*even"),
+    "bad scan after a valid one": ([_VALID_SCAN, {"kind": "1B", "n_values": [10, 20]}], "scans entry 1"),
+    "two scans of one kind": (
+        [_VALID_SCAN, {"kind": "1B", "n_values": [32, 64, 128]}], "one scan per kind"
+    ),
+}
+
+
 def test_scaling_scan_needs_three_sizes(tmp_path, no_fits):
-    valid = {"kind": "1B", "n_values": [4, 8, 16]}
-    bad_scans = {
-        "two sizes": [{"kind": "1B", "n_values": [10, 20]}],
-        "mismatched delays": [{"kind": "2B", "n_values": [10, 20, 40], "n_delay_values": [4, 8]}],
-        "chi = 1 throughout (1A)": [{"kind": "1A", "n_values": [10, 20, 40]}],
-        "repeated chi": [{"kind": "1B", "n_values": [10, 20, 10]}],
-        "odd 1B size": [{"kind": "1B", "n_values": [10, 20, 31]}],
-        "bad scan after a valid one": [valid, {"kind": "1B", "n_values": [10, 20]}],
-        "two scans of one kind": [valid, {"kind": "1B", "n_values": [32, 64, 128]}],
-    }
-    for name, scans in bad_scans.items():
+    for name, (scans, _) in _BAD_SCANS.items():
         out = tmp_path / name.replace(" ", "_")
         cfg = _config(tmp_path, "table1_scaling", {"scans": scans})
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA, name
@@ -633,9 +662,39 @@ def test_bad_entries_rejected_before_fitting(tmp_path, no_fits, kind, params, na
         run_scenario(cfg, tmp_path / "direct")
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
-    # a config that passes load, such as an odd 1B size, fails before any
-    # file is written and leaves no output directory behind
+    # a bad entry, such as an odd 1B size, fails at load and leaves no
+    # output directory behind
     assert not out.exists() and not (tmp_path / "direct").exists()
+
+
+#: (kind, changes to the tiny params, text the error names): configs that
+#: pass every key's rule, but of which a kind's builder makes no valid
+#: inputs: protocol specs, Raman pulses, a lock config or a pulse budget.
+_BUILD_FAULTS = {
+    "odd 1B point": ("crlb_saturation", {"points": [_POINT, {**_POINT, "n": 11}]}, "points entry 1: .*even"),
+    "odd 2B reduced pair": (
+        "resolution_extrapolation", {"reduced_points": [[8, 4], [7, 4]]}, "reduced_points entry 1: .*even"
+    ),
+    **{
+        f"scan {name}": ("table1_scaling", {"scans": scans}, names)
+        for name, (scans, names) in _BAD_SCANS.items()
+    },
+    "Raman cycle cap": ("raman_three_level", {"transition_hz": 1100.0}, "1078.0 carrier cycles"),
+    "prior_scale 1e-323": ("refine_fiber", {"prior_scale": 1e-323}, "prior_bound"),
+    "non-finite visibility budget": (
+        "visibility_budget", {"lifetime_s": 1.0e300, "excited_window_s": 1.0e-300}, "not finite"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,change,names", _BUILD_FAULTS.values(), ids=_BUILD_FAULTS.keys())
+def test_rules_across_keys_raise_at_load(tmp_path, no_fits, kind, change, names):
+    cfg = _config(tmp_path, kind, {**TINY_PARAMS[kind], **change})
+    with pytest.raises(ScenarioConfigError, match=f"^params of kind {kind}: .*{names}"):
+        load_scenario_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind,key", [("crlb_saturation", "points"), ("table1_scaling", "scans")])
