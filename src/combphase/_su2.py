@@ -30,7 +30,10 @@ scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
 The train of the outcome model is the k-th power of one SU(2) matrix.
 `matpow_with_grad` forms it and its derivative in closed form (the Chebyshev
 form m^k = cos(k alpha) I + sin(k alpha) / sin(alpha) (m - cos(alpha) I)), from
-elementwise operations whose count does not grow with k.
+elementwise operations whose count does not grow with k.  It takes and
+returns top rows: an SU(2) matrix, or a tangent of SU(2), is
+[[a, b], [-conj(b), conj(a)]], fixed by (a, b), and `su2_matrix` rebuilds
+the full matrix.
 """
 from __future__ import annotations
 
@@ -150,44 +153,50 @@ def expm_herm(h: np.ndarray) -> np.ndarray:
     return _aos(p)
 
 
-#: a 2x2 matrix's real 8-vector (re, im of x_00, x_01, x_10, x_11) from its
-#: top row (re, im of x_00, x_01), for x in SU(2) or a tangent of it
-_SU2_ROWS = np.array([0, 1, 2, 3, 2, 3, 0, 1])
-_SU2_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+def su2_matrix(row: np.ndarray) -> np.ndarray:
+    """The (..., 2, 2) matrix [[a, b], [-conj(b), conj(a)]] of top rows (..., 2) = (a, b).
+
+    An SU(2) matrix, or a tangent of SU(2) at one, is fixed by its top row.
+    """
+    a, b = row[..., 0], row[..., 1]
+    return np.stack([row, np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
 
 
-def matpow_with_grad(m: np.ndarray, dm: np.ndarray, n: int):
-    """Return (m**n, d(m**n)) in closed form, for an SU(2) ``m`` and a tangent ``dm``.
+def matpow_with_grad(m: np.ndarray, dm: np.ndarray, n: int) -> np.ndarray:
+    """Return the top rows of (m**n, d(m**n)) in closed form, for an SU(2)
+    matrix ``m`` and a tangent ``dm``, each given by its top row.
 
-    ``m`` must be in SU(2) and ``dm`` a tangent of SU(2) at ``m`` (such as
-    m i H with H traceless Hermitian); only their top rows are read.  Both
-    may be stacks of shape (..., 2, 2), of one shape.  The work is
+    ``m`` is the top row (a, b) of an SU(2) matrix [[a, b], [-conj(b),
+    conj(a)]], and ``dm`` that of a tangent of SU(2) at it (such as m i H
+    with H traceless Hermitian), which has the same form.  Both may be
+    stacks of shape (..., 2), of one shape.  The two results come stacked
+    as one (2, ..., 2) array, which unpacks as the pair.  The work is
     elementwise and the same for any n, so a stack rounds exactly like each
-    of its matrices on its own.  The name is kept from the square-and-multiply
+    of its rows on its own.  The name is kept from the square-and-multiply
     form this replaces, since `perfbench/tracer.py` looks it up by name.
 
-    Write m = c I + B, with c = Re m_00 and B traceless and anti-Hermitian of
-    norm s = hypot(Im m_00, |m_01|), so B^2 = -s^2 I.  The sign of c is
-    folded out first, m^k = (-1)^k (-m)^k, so that alpha = atan2(s, c) is at
-    most pi/2.  Then m^k = cos(k alpha) I + U B with U = sin(k alpha) / s
-    (U = k at s = 0), a Chebyshev polynomial of m.  For dm = dc I + dB,
+    Write m = c I + B, with c = Re a and B traceless and anti-Hermitian of
+    norm s = hypot(Im a, |b|), so B^2 = -s^2 I.  The sign of c is folded out
+    first, m^k = (-1)^k (-m)^k, so that alpha = atan2(s, c) is at most pi/2.
+    Then m^k = cos(k alpha) I + U B with U = sin(k alpha) / s (U = k at
+    s = 0), a Chebyshev polynomial of m.  For dm = dc I + dB,
 
         d(m^k) = k U dc I + U dB + (c U - k cos k alpha) (dc - c (v.dv) / s^2) B,
 
-    where v.dv = Im m_00 Im dm_00 + Re(conj(m_01) dm_01), the derivative of
-    s^2 / 2 (Frechet derivative of a matrix power: Higham, *Functions of
-    Matrices*, SIAM 2008, section 3.2).  On the tangent, c dc + v.dv = 0;
-    written with it, the derivative keeps no 1 / sin^2 alpha, and the
-    coefficient of (v.dv) / s^2 vanishes like alpha^2, so that term is taken
-    as 0 at s = 0, where m = +-I.
+    where v.dv = Im a Im da + Re(conj(b) db), the derivative of s^2 / 2
+    (Frechet derivative of a matrix power: Higham, *Functions of Matrices*,
+    SIAM 2008, section 3.2).  On the tangent, c dc + v.dv = 0; written with
+    it, the derivative keeps no 1 / sin^2 alpha, and the coefficient of
+    (v.dv) / s^2 vanishes like alpha^2, so that term is taken as 0 at s = 0,
+    where m = +-I.
     """
     k = int(n)
     if k < 0:
         raise ValueError("negative power")
-    # top rows as real 4-vectors: (c, Im m_00, Re m_01, Im m_01), the same for dm
-    row, drow = (np.ascontiguousarray(x[..., 0, :]).view(float) for x in (m, dm))
+    # top rows as real 4-vectors: (c, Im a, Re b, Im b), the same for dm
+    row, drow = (np.ascontiguousarray(x).view(float) for x in (m, dm))
     c, z, dc, dz = row[..., 0], row[..., 1], drow[..., 0], drow[..., 1]
-    s = np.hypot(z, np.abs(m[..., 0, 1]))
+    s = np.hypot(z, np.abs(m[..., 1]))
     # alpha and U of the folded -m where c < 0; the sign goes back in below
     c_abs = np.abs(c)
     alpha = k * np.arctan2(s, c_abs)
@@ -204,15 +213,12 @@ def matpow_with_grad(m: np.ndarray, dm: np.ndarray, n: int):
     else:
         u = sign * u
     # top rows of m^k = cos_k I + u B and of d(m^k) = k u dc I + u dB + w B
-    top = np.empty(np.shape(c) + (2, 4))
-    top[..., 0, :] = u[..., None] * row
-    top[..., 1, :] = u[..., None] * drow + w[..., None] * row
-    top[..., 0, 0] = cos_k
-    top[..., 1, 0] = (k * u) * dc
-    # an SU(2) matrix or tangent has the bottom row (-conj(x_01), conj(x_00))
-    full = np.take(top, _SU2_ROWS, axis=-1) * _SU2_SIGNS
-    out = full.view(complex).reshape(top.shape[:-2] + (2, 2, 2))
-    return out[..., 0, :, :], out[..., 1, :, :]
+    top = np.empty((2,) + np.shape(c) + (4,))
+    top[0] = u[..., None] * row
+    top[1] = u[..., None] * drow + w[..., None] * row
+    top[0, ..., 0] = cos_k
+    top[1, ..., 0] = (k * u) * dc
+    return top.view(complex)
 
 
 def unitarity_defect(u: np.ndarray) -> float:

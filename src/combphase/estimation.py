@@ -70,31 +70,32 @@ class EstimationResult:
     n_evaluations: int
 
 
+def _columns(probs):
+    """(P, dP/ddphi) of an `evaluate` tuple as two (..., 4) arrays, one
+    column per outcome: arm 1's s = 0, 1, then arm 2's."""
+    p1, p2, d1, d2 = probs
+    return np.concatenate([p1, p2], axis=-1), np.concatenate([d1, d2], axis=-1)
+
+
 def _information(probs, m_shots: int, chi: float):
     """dphi Fisher information (...) and a (...) mask of singular points.
 
     ``probs`` is an `evaluate` tuple (p1, p2, dp1_dphi, dp2_dphi), each
     indexed by the outcome on its last axis.  I = sum over both arms and
-    outcomes of M (dP/ddphi)^2 / P.
+    outcomes of M (dP/ddphi)^2 / P, all four outcome columns in one pass.
     Outcomes with P = 0 contribute nothing when their dphi derivative also
     vanishes (removable); a vanishing probability with a nonzero dphi
     derivative means the score diverges, and the point is flagged.  The
     test looks at dP/ddphi alone, since it is the only derivative in I.
     """
-    p1, p2, d1, d2 = probs
-    info = 0.0
-    singular = False
-    for p, dp in ((p1, d1), (p2, d2)):
-        for s in range(2):
-            ps, ds = p[..., s], dp[..., s]
-            node = ps < 1e-14
-            # Near a fringe node P ~ d^2 and dP ~ 2 chi d, so the term
-            # dP^2 / P stays bounded by ~4 chi^2 (removable).  A genuine
-            # P -> 0 crossing with finite slope blows far past that.
-            square = ds * ds
-            ratio = square / np.maximum(ps, 1e-300)
-            singular = singular | (node & (ratio > max(1e8, 1e4 * chi * chi)))
-            info = info + np.where(node, 0.0, m_shots * square / np.where(node, 1.0, ps))
+    p, dp = _columns(probs)
+    node = p < 1e-14
+    # Near a fringe node P ~ d^2 and dP ~ 2 chi d, so the term dP^2 / P
+    # stays bounded by ~4 chi^2 (removable).  A genuine P -> 0 crossing
+    # with finite slope blows far past that.
+    square = dp * dp
+    singular = (node & (square / np.maximum(p, 1e-300) > max(1e8, 1e4 * chi * chi))).any(axis=-1)
+    info = np.where(node, 0.0, m_shots * square / np.where(node, 1.0, p)).sum(axis=-1)
     return info, singular
 
 
@@ -273,9 +274,8 @@ def _fringe_grid(model, lo, hi):
         grid = np.linspace(lo, hi, _GRID_POINTS)
         probs = model.evaluate(grid)
         info = _nonsingular_information(probs, 1, model.spec.enhancement)
-        p1, p2, d1p, d2p = probs
-        pc = np.clip(np.concatenate([p1, p2], axis=-1), _PCLIP, 1.0).T
-        dp = np.concatenate([d1p, d2p], axis=-1).T
+        p, dp = _columns(probs)
+        pc, dp = np.clip(p, _PCLIP, 1.0).T, dp.T
         terms = np.stack([np.log(pc), dp / pc], axis=1)
         nodes = pc == _PCLIP
         nodes &= ~nodes.all(axis=1, keepdims=True)
@@ -464,7 +464,7 @@ def optimize_reference_phase(spec: ProtocolSpec, dphi: float) -> float:
     phase, so its unitary and dphi derivative are computed once and every probe
     only re-applies arm 1.
     """
-    train = train_unitary_with_grad(spec, dphi)
+    train = train_unitary_with_grad(spec, [dphi])
     chi = spec.enhancement
 
     def probe(xi):

@@ -20,6 +20,13 @@ excitation probability.  The pulse area theta is known and read from the
 in dphi.  Every train is the k-th power of one SU(2) pulse or pair unitary,
 and `_su2.matpow_with_grad` forms that power and its derivative in closed
 form, elementwise and at the same cost for any k.
+
+An SU(2) matrix [[a, b], [-conj(b), conj(a)]] is fixed by its top row
+(a, b), and so is its dphi derivative, a tangent of SU(2).  The outcome model
+therefore carries each train as the top rows of U and dU/ddphi, formed
+elementwise for every kind, and reads both arms' amplitudes off them; no
+2x2 matrix is built on that path (`RamseyOutcomeModel.train_unitary`
+rebuilds one on request).
 """
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._su2 import (
-    HADAMARD, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, ID2, matpow_with_grad, ordered_product, rot_x, rot_z,
+    SIGMA_MINUS, SIGMA_PLUS, ID2, matpow_with_grad, ordered_product, rot_z, su2_matrix,
 )
 from .comb import PulseTrain
 from .pulses import Unitary, rwa_matrix
@@ -170,68 +177,94 @@ def optimal_permutation_phase(phases) -> tuple[float, list[int]]:
 
 # --- Ramsey outcome model -------------------------------------------------
 
+#: i sigma_z on a top row: i (a, b) sigma_z = (i a, -i b)
+_I_SIGMA_Z = np.array([1.0j, -1.0j])
+
+
 def train_unitary_with_grad(spec: ProtocolSpec, dphi):
-    """U_tot(dphi) at the pulse area ``spec.theta`` and its exact derivative in
-    dphi, as (U, dU/ddphi).
+    """Top rows of U_tot(dphi) at the pulse area ``spec.theta`` and of its
+    exact derivative in dphi, as (U, dU/ddphi).
 
-    ``dphi`` may be a numpy array; each result then has shape
-    ``dphi.shape + (2, 2)``.
+    The two are stacked as one array of shape ``(2,) + np.shape(dphi) +
+    (2,)``, which unpacks as the pair.  Each holds top rows (a, b) of the
+    SU(2) matrix [[a, b], [-conj(b), conj(a)]], or of a tangent of SU(2)
+    (see `_su2.su2_matrix`).  Every step works on 1-d arrays, since numpy
+    multiplies complex scalars with other rounding than arrays, so each
+    dphi of an array rounds exactly like that dphi alone.
     """
-    if spec.kind == "phase_ref":
-        total = dphi * spec.n_pulses * (spec.n_pulses + 1) / 2.0
-        u = rot_z(-2.0 * total)
-        return u, 2.0j * (spec.n_pulses * (spec.n_pulses + 1) / 2.0) * (SIGMA_Z @ u)
+    x = np.asarray(dphi, dtype=float)
+    d = x.reshape(-1)
+    if spec.kind == "phase_ref":  # exp(2i T dphi sigma_z), T = N (N + 1) / 2
+        twice_t = 2.0 * (spec.n_pulses * (spec.n_pulses + 1) / 2.0)
+        t = np.zeros((2, d.size, 2), dtype=complex)
+        t[0, :, 0] = np.exp(1.0j * (twice_t * d))
+        t[1, :, 0] = (1.0j * twice_t) * t[0, :, 0]
+        return t.reshape((2,) + x.shape + (2,))
 
-    a = rot_x(spec.theta)
-    if spec.kind in ("1A", "1B"):
-        g, dg_dphi = a, None
+    c, s = np.cos(spec.theta), np.sin(spec.theta)
+    # m = g rot_z(-dphi) for the pulse or pair g, so dm = dg rot_z(-dphi) +
+    # m i sigma_z; rot_z(-dphi) = diag(e^{i dphi}, e^{-i dphi}) acts elementwise
+    rz = np.exp(np.multiply.outer(d, _I_SIGMA_Z))
+    if spec.kind in ("1A", "1B"):  # the pulse rot_x(theta) = (c, i s)
+        m = np.array([c, 1.0j * s]) * rz
+        dm = m * _I_SIGMA_Z
         k = spec.n_pulses
-    else:  # 2A / 2B: pair unitary with delay-boosted inner phase
+    else:
+        # 2A / 2B: the pair core rot_x(theta), core = (c, i s E) with
+        # E = exp(-2i N_d dphi), is (c^2 - s^2 E, i s c (1 + E))
         nd = spec.n_delay
-        core = rot_z(nd * dphi) @ a @ rot_z(-nd * dphi)
-        g = core @ a
-        dg_dphi = -1.0j * nd * (SIGMA_Z @ core - core @ SIGMA_Z) @ a
+        big_e = np.exp((-2.0j * nd) * d)
+        g = np.array([c * c, 1.0j * s * c]) + np.multiply.outer(big_e, np.array([-s * s, 1.0j * s * c]))
+        m = g * rz
+        dm = np.multiply.outer(big_e, np.array([2.0j * nd * s * s, 2.0 * nd * s * c])) * rz + m * _I_SIGMA_Z
         k = spec.n_pulses // 2
-
-    dinv = rot_z(-dphi)
-    m = g @ dinv
-    dm_dphi = 1.0j * (g @ (SIGMA_Z @ dinv))
-    if dg_dphi is not None:
-        dm_dphi = dg_dphi @ dinv + dm_dphi
-    p, dp_dphi = matpow_with_grad(m, dm_dphi, k)
-    dz = rot_z(k * dphi)
-    u = dz @ p
-    return u, -1.0j * k * (SIGMA_Z @ u) + dz @ dp_dphi
+    t = matpow_with_grad(m, dm, k)
+    # U = rot_z(k dphi) m^k, with rot_z(k dphi) = diag(f, conj(f))
+    t *= np.exp((-1.0j * k) * d)[:, None]
+    t[1] -= (1.0j * k) * t[0]
+    return t.reshape((2,) + x.shape + (2,))
 
 
 def ramsey_probabilities(train, xi):
-    """Arm distributions and their dphi derivatives from a train ``(U, dU/ddphi)``.
+    """Arm distributions and their dphi derivatives from a train ``(U, dU/ddphi)``
+    of top rows (see `train_unitary_with_grad`).
 
     Arm 1 is Hadamard, reference phase ``xi`` on |1>, the train and an
     undoing Hadamard; arm 2 is the train alone on |0>.  Returns (p1, p2,
     dp1_dphi, dp2_dphi), each indexed by the outcome s on its last axis.
-    Either ``xi`` may be an array (one train, many reference phases) or the
-    train may be a stack (many dphi, one reference phase).
+    ``xi`` broadcasts against the train's dphi shape: one train of shape
+    (1,) and many reference phases, or many dphi and one reference phase.
+
+    With U = (a, b), arm 2 ends in (a, -conj(b)), and arm 1 in
+    (f + g, f - g) / 2 with f = a + e^{i xi} b and g = e^{i xi} conj(a) -
+    conj(b); the derivatives follow from dU in the same way.
     """
-    h = HADAMARD[0, 0]
-    e = h * np.exp(1.0j * np.asarray(xi, dtype=float))[..., None, None]
-    t = np.stack(train, axis=-3)  # (..., 2, 2, 2): U, dU/ddphi
-    # arm 1 is HADAMARD @ t @ [h, h e^{i xi}], written out elementwise so
-    # that a stack of trains rounds exactly like each train on its own
-    w = t[..., :, 0] * h + t[..., :, 1] * e
-    w0, w1 = w[..., 0], w[..., 1]
-    arms = []
-    for psi in (np.stack([w0 + w1, w0 - w1], axis=-1) * h, t[..., :, 0]):
-        amp = psi[..., 0, :]
-        arms.append((np.abs(amp) ** 2, 2.0 * np.real(np.conj(amp) * psi[..., 1, :])))
-    (p1, dp1_dphi), (p2, dp2_dphi) = arms
-    return p1, p2, dp1_dphi, dp2_dphi
+    t = np.asarray(train)  # (2, ..., 2): U, dU/ddphi
+    a, b = t[..., 0], t[..., 1]
+    e = np.exp(1.0j * xi)
+    f = a + e * b
+    g = e * a.conj() - b.conj()
+    # the amplitudes of arm 1's two outcomes, then arm 2's, which takes arm
+    # 1's shape where xi has more points than the train
+    amp = np.empty(f.shape + (4,), dtype=complex)
+    np.add(f, g, out=amp[..., 0])
+    np.subtract(f, g, out=amp[..., 1])
+    amp[..., :2] *= 0.5
+    amp[..., 2:] = t
+    p = np.abs(amp[0]) ** 2
+    dp = 2.0 * np.real(np.conj(amp[0]) * amp[1])
+    return p[..., :2], p[..., 2:], dp[..., :2], dp[..., 2:]
 
 
 @dataclass(frozen=True)
 class RamseyOutcomeModel:
     """Two-arm measurement distributions P1/P2(s | dphi) at the pulse area
     ``spec.theta``, with their dphi derivatives.
+
+    `evaluate` forms the train's top rows (`train_unitary_with_grad`) and
+    the arms' probabilities from them (`ramsey_probabilities`), on 1-d
+    arrays throughout, so each row of a batched call is bit for bit the
+    call at that dphi alone.
 
     ``cache`` holds what `estimation` computes on this model, so the records
     of a study or of the locks sharing the model reuse it: the fringe grid of
@@ -254,7 +287,8 @@ class RamseyOutcomeModel:
         return ramsey_probabilities(train, self.spec.reference_phase)
 
     def train_unitary(self, dphi: float) -> np.ndarray:
-        return train_unitary_with_grad(self.spec, dphi)[0]
+        """U_tot(dphi) as a (..., 2, 2) matrix."""
+        return su2_matrix(train_unitary_with_grad(self.spec, dphi)[0])
 
 
 def ramsey_model(spec: ProtocolSpec) -> RamseyOutcomeModel:

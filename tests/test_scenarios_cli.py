@@ -101,13 +101,16 @@ def test_empty_config_is_schema_error(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_SCHEMA
 
 
-def test_yaml_parse_error_is_config_error(tmp_path):
+def test_yaml_parse_error_is_config_error(tmp_path, monkeypatch):
     cfg = tmp_path / "broken.yaml"
     cfg.write_text("schema_version: 1\nname: broken\nkind: [unclosed\n")
     with pytest.raises(ScenarioConfigError, match="YAML"):
         load_scenario_config(cfg)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
     assert not (tmp_path / "out").exists()
+    monkeypatch.setattr(scenarios, "_YAML_LOADER", yaml.SafeLoader)
+    with pytest.raises(ScenarioConfigError, match="YAML"):
+        load_scenario_config(cfg)
 
 
 def test_undecodable_config_is_config_error(tmp_path):
@@ -950,13 +953,17 @@ def test_bundled_closed_forms_fidelity_errors_are_not_negative(tmp_path):
     assert max(errors) == result["summary"]["worst_fidelity_error"] < 1e-15
 
 
-def test_bundled_and_benchmark_configs_load():
+def test_bundled_and_benchmark_configs_load(monkeypatch):
     bundled = [find_scenario(i["name"]) for i in list_scenarios()]
     benchmark = sorted((REPO / "perfbench" / "configs").rglob("*.yaml"))
     assert len(bundled) == 10 and benchmark
     for path in bundled + benchmark:
         cfg = load_scenario_config(path)
         assert set(cfg.params) == set(PARAMS[cfg.kind])
+        # pyyaml without libyaml parses with the pure-Python loader, to the same config
+        with monkeypatch.context() as m:
+            m.setattr(scenarios, "_YAML_LOADER", yaml.SafeLoader)
+            assert load_scenario_config(path) == cfg
 
 
 def _keys(table, where=()):

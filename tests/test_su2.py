@@ -6,7 +6,7 @@ import pytest
 from combphase import protocols, pulses, raman, scenarios
 from combphase._su2 import (
     _TAYLOR_THETA, MAGNUS_BLOCK, expm_herm, magnus_generators, matpow_with_grad, ordered_product,
-    refine_until_stable,
+    refine_until_stable, su2_matrix,
 )
 from combphase.errors import IntegrationError
 
@@ -179,19 +179,25 @@ def _random_su2_tangents(count, seed):
     return m, m @ (1.0j * g)
 
 
+def test_su2_matrix_rebuilds_the_bottom_row():
+    m, dm = _random_su2_tangents(3, seed=5)
+    assert np.array_equal(su2_matrix(m[..., 0, :]), m)
+    assert np.allclose(su2_matrix(dm[..., 0, :]), dm, rtol=0.0, atol=1e-15)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 37])
 def test_matpow_with_grad_on_stacks_matches_power_rule(n):
     ms, dm = _random_su2_tangents(5, seed=n)
-    p, dp = matpow_with_grad(ms, dm, n)
-    assert p.shape == dp.shape == (5, 2, 2)
+    p, dp = matpow_with_grad(ms[..., 0, :], dm[..., 0, :], n)
+    assert p.shape == dp.shape == (5, 2)
     for i in range(5):
         expected_p, expected_dp = _power_rule(ms[i], dm[i], n)
-        assert np.allclose(p[i], expected_p, rtol=0.0, atol=1e-12)
-        assert np.allclose(dp[i], expected_dp, rtol=0.0, atol=1e-12 * max(n, 1))
+        assert np.allclose(su2_matrix(p[i]), expected_p, rtol=0.0, atol=1e-12)
+        assert np.allclose(su2_matrix(dp[i]), expected_dp, rtol=0.0, atol=1e-12 * max(n, 1))
 
 
 def _pair_factors(spec, dphi, monkeypatch):
-    """The (m, dm) that `train_unitary_with_grad` raises to a power at each ``dphi``."""
+    """The top rows (m, dm) that `train_unitary_with_grad` raises to a power at each ``dphi``."""
     seen = []
 
     def spy(m, dm, n):
@@ -205,9 +211,9 @@ def _pair_factors(spec, dphi, monkeypatch):
 
 
 def _power_stacks(monkeypatch):
-    identity = np.array([np.eye(2), -np.eye(2)], dtype=complex)
+    identity = np.array([[1.0, 0.0], [-1.0, 0.0]], dtype=complex)  # top rows of I and -I
     return {
-        "+-I": (identity, identity @ (1.0j * _traceless_hermitian((2,), seed=0))),
+        "+-I": (identity, identity[:, :1] * (1.0j * _traceless_hermitian((2,), seed=0)[..., 0, :])),
         # -I at dphi = 0, and within 1e-12 of it at 1e-15
         "2B pi/2": _pair_factors(protocols.ProtocolSpec("2B", 1000, 500), [0.0, 1e-15, 1e-9], monkeypatch),
         "1A 0.05": _pair_factors(
@@ -222,21 +228,21 @@ def test_matpow_with_grad_matches_the_block_power(stack, k, monkeypatch):
     # square-and-multiply loses about k eps of relative precision itself
     m, dm = _power_stacks(monkeypatch)[stack]
     p, dp = matpow_with_grad(m, dm, k)
-    expected_p, expected_dp = _block_power(m, dm, k)
+    expected_p, expected_dp = _block_power(su2_matrix(m), su2_matrix(dm), k)
     tol = 4.0 * k * np.finfo(float).eps
-    assert np.all(np.abs(p - expected_p) <= tol)
+    assert np.all(np.abs(su2_matrix(p) - expected_p) <= tol)
     scale = np.maximum(np.abs(expected_dp).max(axis=(-2, -1), keepdims=True), 1.0)
-    assert np.all(np.abs(dp - expected_dp) <= tol * scale)
+    assert np.all(np.abs(su2_matrix(dp) - expected_dp) <= tol * scale)
 
 
 def test_matpow_with_grad_is_exact_at_plus_minus_identity():
-    identity = np.array([np.eye(2), -np.eye(2)], dtype=complex)
-    ih = 1.0j * _traceless_hermitian((2,), seed=1)
+    identity = np.array([[1.0, 0.0], [-1.0, 0.0]], dtype=complex)  # top rows of I and -I
+    ih = 1.0j * _traceless_hermitian((2,), seed=1)[..., 0, :]
     for k in (0, 1, 2, 7, 1 << 20):
         with np.errstate(all="raise"):
-            p, dp = matpow_with_grad(identity, identity @ ih, k)
-        sign = np.array([1.0, (-1.0) ** k])[:, None, None]
-        assert np.array_equal(p, sign * np.eye(2))
+            p, dp = matpow_with_grad(identity, identity[:, :1] * ih, k)
+        sign = np.array([1.0, (-1.0) ** k])[:, None]
+        assert np.array_equal(p, sign * identity[0])
         # d((+-I)^k) = k (+-I)^(k-1) (+-I) i H = k (+-1)^k i H
         assert np.array_equal(dp, k * sign * ih)
 
