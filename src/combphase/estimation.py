@@ -70,25 +70,18 @@ class EstimationResult:
     n_evaluations: int
 
 
-def _columns(probs):
-    """(P, dP/ddphi) of an `evaluate` tuple as two (..., 4) arrays, one
-    column per outcome: arm 1's s = 0, 1, then arm 2's."""
-    p1, p2, d1, d2 = probs
-    return np.concatenate([p1, p2], axis=-1), np.concatenate([d1, d2], axis=-1)
-
-
 def _information(probs, m_shots: int, chi: float):
     """dphi Fisher information (...) and a (...) mask of singular points.
 
-    ``probs`` is an `evaluate` tuple (p1, p2, dp1_dphi, dp2_dphi), each
-    indexed by the outcome on its last axis.  I = sum over both arms and
-    outcomes of M (dP/ddphi)^2 / P, all four outcome columns in one pass.
+    ``probs`` is an `evaluate` array (P, dP/ddphi) of shape (2, ..., 4),
+    one column per outcome.  I = sum over both arms and outcomes of M
+    (dP/ddphi)^2 / P, all four outcome columns in one pass.
     Outcomes with P = 0 contribute nothing when their dphi derivative also
     vanishes (removable); a vanishing probability with a nonzero dphi
     derivative means the score diverges, and the point is flagged.  The
     test looks at dP/ddphi alone, since it is the only derivative in I.
     """
-    p, dp = _columns(probs)
+    p, dp = probs
     node = p < 1e-14
     # Near a fringe node P ~ d^2 and dP ~ 2 chi d, so the term dP^2 / P
     # stays bounded by ~4 chi^2 (removable).  A genuine P -> 0 crossing
@@ -143,19 +136,24 @@ def sample_record(
     _check_theta(model, theta)
     cached = model.cache.get("probs")
     if cached is None or cached[0] != dphi:
-        cached = model.cache["probs"] = (dphi, model.evaluate(dphi))
-    p1, p2, *_ = cached[1]
-    return _draw_record(p1[1], p2[1], m_shots, seed)
+        cached = model.cache["probs"] = (dphi, model.evaluate(dphi)[0])
+    return _draw_record(cached[1], m_shots, seed)
 
 
-def _draw_record(p1: float, p2: float, m_shots: int, seed: int) -> MeasurementRecord:
-    """The record `sample_record` draws when arm 1 gives outcome 1 with
-    probability ``p1`` and arm 2 with ``p2``: one ``default_rng(seed)``,
-    arm 1's draw first."""
+def _draw_record(p, m_shots: int, seed: int) -> MeasurementRecord:
+    """The record `sample_record` draws from the outcome probabilities ``p``,
+    a row of `evaluate`'s four columns: one ``default_rng(seed)`` draws arm
+    1's outcome 1 with probability ``p[1]``, then arm 2's with ``p[3]``."""
     rng = np.random.default_rng(seed)
-    n1 = rng.binomial(m_shots, min(max(p1, 0.0), 1.0))
-    n2 = rng.binomial(m_shots, min(max(p2, 0.0), 1.0))
+    n1 = rng.binomial(m_shots, min(max(p[1], 0.0), 1.0))
+    n2 = rng.binomial(m_shots, min(max(p[3], 0.0), 1.0))
     return MeasurementRecord(m_shots, np.array([m_shots - n1, n1]), np.array([m_shots - n2, n2]))
+
+
+def _row(record: MeasurementRecord) -> list[int]:
+    """A record's four counts in `evaluate`'s column order: arm 1's
+    outcomes 0 and 1, then arm 2's."""
+    return [*record.counts1.tolist(), *record.counts2.tolist()]
 
 
 def log_likelihood_and_grad(record: MeasurementRecord, model, dphi):
@@ -165,13 +163,13 @@ def log_likelihood_and_grad(record: MeasurementRecord, model, dphi):
     once; this scalar form is the reference that tests check it against, and
     `perfbench/tracer.py` wraps it by name.
     """
-    p1, p2, d1, d2 = model.evaluate(dphi)
+    p, dp = model.evaluate(dphi)
     ll = 0.0
     score = 0.0
-    for counts, p, dp in ((record.counts1, p1, d1), (record.counts2, p2, d2)):
-        pc = np.clip(p, _PCLIP, 1.0)
+    for counts, arm in ((record.counts1, slice(0, 2)), (record.counts2, slice(2, 4))):
+        pc = np.clip(p[arm], _PCLIP, 1.0)
         ll = ll + np.sum(counts * np.log(pc), axis=-1)
-        score = score + np.sum(counts / pc * dp, axis=-1)
+        score = score + np.sum(counts / pc * dp[arm], axis=-1)
     return float(ll), float(score)
 
 
@@ -207,7 +205,7 @@ def ml_estimate(
     _check_theta(model, init[0])
     dphi0 = float(init[1])
     _fit_window(model, dphi0, record.m_shots)
-    counts = [*record.counts1.tolist(), *record.counts2.tolist()]
+    counts = _row(record)
     key = _memo_key(dphi0, record.m_shots, counts)
     result = model.cache.get(key)
     if result is None:
@@ -274,7 +272,7 @@ def _fringe_grid(model, lo, hi):
         grid = np.linspace(lo, hi, _GRID_POINTS)
         probs = model.evaluate(grid)
         info = _nonsingular_information(probs, 1, model.spec.enhancement)
-        p, dp = _columns(probs)
+        p, dp = probs
         pc, dp = np.clip(p, _PCLIP, 1.0).T, dp.T
         terms = np.stack([np.log(pc), dp / pc], axis=1)
         nodes = pc == _PCLIP
@@ -299,18 +297,15 @@ def _falling_bracket(up, down, k):
     return None
 
 
-def _row_scores(model, x, counts1, counts2):
-    """dphi score of each row of the arms' counts (R, 2) at its own ``x``
-    (R,), from one evaluation of the model; the arithmetic of
-    `log_likelihood_and_grad`.  Returns the scores and that evaluation, its
-    (p1, p2, dp1_dphi, dp2_dphi) stacked as one (4, R, 2) array."""
-    probs = p1, p2, d1, d2 = model.evaluate(x)
+def _row_scores(model, x, counts):
+    """dphi score of each row of ``counts`` (R, 4) at its own ``x`` (R,),
+    from one evaluation of the model; the arithmetic of
+    `log_likelihood_and_grad`, summed per arm first.  Returns the scores
+    and that evaluation, the (2, R, 4) `evaluate` array."""
+    probs = p, dp = model.evaluate(x)
     # np.minimum(np.maximum(...)) is np.clip without its per-call overhead
-    score = (
-        (counts1 / np.minimum(np.maximum(p1, _PCLIP), 1.0) * d1).sum(axis=-1)
-        + (counts2 / np.minimum(np.maximum(p2, _PCLIP), 1.0) * d2).sum(axis=-1)
-    )
-    return score, np.stack(probs)
+    terms = counts / np.minimum(np.maximum(p, _PCLIP), 1.0) * dp
+    return terms[:, :2].sum(axis=-1) + terms[:, 2:].sum(axis=-1), probs
 
 
 def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[EstimationResult]:
@@ -390,10 +385,10 @@ def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[Estima
         swap = np.isinf(fb)
         a, b = np.where(swap, b, a), np.where(swap, a, b)
         fa, fb = np.where(swap, fb, fa), np.where(swap, fa, fb)
-    counts1, counts2 = counts[rows, :2], counts[rows, 2:]
+    row_counts = counts[rows]
     xtol = 1e-12 / model.spec.enhancement
     # the evaluation at each row's root: its last score's if the root is an iterate
-    at_root = np.empty((4, len(counts), 2))
+    at_root = np.empty((2, len(counts), 4))
     iterate = np.zeros(len(counts), dtype=bool)
     for n in range(_ROOT_ITERATIONS):
         step = fb * (b - a) / (fb - fa)
@@ -408,13 +403,13 @@ def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[Estima
                 at_root[:, rows[done]] = last[:, done]
                 iterate[rows[done]] = True
                 last = last[:, open_]
-            rows, a, b, fa, fb, step, counts1, counts2 = (
-                v[open_] for v in (rows, a, b, fa, fb, step, counts1, counts2)
+            rows, a, b, fa, fb, step, row_counts = (
+                v[open_] for v in (rows, a, b, fa, fb, step, row_counts)
             )
         if not rows.size:
             break
         x = b - step
-        fx, last = _row_scores(model, x, counts1, counts2)
+        fx, last = _row_scores(model, x, row_counts)
         crossed = np.sign(fx) != np.sign(fb)
         a, fa = np.where(crossed, b, a), np.where(crossed, fb, 0.5 * fa)
         b, fb = x, fx
@@ -472,7 +467,7 @@ def optimize_reference_phase(spec: ProtocolSpec, dphi: float) -> float:
         probs = ramsey_probabilities(train, np.mod(xi, 2.0 * np.pi))
         info, singular = _information(probs, 1, chi)
         info = np.where(singular, 0.0, info)
-        return info, np.where(singular, 1.0, np.abs(probs[0][..., 1] - 0.5))
+        return info, np.where(singular, 1.0, np.abs(probs[0, ..., 1] - 0.5))
 
     xis = np.linspace(0.0, 2.0 * np.pi, _REFERENCE_GRID, endpoint=False)
     info, imbalance = probe(xis)
@@ -520,7 +515,7 @@ def estimator_study(
     xi = optimize_reference_phase(spec, dphi)
     model = ramsey_model(replace(spec, reference_phase=xi))
     records = [sample_record(model, spec.theta, dphi, m_shots, s) for s in seeds]
-    _fill_memo(model, [[*r.counts1.tolist(), *r.counts2.tolist()] for r in records], m_shots)
+    _fill_memo(model, [_row(r) for r in records], m_shots)
     fits = [ml_estimate(rec, model, (spec.theta, 0.0)) for rec in records]
     if fits and not any(f.converged for f in fits):
         raise DegenerateFitError(f"none of the {len(fits)} fits of the study converged")
@@ -726,13 +721,10 @@ def _prefit_locks(locks, models: dict) -> None:
         pending = []
         for group in groups.values():
             model, _, m_shots, _ = group[0][1]
-            p1, p2, *_ = model.evaluate(np.array([request[1] for _, request in group]))
-            records = [
-                _draw_record(a, b, m_shots, seed) for (_, (*_, seed)), a, b in zip(group, p1[:, 1], p2[:, 1])
-            ]
-            rows = [[*rec.counts1.tolist(), *rec.counts2.tolist()] for rec in records]
+            p = model.evaluate(np.array([request[1] for _, request in group]))[0]
+            records = [_draw_record(row, m_shots, seed) for (_, (*_, seed)), row in zip(group, p)]
             try:
-                fits = _fill_memo(model, rows, m_shots)
+                fits = _fill_memo(model, [_row(rec) for rec in records], m_shots)
             except CombPhaseError:
                 continue
             for (lock, _), fit in zip(group, fits):

@@ -27,6 +27,12 @@ therefore carries each train as the top rows of U and dU/ddphi, formed
 elementwise for every kind, and reads both arms' amplitudes off them; no
 2x2 matrix is built on that path (`RamseyOutcomeModel.train_unitary`
 rebuilds one on request).
+
+`RamseyOutcomeModel.evaluate` returns one float array of shape ``(2,) +
+np.shape(dphi) + (4,)``, which unpacks as ``p, dp``: the outcome
+probabilities and their dphi derivatives.  Its last axis holds one column
+per outcome of the experiment, in the order arm 1 s = 0, arm 1 s = 1,
+arm 2 s = 0, arm 2 s = 1, and `estimation` reads these columns directly.
 """
 from __future__ import annotations
 
@@ -230,9 +236,10 @@ def ramsey_probabilities(train, xi):
     of top rows (see `train_unitary_with_grad`).
 
     Arm 1 is Hadamard, reference phase ``xi`` on |1>, the train and an
-    undoing Hadamard; arm 2 is the train alone on |0>.  Returns (p1, p2,
-    dp1_dphi, dp2_dphi), each indexed by the outcome s on its last axis.
-    ``xi`` broadcasts against the train's dphi shape: one train of shape
+    undoing Hadamard; arm 2 is the train alone on |0>.  Returns (P,
+    dP/ddphi) stacked as one array of shape ``(2,) + shape + (4,)``, whose
+    four outcome columns are arm 1 s = 0, 1, then arm 2 s = 0, 1.  ``xi``
+    broadcasts against the train's dphi shape: one train of shape
     (1,) and many reference phases, or many dphi and one reference phase.
 
     With U = (a, b), arm 2 ends in (a, -conj(b)), and arm 1 in
@@ -251,20 +258,23 @@ def ramsey_probabilities(train, xi):
     np.subtract(f, g, out=amp[..., 1])
     amp[..., :2] *= 0.5
     amp[..., 2:] = t
-    p = np.abs(amp[0]) ** 2
-    dp = 2.0 * np.real(np.conj(amp[0]) * amp[1])
-    return p[..., :2], p[..., 2:], dp[..., :2], dp[..., 2:]
+    out = np.empty(amp.shape)
+    np.square(np.abs(amp[0]), out=out[0])
+    np.multiply(2.0, (np.conj(amp[0]) * amp[1]).real, out=out[1])
+    return out
 
 
 @dataclass(frozen=True)
 class RamseyOutcomeModel:
-    """Two-arm measurement distributions P1/P2(s | dphi) at the pulse area
+    """Two-arm measurement distributions P(s | dphi) at the pulse area
     ``spec.theta``, with their dphi derivatives.
 
-    `evaluate` forms the train's top rows (`train_unitary_with_grad`) and
-    the arms' probabilities from them (`ramsey_probabilities`), on 1-d
-    arrays throughout, so each row of a batched call is bit for bit the
-    call at that dphi alone.
+    `evaluate` returns them as one array of shape ``(2,) + np.shape(dphi)
+    + (4,)`` that unpacks as ``p, dp``, with one column per outcome: arm 1
+    s = 0, arm 1 s = 1, arm 2 s = 0, arm 2 s = 1.  It forms the train's top
+    rows (`train_unitary_with_grad`) and the arms' probabilities from them
+    (`ramsey_probabilities`), on 1-d arrays throughout, so each row of a
+    batched call is bit for bit the call at that dphi alone.
 
     ``cache`` holds what `estimation` computes on this model, so the records
     of a study or of the locks sharing the model reuse it: the fringe grid of
@@ -278,11 +288,7 @@ class RamseyOutcomeModel:
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def evaluate(self, dphi):
-        """Return (p1, p2, dp1_dphi, dp2_dphi).
-
-        Each entry is indexed by the outcome s in {0, 1} on its last axis; an
-        array ``dphi`` adds its shape in front.
-        """
+        """(P, dP/ddphi) at ``dphi``, in the layout the class docstring gives."""
         train = train_unitary_with_grad(self.spec, dphi)
         return ramsey_probabilities(train, self.spec.reference_phase)
 

@@ -788,14 +788,4 @@ def run_scenario(
     if run.diagnostics is not None:
         manifest["diagnostics"] = run.diagnostics
     paths += _write_files(out, {"manifest": manifest}, fmt)
-    return {"artifacts": [str(a) for a in paths], "summary": _jsonable(run.summary)}
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    return x
+    return {"artifacts": [str(a) for a in paths], "summary": run.summary}

@@ -52,8 +52,8 @@ def test_fisher_psd_everywhere(theta, dphi):
 def test_score_has_zero_expectation(theta, dphi):
     # E[S] = sum_s dP/ddphi = 0 for each arm
     model = _model(n=20, xi=1.0, theta=theta)
-    _, _, d1, d2 = model.evaluate(dphi)
-    for d in (d1, d2):
+    dp = model.evaluate(dphi)[1]
+    for d in (dp[:2], dp[2:]):
         assert abs(d.sum()) < 1e-10
 
 
@@ -72,11 +72,10 @@ def test_a_drawn_record_is_the_sampled_record_bit_for_bit(n, m_shots):
     # and draws each record with the helper `sample_record` draws with
     model = _model(n=n)
     residuals = np.linspace(-0.5, 0.5, 11) * np.pi / (4.0 * model.spec.enhancement)
-    p1, p2, *_ = model.evaluate(residuals)
+    p = model.evaluate(residuals)[0]
     for i, (residual, seed) in enumerate(zip(residuals.tolist(), range(100, 111))):
-        scalar = _model(n=n).evaluate(residual)
-        assert p1[i, 1] == scalar[0][1] and p2[i, 1] == scalar[1][1]
-        drawn = estimation._draw_record(p1[i, 1], p2[i, 1], m_shots, seed)
+        assert np.array_equal(p[i], _model(n=n).evaluate(residual)[0])
+        drawn = estimation._draw_record(p[i], m_shots, seed)
         sampled = sample_record(_model(n=n), np.pi / 2, residual, m_shots, seed)
         assert np.array_equal(drawn.counts1, sampled.counts1)
         assert np.array_equal(drawn.counts2, sampled.counts2)
@@ -219,13 +218,13 @@ def _brentq_fit(record, model, dphi0=0.0):
     chi = model.spec.enhancement
     window = np.pi / (4.0 * chi)
     grid = np.linspace(dphi0 - window, dphi0 + window, 65)
-    p1, p2, d1, d2 = model.evaluate(grid)
+    p, dp = model.evaluate(grid)
     ll = score = 0.0
     pole = np.zeros(grid.size, dtype=bool)
-    for counts, p, dp in ((record.counts1, p1, d1), (record.counts2, p2, d2)):
-        pc = np.clip(p, 1e-12, 1.0)
+    for counts, arm in ((record.counts1, slice(0, 2)), (record.counts2, slice(2, 4))):
+        pc = np.clip(p[:, arm], 1e-12, 1.0)
         ll = ll + np.log(pc) @ counts
-        score = score + (dp / pc) @ counts
+        score = score + (dp[:, arm] / pc) @ counts
         node = (pc == 1e-12) & ~np.all(pc == 1e-12, axis=0)
         pole |= np.any(node & (counts > 0), axis=1)
     up, down = np.where(pole, np.inf, score), np.where(pole, -np.inf, score)
@@ -257,6 +256,9 @@ def _oracle_batches():
     starts on a fringe node, where the score of every record is exactly
     zero, so records with all shots in outcome 0 take that bracket end;
     the others have an inner root or, with all shots in outcome 1, none.
+    Off quadrature (2A 6x3 at theta = 0.9) arm 2 carries phase information
+    too: 30 drawn records and the four with each arm's shots in one
+    outcome, one of which has no root in the window.
     """
     batches = []
     for kind, n, nd in [("1B", 10, 0), ("1B", 1000, 0), ("2B", 100, 50)]:
@@ -271,10 +273,15 @@ def _oracle_batches():
     m = 1000
     n1s = [0, 500, 0, 1, 10, 100, 300, 480, 600, 900, 999, 1000, 0]
     batches.append((model, np.pi / 8.0, m, [[m - n1, n1, m, 0] for n1 in n1s]))
+    spec, dphi, m = ProtocolSpec("2A", 6, 3, 0.0, 0.9), 0.01, 10_000
+    model = ramsey_model(replace(spec, reference_phase=optimize_reference_phase(spec, dphi)))
+    rows = [estimation._row(sample_record(model, spec.theta, dphi, m, seed)) for seed in range(30)]
+    rows += [[a, m - a, b, m - b] for a in (0, m) for b in (0, m)]
+    batches.append((model, 0.0, m, rows))
     return batches
 
 
-@pytest.mark.parametrize("batch", range(4), ids=["1B-10", "1B-1000", "2B-100x50", "phase_ref-1"])
+@pytest.mark.parametrize("batch", range(5), ids=["1B-10", "1B-1000", "2B-100x50", "phase_ref-1", "2A-6x3"])
 def test_batched_fits_match_the_scalar_oracle(batch):
     model, dphi0, m, rows = _oracle_batches()[batch]
     chi = model.spec.enhancement
@@ -296,7 +303,7 @@ def test_batched_fits_match_the_scalar_oracle(batch):
         assert sum(f.converged and f.n_evaluations > 0 for f in fits) >= 7
 
 
-@pytest.mark.parametrize("batch", range(4), ids=["1B-10", "1B-1000", "2B-100x50", "phase_ref-1"])
+@pytest.mark.parametrize("batch", range(5), ids=["1B-10", "1B-1000", "2B-100x50", "phase_ref-1", "2A-6x3"])
 def test_each_batched_fit_is_its_one_row_fit_bit_for_bit(batch):
     model, dphi0, m, rows = _oracle_batches()[batch]
     fits = estimation._fit_records(model, np.array(rows), m, dphi0)
@@ -658,10 +665,10 @@ def test_a_singular_window_raises_before_any_score_evaluation(monkeypatch):
     evaluate = RamseyOutcomeModel.evaluate
 
     def singular(self, dphi):
-        p1, p2, d1, d2 = (np.array(a) for a in evaluate(self, dphi))
-        p1[..., 0], p1[..., 1] = 0.0, 1.0  # a vanishing outcome ...
-        d1[..., 0], d1[..., 1] = 1.0, -1.0  # ... with a finite slope
-        return p1, p2, d1, d2
+        probs = evaluate(self, dphi)
+        probs[0, ..., :2] = 0.0, 1.0  # a vanishing outcome of arm 1 ...
+        probs[1, ..., :2] = 1.0, -1.0  # ... with a finite slope
+        return probs
 
     def no_score(*args):
         raise AssertionError("score evaluated")

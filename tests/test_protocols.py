@@ -172,12 +172,10 @@ def test_model_gradients_match_finite_differences(kind, n, nd):
     spec = ProtocolSpec(kind, n, nd, 0.7, theta)
     model = ramsey_model(spec)
     h = 1e-6
-    _, _, d1, d2 = model.evaluate(dphi)
-    for dp, pick in [(d1, 0), (d2, 1)]:
-        fp = model.evaluate(dphi + h)[pick]
-        fm = model.evaluate(dphi - h)[pick]
-        fd = (fp - fm) / (2 * h)
-        assert np.max(np.abs(fd - dp)) < 1e-6 * (1.0 + np.max(np.abs(dp)))
+    dp = model.evaluate(dphi)[1]
+    fd = (model.evaluate(dphi + h)[0] - model.evaluate(dphi - h)[0]) / (2 * h)
+    for arm in (slice(0, 2), slice(2, 4)):
+        assert np.max(np.abs(fd[arm] - dp[arm])) < 1e-6 * (1.0 + np.max(np.abs(dp[arm])))
 
 
 def _train_2x2(spec, dphi):
@@ -209,16 +207,16 @@ def _train_2x2(spec, dphi):
 
 
 def _probabilities_2x2(spec, dphi):
-    """Oracle: (p1, p2, dp1, dp2) from the state vectors of both arms."""
+    """Oracle: (P, dP/ddphi) from the state vectors of both arms, as a
+    (2, 4) array in `evaluate`'s outcome columns (arm 1 s = 0, 1, then arm 2)."""
     u, du = _train_2x2(spec, dphi)
     prep = HADAMARD @ np.array([1.0, 0.0])
     prep[1] *= np.exp(1.0j * spec.reference_phase)
-    out = []
+    arms = []
     for m, psi in ((HADAMARD, prep), (np.eye(2), np.array([1.0, 0.0]))):
         amp, damp = m @ u @ psi, m @ du @ psi
-        out.append((np.abs(amp) ** 2, 2.0 * np.real(np.conj(amp) * damp)))
-    (p1, d1), (p2, d2) = out
-    return p1, p2, d1, d2
+        arms.append((np.abs(amp) ** 2, 2.0 * np.real(np.conj(amp) * damp)))
+    return np.concatenate(arms, axis=1)
 
 
 #: the five kinds off quadrature (theta != pi/2, xi != 0) and at it
@@ -233,7 +231,7 @@ ORACLE_SPECS = [
 def test_model_matches_the_2x2_matrix_oracle(spec):
     dphis = np.array([-0.05, -1e-9, 0.0, 0.013, 0.05])
     u, du = train_unitary_with_grad(spec, dphis)
-    probs = ramsey_model(spec).evaluate(dphis)
+    p, dp = ramsey_model(spec).evaluate(dphis)
     # the square-and-multiply oracle itself loses about k eps of relative precision
     tol = 8.0 * spec.n_pulses * np.finfo(float).eps
     chi = max(spec.enhancement, 1.0)
@@ -241,8 +239,10 @@ def test_model_matches_the_2x2_matrix_oracle(spec):
         expected_u, expected_du = _train_2x2(spec, dphi)
         assert np.max(np.abs(su2_matrix(u[i]) - expected_u)) <= tol
         assert np.max(np.abs(su2_matrix(du[i]) - expected_du)) <= tol * chi
-        for got, expected, scale in zip(probs, _probabilities_2x2(spec, dphi), (1.0, 1.0, chi, chi)):
-            assert np.max(np.abs(got[i] - expected)) <= tol * scale
+        expected_p, expected_dp = _probabilities_2x2(spec, dphi)
+        for column in range(4):
+            assert abs(p[i, column] - expected_p[column]) <= tol
+            assert abs(dp[i, column] - expected_dp[column]) <= tol * chi
 
 
 @pytest.mark.parametrize(
@@ -256,21 +256,19 @@ def test_batched_evaluate_matches_scalar_loop(kind, n, nd):
         model = ramsey_model(ProtocolSpec(kind, n, nd, xi, theta))
         dphis = np.linspace(-0.05, 0.05, 33)
         batched = model.evaluate(dphis)
-        assert len(batched) == 4 and all(b.shape == (dphis.size, 2) for b in batched)
+        assert batched.shape == (2, dphis.size, 4)
         for i, dphi in enumerate(dphis):
-            for single in (model.evaluate(float(dphi)), model.evaluate(dphis[i : i + 1])):
-                assert len(single) == 4
-                for b, s in zip(batched, single):
-                    assert np.array_equal(b[i], s.reshape(2))
-            assert all(s.shape == (2,) for s in model.evaluate(float(dphi)))
-            assert all(s.shape == (1, 2) for s in model.evaluate(dphis[i : i + 1]))
+            scalar, row = model.evaluate(float(dphi)), model.evaluate(dphis[i : i + 1])
+            assert scalar.shape == (2, 4) and row.shape == (2, 1, 4)
+            assert np.array_equal(batched[:, i], scalar)
+            assert np.array_equal(batched[:, i : i + 1], row)
 
 
 def test_1b_fringe_is_cos_squared():
     n, xi = 20, 0.8
     model = ramsey_model(ProtocolSpec("1B", n, 0, xi, np.pi / 2))
     for dphi in (0.0, 0.01, 0.05):
-        p1 = model.evaluate(dphi)[0]
+        p1 = model.evaluate(dphi)[0, :2]
         assert p1[0] == pytest.approx(np.cos(n * dphi + xi / 2.0) ** 2, abs=1e-12)
         assert p1.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -279,10 +277,10 @@ def test_probabilities_normalized_everywhere():
     rng = np.random.default_rng(0)
     for _ in range(20):
         th, dp = rng.uniform(0, np.pi), rng.uniform(-0.3, 0.3)
-        p1, p2, *_ = ramsey_model(ProtocolSpec("2B", 6, 4, 1.1, th)).evaluate(dp)
-        assert p1.sum() == pytest.approx(1.0, abs=1e-12)
-        assert p2.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(p1 >= -1e-15) and np.all(p2 >= -1e-15)
+        p = ramsey_model(ProtocolSpec("2B", 6, 4, 1.1, th)).evaluate(dp)[0]
+        assert p[:2].sum() == pytest.approx(1.0, abs=1e-12)
+        assert p[2:].sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(p >= -1e-15)
 
 
 @given(n_half=st.integers(2, 5), seed=st.integers(0, 500))

@@ -531,6 +531,15 @@ def test_old_subcommands_removed(argv):
     assert exc.value.code == EXIT_SCHEMA
 
 
+def _plain(x) -> bool:
+    """Whether ``x`` is built of Python's own bool, int, float, str, list and dict."""
+    if type(x) is dict:
+        return all(type(k) is str and _plain(v) for k, v in x.items())
+    if type(x) is list:
+        return all(_plain(v) for v in x)
+    return type(x) in (bool, int, float, str)
+
+
 @pytest.mark.parametrize("kind", sorted(PARAMS))
 def test_every_kind_honours_json_format(tmp_path, kind):
     assert set(TINY_PARAMS) == set(PARAMS)
@@ -538,6 +547,9 @@ def test_every_kind_honours_json_format(tmp_path, kind):
     out = tmp_path / "out"
     result = run_scenario(cfg, out, fmt="json")
     assert not list(out.glob("*.csv"))
+    # the CLI prints the summary with json.dumps, which rejects numpy scalars
+    # such as np.bool_ and np.int64
+    assert _plain(result["summary"])
     for artifact in result["artifacts"]:
         assert artifact.endswith(".json")
         json.loads(Path(artifact).read_text())
