@@ -91,8 +91,8 @@ _REAL = _is_real, "a finite number"
 _POSITIVE = _is_positive, "a positive finite number"
 _NON_NEGATIVE = (lambda v: _is_real(v) and v >= 0), "a non-negative finite number"
 _MAPPINGS = (lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v)), "a list of mappings"
-# a study list: each entry is one study, and a run needs at least one
-_STUDIES = _list_of(lambda e: isinstance(e, dict), "mappings")
+# a list of points or scans: a run needs at least one
+_NON_EMPTY_MAPPINGS = _list_of(lambda e: isinstance(e, dict), "mappings")
 _PROTOCOL_KIND = _one_of(protocols.PROTOCOL_KINDS)
 # a Raman laser at (1 - fraction) times the transition frequency: positive,
 # and detuned from the excited state
@@ -108,10 +108,10 @@ _MAX_RAMAN_CYCLES = 1000
 
 #: Params of each scenario kind: each one's default and rule, and the key
 #: table of each entry of a list param.  The runners read only these keys,
-#: and a config may set no others.  A study row is a ddof = 1 spread over
-#: its seeds, a lock run needs one lock and a record one shot, and a lock
-#: takes the counts `RefineConfig` accepts.  Upper bounds on seeds, cycles,
-#: cases, pairings and grid points bound the work of one run.
+#: and a config may set no others.  A `crlb_saturation` row is a ddof = 1
+#: spread over its seeds, a lock run needs one lock and a record one shot,
+#: and a lock takes the counts `RefineConfig` accepts.  Upper bounds on
+#: seeds, cycles, cases, pairings and grid points bound the work of one run.
 PARAMS = {
     "rwa_validity": {
         "cycles": Key(
@@ -141,7 +141,7 @@ PARAMS = {
                 {"kind": "1B", "n_values": [100, 1000, 10000]},
                 {"kind": "2B", "n_values": [10, 32, 100], "n_delay_values": [10, 32, 100]},
             ],
-            *_STUDIES,
+            *_NON_EMPTY_MAPPINGS,
             entries={
                 "kind": Key(REQUIRED, *_PROTOCOL_KIND),
                 "n_values": Key(REQUIRED, *_list_of(_int_at_least(1), "integers >= 1")),
@@ -151,12 +151,11 @@ PARAMS = {
             },
         ),
         "m_shots": Key(10_000, *_count(1, _MAX_SHOTS)),
-        "n_seeds": Key(500, *_count(2, _MAX_SEEDS)),
     },
     "crlb_saturation": {
         "points": Key(
             REQUIRED,
-            *_STUDIES,
+            *_NON_EMPTY_MAPPINGS,
             entries={
                 "kind": Key(REQUIRED, *_PROTOCOL_KIND),
                 "n": Key(REQUIRED, *_count(1)),
@@ -178,7 +177,6 @@ PARAMS = {
             ),
         ),
         "m_shots": Key(2000, *_count(1, _MAX_SHOTS)),
-        "n_seeds": Key(100, *_count(2, _MAX_SEEDS)),
         "extrapolations": Key(
             [{"rep_rate_hz": 1e8, "n": 500_000, "n_delay": 500_000}],
             *_MAPPINGS,
@@ -457,18 +455,6 @@ def _run_permutation(cfg, _):
     return Run({"permutation_optimality": table}, {"max_difference": max(r[4] for r in rows)})
 
 
-def _studies(points, n_seeds: int):
-    """One `estimation.estimator_study` of ``n_seeds`` seeds per point (spec,
-    true dphi, m_shots, first seed).  Returns each point's (estimates,
-    bound) and the diagnostics summed."""
-    studies = [
-        estimation.estimator_study(spec, dphi, m_shots, range(start, start + n_seeds))
-        for spec, dphi, m_shots, start in points
-    ]
-    diagnostics = {key: sum(study[2][key] for study in studies) for key in studies[0][2]}
-    return [study[:2] for study in studies], diagnostics
-
-
 def _entry_specs(p, key: str, make) -> list:
     """``make(entry)`` of each entry of ``p[key]``; a `ValueError` names the entry."""
     specs = []
@@ -486,8 +472,8 @@ def _scan_specs(scan) -> list:
     if len(n_delays) != len(n_values):
         raise ValueError("n_delay_values must match n_values in length")
     specs = [protocols.ProtocolSpec(scan["kind"], n, nd) for n, nd in zip(n_values, n_delays)]
-    if len({spec.enhancement for spec in specs}) < 3:
-        raise ValueError("a scaling scan needs at least three distinct chi for its slope error")
+    if len(set(n_values)) < 3 or len({spec.enhancement for spec in specs}) < 3:
+        raise ValueError("a scaling scan needs at least three distinct N and three distinct chi")
     return specs
 
 
@@ -500,38 +486,38 @@ def _scans(p) -> list:
     return scans
 
 
-def _run_table1_scaling(cfg, scans):
-    """sigma(dphi) over seeds at each point of each scan, and the log-log
-    slope of sigma against chi = `ProtocolSpec.enhancement`.
+def _crlb_point(spec, m_shots: int) -> tuple[float, float]:
+    """The Cramer-Rao bound sigma = 1 / sqrt(I) on one experiment's estimate
+    of dphi, from the model's Fisher information I at chi dphi = 0.2 with
+    ``m_shots`` per arm, and its scaled constant sigma chi sqrt(M).
 
-    The true dphi at each point is 0.2 / chi, so every point sits at the same
-    spot on its fringe, and point i of each scan starts at seed + 1000 i.
+    The reference phase is pi/2: at the pulse area theta = pi/2 of every
+    scan point and reduced point the information does not depend on it.
+    Every point sits at the same spot on its fringe, where the constant is
+    1/2 for 1B, 2B and phase_ref.
     """
-    p = cfg.params
-    m_shots = p["m_shots"]
-    points = [
-        (spec, 0.2 / spec.enhancement, m_shots, cfg.seed + 1000 * i)
-        for specs in scans
-        for i, spec in enumerate(specs)
-    ]
-    studies, diagnostics = _studies(points, p["n_seeds"])
+    chi = spec.enhancement
+    model = protocols.ramsey_model(replace(spec, reference_phase=np.pi / 2))
+    sigma = float(1.0 / np.sqrt(estimation.fisher_matrix(model, 0.2 / chi, m_shots)))
+    return sigma, sigma * chi * float(np.sqrt(m_shots))
+
+
+def _run_table1_scaling(cfg, scans):
+    """The Cramer-Rao bound on sigma(dphi) at each point of each scan
+    (`_crlb_point`), and the log-log slope of that bound against N."""
+    m_shots = cfg.params["m_shots"]
     files, slopes = {}, {}
     for specs in scans:
         kind = specs[0].kind
-        scan, studies = studies[: len(specs)], studies[len(specs):]
-        rows = []
-        for spec, (ests, variance) in zip(specs, scan):
-            sigma = float(np.std(ests, ddof=1))
-            crlb_sigma = float(np.sqrt(variance))
-            rows.append((spec.n_pulses, spec.n_delay, m_shots, sigma, crlb_sigma, sigma / crlb_sigma))
-        chi = np.array([spec.enhancement for spec in specs])
-        coef, cov = np.polyfit(np.log(chi), np.log([r[3] for r in rows]), 1, cov=True)
-        files[f"scaling_{kind}"] = Table(["N", "N_d", "M", "sigma_dphi", "crlb", "ratio"], rows)
-        files[f"scaling_{kind}.slope"] = {
-            "kind": kind, "slope": float(coef[0]), "slope_stderr": float(np.sqrt(cov[0, 0])),
-        }
-        slopes[kind] = float(coef[0])
-    return Run(files, {"slopes": slopes}, diagnostics)
+        rows = [
+            (spec.n_pulses, spec.n_delay, m_shots, spec.enhancement, *_crlb_point(spec, m_shots))
+            for spec in specs
+        ]
+        slope = float(np.polyfit(np.log([r[0] for r in rows]), np.log([r[4] for r in rows]), 1)[0])
+        files[f"scaling_{kind}"] = Table(["N", "N_d", "M", "chi", "crlb", "scaled_constant"], rows)
+        files[f"scaling_{kind}.slope"] = {"kind": kind, "slope": slope}
+        slopes[kind] = slope
+    return Run(files, {"slopes": slopes})
 
 
 def _point_spec(pt):
@@ -540,19 +526,23 @@ def _point_spec(pt):
 
 
 def _run_crlb_saturation(cfg, specs):
-    """Estimator variance against the CRLB at each point; a point starts at
-    seed + its ``seed_offset``."""
+    """Estimator variance against the CRLB at each point: one
+    `estimation.estimator_study` of ``n_seeds`` seeds per point, from seed +
+    the point's ``seed_offset``.  The diagnostics are the studies' summed."""
     p = cfg.params
-    points = [
-        (spec, pt["dphi"], pt["m_shots"], cfg.seed + pt["seed_offset"])
-        for pt, spec in zip(p["points"], specs)
-    ]
-    studies, diagnostics = _studies(points, p["n_seeds"])
-    rows = []
-    for (spec, dphi, m_shots, _), (ests, bound) in zip(points, studies):
+    rows, studies = [], []
+    for pt, spec in zip(p["points"], specs):
+        start = cfg.seed + pt["seed_offset"]
+        ests, bound, diagnostics = estimation.estimator_study(
+            spec, pt["dphi"], pt["m_shots"], range(start, start + p["n_seeds"])
+        )
         var = float(np.var(ests, ddof=1))
-        rows.append((spec.kind, spec.n_pulses, spec.n_delay, dphi, m_shots, var, bound, var / bound))
+        rows.append(
+            (spec.kind, spec.n_pulses, spec.n_delay, pt["dphi"], pt["m_shots"], var, bound, var / bound)
+        )
+        studies.append(diagnostics)
     table = Table(["kind", "n", "n_delay", "dphi", "m_shots", "variance", "crlb", "ratio"], rows)
+    diagnostics = {key: sum(study[key] for study in studies) for key in studies[0]}
     return Run({"crlb_saturation": table}, {"ratios": [r[7] for r in rows]}, diagnostics)
 
 
@@ -563,23 +553,17 @@ def _extrapolated_row(case):
 
 
 def _run_resolution(cfg, specs):
-    """Offset-frequency resolution: verified scaling at desk scale, then
-    arithmetic extrapolation to configurations far beyond simulation.
-    Reduced point i starts at seed + 10000 i."""
-    p = cfg.params
-    m_shots = p["m_shots"]
-    points = [(spec, 0.2 / spec.enhancement, m_shots, cfg.seed + 10_000 * i) for i, spec in enumerate(specs)]
-    studies, diagnostics = _studies(points, p["n_seeds"])
-    rows = []
-    for spec, (ests, _) in zip(specs, studies):
-        sigma, chi = float(np.std(ests, ddof=1)), spec.enhancement
-        rows.append(("simulated", spec.n_pulses, spec.n_delay, sigma, sigma * chi * np.sqrt(m_shots)))
-    # reduced-scale consistency: sigma * chi * sqrt(M) should be flat
+    """Offset-frequency resolution: the Cramer-Rao bound at desk scale
+    (`_crlb_point`), whose scaled constant sigma N N_d sqrt(M) verifies the
+    1 / (N N_d) law, then arithmetic extrapolation to configurations far
+    beyond simulation."""
+    m_shots = cfg.params["m_shots"]
+    rows = [("crlb", spec.n_pulses, spec.n_delay, *_crlb_point(spec, m_shots)) for spec in specs]
     consts = [row[4] for row in rows]
-    rows += [_extrapolated_row(case) for case in p["extrapolations"]]
+    rows += [_extrapolated_row(case) for case in cfg.params["extrapolations"]]
     table = Table(["row_kind", "n", "n_delay", "value", "scaled_constant"], rows)
     spread = float(np.ptp(consts) / np.mean(consts))
-    return Run({"resolution": table}, {"scaling_constant_spread": spread}, diagnostics)
+    return Run({"resolution": table}, {"scaling_constant_spread": spread})
 
 
 def _raman_spec(p, delta_key):

@@ -104,10 +104,23 @@ def test_criterion_03_permutation_optimality(tmp_path, capsys):
 
 def test_criterion_04_scaling_slopes(tmp_path, capsys):
     with report(capsys, 4, "sensitivity scaling slopes"):
+        # the Cramer-Rao bound at chi dphi = 0.2 is 1 / (2 chi sqrt(M)), so its
+        # slope against N is that of 1 / chi: N^-1 for 1B, N^-2 for 2B with
+        # N_d = N, and -log N(N + 1) against log N for phase_ref
         result = run_scenario("table1_scaling", tmp_path)
         slopes = result["summary"]["slopes"]
-        assert slopes["1B"] == pytest.approx(-1.0, abs=0.05)
-        assert slopes["2B"] == pytest.approx(-1.0, abs=0.05)
+        assert sorted(slopes) == ["1B", "2B", "phase_ref"]
+        rows = {kind: _read_csv(tmp_path / f"scaling_{kind}.csv") for kind in slopes}
+        for kind, slope in slopes.items():
+            sidecar = json.loads((tmp_path / f"scaling_{kind}.slope.json").read_text())
+            assert sidecar == {"kind": kind, "slope": slope}
+            for r in rows[kind]:
+                assert float(r["scaled_constant"]) == pytest.approx(0.5, abs=1e-9)
+        assert slopes["1B"] == pytest.approx(-1.0, abs=1e-9)
+        assert all(r["N_d"] == r["N"] for r in rows["2B"])
+        assert slopes["2B"] == pytest.approx(-2.0, abs=1e-9)
+        n = np.array([float(r["N"]) for r in rows["phase_ref"]])
+        assert slopes["phase_ref"] == pytest.approx(np.polyfit(np.log(n), -np.log(n * (n + 1)), 1)[0], abs=1e-9)
 
 
 def test_criterion_05_crlb_saturation(tmp_path, capsys):
@@ -126,10 +139,14 @@ def test_criterion_06_offset_resolution_numbers(tmp_path, capsys):
         # 1 us-class delayed interrogation: a 200 kHz-wide offset refined by
         # a 250 x 250 train lands at the 3 Hz level
         assert round(offset_resolution(200e3, 250, 250)) == 3
-        # reduced-scale simulation verifies the 1/(N N_d) law the
-        # extrapolation relies on: sigma * N * N_d * sqrt(M) is constant
+        # the Cramer-Rao bound at reduced scale verifies the 1/(N N_d) law
+        # the extrapolation relies on: sigma * N * N_d * sqrt(M) is constant
         result = run_scenario("resolution_extrapolation", tmp_path)
-        assert result["summary"]["scaling_constant_spread"] < 0.25
+        bound_rows = [r for r in _read_csv(tmp_path / "resolution.csv") if r["row_kind"] == "crlb"]
+        assert len(bound_rows) == 3
+        for r in bound_rows:
+            assert float(r["scaled_constant"]) == pytest.approx(0.5, abs=1e-9)
+        assert result["summary"]["scaling_constant_spread"] < 1e-9
 
 
 def test_criterion_07_three_level_raman(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -508,14 +509,18 @@ def test_sensitivity_scan_slope_and_csv(tmp_path):
     cfg = tmp_path / "scan.yaml"
     cfg.write_text(
         "schema_version: 1\nname: small_scan\nkind: table1_scaling\nseed: 3\n"
-        "params: {m_shots: 2000, n_seeds: 40, scans: [{kind: 1B, n_values: [16, 32, 64]}]}\n"
+        "params: {m_shots: 2000, scans: [{kind: 1B, n_values: [16, 32, 64]}]}\n"
     )
     result = run_scenario(cfg, tmp_path)
-    assert result["summary"]["slopes"]["1B"] == pytest.approx(-1.0, abs=0.15)
-    lines = (tmp_path / "scaling_1B.csv").read_text().splitlines()
-    assert lines[0] == "N,N_d,M,sigma_dphi,crlb,ratio"
-    assert len(lines) == 4
-    assert "slope" in (tmp_path / "scaling_1B.slope.json").read_text()
+    slope = result["summary"]["slopes"]["1B"]
+    assert slope == pytest.approx(-1.0, abs=1e-9)
+    header, *rows = [line.split(",") for line in (tmp_path / "scaling_1B.csv").read_text().splitlines()]
+    assert header == ["N", "N_d", "M", "chi", "crlb", "scaled_constant"]
+    assert [r[:4] for r in rows] == [[str(n), "0", "2000", f"{n}.0"] for n in (16, 32, 64)]
+    for *_, chi, crlb, constant in rows:
+        assert float(crlb) == pytest.approx(1.0 / (2.0 * float(chi) * np.sqrt(2000)), rel=1e-12)
+        assert float(constant) == pytest.approx(0.5, abs=1e-12)
+    assert json.loads((tmp_path / "scaling_1B.slope.json").read_text()) == {"kind": "1B", "slope": slope}
 
 
 def test_sensitivity_scan_needs_three_sizes(tmp_path):
@@ -523,7 +528,7 @@ def test_sensitivity_scan_needs_three_sizes(tmp_path):
         cfg = tmp_path / "scan.yaml"
         cfg.write_text(
             "schema_version: 1\nname: bad_scan\nkind: table1_scaling\nseed: 3\n"
-            f"params: {{m_shots: 200, n_seeds: 3, scans: [{entry}]}}\n"
+            f"params: {{m_shots: 200, scans: [{entry}]}}\n"
         )
         run_scenario(cfg, tmp_path / "out")
 

@@ -33,9 +33,9 @@ TINY_PARAMS = {
     "rwa_validity": {"cycles": [2, 4]},
     "closed_forms": {"n_cases": 3, "n_max": 20},
     "permutation_optimality": {"sizes": [4], "trials": 1},
-    "table1_scaling": {"scans": [{"kind": "1B", "n_values": [4, 8, 16]}], "m_shots": 200, "n_seeds": 3},
+    "table1_scaling": {"scans": [{"kind": "1B", "n_values": [4, 8, 16]}], "m_shots": 200},
     "crlb_saturation": {"n_seeds": 3, "points": [{"kind": "1B", "n": 10, "dphi": 0.02, "m_shots": 1000}]},
-    "resolution_extrapolation": {"reduced_points": [[4, 2], [8, 4]], "m_shots": 200, "n_seeds": 3},
+    "resolution_extrapolation": {"reduced_points": [[4, 2], [8, 4]], "m_shots": 200},
     "raman_three_level": {"grid_points": 5, "transition_hz": 20.0, "rabi": 4.0},
     "error_models": {},
     "refine_fiber": {"n_seeds": 1, "m_shots": 500, "max_stages": 2},
@@ -233,12 +233,26 @@ def test_cli_refine_summary_counts_backoffs(tmp_path, capsys):
     assert summary["all_locked"]
 
 
-#: estimator studies each fitting kind's tiny config runs: one per point
-_TINY_STUDIES = {"table1_scaling": 3, "crlb_saturation": 1, "resolution_extrapolation": 2}
+#: tiny crlb_saturation params of one and of several studies, one per point:
+#: the tiny points, three 1B points and two 2B points, each at chi dphi = 0.2
+_TINY_STUDIES = {
+    "crlb_saturation": TINY_PARAMS["crlb_saturation"],
+    "three 1B points": {
+        "n_seeds": 3,
+        "points": [{"kind": "1B", "n": n, "dphi": 0.2 / n, "m_shots": 200} for n in (4, 8, 16)],
+    },
+    "two 2B points": {
+        "n_seeds": 3,
+        "points": [
+            {"kind": "2B", "n": n, "n_delay": nd, "dphi": 0.2 / (n * nd), "m_shots": 200, "seed_offset": offset}
+            for n, nd, offset in ((4, 2, 0), (8, 4, 10_000))
+        ],
+    },
+}
 
 
-@pytest.mark.parametrize("kind", sorted(_TINY_STUDIES))
-def test_study_runs_write_their_diagnostics_to_the_manifest(tmp_path, monkeypatch, kind):
+@pytest.mark.parametrize("name", sorted(_TINY_STUDIES))
+def test_study_runs_write_their_diagnostics_to_the_manifest(tmp_path, monkeypatch, name):
     studies = []
     study = estimation.estimator_study
 
@@ -248,15 +262,17 @@ def test_study_runs_write_their_diagnostics_to_the_manifest(tmp_path, monkeypatc
         return result
 
     monkeypatch.setattr(estimation, "estimator_study", spy)
-    cfg = _config(tmp_path, kind, TINY_PARAMS[kind])
+    params = _TINY_STUDIES[name]
+    n_points = len(params["points"])
+    cfg = _config(tmp_path, "crlb_saturation", params)
     run_scenario(cfg, tmp_path / "a")
     run_scenario(cfg, tmp_path / "b")
     manifests = [json.loads((tmp_path / d / "manifest.json").read_text()) for d in "ab"]
-    assert len(studies) == 2 * _TINY_STUDIES[kind]
+    assert len(studies) == 2 * n_points
     keys = ("fits", "distinct_records", "nonconverged", "pinned", "score_evaluations")
-    expected = {k: sum(d[k] for d in studies[: _TINY_STUDIES[kind]]) for k in keys}
+    expected = {k: sum(d[k] for d in studies[:n_points]) for k in keys}
     assert manifests[0]["diagnostics"] == manifests[1]["diagnostics"] == expected
-    assert expected["fits"] == _TINY_STUDIES[kind] * TINY_PARAMS[kind]["n_seeds"]
+    assert expected["fits"] == n_points * params["n_seeds"]
     assert 0 < expected["distinct_records"] <= expected["fits"]
     assert expected["score_evaluations"] > 0
     for a in (tmp_path / "a").iterdir():
@@ -392,18 +408,12 @@ def test_study_without_a_converged_fit_exits_3(tmp_path):
     assert not out.exists()
 
 
-#: one shot and two seeds: at seed 0 some study draws two equal records, so
-#: its estimates coincide and its spread of 0 would read a perfect estimator
-_DEGENERATE_STUDIES = {
-    "table1_scaling": {"scans": [{"kind": "1B", "n_values": [4, 8, 16]}], "m_shots": 1, "n_seeds": 2},
-    "crlb_saturation": {"n_seeds": 2, "points": [{"kind": "1B", "n": 10, "dphi": 0.02, "m_shots": 1}]},
-    "resolution_extrapolation": {"reduced_points": [[4, 2], [8, 4]], "m_shots": 1, "n_seeds": 2},
-}
-
-
-@pytest.mark.parametrize("kind", sorted(_DEGENERATE_STUDIES))
-def test_study_whose_estimates_coincide_exits_3(tmp_path, kind):
-    cfg = _config(tmp_path, kind, _DEGENERATE_STUDIES[kind])
+@pytest.mark.parametrize("name", sorted(_TINY_STUDIES))
+def test_study_whose_estimates_coincide_exits_3(tmp_path, name):
+    # one shot and two seeds: at seed 0 some study draws two equal records, so
+    # its estimates coincide and its spread of 0 would read a perfect estimator
+    points = [{**pt, "m_shots": 1} for pt in _TINY_STUDIES[name]["points"]]
+    cfg = _config(tmp_path, "crlb_saturation", {"n_seeds": 2, "points": points})
     with pytest.raises(DegenerateFitError, match="coincide"):
         run_scenario(cfg, tmp_path / "direct")
     out = tmp_path / "out"
@@ -411,26 +421,28 @@ def test_study_whose_estimates_coincide_exits_3(tmp_path, kind):
     assert not out.exists()
 
 
-#: a 1B scan and a 2B scan of three points each
-_TWO_SCANS = [
-    {"kind": "1B", "n_values": [4, 8, 16], "n_delay_values": [0, 0, 0]},
-    {"kind": "2B", "n_values": [4, 6, 8], "n_delay_values": [2, 2, 2]},
-]
-
-
 def test_a_study_that_raises_leaves_no_data_file(tmp_path, monkeypatch):
-    # the 1B scan's studies succeed, then the 2B scan's first one raises
+    # the 1B point's study succeeds, then the 2B point's study raises
     study = estimation.estimator_study
+    kinds = []
 
     def failing_2b(spec, *args):
+        kinds.append(spec.kind)
         if spec.kind == "2B":
             raise DegenerateFitError("the 2B study fails")
         return study(spec, *args)
 
     monkeypatch.setattr(estimation, "estimator_study", failing_2b)
-    cfg = _config(tmp_path, "table1_scaling", {"scans": _TWO_SCANS, "m_shots": 200, "n_seeds": 3})
+    cfg = _config(tmp_path, "crlb_saturation", {
+        "n_seeds": 3,
+        "points": [
+            {"kind": "1B", "n": 4, "dphi": 0.05, "m_shots": 200},
+            {"kind": "2B", "n": 4, "n_delay": 2, "dphi": 0.025, "m_shots": 200},
+        ],
+    })
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    assert kinds == ["1B", "2B"]
     assert not out.exists()
 
 
@@ -445,27 +457,10 @@ def _csv_rows(path):
     return [[value(x) for x in line.split(",")] for line in path.read_text().splitlines()[1:]]
 
 
-def _study(spec, dphi, m_shots, start, n_seeds):
-    """The estimates and bound of an `estimator_study` of ``n_seeds`` seeds from ``start``."""
-    estimates, bound, _ = estimation.estimator_study(spec, dphi, m_shots, range(start, start + n_seeds))
-    return estimates, bound
-
-
 def test_each_study_kind_keeps_its_seed_layout(tmp_path):
-    seed, n_seeds, m = 5, 3, 200
-    # table1_scaling: point i of each scan starts at seed + 1000 i
-    cfg = _config(tmp_path, "table1_scaling", {"scans": _TWO_SCANS, "m_shots": m, "n_seeds": n_seeds})
-    run_scenario(cfg, tmp_path / "scaling", seed=seed)
-    for scan in _TWO_SCANS:
-        expected = []
-        for i, (n, nd) in enumerate(zip(scan["n_values"], scan["n_delay_values"])):
-            spec = ProtocolSpec(scan["kind"], n, nd)
-            estimates, bound = _study(spec, 0.2 / spec.enhancement, m, seed + 1000 * i, n_seeds)
-            sigma, crlb = float(np.std(estimates, ddof=1)), float(np.sqrt(bound))
-            expected.append([n, nd, m, sigma, crlb, sigma / crlb])
-        assert _csv_rows(tmp_path / "scaling" / f"scaling_{scan['kind']}.csv") == expected
-    # crlb_saturation: a point starts at seed + its seed_offset, by default
-    # 1000 times its index
+    # crlb_saturation, the one kind that runs estimator studies: a point
+    # starts at seed + its seed_offset, by default 1000 times its index
+    seed, n_seeds = 5, 3
     points = [
         {"kind": "1B", "n": 10, "dphi": 0.02, "m_shots": 1000, "seed_offset": 7},
         {"kind": "2B", "n": 4, "n_delay": 2, "dphi": 0.01, "m_shots": 500},
@@ -475,21 +470,47 @@ def test_each_study_kind_keeps_its_seed_layout(tmp_path):
     expected = []
     for pt, offset in zip(points, (7, 1000)):
         spec = ProtocolSpec(pt["kind"], pt["n"], pt.get("n_delay", 0))
-        estimates, bound = _study(spec, pt["dphi"], pt["m_shots"], seed + offset, n_seeds)
+        seeds = range(seed + offset, seed + offset + n_seeds)
+        estimates, bound, _ = estimation.estimator_study(spec, pt["dphi"], pt["m_shots"], seeds)
         var = float(np.var(estimates, ddof=1))
         expected.append([spec.kind, spec.n_pulses, spec.n_delay, pt["dphi"], pt["m_shots"], var, bound, var / bound])
     assert _csv_rows(tmp_path / "crlb" / "crlb_saturation.csv") == expected
-    # resolution_extrapolation: reduced point i starts at seed + 10000 i
-    reduced = [[4, 2], [8, 4]]
-    params = {"reduced_points": reduced, "m_shots": m, "n_seeds": n_seeds}
-    run_scenario(_config(tmp_path, "resolution_extrapolation", params), tmp_path / "resolution", seed=seed)
-    expected = []
-    for i, (n, nd) in enumerate(reduced):
-        spec = ProtocolSpec("2B", n, nd)
-        estimates, _ = _study(spec, 0.2 / spec.enhancement, m, seed + 10_000 * i, n_seeds)
-        sigma = float(np.std(estimates, ddof=1))
-        expected.append(["simulated", n, nd, sigma, sigma * spec.enhancement * np.sqrt(m)])
-    assert _csv_rows(tmp_path / "resolution" / "resolution.csv")[: len(reduced)] == expected
+
+
+#: the kinds that take the Cramer-Rao bound from the model's information
+#: instead of from estimator studies
+_BOUND_KINDS = ["resolution_extrapolation", "table1_scaling"]
+
+
+@pytest.mark.parametrize("kind", _BOUND_KINDS)
+def test_bound_kinds_run_no_study_and_write_no_diagnostics(tmp_path, monkeypatch, no_fits, kind):
+    def study(*args):
+        raise FitRan("an estimator study ran")
+
+    monkeypatch.setattr(estimation, "estimator_study", study)
+    run_scenario(kind, tmp_path)
+    assert "diagnostics" not in json.loads((tmp_path / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("kind", _BOUND_KINDS)
+def test_bound_kinds_write_the_same_files_at_any_seed(tmp_path, kind):
+    a, b = tmp_path / "a", tmp_path / "b"
+    run_scenario(kind, a, seed=1)
+    run_scenario(kind, b, seed=100_000)
+    names = sorted(p.name for p in a.iterdir() if p.name != "manifest.json")
+    assert names and names == sorted(p.name for p in b.iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("kind", _BOUND_KINDS)
+def test_bound_kinds_take_no_seed_count(tmp_path, no_fits, kind):
+    cfg = _config(tmp_path, kind, {**TINY_PARAMS[kind], "n_seeds": 3})
+    with pytest.raises(ScenarioConfigError, match=f"params of kind {kind}: unknown keys n_seeds"):
+        load_scenario_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
+    assert not out.exists()
 
 
 def test_cli_wrap_abort_exit_code(tmp_path):
@@ -625,6 +646,9 @@ _BAD_SCANS = {
         [{"kind": "1A", "n_values": [10, 20, 40]}], "scans entry 0: .*three distinct chi"
     ),
     "repeated chi": ([{"kind": "1B", "n_values": [10, 20, 10]}], "scans entry 0: .*three distinct chi"),
+    "repeated N (2B)": (
+        [{"kind": "2B", "n_values": [10, 10, 10], "n_delay_values": [2, 4, 8]}], "scans entry 0: .*three distinct N"
+    ),
     "odd 1B size": ([{"kind": "1B", "n_values": [10, 20, 31]}], "scans entry 0: .*even"),
     "bad scan after a valid one": ([_VALID_SCAN, {"kind": "1B", "n_values": [10, 20]}], "scans entry 1"),
     "two scans of one kind": (
@@ -742,7 +766,8 @@ def test_extrapolation_values_checked_before_fitting(tmp_path, no_fits, case):
     assert not (out / "resolution.csv").exists()
 
 
-#: (kind, param, bad value); an n_seeds case is named kind-value, an m_shots one kind-m_shots value
+#: (kind, param, bad value); an n_seeds case is named kind-value, an m_shots one kind-m_shots value;
+#: table1_scaling and resolution_extrapolation take no n_seeds, so there any n_seeds is an unknown key
 _BAD_COUNTS = (
     [(kind, "n_seeds", n) for kind in ("crlb_saturation", "table1_scaling", "resolution_extrapolation")
      for n in (0, 1, "many", 3.0, True)]
@@ -756,8 +781,8 @@ _BAD_COUNTS = (
     [pytest.param(k, n, v, id=f"{k}-{v}" if n == "n_seeds" else f"{k}-{n} {v}") for k, n, v in _BAD_COUNTS],
 )
 def test_seed_count_checked_before_fitting(tmp_path, no_fits, kind, name, value):
-    # a study row is a ddof = 1 spread, so a study needs two seeds; a lock run
-    # needs one, and a record one shot
+    # a crlb_saturation row is a ddof = 1 spread, so a study needs two seeds;
+    # a lock run needs one, and a record one shot
     cfg = _config(tmp_path, kind, {**TINY_PARAMS[kind], name: value})
     with pytest.raises(ScenarioConfigError, match=name):
         load_scenario_config(cfg)
@@ -809,10 +834,11 @@ _BAD_VALUES = {
         {"points": [_POINT, {**_POINT, "seed_offset": "x"}]},
         "points entry 1: seed_offset",
     ),
-    # upper bounds on the work one config asks for, each one past its bound
+    # kinds that take no n_seeds: any value is an unknown key
     "table1 n_seeds 100001": ("table1_scaling", {"n_seeds": 100_001}, "n_seeds"),
-    "crlb n_seeds 100001": ("crlb_saturation", {"n_seeds": 100_001}, "n_seeds"),
     "resolution n_seeds 100001": ("resolution_extrapolation", {"n_seeds": 100_001}, "n_seeds"),
+    # upper bounds on the work one config asks for, each one past its bound
+    "crlb n_seeds 100001": ("crlb_saturation", {"n_seeds": 100_001}, "n_seeds"),
     "refine n_seeds 100001": ("refine_fiber", {"n_seeds": 100_001}, "n_seeds"),
     "cycles [10001]": ("rwa_validity", {"cycles": [2, 10_001]}, "cycles"),
     "n_max 1000001": ("closed_forms", {"n_max": 1_000_001}, "n_max"),
