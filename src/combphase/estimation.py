@@ -100,6 +100,17 @@ def _nonsingular_information(probs, m_shots: int, chi: float):
     return info
 
 
+def _probs_at(model: RamseyOutcomeModel, dphi: float):
+    """``model.evaluate(dphi)`` at a scalar ``dphi``, cached on the model at
+    the latest ``dphi`` only: the records of a study and its bound share
+    one evaluation at the truth, and a lock that samples each stage at a
+    new residual keeps one entry per model."""
+    cached = model.cache.get("probs")
+    if cached is None or cached[0] != dphi:
+        cached = model.cache["probs"] = (dphi, model.evaluate(dphi))
+    return cached[1]
+
+
 def fisher_matrix(model: RamseyOutcomeModel, dphi: float, m_shots: int) -> float:
     """I_dphidphi = sum over both arms and outcomes of M (dP/ddphi)^2 / P at
     the model's known pulse area.
@@ -109,7 +120,7 @@ def fisher_matrix(model: RamseyOutcomeModel, dphi: float, m_shots: int) -> float
     means the score diverges and raises SingularInformationError.  The name
     predates the scalar result; `perfbench/tracer.py` wraps it by name.
     """
-    return float(_nonsingular_information(model.evaluate(dphi), m_shots, model.spec.enhancement))
+    return float(_nonsingular_information(_probs_at(model, dphi), m_shots, model.spec.enhancement))
 
 
 def _check_theta(model: RamseyOutcomeModel, theta) -> None:
@@ -129,15 +140,12 @@ def sample_record(
 
     The model holds the pulse area; ``theta`` must equal ``model.spec.theta``
     (ValueError otherwise).  The slot stays only for callers that pass it.
-    The model caches the outcome probabilities at the latest ``dphi`` only,
-    so the records of one study evaluate the model once, and a lock that
-    samples each stage at a new residual keeps one entry per model.
+    The outcome probabilities come from `_probs_at`, so the records of one
+    study and its `fisher_matrix` bound evaluate the model once at the
+    truth.
     """
     _check_theta(model, theta)
-    cached = model.cache.get("probs")
-    if cached is None or cached[0] != dphi:
-        cached = model.cache["probs"] = (dphi, model.evaluate(dphi)[0])
-    return _draw_record(cached[1], m_shots, seed)
+    return _draw_record(_probs_at(model, dphi)[0], m_shots, seed)
 
 
 def _draw_record(p, m_shots: int, seed: int) -> MeasurementRecord:

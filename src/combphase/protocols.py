@@ -278,10 +278,11 @@ class RamseyOutcomeModel:
 
     ``cache`` holds what `estimation` computes on this model, so the records
     of a study or of the locks sharing the model reuse it: the fringe grid of
-    each fit window with the window's peak information, the outcome
-    probabilities `sample_record` last drew from, with their true dphi, and
-    the result of each distinct fit (`ml_estimate`'s memo).  It lives and dies with the
-    model and takes no part in comparison or hashing.
+    each fit window with the window's peak information, the `evaluate` array
+    at the latest true dphi, which `sample_record` draws from and
+    `fisher_matrix` reads (`estimation._probs_at`), and the result of each
+    distinct fit (`ml_estimate`'s memo).  It lives and dies with the model
+    and takes no part in comparison or hashing.
     """
 
     spec: ProtocolSpec

@@ -6,13 +6,14 @@ config hash, seed, package and git versions, a timestamp and the run's wall
 time.  Same config and seed always produce byte-identical data files; only
 the manifest's timestamp and timings vary.
 
-`load_scenario_config` alone decides whether a config is valid, in one
-pass: `_checked` checks each mapping against its key table (`PARAMS`) and
-fills the defaults, and the kind's builder (`_BUILDERS`) makes the runner's
-inputs, applying the rules across keys; any fault is a `ScenarioConfigError`.
-Each runner ``_run_<kind>(cfg, inputs)`` computes without writing and
-returns a `Run`; `run_scenario` writes its files and the manifest through
-`_write_files`, so a run that raises leaves no file and no directory.
+`load_scenario_config` alone loads a config and decides whether it is
+valid, in one pass: `_checked` checks each mapping against its key table
+(`PARAMS`) and fills the defaults, and the kind's builder (`_BUILDERS`)
+makes the runner's inputs (`ScenarioConfig.inputs`), applying the rules
+across keys; any fault is a `ScenarioConfigError`.  Each runner
+``_run_<kind>(cfg)`` computes without writing and returns a `Run`;
+`run_scenario` writes its files and the manifest through `_write_files`, so
+a run that raises leaves no file and no directory.
 """
 from __future__ import annotations
 
@@ -90,8 +91,7 @@ def _list_of(rule, items: str):
 _REAL = _is_real, "a finite number"
 _POSITIVE = _is_positive, "a positive finite number"
 _NON_NEGATIVE = (lambda v: _is_real(v) and v >= 0), "a non-negative finite number"
-_MAPPINGS = (lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v)), "a list of mappings"
-# a list of points or scans: a run needs at least one
+# a list of points, scans or extrapolations: a run needs at least one
 _NON_EMPTY_MAPPINGS = _list_of(lambda e: isinstance(e, dict), "mappings")
 _PROTOCOL_KIND = _one_of(protocols.PROTOCOL_KINDS)
 # a Raman laser at (1 - fraction) times the transition frequency: positive,
@@ -169,17 +169,9 @@ PARAMS = {
         "n_seeds": Key(500, *_count(2, _MAX_SEEDS)),
     },
     "resolution_extrapolation": {
-        "reduced_points": Key(
-            [[8, 4], [16, 8], [32, 16]],
-            *_list_of(
-                lambda pt: isinstance(pt, list) and len(pt) == 2 and all(map(_is_int, pt)),
-                "[n, n_delay] pairs of integers",
-            ),
-        ),
-        "m_shots": Key(2000, *_count(1, _MAX_SHOTS)),
         "extrapolations": Key(
             [{"rep_rate_hz": 1e8, "n": 500_000, "n_delay": 500_000}],
-            *_MAPPINGS,
+            *_NON_EMPTY_MAPPINGS,
             entries={
                 "rep_rate_hz": Key(REQUIRED, *_POSITIVE),
                 "n": Key(REQUIRED, *_count(1)),
@@ -235,6 +227,9 @@ class ScenarioConfig:
     seed: int = 0
     params: dict = field(default_factory=dict)
     source_text: str = ""
+    # what the kind's builder made of the params, or None; it follows from
+    # the params, so it takes no part in comparison
+    inputs: object = field(default=None, repr=False, compare=False)
 
 
 def _checked(where: str, mapping: dict, table: dict, index: int = 0) -> dict:
@@ -270,10 +265,11 @@ def _checked(where: str, mapping: dict, table: dict, index: int = 0) -> dict:
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def _load(path) -> tuple[ScenarioConfig, object]:
-    """The config at ``path``, checked and filled, and the inputs its kind's
-    builder (`_BUILDERS`) makes of its params; `None` for a kind without
-    one.  Any fault of the config raises `ScenarioConfigError` here."""
+def load_scenario_config(path) -> ScenarioConfig:
+    """The config at ``path``, checked and filled with every default, with
+    the inputs its kind's builder (`_BUILDERS`) makes of its params as
+    ``inputs`` (`None` for a kind without one).  Any fault of the config
+    raises `ScenarioConfigError` here."""
     try:
         text = Path(path).read_text()
         raw = yaml.load(text, Loader=_YAML_LOADER)
@@ -288,18 +284,10 @@ def _load(path) -> tuple[ScenarioConfig, object]:
         inputs = _BUILDERS[kind](params) if kind in _BUILDERS else None
     except ValueError as e:
         raise ScenarioConfigError(f"params of kind {kind}: {e}") from e
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         name=top["name"], kind=kind, description=top["description"], tags=tuple(top["tags"]),
-        seed=top["seed"], params=params, source_text=text,
+        seed=top["seed"], params=params, source_text=text, inputs=inputs,
     )
-    return cfg, inputs
-
-
-def load_scenario_config(path) -> ScenarioConfig:
-    """The config at ``path``, checked and filled with every default; a
-    config that `run_scenario` would reject for its content raises
-    `ScenarioConfigError` here."""
-    return _load(path)[0]
 
 
 def _bundle_dir():
@@ -394,7 +382,7 @@ def _write_files(out: Path, files: dict, fmt: str) -> list[Path]:
 # --- runners ---------------------------------------------------------------
 
 
-def _run_rwa_validity(cfg, _):
+def _run_rwa_validity(cfg):
     p = cfg.params
     w = 2.0 * np.pi * p["carrier_hz"]
     rows = []
@@ -409,7 +397,7 @@ def _run_rwa_validity(cfg, _):
     )
 
 
-def _run_closed_forms(cfg, _):
+def _run_closed_forms(cfg):
     """Closed forms of random 1B, 2B and phase_ref trains against the train
     unitary of the outcome model (`RamseyOutcomeModel.train_unitary`)."""
     p = cfg.params
@@ -441,7 +429,7 @@ def _run_closed_forms(cfg, _):
     return Run({"closed_forms": table}, {"worst_fidelity_error": worst})
 
 
-def _run_permutation(cfg, _):
+def _run_permutation(cfg):
     p = cfg.params
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -492,7 +480,7 @@ def _crlb_point(spec, m_shots: int) -> tuple[float, float]:
     ``m_shots`` per arm, and its scaled constant sigma chi sqrt(M).
 
     The reference phase is pi/2: at the pulse area theta = pi/2 of every
-    scan point and reduced point the information does not depend on it.
+    scan point the information does not depend on it.
     Every point sits at the same spot on its fringe, where the constant is
     1/2 for 1B, 2B and phase_ref.
     """
@@ -502,12 +490,12 @@ def _crlb_point(spec, m_shots: int) -> tuple[float, float]:
     return sigma, sigma * chi * float(np.sqrt(m_shots))
 
 
-def _run_table1_scaling(cfg, scans):
+def _run_table1_scaling(cfg):
     """The Cramer-Rao bound on sigma(dphi) at each point of each scan
     (`_crlb_point`), and the log-log slope of that bound against N."""
     m_shots = cfg.params["m_shots"]
     files, slopes = {}, {}
-    for specs in scans:
+    for specs in cfg.inputs:
         kind = specs[0].kind
         rows = [
             (spec.n_pulses, spec.n_delay, m_shots, spec.enhancement, *_crlb_point(spec, m_shots))
@@ -525,13 +513,13 @@ def _point_spec(pt):
     return protocols.ProtocolSpec(pt["kind"], pt["n"], pt["n_delay"], 0.0, pt["theta"])
 
 
-def _run_crlb_saturation(cfg, specs):
+def _run_crlb_saturation(cfg):
     """Estimator variance against the CRLB at each point: one
     `estimation.estimator_study` of ``n_seeds`` seeds per point, from seed +
     the point's ``seed_offset``.  The diagnostics are the studies' summed."""
     p = cfg.params
     rows, studies = [], []
-    for pt, spec in zip(p["points"], specs):
+    for pt, spec in zip(p["points"], cfg.inputs):
         start = cfg.seed + pt["seed_offset"]
         ests, bound, diagnostics = estimation.estimator_study(
             spec, pt["dphi"], pt["m_shots"], range(start, start + p["n_seeds"])
@@ -546,24 +534,17 @@ def _run_crlb_saturation(cfg, specs):
     return Run({"crlb_saturation": table}, {"ratios": [r[7] for r in rows]}, diagnostics)
 
 
-def _extrapolated_row(case):
-    """The ``resolution`` row of one ``extrapolations`` entry: its offset resolution [Hz]."""
-    res = estimation.offset_resolution(case["rep_rate_hz"], case["n"], case["n_delay"])
-    return ("extrapolated", case["n"], case["n_delay"], res, 0.0)
-
-
-def _run_resolution(cfg, specs):
-    """Offset-frequency resolution: the Cramer-Rao bound at desk scale
-    (`_crlb_point`), whose scaled constant sigma N N_d sqrt(M) verifies the
-    1 / (N N_d) law, then arithmetic extrapolation to configurations far
-    beyond simulation."""
-    m_shots = cfg.params["m_shots"]
-    rows = [("crlb", spec.n_pulses, spec.n_delay, *_crlb_point(spec, m_shots)) for spec in specs]
-    consts = [row[4] for row in rows]
-    rows += [_extrapolated_row(case) for case in cfg.params["extrapolations"]]
-    table = Table(["row_kind", "n", "n_delay", "value", "scaled_constant"], rows)
-    spread = float(np.ptp(consts) / np.mean(consts))
-    return Run({"resolution": table}, {"scaling_constant_spread": spread})
+def _run_resolution(cfg):
+    """Offset-frequency resolution f_rep / (N N_d) of each extrapolation, by
+    arithmetic (`estimation.offset_resolution`).  The 1 / (N N_d) law it
+    extrapolates is the Cramer-Rao bound's, which `table1_scaling` scans."""
+    rows = [
+        (case["rep_rate_hz"], case["n"], case["n_delay"],
+         estimation.offset_resolution(case["rep_rate_hz"], case["n"], case["n_delay"]))
+        for case in cfg.params["extrapolations"]
+    ]
+    table = Table(["rep_rate_hz", "n", "n_delay", "resolution_hz"], rows)
+    return Run({"resolution": table}, {"resolution_hz": [r[3] for r in rows]})
 
 
 def _raman_spec(p, delta_key):
@@ -587,9 +568,9 @@ def _raman_spec(p, delta_key):
     return spec
 
 
-def _run_raman(cfg, specs):
+def _run_raman(cfg):
     p = cfg.params
-    population, mapped = specs
+    population, mapped = cfg.inputs
     # Raman regime: strongly detuned pulse must leave the excited state empty.
     _, pop_c = raman.integrate_lambda(population)
     # Phase fidelity: weakly detuned pulse maps the leg phase almost one-to-one.
@@ -605,7 +586,7 @@ def _run_raman(cfg, specs):
     return Run({"raman_phase_map": table, "raman_summary": summary}, summary)
 
 
-def _run_error_models(cfg, _):
+def _run_error_models(cfg):
     p = cfg.params
     gap = p["pair_gap_s"]
     deph = noise.ac_stark_preset()
@@ -634,8 +615,8 @@ def _refine_config(p):
     )
 
 
-def _run_refine(cfg, config):
-    p = cfg.params
+def _run_refine(cfg):
+    p, config = cfg.params, cfg.inputs
     true_bound = abs(comb.fiber_comb_preset().phase_step)
     locks = []
     for seed in range(cfg.seed, cfg.seed + p["n_seeds"]):
@@ -689,20 +670,19 @@ def _run_refine(cfg, config):
     return Run(files, summary, diagnostics, timings)
 
 
-def _run_visibility(cfg, budget):
+def _run_visibility(cfg):
+    budget = cfg.inputs
     table = Table(["quantity", "value"], [("pulse_budget", float(budget))])
     return Run({"visibility_budget": table}, {"pulse_budget": budget})
 
 
-#: What each kind builds of its params at load, before its runner starts;
-#: a `ValueError` of a builder is a config error.  A builder reads only the
-#: params, not the seed, which `run_scenario` may override after load.
+#: What each kind builds of its params at load, before its runner starts:
+#: the loaded config carries it as ``inputs``.  A `ValueError` of a builder
+#: is a config error.  A builder reads only the params, not the seed, which
+#: `run_scenario` may override after load.
 _BUILDERS = {
     "table1_scaling": _scans,
     "crlb_saturation": lambda p: _entry_specs(p, "points", _point_spec),
-    "resolution_extrapolation": lambda p: _entry_specs(
-        p, "reduced_points", lambda pt: protocols.ProtocolSpec("2B", *pt)
-    ),
     "raman_three_level": lambda p: (
         _raman_spec(p, "detuning_fraction_population"), _raman_spec(p, "detuning_fraction_map")
     ),
@@ -713,8 +693,8 @@ _BUILDERS = {
     ),
 }
 
-#: The runner of each kind: ``runner(cfg, inputs)``, the inputs being what
-#: the kind's builder made of the params, or `None`.
+#: The runner of each kind: ``runner(cfg)``, reading what the kind's builder
+#: made of the params from ``cfg.inputs``.
 _RUNNERS = {
     "rwa_validity": _run_rwa_validity,
     "closed_forms": _run_closed_forms,
@@ -746,13 +726,13 @@ def run_scenario(
         raise ScenarioConfigError(f"unsupported output format {fmt!r}")
     if seed is not None and not _int_at_least(0)(seed):
         raise ScenarioConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    cfg, inputs = _load(find_scenario(name_or_path))
+    cfg = load_scenario_config(find_scenario(name_or_path))
     if seed is not None:
         cfg = replace(cfg, seed=int(seed))
     out = Path(out_dir)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
-    run = _RUNNERS[cfg.kind](cfg, inputs)
+    run = _RUNNERS[cfg.kind](cfg)
     paths = _write_files(out, run.files, fmt)
     run_s = time.perf_counter() - t0
     from . import __version__

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
 from combphase._su2 import SIGMA_X, ordered_product
 from combphase.comb import PulseTrain
@@ -139,14 +140,29 @@ def test_criterion_06_offset_resolution_numbers(tmp_path, capsys):
         # 1 us-class delayed interrogation: a 200 kHz-wide offset refined by
         # a 250 x 250 train lands at the 3 Hz level
         assert round(offset_resolution(200e3, 250, 250)) == 3
-        # the Cramer-Rao bound at reduced scale verifies the 1/(N N_d) law
-        # the extrapolation relies on: sigma * N * N_d * sqrt(M) is constant
-        result = run_scenario("resolution_extrapolation", tmp_path)
-        bound_rows = [r for r in _read_csv(tmp_path / "resolution.csv") if r["row_kind"] == "crlb"]
-        assert len(bound_rows) == 3
-        for r in bound_rows:
-            assert float(r["scaled_constant"]) == pytest.approx(0.5, abs=1e-9)
-        assert result["summary"]["scaling_constant_spread"] < 1e-9
+        # each bundled row is that arithmetic, exactly
+        result = run_scenario("resolution_extrapolation", tmp_path / "resolution")
+        rows = _read_csv(tmp_path / "resolution" / "resolution.csv")
+        assert rows and list(rows[0]) == ["rep_rate_hz", "n", "n_delay", "resolution_hz"]
+        expected = [offset_resolution(float(r["rep_rate_hz"]), int(r["n"]), int(r["n_delay"])) for r in rows]
+        assert [float(r["resolution_hz"]) for r in rows] == expected == result["summary"]["resolution_hz"]
+        # the Cramer-Rao bound at reduced scale, N_d = N / 2, verifies the
+        # 1/(N N_d) law the extrapolation relies on: sigma * N * N_d * sqrt(M)
+        # is constant
+        cfg = tmp_path / "reduced.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "schema_version": 1, "name": "reduced", "kind": "table1_scaling",
+            "params": {
+                "m_shots": 2000,
+                "scans": [{"kind": "2B", "n_values": [8, 16, 32], "n_delay_values": [4, 8, 16]}],
+            },
+        }))
+        run_scenario(cfg, tmp_path / "reduced")
+        consts = [float(r["scaled_constant"]) for r in _read_csv(tmp_path / "reduced" / "scaling_2B.csv")]
+        assert len(consts) == 3
+        for c in consts:
+            assert c == pytest.approx(0.5, abs=1e-9)
+        assert np.ptp(consts) / np.mean(consts) < 1e-9
 
 
 def test_criterion_07_three_level_raman(tmp_path, capsys):

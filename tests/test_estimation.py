@@ -693,10 +693,10 @@ def test_a_singular_window_raises_before_any_score_evaluation(monkeypatch):
 
 
 def test_study_evaluates_the_model_once_per_distinct_record(monkeypatch):
-    # deterministic call counts: one sampling evaluate per study, and a fixed
-    # number for its fits however many records are distinct: the fringe
-    # grid, one per root iteration of the whole batch, the bounds of the
-    # batch and the study's bound
+    # deterministic call counts: one sampling evaluate per study, which the
+    # study's bound shares, and a fixed number for its fits however many
+    # records are distinct: the fringe grid, one per root iteration of the
+    # whole batch and the bounds of the batch
     calls = {"all": 0, "sampling": 0}
     evaluate = RamseyOutcomeModel.evaluate
     draw = estimation.sample_record
@@ -725,6 +725,20 @@ def test_study_evaluates_the_model_once_per_distinct_record(monkeypatch):
     assert distinct < 200
     assert calls["sampling"] == 1
     assert calls["all"] <= 20 < distinct
+
+
+def test_a_study_evaluates_the_model_once_at_its_truth(monkeypatch):
+    # the records and the study's bound share one evaluation at the true dphi
+    at_truth = []
+    evaluate = RamseyOutcomeModel.evaluate
+
+    def counted(self, dphi):
+        at_truth.append(np.ndim(dphi) == 0 and dphi == 0.02)
+        return evaluate(self, dphi)
+
+    monkeypatch.setattr(RamseyOutcomeModel, "evaluate", counted)
+    estimator_study(ProtocolSpec("1B", 10, 0, 0.0, np.pi / 2), 0.02, 10_000, range(20))
+    assert sum(at_truth) == 1
 
 
 def test_offset_resolution_arithmetic():

@@ -35,7 +35,7 @@ TINY_PARAMS = {
     "permutation_optimality": {"sizes": [4], "trials": 1},
     "table1_scaling": {"scans": [{"kind": "1B", "n_values": [4, 8, 16]}], "m_shots": 200},
     "crlb_saturation": {"n_seeds": 3, "points": [{"kind": "1B", "n": 10, "dphi": 0.02, "m_shots": 1000}]},
-    "resolution_extrapolation": {"reduced_points": [[4, 2], [8, 4]], "m_shots": 200},
+    "resolution_extrapolation": {"extrapolations": [{"rep_rate_hz": 1.0e8, "n": 250, "n_delay": 250}]},
     "raman_three_level": {"grid_points": 5, "transition_hz": 20.0, "rabi": 4.0},
     "error_models": {},
     "refine_fiber": {"n_seeds": 1, "m_shots": 500, "max_stages": 2},
@@ -477,8 +477,9 @@ def test_each_study_kind_keeps_its_seed_layout(tmp_path):
     assert _csv_rows(tmp_path / "crlb" / "crlb_saturation.csv") == expected
 
 
-#: the kinds that take the Cramer-Rao bound from the model's information
-#: instead of from estimator studies
+#: the kinds that run no estimator study: table1_scaling takes the
+#: Cramer-Rao bound from the model's information, and
+#: resolution_extrapolation is arithmetic
 _BOUND_KINDS = ["resolution_extrapolation", "table1_scaling"]
 
 
@@ -511,6 +512,34 @@ def test_bound_kinds_take_no_seed_count(tmp_path, no_fits, kind):
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("reduced_points", [[8, 4], [16, 8], [32, 16]]), ("m_shots", 2000)],
+    ids=["reduced_points", "m_shots"],
+)
+def test_resolution_takes_no_bound_keys(tmp_path, no_fits, key, value):
+    # the bound at reduced N and N_d is a table1_scaling 2B scan's
+    cfg = _config(tmp_path, "resolution_extrapolation", {**TINY_PARAMS["resolution_extrapolation"], key: value})
+    with pytest.raises(ScenarioConfigError, match=f"params of kind resolution_extrapolation: unknown keys {key}"):
+        load_scenario_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
+    assert not out.exists()
+
+
+def test_a_run_loads_its_config_once(tmp_path, monkeypatch):
+    loaded = []
+    load = scenarios.load_scenario_config
+
+    def spy(path):
+        loaded.append(path)
+        return load(path)
+
+    monkeypatch.setattr(scenarios, "load_scenario_config", spy)
+    run_scenario("visibility_budget", tmp_path)
+    assert loaded == [find_scenario("visibility_budget")]
 
 
 def test_cli_wrap_abort_exit_code(tmp_path):
@@ -650,6 +679,9 @@ _BAD_SCANS = {
         [{"kind": "2B", "n_values": [10, 10, 10], "n_delay_values": [2, 4, 8]}], "scans entry 0: .*three distinct N"
     ),
     "odd 1B size": ([{"kind": "1B", "n_values": [10, 20, 31]}], "scans entry 0: .*even"),
+    "odd 2B size": (
+        [{"kind": "2B", "n_values": [8, 7, 16], "n_delay_values": [4, 4, 8]}], "scans entry 0: .*even"
+    ),
     "bad scan after a valid one": ([_VALID_SCAN, {"kind": "1B", "n_values": [10, 20]}], "scans entry 1"),
     "two scans of one kind": (
         [_VALID_SCAN, {"kind": "1B", "n_values": [32, 64, 128]}], "one scan per kind"
@@ -683,9 +715,6 @@ _POINT = {"kind": "1B", "n": 10, "dphi": 0.02}
             "n_delay", id="extrapolation without n_delay",
         ),
         pytest.param(
-            "resolution_extrapolation", {"reduced_points": [[8, 4], [7, 4]]}, "even", id="odd 2B size",
-        ),
-        pytest.param(
             "table1_scaling", {"scans": [{"kind": "1B", "n_value": [4, 8, 16]}]}, "n_value", id="scan typo",
         ),
         pytest.param("crlb_saturation", {"points": [{**_POINT, "m_shots": 0}]}, "m_shots", id="no shots"),
@@ -711,9 +740,6 @@ def test_bad_entries_rejected_before_fitting(tmp_path, no_fits, kind, params, na
 #: inputs: protocol specs, Raman pulses, a lock config or a pulse budget.
 _BUILD_FAULTS = {
     "odd 1B point": ("crlb_saturation", {"points": [_POINT, {**_POINT, "n": 11}]}, "points entry 1: .*even"),
-    "odd 2B reduced pair": (
-        "resolution_extrapolation", {"reduced_points": [[8, 4], [7, 4]]}, "reduced_points entry 1: .*even"
-    ),
     **{
         f"scan {name}": ("table1_scaling", {"scans": scans}, names)
         for name, (scans, names) in _BAD_SCANS.items()
@@ -736,7 +762,10 @@ def test_rules_across_keys_raise_at_load(tmp_path, no_fits, kind, change, names)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind,key", [("crlb_saturation", "points"), ("table1_scaling", "scans")])
+@pytest.mark.parametrize(
+    "kind,key",
+    [("crlb_saturation", "points"), ("table1_scaling", "scans"), ("resolution_extrapolation", "extrapolations")],
+)
 def test_empty_study_list_rejected_at_load(tmp_path, kind, key):
     cfg = _config(tmp_path, kind, {key: []})
     with pytest.raises(ScenarioConfigError, match=f"{key} must be a non-empty list of mappings"):
@@ -767,7 +796,8 @@ def test_extrapolation_values_checked_before_fitting(tmp_path, no_fits, case):
 
 
 #: (kind, param, bad value); an n_seeds case is named kind-value, an m_shots one kind-m_shots value;
-#: table1_scaling and resolution_extrapolation take no n_seeds, so there any n_seeds is an unknown key
+#: table1_scaling and resolution_extrapolation take no n_seeds, and resolution_extrapolation no
+#: m_shots, so there any such value is an unknown key
 _BAD_COUNTS = (
     [(kind, "n_seeds", n) for kind in ("crlb_saturation", "table1_scaling", "resolution_extrapolation")
      for n in (0, 1, "many", 3.0, True)]
@@ -853,6 +883,7 @@ _BAD_VALUES = {
         "crlb_saturation", {"points": [{**_POINT, "m_shots": 2**53 + 1}]}, "points entry 0: m_shots"
     ),
     "table1 m_shots 2**53+1": ("table1_scaling", {"m_shots": 2**53 + 1}, "m_shots"),
+    # resolution_extrapolation takes no m_shots: any value is an unknown key
     "resolution m_shots 2**53+1": ("resolution_extrapolation", {"m_shots": 2**53 + 1}, "m_shots"),
     "refine m_shots 2**53+1": ("refine_fiber", {"m_shots": 2**53 + 1}, "m_shots"),
 }
