@@ -715,6 +715,11 @@ _POINT = {"kind": "1B", "n": 10, "dphi": 0.02}
             "n_delay", id="extrapolation without n_delay",
         ),
         pytest.param(
+            "table1_scaling",
+            {"scans": [{"kind": "2B", "n_values": [8, 7, 16], "n_delay_values": [4, 4, 8]}]},
+            "even", id="odd 2B size",
+        ),
+        pytest.param(
             "table1_scaling", {"scans": [{"kind": "1B", "n_value": [4, 8, 16]}]}, "n_value", id="scan typo",
         ),
         pytest.param("crlb_saturation", {"points": [{**_POINT, "m_shots": 0}]}, "m_shots", id="no shots"),
@@ -740,6 +745,11 @@ def test_bad_entries_rejected_before_fitting(tmp_path, no_fits, kind, params, na
 #: inputs: protocol specs, Raman pulses, a lock config or a pulse budget.
 _BUILD_FAULTS = {
     "odd 1B point": ("crlb_saturation", {"points": [_POINT, {**_POINT, "n": 11}]}, "points entry 1: .*even"),
+    "odd 2B reduced pair": (
+        "table1_scaling",
+        {"scans": [_VALID_SCAN, {"kind": "2B", "n_values": [8, 16, 31], "n_delay_values": [4, 8, 16]}]},
+        "scans entry 1: .*even",
+    ),
     **{
         f"scan {name}": ("table1_scaling", {"scans": scans}, names)
         for name, (scans, names) in _BAD_SCANS.items()
