@@ -15,7 +15,10 @@ Every fit is read through `ml_estimate`, whose memo on the model holds one
 fit per distinct record.  One helper, `_fill_memo`, stores batched fits in
 it: `estimator_study` calls it with a study's records, and `_prefit_locks`
 with the records of a run's locks, once per train length and step.  A
-record the memo lacks is fit on its own.
+record the memo lacks is fit on its own.  The lockstep also keeps each
+record it draws on the model, and `sample_record` returns a kept record
+instead of drawing it again, so the locks' own calls after the lockstep
+neither evaluate the model nor draw.
 """
 from __future__ import annotations
 
@@ -140,11 +143,21 @@ def sample_record(
 
     The model holds the pulse area; ``theta`` must equal ``model.spec.theta``
     (ValueError otherwise).  The slot stays only for callers that pass it.
-    The outcome probabilities come from `_probs_at`, so the records of one
-    study and its `fisher_matrix` bound evaluate the model once at the
-    truth.
+
+    A record the lockstep of a run's locks drew (`_prefit_locks`) is kept
+    on the model, keyed by ``(dphi, m_shots, seed)``, and returned as it is:
+    it is the record this call would draw, since a batched `evaluate` row is
+    bit for bit the scalar one.  Any other record is drawn here from the
+    outcome probabilities of `_probs_at`, so the records of one study and
+    its `fisher_matrix` bound evaluate the model once at the truth.  A study
+    keeps no records.
     """
     _check_theta(model, theta)
+    kept = model.cache.get("records")
+    if kept is not None:
+        record = kept.get((dphi, m_shots, seed))
+        if record is not None:
+            return record
     return _draw_record(_probs_at(model, dphi)[0], m_shots, seed)
 
 
@@ -217,8 +230,9 @@ def ml_estimate(
     key = _memo_key(dphi0, record.m_shots, counts)
     result = model.cache.get(key)
     if result is None:
-        result = _fit_records(model, np.array([counts]), record.m_shots, dphi0)[0]
-    model.cache[key] = replace(result, n_evaluations=0)
+        result = model.cache[key] = _fit_records(model, np.array([counts]), record.m_shots, dphi0)[0]
+    if result.n_evaluations:  # later reads return the fit without its evaluations
+        model.cache[key] = replace(result, n_evaluations=0)
     return result
 
 
@@ -624,10 +638,11 @@ def iterative_refine(
     with one `sample_record` and one `ml_estimate`.  ``models`` maps each
     stage's `ProtocolSpec` to its outcome model.  A dict shared by several
     locks lets them reuse one model per train length, with its fringe grid
-    and its fit memo, and `_prefit_locks` can fill that memo for all of
-    them beforehand; the locks' results do not change either way.  Models
-    missing from the dict are built and added.  With ``None`` the lock
-    keeps a dict of its own.
+    and its fit memo, and `_prefit_locks` can draw and fit the records of
+    all of them beforehand: each stage then reads its kept record and its
+    fit, and neither evaluates the model nor draws.  The locks' results do
+    not change either way.  Models missing from the dict are built and
+    added.  With ``None`` the lock keeps a dict of its own.
     """
     lock = _lock(true_dphi, config, {} if models is None else models)
     model, residual, m_shots, seed = next(lock)
@@ -697,22 +712,24 @@ def _lock(true_dphi: float, config: RefineConfig, models: dict):
 
 
 def _prefit_locks(locks, models: dict) -> None:
-    """Fit the records of several locks in lockstep into ``models``' fit memos.
+    """Draw and fit the records of several locks in lockstep into ``models``.
 
     ``locks`` lists each lock's (true dphi, `RefineConfig`), and ``models``
     is the dict their `iterative_refine` calls will share.  One `_lock` per
     lock runs here; at each step their requests are grouped by model and
     shot count, one batched `evaluate` gives the group's probabilities,
     each record is drawn with its own seed (`_draw_record`, as
-    `sample_record` draws it), and `_fill_memo` fits the group's records
-    that the memo lacks in one batch.  The locks' own calls then read their
-    fits from the memo, so the model evaluations of a run grow with its
-    stages, not with its locks.
+    `sample_record` draws it) and kept on the model under its request's
+    ``(residual, m_shots, seed)``, and `_fill_memo` fits the group's
+    records that the memo lacks in one batch.  The locks' own calls then
+    read their records and fits from the model, so the model evaluations
+    and draws of a run grow with its stages, not with its locks.
 
-    Nothing here decides a result: a memo entry is the fit of its key,
-    whoever stores it.  A lock that raises a CombPhaseError, or whose group
-    fit raises one, is dropped, and its own call fits and raises as it
-    would alone; so does a lock whose record the memo lacks.
+    Nothing here decides a result: a kept record is the one its key draws,
+    and a memo entry is the fit of its key, whoever stores them.  A lock
+    that raises a CombPhaseError, or whose group fit raises one, is
+    dropped, and its own call fits and raises as it would alone; so does a
+    lock whose record or fit the model lacks.
     """
     pending = []
     for true_dphi, config in locks:
@@ -730,7 +747,11 @@ def _prefit_locks(locks, models: dict) -> None:
         for group in groups.values():
             model, _, m_shots, _ = group[0][1]
             p = model.evaluate(np.array([request[1] for _, request in group]))[0]
-            records = [_draw_record(row, m_shots, seed) for (_, (*_, seed)), row in zip(group, p)]
+            kept = model.cache.setdefault("records", {})
+            records = []
+            for (_, (_, residual, _, seed)), row in zip(group, p):
+                record = kept[residual, m_shots, seed] = _draw_record(row, m_shots, seed)
+                records.append(record)
             try:
                 fits = _fill_memo(model, [_row(rec) for rec in records], m_shots)
             except CombPhaseError:

@@ -37,6 +37,7 @@ arm 2 s = 0, arm 2 s = 1, and `estimation` reads these columns directly.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -65,13 +66,22 @@ class ProtocolSpec:
     def __post_init__(self):
         if self.kind not in PROTOCOL_KINDS:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
+        # plain int and float are checked first: the ABC isinstance checks
+        # take most of a spec's construction time
         for name in ("n_pulses", "n_delay"):
             value = getattr(self, name)
+            if type(value) is int:
+                continue
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("theta", "reference_phase"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and np.isfinite(value)):
+            if type(value) is float:
+                finite = math.isfinite(value)
+            else:
+                real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+                finite = real and np.isfinite(value)
+            if not finite:
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.n_pulses < 1:
             raise ValueError("n_pulses must be >= 1")
@@ -280,8 +290,10 @@ class RamseyOutcomeModel:
     of a study or of the locks sharing the model reuse it: the fringe grid of
     each fit window with the window's peak information, the `evaluate` array
     at the latest true dphi, which `sample_record` draws from and
-    `fisher_matrix` reads (`estimation._probs_at`), and the result of each
-    distinct fit (`ml_estimate`'s memo).  It lives and dies with the model
+    `fisher_matrix` reads (`estimation._probs_at`), the result of each
+    distinct fit (`ml_estimate`'s memo), and the records the lockstep of a
+    run's locks drew (`estimation._prefit_locks`), which `sample_record`
+    returns instead of drawing them again.  It lives and dies with the model
     and takes no part in comparison or hashing.
     """
 

@@ -622,11 +622,11 @@ def _run_refine(cfg):
     for seed in range(cfg.seed, cfg.seed + p["n_seeds"]):
         true = float(np.random.default_rng(seed).uniform(-true_bound, true_bound))
         locks.append((true, replace(config, seed=seed * 13 + cfg.seed)))
-    # one models dict per run: each train length's fringe grid and fit memo
-    # are built once for all locks of the run and freed with it (see
-    # test_refine_locks_share_models_within_one_run_only); the lockstep
-    # fills each memo with one batched fit per stage before the locks run
-    # one by one
+    # one models dict per run: each train length's fringe grid, kept draws
+    # and fit memo are built once for all locks of the run and freed with
+    # it (see test_refine_locks_share_models_within_one_run_only); the
+    # lockstep draws every record and fills each memo with one batched fit
+    # per stage before the locks run one by one and read them
     models = {}
     t0 = time.perf_counter()
     estimation._prefit_locks(locks, models)

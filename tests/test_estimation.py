@@ -907,6 +907,54 @@ def test_lockstep_locks_equal_lone_locks(monkeypatch):
     assert prefit <= sum(map(len, per_step)) <= steps * max(map(len, per_step)) < len(fits)
 
 
+def _count_model_work(monkeypatch):
+    """Count every `RamseyOutcomeModel.evaluate` and every `_draw_record` call."""
+    counts = {"evaluate": 0, "draw": 0}
+    evaluate, draw = RamseyOutcomeModel.evaluate, estimation._draw_record
+
+    def counted_evaluate(self, dphi):
+        counts["evaluate"] += 1
+        return evaluate(self, dphi)
+
+    def counted_draw(p, m_shots, seed):
+        counts["draw"] += 1
+        return draw(p, m_shots, seed)
+
+    monkeypatch.setattr(RamseyOutcomeModel, "evaluate", counted_evaluate)
+    monkeypatch.setattr(estimation, "_draw_record", counted_draw)
+    return counts
+
+
+def test_locks_after_the_lockstep_neither_evaluate_nor_draw(monkeypatch):
+    locks = [_fiber_lock(i) for i in range(20)]
+    alone = _lone_locks(locks)
+    assert alone[_BACKOFF_LOCK].backoffs == 1
+    models = {}
+    estimation._prefit_locks(locks, models)
+    counts = _count_model_work(monkeypatch)
+    assert [iterative_refine(true, config, models) for true, config in locks] == alone
+    assert counts == {"evaluate": 0, "draw": 0}
+
+
+def test_a_kept_draw_is_a_fresh_draw():
+    locks = [_fiber_lock(i) for i in range(20)]
+    alone = _lone_locks(locks)
+    models = {}
+    estimation._prefit_locks(locks, models)
+    kept = [
+        (model.spec, key, record)
+        for model in models.values()
+        for key, record in model.cache["records"].items()
+    ]
+    # one kept record per fit of the locks, back-offs included
+    assert len(kept) == sum(len(t.stages) + t.backoffs for t in alone)
+    for spec, (residual, m_shots, seed), record in kept:
+        fresh = sample_record(ramsey_model(spec), spec.theta, residual, m_shots, seed)
+        assert record.m_shots == fresh.m_shots
+        for a, b in ((record.counts1, fresh.counts1), (record.counts2, fresh.counts2)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_a_lock_that_raises_in_lockstep_raises_alone(monkeypatch):
     # every fit at N = 14 pins to the window edge; every lock starts at
     # N = 62, and lock 14, which backs off from 62 to 14, pins twice
@@ -939,12 +987,16 @@ def test_locks_do_not_depend_on_the_prefill(monkeypatch):
     prefit = len(calls)
     assert [iterative_refine(true, config, models) for true, config in locks] == alone
     assert 0 < prefit < len(calls) - prefit
-    # emptied: the prefill's fits are gone before the locks run
-    models = {}
-    estimation._prefit_locks(locks, models)
-    for model in models.values():
-        for key in [key for key in model.cache if key[0] == "fit"]:
-            del model.cache[key]
-    assert [iterative_refine(true, config, models) for true, config in locks] == alone
+    # emptied: the prefill's fits, its kept draws, or both are gone before
+    # the locks run, and what is gone the locks compute on their own
+    for fits, draws in ((True, False), (False, True), (True, True)):
+        models = {}
+        estimation._prefit_locks(locks, models)
+        for model in models.values():
+            assert model.cache["records"]
+            for key in list(model.cache):
+                if (fits and key[0] == "fit") or (draws and key == "records"):
+                    del model.cache[key]
+        assert [iterative_refine(true, config, models) for true, config in locks] == alone
     # and no prefill at all
     assert _lockstep_locks(locks, prefill=[])[0] == alone

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import combphase
-from combphase import _su2, estimation, raman, scenarios
+from combphase import _su2, estimation, protocols, raman, scenarios
 from combphase.cli import EXIT_NUMERIC, EXIT_SCHEMA, EXIT_WRAP, main
 from combphase.errors import DegenerateFitError, ScenarioConfigError
 from combphase.protocols import ProtocolSpec
@@ -345,6 +345,31 @@ def test_lockstep_run_equals_the_per_lock_run(tmp_path, monkeypatch):
     assert sum(lockstep_fits) == manifests[0]["diagnostics"]["distinct_records"]
 
 
+def test_a_refine_run_evaluates_the_model_in_the_lockstep_only(tmp_path, monkeypatch):
+    # each lock's own call reads the record and the fit the lockstep kept
+    calls, inside = [], []
+    refine, evaluate = estimation.iterative_refine, protocols.RamseyOutcomeModel.evaluate
+
+    def spy(true_dphi, config, models):
+        inside.append(True)
+        try:
+            return refine(true_dphi, config, models)
+        finally:
+            inside.pop()
+
+    def counted(self, dphi):
+        calls.append(bool(inside))
+        return evaluate(self, dphi)
+
+    monkeypatch.setattr(estimation, "iterative_refine", spy)
+    monkeypatch.setattr(protocols.RamseyOutcomeModel, "evaluate", counted)
+    cfg = _config(tmp_path, "refine_fiber", {"n_seeds": 15, "m_shots": 5000})
+    run_scenario(cfg, tmp_path / "run", seed=1835504127)
+    diagnostics = json.loads((tmp_path / "run" / "manifest.json").read_text())["diagnostics"]
+    assert diagnostics["backoffs"] == 1
+    assert calls and not any(calls)
+
+
 def test_refine_manifest_times_the_lockstep_and_the_locks(tmp_path):
     cfg = _config(tmp_path, "refine_fiber", TINY_PARAMS["refine_fiber"])
     run_scenario(cfg, tmp_path / "refine")
@@ -381,7 +406,9 @@ def test_refine_locks_share_models_within_one_run_only(tmp_path, monkeypatch):
     assert all(d is first[0] for d in first) and all(d is second[0] for d in second)
     assert first[0] is not second[0]
     assert first[0] and first[0].keys() == second[0].keys()
-    # each stage samples at a new true residual, so a model keeps one sampling entry
+    # the locks read the lockstep's kept draws, and a stage that samples
+    # anew does so at a new true residual, so a model keeps at most one
+    # sampling entry
     assert all(sum(k == "probs" or k[:1] == ("probs",) for k in m.cache) <= 1 for m in first[0].values())
 
 
