@@ -51,12 +51,12 @@ def test_protocol_spec_validation():
         ({"n_pulses": True}, "n_pulses"),
         ({"n_pulses": 10.0}, "n_pulses"),
         ({"n_delay": "a"}, "n_delay"),
-        ({"n_delay": False}, "n_delay"),
         ({"theta": "x"}, "theta"),
         ({"theta": np.nan}, "theta"),
         ({"theta": True}, "theta"),
-        ({"theta": np.True_}, "theta"),
         ({"reference_phase": np.inf}, "reference_phase"),
+        ({"n_delay": False}, "n_delay"),
+        ({"theta": np.True_}, "theta"),
     ],
 )
 def test_protocol_spec_rejects_bad_field_types(fields, name):
