@@ -11,14 +11,15 @@ Every fit holds the pulse area theta at its known value, the model's
 derivatives only, the Fisher information I_dphidphi is a number, and the
 Cramer-Rao bound is 1 / I_dphidphi (Kay, *Estimation Theory*, 1993, ch. 3).
 
-Every fit is read through `ml_estimate`, whose memo on the model holds one
-fit per distinct record.  One helper, `_fill_memo`, stores batched fits in
-it: `estimator_study` calls it with a study's records, and `_prefit_locks`
-with the records of a run's locks, once per train length and step.  A
-record the memo lacks is fit on its own.  The lockstep also keeps each
-record it draws on the model, and `sample_record` returns a kept record
-instead of drawing it again, so the locks' own calls after the lockstep
-neither evaluate the model nor draw.
+One step draws and fits a batch of records on one model, `_prefill`: one
+batched evaluation, one draw per record under its own seed, kept on the
+model, and one batched fit of the distinct records the model's fit memo
+lacks.  `estimator_study` takes it once, for all its seeds at the truth,
+and the lockstep of a run's locks (`_prefit_locks`) once per train length
+and step.  Each seed or lock then reads its record back through
+`sample_record`, which returns a kept record, and its fit through
+`ml_estimate`, which returns a stored one, so those reads neither
+evaluate the model nor draw.
 """
 from __future__ import annotations
 
@@ -26,9 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    CombPhaseError, DegenerateFitError, SingularInformationError, WrapAmbiguityError,
-)
+from .errors import DegenerateFitError, SingularInformationError, WrapAmbiguityError
 from .protocols import (
     ProtocolSpec, RamseyOutcomeModel, ramsey_model, ramsey_probabilities, train_unitary_with_grad,
 )
@@ -59,10 +58,16 @@ class MeasurementRecord:
 
     def __post_init__(self):
         for arm in ("counts1", "counts2"):
-            c = np.asarray(getattr(self, arm), dtype=int)
-            if c.shape != (2,) or c.sum() != self.m_shots:
-                raise ValueError(f"{arm} must be two outcomes summing to m_shots")
-            object.__setattr__(self, arm, c)
+            c = np.asarray(getattr(self, arm))
+            whole = True
+            if c.dtype.kind not in "iu":  # counts given otherwise, say as floats, must cast exactly
+                with np.errstate(invalid="ignore"):  # NaN casts to an int that fails the comparison
+                    c, given = c.astype(int), c
+                whole = np.array_equal(c, given)
+            # the two counts are checked as Python ints, which is cheaper than numpy reductions
+            if not whole or c.shape != (2,) or min(counts := c.tolist()) < 0 or sum(counts) != self.m_shots:
+                raise ValueError(f"{arm} must be two non-negative whole counts summing to m_shots")
+            object.__setattr__(self, arm, c.astype(int, copy=False))
 
 
 @dataclass(frozen=True)
@@ -103,17 +108,6 @@ def _nonsingular_information(probs, m_shots: int, chi: float):
     return info
 
 
-def _probs_at(model: RamseyOutcomeModel, dphi: float):
-    """``model.evaluate(dphi)`` at a scalar ``dphi``, cached on the model at
-    the latest ``dphi`` only: the records of a study and its bound share
-    one evaluation at the truth, and a lock that samples each stage at a
-    new residual keeps one entry per model."""
-    cached = model.cache.get("probs")
-    if cached is None or cached[0] != dphi:
-        cached = model.cache["probs"] = (dphi, model.evaluate(dphi))
-    return cached[1]
-
-
 def fisher_matrix(model: RamseyOutcomeModel, dphi: float, m_shots: int) -> float:
     """I_dphidphi = sum over both arms and outcomes of M (dP/ddphi)^2 / P at
     the model's known pulse area.
@@ -123,7 +117,7 @@ def fisher_matrix(model: RamseyOutcomeModel, dphi: float, m_shots: int) -> float
     means the score diverges and raises SingularInformationError.  The name
     predates the scalar result; `perfbench/tracer.py` wraps it by name.
     """
-    return float(_nonsingular_information(_probs_at(model, dphi), m_shots, model.spec.enhancement))
+    return float(_nonsingular_information(model.evaluate(dphi), m_shots, model.spec.enhancement))
 
 
 def _check_theta(model: RamseyOutcomeModel, theta) -> None:
@@ -144,21 +138,17 @@ def sample_record(
     The model holds the pulse area; ``theta`` must equal ``model.spec.theta``
     (ValueError otherwise).  The slot stays only for callers that pass it.
 
-    A record the lockstep of a run's locks drew (`_prefit_locks`) is kept
-    on the model, keyed by ``(dphi, m_shots, seed)``, and returned as it is:
-    it is the record this call would draw, since a batched `evaluate` row is
-    bit for bit the scalar one.  Any other record is drawn here from the
-    outcome probabilities of `_probs_at`, so the records of one study and
-    its `fisher_matrix` bound evaluate the model once at the truth.  A study
-    keeps no records.
+    A record that `_prefill` drew, for a study or for the lockstep of a
+    run's locks, is kept on the model, keyed by ``(dphi, m_shots, seed)``,
+    and returned as it is: it is the record this call would draw, since a
+    batched `evaluate` row is bit for bit the scalar one.  Any other record
+    is drawn here from one evaluation at ``dphi`` and kept nowhere.
     """
     _check_theta(model, theta)
-    kept = model.cache.get("records")
-    if kept is not None:
-        record = kept.get((dphi, m_shots, seed))
-        if record is not None:
-            return record
-    return _draw_record(_probs_at(model, dphi)[0], m_shots, seed)
+    record = model.cache.get("records", {}).get((dphi, m_shots, seed))
+    if record is None:
+        record = _draw_record(model.evaluate(dphi)[0], m_shots, seed)
+    return record
 
 
 def _draw_record(p, m_shots: int, seed: int) -> MeasurementRecord:
@@ -213,7 +203,7 @@ def ml_estimate(
 
     The fit is the one-record call of the batched engine `_fit_records`.
     Fits are memoised on the model, keyed by the initial dphi, ``m_shots``
-    and both arms' counts; `_fill_memo` fills the memo in batches, for a
+    and both arms' counts; `_prefill` fills the memo in batches, for a
     study or for one train length and step of a run's locks.  The first
     read of a stored fit returns it with the score evaluations its fit
     took, and later reads of the same record return it with
@@ -242,16 +232,29 @@ def _memo_key(dphi0: float, m_shots: int, counts) -> tuple:
     return ("fit", dphi0, m_shots, tuple(counts))
 
 
-def _fill_memo(model, rows, m_shots: int) -> list[EstimationResult]:
-    """Each row's fit around 0 from ``model``'s fit memo; one `_fit_records`
-    call fits the distinct ``rows`` (a record's four counts each) the memo
-    lacks and stores them under `ml_estimate`'s key, or raises and stores
-    nothing."""
-    keys = [_memo_key(0.0, m_shots, row) for row in rows]
-    new = {key: row for key, row in zip(keys, rows) if key not in model.cache}
+def _prefill(model, residuals, m_shots: int, seeds):
+    """Draw, keep and fit one record of ``model`` per (residual, seed).
+
+    One batched `evaluate` at ``residuals`` gives every record's outcome
+    probabilities; a residual without a seed is evaluated and draws
+    nothing.  Each record is drawn with its own seed (`_draw_record`,
+    as `sample_record` draws it) and kept in ``model.cache["records"]``
+    under ``(residual, m_shots, seed)``.  One `_fit_records` call fits the
+    distinct records the fit memo lacks, around 0, and stores them under
+    `ml_estimate`'s key, or raises and stores no fit.  Returns each
+    record's fit and the (2, R, 4) evaluation.
+    """
+    probs = model.evaluate(np.asarray(residuals, dtype=float))
+    kept = model.cache.setdefault("records", {})
+    keys = []
+    for residual, seed, p in zip(residuals, seeds, probs[0]):
+        record = kept[residual, m_shots, seed] = _draw_record(p, m_shots, seed)
+        keys.append(_memo_key(0.0, m_shots, _row(record)))
+    new = [key for key in dict.fromkeys(keys) if key not in model.cache]
     if new:
-        model.cache.update(zip(new, _fit_records(model, np.array(list(new.values())), m_shots)))
-    return [model.cache[key] for key in keys]
+        counts = np.array([key[3] for key in new])
+        model.cache.update(zip(new, _fit_records(model, counts, m_shots)))
+    return [model.cache[key] for key in keys], probs
 
 
 def distinct_fits(models) -> int:
@@ -518,15 +521,17 @@ def estimator_study(
     """Fixed-theta ML estimates of ``dphi`` over simulated experiments.
 
     The reference phase is chosen for maximal dphi information at the true
-    point, then each seed draws one record of ``m_shots`` per arm, one
-    `sample_record` call per seed.  `_fill_memo` fits the distinct records
-    together, and each seed reads its fit through `ml_estimate`, so a
-    study's model evaluations do not grow with its number of distinct
-    records.
+    point.  One `_prefill` draws one record of ``m_shots`` per arm for each
+    seed from one evaluation at the truth, and fits the distinct records
+    together; each seed then reads its record back through `sample_record`
+    and its fit through `ml_estimate`.  So a study evaluates the model
+    once at the truth, and its evaluations do not grow with its number of
+    distinct records.
 
     Returns the estimates in seed order, the fixed-theta Cramer-Rao bound
     1 / I_dphidphi on the variance of one experiment's estimate (the bound
-    `ml_estimate` reports), and the study's diagnostics, counted as a lock
+    `ml_estimate` reports), taken from the same evaluation at the truth as
+    the records, and the study's diagnostics, counted as a lock
     run counts them: ``fits`` (one per seed), ``distinct_records``
     (`distinct_fits`), ``nonconverged`` fits, fits ``pinned`` within 0.98 of
     the window edge, and ``score_evaluations``, the ``n_evaluations`` the
@@ -536,8 +541,10 @@ def estimator_study(
     """
     xi = optimize_reference_phase(spec, dphi)
     model = ramsey_model(replace(spec, reference_phase=xi))
+    seeds = list(seeds)
+    # a study without seeds evaluates at the truth alone, for its bound
+    _, probs = _prefill(model, [dphi] * max(len(seeds), 1), m_shots, seeds)
     records = [sample_record(model, spec.theta, dphi, m_shots, s) for s in seeds]
-    _fill_memo(model, [_row(r) for r in records], m_shots)
     fits = [ml_estimate(rec, model, (spec.theta, 0.0)) for rec in records]
     if fits and not any(f.converged for f in fits):
         raise DegenerateFitError(f"none of the {len(fits)} fits of the study converged")
@@ -552,7 +559,8 @@ def estimator_study(
         "pinned": int(np.sum(np.abs(estimates) >= 0.98 * window)),
         "score_evaluations": sum(f.n_evaluations for f in fits),
     }
-    return estimates, 1.0 / fisher_matrix(model, dphi, m_shots), diagnostics
+    info = _nonsingular_information(probs[:, 0], m_shots, spec.enhancement)
+    return estimates, 1.0 / float(info), diagnostics
 
 
 # --- offset-frequency resolution ------------------------------------------
@@ -584,7 +592,7 @@ class RefineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("m_shots", 1), ("growth", 2), ("max_stages", 1)):
+        for name, least in (("m_shots", 1), ("growth", 2), ("max_stages", 1), ("seed", 0)):
             value = getattr(self, name)
             if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -640,9 +648,10 @@ def iterative_refine(
     locks lets them reuse one model per train length, with its fringe grid
     and its fit memo, and `_prefit_locks` can draw and fit the records of
     all of them beforehand: each stage then reads its kept record and its
-    fit, and neither evaluates the model nor draws.  The locks' results do
-    not change either way.  Models missing from the dict are built and
-    added.  With ``None`` the lock keeps a dict of its own.
+    fit, and neither evaluates the model nor draws.  A record or fit the
+    model lacks is drawn or fit here, and the locks' results do not change
+    either way.  Models missing from the dict are built and added.  With
+    ``None`` the lock keeps a dict of its own.
     """
     lock = _lock(true_dphi, config, {} if models is None else models)
     model, residual, m_shots, seed = next(lock)
@@ -717,49 +726,31 @@ def _prefit_locks(locks, models: dict) -> None:
     ``locks`` lists each lock's (true dphi, `RefineConfig`), and ``models``
     is the dict their `iterative_refine` calls will share.  One `_lock` per
     lock runs here; at each step their requests are grouped by model and
-    shot count, one batched `evaluate` gives the group's probabilities,
-    each record is drawn with its own seed (`_draw_record`, as
-    `sample_record` draws it) and kept on the model under its request's
-    ``(residual, m_shots, seed)``, and `_fill_memo` fits the group's
-    records that the memo lacks in one batch.  The locks' own calls then
-    read their records and fits from the model, so the model evaluations
-    and draws of a run grow with its stages, not with its locks.
+    shot count, and one `_prefill` per group draws, keeps and fits the
+    group's records.  The locks' own calls then read their records and
+    fits from the model, so the model evaluations and draws of a run grow
+    with its stages, not with its locks.  A kept record is the one its key
+    draws, and a memo entry is the fit of its key, whoever stores them.
 
-    Nothing here decides a result: a kept record is the one its key draws,
-    and a memo entry is the fit of its key, whoever stores them.  A lock
-    that raises a CombPhaseError, or whose group fit raises one, is
-    dropped, and its own call fits and raises as it would alone; so does a
-    lock whose record or fit the model lacks.
+    A lock's WrapAmbiguityError (a truth beyond the prior, or a second
+    pinned fit) and an error of a group's fit propagate from here.
     """
     pending = []
     for true_dphi, config in locks:
         lock = _lock(true_dphi, config, models)
-        try:
-            pending.append((lock, next(lock)))
-        except CombPhaseError:
-            pass
+        pending.append((lock, next(lock)))
     while pending:
         groups = {}
-        for lock, request in pending:
-            model, _, m_shots, _ = request
-            groups.setdefault((model.spec, m_shots), []).append((lock, request))
+        for lock, (model, residual, m_shots, seed) in pending:
+            groups.setdefault((model, m_shots), []).append((lock, residual, seed))
         pending = []
-        for group in groups.values():
-            model, _, m_shots, _ = group[0][1]
-            p = model.evaluate(np.array([request[1] for _, request in group]))[0]
-            kept = model.cache.setdefault("records", {})
-            records = []
-            for (_, (_, residual, _, seed)), row in zip(group, p):
-                record = kept[residual, m_shots, seed] = _draw_record(row, m_shots, seed)
-                records.append(record)
-            try:
-                fits = _fill_memo(model, [_row(rec) for rec in records], m_shots)
-            except CombPhaseError:
-                continue
-            for (lock, _), fit in zip(group, fits):
+        for (model, m_shots), group in groups.items():
+            group_locks, residuals, seeds = zip(*group)
+            fits, _ = _prefill(model, residuals, m_shots, seeds)
+            for lock, fit in zip(group_locks, fits):
                 try:
                     pending.append((lock, lock.send(fit)))
-                except (StopIteration, CombPhaseError):
+                except StopIteration:
                     pass
 
 

@@ -287,14 +287,13 @@ class RamseyOutcomeModel:
     batched call is bit for bit the call at that dphi alone.
 
     ``cache`` holds what `estimation` computes on this model, so the records
-    of a study or of the locks sharing the model reuse it: the fringe grid of
-    each fit window with the window's peak information, the `evaluate` array
-    at the latest true dphi, which `sample_record` draws from and
-    `fisher_matrix` reads (`estimation._probs_at`), the result of each
-    distinct fit (`ml_estimate`'s memo), and the records the lockstep of a
-    run's locks drew (`estimation._prefit_locks`), which `sample_record`
-    returns instead of drawing them again.  It lives and dies with the model
-    and takes no part in comparison or hashing.
+    of a study or of the locks sharing the model reuse it.  It has three
+    kinds of entry: the fringe grid of each fit window with the window's
+    peak information, the result of each distinct fit (`ml_estimate`'s
+    memo), and, under ``"records"``, the records that a study or the
+    lockstep of a run's locks drew (`estimation._prefill`), which
+    `sample_record` returns instead of drawing them again.  It lives and
+    dies with the model and takes no part in comparison or hashing.
     """
 
     spec: ProtocolSpec

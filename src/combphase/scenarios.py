@@ -626,7 +626,8 @@ def _run_refine(cfg):
     # and fit memo are built once for all locks of the run and freed with
     # it (see test_refine_locks_share_models_within_one_run_only); the
     # lockstep draws every record and fills each memo with one batched fit
-    # per stage before the locks run one by one and read them
+    # per stage before the locks run one by one and read them, and a lock
+    # that raises makes the lockstep raise, before any lock runs alone
     models = {}
     t0 = time.perf_counter()
     estimation._prefit_locks(locks, models)

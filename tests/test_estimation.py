@@ -83,11 +83,13 @@ def test_a_drawn_record_is_the_sampled_record_bit_for_bit(n, m_shots):
 
 
 def test_sampling_cache_keeps_the_latest_dphi_only():
+    # a lone draw keeps nothing on the model, not even its evaluation; only
+    # a study or the lockstep of a run's locks keeps the records it draws
     model = _model()
     first = sample_record(model, np.pi / 2, 0.001, 500, seed=9)
     other = sample_record(model, np.pi / 2, 0.002, 500, seed=9)
     again = sample_record(model, np.pi / 2, 0.001, 500, seed=9)
-    assert list(model.cache) == ["probs"]
+    assert not model.cache
     fresh = sample_record(_model(), np.pi / 2, 0.002, 500, seed=9)
     for a, b in ((first, again), (other, fresh)):
         assert np.array_equal(a.counts1, b.counts1) and np.array_equal(a.counts2, b.counts2)
@@ -98,6 +100,14 @@ def test_measurement_record_validation():
         MeasurementRecord(10, np.array([4, 7]), np.array([5, 5]))  # does not sum to m_shots
     with pytest.raises(ValueError, match="counts2"):
         MeasurementRecord(10, np.array([4, 6]), np.array([5, 5, 0]))  # three outcomes
+    with pytest.raises(ValueError, match="counts1"):
+        MeasurementRecord(10, [-1, 11], [5, 5])  # a negative count
+    with pytest.raises(ValueError, match="counts1"):
+        MeasurementRecord(9, [4.5, 5.5], [4, 5])  # fractional counts, which int() would truncate
+    with pytest.raises(ValueError, match="counts2"):
+        MeasurementRecord(10, [4, 6], [np.nan, 10])  # not a count, and no cast warning either
+    whole = MeasurementRecord(10, [4.0, 6.0], [5, 5])  # whole counts given as floats
+    assert whole.counts1.tolist() == [4, 6] and whole.counts1.dtype == whole.counts2.dtype == int
 
 
 def test_theta_slots_must_match_the_model():
@@ -693,10 +703,10 @@ def test_a_singular_window_raises_before_any_score_evaluation(monkeypatch):
 
 
 def test_study_evaluates_the_model_once_per_distinct_record(monkeypatch):
-    # deterministic call counts: one sampling evaluate per study, which the
-    # study's bound shares, and a fixed number for its fits however many
-    # records are distinct: the fringe grid, one per root iteration of the
-    # whole batch and the bounds of the batch
+    # deterministic call counts: the study's `sample_record` calls read the
+    # records its one evaluation at the truth drew, and its fits take a
+    # fixed number however many records are distinct: the fringe grid, one
+    # per root iteration of the whole batch and the bounds of the batch
     calls = {"all": 0, "sampling": 0}
     evaluate = RamseyOutcomeModel.evaluate
     draw = estimation.sample_record
@@ -723,22 +733,78 @@ def test_study_evaluates_the_model_once_per_distinct_record(monkeypatch):
     assert len(records) == 200
     distinct = len(set(records))
     assert distinct < 200
-    assert calls["sampling"] == 1
+    assert calls["sampling"] == 0
     assert calls["all"] <= 20 < distinct
 
 
 def test_a_study_evaluates_the_model_once_at_its_truth(monkeypatch):
-    # the records and the study's bound share one evaluation at the true dphi
+    # the records and the study's bound share one evaluation at the true
+    # dphi, batched over the seeds
     at_truth = []
     evaluate = RamseyOutcomeModel.evaluate
 
     def counted(self, dphi):
-        at_truth.append(np.ndim(dphi) == 0 and dphi == 0.02)
+        at_truth.append(np.size(dphi) > 0 and bool(np.all(dphi == 0.02)))
         return evaluate(self, dphi)
 
     monkeypatch.setattr(RamseyOutcomeModel, "evaluate", counted)
     estimator_study(ProtocolSpec("1B", 10, 0, 0.0, np.pi / 2), 0.02, 10_000, range(20))
     assert sum(at_truth) == 1
+
+
+def test_a_study_without_seeds_returns_its_bound_alone():
+    spec = ProtocolSpec("1B", 10, 0, 0.0, np.pi / 2)
+    estimates, bound, diagnostics = estimator_study(spec, 0.02, 1000, [])
+    assert estimates.shape == (0,)
+    model = ramsey_model(replace(spec, reference_phase=optimize_reference_phase(spec, 0.02)))
+    assert bound == 1.0 / fisher_matrix(model, 0.02, 1000) == 2.5000000000000006e-06
+    assert diagnostics == dict.fromkeys(
+        ("fits", "distinct_records", "nonconverged", "pinned", "score_evaluations"), 0
+    )
+
+
+def _study_models(monkeypatch):
+    """Record the outcome model of every `estimator_study`."""
+    models = []
+    build = estimation.ramsey_model
+
+    def spy(spec):
+        models.append(build(spec))
+        return models[-1]
+
+    monkeypatch.setattr(estimation, "ramsey_model", spy)
+    return models
+
+
+def test_a_studys_kept_records_are_fresh_draws(monkeypatch):
+    models = _study_models(monkeypatch)
+    spec = ProtocolSpec("1B", 50, 0, 0.0, np.pi / 2)
+    estimator_study(spec, 0.004, 2000, range(5, 45))
+    [model] = models
+    kept = model.cache["records"]
+    assert sorted(kept) == [(0.004, 2000, seed) for seed in range(5, 45)]
+    for (dphi, m_shots, seed), record in kept.items():
+        fresh = sample_record(ramsey_model(model.spec), spec.theta, dphi, m_shots, seed)
+        assert record.m_shots == fresh.m_shots
+        for a, b in ((record.counts1, fresh.counts1), (record.counts2, fresh.counts2)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _cache_kinds(models):
+    """The kinds of entry in the caches of ``models``."""
+    return {key if key == "records" else key[0] for model in models for key in model.cache}
+
+
+def test_a_model_caches_fringe_grids_fits_and_records_only(monkeypatch):
+    models = _study_models(monkeypatch)
+    estimator_study(ProtocolSpec("1B", 10, 0, 0.0, np.pi / 2), 0.02, 1000, range(50))
+    assert _cache_kinds(models) == {"grid", "fit", "records"}
+    locks = [_fiber_lock(i) for i in range(20)]
+    shared = {}
+    estimation._prefit_locks(locks, shared)
+    for true, config in locks:
+        iterative_refine(true, config, shared)
+    assert _cache_kinds(shared.values()) == {"grid", "fit", "records"}
 
 
 def test_offset_resolution_arithmetic():
@@ -770,7 +836,9 @@ def test_iterative_refine_tightens_each_stage():
     "field,value",
     [("m_shots", 0), ("growth", 1), ("growth", 4.0), ("max_stages", 0), ("max_stages", True)]
     # a NaN bound used to reach the first train length and fail converting NaN to an integer
-    + [("prior_bound", v) for v in (float("nan"), float("inf"), 0.0, -0.01, "0.02", True)],
+    + [("prior_bound", v) for v in (float("nan"), float("inf"), 0.0, -0.01, "0.02", True)]
+    # a bad seed used to raise an untyped error from inside the first stage
+    + [("seed", v) for v in (None, 1.5, -1, True)],
 )
 def test_refine_config_rejects_bad_counts(field, value):
     with pytest.raises(ValueError, match=field):
@@ -972,18 +1040,21 @@ def test_a_lock_that_raises_in_lockstep_raises_alone(monkeypatch):
     alone = _lone_locks(locks)
     assert [i for i, outcome in enumerate(alone) if isinstance(outcome, tuple)] == [_BACKOFF_LOCK]
     assert alone[_BACKOFF_LOCK] == (WrapAmbiguityError, "estimate pinned to the fringe edge twice at N=14")
-    lockstep, _ = _lockstep_locks(locks)
-    assert lockstep == alone
+    # the lockstep raises the lone lock's error itself
+    with pytest.raises(WrapAmbiguityError) as raised:
+        estimation._prefit_locks(locks, {})
+    assert (type(raised.value), str(raised.value)) == alone[_BACKOFF_LOCK]
 
 
 def test_locks_do_not_depend_on_the_prefill(monkeypatch):
     locks = [_fiber_lock(i) for i in range(20)]
     alone = _lone_locks(locks)
     calls = _fit_calls(monkeypatch)
-    # perturbed: the memo holds fits of records the locks mostly do not
-    # draw, so they fit most of their records on their own
+    # perturbed toward 0, so no truth leaves the prior: the memo holds fits
+    # of records the locks mostly do not draw, and no kept draw has a lock's
+    # residual, so they draw and fit most of their records on their own
     models = {}
-    estimation._prefit_locks([(true + 1e-4, config) for true, config in locks], models)
+    estimation._prefit_locks([(true - np.copysign(1e-4, true), config) for true, config in locks], models)
     prefit = len(calls)
     assert [iterative_refine(true, config, models) for true, config in locks] == alone
     assert 0 < prefit < len(calls) - prefit

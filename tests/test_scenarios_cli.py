@@ -406,10 +406,10 @@ def test_refine_locks_share_models_within_one_run_only(tmp_path, monkeypatch):
     assert all(d is first[0] for d in first) and all(d is second[0] for d in second)
     assert first[0] is not second[0]
     assert first[0] and first[0].keys() == second[0].keys()
-    # the locks read the lockstep's kept draws, and a stage that samples
-    # anew does so at a new true residual, so a model keeps at most one
-    # sampling entry
-    assert all(sum(k == "probs" or k[:1] == ("probs",) for k in m.cache) <= 1 for m in first[0].values())
+    # a model keeps its fringe grids, its fit memo and the lockstep's draws,
+    # and no other kind of entry
+    kinds = {k if k == "records" else k[0] for m in first[0].values() for k in m.cache}
+    assert kinds == {"grid", "fit", "records"}
 
 
 def test_cli_numeric_failure_exit_code(tmp_path):
