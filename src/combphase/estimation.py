@@ -12,17 +12,21 @@ derivatives only, the Fisher information I_dphidphi is a number, and the
 Cramer-Rao bound is 1 / I_dphidphi (Kay, *Estimation Theory*, 1993, ch. 3).
 
 One step draws and fits a batch of records on one model, `_prefill`: one
-batched evaluation, one draw per record under its own seed, kept on the
-model, and one batched fit of the distinct records the model's fit memo
-lacks.  `estimator_study` takes it once, for all its seeds at the truth,
-and the lockstep of a run's locks (`_prefit_locks`) once per train length
-and step.  Each seed or lock then reads its record back through
-`sample_record`, which returns a kept record, and its fit through
-`ml_estimate`, which returns a stored one, so those reads neither
-evaluate the model nor draw.
+batched evaluation at the distinct residuals, one draw per record from its
+own seed's stream, kept on the model, and one batched fit of the distinct
+records the model's fit memo lacks.  Each record's stream is the one
+``np.random.default_rng(seed)`` starts, bit for bit; `_streams` seeds a
+whole batch of them in one vectorised pass of numpy's SeedSequence hash
+rather than building one generator per record.  `estimator_study` takes
+the step once, for all its seeds at the truth, and the lockstep of a
+run's locks (`_prefit_locks`) once per train length and step.  Each seed
+or lock then reads its record back through `sample_record`, which returns
+a kept record, and its fit through `ml_estimate`, which returns a stored
+one, so those reads neither evaluate the model nor draw.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -137,12 +141,15 @@ def sample_record(
 
     The model holds the pulse area; ``theta`` must equal ``model.spec.theta``
     (ValueError otherwise).  The slot stays only for callers that pass it.
+    ``seed`` is a non-negative integer, and the record is drawn from the
+    stream of ``np.random.default_rng(seed)`` (see `_draw_counts`).
 
     A record that `_prefill` drew, for a study or for the lockstep of a
     run's locks, is kept on the model, keyed by ``(dphi, m_shots, seed)``,
     and returned as it is: it is the record this call would draw, since a
     batched `evaluate` row is bit for bit the scalar one.  Any other record
-    is drawn here from one evaluation at ``dphi`` and kept nowhere.
+    is drawn here from one evaluation at ``dphi``, as a batch of one
+    (`_draw_record`), and kept nowhere.
     """
     _check_theta(model, theta)
     record = model.cache.get("records", {}).get((dphi, m_shots, seed))
@@ -153,12 +160,134 @@ def sample_record(
 
 def _draw_record(p, m_shots: int, seed: int) -> MeasurementRecord:
     """The record `sample_record` draws from the outcome probabilities ``p``,
-    a row of `evaluate`'s four columns: one ``default_rng(seed)`` draws arm
-    1's outcome 1 with probability ``p[1]``, then arm 2's with ``p[3]``."""
-    rng = np.random.default_rng(seed)
-    n1 = rng.binomial(m_shots, min(max(p[1], 0.0), 1.0))
-    n2 = rng.binomial(m_shots, min(max(p[3], 0.0), 1.0))
-    return MeasurementRecord(m_shots, np.array([m_shots - n1, n1]), np.array([m_shots - n2, n2]))
+    a row of `evaluate`'s four columns: the batch of one of `_draw_counts`."""
+    counts = _draw_counts(np.asarray(p)[None], m_shots, [seed])[0]
+    return MeasurementRecord(m_shots, counts[:2], counts[2:])
+
+
+def _draw_counts(p, m_shots: int, seeds) -> np.ndarray:
+    """(R, 4) counts, in `evaluate`'s column order, of one record per row of
+    ``p`` (R, 4) and seed: the seed's stream (`_streams`) draws arm 1's
+    outcome 1 with probability ``p[r, 1]``, then arm 2's with ``p[r, 3]``,
+    each clipped to [0, 1]."""
+    ones = np.minimum(np.maximum(p[:, 1::2], 0.0), 1.0).tolist()
+    drawn = [
+        (rng.binomial(m_shots, p1), rng.binomial(m_shots, p2))
+        for rng, (p1, p2) in zip(_streams(seeds), ones)
+    ]
+    counts = np.empty((len(drawn), 4), dtype=int)
+    counts[:, 1::2] = np.reshape(drawn, (-1, 2))
+    counts[:, ::2] = m_shots - counts[:, 1::2]
+    return counts
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), after
+# O'Neill's seed_seq_fe (*PCG*, HMC-CS-2014-0905, 2014): hashmix call k
+# xors its word with INIT * MULT**k and multiplies it by INIT * MULT**(k+1)
+_POOL = 4  # words of the entropy pool
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix of the entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hash of the pool into the output words
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+#: PCG64's 128-bit LCG multiplier (pcg_setseq_128_srandom_r)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, calls):
+    """(xor, multiplier) uint32 columns of the hashmix calls ``calls``; a
+    call None gives zeros."""
+    xor = [0 if k is None else init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in calls]
+    times = [0 if k is None else x * mult & 0xFFFFFFFF for k, x in zip(calls, xor)]
+    return np.array(xor, dtype=np.uint32)[:, None], np.array(times, dtype=np.uint32)[:, None]
+
+
+def _hashmix(words, consts):
+    """SeedSequence's hashmix of ``words`` under the `_hash_consts` of its calls."""
+    xor, mult = consts
+    words = (words ^ xor) * mult
+    words ^= words >> _SHIFT
+    return words
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
+    out = _MIX_L * x - _MIX_R * y
+    out ^= out >> _SHIFT
+    return out
+
+
+#: calls 0-3 hash the pool's words; calls 4-15 mix each word, in turn, into
+#: the three others (None marks the word that stays); word k >= 4 of a
+#: longer seed then takes calls 4k to 4k + 3
+_POOL_HASH = _hash_consts(_INIT_A, _MULT_A, range(_POOL))
+_ROUND_HASHES = [
+    _hash_consts(_INIT_A, _MULT_A, [None if d == s else _POOL + 3 * s + d - (d > s) for d in range(_POOL)])
+    for s in range(_POOL)
+]
+#: generate_state(4, uint64) hashes the pool cycled twice into 8 words
+_OUTPUT_HASH = tuple(c.reshape(2, _POOL, 1) for c in _hash_consts(_INIT_B, _MULT_B, range(2 * _POOL)))
+
+
+def _pcg64_states(seeds) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``np.random.default_rng(seed)`` for each of
+    ``seeds``, non-negative integers (TypeError or ValueError otherwise).
+
+    A seed is split into 32-bit words, least significant first.  The first
+    4 fill the pool, where a missing word hashes like a zero word, and the
+    words of a seed of 2**128 or more past the pool mix into it afterwards.
+    The whole batch is hashed at once in uint32 numpy arithmetic; a seed
+    shorter than the longest keeps its pool past its last word.  The 4
+    output words (s0, s1, i0, i1), as ``generate_state(4, uint64)`` gives
+    them, seed PCG64 in Python 128-bit ints: ``inc = (i0 i1) << 1 | 1`` and
+    ``state = (inc + (s0 s1)) * mult + inc``, mod 2**128.
+    """
+    seeds = [operator.index(s) for s in seeds]
+    if seeds and min(seeds) < 0:
+        raise ValueError(f"seeds must be non-negative integers, got {min(seeds)}")
+    width = max(_POOL, -(-max(seeds, default=0).bit_length() // 32))
+    entropy = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
+    entropy = np.frombuffer(entropy, dtype="<u4").reshape(len(seeds), width).T
+    pool = _hashmix(entropy[:_POOL], _POOL_HASH)
+    for src, consts in enumerate(_ROUND_HASHES):
+        stays = pool[src].copy()
+        pool = _mix(pool, _hashmix(stays, consts))
+        pool[src] = stays
+    if width > _POOL:
+        bits = np.array([s.bit_length() for s in seeds])
+        for k, word in enumerate(entropy[_POOL:], start=_POOL):
+            consts = _hash_consts(_INIT_A, _MULT_A, range(_POOL * k, _POOL * k + _POOL))
+            pool = np.where(bits > 32 * k, _mix(pool, _hashmix(word, consts)), pool)  # seeds with a word k
+    words = _hashmix(pool, _OUTPUT_HASH).reshape(2 * _POOL, -1)
+    states = []
+    # little-endian pairs of 32-bit words, as generate_state assembles them
+    for s0, s1, i0, i1 in np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist():
+        inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
+        states.append((((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _streams(seeds):
+    """Yield, for each of ``seeds`` in turn, a `np.random.Generator` at the
+    start of ``np.random.default_rng(seed)``'s stream.
+
+    The states come from one `_pcg64_states` pass over the batch, and one
+    Generator is moved to each in turn: the same Generator is yielded each
+    time, so draw from it before asking for the next.  Its binomial
+    constants depend only on the (n, p) of a draw, so reusing it changes no
+    draw.
+    """
+    states = _pcg64_states(seeds)
+    rng = np.random.Generator(np.random.PCG64(0))  # its first state is overwritten
+    bit_generator = rng.bit_generator
+    for state, inc in states:
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def _row(record: MeasurementRecord) -> list[int]:
@@ -235,21 +364,24 @@ def _memo_key(dphi0: float, m_shots: int, counts) -> tuple:
 def _prefill(model, residuals, m_shots: int, seeds):
     """Draw, keep and fit one record of ``model`` per (residual, seed).
 
-    One batched `evaluate` at ``residuals`` gives every record's outcome
-    probabilities; a residual without a seed is evaluated and draws
-    nothing.  Each record is drawn with its own seed (`_draw_record`,
-    as `sample_record` draws it) and kept in ``model.cache["records"]``
+    One batched `evaluate` at the distinct ``residuals``, in order of first
+    appearance, gives every record's outcome probabilities; a residual
+    without a seed is evaluated and draws nothing.  The records are drawn
+    from their seeds' streams as one (R, 4) count array (`_draw_counts`), as
+    `sample_record` draws them, and kept in ``model.cache["records"]``
     under ``(residual, m_shots, seed)``.  One `_fit_records` call fits the
     distinct records the fit memo lacks, around 0, and stores them under
     `ml_estimate`'s key, or raises and stores no fit.  Returns each
-    record's fit and the (2, R, 4) evaluation.
+    record's fit and the (2, D, 4) evaluation at the D distinct residuals.
     """
-    probs = model.evaluate(np.asarray(residuals, dtype=float))
+    rows = {residual: i for i, residual in enumerate(dict.fromkeys(residuals))}
+    probs = model.evaluate(np.array(list(rows), dtype=float))
+    p = probs[0][[rows[residual] for residual, _ in zip(residuals, seeds)]]
+    counts = _draw_counts(p, m_shots, seeds)
     kept = model.cache.setdefault("records", {})
-    keys = []
-    for residual, seed, p in zip(residuals, seeds, probs[0]):
-        record = kept[residual, m_shots, seed] = _draw_record(p, m_shots, seed)
-        keys.append(_memo_key(0.0, m_shots, _row(record)))
+    for residual, seed, row in zip(residuals, seeds, counts):
+        kept[residual, m_shots, seed] = MeasurementRecord(m_shots, row[:2], row[2:])
+    keys = [_memo_key(0.0, m_shots, row) for row in counts.tolist()]
     new = [key for key in dict.fromkeys(keys) if key not in model.cache]
     if new:
         counts = np.array([key[3] for key in new])

@@ -618,10 +618,10 @@ def _refine_config(p):
 def _run_refine(cfg):
     p, config = cfg.params, cfg.inputs
     true_bound = abs(comb.fiber_comb_preset().phase_step)
-    locks = []
-    for seed in range(cfg.seed, cfg.seed + p["n_seeds"]):
-        true = float(np.random.default_rng(seed).uniform(-true_bound, true_bound))
-        locks.append((true, replace(config, seed=seed * 13 + cfg.seed)))
+    seeds = range(cfg.seed, cfg.seed + p["n_seeds"])
+    # lock i's truth is the first uniform of default_rng(seed + i)'s stream
+    truths = [float(rng.uniform(-true_bound, true_bound)) for rng in estimation._streams(seeds)]
+    locks = [(true, replace(config, seed=seed * 13 + cfg.seed)) for true, seed in zip(truths, seeds)]
     # one models dict per run: each train length's fringe grid, kept draws
     # and fit memo are built once for all locks of the run and freed with
     # it (see test_refine_locks_share_models_within_one_run_only); the

@@ -67,10 +67,19 @@ def test_sample_record_deterministic_counts():
     assert a.counts1.sum() == 500
 
 
+def _default_rng_record(p, m_shots, seed):
+    """Arm 1's and arm 2's counts drawn from ``p`` by a fresh ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    n1 = rng.binomial(m_shots, min(max(p[1], 0.0), 1.0))
+    n2 = rng.binomial(m_shots, min(max(p[3], 0.0), 1.0))
+    return [m_shots - n1, n1], [m_shots - n2, n2]
+
+
 @pytest.mark.parametrize("n,m_shots", [(14, 5000), (62, 5000), (3584, 200), (1000, 1)])
 def test_a_drawn_record_is_the_sampled_record_bit_for_bit(n, m_shots):
     # the lockstep takes a group's probabilities from one batched evaluate
-    # and draws each record with the helper `sample_record` draws with
+    # and draws each record with the helper `sample_record` draws with;
+    # both are the draws of a fresh default_rng per seed
     model = _model(n=n)
     residuals = np.linspace(-0.5, 0.5, 11) * np.pi / (4.0 * model.spec.enhancement)
     p = model.evaluate(residuals)[0]
@@ -80,6 +89,77 @@ def test_a_drawn_record_is_the_sampled_record_bit_for_bit(n, m_shots):
         sampled = sample_record(_model(n=n), np.pi / 2, residual, m_shots, seed)
         assert np.array_equal(drawn.counts1, sampled.counts1)
         assert np.array_equal(drawn.counts2, sampled.counts2)
+        assert (drawn.counts1.tolist(), drawn.counts2.tolist()) == _default_rng_record(p[i], m_shots, seed)
+
+
+#: seeds at every 32-bit word boundary of SeedSequence's 4-word pool and past it
+_EDGE_SEEDS = [
+    0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**128 + 1, 2**200, np.int64(7),
+]
+
+
+def _oracle_seeds():
+    """The edge seeds and 200 random ones of 0 to 256 bits, so of 1 to 8 words."""
+    rng = np.random.default_rng(20141)
+    widths = rng.integers(0, 257, size=200).tolist()
+    return _EDGE_SEEDS + [int.from_bytes(rng.bytes(32), "little") >> (256 - bits) for bits in widths]
+
+
+def _pcg64_state(state, inc):
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+def test_batched_seeds_give_the_default_rng_states():
+    seeds = _oracle_seeds()
+    expected = [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+    # one batch of seeds of every length, and each seed as a batch of one
+    assert [_pcg64_state(*s) for s in estimation._pcg64_states(seeds)] == expected
+    assert [_pcg64_state(*estimation._pcg64_states([seed])[0]) for seed in seeds] == expected
+    assert [rng.bit_generator.state for rng in estimation._streams(seeds)] == expected
+    assert estimation._pcg64_states([]) == []
+
+
+@pytest.mark.parametrize("seeds,error", [([3, -1], ValueError), ([1.5], TypeError), ([None], TypeError)])
+def test_batched_seeds_must_be_non_negative_integers(seeds, error):
+    with pytest.raises(error):
+        estimation._pcg64_states(seeds)
+
+
+#: (M, p) across numpy's binomial regimes: p = 0 draws nothing, M p <= 30
+#: inverts the CDF (M = 1, p = 1e-9, and p = 1 through q = 1 - p = 0), and
+#: M p > 30 runs BTPE, whose set-up differs with M
+_BINOMIAL_CASES = [(m, p) for p in (0.3, 1e-9, 0.0, 1.0) for m in (5000, 1, 10_000)]
+
+
+def test_streams_draw_what_a_fresh_default_rng_draws():
+    # consecutive seeds alternate regimes and constants, and each case
+    # comes back after the others, so a binomial set-up kept from the
+    # previous seed's draws would show
+    cases = _BINOMIAL_CASES * 2
+    seeds = [2**64 + 5 + 7919 * k for k in range(len(cases))]
+    for seed, (m, p), rng in zip(seeds, cases, estimation._streams(seeds)):
+        fresh = np.random.default_rng(seed)
+        drawn = [rng.binomial(m, p), rng.binomial(m, 1.0 - p), rng.binomial(m, p)]
+        assert drawn == [fresh.binomial(m, p), fresh.binomial(m, 1.0 - p), fresh.binomial(m, p)]
+        assert rng.uniform(-1.0, 1.0) == fresh.uniform(-1.0, 1.0)
+    # a lock's truth is the first uniform of its seed's stream
+    bound = abs(fiber_comb_preset().phase_step)
+    truths = [rng.uniform(-bound, bound) for rng in estimation._streams(seeds)]
+    assert truths == [np.random.default_rng(seed).uniform(-bound, bound) for seed in seeds]
+
+
+@pytest.mark.parametrize("m_shots", [1, 5000, 10_000])
+def test_drawn_counts_are_the_draws_of_a_fresh_default_rng(m_shots):
+    # one batch, rows alternating across the regimes; probabilities a
+    # rounding off [0, 1] are clipped, as before the draw
+    probs = [p for _, p in _BINOMIAL_CASES] + [-1e-17, 1.0 + 1e-16]
+    p = np.array([[1.0 - a, a, 1.0 - b, b] for a, b in zip(probs, probs[::-1])])
+    seeds = list(range(300, 300 + len(p)))
+    counts = estimation._draw_counts(p, m_shots, seeds)
+    assert counts.shape == (len(p), 4)
+    for row, q, seed in zip(counts.tolist(), p, seeds):
+        arm1, arm2 = _default_rng_record(q, m_shots, seed)
+        assert row == arm1 + arm2
 
 
 def test_sampling_cache_keeps_the_latest_dphi_only():
@@ -744,12 +824,13 @@ def test_a_study_evaluates_the_model_once_at_its_truth(monkeypatch):
     evaluate = RamseyOutcomeModel.evaluate
 
     def counted(self, dphi):
-        at_truth.append(np.size(dphi) > 0 and bool(np.all(dphi == 0.02)))
+        at_truth.append(bool(np.all(dphi == 0.02)) and np.shape(dphi))
         return evaluate(self, dphi)
 
     monkeypatch.setattr(RamseyOutcomeModel, "evaluate", counted)
     estimator_study(ProtocolSpec("1B", 10, 0, 0.0, np.pi / 2), 0.02, 10_000, range(20))
-    assert sum(at_truth) == 1
+    # one call, at a one-point array: the 20 seeds share its row
+    assert [shape for shape in at_truth if shape] == [(1,)]
 
 
 def test_a_study_without_seeds_returns_its_bound_alone():
@@ -976,20 +1057,22 @@ def test_lockstep_locks_equal_lone_locks(monkeypatch):
 
 
 def _count_model_work(monkeypatch):
-    """Count every `RamseyOutcomeModel.evaluate` and every `_draw_record` call."""
+    """Count every `RamseyOutcomeModel.evaluate` call and every seed whose
+    stream `_streams` starts: every record drawn, alone or in a batch."""
     counts = {"evaluate": 0, "draw": 0}
-    evaluate, draw = RamseyOutcomeModel.evaluate, estimation._draw_record
+    evaluate, streams = RamseyOutcomeModel.evaluate, estimation._streams
 
     def counted_evaluate(self, dphi):
         counts["evaluate"] += 1
         return evaluate(self, dphi)
 
-    def counted_draw(p, m_shots, seed):
-        counts["draw"] += 1
-        return draw(p, m_shots, seed)
+    def counted_streams(seeds):
+        seeds = list(seeds)
+        counts["draw"] += len(seeds)
+        return streams(seeds)
 
     monkeypatch.setattr(RamseyOutcomeModel, "evaluate", counted_evaluate)
-    monkeypatch.setattr(estimation, "_draw_record", counted_draw)
+    monkeypatch.setattr(estimation, "_streams", counted_streams)
     return counts
 
 
@@ -998,8 +1081,11 @@ def test_locks_after_the_lockstep_neither_evaluate_nor_draw(monkeypatch):
     alone = _lone_locks(locks)
     assert alone[_BACKOFF_LOCK].backoffs == 1
     models = {}
-    estimation._prefit_locks(locks, models)
     counts = _count_model_work(monkeypatch)
+    estimation._prefit_locks(locks, models)
+    # the lockstep draws one record per fit of the locks, back-offs included
+    assert counts["draw"] == sum(len(t.stages) + t.backoffs for t in alone)
+    counts.update(evaluate=0, draw=0)
     assert [iterative_refine(true, config, models) for true, config in locks] == alone
     assert counts == {"evaluate": 0, "draw": 0}
 

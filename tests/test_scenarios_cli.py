@@ -581,6 +581,31 @@ def test_cli_wrap_abort_exit_code(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_WRAP
 
 
+def _data_files(out):
+    return {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("seed", [7, 2**64 + 5, 2**128 + 1], ids=["7", "2**64+5", "2**128+1"])
+@pytest.mark.parametrize("kind", ["crlb_saturation", "refine_fiber"])
+def test_batched_streams_write_the_files_of_one_default_rng_per_seed(tmp_path, monkeypatch, kind, seed):
+    # the oracle draws every record and every lock's truth from a fresh
+    # numpy.random.default_rng(seed), the stream the batched seeding matches
+    cfg = _config(tmp_path, kind, {**TINY_PARAMS[kind], "n_seeds": 3})
+    run_scenario(cfg, tmp_path / "batched", seed=seed)
+    oracle_seeds = []
+
+    def default_rng_streams(seeds):
+        for s in seeds:
+            oracle_seeds.append(s)
+            yield np.random.default_rng(s)
+
+    monkeypatch.setattr(estimation, "_streams", default_rng_streams)
+    run_scenario(cfg, tmp_path / "oracle", seed=seed)
+    assert seed in oracle_seeds and max(oracle_seeds) > seed
+    batched, oracle = _data_files(tmp_path / "batched"), _data_files(tmp_path / "oracle")
+    assert batched and batched == oracle
+
+
 def test_same_seed_gives_identical_refine_files(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     cfg = tmp_path / "small_refine.yaml"
