@@ -15,9 +15,9 @@ One step draws and fits a batch of records on one model, `_prefill`: one
 batched evaluation at the distinct residuals, one draw per record from its
 own seed's stream, kept on the model, and one batched fit of the distinct
 records the model's fit memo lacks.  Each record's stream is the one
-``np.random.default_rng(seed)`` starts, bit for bit; `_streams` seeds a
-whole batch of them in one vectorised pass of numpy's SeedSequence hash
-rather than building one generator per record.  `estimator_study` takes
+``np.random.default_rng(seed)`` starts, bit for bit; `_streams` hashes
+a whole batch of seeds in one vectorised pass of numpy's SeedSequence
+hash rather than one SeedSequence per record.  `estimator_study` takes
 the step once, for all its seeds at the truth, and the lockstep of a
 run's locks (`_prefit_locks`) once per train length and step.  Each seed
 or lock then reads its record back through `sample_record`, which returns
@@ -26,6 +26,7 @@ one, so those reads neither evaluate the model nor draw.
 """
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, replace
 
@@ -173,7 +174,7 @@ def _draw_counts(p, m_shots: int, seeds) -> np.ndarray:
     ones = np.minimum(np.maximum(p[:, 1::2], 0.0), 1.0).tolist()
     drawn = [
         (rng.binomial(m_shots, p1), rng.binomial(m_shots, p2))
-        for rng, (p1, p2) in zip(_streams(seeds), ones)
+        for rng, (p1, p2) in zip(_streams(seeds), ones, strict=True)
     ]
     counts = np.empty((len(drawn), 4), dtype=int)
     counts[:, 1::2] = np.reshape(drawn, (-1, 2))
@@ -189,9 +190,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix of the entropy into the poo
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hash of the pool into the output words
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
-#: PCG64's 128-bit LCG multiplier (pcg_setseq_128_srandom_r)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_consts(init: int, mult: int, calls):
@@ -229,18 +227,17 @@ _ROUND_HASHES = [
 _OUTPUT_HASH = tuple(c.reshape(2, _POOL, 1) for c in _hash_consts(_INIT_B, _MULT_B, range(2 * _POOL)))
 
 
-def _pcg64_states(seeds) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``np.random.default_rng(seed)`` for each of
-    ``seeds``, non-negative integers (TypeError or ValueError otherwise).
+def _seed_words(seeds) -> np.ndarray:
+    """(R, 4) uint64 words, row r ``np.random.SeedSequence(seeds[r])
+    .generate_state(4, np.uint64)``, the words that seed PCG64 in
+    ``np.random.default_rng(seeds[r])``; seeds are non-negative integers
+    (TypeError or ValueError otherwise).
 
     A seed is split into 32-bit words, least significant first.  The first
     4 fill the pool, where a missing word hashes like a zero word, and the
     words of a seed of 2**128 or more past the pool mix into it afterwards.
     The whole batch is hashed at once in uint32 numpy arithmetic; a seed
-    shorter than the longest keeps its pool past its last word.  The 4
-    output words (s0, s1, i0, i1), as ``generate_state(4, uint64)`` gives
-    them, seed PCG64 in Python 128-bit ints: ``inc = (i0 i1) << 1 | 1`` and
-    ``state = (inc + (s0 s1)) * mult + inc``, mod 2**128.
+    shorter than the longest keeps its pool past its last word.
     """
     seeds = [operator.index(s) for s in seeds]
     if seeds and min(seeds) < 0:
@@ -250,7 +247,7 @@ def _pcg64_states(seeds) -> list[tuple[int, int]]:
     entropy = np.frombuffer(entropy, dtype="<u4").reshape(len(seeds), width).T
     pool = _hashmix(entropy[:_POOL], _POOL_HASH)
     for src, consts in enumerate(_ROUND_HASHES):
-        stays = pool[src].copy()
+        stays = pool[src]  # _mix returns a new pool, so this row stays as it is
         pool = _mix(pool, _hashmix(stays, consts))
         pool[src] = stays
     if width > _POOL:
@@ -259,35 +256,40 @@ def _pcg64_states(seeds) -> list[tuple[int, int]]:
             consts = _hash_consts(_INIT_A, _MULT_A, range(_POOL * k, _POOL * k + _POOL))
             pool = np.where(bits > 32 * k, _mix(pool, _hashmix(word, consts)), pool)  # seeds with a word k
     words = _hashmix(pool, _OUTPUT_HASH).reshape(2 * _POOL, -1)
-    states = []
     # little-endian pairs of 32-bit words, as generate_state assembles them
-    for s0, s1, i0, i1 in np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist():
-        inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
-        states.append((((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _seed_words_type():
+    """The seed sequence whose state is one row of `_seed_words`: PCG64 asks
+    it once, for ``generate_state(4, np.uint64)``, and seeds itself from
+    them.  It holds those 4 words only and returns them whatever it is
+    asked, so it serves no other use.  numpy loads ``numpy.random`` on
+    first use, so the type is built on first use too, and a run that draws
+    nothing does not load it."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
 
 
 def _streams(seeds):
-    """Yield, for each of ``seeds`` in turn, a `np.random.Generator` at the
-    start of ``np.random.default_rng(seed)``'s stream.
+    """Yield, for each of ``seeds`` in turn, a fresh `np.random.Generator`
+    at the start of ``np.random.default_rng(seed)``'s stream.
 
-    The states come from one `_pcg64_states` pass over the batch, and one
-    Generator is moved to each in turn: the same Generator is yielded each
-    time, so draw from it before asking for the next.  Its binomial
-    constants depend only on the (n, p) of a draw, so reusing it changes no
-    draw.
+    The seeds' PCG64 words come from one `_seed_words` pass over the batch,
+    and PCG64 seeds itself from them, so no generator hashes its own seed.
     """
-    states = _pcg64_states(seeds)
-    rng = np.random.Generator(np.random.PCG64(0))  # its first state is overwritten
-    bit_generator = rng.bit_generator
-    for state, inc in states:
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    seed_words = _seed_words_type()
+    for words in _seed_words(seeds):
+        yield np.random.Generator(np.random.PCG64(seed_words(words)))
 
 
 def _row(record: MeasurementRecord) -> list[int]:
