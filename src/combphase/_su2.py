@@ -2,8 +2,8 @@
 
 Everything here is plain numpy; the point is to keep the hot paths of the
 protocol/estimation code free of scipy.linalg.expm calls, which dominate
-runtime for long pulse trains.  The one propagator of pulses, Raman pulses
-and trains (step count, Magnus step, ordered product, step doubling) is here,
+runtime for long pulse trains.  The one propagator of pulses and Raman
+pulses (step count, Magnus step, ordered product, step doubling) is here,
 and its one accuracy parameter is ``tol`` (see `refine_until_stable`).  Its
 step is the three-node Gauss 6th-order Magnus step of Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 151 (2009), section 5 (see `magnus_generators`).  It
@@ -11,12 +11,14 @@ works on whole arrays, never one step at a time: `magnus_generators` yields
 the step generators in blocks of at most `MAGNUS_BLOCK` matrices (steps times
 grid width), each block is exponentiated by one batched `expm_herm` call, and
 `ordered_product` reduces the stacked factors pairwise, as a tree of batched
-products.  The bound counts matrices, not steps, so that a block's working
+products.  A block forms its generator terms in place, on arrays that it
+allocated, and never writes into the arrays that the Hamiltonian callback
+returned.  The bound counts matrices, not steps, so that a block's working
 set stays in a core's L2 cache at any grid width: every product of a block
 streams a few block-sized arrays.  On a 2-vCPU Xeon with 2 MB of L2 per
-core, the bundled phase map (26 phases) took 0.089 s in blocks of 256 steps
-(6656 matrices, 0.96 MB per 3x3 array) and 0.070 s in blocks of 2048
-matrices.
+core, the bundled phase map (26 phases) took 0.113 s in blocks of 256 steps
+(6656 matrices, 0.96 MB per 3x3 array) and 0.089 s in blocks of 2048
+matrices (medians of 15 interleaved runs).
 
 The matrices are 2x2 or 3x3, so numpy's stacked matmul and LAPACK spend
 their time on loops of length d.  Inside `magnus_generators`, `expm_herm`
@@ -27,13 +29,15 @@ and returns (..., d, d) arrays.  `expm_herm` is a Taylor polynomial with
 scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
 (2009)), built from such products.
 
-The train of the outcome model is the k-th power of one SU(2) matrix.
-`matpow_with_grad` forms it and its derivative in closed form (the Chebyshev
-form m^k = cos(k alpha) I + sin(k alpha) / sin(alpha) (m - cos(alpha) I)), from
-elementwise operations whose count does not grow with k.  It takes and
-returns top rows: an SU(2) matrix, or a tangent of SU(2), is
-[[a, b], [-conj(b), conj(a)]], fixed by (a, b), and `su2_matrix` rebuilds
-the full matrix.
+An SU(2) matrix, or a tangent of SU(2), is [[a, b], [-conj(b), conj(a)]],
+fixed by its top row (a, b), and `su2_matrix` rebuilds the full matrix.  A
+pulse train is a product of SU(2) closed forms, and `su2_ordered_product`
+multiplies their top rows in the same pairwise tree as `ordered_product`,
+with no (N, 2, 2) stack.  The train of the outcome model is the k-th power
+of one SU(2) matrix.  `matpow_with_grad` forms it and its derivative in
+closed form (the Chebyshev form m^k = cos(k alpha) I + sin(k alpha) /
+sin(alpha) (m - cos(alpha) I)), from elementwise operations whose count does
+not grow with k.  It takes and returns top rows.
 """
 from __future__ import annotations
 
@@ -250,29 +254,59 @@ def magnus_generators(hamiltonians, duration: float, steps: int, width: int):
     with alpha_k = -i b_k, C_k = -i c_k and exp(-i generator) the step.
     Every term is exactly Hermitian (each commutator is taken as
     x y - (x y)^dagger), so each step is unitary to machine precision.
+
+    A block forms these terms in place, in the order of operations of the
+    formula above, so that each generator is bitwise that formula's.  It
+    writes only into arrays that it allocated, never into the callback's:
+    each sample is copied once into the (d, d, ...) layout, as complex, even
+    where `_soa` would return the callback's own memory (a (1, 1, d, d)
+    stack is already in that layout) or a real or read-only array.
     """
     h_step = duration / steps
     c = np.sqrt(15.0) / 10.0
     block = max(1, MAGNUS_BLOCK // width)
     for start in range(0, steps, block):
         t0 = -duration / 2.0 + h_step * np.arange(start, min(start + block, steps))
-        h1, h2, h3 = (_soa(hamiltonians(t0 + node * h_step)) for node in (0.5 - c, 0.5, 0.5 + c))
-        b1 = h_step * h2
-        b2 = (h_step * np.sqrt(15.0) / 3.0) * (h3 - h1)
-        b3 = (h_step * 10.0 / 3.0) * (h3 - 2.0 * h2 + h1)
-        c1 = -1.0j * _commutator(b1, b2)
-        c2 = (1.0j / 60.0) * _commutator(b1, 2.0 * b3 + c1)
-        yield _aos(b1 + b3 / 12.0 - (1.0j / 240.0) * _commutator(c1 - 20.0 * b1 - b3, b2 + c2))
+        # the three copies then hold b2, b1 and 2 b3 + c1
+        h1, h2, h3 = (
+            np.array(np.moveaxis(hamiltonians(t0 + node * h_step), (-2, -1), (0, 1)), complex, order="C")
+            for node in (0.5 - c, 0.5, 0.5 + c)
+        )
+        b3 = 2.0 * h2
+        np.subtract(h3, b3, out=b3)
+        b3 += h1
+        np.multiply(h_step * 10.0 / 3.0, b3, out=b3)
+        b2 = np.subtract(h3, h1, out=h3)
+        np.multiply(h_step * np.sqrt(15.0) / 3.0, b2, out=b2)
+        b1 = np.multiply(h_step, h2, out=h2)
+        c1 = _commutator(b1, b2)
+        np.multiply(-1.0j, c1, out=c1)
+        c2 = np.multiply(2.0, b3, out=h1)
+        c2 += c1
+        c2 = _commutator(b1, c2)
+        np.multiply(1.0j / 60.0, c2, out=c2)
+        b2 += c2
+        x = np.multiply(20.0, b1, out=c2)
+        np.subtract(c1, x, out=x)
+        x -= b3
+        x = _commutator(x, b2)
+        np.multiply(1.0j / 240.0, x, out=x)
+        b3 /= 12.0
+        b1 += b3
+        b1 -= x
+        yield _aos(b1)
 
 
 def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[x, y] for Hermitian x and y in the (d, d, ...) layout, from one product.
 
     y x = (x y)^dagger, so [x, y] = x y - (x y)^dagger, which is exactly
-    anti-Hermitian in floating point.
+    anti-Hermitian in floating point.  The result is a new array, which the
+    caller may write into.
     """
     xy = _mm(x, y)
-    return xy - xy.conj().swapaxes(0, 1)
+    xy -= xy.conj().swapaxes(0, 1)
+    return xy
 
 
 def ordered_product(blocks) -> np.ndarray:
@@ -301,6 +335,36 @@ def ordered_product(blocks) -> np.ndarray:
     if u is None:
         raise ValueError("ordered_product of no factors")
     return np.ascontiguousarray(_aos(u))
+
+
+def _row_mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Top row of su2_matrix(x) @ su2_matrix(y), for top rows x and y of one
+    shape (..., 2): (a1, b1) (a0, b0) = (a1 a0 - b1 conj(b0), a1 b0 + b1 conj(a0))."""
+    a1, b1, a0, b0 = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+    out = np.empty(x.shape, dtype=complex)
+    out[..., 0] = a1 * a0 - b1 * b0.conj()
+    out[..., 1] = a1 * b0 + b1 * a0.conj()
+    return out
+
+
+def su2_ordered_product(rows: np.ndarray) -> np.ndarray:
+    """Top row (..., 2) of the time-ordered product of SU(2) factors given by
+    their top rows (S, ..., 2) in time order, later factors to the left.
+
+    The same pairwise tree as `ordered_product`, on top rows: half the data
+    of the (S, ..., 2, 2) stack, and 4 complex products per pair instead of
+    8.  `su2_matrix` rebuilds the matrix.
+    """
+    if len(rows) == 0:
+        raise ValueError("su2_ordered_product of no factors")
+    f = rows
+    while len(f) > 1:
+        n = len(f)
+        pairs = _row_mm(f[1::2], f[0 : n - 1 : 2])
+        if n % 2:
+            pairs[-1] = _row_mm(f[-1], pairs[-1])
+        f = pairs
+    return f[0]
 
 
 def refine_until_stable(propagate, steps: int, tol: float) -> np.ndarray:

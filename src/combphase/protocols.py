@@ -44,11 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._su2 import (
-    SIGMA_MINUS, SIGMA_PLUS, ID2, matpow_with_grad, ordered_product, rot_z, su2_matrix,
-)
+from ._su2 import SIGMA_MINUS, SIGMA_PLUS, ID2, matpow_with_grad, rot_z, su2_matrix, su2_ordered_product
 from .comb import PulseTrain
-from .pulses import Unitary, rwa_matrix
+from .pulses import Unitary, _rwa_row
 
 PROTOCOL_KINDS = ("1A", "1B", "2A", "2B", "phase_ref")
 
@@ -107,10 +105,15 @@ class ProtocolSpec:
 
 
 def compose_train(t: PulseTrain) -> Unitary:
-    """Ordered product of the per-pulse closed forms, later pulses to the left."""
+    """Ordered product of the per-pulse closed forms, later pulses to the left.
+
+    Each pulse is the top row of its closed form (`pulses.rwa_matrix`), and
+    the rows are multiplied as SU(2) top rows in a pairwise tree
+    (`_su2.su2_ordered_product`); the 2x2 matrix is built once, at the end.
+    """
     if len(t) == 0:
         raise ValueError("empty train")
-    return Unitary(ordered_product(rwa_matrix(t.thetas, t.phases)))
+    return Unitary(su2_matrix(su2_ordered_product(_rwa_row(t.thetas, t.phases))))
 
 
 def closed_form_1a(theta: float, dphi: float, n: int) -> np.ndarray:

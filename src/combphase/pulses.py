@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._su2 import (
-    expm_herm, magnus_generators, ordered_product, refine_until_stable, step_count,
+    expm_herm, magnus_generators, ordered_product, refine_until_stable, step_count, su2_matrix,
     unitarity_defect,
 )
 from .errors import UndefinedPhaseError
@@ -124,14 +124,20 @@ def rwa_matrix(theta, phi) -> np.ndarray:
     """The closed form exp(-i phi sigma_z) exp(i theta sigma_x) exp(+i phi sigma_z).
 
     That is [[c, i s e^{-2i phi}], [i s e^{2i phi}, c]] with c, s = cos, sin
-    of theta; theta and phi broadcast, giving shape (..., 2, 2).
+    of theta; theta and phi broadcast, giving shape (..., 2, 2).  It is built
+    from its top row, `_rwa_row`, which `protocols.compose_train` multiplies
+    as is.
     """
+    return su2_matrix(_rwa_row(theta, phi))
+
+
+def _rwa_row(theta, phi) -> np.ndarray:
+    """Top row (c, i s e^{-2i phi}) of `rwa_matrix`, of shape (..., 2)."""
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    u = np.empty(theta.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = u[..., 1, 1] = np.cos(theta)
-    u[..., 0, 1] = 1.0j * np.sin(theta) * np.exp(-2.0j * phi)
-    u[..., 1, 0] = 1.0j * np.sin(theta) * np.exp(2.0j * phi)
-    return u
+    row = np.empty(theta.shape + (2,), dtype=complex)
+    row[..., 0] = np.cos(theta)
+    row[..., 1] = 1.0j * np.sin(theta) * np.exp(-2.0j * phi)
+    return row
 
 
 def _rotating_frame_hamiltonians(p: PulseSpec, phases, times) -> np.ndarray:

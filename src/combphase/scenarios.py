@@ -572,10 +572,13 @@ def _run_raman(cfg):
     p = cfg.params
     population, mapped = cfg.inputs
     # Raman regime: strongly detuned pulse must leave the excited state empty.
+    t0 = time.perf_counter()
     _, pop_c = raman.integrate_lambda(population)
+    t1 = time.perf_counter()
     # Phase fidelity: weakly detuned pulse maps the leg phase almost one-to-one.
     grid = np.linspace(0.0, 2.0 * np.pi, p["grid_points"])
     pm = raman.phase_map(mapped, grid)
+    timings = {"integrate_lambda_s": t1 - t0, "phase_map_s": time.perf_counter() - t1}
     table = Table(["phi_l", "phi_s", "dphi_s_dphi_l"], list(zip(pm.phi_l, pm.phi_s, pm.dphi_s)))
     summary = {
         "excited_population": pop_c,
@@ -583,7 +586,7 @@ def _run_raman(cfg):
         "max_identity_deviation": pm.max_identity_deviation,
         "monotone": pm.monotone,
     }
-    return Run({"raman_phase_map": table, "raman_summary": summary}, summary)
+    return Run({"raman_phase_map": table, "raman_summary": summary}, summary, timings=timings)
 
 
 def _run_error_models(cfg):

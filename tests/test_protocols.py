@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combphase._su2 import HADAMARD, SIGMA_Z, rot_x, rot_z, su2_matrix
+from combphase._su2 import HADAMARD, SIGMA_Z, ordered_product, rot_x, rot_z, su2_matrix
 from combphase.comb import JitterSpec, PulseTrain, apply_phase_jitter, fiber_comb_preset, generate_train
 from combphase.protocols import (
     ProtocolSpec,
@@ -101,6 +101,20 @@ def test_compose_train_matches_brute_product_on_long_jittered_train():
     assert np.all(train.thetas == train.thetas[0])
     u = compose_train(train).matrix
     assert np.max(np.abs(u - _brute_product(train.phases, train.thetas[0]))) <= 1e-10
+    # the top-row tree against the same tree on the 2x2 closed forms
+    assert np.max(np.abs(u - ordered_product(rwa_matrix(train.thetas, train.phases)))) <= 1e-12
+
+
+def test_compose_train_rejects_an_empty_train():
+    # a PulseTrain cannot be empty, so a stand-in with no pulses
+    class Empty:
+        thetas = phases = np.empty(0)
+
+        def __len__(self):
+            return 0
+
+    with pytest.raises(ValueError):
+        compose_train(Empty())
 
 
 def test_closed_form_1b_rejects_odd():

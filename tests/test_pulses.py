@@ -251,6 +251,23 @@ def test_rwa_matrix_broadcasts_the_conjugated_rotation():
             assert np.allclose(u[i, j], rot_z(phi) @ rot_x(theta) @ rot_z(-phi), rtol=0.0, atol=1e-15)
 
 
+
+def _entrywise_rwa_matrix(theta, phi):
+    """Oracle: the closed form written entry by entry."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    u = np.empty(theta.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = u[..., 1, 1] = np.cos(theta)
+    u[..., 0, 1] = 1.0j * np.sin(theta) * np.exp(-2.0j * phi)
+    u[..., 1, 0] = 1.0j * np.sin(theta) * np.exp(2.0j * phi)
+    return u
+
+
+def test_rwa_matrix_is_bitwise_the_entrywise_closed_form():
+    theta, phi = np.random.default_rng(11).uniform(-10.0, 10.0, size=(2, 200_000))
+    assert np.array_equal(rwa_matrix(theta, phi), _entrywise_rwa_matrix(theta, phi))
+    assert np.array_equal(rwa_matrix(0.3, 2.5), _entrywise_rwa_matrix(0.3, 2.5))
+
+
 def test_step_count_rule():
     # 8 steps per period of the fastest frequency, and never fewer than 50
     assert step_count(10.0) == 80

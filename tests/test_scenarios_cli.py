@@ -381,6 +381,24 @@ def test_refine_manifest_times_the_lockstep_and_the_locks(tmp_path):
     assert list(json.loads((tmp_path / "other" / "manifest.json").read_text())["timings"]) == ["run_s"]
 
 
+
+def test_raman_manifest_times_its_two_propagations(tmp_path, monkeypatch):
+    cfg = _config(tmp_path, "raman_three_level", TINY_PARAMS["raman_three_level"])
+    run_scenario(cfg, tmp_path / "raman")
+    timings = json.loads((tmp_path / "raman" / "manifest.json").read_text())["timings"]
+    assert list(timings) == ["run_s", "integrate_lambda_s", "phase_map_s"]
+    assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
+    assert timings["integrate_lambda_s"] + timings["phase_map_s"] <= timings["run_s"]
+    # a clock that reads 1000 s more at every call changes the timings only
+    ticks = iter(range(1000))
+    monkeypatch.setattr(scenarios.time, "perf_counter", lambda: 1000.0 * next(ticks))
+    run_scenario(cfg, tmp_path / "slow")
+    slow = json.loads((tmp_path / "slow" / "manifest.json").read_text())["timings"]
+    assert slow["phase_map_s"] == 1000.0
+    for name in ("raman_phase_map.csv", "raman_summary.json"):
+        assert (tmp_path / "raman" / name).read_bytes() == (tmp_path / "slow" / name).read_bytes()
+
+
 def test_a_prior_that_rounds_to_zero_exits_2(tmp_path):
     cfg = _config(tmp_path, "refine_fiber", {**TINY_PARAMS["refine_fiber"], "prior_scale": 1e-323})
     with pytest.raises(ScenarioConfigError, match="prior_bound"):

@@ -5,8 +5,8 @@ import pytest
 
 from combphase import protocols, pulses, raman, scenarios
 from combphase._su2 import (
-    _TAYLOR_THETA, MAGNUS_BLOCK, expm_herm, magnus_generators, matpow_with_grad, ordered_product,
-    refine_until_stable, su2_matrix,
+    _TAYLOR_THETA, MAGNUS_BLOCK, _aos, _mm, _soa, expm_herm, magnus_generators, matpow_with_grad,
+    ordered_product, refine_until_stable, step_count, su2_matrix, su2_ordered_product,
 )
 from combphase.errors import IntegrationError
 
@@ -125,26 +125,129 @@ def test_ordered_product_rejects_empty_input():
         ordered_product(iter(()))
 
 
+def _commuting_hamiltonians(width):
+    """H = t (g + 1) |0><0| at grid point g, a real (T, width, 2, 2) stack.
+
+    H commutes with itself, so each step's generator is h H at the step's
+    midpoint.
+    """
+    scale = np.arange(1.0, width + 1.0)
+
+    def hamiltonians(t):
+        h = np.zeros((t.size, width, 2, 2))
+        h[..., 0, 0] = np.outer(t, scale)
+        return h
+
+    return hamiltonians
+
+
 def test_magnus_generators_come_in_blocks():
     # one grid point, the bundled phase map's 26, and a grid wider than a block
     for width, steps in ((1, 2 * MAGNUS_BLOCK + 3), (26, 200), (MAGNUS_BLOCK + 3, 5)):
-        scale = np.arange(1.0, width + 1.0)
-
-        def hamiltonians(t):
-            # H = t (g + 1) |0><0| commutes with itself, so each step's
-            # generator is h H at the step's midpoint
-            h = np.zeros((t.size, width, 2, 2))
-            h[..., 0, 0] = np.outer(t, scale)
-            return h
-
-        blocks = list(magnus_generators(hamiltonians, 2.0, steps, width))
+        blocks = list(magnus_generators(_commuting_hamiltonians(width), 2.0, steps, width))
         assert all(g.shape[0] * width <= max(MAGNUS_BLOCK, width) for g in blocks)
         assert all(g.shape[0] == max(1, MAGNUS_BLOCK // width) for g in blocks[:-1])
         g = np.concatenate(blocks)
         assert g.shape == (steps, width, 2, 2)
         h_step = 2.0 / steps
         midpoints = -1.0 + h_step * (np.arange(steps) + 0.5)
+        scale = np.arange(1.0, width + 1.0)
         assert np.allclose(g[..., 0, 0], h_step * np.outer(midpoints, scale), rtol=1e-12, atol=1e-12)
+
+
+def _out_of_place_commutator(x, y):
+    xy = _mm(x, y)
+    return xy - xy.conj().swapaxes(0, 1)
+
+
+def _out_of_place_generators(hamiltonians, duration, steps, width):
+    """Oracle: the generator formula of `magnus_generators` as one
+    out-of-place expression per term, block by block."""
+    h_step = duration / steps
+    c = np.sqrt(15.0) / 10.0
+    block = max(1, MAGNUS_BLOCK // width)
+    for start in range(0, steps, block):
+        t0 = -duration / 2.0 + h_step * np.arange(start, min(start + block, steps))
+        h1, h2, h3 = (_soa(hamiltonians(t0 + node * h_step)) for node in (0.5 - c, 0.5, 0.5 + c))
+        b1 = h_step * h2
+        b2 = (h_step * np.sqrt(15.0) / 3.0) * (h3 - h1)
+        b3 = (h_step * 10.0 / 3.0) * (h3 - 2.0 * h2 + h1)
+        c1 = -1.0j * _out_of_place_commutator(b1, b2)
+        c2 = (1.0j / 60.0) * _out_of_place_commutator(b1, 2.0 * b3 + c1)
+        yield _aos(b1 + b3 / 12.0 - (1.0j / 240.0) * _out_of_place_commutator(c1 - 20.0 * b1 - b3, b2 + c2))
+
+
+def _generator_cases():
+    pulse = pulses.PulseSpec("gaussian", np.pi / 4, 60.0, 2.0 * np.pi, 2.0 * np.pi, 0.3)
+    params = scenarios.load_scenario_config(scenarios.find_scenario("raman_three_level")).params
+    spec = scenarios._raman_spec(params, "detuning_fraction_map")
+    # the bundled phase map's grid, after its leading reference point
+    phi2 = np.concatenate(([0.0], np.linspace(0.0, 2.0 * np.pi, params["grid_points"])))
+    return {
+        # 2 MAGNUS_BLOCK + 1 steps at width 1 end in a block of one step
+        "d = 2 pulse": (
+            lambda t: pulses._rotating_frame_hamiltonians(pulse, 0.3, t), pulse.tau, 2 * MAGNUS_BLOCK + 1, 1
+        ),
+        "d = 3 phase map": (
+            lambda t: raman._lambda_hamiltonians(spec, phi2, t), spec.duration,
+            2 * step_count(spec.carrier_cycles), phi2.size,
+        ),
+        "real, commuting": (_commuting_hamiltonians(26), 2.0, 200, 26),
+    }
+
+
+@pytest.mark.parametrize("case", ["d = 2 pulse", "d = 3 phase map", "real, commuting"])
+def test_magnus_generators_are_bitwise_the_out_of_place_formula(case):
+    hamiltonians, duration, steps, width = _generator_cases()[case]
+    blocks = list(magnus_generators(hamiltonians, duration, steps, width))
+    expected = list(_out_of_place_generators(hamiltonians, duration, steps, width))
+    assert len(blocks) == len(expected) > 1
+    for g, e in zip(blocks, expected):
+        assert np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("read_only", [True, False])
+def test_magnus_generators_never_write_into_the_callback_arrays(read_only):
+    h = _random_hermitian((1, 1), 3, seed=4)
+    returned = []
+
+    def hamiltonians(t):
+        # a one-step block at width 1 samples (1, 1, 3, 3) stacks, which are
+        # already in the (d, d, ...) layout: `_soa` would not copy them
+        out = np.broadcast_to(h, (t.size, 1, 3, 3))
+        if not read_only:
+            out = out.copy()
+        returned.append((out, out.copy()))
+        return out
+
+    steps = MAGNUS_BLOCK + 1
+    blocks = list(magnus_generators(hamiltonians, 1.0, steps, 1))
+    assert [g.shape[0] for g in blocks] == [MAGNUS_BLOCK, 1]
+    assert np.shares_memory(_soa(returned[-1][0]), returned[-1][0])
+    assert all(np.array_equal(out, kept) for out, kept in returned)
+    expected = list(_out_of_place_generators(lambda t: np.broadcast_to(h, (t.size, 1, 3, 3)), 1.0, steps, 1))
+    assert all(np.array_equal(g, e) for g, e in zip(blocks, expected))
+
+
+def _random_su2_rows(shape, seed):
+    """Top rows of random SU(2) matrices, of shape ``shape + (2,)``."""
+    return expm_herm(_traceless_hermitian(shape, seed))[..., 0, :]
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 1029])
+def test_su2_ordered_product_matches_the_matrix_products(length):
+    # 7 and 1029 leave odd tails at several levels of the tree
+    rows = _random_su2_rows((length, 4), seed=length)
+    u = su2_matrix(su2_ordered_product(rows))
+    assert u.shape == (4, 2, 2)
+    factors = su2_matrix(rows)
+    assert np.allclose(u, ordered_product(factors), rtol=0.0, atol=1e-12)
+    assert np.allclose(u, _sequential_fold(factors), rtol=0.0, atol=1e-12)
+
+
+def test_su2_ordered_product_rejects_empty_input():
+    with pytest.raises(ValueError):
+        su2_ordered_product(np.empty((0, 2), dtype=complex))
 
 
 def _power_rule(m, dm, n):
