@@ -18,16 +18,17 @@ records the model's fit memo lacks.  Each record's stream is the one
 ``np.random.default_rng(seed)`` starts, bit for bit; `_streams` hashes
 a whole batch of seeds in one vectorised pass of numpy's SeedSequence
 hash rather than one SeedSequence per record.  `estimator_study` takes
-the step once, for all its seeds at the truth, and the lockstep of a
-run's locks (`_prefit_locks`) once per train length and step.  Each seed
-or lock then reads its record back through `sample_record`, which returns
-a kept record, and its fit through `ml_estimate`, which returns a stored
-one, so those reads neither evaluate the model nor draw.
+the step once, for all its seeds at the truth, and a lock run,
+`refine_study`, once per train length and step.  Each seed or lock then
+reads its record through `sample_record` and its fit through
+`ml_estimate`, which return the kept ones, so those reads neither
+evaluate the model nor draw.  Both studies count into `_diagnostics`.
 """
 from __future__ import annotations
 
 import functools
 import operator
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -391,21 +392,35 @@ def _prefill(model, residuals, m_shots: int, seeds):
     return [model.cache[key] for key in keys], probs
 
 
-def distinct_fits(models) -> int:
-    """Number of distinct records fit on ``models``: their memo entries."""
-    return sum(key[0] == "fit" for model in models for key in model.cache)
+def _diagnostics(models, fits: int, nonconverged: int, pinned: int, score_evaluations: int, **extra) -> dict:
+    """A run's manifest ``diagnostics`` in the manifest's key order: the counts
+    given, ``distinct_records`` (the fit memo entries of ``models``) second,
+    and ``extra`` (a lock run's ``backoffs``) before ``score_evaluations``."""
+    distinct = sum(key[0] == "fit" for model in models for key in model.cache)
+    return dict(fits=fits, distinct_records=distinct, nonconverged=nonconverged, pinned=pinned, **extra,
+                score_evaluations=score_evaluations)
+
+
+def _window(chi: float) -> float:
+    """Half-width pi / (4 chi) of the unambiguous fit window of a train of enhancement ``chi``."""
+    return np.pi / (4.0 * chi)
+
+
+def _pinned(dphi_hat, chi: float):
+    """Whether a fit ``dphi_hat`` around 0 lies within 0.98 of its `_window`
+    edge, where the lock takes it for a wrap; elementwise on an array."""
+    return np.abs(dphi_hat) >= 0.98 * _window(chi)
 
 
 def _fit_window(model, dphi0: float, m_shots: int):
-    """(grid, terms, nodes) of the `_fringe_grid` over the fit window
-    pi / (4 chi) around ``dphi0``, after the wrap and phase-information
-    checks."""
+    """(grid, terms, nodes) of the `_fringe_grid` over the `_window` around
+    ``dphi0``, after the wrap and phase-information checks."""
     chi = model.spec.enhancement
     if abs(chi * dphi0) >= np.pi:
         raise WrapAmbiguityError(
             "initial accumulated phase exceeds pi; run iterative refinement"
         )
-    window = np.pi / (4.0 * chi)
+    window = _window(chi)
     grid, terms, nodes, peak = _fringe_grid(model, dphi0 - window, dphi0 + window)
     if m_shots * peak / (chi * chi) <= 1e-9:
         raise DegenerateFitError("no phase information anywhere in the window")
@@ -665,13 +680,10 @@ def estimator_study(
     Returns the estimates in seed order, the fixed-theta Cramer-Rao bound
     1 / I_dphidphi on the variance of one experiment's estimate (the bound
     `ml_estimate` reports), taken from the same evaluation at the truth as
-    the records, and the study's diagnostics, counted as a lock
-    run counts them: ``fits`` (one per seed), ``distinct_records``
-    (`distinct_fits`), ``nonconverged`` fits, fits ``pinned`` within 0.98 of
-    the window edge, and ``score_evaluations``, the ``n_evaluations`` the
-    fits return.  A study none of whose fits converged, or one of two or
-    more seeds whose estimates all coincide, raises DegenerateFitError: its
-    spread then says nothing about the estimator.
+    the records, and the study's `_diagnostics`: one fit per seed.  A
+    study none of whose fits converged, or one of two or more seeds whose
+    estimates all coincide, raises DegenerateFitError: its spread then says
+    nothing about the estimator.
     """
     xi = optimize_reference_phase(spec, dphi)
     model = ramsey_model(replace(spec, reference_phase=xi))
@@ -685,14 +697,9 @@ def estimator_study(
     estimates = np.array([f.dphi_hat for f in fits], dtype=float)
     if len(estimates) >= 2 and np.all(estimates == estimates[0]):
         raise DegenerateFitError(f"all {len(fits)} estimates of the study coincide")
-    window = np.pi / (4.0 * spec.enhancement)
-    diagnostics = {
-        "fits": len(fits),
-        "distinct_records": distinct_fits([model]),
-        "nonconverged": sum(not f.converged for f in fits),
-        "pinned": int(np.sum(np.abs(estimates) >= 0.98 * window)),
-        "score_evaluations": sum(f.n_evaluations for f in fits),
-    }
+    pinned = int(np.count_nonzero(_pinned(estimates, spec.enhancement)))
+    nonconverged, evaluations = sum(not f.converged for f in fits), sum(f.n_evaluations for f in fits)
+    diagnostics = _diagnostics([model], len(fits), nonconverged, pinned, evaluations)
     info = _nonsingular_information(probs[:, 0], m_shots, spec.enhancement)
     return estimates, 1.0 / float(info), diagnostics
 
@@ -778,14 +785,12 @@ def iterative_refine(
 
     The control flow is `_lock`'s; this call answers each of its stages
     with one `sample_record` and one `ml_estimate`.  ``models`` maps each
-    stage's `ProtocolSpec` to its outcome model.  A dict shared by several
-    locks lets them reuse one model per train length, with its fringe grid
-    and its fit memo, and `_prefit_locks` can draw and fit the records of
-    all of them beforehand: each stage then reads its kept record and its
-    fit, and neither evaluates the model nor draws.  A record or fit the
-    model lacks is drawn or fit here, and the locks' results do not change
-    either way.  Models missing from the dict are built and added.  With
-    ``None`` the lock keeps a dict of its own.
+    stage's `ProtocolSpec` to its outcome model; missing models are built
+    and added, and with ``None`` the lock keeps a dict of its own.  Locks
+    sharing a dict share one model per train length, with its fringe grid,
+    fit memo and kept records, which `refine_study` fills beforehand so
+    that no stage evaluates the model or draws.  What the model lacks is
+    drawn or fit here, and the lock's result does not change either way.
     """
     lock = _lock(true_dphi, config, {} if models is None else models)
     model, residual, m_shots, seed = next(lock)
@@ -823,10 +828,9 @@ def _lock(true_dphi: float, config: RefineConfig, models: dict):
         # the stage's seed counts completed stages, so the fit after a
         # back-off reuses the seed of the fit that pinned
         est = yield models[spec], residual, config.m_shots, config.seed + 7919 * len(stages)
-        window = np.pi / (4.0 * spec.enhancement)
         nonconverged += not est.converged
         score_evaluations += est.n_evaluations
-        if abs(est.dphi_hat) >= 0.98 * window:
+        if _pinned(est.dphi_hat, spec.enhancement):
             if backoffs:
                 raise WrapAmbiguityError(
                     f"estimate pinned to the fringe edge twice at N={n}"
@@ -855,16 +859,14 @@ def _lock(true_dphi: float, config: RefineConfig, models: dict):
 
 
 def _prefit_locks(locks, models: dict) -> None:
-    """Draw and fit the records of several locks in lockstep into ``models``.
-
-    ``locks`` lists each lock's (true dphi, `RefineConfig`), and ``models``
-    is the dict their `iterative_refine` calls will share.  One `_lock` per
-    lock runs here; at each step their requests are grouped by model and
-    shot count, and one `_prefill` per group draws, keeps and fits the
-    group's records.  The locks' own calls then read their records and
-    fits from the model, so the model evaluations and draws of a run grow
-    with its stages, not with its locks.  A kept record is the one its key
-    draws, and a memo entry is the fit of its key, whoever stores them.
+    """Draw and fit the records of several locks (true dphi, `RefineConfig`)
+    in lockstep into ``models``, the dict their `iterative_refine` calls
+    will share (`refine_study`).  One `_lock` per lock runs here; at each
+    step their requests are grouped by model and shot count, and one
+    `_prefill` per group draws, keeps and fits the group's records, so a
+    run's model evaluations and draws grow with its stages, not its locks.
+    A kept record is the one its key draws, and a memo entry is the fit of
+    its key, whoever stores them.
 
     A lock's WrapAmbiguityError (a truth beyond the prior, or a second
     pinned fit) and an error of a group's fit propagate from here.
@@ -886,6 +888,35 @@ def _prefit_locks(locks, models: dict) -> None:
                     pending.append((lock, lock.send(fit)))
                 except StopIteration:
                     pass
+
+
+def refine_study(config: RefineConfig, truth_bound: float, seed: int, n_locks: int):
+    """A lock run of ``n_locks`` locks of ``config`` on one models dict,
+    which lives for this call only.
+
+    Lock i's truth is the first ``uniform(-truth_bound, truth_bound)`` of
+    ``np.random.default_rng(seed + i)``'s stream and its seed 13 (seed + i)
+    + seed.  `_prefit_locks` draws and fits every record, or raises a
+    lock's error; then each lock is one `iterative_refine` that reads them.
+    Returns the truths and traces in lock order, the `_diagnostics` (a
+    pinned fit is a back-off) and the wall times ``prefit_s`` and
+    ``locks_s`` of the two passes.
+    """
+    seeds = range(seed, seed + n_locks)
+    truths = [float(rng.uniform(-truth_bound, truth_bound)) for rng in _streams(seeds)]
+    locks = [(truth, replace(config, seed=13 * s + seed)) for truth, s in zip(truths, seeds)]
+    models = {}
+    t0 = time.perf_counter()
+    _prefit_locks(locks, models)
+    t1 = time.perf_counter()
+    traces = [iterative_refine(truth, lock, models) for truth, lock in locks]
+    timings = {"prefit_s": t1 - t0, "locks_s": time.perf_counter() - t1}
+    backoffs = sum(tr.backoffs for tr in traces)
+    fits = sum(len(tr.stages) for tr in traces) + backoffs
+    nonconverged = sum(tr.nonconverged for tr in traces)
+    evaluations = sum(tr.score_evaluations for tr in traces)
+    diagnostics = _diagnostics(models.values(), fits, nonconverged, backoffs, evaluations, backoffs=backoffs)
+    return truths, traces, diagnostics, timings
 
 
 def _safe_train_length(bound: float) -> int:

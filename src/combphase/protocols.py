@@ -46,7 +46,7 @@ import numpy as np
 
 from ._su2 import SIGMA_MINUS, SIGMA_PLUS, ID2, matpow_with_grad, rot_z, su2_matrix, su2_ordered_product
 from .comb import PulseTrain
-from .pulses import Unitary, _rwa_row
+from .pulses import Unitary, rwa_row
 
 PROTOCOL_KINDS = ("1A", "1B", "2A", "2B", "phase_ref")
 
@@ -113,7 +113,7 @@ def compose_train(t: PulseTrain) -> Unitary:
     """
     if len(t) == 0:
         raise ValueError("empty train")
-    return Unitary(su2_matrix(su2_ordered_product(_rwa_row(t.thetas, t.phases))))
+    return Unitary(su2_matrix(su2_ordered_product(rwa_row(t.thetas, t.phases))))
 
 
 def closed_form_1a(theta: float, dphi: float, n: int) -> np.ndarray:

@@ -125,13 +125,13 @@ def rwa_matrix(theta, phi) -> np.ndarray:
 
     That is [[c, i s e^{-2i phi}], [i s e^{2i phi}, c]] with c, s = cos, sin
     of theta; theta and phi broadcast, giving shape (..., 2, 2).  It is built
-    from its top row, `_rwa_row`, which `protocols.compose_train` multiplies
+    from its top row, `rwa_row`, which `protocols.compose_train` multiplies
     as is.
     """
-    return su2_matrix(_rwa_row(theta, phi))
+    return su2_matrix(rwa_row(theta, phi))
 
 
-def _rwa_row(theta, phi) -> np.ndarray:
+def rwa_row(theta, phi) -> np.ndarray:
     """Top row (c, i s e^{-2i phi}) of `rwa_matrix`, of shape (..., 2)."""
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     row = np.empty(theta.shape + (2,), dtype=complex)
@@ -195,7 +195,7 @@ def matrix_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.trace(a.conj().T @ b)) / a.shape[0])
 
 
-def _matrix_infidelity(a: np.ndarray, b: np.ndarray) -> float:
+def matrix_infidelity(a: np.ndarray, b: np.ndarray) -> float:
     """1 - `matrix_fidelity`(a, b) for unitary a and b, without subtracting from 1.
 
     It is ||a - e^{i phi} b||_F^2 / (2 d) with phi = arg tr(b^dag a), the

@@ -390,7 +390,7 @@ def _run_rwa_validity(cfg):
         spec = pulses.PulseSpec(p["envelope"], p["theta"], c / p["carrier_hz"], w, w, 0.3)
         u = pulses.integrate_pulse(spec, tol=p["integration_tol"])
         rwa = pulses.rwa_unitary(spec)
-        rows.append((c, pulses.unitary_fidelity(u, rwa), pulses._matrix_infidelity(u.matrix, rwa.matrix)))
+        rows.append((c, pulses.unitary_fidelity(u, rwa), pulses.matrix_infidelity(u.matrix, rwa.matrix)))
     return Run(
         {"rwa_validity": Table(["cycles", "fidelity", "infidelity"], rows)},
         {"monotone": bool(np.all(np.diff([r[1] for r in rows]) > 0))},
@@ -422,7 +422,7 @@ def _run_closed_forms(cfg):
             u = protocols.closed_form_1b(train.phases).matrix
         spec = protocols.ProtocolSpec(kind, n, nd, 0.0, np.pi / 2)
         v = protocols.ramsey_model(spec).train_unitary(dphi)
-        err = pulses._matrix_infidelity(u, v)
+        err = pulses.matrix_infidelity(u, v)
         worst = max(worst, err)
         rows.append((case, kind, n, nd, dphi, err))
     table = Table(["case", "kind", "n", "n_delay", "dphi", "fidelity_error"], rows)
@@ -611,65 +611,32 @@ def _refine_config(p):
     # 200 kHz-class offset as the prior bound; prior_scale < 1 models an
     # operator underestimating the offset, which must abort with a wrap error
     return estimation.RefineConfig(
-        m_shots=p["m_shots"],
-        growth=p["growth"],
-        max_stages=p["max_stages"],
+        m_shots=p["m_shots"], growth=p["growth"], max_stages=p["max_stages"],
         prior_bound=abs(comb.fiber_comb_preset().phase_step) * p["prior_scale"],
     )
 
 
 def _run_refine(cfg):
-    p, config = cfg.params, cfg.inputs
-    true_bound = abs(comb.fiber_comb_preset().phase_step)
-    seeds = range(cfg.seed, cfg.seed + p["n_seeds"])
-    # lock i's truth is the first uniform of default_rng(seed + i)'s stream
-    truths = [float(rng.uniform(-true_bound, true_bound)) for rng in estimation._streams(seeds)]
-    locks = [(true, replace(config, seed=seed * 13 + cfg.seed)) for true, seed in zip(truths, seeds)]
-    # one models dict per run: each train length's fringe grid, kept draws
-    # and fit memo are built once for all locks of the run and freed with
-    # it (see test_refine_locks_share_models_within_one_run_only); the
-    # lockstep draws every record and fills each memo with one batched fit
-    # per stage before the locks run one by one and read them, and a lock
-    # that raises makes the lockstep raise, before any lock runs alone
-    models = {}
-    t0 = time.perf_counter()
-    estimation._prefit_locks(locks, models)
-    t1 = time.perf_counter()
-    results = [(true, estimation.iterative_refine(true, lock, models)) for true, lock in locks]
-    timings = {"prefit_s": t1 - t0, "locks_s": time.perf_counter() - t1}
-    rows = []
-    for seed_i, (true, tr) in enumerate(results):
-        last = tr.stages[-1]
-        rows.append(
-            (seed_i, true, len(tr.stages), last.n, last.residual, tr.final_crlb_sigma,
-             abs(last.residual) / tr.final_crlb_sigma, int(tr.locked))
-        )
-    trace_rows = [
-        (s.n, s.dphi_hat, s.residual, s.crlb_sigma) for s in results[0][1].stages
+    """One `estimation.refine_study` of ``n_seeds`` locks from the config's
+    seed, each truth within the fiber comb's phase step."""
+    truths, traces, diagnostics, timings = estimation.refine_study(
+        cfg.inputs, abs(comb.fiber_comb_preset().phase_step), cfg.seed, cfg.params["n_seeds"]
+    )
+    rows = [
+        (seed_i, true, len(tr.stages), tr.stages[-1].n, tr.final_residual, tr.final_crlb_sigma,
+         abs(tr.final_residual) / tr.final_crlb_sigma, int(tr.locked))
+        for seed_i, (true, tr) in enumerate(zip(truths, traces))
     ]
+    trace_rows = [(s.n, s.dphi_hat, s.residual, s.crlb_sigma) for s in traces[0].stages]
     files = {
-        "refine_fiber": Table(
-            ["seed", "true_dphi", "stages", "final_n", "residual", "final_crlb_sigma",
-             "residual_over_crlb", "locked"],
-            rows,
-        ),
+        "refine_fiber": Table(["seed", "true_dphi", "stages", "final_n", "residual", "final_crlb_sigma",
+                               "residual_over_crlb", "locked"], rows),
         "refine_trace_seed0": Table(["n", "dphi_hat", "residual", "crlb_sigma"], trace_rows),
-    }
-    traces = [tr for _, tr in results]
-    backoffs = sum(tr.backoffs for tr in traces)
-    diagnostics = {
-        "fits": sum(len(tr.stages) for tr in traces) + backoffs,
-        "distinct_records": estimation.distinct_fits(models.values()),
-        "nonconverged": sum(tr.nonconverged for tr in traces),
-        # a fit pinned to the window edge backs off, or raises if it is the second
-        "pinned": backoffs,
-        "backoffs": backoffs,
-        "score_evaluations": sum(tr.score_evaluations for tr in traces),
     }
     summary = {
         "all_locked": bool(all(r[7] for r in rows)),
         "worst_residual_ratio": max(r[6] for r in rows),
-        "backoffs": backoffs,
+        "backoffs": diagnostics["backoffs"],
     }
     return Run(files, summary, diagnostics, timings)
 

@@ -22,7 +22,7 @@ from combphase.protocols import (
     compose_train,
     phase_reference_sequence,
 )
-from combphase.pulses import _matrix_infidelity, rwa_matrix
+from combphase.pulses import matrix_infidelity, rwa_matrix
 from combphase.raman import visibility_budget
 from combphase.scenarios import run_scenario
 
@@ -83,7 +83,7 @@ def test_criterion_02_closed_form_equivalence(capsys):
                 u = ordered_product(SIGMA_X @ rwa_matrix(np.full(n, np.pi / 2), phases))
             else:
                 u = compose_train(train).matrix
-            worst = max(worst, _matrix_infidelity(u, closed))
+            worst = max(worst, matrix_infidelity(u, closed))
         assert worst < 1e-9
         # weak-pulse series: first-order closed form agrees to O(theta^2)
         theta = 1e-3

@@ -1043,7 +1043,8 @@ def test_lockstep_locks_equal_lone_locks(monkeypatch):
     assert lockstep == alone
     # every lock read its fits from the memo, and each distinct record was fit once
     assert len(calls) == prefit
-    assert sum(calls) == estimation.distinct_fits(models.values()) <= len(fits)
+    diagnostics = estimation._diagnostics(models.values(), len(fits), 0, 0, 0)
+    assert sum(calls) == diagnostics["distinct_records"] <= len(fits)
     # one fit per train length at each step: split the fits lock by lock
     lengths, start = [], 0
     for trace in lockstep:
@@ -1054,6 +1055,39 @@ def test_lockstep_locks_equal_lone_locks(monkeypatch):
     steps = max(map(len, lengths))
     per_step = [{ns[k] for ns in lengths if k < len(ns)} for k in range(steps)]
     assert prefit <= sum(map(len, per_step)) <= steps * max(map(len, per_step)) < len(fits)
+
+
+@pytest.mark.parametrize("chi", [2.0, 62.0, 14.0 * 4**5])
+def test_a_fit_pins_within_0_98_of_its_window(chi):
+    window = np.pi / (4.0 * chi)
+    assert estimation._window(chi) == window
+    edge = 0.98 * window
+    estimates = np.array([-window, -edge, edge, np.nextafter(edge, 0.0), -np.nextafter(edge, 0.0), 0.0])
+    assert estimation._pinned(estimates, chi).tolist() == [True, True, True, False, False, False]
+    assert estimation._pinned(edge, chi) and not estimation._pinned(0.5 * window, chi)
+
+
+def test_refine_study_runs_each_lock_as_a_lone_lock():
+    prior = abs(fiber_comb_preset().phase_step)
+    config = RefineConfig(m_shots=5000, prior_bound=prior)
+    truths, traces, diagnostics, timings = estimation.refine_study(config, prior, _LOCK_SEED, 15)
+    seeds = range(_LOCK_SEED, _LOCK_SEED + 15)
+    assert truths == [np.random.default_rng(seed).uniform(-prior, prior) for seed in seeds]
+    lone = [
+        iterative_refine(true, replace(config, seed=13 * seed + _LOCK_SEED)) for true, seed in zip(truths, seeds)
+    ]
+    assert traces == lone and traces[_BACKOFF_LOCK].backoffs == 1
+    # the manifest's keys and order; a pinned fit is a back-off
+    assert list(diagnostics) == [
+        "fits", "distinct_records", "nonconverged", "pinned", "backoffs", "score_evaluations"
+    ]
+    assert diagnostics["fits"] == sum(len(t.stages) + t.backoffs for t in lone)
+    assert diagnostics["pinned"] == diagnostics["backoffs"] == 1
+    assert diagnostics["nonconverged"] == sum(t.nonconverged for t in lone)
+    assert diagnostics["score_evaluations"] == sum(t.score_evaluations for t in lone) > 0
+    assert 0 < diagnostics["distinct_records"] <= diagnostics["fits"]
+    assert list(timings) == ["prefit_s", "locks_s"]
+    assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
 
 
 def _count_model_work(monkeypatch):

@@ -98,3 +98,54 @@ def test_every_option_is_set_outside_the_tests():
             passed.update(k.arg for k in call.keywords)
         unset += [f"{name}({p.name}=)" for p in params if p.default is not p.empty and p.name not in passed]
     assert not unset, f"options that only tests set: {unset}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reaches(text: str) -> list:
+    """(line, "module.name") of each underscore name of a package module
+    that the source ``text`` imports or reads as an attribute.  Importing a
+    public name from a private module, such as ``_su2``, is no reach."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    tree = ast.parse(text)
+    bound, reaches = {}, []  # bound: local name of each package module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "combphase" and module in modules and alias.asname:
+                    bound[alias.asname] = module
+        elif isinstance(node, ast.ImportFrom):
+            package, _, module = (node.module or "").partition(".")
+            if node.level:  # relative to the package: ``from .x`` or ``from .``
+                module = node.module or ""
+            elif package != "combphase":
+                continue
+            for alias in node.names:
+                if not module and alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    reaches.append((node.lineno, f"{module or 'combphase'}.{alias.name}"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+            if _private(node.attr):
+                reaches.append((node.lineno, f"{bound[node.value.id]}.{node.attr}"))
+    return sorted(reaches)
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    # the detector finds a planted import and a planted read, and lets a
+    # public name of a private module pass
+    planted = (
+        "from . import estimation, __version__\n"
+        "from .pulses import _x, rwa_row\n"
+        "from ._su2 import su2_matrix\n"
+        "import combphase.raman as r\n"
+        "estimation._streams([1]), r._y, estimation.iterative_refine\n"
+    )
+    assert _private_reaches(planted) == [(2, "pulses._x"), (5, "estimation._streams"), (5, "raman._y")]
+    reaches = {path.name: _private_reaches(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(reaches) > 5
+    assert not any(reaches.values()), {name: r for name, r in reaches.items() if r}

@@ -13,10 +13,10 @@ from combphase.errors import IntegrationError, UndefinedPhaseError
 from combphase.pulses import (
     PulseSpec,
     Unitary,
-    _matrix_infidelity,
     effective_phase,
     integrate_pulse,
     matrix_fidelity,
+    matrix_infidelity,
     rwa_matrix,
     rwa_unitary,
     unitary_fidelity,
@@ -297,8 +297,8 @@ def test_infidelity_keeps_its_digits_below_double_spacing_at_one():
     b = a @ rot_z(1e-9)
     assert 1.0 - matrix_fidelity(a, b) == 0.0
     # 1 - cos(1e-9) = 5e-19
-    assert _matrix_infidelity(a, b) == pytest.approx(5e-19, rel=1e-6)
-    assert _matrix_infidelity(a, b * np.exp(0.7j)) == pytest.approx(5e-19, rel=1e-6)
-    assert _matrix_infidelity(a, rot_x(1.0)) == pytest.approx(1.0 - matrix_fidelity(a, rot_x(1.0)))
+    assert matrix_infidelity(a, b) == pytest.approx(5e-19, rel=1e-6)
+    assert matrix_infidelity(a, b * np.exp(0.7j)) == pytest.approx(5e-19, rel=1e-6)
+    assert matrix_infidelity(a, rot_x(1.0)) == pytest.approx(1.0 - matrix_fidelity(a, rot_x(1.0)))
     with pytest.raises(ValueError):
-        _matrix_infidelity(np.eye(2), np.eye(3))
+        matrix_infidelity(np.eye(2), np.eye(3))
