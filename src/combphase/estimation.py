@@ -825,9 +825,8 @@ def _lock(true_dphi: float, config: RefineConfig, models: dict):
         spec = ProtocolSpec("1B", n, 0, np.pi / 2.0, np.pi / 2.0)
         if spec not in models:
             models[spec] = ramsey_model(spec)
-        # the stage's seed counts completed stages, so the fit after a
-        # back-off reuses the seed of the fit that pinned
-        est = yield models[spec], residual, config.m_shots, config.seed + 7919 * len(stages)
+        # the seed counts fits, back-offs included: each attempt draws afresh
+        est = yield models[spec], residual, config.m_shots, config.seed + 7919 * (len(stages) + backoffs)
         nonconverged += not est.converged
         score_evaluations += est.n_evaluations
         if _pinned(est.dphi_hat, spec.enhancement):

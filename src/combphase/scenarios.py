@@ -47,7 +47,7 @@ class Key(NamedTuple):
     the rule asks for.
 
     ``default`` is `REQUIRED` for a key the config must set; the default of
-    an entry key may be a function of the entry's index and the entry.
+    an entry key may be a function of the entry.
     ``entries`` is the key table of each entry of a list-of-mappings param.
     """
 
@@ -146,7 +146,7 @@ PARAMS = {
                 "kind": Key(REQUIRED, *_PROTOCOL_KIND),
                 "n_values": Key(REQUIRED, *_list_of(_int_at_least(1), "integers >= 1")),
                 "n_delay_values": Key(
-                    lambda i, scan: [0] * len(scan["n_values"]), *_list_of(_int_at_least(0), "integers >= 0")
+                    lambda scan: [0] * len(scan["n_values"]), *_list_of(_int_at_least(0), "integers >= 0")
                 ),
             },
         ),
@@ -163,7 +163,6 @@ PARAMS = {
                 "n_delay": Key(0, *_count(0)),
                 "m_shots": Key(10_000, *_count(1, _MAX_SHOTS)),
                 "theta": Key(np.pi / 2, *_REAL),
-                "seed_offset": Key(lambda i, point: 1000 * i, *_count(0)),
             },
         ),
         "n_seeds": Key(500, *_count(2, _MAX_SEEDS)),
@@ -232,10 +231,10 @@ class ScenarioConfig:
     inputs: object = field(default=None, repr=False, compare=False)
 
 
-def _checked(where: str, mapping: dict, table: dict, index: int = 0) -> dict:
+def _checked(where: str, mapping: dict, table: dict) -> dict:
     """``mapping`` checked against its key table and filled with the default
     of each key it leaves out, the entries of its list-of-mappings keys
-    checked and filled too; ``index`` is the mapping's place in its list.
+    checked and filled too.
 
     Raises `ScenarioConfigError`, naming ``where`` and the key, for a key not
     in ``table``, a missing required key or a value that breaks its rule.
@@ -253,9 +252,9 @@ def _checked(where: str, mapping: dict, table: dict, index: int = 0) -> dict:
             if not key.rule(value):
                 raise ScenarioConfigError(f"{where}: {name} must be {key.wanted}, got {value!r}")
         else:
-            value = key.default(index, mapping) if callable(key.default) else key.default
+            value = key.default(mapping) if callable(key.default) else key.default
         if key.entries:
-            value = [_checked(f"{name} entry {i}", entry, key.entries, i) for i, entry in enumerate(value)]
+            value = [_checked(f"{name} entry {i}", entry, key.entries) for i, entry in enumerate(value)]
         out[name] = value
     return out
 
@@ -515,12 +514,12 @@ def _point_spec(pt):
 
 def _run_crlb_saturation(cfg):
     """Estimator variance against the CRLB at each point: one
-    `estimation.estimator_study` of ``n_seeds`` seeds per point, from seed +
-    the point's ``seed_offset``.  The diagnostics are the studies' summed."""
+    `estimation.estimator_study` per point j, of the ``n_seeds`` seeds from
+    seed + j n_seeds on.  The diagnostics are the studies' summed."""
     p = cfg.params
     rows, studies = [], []
-    for pt, spec in zip(p["points"], cfg.inputs):
-        start = cfg.seed + pt["seed_offset"]
+    for j, (pt, spec) in enumerate(zip(p["points"], cfg.inputs)):
+        start = cfg.seed + j * p["n_seeds"]
         ests, bound, diagnostics = estimation.estimator_study(
             spec, pt["dphi"], pt["m_shots"], range(start, start + p["n_seeds"])
         )

@@ -62,27 +62,28 @@ def chi2_factors(dof, level):
     return dof / chi2.isf(level / 2.0, dof), dof / chi2.ppf(level / 2.0, dof)
 
 
-def crlb_failures(ratios, n_seeds, alpha=FALSE_ALARM):
+def crlb_failures(ratios, n_seeds):
     """Criterion 5's gate: the points whose variance ratio is incompatible
     with [1, 1.5].  Each point's interval, on n_seeds - 1 degrees of freedom
-    at level alpha split over the points, must meet [1, 1.5]; a point whose
-    true ratio lies there misses it with probability at most alpha / points."""
-    lo, hi = chi2_factors(n_seeds - 1, alpha / len(ratios))
+    at `FALSE_ALARM` split over the points, must meet [1, 1.5]; a point
+    whose true ratio lies there misses it with at most its share."""
+    lo, hi = chi2_factors(n_seeds - 1, FALSE_ALARM / len(ratios))
     return [i for i, r in enumerate(ratios) if r * hi < 1.0 or r * lo > 1.5]
 
 
-def allowed_beyond_3sigma(n_locks, alpha=FALSE_ALARM):
+def allowed_beyond_3sigma(n_locks):
     """The most locks of ``n_locks`` that criterion 9 lets lie beyond 3
-    sigma: a count that ideal locks exceed with probability at most alpha / 2."""
-    return int(binom.isf(alpha / 2.0, n_locks, P_BEYOND_3SIGMA))
+    sigma: a count that ideal locks exceed with probability at most half
+    of `FALSE_ALARM`."""
+    return int(binom.isf(FALSE_ALARM / 2.0, n_locks, P_BEYOND_3SIGMA))
 
 
-def lock_failures(ratios, alpha=FALSE_ALARM):
+def lock_failures(ratios):
     """Criterion 9's gate on the locks' final |residual| / sigma: what fails
     of "at most `allowed_beyond_3sigma` beyond 3 sigma, none beyond 5"."""
     beyond = sum(r > 3.0 for r in ratios)
     failures = []
-    if beyond > allowed_beyond_3sigma(len(ratios), alpha):
+    if beyond > allowed_beyond_3sigma(len(ratios)):
         failures.append(f"{beyond} of {len(ratios)} locks beyond 3 sigma")
     if max(ratios) > 5.0:
         failures.append(f"worst lock at {max(ratios):.2f} sigma")
@@ -320,7 +321,8 @@ def test_criterion_05_fails_estimates_spread_to_twice_the_bound(tmp_path, monkey
     monkeypatch.setattr(estimation, "estimator_study", spread)
     ratios = run_scenario("crlb_saturation", tmp_path)["summary"]["ratios"]
     assert ratios == pytest.approx([2.0] * 10)
-    assert crlb_failures(ratios, 500) == list(range(10))
+    n_seeds = load_scenario_config(find_scenario("crlb_saturation")).params["n_seeds"]
+    assert crlb_failures(ratios, n_seeds) == list(range(10))
 
 
 def test_criterion_09_fails_five_locks_beyond_3_sigma(tmp_path):

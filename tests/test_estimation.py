@@ -976,6 +976,26 @@ def test_iterative_refine_recovers_from_one_backoff(monkeypatch):
     assert len(fits) == len(trace.stages) + 1
 
 
+def test_no_two_attempts_of_a_lock_share_a_seed(monkeypatch):
+    # lock 14 backs off: its retry must draw a fresh record, not the stream
+    # of the fit that pinned
+    seeds = []
+    sample = estimation.sample_record
+
+    def spy(model, theta, dphi, m_shots, seed):
+        seeds.append(seed)
+        return sample(model, theta, dphi, m_shots, seed)
+
+    monkeypatch.setattr(estimation, "sample_record", spy)
+    for i in range(20):
+        seeds.clear()
+        true, config = _fiber_lock(i)
+        trace = iterative_refine(true, config)
+        assert len(seeds) == len(trace.stages) + trace.backoffs
+        assert len(set(seeds)) == len(seeds), (i, seeds)
+        assert trace.backoffs == (i == _BACKOFF_LOCK)
+
+
 def test_shared_models_leave_every_lock_unchanged(monkeypatch):
     """Sharing one model per train length across locks changes no trace."""
     locks = [_fiber_lock(i) for i in range(20)]

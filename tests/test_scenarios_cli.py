@@ -244,8 +244,8 @@ _TINY_STUDIES = {
     "two 2B points": {
         "n_seeds": 3,
         "points": [
-            {"kind": "2B", "n": n, "n_delay": nd, "dphi": 0.2 / (n * nd), "m_shots": 200, "seed_offset": offset}
-            for n, nd, offset in ((4, 2, 0), (8, 4, 10_000))
+            {"kind": "2B", "n": n, "n_delay": nd, "dphi": 0.2 / (n * nd), "m_shots": m}
+            for n, nd, m in ((4, 2, 200), (8, 4, 300))
         ],
     },
 }
@@ -503,23 +503,41 @@ def _csv_rows(path):
 
 
 def test_each_study_kind_keeps_its_seed_layout(tmp_path):
-    # crlb_saturation, the one kind that runs estimator studies: a point
-    # starts at seed + its seed_offset, by default 1000 times its index
+    # crlb_saturation, the one kind that runs estimator studies: point j
+    # takes the n_seeds seeds from seed + j n_seeds on
     seed, n_seeds = 5, 3
     points = [
-        {"kind": "1B", "n": 10, "dphi": 0.02, "m_shots": 1000, "seed_offset": 7},
+        {"kind": "1B", "n": 10, "dphi": 0.02, "m_shots": 1000},
         {"kind": "2B", "n": 4, "n_delay": 2, "dphi": 0.01, "m_shots": 500},
+        {"kind": "1B", "n": 4, "dphi": 0.05, "m_shots": 200},
     ]
     cfg = _config(tmp_path, "crlb_saturation", {"points": points, "n_seeds": n_seeds})
     run_scenario(cfg, tmp_path / "crlb", seed=seed)
     expected = []
-    for pt, offset in zip(points, (7, 1000)):
+    for pt, start in zip(points, (5, 8, 11)):
         spec = ProtocolSpec(pt["kind"], pt["n"], pt.get("n_delay", 0))
-        seeds = range(seed + offset, seed + offset + n_seeds)
+        seeds = range(start, start + n_seeds)
         estimates, bound, _ = estimation.estimator_study(spec, pt["dphi"], pt["m_shots"], seeds)
         var = float(np.var(estimates, ddof=1))
         expected.append([spec.kind, spec.n_pulses, spec.n_delay, pt["dphi"], pt["m_shots"], var, bound, var / bound])
     assert _csv_rows(tmp_path / "crlb" / "crlb_saturation.csv") == expected
+
+
+def test_study_points_take_disjoint_seed_blocks(tmp_path, monkeypatch):
+    # 1001 seeds a point: blocks that start 1000 seeds apart would overlap
+    blocks = []
+    study = estimation.estimator_study
+
+    def spy(spec, dphi, m_shots, seeds):
+        blocks.append(list(seeds))
+        return study(spec, dphi, m_shots, seeds)
+
+    monkeypatch.setattr(estimation, "estimator_study", spy)
+    point = {"kind": "1B", "n": 4, "dphi": 0.05, "m_shots": 200}
+    cfg = _config(tmp_path, "crlb_saturation", {"points": [point, point], "n_seeds": 1001})
+    run_scenario(cfg, tmp_path / "out", seed=3)
+    assert [len(set(b)) for b in blocks] == [1001, 1001]
+    assert set(blocks[0]).isdisjoint(blocks[1])
 
 
 #: the kinds that run no estimator study: table1_scaling takes the
@@ -939,10 +957,16 @@ _BAD_VALUES = {
         "extrapolations entry 0: rep_rate_hz",
     ),
     "n_values 5": ("table1_scaling", {"scans": [{"kind": "1B", "n_values": 5}]}, "scans entry 0: n_values"),
-    "second point's seed_offset x": (
+    "second point's m_shots x": (
         "crlb_saturation",
-        {"points": [_POINT, {**_POINT, "seed_offset": "x"}]},
-        "points entry 1: seed_offset",
+        {"points": [_POINT, {**_POINT, "m_shots": "x"}]},
+        "points entry 1: m_shots",
+    ),
+    # the key was removed: a point's seeds follow from its place in the list
+    "second point's seed_offset 7": (
+        "crlb_saturation",
+        {"points": [_POINT, {**_POINT, "seed_offset": 7}]},
+        "points entry 1: unknown keys seed_offset",
     ),
     # kinds that take no n_seeds: any value is an unknown key
     "table1 n_seeds 100001": ("table1_scaling", {"n_seeds": 100_001}, "n_seeds"),
@@ -1026,11 +1050,11 @@ def test_raman_cycle_cap_admits_ten_times_the_bundled_pulse():
 
 
 def test_entry_defaults_are_filled_at_load(tmp_path):
-    points = [_POINT, {**_POINT, "seed_offset": 7}]
+    points = [_POINT, {**_POINT, "m_shots": 7}]
     cfg = load_scenario_config(_config(tmp_path, "crlb_saturation", {"points": points}))
     first, second = cfg.params["points"]
-    assert first == {**_POINT, "n_delay": 0, "m_shots": 10_000, "theta": np.pi / 2, "seed_offset": 0}
-    assert second["seed_offset"] == 7
+    assert first == {**_POINT, "n_delay": 0, "m_shots": 10_000, "theta": np.pi / 2}
+    assert second == {**first, "m_shots": 7}
     cfg = load_scenario_config(_config(tmp_path, "table1_scaling", {}))
     assert [scan["n_delay_values"] for scan in cfg.params["scans"]] == [[0, 0, 0], [10, 32, 100]]
 
