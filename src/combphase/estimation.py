@@ -21,8 +21,10 @@ hash rather than one SeedSequence per record.  `estimator_study` takes
 the step once, for all its seeds at the truth, and a lock run,
 `refine_study`, once per train length and step.  Each seed or lock then
 reads its record through `sample_record` and its fit through
-`ml_estimate`, which return the kept ones, so those reads neither
-evaluate the model nor draw.  Both studies count into `_diagnostics`.
+`ml_estimate`, which return the kept ones as they are, so those reads
+neither evaluate the model nor draw, and give what a lone call gives.
+Both studies count into `_diagnostics`, which takes the distinct
+records and their score evaluations from the fits stored on the models.
 """
 from __future__ import annotations
 
@@ -336,12 +338,11 @@ def ml_estimate(
     The fit is the one-record call of the batched engine `_fit_records`.
     Fits are memoised on the model, keyed by the initial dphi, ``m_shots``
     and both arms' counts; `_prefill` fills the memo in batches, for a
-    study or for one train length and step of a run's locks.  The first
-    read of a stored fit returns it with the score evaluations its fit
-    took, and later reads of the same record return it with
-    ``n_evaluations=0``.  The wrap and phase-information checks run before
-    the lookup, and a fit that raises stores nothing, so errors repeat as
-    well.
+    study or for one train length and step of a run's locks.  A stored fit
+    is returned as stored, and a read writes nothing, so every read of a
+    record gives the same result.  The wrap and phase-information checks
+    run before the lookup, and a fit that raises stores nothing, so errors
+    repeat as well.
     """
     if not fix_theta:
         raise ValueError("the joint (theta, dphi) fit has been removed; theta is always fixed")
@@ -353,8 +354,6 @@ def ml_estimate(
     result = model.cache.get(key)
     if result is None:
         result = model.cache[key] = _fit_records(model, np.array([counts]), record.m_shots, dphi0)[0]
-    if result.n_evaluations:  # later reads return the fit without its evaluations
-        model.cache[key] = replace(result, n_evaluations=0)
     return result
 
 
@@ -392,13 +391,14 @@ def _prefill(model, residuals, m_shots: int, seeds):
     return [model.cache[key] for key in keys], probs
 
 
-def _diagnostics(models, fits: int, nonconverged: int, pinned: int, score_evaluations: int, **extra) -> dict:
+def _diagnostics(models, fits: int, nonconverged: int, pinned: int, **extra) -> dict:
     """A run's manifest ``diagnostics`` in the manifest's key order: the counts
-    given, ``distinct_records`` (the fit memo entries of ``models``) second,
-    and ``extra`` (a lock run's ``backoffs``) before ``score_evaluations``."""
-    distinct = sum(key[0] == "fit" for model in models for key in model.cache)
-    return dict(fits=fits, distinct_records=distinct, nonconverged=nonconverged, pinned=pinned, **extra,
-                score_evaluations=score_evaluations)
+    given, then ``extra`` (a lock run's ``backoffs``).  ``distinct_records``
+    (second) and ``score_evaluations`` (last) come from the fits stored in
+    the memos of ``models``, so each distinct record counts once."""
+    stored = [fit for model in models for key, fit in model.cache.items() if key[0] == "fit"]
+    return dict(fits=fits, distinct_records=len(stored), nonconverged=nonconverged, pinned=pinned, **extra,
+                score_evaluations=sum(fit.n_evaluations for fit in stored))
 
 
 def _window(chi: float) -> float:
@@ -698,8 +698,7 @@ def estimator_study(
     if len(estimates) >= 2 and np.all(estimates == estimates[0]):
         raise DegenerateFitError(f"all {len(fits)} estimates of the study coincide")
     pinned = int(np.count_nonzero(_pinned(estimates, spec.enhancement)))
-    nonconverged, evaluations = sum(not f.converged for f in fits), sum(f.n_evaluations for f in fits)
-    diagnostics = _diagnostics([model], len(fits), nonconverged, pinned, evaluations)
+    diagnostics = _diagnostics([model], len(fits), sum(not f.converged for f in fits), pinned)
     info = _nonsingular_information(probs[:, 0], m_shots, spec.enhancement)
     return estimates, 1.0 / float(info), diagnostics
 
@@ -758,7 +757,6 @@ class RefineTrace:
     final_crlb_sigma: float
     backoffs: int  # fits that pinned to the window edge and shortened the train
     nonconverged: int  # fits, back-offs included, whose root did not converge
-    score_evaluations: int  # n_evaluations summed over the fits, back-offs included
 
     @property
     def final_residual(self) -> float:
@@ -778,10 +776,9 @@ def iterative_refine(
     stay inside the unambiguous fringe.  A fit that pins to its window edge
     is treated as a wrap: the stage backs off once to N // growth, rounded
     down to an even length, and aborts with WrapAmbiguityError if it happens
-    again.  ``RefineTrace.backoffs`` counts the back-offs,
+    again.  ``RefineTrace.backoffs`` counts the back-offs and
     ``RefineTrace.nonconverged`` the fits, back-offs included, that returned
-    ``converged=False``, and ``RefineTrace.score_evaluations`` sums their
-    ``n_evaluations``.
+    ``converged=False``.
 
     The control flow is `_lock`'s; this call answers each of its stages
     with one `sample_record` and one `ml_estimate`.  ``models`` maps each
@@ -790,7 +787,8 @@ def iterative_refine(
     sharing a dict share one model per train length, with its fringe grid,
     fit memo and kept records, which `refine_study` fills beforehand so
     that no stage evaluates the model or draws.  What the model lacks is
-    drawn or fit here, and the lock's result does not change either way.
+    drawn or fit here.  A stored fit is read as stored, so the trace is
+    the lone lock's, whichever locks share the dict and in whatever order.
     """
     lock = _lock(true_dphi, config, {} if models is None else models)
     model, residual, m_shots, seed = next(lock)
@@ -820,7 +818,7 @@ def _lock(true_dphi: float, config: RefineConfig, models: dict):
     residual = float(true_dphi)
     stages: list[RefineStage] = []
     n = _safe_train_length(config.prior_bound)
-    backoffs = nonconverged = score_evaluations = 0
+    backoffs = nonconverged = 0
     while len(stages) < config.max_stages:
         spec = ProtocolSpec("1B", n, 0, np.pi / 2.0, np.pi / 2.0)
         if spec not in models:
@@ -828,7 +826,6 @@ def _lock(true_dphi: float, config: RefineConfig, models: dict):
         # the seed counts fits, back-offs included: each attempt draws afresh
         est = yield models[spec], residual, config.m_shots, config.seed + 7919 * (len(stages) + backoffs)
         nonconverged += not est.converged
-        score_evaluations += est.n_evaluations
         if _pinned(est.dphi_hat, spec.enhancement):
             if backoffs:
                 raise WrapAmbiguityError(
@@ -853,7 +850,6 @@ def _lock(true_dphi: float, config: RefineConfig, models: dict):
         final_crlb_sigma=final_sigma,
         backoffs=backoffs,
         nonconverged=nonconverged,
-        score_evaluations=score_evaluations,
     )
 
 
@@ -896,10 +892,12 @@ def refine_study(config: RefineConfig, truth_bound: float, seed: int, n_locks: i
     Lock i's truth is the first ``uniform(-truth_bound, truth_bound)`` of
     ``np.random.default_rng(seed + i)``'s stream and its seed 13 (seed + i)
     + seed.  `_prefit_locks` draws and fits every record, or raises a
-    lock's error; then each lock is one `iterative_refine` that reads them.
-    Returns the truths and traces in lock order, the `_diagnostics` (a
-    pinned fit is a back-off) and the wall times ``prefit_s`` and
-    ``locks_s`` of the two passes.
+    lock's error; then each lock is one `iterative_refine` that reads them,
+    and its trace equals that of the lone call.  Returns the truths and
+    traces in lock order, the `_diagnostics` (a pinned fit is a back-off;
+    each distinct record's score evaluations count once, however many
+    locks read its fit) and the wall times ``prefit_s`` and ``locks_s`` of
+    the two passes.
     """
     seeds = range(seed, seed + n_locks)
     truths = [float(rng.uniform(-truth_bound, truth_bound)) for rng in _streams(seeds)]
@@ -913,8 +911,7 @@ def refine_study(config: RefineConfig, truth_bound: float, seed: int, n_locks: i
     backoffs = sum(tr.backoffs for tr in traces)
     fits = sum(len(tr.stages) for tr in traces) + backoffs
     nonconverged = sum(tr.nonconverged for tr in traces)
-    evaluations = sum(tr.score_evaluations for tr in traces)
-    diagnostics = _diagnostics(models.values(), fits, nonconverged, backoffs, evaluations, backoffs=backoffs)
+    diagnostics = _diagnostics(models.values(), fits, nonconverged, backoffs, backoffs=backoffs)
     return truths, traces, diagnostics, timings
 
 

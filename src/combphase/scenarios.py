@@ -633,7 +633,7 @@ def _run_refine(cfg):
         "refine_trace_seed0": Table(["n", "dphi_hat", "residual", "crlb_sigma"], trace_rows),
     }
     summary = {
-        "all_locked": bool(all(r[7] for r in rows)),
+        "beyond_3sigma": sum(r[6] > 3.0 for r in rows),
         "worst_residual_ratio": max(r[6] for r in rows),
         "backoffs": diagnostics["backoffs"],
     }

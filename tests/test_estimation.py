@@ -659,11 +659,15 @@ def test_a_repeated_record_returns_the_stored_fit():
     model = ramsey_model(spec)
     rec = sample_record(model, np.pi / 2, 0.002, 1000, seed=0)
     first = ml_estimate(rec, model, (np.pi / 2, 0.0))
+    stored = dict(model.cache)
     copy = MeasurementRecord(rec.m_shots, rec.counts1.copy(), rec.counts2.copy())
     again = ml_estimate(copy, model, (np.pi / 2, 0.0))
     fresh = ml_estimate(rec, ramsey_model(spec), (np.pi / 2, 0.0))
     assert first == fresh and fresh.n_evaluations > 0
-    assert again == replace(fresh, n_evaluations=0)
+    assert again == fresh and again is first
+    # the read writes nothing: the same keys hold the same objects
+    assert list(model.cache) == list(stored)
+    assert all(model.cache[key] is value for key, value in stored.items())
 
 
 def test_memoised_fits_do_not_collide():
@@ -1063,7 +1067,7 @@ def test_lockstep_locks_equal_lone_locks(monkeypatch):
     assert lockstep == alone
     # every lock read its fits from the memo, and each distinct record was fit once
     assert len(calls) == prefit
-    diagnostics = estimation._diagnostics(models.values(), len(fits), 0, 0, 0)
+    diagnostics = estimation._diagnostics(models.values(), len(fits), 0, 0)
     assert sum(calls) == diagnostics["distinct_records"] <= len(fits)
     # one fit per train length at each step: split the fits lock by lock
     lengths, start = [], 0
@@ -1087,25 +1091,40 @@ def test_a_fit_pins_within_0_98_of_its_window(chi):
     assert estimation._pinned(edge, chi) and not estimation._pinned(0.5 * window, chi)
 
 
-def test_refine_study_runs_each_lock_as_a_lone_lock():
+@pytest.mark.parametrize(
+    "seed, n_locks, backoff_locks",
+    [(_LOCK_SEED, 15, [_BACKOFF_LOCK]), (101, 100, [25, 46, 49])],
+    ids=["back-off run", "bundled run"],
+)
+def test_refine_study_runs_each_lock_as_a_lone_lock(monkeypatch, seed, n_locks, backoff_locks):
+    # the bundled run's locks share fits, which the back-off run's do not
     prior = abs(fiber_comb_preset().phase_step)
     config = RefineConfig(m_shots=5000, prior_bound=prior)
-    truths, traces, diagnostics, timings = estimation.refine_study(config, prior, _LOCK_SEED, 15)
-    seeds = range(_LOCK_SEED, _LOCK_SEED + 15)
-    assert truths == [np.random.default_rng(seed).uniform(-prior, prior) for seed in seeds]
-    lone = [
-        iterative_refine(true, replace(config, seed=13 * seed + _LOCK_SEED)) for true, seed in zip(truths, seeds)
-    ]
-    assert traces == lone and traces[_BACKOFF_LOCK].backoffs == 1
+    truths, traces, diagnostics, timings = estimation.refine_study(config, prior, seed, n_locks)
+    seeds = range(seed, seed + n_locks)
+    assert truths == [np.random.default_rng(s).uniform(-prior, prior) for s in seeds]
+    # each lone lock fits on models of its own; each distinct record's fit is kept once
+    stored = {}
+    fit = estimation.ml_estimate
+
+    def spy(record, model, init, **kwargs):
+        est = fit(record, model, init, **kwargs)
+        stored[model.spec, tuple(record.counts1), tuple(record.counts2)] = est
+        return est
+
+    monkeypatch.setattr(estimation, "ml_estimate", spy)
+    lone = [iterative_refine(true, replace(config, seed=13 * s + seed)) for true, s in zip(truths, seeds)]
+    assert traces == lone
+    assert [i for i, t in enumerate(traces) if t.backoffs] == backoff_locks
     # the manifest's keys and order; a pinned fit is a back-off
     assert list(diagnostics) == [
         "fits", "distinct_records", "nonconverged", "pinned", "backoffs", "score_evaluations"
     ]
     assert diagnostics["fits"] == sum(len(t.stages) + t.backoffs for t in lone)
-    assert diagnostics["pinned"] == diagnostics["backoffs"] == 1
+    assert diagnostics["pinned"] == diagnostics["backoffs"] == len(backoff_locks)
     assert diagnostics["nonconverged"] == sum(t.nonconverged for t in lone)
-    assert diagnostics["score_evaluations"] == sum(t.score_evaluations for t in lone) > 0
-    assert 0 < diagnostics["distinct_records"] <= diagnostics["fits"]
+    assert diagnostics["distinct_records"] == len(stored) <= diagnostics["fits"]
+    assert diagnostics["score_evaluations"] == sum(est.n_evaluations for est in stored.values()) > 0
     assert list(timings) == ["prefit_s", "locks_s"]
     assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
 
