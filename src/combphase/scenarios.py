@@ -102,8 +102,9 @@ _MAX_SEEDS = 100_000
 #: Most shots of one record: counts stay exact in the float64 likelihoods.
 _MAX_SHOTS = 2**53
 #: Most laser carrier cycles of one Raman pulse.  `phase_map`'s cost grows
-#: about linearly in them: the bundled 25-point map (98 cycles) takes 0.1 s
-#: and one at 980 cycles 0.85 s on a 2-vCPU machine.
+#: about linearly in them, and a long pulse may take one more step doubling:
+#: on a 2-vCPU machine the bundled 25-point map (98 cycles, 785 and 1570
+#: steps) takes 0.06 s, and one at 980 cycles (7841 to 31364 steps) 1.3-1.4 s.
 _MAX_RAMAN_CYCLES = 1000
 
 #: Params of each scenario kind: each one's default and rule, and the key

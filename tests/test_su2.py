@@ -5,7 +5,7 @@ import pytest
 
 from combphase import protocols, pulses, raman, scenarios
 from combphase._su2 import (
-    _TAYLOR_THETA, MAGNUS_BLOCK, _aos, _mm, _soa, expm_herm, magnus_generators, matpow_with_grad,
+    _TAYLOR_THETA, MAGNUS_BLOCK, _aos, _mm, _soa, _taylor_plan, expm_herm, magnus_generators, matpow_with_grad,
     ordered_product, refine_until_stable, step_count, su2_matrix, su2_ordered_product,
 )
 from combphase.errors import IntegrationError
@@ -33,7 +33,7 @@ def test_expm_herm_matches_the_eigh_oracle(d, norm):
     u = expm_herm(h)
     assert u.shape == h.shape
     assert np.max(np.abs(u - _expm_herm_eigh(h))) <= 1e-13 * max(1.0, norm)
-    # each squaring doubles the defect: about 2e-16 per squaring count
+    # each squaring doubles the defect: about 4e-16 times 2^s
     defect = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)))
     assert defect <= 1e-15 * max(1.0, norm)
 
@@ -42,6 +42,92 @@ def test_taylor_degrees_truncate_below_double_precision():
     for m, theta in _TAYLOR_THETA.items():
         remainder = math.fsum(theta**k / math.factorial(k) for k in range(m + 1, m + 40))
         assert remainder <= 2.0**-53
+
+
+def _spin_matrices(d):
+    """(J_x, J_y, J_z) of spin (d - 1) / 2: traceless su(2) generators in d dimensions."""
+    j = (d - 1) / 2.0
+    mz = j - np.arange(d)
+    up = np.diag(np.sqrt(j * (j + 1.0) - mz[1:] * (mz[1:] + 1.0)), 1)
+    return (up + up.T) / 2.0, (up - up.T) / 2.0j, np.diag(mz)
+
+
+def _with_spectrum(spectra, seed):
+    """v diag(w) v^dagger for each row w of ``spectra``, v random unitary."""
+    rng = np.random.default_rng(seed)
+    shape = spectra.shape + spectra.shape[-1:]
+    v = np.linalg.qr(rng.normal(size=shape) + 1.0j * rng.normal(size=shape))[0]
+    return (v * spectra[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _structured_stack(case, d):
+    eye = np.eye(d, dtype=complex)
+    last = np.zeros((d, d), dtype=complex)
+    last[-1, -1] = 1.0
+    if case == "zero":
+        return np.zeros((4, d, d), dtype=complex)
+    if case == "c I":
+        return np.array([0.3, -2.0, 1e-7, 50.0])[:, None, None] * eye
+    if case == "diag(0, .., Delta)":
+        # the Raman Hamiltonian where the cos^2 envelope vanishes: the
+        # detuning alone, over the bundled phase map's first step (2 pi 100 Hz
+        # x 0.02 over 1 s / 785) and beyond
+        return np.array([2.0 * np.pi * 100.0 * 0.02 / 785, 1.0, -40.0])[:, None, None] * last
+    if case == "doubly degenerate pair":
+        a, b = np.random.default_rng(d).normal(size=(2, 6, 1))
+        return _with_spectrum(np.concatenate([a, a, b], axis=-1)[..., :d], seed=d)
+    if case == "traceless su(2)":
+        n = np.random.default_rng(d).normal(size=(6, 3)) * np.array([[0.01], [0.1], [1.0], [3.0], [10.0], [30.0]])
+        return np.einsum("ga,aij->gij", n, np.array(_spin_matrices(d)))
+    # one (m, s) plan for matrices of 1-norm 1e-12 and theta_m
+    h = _random_hermitian((6,), d, seed=d)
+    h /= np.abs(h).sum(axis=-2).max(axis=-1)[..., None, None]
+    return h * np.array([1e-12, _TAYLOR_THETA[max(_TAYLOR_THETA)]] * 3)[:, None, None]
+
+
+STRUCTURED = ["zero", "c I", "diag(0, .., Delta)", "doubly degenerate pair", "traceless su(2)", "1e-12 beside theta_m"]
+
+
+@pytest.mark.parametrize("case", STRUCTURED)
+@pytest.mark.parametrize("d", [2, 3])
+def test_expm_herm_matches_the_eigh_oracle_on_structured_spectra(d, case):
+    h = _structured_stack(case, d)
+    norm = float(np.abs(h).sum(axis=-2).max(initial=0.0))
+    u = expm_herm(h)
+    assert u.shape == h.shape
+    assert np.max(np.abs(u - _expm_herm_eigh(h))) <= 1e-13 * max(1.0, norm)
+    defect = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)))
+    assert defect <= 1e-15 * max(1.0, norm)
+
+
+def _taylor_sum(h, m):
+    """Oracle: sum_{k <= m} x^k / k! of x = -i h, from stacked matrix products."""
+    x = -1.0j * h
+    term = np.broadcast_to(np.eye(h.shape[-1], dtype=complex), h.shape)
+    total = term.copy()
+    for k in range(1, m + 1):
+        term = term @ x / k
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_expm_herm_is_the_degree_m_taylor_polynomial(d):
+    # just below theta_m the plan is (m, 0), and the result is that
+    # polynomial itself, whose truncation error `_TAYLOR_THETA` bounds
+    h = _random_hermitian((20, 3), d, seed=10 + d)
+    h /= np.abs(h).sum(axis=-2).max()
+    for m, theta in _TAYLOR_THETA.items():
+        scaled = h * (theta * (1.0 - 1e-9))
+        assert _taylor_plan(float(np.abs(scaled).sum(axis=-2).max())) == (m, 0)
+        assert np.max(np.abs(expm_herm(scaled) - _taylor_sum(scaled, m))) <= 1e-15, m
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_expm_herm_takes_only_2x2_and_3x3_matrices(d):
+    # the characteristic polynomial is written out for d = 2 and 3 only
+    with pytest.raises(ValueError, match="2x2 or 3x3"):
+        expm_herm(_random_hermitian((2,), d, seed=d))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -91,6 +177,35 @@ def test_propagation_matches_the_eigh_exponential(name, monkeypatch):
     monkeypatch.setattr(pulses, "expm_herm", _expm_herm_eigh)
     monkeypatch.setattr(raman, "expm_herm", _expm_herm_eigh)
     assert np.max(np.abs(result - PROPAGATIONS[name]())) <= 1e-12
+
+
+# the step count of every propagator solve of the bundled runs, one list per
+# `refine_until_stable` call: integrate_lambda and phase_map, then one
+# integrate_pulse per rwa_validity pulse (5, 10, 20, 30 and 60 cycles)
+BUNDLED_STEPS = {
+    "raman_three_level": [[641, 1282, 2564], [785, 1570]],
+    "rwa_validity": [[50, 100, 200], [80, 160, 320], [160, 320, 640], [240, 480, 960], [480, 960]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_STEPS))
+def test_bundled_propagations_take_their_step_doublings(name, monkeypatch, tmp_path):
+    # a faster step exponential must not stop earlier, nor a less accurate one later
+    solves = []
+
+    def refine(propagate, steps, tol):
+        solves.append([])
+        return refine_until_stable(propagate, steps, tol)
+
+    def generators(hamiltonians, duration, steps, width):
+        solves[-1].append(steps)
+        return magnus_generators(hamiltonians, duration, steps, width)
+
+    for module in (pulses, raman):
+        monkeypatch.setattr(module, "refine_until_stable", refine)
+        monkeypatch.setattr(module, "magnus_generators", generators)
+    scenarios.run_scenario(name, tmp_path)
+    assert solves == BUNDLED_STEPS[name]
 
 
 def _sequential_fold(factors):
