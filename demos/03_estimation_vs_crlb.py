@@ -12,8 +12,9 @@ it there and the fit holds it fixed.  The bound on the variance is
 is 4 N^2 M, so the bound is sigma = 1 / (2 N sqrt(M)); the empirical
 ratio should sit close to 1.
 
-The experiments run as one `estimator_study`: it picks the reference
-phase of maximal information, draws one record per seed, fits each by
+The experiments run as one `estimator_study`: it sets the reference
+phase of maximal information at the prior's centre, dphi = 0, before any
+data, draws one record per seed, fits each by
 maximum likelihood and returns the estimates with the bound.  Records
 that repeat are fit once, and the study counts the distinct ones.
 """

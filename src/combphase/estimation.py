@@ -669,13 +669,15 @@ def estimator_study(
 ) -> tuple[np.ndarray, float, dict]:
     """Fixed-theta ML estimates of ``dphi`` over simulated experiments.
 
-    The reference phase is chosen for maximal dphi information at the true
-    point.  One `_prefill` draws one record of ``m_shots`` per arm for each
-    seed from one evaluation at the truth, and fits the distinct records
-    together; each seed then reads its record back through `sample_record`
-    and its fit through `ml_estimate`.  So a study evaluates the model
-    once at the truth, and its evaluations do not grow with its number of
-    distinct records.
+    The reference phase is the most-information one at the prior's centre,
+    dphi = 0, which an experiment can set before it sees any data; the
+    information is flat in xi there, so the balanced fringe puts xi at
+    pi/2, where the lock runs.  One `_prefill` draws one record of
+    ``m_shots`` per arm for each seed from one evaluation at the truth, and
+    fits the distinct records together; each seed then reads its record
+    back through `sample_record` and its fit through `ml_estimate`.  So a
+    study evaluates the model once at the truth, and its evaluations do not
+    grow with its number of distinct records.
 
     Returns the estimates in seed order, the fixed-theta Cramer-Rao bound
     1 / I_dphidphi on the variance of one experiment's estimate (the bound
@@ -685,7 +687,7 @@ def estimator_study(
     estimates all coincide, raises DegenerateFitError: its spread then says
     nothing about the estimator.
     """
-    xi = optimize_reference_phase(spec, dphi)
+    xi = optimize_reference_phase(spec, 0.0)
     model = ramsey_model(replace(spec, reference_phase=xi))
     seeds = list(seeds)
     # a study without seeds evaluates at the truth alone, for its bound

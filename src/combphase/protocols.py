@@ -92,16 +92,13 @@ class ProtocolSpec:
 
     @property
     def enhancement(self) -> float:
-        """Phase-accumulation factor chi(N): the fringe argument is chi * dphi."""
-        if self.kind == "1B":
-            return float(self.n_pulses)
-        if self.kind == "2B":
+        """Phase-accumulation factor chi: the fringe argument is chi * dphi, and
+        chi is the train's phase rate at theta = pi/2, shared by each A/B pair."""
+        if self.kind in ("1A", "1B"):
+            return float(self.n_pulses + self.n_pulses % 2)
+        if self.kind in ("2A", "2B"):
             return float(self.n_pulses * self.n_delay)
-        if self.kind == "2A":
-            return float(self.n_delay)
-        if self.kind == "phase_ref":
-            return float(self.n_pulses * (self.n_pulses + 1))
-        return 1.0  # 1A: no coherent enhancement
+        return float(self.n_pulses * (self.n_pulses + 1))
 
 
 def compose_train(t: PulseTrain) -> Unitary:

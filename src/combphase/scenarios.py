@@ -479,10 +479,10 @@ def _crlb_point(spec, m_shots: int) -> tuple[float, float]:
     of dphi, from the model's Fisher information I at chi dphi = 0.2 with
     ``m_shots`` per arm, and its scaled constant sigma chi sqrt(M).
 
-    The reference phase is pi/2: at the pulse area theta = pi/2 of every
-    scan point the information does not depend on it.
-    Every point sits at the same spot on its fringe, where the constant is
-    1/2 for 1B, 2B and phase_ref.
+    The reference phase is pi/2, the one every study takes: at the pulse
+    area theta = pi/2 of every scan point the information does not depend
+    on it.  Every point sits at the same spot on its fringe, where the
+    constant is 1/2 for every kind, since chi is the phase rate there.
     """
     chi = spec.enhancement
     model = protocols.ramsey_model(replace(spec, reference_phase=np.pi / 2))

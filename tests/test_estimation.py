@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
+from scipy.stats import chi2
 
 from combphase import estimation, fiber_comb_preset
 from combphase.errors import (
@@ -429,19 +430,20 @@ def test_fixed_theta_fit_without_a_root_returns_the_window_edge(n, n1, mirror):
 
 
 def _weak_pulse_model():
-    """1A, N = 20, theta = 0.05 at the reference phase of its study at dphi = 0.05."""
+    """1A, N = 20, theta = 0.05 at the reference phase of its studies."""
     spec = ProtocolSpec("1A", 20, 0, 0.0, 0.05)
-    xi = optimize_reference_phase(spec, 0.05)
-    return ramsey_model(replace(spec, reference_phase=xi))
+    return ramsey_model(replace(spec, reference_phase=optimize_reference_phase(spec, 0.0)))
 
 
 def test_fixed_theta_fit_brackets_beside_the_best_grid_point():
     # The dphi score is negative on both grid neighbours of the best grid
     # point and positive on it, so the maximum lies between it and its right
-    # neighbour.  (Seed 1 of the weak-pulse study below draws this record.)
-    model = _weak_pulse_model()
-    rec = MeasurementRecord(10_000, [8741, 1259], [5197, 4803])
-    window = np.pi / 4.0
+    # neighbour.  Off quadrature, at xi = pi / 8, arm 1's fringe peaks inside
+    # the window, and this record's two modes lie one grid step apart.
+    # (Seed 8 draws it at dphi = pi / 400, a fifth of the window, and M = 1000.)
+    model = ramsey_model(ProtocolSpec("1A", 20, 0, np.pi / 8, 0.05))
+    rec = MeasurementRecord(1000, [997, 3], [302, 698])
+    window = np.pi / (4.0 * model.spec.enhancement)
     grid = np.linspace(-window, window, 65)
     ll = [log_likelihood_and_grad(rec, model, x)[0] for x in grid]
     k = int(np.argmax(ll))
@@ -499,18 +501,95 @@ def test_an_outcome_clipped_across_the_window_marks_no_node():
 def test_weak_pulse_bound_is_the_fixed_theta_bound():
     # theta is known, so the study is graded against 1/I_dphidphi
     spec = ProtocolSpec("1A", 20, 0, 0.0, 0.05)
-    _, bound, _ = estimator_study(spec, 0.05, 10_000, range(2))
-    assert bound == 1.0 / fisher_matrix(_weak_pulse_model(), 0.05, 10_000)
+    _, bound, _ = estimator_study(spec, 0.02, 10_000, range(2))
+    assert bound == 1.0 / fisher_matrix(_weak_pulse_model(), 0.02, 10_000)
 
 
 def test_weak_pulse_study_reaches_the_fixed_theta_bound():
-    # 2000 seeds gave variance / bound = 0.926.  At 500 seeds the estimate
-    # spreads as 0.926 chi^2_499 / 499 (6.3 % relative standard deviation),
-    # so it falls outside [0.7, 1.5] with probability 1.3e-5 (6e-4 if the
-    # true ratio were two standard errors lower, at 0.87).
+    # chi dphi = 0.4.  2000 seeds gave variance / bound = 0.951.  At 500
+    # seeds the estimate spreads as 0.951 chi^2_499 / 499 (6.3 % relative
+    # standard deviation), so it falls outside [0.7, 1.5] with probability
+    # 2.2e-6 (1.3e-4 if the true ratio were two standard errors lower, at
+    # 0.89).
     spec = ProtocolSpec("1A", 20, 0, 0.0, 0.05)
-    estimates, bound, _ = estimator_study(spec, 0.05, 10_000, range(500))
+    estimates, bound, _ = estimator_study(spec, 0.02, 10_000, range(500))
     assert 0.7 <= np.var(estimates, ddof=1) / bound <= 1.5
+
+
+#: (kind, N values, N_d values) of the enhancement rule's tests, odd 1A included
+_RULE_SIZES = [
+    ("1A", (1, 2, 7, 8, 20, 21, 101), (0,)),
+    ("1B", (2, 10, 64, 1000), (0,)),
+    ("2A", (2, 6, 20), (1, 3, 50)),
+    ("2B", (2, 6, 100), (1, 3, 50)),
+    ("phase_ref", (1, 6, 9, 50), (0,)),
+]
+
+
+@pytest.mark.parametrize("kind,ns,nds", _RULE_SIZES, ids=[r[0] for r in _RULE_SIZES])
+def test_enhancement_is_the_phase_rate_at_quadrature(kind, ns, nds):
+    # at theta = xi = pi / 2 arm 1 reads the fringe (1 + sin(2 chi dphi)) / 2,
+    # whose per-shot information is 4 chi^2 at every dphi, so sqrt(I) / (2 chi)
+    # is 1 as dphi -> 0, for the weak-pulse kinds as for their pairs
+    for n in ns:
+        for nd in nds:
+            spec = ProtocolSpec(kind, n, nd, np.pi / 2, np.pi / 2)
+            for dphi in (0.0, 1e-9, 1e-7):
+                info = fisher_matrix(ramsey_model(spec), dphi, 1)
+                assert abs(np.sqrt(info) / (2.0 * spec.enhancement) - 1.0) <= 1e-12, (n, nd, dphi)
+
+
+@pytest.mark.parametrize(
+    "kind,n,nd", [("1A", 7, 0), ("1A", 20, 0), ("1B", 10, 0), ("2A", 6, 3), ("2B", 100, 50), ("phase_ref", 9, 0)]
+)
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.9, np.pi / 2])
+def test_the_reference_phase_at_the_prior_centre_is_quadrature(kind, n, nd, theta):
+    # at dphi = 0 the information is flat in xi, and the balanced fringe wins
+    assert optimize_reference_phase(ProtocolSpec(kind, n, nd, 0.0, theta), 0.0) == np.pi / 2
+
+
+#: Fixed-theta points where arm 2's mirror mode made the study's estimates
+#: alias to -dphi while its reference phase was chosen at the truth
+_ALIAS_ROWS = [
+    ("1A", 20, 0, 0.05, 0.01),
+    ("1A", 20, 0, 0.05, 0.002),
+    ("2A", 6, 3, 0.9, 0.01),
+    ("2A", 6, 3, 0.9, 0.03),
+]
+
+
+def test_alias_rows_reach_the_bound_about_the_truth():
+    # An unbiased estimator at its bound has n MSE / bound ~ chi^2_n about the
+    # truth.  The band is two-sided at a false-alarm rate of 1e-3 split over
+    # the points: [0.785, 1.248] at 500 seeds.  Seeds 0-499 read 0.92, 0.96,
+    # 0.97 and 0.97.
+    n_seeds, level = 500, 1e-3 / len(_ALIAS_ROWS)
+    lo, hi = chi2.ppf(level / 2.0, n_seeds) / n_seeds, chi2.isf(level / 2.0, n_seeds) / n_seeds
+    ratios = {}
+    for kind, n, nd, theta, dphi in _ALIAS_ROWS:
+        spec = ProtocolSpec(kind, n, nd, 0.0, theta)
+        estimates, bound, _ = estimator_study(spec, dphi, 10_000, range(n_seeds))
+        ratios[kind, dphi] = float(np.mean((estimates - dphi) ** 2) / bound)
+    assert all(lo <= r <= hi for r in ratios.values()), (lo, hi, ratios)
+
+
+def test_a_studys_reference_phase_does_not_depend_on_the_truth(monkeypatch):
+    # the experimenter sets xi before seeing data: every study of one spec
+    # runs at the same xi, whatever its truth
+    phases = []
+    model = estimation.ramsey_model
+
+    def spy(spec):
+        phases.append(spec.reference_phase)
+        return model(spec)
+
+    monkeypatch.setattr(estimation, "ramsey_model", spy)
+    for kind, n, nd, theta in [("1A", 20, 0, 0.05), ("2A", 6, 3, 0.9), ("1B", 10, 0, np.pi / 2)]:
+        phases.clear()
+        spec = ProtocolSpec(kind, n, nd, 0.0, theta)
+        for chi_dphi in (-0.5, 0.0, 0.2, 0.5):
+            estimator_study(spec, chi_dphi / spec.enhancement, 1000, range(3))
+        assert phases == [np.pi / 2] * 4, (kind, phases)
 
 
 def test_fit_cache_lives_on_the_model_and_not_in_its_identity():
@@ -612,6 +691,29 @@ def test_sensitivity_scan_slope_and_csv(tmp_path):
     assert json.loads((tmp_path / "scaling_1B.slope.json").read_text()) == {"kind": "1B", "slope": slope}
 
 
+@pytest.mark.parametrize(
+    "scan,chis",
+    [
+        ({"kind": "1A", "n_values": [4, 8, 16]}, [4.0, 8.0, 16.0]),
+        ({"kind": "2A", "n_values": [10, 20, 100], "n_delay_values": [3, 7, 50]}, [30.0, 140.0, 5000.0]),
+    ],
+    ids=["1A", "2A"],
+)
+def test_weak_pulse_kind_scans_share_their_pairs_chi(tmp_path, scan, chis):
+    # a scan runs at theta = pi / 2, where a 1A or 2A train rotates as its
+    # 1B or 2B pair: an even 1A scan has three distinct chi, and each
+    # point's scaled constant sigma chi sqrt(M) is 1/2, not 1/(2 N)
+    cfg = tmp_path / "scan.yaml"
+    params = {"m_shots": 1000, "scans": [scan]}
+    cfg.write_text(json.dumps({"schema_version": 1, "name": "weak_scan", "kind": "table1_scaling", "params": params}))
+    run_scenario(cfg, tmp_path / "out")
+    kind = scan["kind"]
+    header, *rows = [line.split(",") for line in (tmp_path / "out" / f"scaling_{kind}.csv").read_text().splitlines()]
+    assert [float(r[header.index("chi")]) for r in rows] == chis
+    for row in rows:
+        assert float(row[header.index("scaled_constant")]) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_sensitivity_scan_needs_three_sizes(tmp_path):
     def scan(entry):
         cfg = tmp_path / "scan.yaml"
@@ -634,7 +736,7 @@ def test_estimator_study_matches_per_seed_fits():
     spec = ProtocolSpec("1B", 50, 0, 0.0, np.pi / 2)
     seeds = range(5, 45)
     estimates, variance, diagnostics = estimator_study(spec, 0.004, 2000, seeds)
-    spec = replace(spec, reference_phase=optimize_reference_phase(spec, 0.004))
+    spec = replace(spec, reference_phase=optimize_reference_phase(spec, 0.0))
     records = [sample_record(ramsey_model(spec), spec.theta, 0.004, 2000, s) for s in seeds]
     distinct = len({(tuple(r.counts1), tuple(r.counts2)) for r in records})
     assert distinct < len(records)
@@ -675,12 +777,12 @@ def test_memoised_fits_do_not_collide():
     # fit on one shared model and compared with a fit on a fresh model
     spec = ProtocolSpec("2A", 6, 3, np.pi / 2, 0.9)
     shared = ramsey_model(spec)
-    rec = MeasurementRecord(1000, [576, 424], [368, 632])  # the expected counts at dphi = 0.05
+    rec = MeasurementRecord(1000, [526, 474], [397, 603])  # the expected counts at dphi = 0.02
     calls = [
         (rec, 0.0),
-        (rec, 0.02),  # init
-        (MeasurementRecord(2000, [1152, 848], [736, 1264]), 0.0),  # m_shots
-        (MeasurementRecord(1000, [576, 424], [390, 610]), 0.0),  # counts2
+        (rec, 0.01),  # init
+        (MeasurementRecord(2000, [1052, 948], [794, 1206]), 0.0),  # m_shots
+        (MeasurementRecord(1000, [526, 474], [419, 581]), 0.0),  # counts2
     ]
     fits = []
     for rec, init in calls:
@@ -841,8 +943,8 @@ def test_a_study_without_seeds_returns_its_bound_alone():
     spec = ProtocolSpec("1B", 10, 0, 0.0, np.pi / 2)
     estimates, bound, diagnostics = estimator_study(spec, 0.02, 1000, [])
     assert estimates.shape == (0,)
-    model = ramsey_model(replace(spec, reference_phase=optimize_reference_phase(spec, 0.02)))
-    assert bound == 1.0 / fisher_matrix(model, 0.02, 1000) == 2.5000000000000006e-06
+    model = ramsey_model(replace(spec, reference_phase=optimize_reference_phase(spec, 0.0)))
+    assert bound == 1.0 / fisher_matrix(model, 0.02, 1000) == 2.5e-06
     assert diagnostics == dict.fromkeys(
         ("fits", "distinct_records", "nonconverged", "pinned", "score_evaluations"), 0
     )

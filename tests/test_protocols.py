@@ -70,9 +70,11 @@ def test_protocol_spec_takes_numpy_numbers():
 
 
 def test_enhancement_factors():
-    assert ProtocolSpec("1A", 7).enhancement == 1.0
+    # each A/B pair shares one rule; an odd 1A train rotates like the next even one
+    assert ProtocolSpec("1A", 7).enhancement == 8.0
+    assert ProtocolSpec("1A", 10).enhancement == 10.0
     assert ProtocolSpec("1B", 10).enhancement == 10.0
-    assert ProtocolSpec("2A", 10, 5).enhancement == 5.0
+    assert ProtocolSpec("2A", 10, 5).enhancement == 50.0
     assert ProtocolSpec("2B", 10, 5).enhancement == 50.0
     assert ProtocolSpec("phase_ref", 10).enhancement == 110.0
 
@@ -250,7 +252,7 @@ def test_model_matches_the_2x2_matrix_oracle(spec):
     p, dp = ramsey_model(spec).evaluate(dphis)
     # the square-and-multiply oracle itself loses about k eps of relative precision
     tol = 8.0 * spec.n_pulses * np.finfo(float).eps
-    chi = max(spec.enhancement, 1.0)
+    chi = spec.enhancement
     for i, dphi in enumerate(dphis):
         expected_u, expected_du = _train_2x2(spec, dphi)
         assert np.max(np.abs(su2_matrix(u[i]) - expected_u)) <= tol

@@ -449,10 +449,14 @@ def test_cli_numeric_failure_exit_code(tmp_path):
 
 
 def test_study_without_a_converged_fit_exits_3(tmp_path):
-    # every fit of this point stops one fringe-grid step from 0 unconverged,
-    # so its variance would read 0 and its ratio a perfect estimator
-    point = {"kind": "1A", "n": 7, "dphi": 0.013, "theta": 0.9}
+    # chi dphi = 0.9 lies beyond the fit window's pi / 4, and arm 2 tells
+    # the truth from its mirror inside the window, so every fit stops
+    # unconverged at the window edge; its variance and ratio would describe
+    # the edge, not the estimator
+    point = {"kind": "1A", "n": 7, "dphi": 0.9 / 8, "theta": 0.9}
     cfg = _config(tmp_path, "crlb_saturation", {"points": [point], "n_seeds": 20})
+    with pytest.raises(DegenerateFitError, match="none of the 20 fits"):
+        run_scenario(cfg, tmp_path / "direct")
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
     assert not out.exists()
@@ -460,9 +464,11 @@ def test_study_without_a_converged_fit_exits_3(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(_TINY_STUDIES))
 def test_study_whose_estimates_coincide_exits_3(tmp_path, name):
-    # one shot and two seeds: at seed 0 some study draws two equal records, so
-    # its estimates coincide and its spread of 0 would read a perfect estimator
-    points = [{**pt, "m_shots": 1} for pt in _TINY_STUDIES[name]["points"]]
+    # two shots and two seeds: at seed 0 some study draws two equal records,
+    # so its estimates coincide and its spread of 0 would read a perfect
+    # estimator (one shot cannot: at quadrature each one-shot fit stops
+    # unconverged at the window edge)
+    points = [{**pt, "m_shots": 2} for pt in _TINY_STUDIES[name]["points"]]
     cfg = _config(tmp_path, "crlb_saturation", {"n_seeds": 2, "points": points})
     with pytest.raises(DegenerateFitError, match="coincide"):
         run_scenario(cfg, tmp_path / "direct")
@@ -764,8 +770,8 @@ _BAD_SCANS = {
     "mismatched delays": (
         [{"kind": "2B", "n_values": [10, 20, 40], "n_delay_values": [4, 8]}], "scans entry 0: n_delay_values"
     ),
-    "chi = 1 throughout (1A)": (
-        [{"kind": "1A", "n_values": [10, 20, 40]}], "scans entry 0: .*three distinct chi"
+    "repeated chi (odd 1A)": (
+        [{"kind": "1A", "n_values": [5, 6, 7]}], "scans entry 0: .*three distinct chi"
     ),
     "repeated chi": ([{"kind": "1B", "n_values": [10, 20, 10]}], "scans entry 0: .*three distinct chi"),
     "repeated N (2B)": (
