@@ -401,26 +401,26 @@ def _diagnostics(models, fits: int, nonconverged: int, pinned: int, **extra) -> 
                 score_evaluations=sum(fit.n_evaluations for fit in stored))
 
 
-def _window(chi: float) -> float:
+def window_half_width(chi: float) -> float:
     """Half-width pi / (4 chi) of the unambiguous fit window of a train of enhancement ``chi``."""
     return np.pi / (4.0 * chi)
 
 
 def _pinned(dphi_hat, chi: float):
-    """Whether a fit ``dphi_hat`` around 0 lies within 0.98 of its `_window`
+    """Whether a fit ``dphi_hat`` around 0 lies within 0.98 of its window
     edge, where the lock takes it for a wrap; elementwise on an array."""
-    return np.abs(dphi_hat) >= 0.98 * _window(chi)
+    return np.abs(dphi_hat) >= 0.98 * window_half_width(chi)
 
 
 def _fit_window(model, dphi0: float, m_shots: int):
-    """(grid, terms, nodes) of the `_fringe_grid` over the `_window` around
+    """(grid, terms, nodes) of the `_fringe_grid` over the fit window around
     ``dphi0``, after the wrap and phase-information checks."""
     chi = model.spec.enhancement
     if abs(chi * dphi0) >= np.pi:
         raise WrapAmbiguityError(
             "initial accumulated phase exceeds pi; run iterative refinement"
         )
-    window = _window(chi)
+    window = window_half_width(chi)
     grid, terms, nodes, peak = _fringe_grid(model, dphi0 - window, dphi0 + window)
     if m_shots * peak / (chi * chi) <= 1e-9:
         raise DegenerateFitError("no phase information anywhere in the window")
@@ -456,19 +456,25 @@ def _fringe_grid(model, lo, hi):
     return model.cache[key]
 
 
-def _falling_bracket(up, down, k):
-    """Grid indices (a, b) next to k where the score falls through zero, or None.
+def _brackets(up, down, best):
+    """(lo, hi, found), three (R,) arrays: each row's grid bracket of a
+    falling score root beside its best grid point k = ``best``, and whether
+    it has one (a row without one keeps a meaningless (lo, hi)).
 
-    ``up`` and ``down`` are the grid scores as seen just above and just
-    below each point; they differ only at a pole (see `_fit_records`).  The
-    two grid neighbours of k come first.  If their scores share a sign that
-    the score at k does not, the root lies between k and one neighbour.
+    ``up`` and ``down`` (R, G) are the grid scores as seen just above and
+    just below each point; they differ only at a pole (see `_fit_records`).
+    (lo, hi) brackets where sign(up[lo]) > sign(down[hi]).  The neighbours
+    of k come first, then (k, k + 1), then (k - 1, k); a bracket of the two
+    neighbours keeps the half where the score at k changes sign.
     """
-    a, b = max(k - 1, 0), min(k + 1, len(up) - 1)
-    for lo, hi in ((a, b), (k, b), (a, k)):
-        if np.sign(up[lo]) > np.sign(down[hi]):
-            return lo, hi
-    return None
+    r = np.arange(len(best))
+    a, b = np.maximum(best - 1, 0), np.minimum(best + 1, up.shape[1] - 1)
+    ends = np.array([[a, best, a], [b, b, best]])
+    falls = np.sign(up[r, ends[0]]) > np.sign(down[r, ends[1]])
+    lo, hi = ends[:, falls.argmax(axis=0), r]
+    halve = hi - lo == 2
+    left = np.sign(up[r, lo]) > np.sign(down[r, best])
+    return np.where(halve & ~left, best, lo), np.where(halve & left, best, hi), falls.any(axis=0)
 
 
 def _row_scores(model, x, counts):
@@ -492,12 +498,11 @@ def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[Estima
       log-likelihood and score on the grid.  It is written as four broadcast
       products rather than a BLAS matmul, whose kernel changes with R, so a
       row rounds the same in any batch.
-    - **Brackets.** Each row takes `_falling_bracket` beside its best grid
-      point, and a bracket of two grid intervals keeps the half where the
-      grid score at that point changes sign.  A row without a bracket has
-      its maximum on or beyond the window edge and returns the best grid
-      point with ``converged=False``; a row with a zero score at a bracket
-      end returns that end.
+    - **Brackets.** One array pass of `_brackets` gives every row its
+      bracket beside its best grid point.  A row without one has its
+      maximum on or beyond the window edge and returns the best grid point
+      with ``converged=False``; a row with a zero score at a bracket end
+      returns that end.
     - **Poles.** At a `_fringe_grid` node of an outcome the row observed,
       the log-likelihood falls to -inf, so the score is +inf just above the
       point and -inf just below it: such a point is never a root or a
@@ -514,9 +519,10 @@ def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[Estima
       the iterations a row took part in.
     - **Bound.** 1 / I_dphidphi at every row's estimate: infinite at a
       point without information, such as a fringe node, and
-      SingularInformationError at a singular one.  A row whose root is its
-      last iterate takes it from the evaluation of its last score; the rows
-      whose root is a grid point share one batched evaluation.
+      SingularInformationError at a singular one.  Each iteration writes
+      its evaluation into its rows of ``at_root``, so a row whose root is
+      its last iterate holds it there; the rows whose root is a grid point
+      (no evaluations) share one batched evaluation.
 
     Each row's result is bit-for-bit the one it gets when fit alone.
     """
@@ -531,29 +537,16 @@ def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[Estima
         pole = ((counts[:, :, None] > 0) & nodes).any(axis=1)
         up, down = np.where(pole, np.inf, score), np.where(pole, -np.inf, score)
     best = np.argmax(ll, axis=1)
-    root = grid[best]
-    converged = np.zeros(len(counts), dtype=bool)
-    evaluations = np.zeros(len(counts), dtype=int)
-    rows, ends = [], []
-    for r, k in enumerate(best.tolist()):
-        bracket = _falling_bracket(up[r], down[r], k)
-        if bracket is None:
-            continue
-        converged[r] = True
-        lo, hi = bracket
-        if hi - lo == 2:  # the grid score at k tells which half holds the root
-            lo, hi = (lo, k) if np.sign(up[r, lo]) > np.sign(down[r, k]) else (k, hi)
-        if up[r, lo] == 0.0 or down[r, hi] == 0.0:
-            root[r] = grid[lo] if up[r, lo] == 0.0 else grid[hi]
-        else:
-            rows.append(r)
-            ends.append((lo, hi))
-    rows = np.array(rows, dtype=int)
-    lo, hi = np.array(ends, dtype=int).reshape(-1, 2).T
+    lo, hi, converged = _brackets(up, down, best)
+    r = np.arange(len(counts))
+    fa, fb = up[r, lo], down[r, hi]
+    # a zero score at a bracket end makes that end the root
+    root = grid[np.where(converged, np.where(fa == 0.0, lo, hi), best)]
+    rows = np.flatnonzero(converged & (fa != 0.0) & (fb != 0.0))
+    fa, fb = fa[rows], fb[rows]
     # b is the latest point and a the end kept from earlier steps; their
     # scores have opposite signs, so the secant step never divides by zero
-    a, b = grid[lo], grid[hi]
-    fa, fb = up[rows, lo], down[rows, hi]
+    a, b = grid[lo[rows]], grid[hi[rows]]
     poles = nodes is not None and bool(np.isinf(fa).any() or np.isinf(fb).any())
     if poles:  # keep each pole as the end a, the one the loop bisects towards
         swap = np.isinf(fb)
@@ -561,9 +554,9 @@ def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[Estima
         fa, fb = np.where(swap, fb, fa), np.where(swap, fa, fb)
     row_counts = counts[rows]
     xtol = 1e-12 / model.spec.enhancement
+    evaluations = np.zeros(len(counts), dtype=int)
     # the evaluation at each row's root: its last score's if the root is an iterate
     at_root = np.empty((2, len(counts), 4))
-    iterate = np.zeros(len(counts), dtype=bool)
     for n in range(_ROOT_ITERATIONS):
         step = fb * (b - a) / (fb - fa)
         if poles:
@@ -572,29 +565,21 @@ def _fit_records(model, counts, m_shots: int, dphi0: float = 0.0) -> list[Estima
         if np.count_nonzero(done):
             root[rows[done]] = b[done]
             evaluations[rows[done]] = n
-            open_ = ~done
-            if n:  # b is the last iterate, not a bracket end
-                at_root[:, rows[done]] = last[:, done]
-                iterate[rows[done]] = True
-                last = last[:, open_]
-            rows, a, b, fa, fb, step, row_counts = (
-                v[open_] for v in (rows, a, b, fa, fb, step, row_counts)
-            )
+            rows, a, b, fa, fb, step, row_counts = (v[~done] for v in (rows, a, b, fa, fb, step, row_counts))
         if not rows.size:
             break
         x = b - step
-        fx, last = _row_scores(model, x, row_counts)
+        fx, at_root[:, rows] = _row_scores(model, x, row_counts)
         crossed = np.sign(fx) != np.sign(fb)
         a, fa = np.where(crossed, b, a), np.where(crossed, fb, 0.5 * fa)
         b, fb = x, fx
-    if rows.size:
-        root[rows] = b
-        evaluations[rows] = _ROOT_ITERATIONS
-        converged[rows] = False
-        at_root[:, rows] = last
-        iterate[rows] = True
-    if not iterate.all():
-        at_root[:, ~iterate] = model.evaluate(root[~iterate])
+    root[rows] = b
+    evaluations[rows] = _ROOT_ITERATIONS
+    converged[rows] = False
+    # a root that is a grid point was never a score's iterate
+    fresh = evaluations == 0
+    if fresh.any():
+        at_root[:, fresh] = model.evaluate(root[fresh])
     info = _nonsingular_information(at_root, m_shots, model.spec.enhancement)
     return [
         EstimationResult(dp, 1.0 / i if i else np.inf, c, e)

@@ -121,7 +121,6 @@ PARAMS = {
         ),
         "theta": Key(np.pi / 4, *_NON_NEGATIVE),
         "envelope": Key("gaussian", *_one_of(pulses.ENVELOPE_KINDS)),
-        "carrier_hz": Key(1.0, *_POSITIVE),
         "integration_tol": Key(1e-8, *_POSITIVE),
     },
     # n_max >= 4 leaves room for a train of at least two pulses
@@ -383,11 +382,14 @@ def _write_files(out: Path, files: dict, fmt: str) -> list[Path]:
 
 
 def _run_rwa_validity(cfg):
+    """Each pulse at a 1 Hz carrier: its duration (cycles / carrier) and its
+    drive both scale with the carrier, so the output depends on the cycle
+    count alone."""
     p = cfg.params
-    w = 2.0 * np.pi * p["carrier_hz"]
+    w = 2.0 * np.pi
     rows = []
     for c in p["cycles"]:
-        spec = pulses.PulseSpec(p["envelope"], p["theta"], c / p["carrier_hz"], w, w, 0.3)
+        spec = pulses.PulseSpec(p["envelope"], p["theta"], float(c), w, w, 0.3)
         u = pulses.integrate_pulse(spec, tol=p["integration_tol"])
         rwa = pulses.rwa_unitary(spec)
         rows.append((c, pulses.unitary_fidelity(u, rwa), pulses.matrix_infidelity(u.matrix, rwa.matrix)))
@@ -509,8 +511,14 @@ def _run_table1_scaling(cfg):
 
 
 def _point_spec(pt):
-    """The `ProtocolSpec` of one ``points`` entry."""
-    return protocols.ProtocolSpec(pt["kind"], pt["n"], pt["n_delay"], 0.0, pt["theta"])
+    """The `ProtocolSpec` of one ``points`` entry, whose truth must lie inside
+    the fit window, |chi dphi| < pi / 4: beyond it the fits find its mirror
+    pi / (2 chi) - dphi or stop at the window edge."""
+    spec = protocols.ProtocolSpec(pt["kind"], pt["n"], pt["n_delay"], 0.0, pt["theta"])
+    window = estimation.window_half_width(spec.enhancement)
+    if abs(pt["dphi"]) >= window:
+        raise ValueError(f"dphi {pt['dphi']!r} lies beyond the fit window +-pi / (4 chi) = +-{window:.6g}")
+    return spec
 
 
 def _run_crlb_saturation(cfg):

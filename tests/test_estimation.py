@@ -295,20 +295,10 @@ def test_fixed_theta_fit_matches_bounded_brent(kind, n, nd):
     assert worst <= 1e-6
 
 
-def _brentq_fit(record, model, dphi0=0.0):
-    """Oracle: the scalar fixed-theta fit, (dphi_hat, converged).
-
-    It scans the window's 65-point grid record by record, brackets the score
-    root with `_falling_bracket` beside the best grid point, keeps the half
-    of a two-interval bracket where the score at that point changes sign,
-    and solves it with brentq on the scalar score of
-    `log_likelihood_and_grad`.  A grid point where an observed outcome's
-    probability is clipped, and not across the whole grid, is a pole of the
-    score: +inf just above it and -inf just below it.
-    """
-    chi = model.spec.enhancement
-    window = np.pi / (4.0 * chi)
-    grid = np.linspace(dphi0 - window, dphi0 + window, 65)
+def _grid_scores(record, model, grid):
+    """(up, down, ll) of ``record`` on ``grid`` from scalar numpy sums: the
+    score as seen just above and just below each point, and the
+    log-likelihood."""
     p, dp = model.evaluate(grid)
     ll = score = 0.0
     pole = np.zeros(grid.size, dtype=bool)
@@ -318,14 +308,46 @@ def _brentq_fit(record, model, dphi0=0.0):
         score = score + (dp[:, arm] / pc) @ counts
         node = (pc == 1e-12) & ~np.all(pc == 1e-12, axis=0)
         pole |= np.any(node & (counts > 0), axis=1)
-    up, down = np.where(pole, np.inf, score), np.where(pole, -np.inf, score)
+    return np.where(pole, np.inf, score), np.where(pole, -np.inf, score), ll
+
+
+def _scalar_bracket(up, down, k):
+    """The scalar bracket rule: grid indices (a, b) beside the best grid
+    point k where the score falls through zero, or None.
+
+    ``up`` and ``down`` are the grid scores as seen just above and just
+    below each point.  The two grid neighbours of k come first, then (k,
+    k + 1), then (k - 1, k); a bracket of the two neighbours keeps the half
+    where the score at k changes sign.
+    """
+    a, b = max(k - 1, 0), min(k + 1, len(up) - 1)
+    for lo, hi in ((a, b), (k, b), (a, k)):
+        if np.sign(up[lo]) > np.sign(down[hi]):
+            if hi - lo == 2:
+                return (lo, k) if np.sign(up[lo]) > np.sign(down[k]) else (k, hi)
+            return lo, hi
+    return None
+
+
+def _brentq_fit(record, model, dphi0=0.0):
+    """Oracle: the scalar fixed-theta fit, (dphi_hat, converged).
+
+    It scans the window's 65-point grid record by record, brackets the score
+    root with `_scalar_bracket` beside the best grid point, and solves it
+    with brentq on the scalar score of `log_likelihood_and_grad`.  A grid
+    point where an observed outcome's probability is clipped, and not across
+    the whole grid, is a pole of the score: +inf just above it and -inf
+    just below it.
+    """
+    chi = model.spec.enhancement
+    window = np.pi / (4.0 * chi)
+    grid = np.linspace(dphi0 - window, dphi0 + window, 65)
+    up, down, ll = _grid_scores(record, model, grid)
     k = int(np.argmax(ll))
-    bracket = estimation._falling_bracket(up, down, k)
+    bracket = _scalar_bracket(up, down, k)
     if bracket is None:
         return float(grid[k]), False
     a, b = bracket
-    if b - a == 2:
-        a, b = (a, k) if np.sign(up[a]) > np.sign(down[k]) else (k, b)
     known = {float(grid[a]): up[a], float(grid[b]): down[b]}
 
     def dphi_score(x):
@@ -455,10 +477,16 @@ def test_fixed_theta_fit_brackets_beside_the_best_grid_point():
     assert log_likelihood_and_grad(rec, model, est.dphi_hat)[0] >= max(ll)
 
 
+def _selection(up, down, best):
+    """`estimation._brackets` of the rows as a list of (lo, hi) or None."""
+    lo, hi, found = estimation._brackets(up, down, best)
+    return [(l, h) if f else None for l, h, f in zip(lo.tolist(), hi.tolist(), found.tolist())]
+
+
 @pytest.mark.parametrize(
     "score,bracket",
     [
-        ([3.0, 1.0, -2.0], (0, 2)),  # the neighbours bracket the root
+        ([3.0, 1.0, -2.0], (1, 2)),  # the neighbours bracket the root, which lies right of k
         ([-1.0, 2.0, -3.0], (1, 2)),  # the root lies right of k
         ([1.0, -2.0, 3.0], (0, 1)),  # the root lies left of k
         ([1.0, 2.0, 3.0], None),  # rising throughout: the maximum is beyond the window
@@ -466,7 +494,41 @@ def test_fixed_theta_fit_brackets_beside_the_best_grid_point():
     ],
 )
 def test_falling_bracket_picks_the_maximum_side(score, bracket):
-    assert estimation._falling_bracket(np.array(score), np.array(score), 1) == bracket
+    score = np.array([score])
+    assert _selection(score, score, np.array([1])) == [bracket]
+
+
+def _random_score_rows(rng, rows, points=65):
+    """(up, down, best) of ``rows`` random grid score rows: scores of either
+    sign or exactly zero, poles (+inf just above, -inf just below) at about
+    one point in six, and the best point anywhere, on either grid end in
+    one row of four."""
+    score = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=(rows, points))
+    pole = rng.random((rows, points)) < 1.0 / 6.0
+    best = rng.integers(0, points, rows)
+    ends = rng.random(rows) < 0.25
+    best[ends] = rng.choice([0, points - 1], np.count_nonzero(ends))
+    return np.where(pole, np.inf, score), np.where(pole, -np.inf, score), best
+
+
+def test_the_array_selection_is_the_scalar_rule():
+    up, down, best = _random_score_rows(np.random.default_rng(42), 20_000)
+    expected = [_scalar_bracket(u, d, k) for u, d, k in zip(up, down, best.tolist())]
+    assert _selection(up, down, best) == expected
+    # the rows hold every case the rule tells apart
+    found = [(r, b) for r, b in enumerate(expected) if b is not None]
+    assert len(found) < len(expected)
+    assert any(up[r, lo] == 0.0 or down[r, hi] == 0.0 for r, (lo, hi) in found)
+    assert any(up[r, lo] == np.inf for r, (lo, _) in found)
+    assert any(down[r, hi] == -np.inf for r, (_, hi) in found)
+    assert {0, 64} <= {int(best[r]) for r, _ in found}
+    for model, dphi0, m, rows in _oracle_batches():
+        window = np.pi / (4.0 * model.spec.enhancement)
+        grid = np.linspace(dphi0 - window, dphi0 + window, 65)
+        up, down, ll = zip(*(_grid_scores(MeasurementRecord(m, r[:2], r[2:]), model, grid) for r in rows))
+        best = np.argmax(ll, axis=1)
+        expected = [_scalar_bracket(u, d, k) for u, d, k in zip(up, down, best.tolist())]
+        assert _selection(np.array(up), np.array(down), best) == expected
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0], ids=["node below", "node above"])
@@ -1186,7 +1248,7 @@ def test_lockstep_locks_equal_lone_locks(monkeypatch):
 @pytest.mark.parametrize("chi", [2.0, 62.0, 14.0 * 4**5])
 def test_a_fit_pins_within_0_98_of_its_window(chi):
     window = np.pi / (4.0 * chi)
-    assert estimation._window(chi) == window
+    assert estimation.window_half_width(chi) == window
     edge = 0.98 * window
     estimates = np.array([-window, -edge, edge, np.nextafter(edge, 0.0), -np.nextafter(edge, 0.0), 0.0])
     assert estimation._pinned(estimates, chi).tolist() == [True, True, True, False, False, False]

@@ -449,11 +449,11 @@ def test_cli_numeric_failure_exit_code(tmp_path):
 
 
 def test_study_without_a_converged_fit_exits_3(tmp_path):
-    # chi dphi = 0.9 lies beyond the fit window's pi / 4, and arm 2 tells
-    # the truth from its mirror inside the window, so every fit stops
-    # unconverged at the window edge; its variance and ratio would describe
-    # the edge, not the estimator
-    point = {"kind": "1A", "n": 7, "dphi": 0.9 / 8, "theta": 0.9}
+    # one shot per arm: at quadrature arm 1's likelihood is monotone across
+    # the window and arm 2 is certain, so every fit stops unconverged at the
+    # window edge; its variance and ratio would describe the edge, not the
+    # estimator
+    point = {"kind": "1B", "n": 10, "dphi": 0.02, "m_shots": 1}
     cfg = _config(tmp_path, "crlb_saturation", {"points": [point], "n_seeds": 20})
     with pytest.raises(DegenerateFitError, match="none of the 20 fits"):
         run_scenario(cfg, tmp_path / "direct")
@@ -844,6 +844,14 @@ def test_bad_entries_rejected_before_fitting(tmp_path, no_fits, kind, params, na
 #: inputs: protocol specs, Raman pulses, a lock config or a pulse budget.
 _BUILD_FAULTS = {
     "odd 1B point": ("crlb_saturation", {"points": [_POINT, {**_POINT, "n": 11}]}, "points entry 1: .*even"),
+    # chi dphi = 0.9 lies beyond the fit window's pi / 4: the fits would
+    # converge on the mirror pi / (2 chi) - dphi and the ratio describe it
+    "truth beyond the fit window": (
+        "crlb_saturation", {"points": [_POINT, {**_POINT, "dphi": 0.09}]}, "points entry 1: dphi 0.09 lies beyond"
+    ),
+    "truth below the fit window": (
+        "crlb_saturation", {"points": [{**_POINT, "dphi": -0.09}]}, "points entry 0: dphi -0.09 lies beyond"
+    ),
     "odd 2B reduced pair": (
         "table1_scaling",
         {"scans": [_VALID_SCAN, {"kind": "2B", "n_values": [8, 16, 31], "n_delay_values": [4, 8, 16]}]},
@@ -979,6 +987,9 @@ _BAD_VALUES = {
         {"points": [_POINT, {**_POINT, "seed_offset": 7}]},
         "points entry 1: unknown keys seed_offset",
     ),
+    # the key was removed: the pulse's duration and its drive both scale
+    # with the carrier, so the output depends on the cycle count alone
+    "carrier_hz 7.3": ("rwa_validity", {"carrier_hz": 7.3}, "unknown keys carrier_hz"),
     # kinds that take no n_seeds: any value is an unknown key
     "table1 n_seeds 100001": ("table1_scaling", {"n_seeds": 100_001}, "n_seeds"),
     "resolution n_seeds 100001": ("resolution_extrapolation", {"n_seeds": 100_001}, "n_seeds"),
