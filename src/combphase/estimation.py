@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, SingularInformationError, WrapAmbiguityError
 from .protocols import (
-    ProtocolSpec, RamseyOutcomeModel, ramsey_model, ramsey_probabilities, train_unitary_with_grad,
+    MAX_PULSES, ProtocolSpec, RamseyOutcomeModel, ramsey_model, ramsey_probabilities, train_unitary_with_grad,
 )
 
 _PCLIP = 1e-12  # probability floor used inside likelihoods only
@@ -50,8 +50,6 @@ _REFERENCE_GRID = 64
 #: points of each nested grid of `_refine_argmax`, and how many grids it nests
 _REFINE_POINTS = 65
 _REFINE_ROUNDS = 4
-#: longest train the lock grows to
-_N_MAX = 1 << 20
 #: the lock keeps chi * (residual bound) below this fraction of pi
 _SAFETY_FRACTION = 0.25
 
@@ -339,16 +337,16 @@ def ml_estimate(
     Fits are memoised on the model, keyed by the initial dphi, ``m_shots``
     and both arms' counts; `_prefill` fills the memo in batches, for a
     study or for one train length and step of a run's locks.  A stored fit
-    is returned as stored, and a read writes nothing, so every read of a
-    record gives the same result.  The wrap and phase-information checks
-    run before the lookup, and a fit that raises stores nothing, so errors
-    repeat as well.
+    is returned as stored, without the wrap and phase-information checks:
+    `_fit_records` made it after passing them for the same model, initial
+    dphi and ``m_shots``.  A read writes nothing, so every read of a record
+    gives the same result, and a fit that raises stores nothing, so its
+    error repeats on every call.
     """
     if not fix_theta:
         raise ValueError("the joint (theta, dphi) fit has been removed; theta is always fixed")
     _check_theta(model, init[0])
     dphi0 = float(init[1])
-    _fit_window(model, dphi0, record.m_shots)
     counts = _row(record)
     key = _memo_key(dphi0, record.m_shots, counts)
     result = model.cache.get(key)
@@ -753,7 +751,7 @@ class RefineTrace:
 def iterative_refine(
     true_dphi: float,
     config: RefineConfig = RefineConfig(),
-    models: dict[ProtocolSpec, RamseyOutcomeModel] | None = None,
+    models: dict[int, RamseyOutcomeModel] | None = None,
 ) -> RefineTrace:
     """Lock a simulated comb: estimate, feed back, grow the train, repeat.
 
@@ -769,7 +767,7 @@ def iterative_refine(
 
     The control flow is `_lock`'s; this call answers each of its stages
     with one `sample_record` and one `ml_estimate`.  ``models`` maps each
-    stage's `ProtocolSpec` to its outcome model; missing models are built
+    stage's train length N to its 1B outcome model; missing models are built
     and added, and with ``None`` the lock keeps a dict of its own.  Locks
     sharing a dict share one model per train length, with its fringe grid,
     fit memo and kept records, which `refine_study` fills beforehand so
@@ -798,7 +796,8 @@ def _lock(true_dphi: float, config: RefineConfig, models: dict):
     returns the `RefineTrace`, or raises WrapAmbiguityError for a truth
     beyond the prior bound or a second pinned fit.  The lock's own call
     (`iterative_refine`) and the lockstep of a run's locks
-    (`_prefit_locks`) answer the requests.
+    (`_prefit_locks`) answer the requests.  ``models`` maps each train
+    length N to its model, and a spec and model are built for a new N only.
     """
     if abs(true_dphi) > config.prior_bound * 1.001:
         raise WrapAmbiguityError("true offset exceeds the assumed prior bound")
@@ -807,13 +806,13 @@ def _lock(true_dphi: float, config: RefineConfig, models: dict):
     n = _safe_train_length(config.prior_bound)
     backoffs = nonconverged = 0
     while len(stages) < config.max_stages:
-        spec = ProtocolSpec("1B", n, 0, np.pi / 2.0, np.pi / 2.0)
-        if spec not in models:
-            models[spec] = ramsey_model(spec)
+        model = models.get(n)
+        if model is None:
+            model = models[n] = ramsey_model(ProtocolSpec("1B", n, 0, np.pi / 2.0, np.pi / 2.0))
         # the seed counts fits, back-offs included: each attempt draws afresh
-        est = yield models[spec], residual, config.m_shots, config.seed + 7919 * (len(stages) + backoffs)
+        est = yield model, residual, config.m_shots, config.seed + 7919 * (len(stages) + backoffs)
         nonconverged += not est.converged
-        if _pinned(est.dphi_hat, spec.enhancement):
+        if _pinned(est.dphi_hat, model.spec.enhancement):
             if backoffs:
                 raise WrapAmbiguityError(
                     f"estimate pinned to the fringe edge twice at N={n}"
@@ -842,11 +841,12 @@ def _lock(true_dphi: float, config: RefineConfig, models: dict):
 
 def _prefit_locks(locks, models: dict) -> None:
     """Draw and fit the records of several locks (true dphi, `RefineConfig`)
-    in lockstep into ``models``, the dict their `iterative_refine` calls
-    will share (`refine_study`).  One `_lock` per lock runs here; at each
-    step their requests are grouped by model and shot count, and one
-    `_prefill` per group draws, keeps and fits the group's records, so a
-    run's model evaluations and draws grow with its stages, not its locks.
+    in lockstep into ``models``, the dict of models by train length their
+    `iterative_refine` calls will share (`refine_study`).  One `_lock` per
+    lock runs here; at each step their requests are grouped by model and
+    shot count, and one `_prefill` per group draws, keeps and fits the
+    group's records, so a run's model evaluations and draws grow with its
+    stages, not its locks.
     A kept record is the one its key draws, and a memo entry is the fit of
     its key, whoever stores them.
 
@@ -903,9 +903,8 @@ def refine_study(config: RefineConfig, truth_bound: float, seed: int, n_locks: i
 
 
 def _safe_train_length(bound: float) -> int:
-    """Longest even train, at most `_N_MAX`, whose fringe keeps ``bound`` unambiguous."""
-    if bound <= 0:
-        return _N_MAX
+    """Longest even train, at most `protocols.MAX_PULSES`, whose fringe keeps
+    ``bound`` in (0, inf] unambiguous; an infinite bound gives N = 2."""
     n = int(_SAFETY_FRACTION * np.pi / bound)
     n = max(n - (n % 2), 2)  # even for the 1B closed form
-    return min(n, _N_MAX)
+    return min(n, MAX_PULSES)

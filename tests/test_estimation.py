@@ -855,7 +855,8 @@ def test_memoised_fits_do_not_collide():
 
 
 def test_a_record_that_raises_keeps_raising(monkeypatch):
-    # the wrap and phase-information checks come before the memo lookup
+    # errors repeat because a fit that raises, whether at the wrap or
+    # phase-information checks or at its bound, stores nothing
     model = _model(n=1000)
     rec = sample_record(model, np.pi / 2, 0.0, 100, seed=0)
     ml_estimate(rec, model, (np.pi / 2, 0.0))
@@ -867,7 +868,7 @@ def test_a_record_that_raises_keeps_raising(monkeypatch):
     for _ in range(2):
         with pytest.raises(DegenerateFitError):
             ml_estimate(rec, blind, (0.0, 0.0))
-    # a fit that raises after the lookup, at its bound, stores nothing
+    # a fit that raises at its bound stores nothing either
     model = _model(n=100)
     rec = sample_record(model, np.pi / 2, 0.002, 1000, seed=0)
     information = estimation._information
@@ -883,6 +884,24 @@ def test_a_record_that_raises_keeps_raising(monkeypatch):
             with pytest.raises(SingularInformationError):
                 ml_estimate(rec, model, (np.pi / 2, 0.0))
     assert ml_estimate(rec, model, (np.pi / 2, 0.0)).n_evaluations > 0
+
+
+def test_a_stored_fit_is_read_without_the_window_checks(monkeypatch):
+    # the fit that stored the result passed them for the same key
+    windows = []
+    fit_window = estimation._fit_window
+
+    def spy(model, dphi0, m_shots):
+        windows.append(dphi0)
+        return fit_window(model, dphi0, m_shots)
+
+    monkeypatch.setattr(estimation, "_fit_window", spy)
+    model = _model(n=100)
+    rec = sample_record(model, np.pi / 2, 0.002, 1000, seed=0)
+    first = ml_estimate(rec, model, (np.pi / 2, 0.0))
+    assert windows == [0.0]
+    assert ml_estimate(rec, model, (np.pi / 2, 0.0)) is first
+    assert windows == [0.0]
 
 
 @pytest.mark.parametrize(
@@ -1173,10 +1192,29 @@ def test_shared_models_leave_every_lock_unchanged(monkeypatch):
     shared = [iterative_refine(true, config, models) for true, config in locks]
     assert shared == alone
     assert any(t.backoffs for t in shared)
-    # one model per distinct spec fitted, each with one fringe grid
-    assert {model.spec for model, _, _ in fits} == set(models)
-    assert all(model is models[model.spec] for model, _, _ in fits)
+    # one model per distinct train length fitted, keyed by that length,
+    # each with one fringe grid
+    assert {model.spec.n_pulses for model, _, _ in fits} == set(models)
+    assert all(model is models[model.spec.n_pulses] for model, _, _ in fits)
     assert all(sum(key[0] == "grid" for key in m.cache) == 1 for m in models.values())
+
+
+def test_a_lock_run_builds_one_spec_per_train_length(monkeypatch):
+    """Both passes of a lock run find each stage's model by its train length:
+    a `ProtocolSpec` is built once per distinct N, not once per stage."""
+    lengths = []
+    spec = estimation.ProtocolSpec
+
+    def spy(kind, n_pulses, *args):
+        lengths.append(n_pulses)
+        return spec(kind, n_pulses, *args)
+
+    monkeypatch.setattr(estimation, "ProtocolSpec", spy)
+    locks = [_fiber_lock(i) for i in range(20)]
+    outcomes, models = _lockstep_locks(locks)
+    assert sum(len(t.stages) + t.backoffs for t in outcomes) > len(models)
+    assert sorted(lengths) == sorted(models) == sorted(set(lengths))
+    assert all(m.spec.n_pulses == n for n, m in models.items())
 
 
 def _lone_locks(locks):

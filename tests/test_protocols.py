@@ -57,6 +57,8 @@ def test_protocol_spec_validation():
         ({"reference_phase": np.inf}, "reference_phase"),
         ({"n_delay": False}, "n_delay"),
         ({"theta": np.True_}, "theta"),
+        # past 2**20 pulses the train power's phase k alpha drifts by about k eps
+        ({"n_pulses": 2**20 + 2}, "n_pulses"),
     ],
 )
 def test_protocol_spec_rejects_bad_field_types(fields, name):

@@ -1012,6 +1012,11 @@ _BAD_VALUES = {
     # resolution_extrapolation takes no m_shots: any value is an unknown key
     "resolution m_shots 2**53+1": ("resolution_extrapolation", {"m_shots": 2**53 + 1}, "m_shots"),
     "refine m_shots 2**53+1": ("refine_fiber", {"m_shots": 2**53 + 1}, "m_shots"),
+    # past 2**20 pulses the train power's phase is no longer exact enough
+    "scan n_values 2**20+2": (
+        "table1_scaling", {"scans": [{"kind": "1B", "n_values": [2, 4, 2**20 + 2]}]}, "scans entry 0: n_pulses"
+    ),
+    "crlb point n 2**20+2": ("crlb_saturation", {"points": [{**_POINT, "n": 2**20 + 2}]}, "points entry 0: n_pulses"),
 }
 
 
