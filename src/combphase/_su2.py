@@ -4,7 +4,7 @@ Everything here is plain numpy; the point is to keep the hot paths of the
 protocol/estimation code free of scipy.linalg.expm calls, which dominate
 runtime for long pulse trains.  The one propagator of pulses and Raman
 pulses (step count, Magnus step, ordered product, step doubling) is here,
-and its one accuracy parameter is ``tol`` (see `refine_until_stable`).  Its
+and its accuracy is fixed (`PROPAGATOR_TOL`, see `refine_until_stable`).  Its
 step is the three-node Gauss 6th-order Magnus step of Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 151 (2009), section 5 (see `magnus_generators`).  It
 works on whole arrays, never one step at a time: `magnus_generators` yields
@@ -61,6 +61,8 @@ MAGNUS_BLOCK = 2048
 STEPS_PER_PERIOD = 8
 #: doublings before `refine_until_stable` gives up: at most 512 steps per period
 MAX_DOUBLINGS = 6
+#: Richardson error bound (Frobenius norm) of `integrate_pulse` and `integrate_lambda`
+PROPAGATOR_TOL = 1e-8
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -347,14 +349,12 @@ def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def ordered_product(blocks) -> np.ndarray:
     """Time-ordered product of stacked factors, later factors to the left.
 
-    ``blocks`` is one (S, ..., d, d) array of factors in time order, or an
-    iterable of such arrays, block after block.  Each block is reduced
-    pairwise, as a tree of batched products of depth log2(S) (Blelloch,
-    CMU-CS-90-190 (1990)), and the block products are then multiplied in
-    order.  The result has shape (..., d, d).
+    ``blocks`` is an iterable of (S, ..., d, d) arrays of factors in time
+    order, block after block.  Each block is reduced pairwise, as a tree of
+    batched products of depth log2(S) (Blelloch, CMU-CS-90-190 (1990)), and
+    the block products are then multiplied in order.  The result has shape
+    (..., d, d).
     """
-    if isinstance(blocks, np.ndarray):
-        blocks = (blocks,)
     u = None
     for f in blocks:
         if len(f) == 0:

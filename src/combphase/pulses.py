@@ -24,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._su2 import (
-    expm_herm, magnus_generators, ordered_product, refine_until_stable, step_count, su2_matrix,
-    unitarity_defect,
+    PROPAGATOR_TOL, expm_herm, magnus_generators, ordered_product, refine_until_stable, step_count,
+    su2_matrix, unitarity_defect,
 )
 from .errors import UndefinedPhaseError
 
 
+_UNITARITY_TOL = 1e-10  # the largest unitarity_defect a Unitary accepts
 #: width of the truncated gaussian envelope, as a fraction of the duration
 _GAUSSIAN_STD_FRACTION = 1.0 / 8.0
 
@@ -101,17 +102,16 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class Unitary:
-    """A 2x2 or 3x3 unitary matrix (checked on construction)."""
+    """A 2x2 or 3x3 unitary matrix (its unitarity defect is checked against 1e-10)."""
 
     matrix: np.ndarray
-    tol: float = 1e-10
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 3):
             raise ValueError("expected a square 2x2 or 3x3 matrix")
         object.__setattr__(self, "matrix", m)
-        if unitarity_defect(m) > self.tol:
+        if unitarity_defect(m) > _UNITARITY_TOL:
             raise ValueError("matrix is not unitary within tolerance")
 
 
@@ -170,17 +170,17 @@ def _propagate_two_level(p: PulseSpec, phases, steps: int) -> np.ndarray:
     return ordered_product(expm_herm(g) for g in blocks)
 
 
-def integrate_pulse(p: PulseSpec, *, tol: float = 1e-8) -> Unitary:
+def integrate_pulse(p: PulseSpec) -> Unitary:
     """Propagator of the full semiclassical model, in the rotating frame.
 
     The step count starts at 8 per carrier cycle and is doubled until the
-    Richardson estimate of the error, in Frobenius norm, is within ``tol``;
-    failure to stabilize raises IntegrationError.
+    Richardson estimate of the error, in Frobenius norm, is within
+    `PROPAGATOR_TOL`; failure to stabilize raises IntegrationError.
     """
     u = refine_until_stable(
-        lambda steps: _propagate_two_level(p, p.ceo_phase, steps)[0], step_count(p.carrier_cycles), tol
+        lambda s: _propagate_two_level(p, p.ceo_phase, s)[0], step_count(p.carrier_cycles), PROPAGATOR_TOL
     )
-    return Unitary(u, tol=1e-8)
+    return Unitary(u)
 
 
 def unitary_fidelity(a: Unitary, b: Unitary) -> float:

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._su2 import expm_herm, magnus_generators, ordered_product, refine_until_stable, step_count
+from ._su2 import (
+    PROPAGATOR_TOL, expm_herm, magnus_generators, ordered_product, refine_until_stable, step_count,
+)
 from .errors import IntegrationError
 from .pulses import ENVELOPE_KINDS, Unitary, unit_envelope
 
-#: Richardson error bound of `integrate_lambda`'s propagator (Frobenius norm)
-LAMBDA_TOL = 1e-8
 #: Richardson error bound of `phase_map`'s stacked propagators (Frobenius norm)
 PHASE_MAP_TOL = 1e-6
 
@@ -93,12 +93,12 @@ def integrate_lambda(l: LambdaSpec) -> tuple[Unitary, float]:
     The population is quoted for an atom starting in |a>.  The step count
     starts at 8 per period of the laser carrier and is doubled until the
     Richardson estimate of the error, in Frobenius norm, is within
-    `LAMBDA_TOL`.
+    `PROPAGATOR_TOL`, as in `integrate_pulse`.
     """
     u = refine_until_stable(
-        lambda steps: _propagate(l, 0.0, steps)[0], step_count(l.carrier_cycles), LAMBDA_TOL
+        lambda steps: _propagate(l, 0.0, steps)[0], step_count(l.carrier_cycles), PROPAGATOR_TOL
     )
-    return Unitary(u, tol=1e-8), float(np.abs(u[2, 0]) ** 2)
+    return Unitary(u), float(np.abs(u[2, 0]) ** 2)
 
 
 @dataclass(frozen=True)

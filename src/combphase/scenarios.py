@@ -121,7 +121,6 @@ PARAMS = {
         ),
         "theta": Key(np.pi / 4, *_NON_NEGATIVE),
         "envelope": Key("gaussian", *_one_of(pulses.ENVELOPE_KINDS)),
-        "integration_tol": Key(1e-8, *_POSITIVE),
     },
     # n_max >= 4 leaves room for a train of at least two pulses
     "closed_forms": {
@@ -384,13 +383,13 @@ def _write_files(out: Path, files: dict, fmt: str) -> list[Path]:
 def _run_rwa_validity(cfg):
     """Each pulse at a 1 Hz carrier: its duration (cycles / carrier) and its
     drive both scale with the carrier, so the output depends on the cycle
-    count alone."""
+    count alone.  Each is propagated to `integrate_pulse`'s fixed bound."""
     p = cfg.params
     w = 2.0 * np.pi
     rows = []
     for c in p["cycles"]:
         spec = pulses.PulseSpec(p["envelope"], p["theta"], float(c), w, w, 0.3)
-        u = pulses.integrate_pulse(spec, tol=p["integration_tol"])
+        u = pulses.integrate_pulse(spec)
         rwa = pulses.rwa_unitary(spec)
         rows.append((c, pulses.unitary_fidelity(u, rwa), pulses.matrix_infidelity(u.matrix, rwa.matrix)))
     return Run(

@@ -126,7 +126,7 @@ def test_criterion_02_closed_form_equivalence(capsys):
             train = PulseTrain(np.arange(n) * 1e-8, phases, np.full(n, np.pi / 2))
             if kind == "phase_ref":
                 closed = phase_reference_sequence(train).matrix
-                u = ordered_product(SIGMA_X @ rwa_matrix(np.full(n, np.pi / 2), phases))
+                u = ordered_product([SIGMA_X @ rwa_matrix(np.full(n, np.pi / 2), phases)])
             else:
                 u = compose_train(train).matrix
             worst = max(worst, matrix_infidelity(u, closed))

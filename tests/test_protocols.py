@@ -106,7 +106,7 @@ def test_compose_train_matches_brute_product_on_long_jittered_train():
     u = compose_train(train).matrix
     assert np.max(np.abs(u - _brute_product(train.phases, train.thetas[0]))) <= 1e-10
     # the top-row tree against the same tree on the 2x2 closed forms
-    assert np.max(np.abs(u - ordered_product(rwa_matrix(train.thetas, train.phases)))) <= 1e-12
+    assert np.max(np.abs(u - ordered_product([rwa_matrix(train.thetas, train.phases)]))) <= 1e-12
 
 
 def test_compose_train_rejects_an_empty_train():

@@ -4,7 +4,8 @@ A name exported by ``combphase`` must be named in a file other than its own
 module: another module of the package, a demo, the README, the acceptance
 suite or the benchmark.  A name that only its own unit tests call is code
 that no check of the paper reaches.  Likewise every defaulted parameter of
-an exported function or dataclass must be set by some call in those files.
+an exported function or dataclass must be set by some call in those files,
+and every scenario config key by some bundled, benchmark or CI config.
 """
 import ast
 import dataclasses
@@ -12,7 +13,10 @@ import inspect
 import re
 from pathlib import Path
 
+import yaml
+
 import combphase
+from combphase.scenarios import PARAMS
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "combphase"
@@ -98,6 +102,36 @@ def test_every_option_is_set_outside_the_tests():
             passed.update(k.arg for k in call.keywords)
         unset += [f"{name}({p.name}=)" for p in params if p.default is not p.empty and p.name not in passed]
     assert not unset, f"options that only tests set: {unset}"
+
+
+def _configs():
+    """(kind, params) of every bundled, benchmark and CI config.  CI writes
+    its configs with printf, from ``kind: <kind>\\nparams: {...}\\n`` strings."""
+    paths = [*(PACKAGE / "scenarios").glob("*.yaml"), *(REPO / "perfbench" / "configs").rglob("*.yaml")]
+    configs = [yaml.safe_load(path.read_text()) for path in paths]
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    configs += [
+        {"kind": kind, "params": yaml.safe_load(params)}
+        for kind, params in re.findall(r"kind: (\w+)\\nparams: (\{.*?\})\\n", ci)
+    ]
+    return [(c["kind"], c.get("params") or {}) for c in configs]
+
+
+def test_every_config_key_is_set_outside_the_tests():
+    # the option test above counts a runner that passes a key on, such as
+    # ``tol=p["key"]``, as a setter, whether or not any config sets the key
+    configs = _configs()
+    assert len(configs) > 30
+    unset = []
+    for kind, table in PARAMS.items():
+        params = [p for k, p in configs if k == kind]
+        for name, key in table.items():
+            if not any(name in p for p in params):
+                unset.append(f"{kind}.{name}")
+            for entry_key in key.entries or {}:
+                if not any(entry_key in e for p in params for e in p.get(name, [])):
+                    unset.append(f"{kind}.{name}.{entry_key}")
+    assert not unset, f"config keys that only tests set: {unset}"
 
 
 def _private(name: str) -> bool:

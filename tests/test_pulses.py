@@ -135,7 +135,7 @@ def test_integrate_pulse_raises_when_not_stabilizing(integrate, spec, monkeypatc
 
 
 def test_richardson_estimate_bounds_the_error():
-    # results at the default tol, 1e-8, against a fixed 400 steps per carrier cycle
+    # results at the fixed Richardson bound, 1e-8, against a fixed 400 steps per carrier cycle
     pulse = pulses._propagate_two_level(PULSE_10, PULSE_10.ceo_phase, 4000)[0]
     assert np.linalg.norm(integrate_pulse(PULSE_10).matrix - pulse) <= 1e-8
     lam = raman._propagate(LAMBDA, 0.0, int(np.ceil(400 * LAMBDA.carrier_cycles)))[0]
@@ -150,16 +150,6 @@ def test_overflowing_step_raises_without_a_warning():
             raman.integrate_lambda(huge)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [lambda: integrate_pulse(PULSE_10, 1e-8)],
-    ids=["integrate_pulse"],
-)
-def test_accuracy_arguments_are_keyword_only(call):
-    with pytest.raises(TypeError):
-        call()
-
-
 PULSE = PulseSpec("gaussian", np.pi / 3, 10.0, W, W)
 #: the shared Magnus integrator at d = 2 over CEO phases and at d = 3 over phi_2
 PROPAGATORS = {
@@ -169,7 +159,7 @@ PROPAGATORS = {
 
 
 #: the shared Magnus integrator at a given step count, the pulse's cycles and
-#: the same propagator at the integrator's default tol
+#: the same propagator at the integrator's fixed Richardson bound
 STEPPERS = {
     2: (
         lambda steps: pulses._propagate_two_level(PULSE, PULSE.ceo_phase, steps)[0],
@@ -196,7 +186,7 @@ def test_halving_the_step_divides_the_error_by_about_64(d):
 
 @pytest.mark.parametrize("d", sorted(STEPPERS))
 def test_richardson_estimate_tracks_the_sixth_order_error(d):
-    propagate, cycles, at_default_tol = STEPPERS[d]
+    propagate, cycles, at_fixed_bound = STEPPERS[d]
     reference = propagate(int(np.ceil(400 * cycles)))
     for steps in (step_count(cycles), 2 * step_count(cycles)):
         coarse, fine = propagate(steps), propagate(2 * steps)
@@ -206,7 +196,7 @@ def test_richardson_estimate_tracks_the_sixth_order_error(d):
         # refinement stops at the first doubling whose estimate is within tol
         assert np.array_equal(_su2.refine_until_stable(propagate, steps, 1.01 * estimate), fine)
         assert np.array_equal(_su2.refine_until_stable(propagate, steps, 0.99 * estimate), propagate(4 * steps))
-    assert np.linalg.norm(at_default_tol() - reference) <= 1e-8
+    assert np.linalg.norm(at_fixed_bound() - reference) <= 1e-8
 
 
 @pytest.mark.parametrize("d", sorted(PROPAGATORS))

@@ -436,12 +436,13 @@ def test_refine_locks_share_models_within_one_run_only(tmp_path, monkeypatch):
 
 
 def test_cli_numeric_failure_exit_code(tmp_path):
-    cfg = tmp_path / "impossible.yaml"
+    # a pulse area of 1e300 overflows the Magnus step
+    cfg = tmp_path / "overflow.yaml"
     cfg.write_text(yaml.safe_dump({
         "schema_version": 1,
-        "name": "impossible_tolerance",
+        "name": "overflowing_pulse",
         "kind": "rwa_validity",
-        "params": {"cycles": [5], "integration_tol": 1e-16},
+        "params": {"cycles": [5], "theta": 1.0e300},
     }))
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
@@ -962,7 +963,6 @@ _BAD_VALUES = {
     "grid_points 0": ("raman_three_level", {"grid_points": 0}, "grid_points"),
     "sizes [3]": ("permutation_optimality", {"sizes": [3]}, "sizes"),
     "envelope foo": ("rwa_validity", {"envelope": "foo"}, "envelope"),
-    "integration_tol x": ("rwa_validity", {"integration_tol": "x"}, "integration_tol"),
     "theta -1": ("rwa_validity", {"theta": -1}, "theta"),
     "lifetime_s 0": ("visibility_budget", {"lifetime_s": 0}, "lifetime_s"),
     "lifetime_s 10**400": ("visibility_budget", {"lifetime_s": 10**400}, "lifetime_s"),
@@ -990,6 +990,8 @@ _BAD_VALUES = {
     # the key was removed: the pulse's duration and its drive both scale
     # with the carrier, so the output depends on the cycle count alone
     "carrier_hz 7.3": ("rwa_validity", {"carrier_hz": 7.3}, "unknown keys carrier_hz"),
+    # the key was removed: every pulse is propagated to one fixed bound
+    "integration_tol 1e-8": ("rwa_validity", {"integration_tol": 1e-8}, "unknown keys integration_tol"),
     # kinds that take no n_seeds: any value is an unknown key
     "table1 n_seeds 100001": ("table1_scaling", {"n_seeds": 100_001}, "n_seeds"),
     "resolution n_seeds 100001": ("resolution_extrapolation", {"n_seeds": 100_001}, "n_seeds"),
@@ -1174,9 +1176,26 @@ def _keys(table, where=()):
             yield from _keys(key.entries, where + (name,))
 
 
+def _documented_rules():
+    """{(kind, param) or (param, entry key): rule cell} of the two params
+    tables of docs/formats.md, a blank first cell taking the one above."""
+    section = (REPO / "docs" / "formats.md").read_text().split("### Params")[1].split("\n#")[0]
+    rules, first = {}, None
+    for line in section.splitlines():
+        cells = [c.strip().strip("`") for c in line.split("|")[1:-1]]
+        if not line.startswith("|") or cells[1] in ("param", "entry key") or cells[1].startswith("-"):
+            continue
+        first = cells[0] or first
+        rules[first, cells[1]] = cells[3]
+    return rules
+
+
 def test_params_table_is_documented():
-    doc = (REPO / "docs" / "formats.md").read_text()
+    rules = _documented_rules()
+    rows = set()
     for kind, table in PARAMS.items():
         for path, key in _keys(table):
-            assert f"`{path[-1]}`" in doc, (kind, path)
-            assert key.wanted in doc, (kind, path, key.wanted)
+            row = (kind,) + path if len(path) == 1 else path
+            rows.add(row)
+            assert rules.get(row, "").startswith(key.wanted), (row, rules.get(row), key.wanted)
+    assert set(rules) == rows

@@ -227,7 +227,7 @@ def _random_unitaries(length, grid, d, seed):
 def test_ordered_product_matches_sequential_fold(d, length):
     factors = _random_unitaries(length, 4, d, seed=length)
     expected = _sequential_fold(factors)
-    assert np.allclose(ordered_product(factors), expected, rtol=0.0, atol=1e-12)
+    assert np.allclose(ordered_product([factors]), expected, rtol=0.0, atol=1e-12)
     step = MAGNUS_BLOCK // 4
     blocks = (factors[i : i + step] for i in range(0, length, step))
     assert np.allclose(ordered_product(blocks), expected, rtol=0.0, atol=1e-12)
@@ -235,7 +235,7 @@ def test_ordered_product_matches_sequential_fold(d, length):
 
 def test_ordered_product_rejects_empty_input():
     with pytest.raises(ValueError):
-        ordered_product(np.empty((0, 2, 2), dtype=complex))
+        ordered_product([np.empty((0, 2, 2), dtype=complex)])
     with pytest.raises(ValueError):
         ordered_product(iter(()))
 
@@ -356,7 +356,7 @@ def test_su2_ordered_product_matches_the_matrix_products(length):
     u = su2_matrix(su2_ordered_product(rows))
     assert u.shape == (4, 2, 2)
     factors = su2_matrix(rows)
-    assert np.allclose(u, ordered_product(factors), rtol=0.0, atol=1e-12)
+    assert np.allclose(u, ordered_product([factors]), rtol=0.0, atol=1e-12)
     assert np.allclose(u, _sequential_fold(factors), rtol=0.0, atol=1e-12)
 
 
