@@ -20,13 +20,13 @@ W = 2.0 * np.pi  # 1 Hz carrier in angular units; only the cycle count matters
 
 print(f"{'cycles':>8} {'fidelity':>14} {'infidelity':>12}")
 for cycles in (5, 10, 20, 30, 60):
-    pulse = PulseSpec("gaussian", np.pi / 4, cycles, W, W, ceo_phase=0.3)
+    pulse = PulseSpec(np.pi / 4, cycles, W, W, ceo_phase=0.3)
     u = integrate_pulse(pulse)
     f = unitary_fidelity(u, rwa_unitary(pulse))
     print(f"{cycles:8d} {f:14.9f} {1.0 - f:12.3e}")
 
 # The carrier-envelope phase is imprinted on the unitary and can be read
 # back (modulo pi, thanks to the full-angle conjugation convention):
-pulse = PulseSpec("gaussian", np.pi / 4, 30, W, W, ceo_phase=1.1)
+pulse = PulseSpec(np.pi / 4, 30, W, W, ceo_phase=1.1)
 u = integrate_pulse(pulse)
 print(f"\nprogrammed CEO phase: 1.100, recovered: {effective_phase(u):.4f} (mod pi)")

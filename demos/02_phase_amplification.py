@@ -37,7 +37,7 @@ print(f"accumulated z-phase = N dphi = {n * comb.phase_step:.4f} rad")
 
 # split/delay/interleave: each pair sees the phase jump N_d steps at once
 n_delay = 8
-paired = split_delay_interleave(generate_train(comb, 24), n_delay, n_pairs=8)
+paired = split_delay_interleave(generate_train(comb, 24), n_delay)
 u2 = compose_train(paired)
 v2 = closed_form_2b(comb.phase_step, len(paired), n_delay)
 print(f"\ndelayed train, {len(paired) // 2} pairs at N_d = {n_delay}:")

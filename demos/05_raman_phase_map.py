@@ -18,7 +18,7 @@ import numpy as np
 
 from combphase import LambdaSpec, integrate_lambda, phase_map, visibility_budget
 
-BASE = dict(rabi=12.0, duration=1.0, envelope_kind="cos2")
+BASE = dict(rabi=12.0, duration=1.0)
 TRANSITION = 2.0 * np.pi * 100.0  # excited-state energy [rad/s] (scaled model)
 
 for frac in (0.20, 0.02):

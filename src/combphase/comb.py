@@ -108,24 +108,20 @@ def generate_train(c: CombSpec, n_pulses: int, start_index: int = 0) -> PulseTra
     )
 
 
-def split_delay_interleave(t: PulseTrain, n_delay: int, n_pairs: int | None = None) -> PulseTrain:
+def split_delay_interleave(t: PulseTrain, n_delay: int) -> PulseTrain:
     """Split the train, delay the early half by n_delay periods, interleave.
 
     Pair k consists of the delayed copy of pulse k (arriving first) and the
     undelayed pulse k + n_delay, separated by `INTRA_PAIR_GAP`.  Each source
-    pulse is used exactly once, which caps the number of pairs at n_delay.
+    pulse is used at most once, so a train of N pulses gives
+    min(N - n_delay, n_delay) pairs.
     """
     if n_delay < 1:
         raise ValueError("n_delay must be >= 1")
     n = len(t)
-    if n_pairs is None:
-        n_pairs = min(n - n_delay, n_delay)
+    n_pairs = min(n - n_delay, n_delay)
     if n_pairs < 1:
         raise ValueError("train too short for the requested delay")
-    if n_pairs > n_delay:
-        raise ValueError("more pairs than the delay allows without reusing pulses")
-    if n_pairs + n_delay > n:
-        raise ValueError("train too short to pair each kept pulse")
     if t.pulse_duration is not None and INTRA_PAIR_GAP < t.pulse_duration:
         raise OverlapError(
             f"intra-pair gap {INTRA_PAIR_GAP} shorter than the pulse duration"
@@ -161,7 +157,6 @@ def apply_phase_jitter(t: PulseTrain, model: JitterSpec, seed: int) -> PulseTrai
 def fiber_comb_preset() -> CombSpec:
     """A 100 MHz fiber comb with a 200 kHz-class offset and 10 ps pulses."""
     template = PulseSpec(
-        envelope_kind="gaussian",
         theta=np.pi / 2,
         tau=10e-12,
         carrier_freq=FIBER_CARRIER_FREQ,

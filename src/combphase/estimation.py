@@ -52,6 +52,8 @@ _REFINE_POINTS = 65
 _REFINE_ROUNDS = 4
 #: the lock keeps chi * (residual bound) below this fraction of pi
 _SAFETY_FRACTION = 0.25
+#: factor by which the lock grows its train from one stage to the next
+_GROWTH = 4
 
 
 @dataclass(frozen=True)
@@ -710,14 +712,16 @@ def offset_resolution(rep_rate: float, n: int, n_delay: int = 1) -> float:
 
 @dataclass(frozen=True)
 class RefineConfig:
+    """One lock's shots per stage, stage bound, prior bound and seed; every
+    lock grows its train by the same factor, `_GROWTH` = 4."""
+
     m_shots: int = 10000
-    growth: int = 4
     max_stages: int = 6
     prior_bound: float = 0.02  # |dphi| known a priori [rad]
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("m_shots", 1), ("growth", 2), ("max_stages", 1), ("seed", 0)):
+        for name, least in (("m_shots", 1), ("max_stages", 1), ("seed", 0)):
             value = getattr(self, name)
             if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -756,14 +760,14 @@ def iterative_refine(
     """Lock a simulated comb: estimate, feed back, grow the train, repeat.
 
     Each stage runs protocol 1B at quadrature reference phase.  The next
-    train grows by ``growth``, capped so that five CRLB standard deviations
-    of the stage's estimate, the residual bound the controller can know,
-    stay inside the unambiguous fringe.  A fit that pins to its window edge
-    is treated as a wrap: the stage backs off once to N // growth, rounded
-    down to an even length, and aborts with WrapAmbiguityError if it happens
-    again.  ``RefineTrace.backoffs`` counts the back-offs and
-    ``RefineTrace.nonconverged`` the fits, back-offs included, that returned
-    ``converged=False``.
+    train grows by a factor of 4 (`_GROWTH`), capped so that five CRLB
+    standard deviations of the stage's estimate, the residual bound the
+    controller can know, stay inside the unambiguous fringe.  A fit that
+    pins to its window edge is treated as a wrap: the stage backs off once
+    to N // 4, rounded down to an even length, and aborts with
+    WrapAmbiguityError if it happens again.  ``RefineTrace.backoffs`` counts
+    the back-offs and ``RefineTrace.nonconverged`` the fits, back-offs
+    included, that returned ``converged=False``.
 
     The control flow is `_lock`'s; this call answers each of its stages
     with one `sample_record` and one `ml_estimate`.  ``models`` maps each
@@ -818,13 +822,13 @@ def _lock(true_dphi: float, config: RefineConfig, models: dict):
                     f"estimate pinned to the fringe edge twice at N={n}"
                 )
             backoffs += 1
-            n = max(n // config.growth, 2)
+            n = max(n // _GROWTH, 2)
             n -= n % 2
             continue
         residual -= est.dphi_hat
         crlb_sigma = float(np.sqrt(est.bound))
         stages.append(RefineStage(n, est.dphi_hat, residual, crlb_sigma))
-        n_next = min(n * config.growth, _safe_train_length(5.0 * crlb_sigma))
+        n_next = min(n * _GROWTH, _safe_train_length(5.0 * crlb_sigma))
         n_next -= n_next % 2
         if n_next <= n:
             break

@@ -1,6 +1,6 @@
 """Single-pulse two-level physics.
 
-A laser pulse is described by its envelope shape, integrated area (Rabi
+A laser pulse is described by its gaussian envelope's integrated area (Rabi
 angle), duration, carrier frequency and carrier-envelope offset (CEO)
 phase.  On resonance and for long enough pulses the propagator has the
 closed form
@@ -40,33 +40,15 @@ def _gaussian_area(tau: float) -> float:
     return std * np.sqrt(2.0 * np.pi) * math.erf(half / (std * np.sqrt(2.0)))
 
 
-#: unit-peak envelope shapes on [-tau/2, tau/2] and their areas, per kind
-_ENVELOPES = {
-    "gaussian": (
-        lambda t, tau: np.exp(-0.5 * (t / (tau * _GAUSSIAN_STD_FRACTION)) ** 2), _gaussian_area
-    ),
-    "cos2": (lambda t, tau: np.cos(np.pi * t / tau) ** 2, lambda tau: tau / 2.0),
-    "rect": (lambda t, tau: np.ones_like(t), lambda tau: tau),
-}
-ENVELOPE_KINDS = tuple(_ENVELOPES)
-
-
-def unit_envelope(kind: str, t, tau: float):
-    """Unit-peak envelope at times t, zero outside [-tau/2, tau/2], and its area."""
-    t = np.asarray(t, dtype=float)
-    shape, area = _ENVELOPES[kind]
-    return np.where(np.abs(t) <= tau / 2.0, shape(t, tau), 0.0), area(tau)
-
-
 @dataclass(frozen=True)
 class PulseSpec:
-    """One laser pulse: envelope shape, area, duration, frequencies, phase.
+    """One laser pulse: area, duration, frequencies, phase.
 
-    The envelope s(t) is supported on [-tau/2, tau/2], is nonnegative and is
-    normalized so that its integral equals the Rabi angle ``theta``.
+    The envelope s(t) is a truncated gaussian of standard deviation tau / 8,
+    supported on [-tau/2, tau/2] and normalized so that its integral equals
+    the Rabi angle ``theta``.  Every input must be finite.
     """
 
-    envelope_kind: str = "gaussian"
     theta: float = np.pi / 4
     tau: float = 30.0 * 2.0 * np.pi
     carrier_freq: float = 1.0  # rad/s
@@ -74,16 +56,16 @@ class PulseSpec:
     ceo_phase: float = 0.0
 
     def __post_init__(self):
-        if self.envelope_kind not in ENVELOPE_KINDS:
-            raise ValueError(f"unknown envelope kind {self.envelope_kind!r}")
-        if not np.isfinite(self.theta) or self.theta < 0:
-            raise ValueError("theta must be finite and >= 0")
+        for name in ("theta", "tau", "carrier_freq", "atom_freq", "ceo_phase"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.theta < 0:
+            raise ValueError("theta must be >= 0")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.carrier_freq <= 0:
             raise ValueError("carrier_freq must be positive")
-        if not np.isfinite(self.ceo_phase):
-            raise ValueError("ceo_phase must be finite")
 
     @property
     def detuning(self) -> float:
@@ -96,8 +78,9 @@ class PulseSpec:
 
     def envelope(self, t):
         """Evaluate s(t); vectorized, zero outside [-tau/2, tau/2]."""
-        shape, area = unit_envelope(self.envelope_kind, t, self.tau)
-        return self.theta * shape / area
+        t = np.asarray(t, dtype=float)
+        shape = np.exp(-0.5 * (t / (self.tau * _GAUSSIAN_STD_FRACTION)) ** 2)
+        return self.theta * np.where(np.abs(t) <= self.tau / 2.0, shape, 0.0) / _gaussian_area(self.tau)
 
 
 @dataclass(frozen=True)

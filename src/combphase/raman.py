@@ -19,7 +19,7 @@ from ._su2 import (
     PROPAGATOR_TOL, expm_herm, magnus_generators, ordered_product, refine_until_stable, step_count,
 )
 from .errors import IntegrationError
-from .pulses import ENVELOPE_KINDS, Unitary, unit_envelope
+from .pulses import Unitary
 
 #: Richardson error bound of `phase_map`'s stacked propagators (Frobenius norm)
 PHASE_MAP_TOL = 1e-6
@@ -30,21 +30,24 @@ class LambdaSpec:
     """Raman pulse: common-envelope two-leg drive through an excited state.
 
     ``rabi`` is the peak amplitude of the envelope s(t) (not an integrated
-    area); both legs share the same s(t).  Leg 1 has phase 0, so the leg
-    phase difference phi_l is leg 2's phase.
+    area); both legs share the same s(t), a cos^2 of rabi at t = 0 that
+    vanishes outside [-duration/2, duration/2].  Leg 1 has phase 0, so the
+    leg phase difference phi_l is leg 2's phase.  Every input must be
+    finite.
     """
 
     rabi: float  # peak of s(t) [rad/s]
     duration: float  # tau [s]
     laser_freq: float  # omega [rad/s]
     excited_energy: float  # omega_at [rad/s]
-    envelope_kind: str = "cos2"
 
     def __post_init__(self):
+        for name in ("rabi", "duration", "laser_freq", "excited_energy"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.rabi < 0 or self.duration <= 0 or self.laser_freq <= 0:
             raise ValueError("rabi, duration and laser_freq must be positive")
-        if self.envelope_kind not in ENVELOPE_KINDS:
-            raise ValueError(f"unknown envelope kind {self.envelope_kind!r}")
         if self.detuning == 0.0:
             raise ValueError("Raman regime requires a nonzero detuning")
 
@@ -58,8 +61,9 @@ class LambdaSpec:
 
     def envelope(self, t):
         """Evaluate s(t); vectorized, zero outside [-duration/2, duration/2]."""
-        shape, _ = unit_envelope(self.envelope_kind, t, self.duration)
-        return self.rabi * shape
+        t = np.asarray(t, dtype=float)
+        tau = self.duration
+        return self.rabi * np.where(np.abs(t) <= tau / 2.0, np.cos(np.pi * t / tau) ** 2, 0.0)
 
 
 def _lambda_hamiltonians(l: LambdaSpec, phi2_grid, times) -> np.ndarray:

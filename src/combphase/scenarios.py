@@ -120,7 +120,6 @@ PARAMS = {
             *_list_of(lambda c: _is_positive(c) and c <= 1e4, "positive numbers up to 10000"),
         ),
         "theta": Key(np.pi / 4, *_NON_NEGATIVE),
-        "envelope": Key("gaussian", *_one_of(pulses.ENVELOPE_KINDS)),
     },
     # n_max >= 4 leaves room for a train of at least two pulses
     "closed_forms": {
@@ -189,7 +188,6 @@ PARAMS = {
     "refine_fiber": {
         "prior_scale": Key(1.0, *_POSITIVE),
         "m_shots": Key(5000, *_count(1, _MAX_SHOTS)),
-        "growth": Key(4, *_count(2)),
         "max_stages": Key(6, *_count(1)),
         "n_seeds": Key(100, *_count(1, _MAX_SEEDS)),
     },
@@ -381,14 +379,15 @@ def _write_files(out: Path, files: dict, fmt: str) -> list[Path]:
 
 
 def _run_rwa_validity(cfg):
-    """Each pulse at a 1 Hz carrier: its duration (cycles / carrier) and its
-    drive both scale with the carrier, so the output depends on the cycle
-    count alone.  Each is propagated to `integrate_pulse`'s fixed bound."""
+    """Each pulse, `PulseSpec`'s truncated gaussian of area theta, at a 1 Hz
+    carrier: its duration (cycles / carrier) and its drive both scale with
+    the carrier, so the output depends on the cycle count alone.  Each is
+    propagated to `integrate_pulse`'s fixed bound."""
     p = cfg.params
     w = 2.0 * np.pi
     rows = []
     for c in p["cycles"]:
-        spec = pulses.PulseSpec(p["envelope"], p["theta"], float(c), w, w, 0.3)
+        spec = pulses.PulseSpec(p["theta"], float(c), w, w, 0.3)
         u = pulses.integrate_pulse(spec)
         rwa = pulses.rwa_unitary(spec)
         rows.append((c, pulses.unitary_fidelity(u, rwa), pulses.matrix_infidelity(u.matrix, rwa.matrix)))
@@ -618,7 +617,7 @@ def _refine_config(p):
     # 200 kHz-class offset as the prior bound; prior_scale < 1 models an
     # operator underestimating the offset, which must abort with a wrap error
     return estimation.RefineConfig(
-        m_shots=p["m_shots"], growth=p["growth"], max_stages=p["max_stages"],
+        m_shots=p["m_shots"], max_stages=p["max_stages"],
         prior_bound=abs(comb.fiber_comb_preset().phase_step) * p["prior_scale"],
     )
 

@@ -18,7 +18,7 @@ W = 2.0 * np.pi * 3.5e14
 
 
 def _comb(offset=200e3, period=10e-9, tau=10e-12):
-    template = PulseSpec("gaussian", np.pi / 2, tau, W, W)
+    template = PulseSpec(np.pi / 2, tau, W, W)
     return CombSpec(period, offset, template)
 
 
@@ -74,11 +74,12 @@ def test_split_delay_interleave_pair_phase_difference():
 
 
 def test_split_delay_caps_pairs_at_n_delay():
-    t = generate_train(_comb(), 20)
-    with pytest.raises(ValueError):
-        split_delay_interleave(t, 4, n_pairs=5)
-    out = split_delay_interleave(t, 4, n_pairs=4)
+    # min(N - n_delay, n_delay) pairs: capped by the delay, then by the train
+    out = split_delay_interleave(generate_train(_comb(), 20), 4)
     assert len(out) == 8
+    assert list(out.indices) == [0, 4, 1, 5, 2, 6, 3, 7]
+    out = split_delay_interleave(generate_train(_comb(), 6), 4)
+    assert list(out.indices) == [0, 4, 1, 5]
 
 
 def test_split_delay_overlap_guard():

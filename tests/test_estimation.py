@@ -1102,7 +1102,7 @@ def test_iterative_refine_tightens_each_stage():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("m_shots", 0), ("growth", 1), ("growth", 4.0), ("max_stages", 0), ("max_stages", True)]
+    [("m_shots", 0), ("max_stages", 0), ("max_stages", True)]
     # a NaN bound used to reach the first train length and fail converting NaN to an integer
     + [("prior_bound", v) for v in (float("nan"), float("inf"), 0.0, -0.01, "0.02", True)]
     # a bad seed used to raise an untyped error from inside the first stage
@@ -1154,9 +1154,9 @@ def test_iterative_refine_recovers_from_one_backoff(monkeypatch):
     pinned_model, dphi_hat, window = fits[0]
     assert abs(dphi_hat) >= 0.98 * window
     pinned_n = pinned_model.spec.n_pulses
-    backed_off = pinned_n // config.growth
+    backed_off = pinned_n // 4
     backed_off -= backed_off % 2
-    assert [s.n for s in trace.stages] == [backed_off * config.growth**k for k in range(6)]
+    assert [s.n for s in trace.stages] == [backed_off * 4**k for k in range(6)]
     assert (pinned_n, backed_off) == (62, 14)
     assert trace.backoffs == 1
     assert trace.locked

@@ -30,8 +30,25 @@ def test_lambda_spec_validation():
         _spec(0.0)  # resonant: not a Raman configuration
     with pytest.raises(ValueError):
         LambdaSpec(rabi=-1.0, duration=1.0, laser_freq=1.0, excited_energy=2.0)
-    with pytest.raises(ValueError):
-        _spec(0.1, envelope_kind="sinc")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["rabi", "duration", "laser_freq", "excited_energy"])
+def test_lambda_spec_rejects_non_finite_inputs(field, value):
+    # a NaN duration used to build a spec that integrate_lambda then failed
+    # on, converting NaN to a step count
+    spec = dict(rabi=12.0, duration=1.0, laser_freq=0.8 * W_AT, excited_energy=W_AT)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        LambdaSpec(**{**spec, field: value})
+
+
+def test_lambda_envelope_is_a_cos2_of_peak_rabi():
+    spec = _spec(0.2, rabi=3.0)
+    tau = spec.duration
+    assert spec.envelope(0.0) == 3.0
+    assert np.all(spec.envelope([-0.51 * tau, 0.51 * tau, -3.0 * tau]) == 0.0)
+    t = np.linspace(-tau / 2, tau / 2, 20001)
+    assert np.trapezoid(spec.envelope(t), t) == pytest.approx(3.0 * tau / 2, rel=1e-8)
 
 
 def test_strongly_detuned_pulse_empties_excited_state():

@@ -941,7 +941,8 @@ def test_seed_count_checked_before_fitting(tmp_path, no_fits, kind, name, value)
 
 @pytest.mark.parametrize(
     "params,name",
-    [({"max_stages": 0}, "max_stages"), ({"growth": 1}, "growth"), ({"m_shots": 0}, "m_shots")],
+    # growth was removed: a config that sets it, even to the fixed factor, is rejected
+    [({"max_stages": 0}, "max_stages"), ({"growth": 4}, "growth"), ({"m_shots": 0}, "m_shots")],
 )
 def test_bad_refine_config_rejected_before_fitting(tmp_path, no_fits, params, name):
     cfg = _config(tmp_path, "refine_fiber", {**TINY_PARAMS["refine_fiber"], **params})
@@ -962,7 +963,6 @@ _BAD_VALUES = {
     "cycles [0]": ("rwa_validity", {"cycles": [0]}, "cycles"),
     "grid_points 0": ("raman_three_level", {"grid_points": 0}, "grid_points"),
     "sizes [3]": ("permutation_optimality", {"sizes": [3]}, "sizes"),
-    "envelope foo": ("rwa_validity", {"envelope": "foo"}, "envelope"),
     "theta -1": ("rwa_validity", {"theta": -1}, "theta"),
     "lifetime_s 0": ("visibility_budget", {"lifetime_s": 0}, "lifetime_s"),
     "lifetime_s 10**400": ("visibility_budget", {"lifetime_s": 10**400}, "lifetime_s"),
@@ -992,6 +992,10 @@ _BAD_VALUES = {
     "carrier_hz 7.3": ("rwa_validity", {"carrier_hz": 7.3}, "unknown keys carrier_hz"),
     # the key was removed: every pulse is propagated to one fixed bound
     "integration_tol 1e-8": ("rwa_validity", {"integration_tol": 1e-8}, "unknown keys integration_tol"),
+    # the keys were removed: every pulse is a truncated gaussian, and every
+    # lock grows its train by a factor of 4
+    "envelope gaussian": ("rwa_validity", {"envelope": "gaussian"}, "unknown keys envelope"),
+    "growth 4": ("refine_fiber", {"growth": 4}, "unknown keys growth"),
     # kinds that take no n_seeds: any value is an unknown key
     "table1 n_seeds 100001": ("table1_scaling", {"n_seeds": 100_001}, "n_seeds"),
     "resolution n_seeds 100001": ("resolution_extrapolation", {"n_seeds": 100_001}, "n_seeds"),

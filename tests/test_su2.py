@@ -162,7 +162,7 @@ def _bundled_phase_map():
 
 PROPAGATIONS = {
     "integrate_pulse": lambda: pulses.integrate_pulse(
-        pulses.PulseSpec("gaussian", np.pi / 4, 60.0, 2.0 * np.pi, 2.0 * np.pi, 0.3)
+        pulses.PulseSpec(np.pi / 4, 60.0, 2.0 * np.pi, 2.0 * np.pi, 0.3)
     ).matrix,
     "integrate_lambda": lambda: raman.integrate_lambda(
         raman.LambdaSpec(rabi=12.0, duration=1.0, laser_freq=160.0 * np.pi, excited_energy=200.0 * np.pi)
@@ -293,7 +293,7 @@ def _out_of_place_generators(hamiltonians, duration, steps, width):
 
 
 def _generator_cases():
-    pulse = pulses.PulseSpec("gaussian", np.pi / 4, 60.0, 2.0 * np.pi, 2.0 * np.pi, 0.3)
+    pulse = pulses.PulseSpec(np.pi / 4, 60.0, 2.0 * np.pi, 2.0 * np.pi, 0.3)
     params = scenarios.load_scenario_config(scenarios.find_scenario("raman_three_level")).params
     spec = scenarios._raman_spec(params, "detuning_fraction_map")
     # the bundled phase map's grid, after its leading reference point
