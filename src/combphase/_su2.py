@@ -16,9 +16,9 @@ allocated, and never writes into the arrays that the Hamiltonian callback
 returned.  The bound counts matrices, not steps, so that a block's working
 set stays in a core's L2 cache at any grid width: every product of a block
 streams a few block-sized arrays.  On a 2-vCPU Xeon with 2 MB of L2 per
-core, the bundled phase map (26 phases) took 0.113 s in blocks of 256 steps
-(6656 matrices, 0.96 MB per 3x3 array) and 0.089 s in blocks of 2048
-matrices (medians of 15 interleaved runs).
+core, a 26-phase stack (the bundled phase map's grid, unfolded) took
+0.113 s in blocks of 256 steps (6656 matrices, 0.96 MB per 3x3 array) and
+0.089 s in blocks of 2048 matrices (medians of 15 interleaved runs).
 
 The matrices are 2x2 or 3x3, so numpy's stacked matmul and LAPACK spend
 their time on loops of length d.  Inside `magnus_generators`, `expm_herm`

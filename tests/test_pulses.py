@@ -212,14 +212,15 @@ def test_batched_propagation_matches_one_value_at_a_time(d):
 
 
 def _bundled_phase_map():
-    """phi_s and d phi_s / d phi_l of the bundled map, one stack of 26 phases."""
+    """phi_s and d phi_s / d phi_l of the bundled map, whose 26 phases fold
+    onto one stack of 13."""
     params = scenarios.load_scenario_config(scenarios.find_scenario("raman_three_level")).params
     spec = scenarios._raman_spec(params, "detuning_fraction_map")
     result = raman.phase_map(spec, np.linspace(0.0, 2.0 * np.pi, params["grid_points"]))
     return np.stack([result.phi_s, result.dphi_s])
 
 
-#: propagations at grid widths 2 and 26; at a budget of 7 matrices the first
+#: propagations at grid widths 2 and 13; at a budget of 7 matrices the first
 #: takes blocks of 3 steps and the bundled map blocks of one step
 BLOCKED = {
     "2": lambda: PROPAGATORS[2](np.array([0.0, 1.2])),

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from combphase import _su2, raman
-from combphase._su2 import unitarity_defect
+from combphase._su2 import magnus_generators, refine_until_stable, step_count, unitarity_defect
 from combphase.errors import IntegrationError
 from combphase.raman import (
     LambdaSpec,
@@ -30,6 +32,8 @@ def test_lambda_spec_validation():
         _spec(0.0)  # resonant: not a Raman configuration
     with pytest.raises(ValueError):
         LambdaSpec(rabi=-1.0, duration=1.0, laser_freq=1.0, excited_energy=2.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        _spec(0.2, rabi=0.0)  # no drive: b stays empty, and phi_s is undefined
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -95,6 +99,13 @@ def test_phase_map_raises_when_not_stabilizing(monkeypatch):
         phase_map(short, np.linspace(0.0, 1.0, 3))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_phase_map_rejects_a_non_finite_grid(value):
+    # a non-finite phase would fold to nan and share another phase's propagator
+    with pytest.raises(ValueError, match="finite"):
+        phase_map(_spec(0.2), np.array([0.0, 1.0, value]))
+
+
 def test_phase_map_deviation_grows_with_detuning():
     grid = np.linspace(0.0, 2.0 * np.pi, 9)
     small = phase_map(_spec(0.02), grid)
@@ -112,6 +123,77 @@ def test_phase_map_csv_format(tmp_path):
     lines = (tmp_path / "raman_phase_map.csv").read_text().splitlines()
     assert lines[0] == "phi_l,phi_s,dphi_s_dphi_l"
     assert len(lines) == 6
+
+
+def test_time_reversal_transposes_the_propagator():
+    # the cos^2 envelope is even and leg 1 has phase 0, so U(-phi) = U(phi)^T,
+    # at any phase: negative ones, ones beyond 2 pi, and pi
+    l = _spec(0.2)
+    phases = np.concatenate((np.random.default_rng(5).uniform(-9.0, 4.0 * np.pi, 12), [np.pi, -np.pi]))
+    steps = step_count(l.carrier_cycles)
+    forward, backward = raman._propagate(l, phases, steps), raman._propagate(l, -phases, steps)
+    assert np.max(np.abs(backward - forward.swapaxes(-1, -2))) <= 1e-13
+
+
+def test_integrated_propagator_is_symmetric():
+    u = integrate_lambda(_spec(0.2))[0].matrix
+    assert np.max(np.abs(u - u.T)) <= 1e-13
+
+
+def _unfolded_phase_map(l, grid):
+    """Oracle: phase_map's refinement and extraction on the unfolded stack,
+    which propagates every phase, and the step counts it took."""
+    phi2, steps = np.concatenate(([0.0], grid)), []
+
+    def propagate(s):
+        steps.append(s)
+        return raman._propagate(l, phi2, s)
+
+    u = refine_until_stable(propagate, step_count(l.carrier_cycles), raman.PHASE_MAP_TOL)
+    raw = np.angle(u[:, 1, 0] / u[:, 0, 0])
+    phi_s = grid + np.unwrap(np.angle(np.exp(1.0j * (raw[1:] - raw[0] - grid))))
+    return phi_s, np.gradient(phi_s, grid), steps
+
+
+def _bundled_spec_and_grid():
+    p = load_scenario_config(find_scenario("raman_three_level")).params
+    return _spec(p["detuning_fraction_map"], rabi=p["rabi"]), np.linspace(0.0, 2.0 * np.pi, p["grid_points"])
+
+
+def _traced_phase_map(monkeypatch, l, grid):
+    """phase_map's result and the (steps, width) of each propagation it ran."""
+    calls = []
+
+    def generators(hamiltonians, duration, steps, width):
+        calls.append((steps, width))
+        return magnus_generators(hamiltonians, duration, steps, width)
+
+    monkeypatch.setattr(raman, "magnus_generators", generators)
+    return phase_map(l, grid), calls
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [None, np.linspace(0.0, 2.0 * np.pi, 8), np.array([3.0, -1.2, 7.5, np.pi, -9.0, 0.4, 4.0 * np.pi, -2.5])],
+    ids=["bundled", "even", "unsorted"],
+)
+def test_folded_phase_map_matches_the_unfolded_stack(grid, monkeypatch):
+    l, bundled = _bundled_spec_and_grid()
+    grid = bundled if grid is None else grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the unsorted grid is not monotone
+        phi_s, dphi_s, steps = _unfolded_phase_map(l, grid)
+        pm, calls = _traced_phase_map(monkeypatch, l, grid)
+    assert [s for s, _ in calls] == steps
+    assert np.max(np.abs(pm.phi_s - phi_s)) <= 1e-13
+    assert np.max(np.abs(pm.dphi_s - dphi_s)) <= 1e-12
+
+
+def test_bundled_phase_map_propagates_thirteen_phases(monkeypatch):
+    # 25 grid points on [0, 2 pi] and the reference point fold onto k pi / 12
+    pm, calls = _traced_phase_map(monkeypatch, *_bundled_spec_and_grid())
+    assert {width for _, width in calls} == {13}
+    assert pm.monotone
 
 
 def test_visibility_budget_number():

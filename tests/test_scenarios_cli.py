@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -1041,6 +1042,26 @@ def test_non_finite_visibility_budget_exits_2(tmp_path):
     cfg = _config(tmp_path, "visibility_budget", {"lifetime_s": 1.0e300, "excited_window_s": 1.0e-300})
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
+    assert not out.exists()
+
+
+def _console_cases():
+    """(expected exit code, config) of each case of CI's *Console script*
+    step, one a line of its ``CASES`` heredoc: name, code, then the config
+    as a printf format, whose only escape is ``\\n``."""
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    lines = re.search(r"<<'CASES'\n(.*?)\n *CASES\n", ci, re.DOTALL).group(1).splitlines()
+    cases = [line.split(maxsplit=2) for line in lines]
+    assert len(cases) >= 14 and not any("%" in c or "\\" in c.replace("\\n", "") for _, _, c in cases)
+    return [pytest.param(int(code), config.replace("\\n", "\n"), id=name) for name, code, config in cases]
+
+
+@pytest.mark.parametrize("expected,config", _console_cases())
+def test_ci_console_script_cases_exit_and_write_nothing(tmp_path, expected, config):
+    cfg = tmp_path / "case.yaml"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == expected
     assert not out.exists()
 
 
