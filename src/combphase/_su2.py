@@ -11,9 +11,18 @@ works on whole arrays, never one step at a time: `magnus_generators` yields
 the step generators in blocks of at most `MAGNUS_BLOCK` matrices (steps times
 grid width), each block is exponentiated by one batched `expm_herm` call, and
 `ordered_product` reduces the stacked factors pairwise, as a tree of batched
-products.  A block forms its generator terms in place, on arrays that it
-allocated, and never writes into the arrays that the Hamiltonian callback
-returned.  The bound counts matrices, not steps, so that a block's working
+products.  A solve allocates its block-sized arrays once and reuses them
+through ``out=`` in every block: the seven rows of its `workspace`, in
+which `magnus_generators` forms the generator terms and commutator products
+and `expm_herm` its x, x^2, p and squarings, and the tree's two half-block
+levels and their product scratch, which `ordered_product` allocates at its
+first block.  No block allocates or frees a block-sized array, so glibc
+never trims the heap that the next block would fault back in: a pass of the
+benchmark's ``propagate`` workload made 6,500 minor page faults when every
+block allocated its own, and makes 960 (see CHANGES.md).  A yielded block
+and an exponential are views of workspace rows, valid until the next block
+is drawn, and the Hamiltonian callback's arrays are never written into.
+The bound counts matrices, not steps, so that a block's working
 set stays in a core's L2 cache at any grid width: every product of a block
 streams a few block-sized arrays.  On a 2-vCPU Xeon with 2 MB of L2 per
 core, a 26-phase stack (the bundled phase map's grid, unfolded) took
@@ -52,9 +61,10 @@ from .errors import IntegrationError
 #: Matrices (steps x grid width) per generator block, so that a block's
 #: working set stays in a core's L2 cache (1-4 MB) whatever the step count
 #: and grid width.  At d = 3 one block-sized complex array takes 295 KB; a
-#: block's 6th-order step and exponential keep at most about 11 of them alive
-#: at once (the tracemalloc peak of a bundled phase-map solve), and each
-#: product streams three.  A grid wider than this gets one step per block.
+#: solve holds 8.5 of them for all its blocks (the seven `workspace` rows and
+#: the tree's three half-block arrays), the bundled phase map peaks at 10.4
+#: with the Hamiltonian callback's arrays (3.05 MB under tracemalloc), and
+#: each product streams three.  A grid wider than this gets one step per block.
 MAGNUS_BLOCK = 2048
 
 #: Magnus steps per period of the fastest frequency before any doubling
@@ -110,12 +120,28 @@ def _aos(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(a, (0, 1), (-2, -1))
 
 
-def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for stacks in the (d, d, ...) layout, batch shapes broadcast."""
-    out = x[:, 0, None] * y[None, 0]
+def _mm(x: np.ndarray, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """x @ y for stacks in the (d, d, ...) layout, batch shapes broadcast,
+    written into ``out``; ``tmp`` is scratch of out's shape.  Neither may
+    share memory with x or y."""
+    np.multiply(x[:, 0, None], y[None, 0], out=out)
     for k in range(1, x.shape[0]):
-        out += x[:, k, None] * y[None, k]
+        out += np.multiply(x[:, k, None], y[None, k], out=tmp)
     return out
+
+
+def workspace(d: int, steps: int, width: int) -> np.ndarray:
+    """The block-sized arrays of one propagation of ``steps`` Magnus steps
+    at grid width ``width``, reused across its blocks.
+
+    Seven rows, each as large as the largest block's (d, d, steps, width)
+    stack: `magnus_generators` forms a block's terms in all seven, and
+    `expm_herm` exponentiates the block in three of the six that the block
+    does not occupy.  Allocated once per solve, so no block allocates or
+    frees a block-sized array.
+    """
+    steps = min(steps, max(1, MAGNUS_BLOCK // width))
+    return np.empty((7, d, d, steps * width), dtype=complex)
 
 
 def _taylor_plan(norm: float) -> tuple[int, int]:
@@ -134,10 +160,14 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     return m, math.ceil(math.log2(norm / theta))
 
 
-def expm_herm(h: np.ndarray) -> np.ndarray:
+def expm_herm(h: np.ndarray, work: np.ndarray) -> np.ndarray:
     """exp(-i h) for a (batched) Hermitian matrix, d = 2 or 3.
 
-    h may have shape (..., d, d); the result has the same shape.  With
+    h may have shape (..., d, d); the result has the same shape.  The
+    stacks of the computation live in the first three rows of ``work``
+    (along its first axis) that share no memory with h, each of at least
+    h.size entries, so h may itself be a row of a `workspace`.  The result
+    is a view of one of those rows, valid until they are written again.  With
     x = -i h / 2^s, the degree-m Taylor polynomial of exp(x) is evaluated
     and squared s times (scaling and squaring, Al-Mohy & Higham, SIAM J.
     Matrix Anal. Appl. 31, 970 (2009)).  One (m, s) serves the whole stack,
@@ -163,10 +193,12 @@ def expm_herm(h: np.ndarray) -> np.ndarray:
     d = a.shape[0]
     if d not in (2, 3):
         raise ValueError(f"expm_herm takes 2x2 or 3x3 matrices, not {d}x{d}")
+    row_x, row_x2, row_tmp = [w for w in work if not np.may_share_memory(w, a)][:3]
+    x, x2, tmp = (np.ndarray(a.shape, complex, w) for w in (row_x, row_x2, row_tmp))
     # 1-norm: largest column sum, over the whole stack
-    m, s = _taylor_plan(float(np.max(np.abs(a).sum(axis=0), initial=0.0)))
-    x = (-1.0j * 0.5**s) * a
-    x2 = _mm(x, x)
+    m, s = _taylor_plan(float(np.max(np.abs(a, out=np.ndarray(a.shape, float, row_x)).sum(axis=0), initial=0.0)))
+    np.multiply(-1.0j * 0.5**s, a, out=x)
+    _mm(x, x, x2, tmp)
     t, tr2 = np.trace(x), np.trace(x2)
     q = 0.5 * (t * t - tr2)
     # x^d in the basis I, x (, x^2)
@@ -189,8 +221,9 @@ def expm_herm(h: np.ndarray) -> np.ndarray:
         p += np.multiply(r[2], x2, out=x2)
     for i in range(d):
         p[i, i] += r[0]
+    spare = x2
     for _ in range(s):
-        p = _mm(p, p)
+        p, spare = _mm(p, p, spare, tmp), p
     return _aos(p)
 
 
@@ -273,7 +306,7 @@ def step_count(cycles: float) -> int:
     return max(int(np.ceil(STEPS_PER_PERIOD * cycles)), 50)
 
 
-def magnus_generators(hamiltonians, duration: float, steps: int, width: int):
+def magnus_generators(hamiltonians, duration: float, steps: int, width: int, work: np.ndarray):
     """Three-point Gauss (6th-order) Magnus generators on [-duration/2, duration/2].
 
     ``hamiltonians(times)`` gives H of shape (T, G, d, d), with G = ``width``.
@@ -292,41 +325,44 @@ def magnus_generators(hamiltonians, duration: float, steps: int, width: int):
     Every term is exactly Hermitian (each commutator is taken as
     x y - (x y)^dagger), so each step is unitary to machine precision.
 
-    A block forms these terms in place, in the order of operations of the
-    formula above, so that each generator is bitwise that formula's.  It
-    writes only into arrays that it allocated, never into the callback's:
-    each sample is copied once into the (d, d, ...) layout, as complex, even
-    where `_soa` would return the callback's own memory (a (1, 1, d, d)
-    stack is already in that layout) or a real or read-only array.
+    Every block forms these terms in the seven rows of ``work`` (see
+    `workspace`), in the order of operations of the formula above, so that
+    each generator is bitwise that formula's.  The block it yields is a view
+    of one of those rows: it stays valid until the next block is drawn, which
+    overwrites it, so a caller that keeps blocks must copy them.  The
+    callback's arrays are never written into: each sample is copied into the
+    (d, d, ...) layout, as complex, even where `_soa` would return the
+    callback's own memory (a (1, 1, d, d) stack is already in that layout)
+    or a real or read-only array.
     """
     h_step = duration / steps
     c = np.sqrt(15.0) / 10.0
     block = max(1, MAGNUS_BLOCK // width)
+    d = work.shape[1]
     for start in range(0, steps, block):
         t0 = -duration / 2.0 + h_step * np.arange(start, min(start + block, steps))
-        # the three copies then hold b2, b1 and 2 b3 + c1
-        h1, h2, h3 = (
-            np.array(np.moveaxis(hamiltonians(t0 + node * h_step), (-2, -1), (0, 1)), complex, order="C")
-            for node in (0.5 - c, 0.5, 0.5 + c)
-        )
-        b3 = 2.0 * h2
+        h1, h2, h3, b3, c1, c2, tmp = (np.ndarray((d, d, t0.size, width), complex, w) for w in work)
+        for h, node in zip((h1, h2, h3), (0.5 - c, 0.5, 0.5 + c)):
+            np.copyto(h, np.moveaxis(hamiltonians(t0 + node * h_step), (-2, -1), (0, 1)))
+        # h2 and h3 then hold b1 and b2; h1 holds 2 b3 + c1, then the last commutator
+        np.multiply(2.0, h2, out=b3)
         np.subtract(h3, b3, out=b3)
         b3 += h1
         np.multiply(h_step * 10.0 / 3.0, b3, out=b3)
         b2 = np.subtract(h3, h1, out=h3)
         np.multiply(h_step * np.sqrt(15.0) / 3.0, b2, out=b2)
         b1 = np.multiply(h_step, h2, out=h2)
-        c1 = _commutator(b1, b2)
+        _commutator(b1, b2, c1, tmp)
         np.multiply(-1.0j, c1, out=c1)
-        c2 = np.multiply(2.0, b3, out=h1)
-        c2 += c1
-        c2 = _commutator(b1, c2)
+        c2_arg = np.multiply(2.0, b3, out=h1)
+        c2_arg += c1
+        _commutator(b1, c2_arg, c2, tmp)
         np.multiply(1.0j / 60.0, c2, out=c2)
         b2 += c2
         x = np.multiply(20.0, b1, out=c2)
         np.subtract(c1, x, out=x)
         x -= b3
-        x = _commutator(x, b2)
+        x = _commutator(x, b2, h1, tmp)
         np.multiply(1.0j / 240.0, x, out=x)
         b3 /= 12.0
         b1 += b3
@@ -334,15 +370,15 @@ def magnus_generators(hamiltonians, duration: float, steps: int, width: int):
         yield _aos(b1)
 
 
-def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] for Hermitian x and y in the (d, d, ...) layout, from one product.
+def _commutator(x: np.ndarray, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """[x, y] for Hermitian x and y in the (d, d, ...) layout, from one
+    product, written into ``out`` (``tmp`` is scratch, as for `_mm`).
 
     y x = (x y)^dagger, so [x, y] = x y - (x y)^dagger, which is exactly
-    anti-Hermitian in floating point.  The result is a new array, which the
-    caller may write into.
+    anti-Hermitian in floating point.
     """
-    xy = _mm(x, y)
-    xy -= xy.conj().swapaxes(0, 1)
+    xy = _mm(x, y, out, tmp)
+    xy -= np.conjugate(xy.swapaxes(0, 1), out=tmp)
     return xy
 
 
@@ -353,20 +389,34 @@ def ordered_product(blocks) -> np.ndarray:
     order, block after block.  Each block is reduced pairwise, as a tree of
     batched products of depth log2(S) (Blelloch, CMU-CS-90-190 (1990)), and
     the block products are then multiplied in order.  The result has shape
-    (..., d, d).
+    (..., d, d).  The tree's two level arrays and its product scratch are
+    allocated at the first block, half a block each, and again only for a
+    later block larger than the first.  A block is reduced before the next
+    is drawn, so it may be a view that the next block overwrites.
     """
-    u = None
+    u = levels = None
     for f in blocks:
         if len(f) == 0:
             raise ValueError("ordered_product of no factors")
         f = _soa(f)  # (d, d, S, ...)
+        half = f[:, :, 1::2].size
+        if levels is None or levels.shape[1] < half:
+            levels = np.empty((3, half), dtype=complex)
+        if u is None:
+            spare, tmp = np.empty((2,) + f.shape[:2] + f.shape[3:], dtype=complex)
+        level = 0
         while f.shape[2] > 1:
             n = f.shape[2]
-            pairs = _mm(f[:, :, 1::2], f[:, :, 0 : n - 1 : 2])
+            shape = f.shape[:2] + (n // 2,) + f.shape[3:]
+            out, tmp_level = np.ndarray(shape, complex, levels[level]), np.ndarray(shape, complex, levels[2])
+            pairs = _mm(f[:, :, 1::2], f[:, :, 0 : n - 1 : 2], out, tmp_level)
             if n % 2:
-                pairs[:, :, -1] = _mm(f[:, :, -1], pairs[:, :, -1])
-            f = pairs
-        u = f[:, :, 0] if u is None else _mm(f[:, :, 0], u)
+                pairs[:, :, -1] = _mm(f[:, :, -1], pairs[:, :, -1], spare, tmp)
+            f, level = pairs, 1 - level
+        if u is None:
+            u = f[:, :, 0].copy()
+        else:
+            u, spare = _mm(f[:, :, 0], u, spare, tmp), u
     if u is None:
         raise ValueError("ordered_product of no factors")
     return np.ascontiguousarray(_aos(u))

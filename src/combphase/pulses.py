@@ -25,7 +25,7 @@ import numpy as np
 
 from ._su2 import (
     PROPAGATOR_TOL, expm_herm, magnus_generators, ordered_product, refine_until_stable, step_count,
-    su2_matrix, unitarity_defect,
+    su2_matrix, unitarity_defect, workspace,
 )
 from .errors import UndefinedPhaseError
 
@@ -149,8 +149,9 @@ def _rotating_frame_hamiltonians(p: PulseSpec, phases, times) -> np.ndarray:
 def _propagate_two_level(p: PulseSpec, phases, steps: int) -> np.ndarray:
     """Magnus propagation over the pulse, batched over CEO phases: (G, 2, 2)."""
     width = np.size(phases)
-    blocks = magnus_generators(lambda t: _rotating_frame_hamiltonians(p, phases, t), p.tau, steps, width)
-    return ordered_product(expm_herm(g) for g in blocks)
+    work = workspace(2, steps, width)
+    blocks = magnus_generators(lambda t: _rotating_frame_hamiltonians(p, phases, t), p.tau, steps, width, work)
+    return ordered_product(expm_herm(g, work) for g in blocks)
 
 
 def integrate_pulse(p: PulseSpec) -> Unitary:

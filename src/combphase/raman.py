@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._su2 import (
-    PROPAGATOR_TOL, expm_herm, magnus_generators, ordered_product, refine_until_stable, step_count,
+    PROPAGATOR_TOL, expm_herm, magnus_generators, ordered_product, refine_until_stable, step_count, workspace,
 )
 from .errors import IntegrationError
 from .pulses import Unitary
@@ -88,8 +88,9 @@ def _lambda_hamiltonians(l: LambdaSpec, phi2_grid, times) -> np.ndarray:
 def _propagate(l: LambdaSpec, phi2_grid, steps: int) -> np.ndarray:
     """Magnus propagation over the pulse, batched over phi_2: (G, 3, 3)."""
     width = np.size(phi2_grid)
-    blocks = magnus_generators(lambda t: _lambda_hamiltonians(l, phi2_grid, t), l.duration, steps, width)
-    return ordered_product(expm_herm(g) for g in blocks)
+    work = workspace(3, steps, width)
+    blocks = magnus_generators(lambda t: _lambda_hamiltonians(l, phi2_grid, t), l.duration, steps, width, work)
+    return ordered_product(expm_herm(g, work) for g in blocks)
 
 
 def integrate_lambda(l: LambdaSpec) -> tuple[Unitary, float]:

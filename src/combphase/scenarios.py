@@ -20,10 +20,8 @@ from __future__ import annotations
 import csv
 import datetime
 import functools
-import hashlib
 import importlib.resources
 import json
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -31,7 +29,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import yaml
 
 from . import comb, estimation, noise, protocols, pulses, raman
 from .errors import ScenarioConfigError
@@ -256,19 +253,18 @@ def _checked(where: str, mapping: dict, table: dict) -> dict:
     return out
 
 
-#: libyaml's parser where pyyaml was built with it (7x faster on the
-#: benchmark's sweep config); both build the same safe-loader documents
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 def load_scenario_config(path) -> ScenarioConfig:
     """The config at ``path``, checked and filled with every default, with
     the inputs its kind's builder (`_BUILDERS`) makes of its params as
     ``inputs`` (`None` for a kind without one).  Any fault of the config
     raises `ScenarioConfigError` here."""
+    import yaml  # here, not at module level: `import combphase` needs no parser
+
     try:
         text = Path(path).read_text()
-        raw = yaml.load(text, Loader=_YAML_LOADER)
+        # libyaml's parser where pyyaml was built with it (7x faster on the
+        # benchmark's sweep config); both build the same safe-loader documents
+        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except (UnicodeDecodeError, yaml.YAMLError) as e:
         raise ScenarioConfigError(f"{path}: not valid YAML: {e}") from e
     if not isinstance(raw, dict):
@@ -316,6 +312,8 @@ def find_scenario(name_or_path) -> Path:
 def _git_rev() -> str:
     """The source revision; the imported source does not change within a
     process, so ``git`` runs once."""
+    import subprocess
+
     try:
         return subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -712,6 +710,8 @@ def run_scenario(
     run = _RUNNERS[cfg.kind](cfg)
     paths = _write_files(out, run.files, fmt)
     run_s = time.perf_counter() - t0
+    import hashlib
+
     from . import __version__
 
     manifest = {

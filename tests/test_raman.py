@@ -164,9 +164,9 @@ def _traced_phase_map(monkeypatch, l, grid):
     """phase_map's result and the (steps, width) of each propagation it ran."""
     calls = []
 
-    def generators(hamiltonians, duration, steps, width):
+    def generators(hamiltonians, duration, steps, width, work):
         calls.append((steps, width))
-        return magnus_generators(hamiltonians, duration, steps, width)
+        return magnus_generators(hamiltonians, duration, steps, width, work)
 
     monkeypatch.setattr(raman, "magnus_generators", generators)
     return phase_map(l, grid), calls

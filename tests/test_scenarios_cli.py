@@ -109,9 +109,23 @@ def test_yaml_parse_error_is_config_error(tmp_path, monkeypatch):
         load_scenario_config(cfg)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
     assert not (tmp_path / "out").exists()
-    monkeypatch.setattr(scenarios, "_YAML_LOADER", yaml.SafeLoader)
+    # pyyaml without libyaml: the pure-Python loader
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     with pytest.raises(ScenarioConfigError, match="YAML"):
         load_scenario_config(cfg)
+
+
+def test_configs_parse_with_libyaml_where_pyyaml_has_it(monkeypatch):
+    loaders = []
+    load = yaml.load
+
+    def spy(text, Loader):
+        loaders.append(Loader)
+        return load(text, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    load_scenario_config(find_scenario("rwa_validity"))
+    assert loaders == [yaml.CSafeLoader if hasattr(yaml, "CSafeLoader") else yaml.SafeLoader]
 
 
 def test_undecodable_config_is_config_error(tmp_path):
@@ -164,7 +178,9 @@ def test_each_top_level_rule_is_a_config_error(tmp_path, change, names):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("module", ["jsonschema", "scipy"])
+# yaml, subprocess and hashlib are imported where a config is loaded or a
+# manifest written
+@pytest.mark.parametrize("module", ["jsonschema", "scipy", "yaml", "subprocess", "hashlib"])
 def test_import_leaves_module_out(module):
     src = str(Path(combphase.__file__).resolve().parents[1])
     code = f"import sys, combphase; sys.exit(any(m.partition('.')[0] == {module!r} for m in sys.modules))"
@@ -1189,7 +1205,7 @@ def test_bundled_and_benchmark_configs_load(monkeypatch):
         assert set(cfg.params) == set(PARAMS[cfg.kind])
         # pyyaml without libyaml parses with the pure-Python loader, to the same config
         with monkeypatch.context() as m:
-            m.setattr(scenarios, "_YAML_LOADER", yaml.SafeLoader)
+            m.delattr(yaml, "CSafeLoader", raising=False)
             assert load_scenario_config(path) == cfg
 
 

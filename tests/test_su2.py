@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from combphase import protocols, pulses, raman, scenarios
 from combphase._su2 import (
     _TAYLOR_THETA, MAGNUS_BLOCK, _aos, _mm, _soa, _taylor_plan, expm_herm, magnus_generators, matpow_with_grad,
-    ordered_product, refine_until_stable, step_count, su2_matrix, su2_ordered_product,
+    ordered_product, refine_until_stable, step_count, su2_matrix, su2_ordered_product, workspace,
 )
 from combphase.errors import IntegrationError
 
@@ -15,6 +16,18 @@ def _expm_herm_eigh(h):
     """Oracle: exp(-i h) from the eigendecomposition of the Hermitian h."""
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1.0j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _expm(h):
+    """`expm_herm` in a workspace of its own."""
+    return expm_herm(h, np.empty((3,) + h.shape, dtype=complex))
+
+
+def _generators(hamiltonians, duration, steps, width, d):
+    """Every block of `magnus_generators`, in a workspace of its own, each
+    copied before the next block overwrites it."""
+    work = workspace(d, steps, width)
+    return [g.copy() for g in magnus_generators(hamiltonians, duration, steps, width, work)]
 
 
 def _random_hermitian(shape, d, seed):
@@ -30,7 +43,7 @@ def test_expm_herm_matches_the_eigh_oracle(d, norm):
     h = _random_hermitian((20, 3), d, seed=d)
     # every matrix of the stack has 1-norm ``norm``, so all need the same squarings
     h *= norm / np.abs(h).sum(axis=-2).max(axis=-1)[..., None, None]
-    u = expm_herm(h)
+    u = _expm(h)
     assert u.shape == h.shape
     assert np.max(np.abs(u - _expm_herm_eigh(h))) <= 1e-13 * max(1.0, norm)
     # each squaring doubles the defect: about 4e-16 times 2^s
@@ -93,7 +106,7 @@ STRUCTURED = ["zero", "c I", "diag(0, .., Delta)", "doubly degenerate pair", "tr
 def test_expm_herm_matches_the_eigh_oracle_on_structured_spectra(d, case):
     h = _structured_stack(case, d)
     norm = float(np.abs(h).sum(axis=-2).max(initial=0.0))
-    u = expm_herm(h)
+    u = _expm(h)
     assert u.shape == h.shape
     assert np.max(np.abs(u - _expm_herm_eigh(h))) <= 1e-13 * max(1.0, norm)
     defect = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)))
@@ -120,14 +133,14 @@ def test_expm_herm_is_the_degree_m_taylor_polynomial(d):
     for m, theta in _TAYLOR_THETA.items():
         scaled = h * (theta * (1.0 - 1e-9))
         assert _taylor_plan(float(np.abs(scaled).sum(axis=-2).max())) == (m, 0)
-        assert np.max(np.abs(expm_herm(scaled) - _taylor_sum(scaled, m))) <= 1e-15, m
+        assert np.max(np.abs(_expm(scaled) - _taylor_sum(scaled, m))) <= 1e-15, m
 
 
 @pytest.mark.parametrize("d", [1, 4])
 def test_expm_herm_takes_only_2x2_and_3x3_matrices(d):
     # the characteristic polynomial is written out for d = 2 and 3 only
     with pytest.raises(ValueError, match="2x2 or 3x3"):
-        expm_herm(_random_hermitian((2,), d, seed=d))
+        _expm(_random_hermitian((2,), d, seed=d))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -135,13 +148,14 @@ def test_non_finite_generator_fails_as_an_integration_error(bad):
     h = np.zeros((4, 1, 3, 3), dtype=complex)
     h[..., 0, 2] = h[..., 2, 0] = bad
     with pytest.raises(np.linalg.LinAlgError):
-        expm_herm(h)
+        _expm(h)
     with pytest.raises(IntegrationError):
-        refine_until_stable(lambda steps: expm_herm(h)[0, 0], 50, 1e-8)
+        refine_until_stable(lambda steps: _expm(h)[0, 0], 50, 1e-8)
 
     def propagate(steps):
-        blocks = magnus_generators(lambda t: np.broadcast_to(h[:1], (t.size, 1, 3, 3)), 1.0, steps, 1)
-        return ordered_product(expm_herm(g) for g in blocks)
+        work = workspace(3, steps, 1)
+        blocks = magnus_generators(lambda t: np.broadcast_to(h[:1], (t.size, 1, 3, 3)), 1.0, steps, 1, work)
+        return ordered_product(expm_herm(g, work) for g in blocks)
 
     with pytest.raises(IntegrationError):
         refine_until_stable(propagate, 50, 1e-8)
@@ -174,8 +188,8 @@ PROPAGATIONS = {
 @pytest.mark.parametrize("name", sorted(PROPAGATIONS))
 def test_propagation_matches_the_eigh_exponential(name, monkeypatch):
     result = PROPAGATIONS[name]()
-    monkeypatch.setattr(pulses, "expm_herm", _expm_herm_eigh)
-    monkeypatch.setattr(raman, "expm_herm", _expm_herm_eigh)
+    for module in (pulses, raman):
+        monkeypatch.setattr(module, "expm_herm", lambda h, work: _expm_herm_eigh(h))
     assert np.max(np.abs(result - PROPAGATIONS[name]())) <= 1e-12
 
 
@@ -197,15 +211,93 @@ def test_bundled_propagations_take_their_step_doublings(name, monkeypatch, tmp_p
         solves.append([])
         return refine_until_stable(propagate, steps, tol)
 
-    def generators(hamiltonians, duration, steps, width):
+    def generators(hamiltonians, duration, steps, width, work):
         solves[-1].append(steps)
-        return magnus_generators(hamiltonians, duration, steps, width)
+        return magnus_generators(hamiltonians, duration, steps, width, work)
 
     for module in (pulses, raman):
         monkeypatch.setattr(module, "refine_until_stable", refine)
         monkeypatch.setattr(module, "magnus_generators", generators)
     scenarios.run_scenario(name, tmp_path)
     assert solves == BUNDLED_STEPS[name]
+
+
+# grid width of each solve in BUNDLED_STEPS: integrate_lambda and every
+# integrate_pulse at one phase, the phase map at its 13 folded phases
+BUNDLED_WIDTHS = {"raman_three_level": [1, 13], "rwa_validity": [1] * 5}
+BUNDLED_MODULE = {"raman_three_level": raman, "rwa_validity": pulses}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_STEPS))
+def test_bundled_runs_exponentiate_once_per_magnus_block(name, monkeypatch, tmp_path):
+    # count-only wrappers at the module attributes, as perfbench/tracer.py
+    # counts pulses.magnus_steps and raman.magnus_steps
+    counts = {pulses: 0, raman: 0}
+
+    def counted(module, expm):
+        def wrapper(*args, **kwargs):
+            counts[module] += 1
+            return expm(*args, **kwargs)
+
+        return wrapper
+
+    for module in counts:
+        monkeypatch.setattr(module, "expm_herm", counted(module, module.expm_herm))
+    scenarios.run_scenario(name, tmp_path)
+    blocks = sum(
+        math.ceil(steps / max(1, MAGNUS_BLOCK // width))
+        for solves, width in zip(BUNDLED_STEPS[name], BUNDLED_WIDTHS[name])
+        for steps in solves
+    )
+    # integrate_lambda 1 + 1 + 2 and the phase map 5 + 10; one block per pulse solve
+    assert blocks == {"raman_three_level": 19, "rwa_validity": 14}[name]
+    assert counts == {module: blocks if module is BUNDLED_MODULE[name] else 0 for module in counts}
+
+
+@pytest.mark.parametrize("phases", [0.7, np.array([0.0, 1.2, 2.5])], ids=["width 1", "width 3"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_consecutive_solves_share_no_memory(d, phases):
+    # refine_until_stable keeps one solve's result while the next one runs;
+    # both solves span three blocks, the last one short
+    if d == 2:
+        pulse = pulses.PulseSpec(np.pi / 4, 60.0, 2.0 * np.pi, 2.0 * np.pi, 0.3)
+        solve = lambda steps: pulses._propagate_two_level(pulse, phases, steps)
+    else:
+        spec = raman.LambdaSpec(rabi=12.0, duration=1.0, laser_freq=160.0 * np.pi, excited_energy=200.0 * np.pi)
+        solve = lambda steps: raman._propagate(spec, phases, steps)
+    block = MAGNUS_BLOCK // np.size(phases)
+    first = solve(2 * block + 1)
+    kept = first.copy()
+    second = solve(2 * block + 2)
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+    assert np.max(np.abs(first - second)) > 0.0
+
+
+@pytest.mark.parametrize("case", ["d = 2 pulse", "d = 3 phase map", "real, commuting"])
+def test_propagation_is_bitwise_the_product_of_the_out_of_place_generators(case):
+    # a short last block and odd tree tails, with every block in one workspace
+    hamiltonians, duration, steps, width, d = _generator_cases()[case]
+    work = workspace(d, steps, width)
+    u = ordered_product(expm_herm(g, work) for g in magnus_generators(hamiltonians, duration, steps, width, work))
+    expected = ordered_product(_expm(g) for g in _out_of_place_generators(hamiltonians, duration, steps, width))
+    assert np.array_equal(u, expected)
+
+
+def test_phase_map_peak_memory_stays_within_its_workspace():
+    params = scenarios.load_scenario_config(scenarios.find_scenario("raman_three_level")).params
+    spec = scenarios._raman_spec(params, "detuning_fraction_map")
+    grid = np.linspace(0.0, 2.0 * np.pi, params["grid_points"])
+    raman.phase_map(spec, grid)
+    tracemalloc.start()
+    try:
+        raman.phase_map(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the seven workspace rows, the tree's three half-block arrays and the
+    # Hamiltonian callback's arrays, in units of one block-sized 3x3 stack
+    assert peak <= 11.5 * 3 * 3 * MAGNUS_BLOCK * 16
 
 
 def _sequential_fold(factors):
@@ -217,7 +309,7 @@ def _sequential_fold(factors):
 
 
 def _random_unitaries(length, grid, d, seed):
-    return expm_herm(_random_hermitian((length, grid), d, seed))
+    return _expm(_random_hermitian((length, grid), d, seed))
 
 
 # at grid width 4, 1029 factors fill two blocks of `MAGNUS_BLOCK` matrices
@@ -259,7 +351,7 @@ def _commuting_hamiltonians(width):
 def test_magnus_generators_come_in_blocks():
     # one grid point, the bundled phase map's 26, and a grid wider than a block
     for width, steps in ((1, 2 * MAGNUS_BLOCK + 3), (26, 200), (MAGNUS_BLOCK + 3, 5)):
-        blocks = list(magnus_generators(_commuting_hamiltonians(width), 2.0, steps, width))
+        blocks = _generators(_commuting_hamiltonians(width), 2.0, steps, width, 2)
         assert all(g.shape[0] * width <= max(MAGNUS_BLOCK, width) for g in blocks)
         assert all(g.shape[0] == max(1, MAGNUS_BLOCK // width) for g in blocks[:-1])
         g = np.concatenate(blocks)
@@ -271,7 +363,8 @@ def test_magnus_generators_come_in_blocks():
 
 
 def _out_of_place_commutator(x, y):
-    xy = _mm(x, y)
+    shape, dtype = np.broadcast_shapes(x.shape, y.shape), np.result_type(x, y)
+    xy = _mm(x, y, np.empty(shape, dtype), np.empty(shape, dtype))
     return xy - xy.conj().swapaxes(0, 1)
 
 
@@ -301,20 +394,20 @@ def _generator_cases():
     return {
         # 2 MAGNUS_BLOCK + 1 steps at width 1 end in a block of one step
         "d = 2 pulse": (
-            lambda t: pulses._rotating_frame_hamiltonians(pulse, 0.3, t), pulse.tau, 2 * MAGNUS_BLOCK + 1, 1
+            lambda t: pulses._rotating_frame_hamiltonians(pulse, 0.3, t), pulse.tau, 2 * MAGNUS_BLOCK + 1, 1, 2
         ),
         "d = 3 phase map": (
             lambda t: raman._lambda_hamiltonians(spec, phi2, t), spec.duration,
-            2 * step_count(spec.carrier_cycles), phi2.size,
+            2 * step_count(spec.carrier_cycles), phi2.size, 3,
         ),
-        "real, commuting": (_commuting_hamiltonians(26), 2.0, 200, 26),
+        "real, commuting": (_commuting_hamiltonians(26), 2.0, 200, 26, 2),
     }
 
 
 @pytest.mark.parametrize("case", ["d = 2 pulse", "d = 3 phase map", "real, commuting"])
 def test_magnus_generators_are_bitwise_the_out_of_place_formula(case):
-    hamiltonians, duration, steps, width = _generator_cases()[case]
-    blocks = list(magnus_generators(hamiltonians, duration, steps, width))
+    hamiltonians, duration, steps, width, d = _generator_cases()[case]
+    blocks = _generators(hamiltonians, duration, steps, width, d)
     expected = list(_out_of_place_generators(hamiltonians, duration, steps, width))
     assert len(blocks) == len(expected) > 1
     for g, e in zip(blocks, expected):
@@ -336,7 +429,7 @@ def test_magnus_generators_never_write_into_the_callback_arrays(read_only):
         return out
 
     steps = MAGNUS_BLOCK + 1
-    blocks = list(magnus_generators(hamiltonians, 1.0, steps, 1))
+    blocks = _generators(hamiltonians, 1.0, steps, 1, 3)
     assert [g.shape[0] for g in blocks] == [MAGNUS_BLOCK, 1]
     assert np.shares_memory(_soa(returned[-1][0]), returned[-1][0])
     assert all(np.array_equal(out, kept) for out, kept in returned)
@@ -346,7 +439,7 @@ def test_magnus_generators_never_write_into_the_callback_arrays(read_only):
 
 def _random_su2_rows(shape, seed):
     """Top rows of random SU(2) matrices, of shape ``shape + (2,)``."""
-    return expm_herm(_traceless_hermitian(shape, seed))[..., 0, :]
+    return _expm(_traceless_hermitian(shape, seed))[..., 0, :]
 
 
 @pytest.mark.parametrize("length", [1, 2, 7, 1029])
@@ -393,7 +486,7 @@ def _traceless_hermitian(shape, seed):
 def _random_su2_tangents(count, seed):
     """``count`` SU(2) matrices m and tangents m i H, H traceless Hermitian."""
     h, g = _traceless_hermitian((2, count), seed)
-    m = expm_herm(h)
+    m = _expm(h)
     return m, m @ (1.0j * g)
 
 
@@ -476,7 +569,7 @@ def test_magnus_generators_are_exactly_hermitian():
         return np.einsum("tgk,kij->tgij", weights, basis)
 
     # blocks of MAGNUS_BLOCK matrices, here MAGNUS_BLOCK // 2 steps
-    blocks = list(magnus_generators(hamiltonians, 2.0, MAGNUS_BLOCK // 2 + 5, 2))
+    blocks = _generators(hamiltonians, 2.0, MAGNUS_BLOCK // 2 + 5, 2, 3)
     assert [g.shape for g in blocks] == [(MAGNUS_BLOCK // 2, 2, 3, 3), (5, 2, 3, 3)]
     for g in blocks:
         assert np.array_equal(g, g.conj().swapaxes(-1, -2))
